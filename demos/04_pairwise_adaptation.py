@@ -52,9 +52,12 @@ for step in range(cfg.disc_pretrain_epochs + 1):
 print(f"(chance level is 0.25, uniform CE is ln 4 = {np.log(4):.4f})")
 
 # --- the packaged routine --------------------------------------------------
-# adapt_pairwise runs the same pretraining, then alternates one model
-# update (discriminator frozen) and one discriminator update (encoder
-# frozen) per epoch. The confusion weight beta ramps up with progress.
+# adapt_pairwise starts a discriminator of its own (seeded from cfg.seed,
+# not the one trained above) and pretrains it the same way, then alternates
+# one model update (discriminator frozen) and one discriminator update
+# (encoder frozen) per epoch. The confusion weight beta ramps up with
+# progress. train_tohan runs this same schedule in its final adapt_epochs,
+# against a pool drawn fresh from the live generators every epoch.
 trace = []
 model = trainers.adapt_pairwise(pool, fewshot, hypothesis, cfg, trace=trace)
 

@@ -42,17 +42,15 @@ from .harness import (
 )
 from .losses import (
     GenLossConfig,
-    adaptation_loss,
     augmented_l1,
     beta_schedule,
     cross_entropy,
     gen_source_loss,
     gen_target_loss,
-    gen_total_loss,
     group_ce_loss,
     l1_diameter,
 )
-from .nn import AdamState, ArchSpec, GradCheckReport, Net, adam_step, backward, forward, grad_check_fd, init_params, num_params
+from .nn import AdamState, ArchSpec, GradCheckReport, Net, adam_step, forward, grad_check_fd, init_params, num_params
 from .pairing import LabeledPool, PairBatch, build_groups, phi
 from .trainers import (
     BaselineConfig,

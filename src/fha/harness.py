@@ -103,8 +103,15 @@ def read_results(path):
                 missing = {"method", "task", "n_t", "seed"} - set(row)
                 if missing:
                     raise ValueError(f"missing fields {sorted(missing)}")
-                if "error" not in row and ("accuracy" not in row or "wa_accuracy" not in row):
-                    raise ValueError("missing accuracy fields")
+                for key in ("n_t", "seed"):
+                    if type(row[key]) is not int:  # bool is rejected too
+                        raise ValueError(f"{key} is not an integer")
+                if row.get("error") is None:
+                    if "accuracy" not in row or "wa_accuracy" not in row:
+                        raise ValueError("missing accuracy fields")
+                    for key in ("accuracy", "wa_accuracy"):
+                        if type(row[key]) not in (int, float) or not 0.0 <= row[key] <= 1.0:
+                            raise ValueError(f"{key} is not a number in [0, 1]")
             except ValueError as exc:
                 problems.append(f"line {i}: {exc}")
                 continue

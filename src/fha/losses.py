@@ -164,18 +164,6 @@ def gen_target_loss_grad(generated: np.ndarray, targets_n: np.ndarray,
     return g.sum(axis=1) / (diameter * b * k)
 
 
-def gen_total_loss(class_probs: np.ndarray, generated: np.ndarray,
-                   targets_n: np.ndarray, cfg: GenLossConfig) -> float:
-    """Source-compatibility term plus tradeoff * target-proximity term."""
-    source = gen_source_loss(class_probs)
-    if cfg.tradeoff == 0.0:
-        return source
-    diameter = cfg.diameter
-    if diameter is None:
-        diameter = l1_diameter(np.asarray(generated).shape[1])
-    return source + cfg.tradeoff * gen_target_loss(generated, targets_n, diameter)
-
-
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true class, clamped at 1e-12."""
     probs = np.asarray(probs, dtype=np.float64)
@@ -242,20 +230,27 @@ def _confusion_target(group: int) -> int:
     return GROUP_BOTH_INTERMEDIATE_DIFF - 1
 
 
-def _adaptation_terms(g2_pairs, g4_pairs, disc, enc, cls, fewshot, beta,
-                      want_grads: bool):
+def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
+                              cls: nn.Net, fewshot, beta: float):
+    """beta * (confusion of cross-domain pairs) + CE on the few-shot samples,
+    with gradients for the encoder and classifier only.
+
+    The confusion terms score group-2 pairs against the group-1 label and
+    group-4 pairs against the group-3 label under the group discriminator.
+    The discriminator is a frozen scorer here: no gradient is produced for
+    it, by construction. Empty pair sets contribute zero with a warning.
+    Returns (loss, encoder gradient, classifier gradient).
+    """
+    if not 0.0 <= beta <= 1.0:
+        raise ConfigError("beta must lie in [0, 1]")
     x_t = np.asarray(fewshot.features, dtype=np.float64)
     y_t = np.asarray(fewshot.labels, dtype=np.int64)
     emb_t, emb_cache = nn.forward_and_cache(enc.arch, enc.params, x_t)
     probs_t, cls_cache = nn.forward_and_cache(cls.arch, cls.params, emb_t)
     target_ce = cross_entropy(probs_t, y_t)
-
-    enc_grad = np.zeros(nn.num_params(enc.arch))
-    cls_grad = np.zeros(nn.num_params(cls.arch))
-    if want_grads:
-        up = cross_entropy_grad(probs_t, y_t)
-        cls_grad, emb_up = nn.backward_from_cache(cls.arch, cls.params, cls_cache, up)
-        enc_grad, _ = nn.backward_from_cache(enc.arch, enc.params, emb_cache, emb_up)
+    up = cross_entropy_grad(probs_t, y_t)
+    cls_grad, emb_up = nn.backward_from_cache(cls.arch, cls.params, cls_cache, up)
+    enc_grad, _ = nn.backward_from_cache(enc.arch, enc.params, emb_cache, emb_up)
 
     confusion = 0.0
     width = enc.arch.out_width
@@ -263,7 +258,7 @@ def _adaptation_terms(g2_pairs, g4_pairs, disc, enc, cls, fewshot, beta,
         if pairs is None or pairs.size == 0:
             warnings.warn(
                 f"no group-{expected_group} pairs; confusion term contributes zero",
-                stacklevel=3,
+                stacklevel=2,
             )
             continue
         if not np.all(pairs.group == expected_group):
@@ -275,7 +270,7 @@ def _adaptation_terms(g2_pairs, g4_pairs, disc, enc, cls, fewshot, beta,
         d_probs, d_cache = nn.forward_and_cache(disc.arch, disc.params, joint)
         picked = np.maximum(d_probs[:, col], PROB_FLOOR)
         confusion += float(-np.mean(np.log(picked)))
-        if want_grads and beta != 0.0:
+        if beta != 0.0:
             up_d = np.zeros_like(d_probs)
             up_d[:, col] = np.where(
                 d_probs[:, col] >= PROB_FLOOR, -beta / (pairs.size * picked), 0.0
@@ -285,37 +280,6 @@ def _adaptation_terms(g2_pairs, g4_pairs, disc, enc, cls, fewshot, beta,
             g2, _ = nn.backward_from_cache(enc.arch, enc.params, c2, joint_up[:, width:])
             enc_grad = enc_grad + g1 + g2
     loss = float(beta) * confusion + target_ce
-    return loss, confusion, target_ce, enc_grad, cls_grad
-
-
-def adaptation_loss(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net, cls: nn.Net,
-                    fewshot, beta: float) -> float:
-    """beta * (confusion of cross-domain pairs) + CE on the few-shot samples.
-
-    The confusion terms score group-2 pairs against the group-1 label and
-    group-4 pairs against the group-3 label under the (frozen) group
-    discriminator. Empty pair sets contribute zero with a warning.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError("beta must lie in [0, 1]")
-    loss, _, _, _, _ = _adaptation_terms(
-        g2_pairs, g4_pairs, disc, enc, cls, fewshot, beta, want_grads=False
-    )
-    return loss
-
-
-def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
-                              cls: nn.Net, fewshot, beta: float):
-    """adaptation_loss plus gradients for the encoder and classifier only.
-
-    The discriminator is a frozen scorer here: no gradient is produced for
-    it, by construction.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError("beta must lie in [0, 1]")
-    loss, _, _, enc_grad, cls_grad = _adaptation_terms(
-        g2_pairs, g4_pairs, disc, enc, cls, fewshot, beta, want_grads=True
-    )
     return loss, enc_grad, cls_grad
 
 

@@ -18,7 +18,6 @@ from .errors import ConfigError, FormatError, NumericalError
 
 ACTIVATIONS = ("tanh", "relu")
 HEADS = ("softmax", "linear", "sigmoid")
-PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -197,16 +196,6 @@ def backward_from_cache(arch, params, acts, upstream):
     return param_grad, g
 
 
-def backward(arch: ArchSpec, params, batch, upstream):
-    """Exact reverse-mode gradients of ``forward``.
-
-    Given d(loss)/d(output) in ``upstream``, returns
-    (d(loss)/d(params), d(loss)/d(batch)).
-    """
-    out, acts = forward_and_cache(arch, params, batch)
-    return backward_from_cache(arch, params, acts, upstream)
-
-
 @dataclass(frozen=True)
 class Net:
     """An architecture bound to a read-only parameter vector."""
@@ -360,6 +349,8 @@ def load_model(path) -> tuple[dict[str, Net], int, dict]:
         raise FormatError("not a model file (missing format marker)")
     if doc.get("version") != _MODEL_VERSION:
         raise FormatError(f"unsupported model file version {doc.get('version')!r}")
+    if not isinstance(doc.get("nets"), dict):
+        raise FormatError("model file has no object of nets")
     try:
         nets = {
             name: Net(

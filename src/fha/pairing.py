@@ -86,15 +86,6 @@ class PairBatch:
     def counts(self) -> dict[int, int]:
         return {g: int(np.sum(self.group == g)) for g in ALL_GROUPS}
 
-    def one_hot(self) -> np.ndarray:
-        out = np.zeros((self.size, 4))
-        out[np.arange(self.size), self.group - 1] = 1.0
-        return out
-
-    def only(self, group_id: int) -> "PairBatch":
-        mask = self.group == group_id
-        return PairBatch(self.x1[mask], self.x2[mask], self.group[mask])
-
 
 def _as_pool(obj, domain: str) -> LabeledPool:
     if isinstance(obj, LabeledPool):

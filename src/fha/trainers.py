@@ -13,6 +13,12 @@ Methods (names match the results schema):
              final adapt_epochs the model and group discriminator update in
              alternation against the freshly generated pool.
 
+The two-step methods and tohan share one generator set-up and step and one
+adaptation schedule (discriminator pretraining, then alternating model and
+discriminator updates). They differ only in when the intermediate pool is
+drawn: once from the converged bank, or every epoch from the live
+generators.
+
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and every update builds new parameter
 vectors. Equal seeds give bit-identical outputs.
@@ -242,12 +248,6 @@ def write_trace(events, path) -> None:
 # evaluation core (single code path shared with the harness)
 
 
-def predict_proba(model, batch: np.ndarray) -> np.ndarray:
-    """Class probabilities of an encoder+classifier pair on a batch."""
-    emb = model.enc(np.asarray(batch, dtype=np.float64))
-    return model.cls(emb)
-
-
 def _accuracy_core(enc: nn.Net, cls: nn.Net, feats: np.ndarray, labels: np.ndarray) -> float:
     feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -380,13 +380,48 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
 # generators
 
 
-def _gen_loss_config(n: int, cfg: TohanConfig, dim: int) -> losses.GenLossConfig:
-    return losses.GenLossConfig(
-        class_index=n,
-        batch_size=cfg.gen_batch,
-        tradeoff=cfg.tradeoff,
-        diameter=losses.l1_diameter(dim),
-    )
+class _Generators:
+    """One generator per class, stepped together on one objective.
+
+    Seeds follow derive_seeds(root, 2 * num_classes): child 2n initializes
+    generator n and child 2n + 1 drives its noise stream.
+    """
+
+    def __init__(self, hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
+                 mode: str, cfg: TohanConfig, root: int):
+        num_classes = hypothesis.cls.arch.out_width
+        dim = hypothesis.enc.arch.in_width
+        child = nn.derive_seeds(root, 2 * num_classes)
+        arch = default_generator_arch(cfg.z_dim, dim, cfg.gen_hidden)
+        self.nets = [nn.Net(arch, nn.init_params(arch, child[2 * n]))
+                     for n in range(num_classes)]
+        self._states = [nn.AdamState.init(g.params.size, cfg.lr_gen) for g in self.nets]
+        self._noise = [np.random.default_rng(child[2 * n + 1]) for n in range(num_classes)]
+        self._targets = [
+            None if fewshot is None else fewshot.class_features(n).astype(np.float64)
+            for n in range(num_classes)
+        ]
+        self._loss_cfgs = [
+            losses.GenLossConfig(class_index=n, batch_size=cfg.gen_batch,
+                                 tradeoff=cfg.tradeoff, diameter=losses.l1_diameter(dim))
+            for n in range(num_classes)
+        ]
+        self._hypothesis, self._mode, self._cfg = hypothesis, mode, cfg
+
+    def step(self) -> tuple[list[float], list[np.ndarray]]:
+        """One Adam step of every generator; returns each one's loss and batch."""
+        hyp, cfg = self._hypothesis, self._cfg
+        step_losses, batches = [], []
+        for n, gen in enumerate(self.nets):
+            z = self._noise[n].standard_normal((cfg.gen_batch, cfg.z_dim))
+            loss, grad, generated = losses.generator_objective_and_grad(
+                gen, hyp.enc, hyp.cls, z, self._targets[n], self._loss_cfgs[n], self._mode,
+            )
+            params, self._states[n] = nn.adam_step(self._states[n], gen.params, grad)
+            self.nets[n] = gen.with_params(params)
+            step_losses.append(loss)
+            batches.append(generated)
+        return step_losses, batches
 
 
 def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
@@ -403,31 +438,10 @@ def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | Non
     if mode != "source_only" and fewshot is None:
         raise ConfigError(f"mode {mode!r} needs a few-shot set")
     root = cfg.seed if seed is None else seed
-    num_classes = hypothesis.cls.arch.out_width
-    dim = hypothesis.enc.arch.in_width
-    steps = cfg.total_epochs if epochs is None else epochs
-    child = nn.derive_seeds(root, 2 * num_classes)
-    arch = default_generator_arch(cfg.z_dim, dim, cfg.gen_hidden)
-    nets, states, noise = [], [], []
-    for n in range(num_classes):
-        params = nn.init_params(arch, child[2 * n])
-        nets.append(nn.Net(arch, params))
-        states.append(nn.AdamState.init(params.size, cfg.lr_gen))
-        noise.append(np.random.default_rng(child[2 * n + 1]))
-    targets = [
-        None if fewshot is None else fewshot.class_features(n).astype(np.float64)
-        for n in range(num_classes)
-    ]
-    for _ in range(steps):
-        for n in range(num_classes):
-            z = noise[n].standard_normal((cfg.gen_batch, cfg.z_dim))
-            _, grad, _ = losses.generator_objective_and_grad(
-                nets[n], hypothesis.enc, hypothesis.cls, z, targets[n],
-                _gen_loss_config(n, cfg, dim), mode,
-            )
-            params, states[n] = nn.adam_step(states[n], nets[n].params, grad)
-            nets[n] = nets[n].with_params(params)
-    return GeneratorBank(nets=tuple(nets), z_dim=cfg.z_dim, seed=root)
+    gens = _Generators(hypothesis, fewshot, mode, cfg, root)
+    for _ in range(cfg.total_epochs if epochs is None else epochs):
+        gens.step()
+    return GeneratorBank(nets=tuple(gens.nets), z_dim=cfg.z_dim, seed=root)
 
 
 def sample_pool(bank: GeneratorBank, per_class: int, seed: int) -> LabeledPool:
@@ -465,16 +479,65 @@ def _disc_update(disc, disc_state, enc, pool, fewshot, cfg, rng):
     return disc.with_params(params), disc_state, loss
 
 
-def _model_update(enc, cls, enc_state, cls_state, disc, pool, fewshot, beta, cfg, rng):
-    count = 2 * cfg.per_group
-    g2 = sample_group_pairs(pool, fewshot, 2, count, rng)
-    g4 = sample_group_pairs(pool, fewshot, 4, count, rng)
-    loss, enc_grad, cls_grad = losses.adaptation_loss_and_grads(
-        g2, g4, disc, enc, cls, fewshot, beta
-    )
-    enc_params, enc_state = nn.adam_step(enc_state, enc.params, enc_grad)
-    cls_params, cls_state = nn.adam_step(cls_state, cls.params, cls_grad)
-    return enc.with_params(enc_params), cls.with_params(cls_params), enc_state, cls_state, loss
+def _adapt(source, fewshot: FewShotSet, hypothesis: SourceHypothesis, cfg: TohanConfig,
+           disc_seed: int, pair_seed: int, trace: list | None) -> TargetModel:
+    """The adaptation schedule shared by the two-step and one-step methods.
+
+    ``source`` is a fixed LabeledPool (two-step) or live _Generators
+    (one-step). A fixed pool is adapted against at once; live generators
+    step once per epoch for cfg.total_epochs, each step drawing that
+    epoch's pool, and adaptation fills the final cfg.adapt_epochs. When
+    adaptation starts, the group discriminator is pretrained for
+    cfg.disc_pretrain_epochs; then each epoch runs one model update
+    (discriminator frozen) and one discriminator update (encoder frozen).
+    """
+    gens = source if isinstance(source, _Generators) else None
+    pool = source if gens is None else None
+    enc, cls = hypothesis.enc, hypothesis.cls
+    disc_arch = default_discriminator_arch(enc.arch.out_width, cfg.disc_hidden)
+    disc = nn.Net(disc_arch, nn.init_params(disc_arch, disc_seed))
+    pair_rng = np.random.default_rng(pair_seed)
+    enc_state = nn.AdamState.init(enc.params.size, cfg.lr_model)
+    cls_state = nn.AdamState.init(cls.params.size, cfg.lr_model)
+
+    def record(epoch, phase, values):
+        if trace is not None:
+            nets = None if gens is None else gens.nets
+            trace.append(PhaseEvent(epoch, phase, values,
+                                    _state_digests(nets, enc, cls, disc)))
+
+    record(-1, "init", {})
+    lead = 0 if gens is None else cfg.total_epochs - cfg.adapt_epochs
+    for epoch in range(lead + cfg.adapt_epochs):
+        if gens is not None:
+            gen_losses, batches = gens.step()
+            pool = LabeledPool("intermediate", np.concatenate(batches),
+                               np.repeat(np.arange(len(batches)), cfg.gen_batch))
+            record(epoch, "generate", {"gen_loss_mean": float(np.mean(gen_losses)),
+                                       "dm_size": float(pool.size)})
+        if epoch < lead:
+            continue
+        if epoch == lead:
+            disc_state = nn.AdamState.init(disc.params.size, cfg.lr_disc_pretrain)
+            for _ in range(cfg.disc_pretrain_epochs):
+                disc, disc_state, loss = _disc_update(disc, disc_state, enc, pool,
+                                                      fewshot, cfg, pair_rng)
+                record(epoch, "pretrain_disc", {"group_ce": loss})
+            disc_state = nn.AdamState.init(disc.params.size, cfg.lr_disc_adapt)
+        beta = losses.beta_schedule((epoch - lead) / cfg.adapt_epochs)
+        g2 = sample_group_pairs(pool, fewshot, 2, 2 * cfg.per_group, pair_rng)
+        g4 = sample_group_pairs(pool, fewshot, 4, 2 * cfg.per_group, pair_rng)
+        loss, enc_grad, cls_grad = losses.adaptation_loss_and_grads(
+            g2, g4, disc, enc, cls, fewshot, beta
+        )
+        enc_params, enc_state = nn.adam_step(enc_state, enc.params, enc_grad)
+        cls_params, cls_state = nn.adam_step(cls_state, cls.params, cls_grad)
+        enc, cls = enc.with_params(enc_params), cls.with_params(cls_params)
+        record(epoch, "model_update", {"adaptation": loss, "beta": beta})
+        disc, disc_state, loss = _disc_update(disc, disc_state, enc, pool,
+                                              fewshot, cfg, pair_rng)
+        record(epoch, "disc_update", {"group_ce": loss})
+    return TargetModel(enc=enc, cls=cls)
 
 
 def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
@@ -482,50 +545,16 @@ def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
                    seed: int | None = None, trace: list | None = None) -> TargetModel:
     """Adversarial adaptation against a fixed intermediate pool.
 
-    Initializes the target model from the source hypothesis, pretrains the
-    group discriminator for cfg.disc_pretrain_epochs, then alternates one
-    model update (discriminator frozen) and one discriminator update
-    (encoder frozen) per epoch for cfg.adapt_epochs. With adapt_epochs 0
-    the initialized copy is returned untouched.
+    Starts from the source hypothesis and runs the shared schedule for
+    cfg.adapt_epochs: discriminator pretraining, then one model update and
+    one discriminator update per epoch. With adapt_epochs 0 the source nets
+    are returned untouched.
     """
-    enc, cls = hypothesis.enc, hypothesis.cls
     if cfg.adapt_epochs == 0:
-        return TargetModel(enc=enc, cls=cls)
+        return TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)
     root = cfg.seed if seed is None else seed
     disc_seed, pair_seed = nn.derive_seeds(root, 2)
-    disc_arch = default_discriminator_arch(enc.arch.out_width, cfg.disc_hidden)
-    disc = nn.Net(disc_arch, nn.init_params(disc_arch, disc_seed))
-    pair_rng = np.random.default_rng(pair_seed)
-
-    if trace is not None:
-        trace.append(PhaseEvent(-1, "init", {}, _state_digests(None, enc, cls, disc)))
-    disc_state = nn.AdamState.init(disc.params.size, cfg.lr_disc_pretrain)
-    for _ in range(cfg.disc_pretrain_epochs):
-        disc, disc_state, loss = _disc_update(disc, disc_state, enc, intermediate,
-                                              fewshot, cfg, pair_rng)
-        if trace is not None:
-            trace.append(PhaseEvent(0, "pretrain_disc", {"group_ce": loss},
-                                    _state_digests(None, enc, cls, disc)))
-
-    enc_state = nn.AdamState.init(enc.params.size, cfg.lr_model)
-    cls_state = nn.AdamState.init(cls.params.size, cfg.lr_model)
-    disc_state = nn.AdamState.init(disc.params.size, cfg.lr_disc_adapt)
-    for epoch in range(cfg.adapt_epochs):
-        beta = losses.beta_schedule(epoch / cfg.adapt_epochs)
-        enc, cls, enc_state, cls_state, model_loss = _model_update(
-            enc, cls, enc_state, cls_state, disc, intermediate, fewshot, beta,
-            cfg, pair_rng,
-        )
-        if trace is not None:
-            trace.append(PhaseEvent(epoch, "model_update",
-                                    {"adaptation": model_loss, "beta": beta},
-                                    _state_digests(None, enc, cls, disc)))
-        disc, disc_state, disc_loss = _disc_update(disc, disc_state, enc,
-                                                   intermediate, fewshot, cfg, pair_rng)
-        if trace is not None:
-            trace.append(PhaseEvent(epoch, "disc_update", {"group_ce": disc_loss},
-                                    _state_digests(None, enc, cls, disc)))
-    return TargetModel(enc=enc, cls=cls)
+    return _adapt(intermediate, fewshot, hypothesis, cfg, disc_seed, pair_seed, trace)
 
 
 def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
@@ -550,82 +579,14 @@ def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanCon
                 *, trace: list | None = None) -> TargetModel:
     """One-step adaptation: generation and adaptation share one loop.
 
-    Every epoch regenerates the intermediate pool (gen_batch samples per
-    class, taken before that epoch's generator update) and updates each
-    generator on the combined objective. At epoch total_epochs -
-    adapt_epochs the group discriminator is pretrained once for
-    disc_pretrain_epochs; from that epoch on, each epoch also runs one
-    model update and one discriminator update against the fresh pool.
+    Every epoch updates each generator on the combined objective; the
+    batches that update was computed on (gen_batch samples per class, drawn
+    before it) form that epoch's intermediate pool. The final adapt_epochs
+    epochs run the shared adaptation schedule against each fresh pool.
     """
-    num_classes = hypothesis.cls.arch.out_width
-    dim = hypothesis.enc.arch.in_width
     gen_root, disc_seed, pair_seed = nn.derive_seeds(cfg.seed, 3)
-    child = nn.derive_seeds(gen_root, 2 * num_classes)
-    gen_arch = default_generator_arch(cfg.z_dim, dim, cfg.gen_hidden)
-    gens, gen_states, noise = [], [], []
-    for n in range(num_classes):
-        params = nn.init_params(gen_arch, child[2 * n])
-        gens.append(nn.Net(gen_arch, params))
-        gen_states.append(nn.AdamState.init(params.size, cfg.lr_gen))
-        noise.append(np.random.default_rng(child[2 * n + 1]))
-    targets = [fewshot.class_features(n).astype(np.float64) for n in range(num_classes)]
-
-    enc, cls = hypothesis.enc, hypothesis.cls
-    disc_arch = default_discriminator_arch(enc.arch.out_width, cfg.disc_hidden)
-    disc = nn.Net(disc_arch, nn.init_params(disc_arch, disc_seed))
-    pair_rng = np.random.default_rng(pair_seed)
-    enc_state = nn.AdamState.init(enc.params.size, cfg.lr_model)
-    cls_state = nn.AdamState.init(cls.params.size, cfg.lr_model)
-    disc_state = None  # created by the pretraining block
-
-    if trace is not None:
-        trace.append(PhaseEvent(-1, "init", {}, _state_digests(gens, enc, cls, disc)))
-    adapt_start = cfg.total_epochs - cfg.adapt_epochs
-    for epoch in range(cfg.total_epochs):
-        feats, labels, gen_losses = [], [], []
-        for n in range(num_classes):
-            z = noise[n].standard_normal((cfg.gen_batch, cfg.z_dim))
-            loss, grad, generated = losses.generator_objective_and_grad(
-                gens[n], hypothesis.enc, hypothesis.cls, z, targets[n],
-                _gen_loss_config(n, cfg, dim), "combined",
-            )
-            feats.append(generated)
-            labels.append(np.full(cfg.gen_batch, n, dtype=np.int64))
-            gen_losses.append(loss)
-            params, gen_states[n] = nn.adam_step(gen_states[n], gens[n].params, grad)
-            gens[n] = gens[n].with_params(params)
-        pool = LabeledPool("intermediate", np.concatenate(feats), np.concatenate(labels))
-        if trace is not None:
-            trace.append(PhaseEvent(
-                epoch, "generate",
-                {"gen_loss_mean": float(np.mean(gen_losses)),
-                 "dm_size": float(pool.size)},
-                _state_digests(gens, enc, cls, disc),
-            ))
-        if epoch == adapt_start:
-            disc_state = nn.AdamState.init(disc.params.size, cfg.lr_disc_pretrain)
-            for _ in range(cfg.disc_pretrain_epochs):
-                disc, disc_state, loss = _disc_update(disc, disc_state, enc, pool,
-                                                      fewshot, cfg, pair_rng)
-                if trace is not None:
-                    trace.append(PhaseEvent(epoch, "pretrain_disc", {"group_ce": loss},
-                                            _state_digests(gens, enc, cls, disc)))
-            disc_state = nn.AdamState.init(disc.params.size, cfg.lr_disc_adapt)
-        if epoch >= adapt_start:
-            beta = losses.beta_schedule((epoch - adapt_start) / cfg.adapt_epochs)
-            enc, cls, enc_state, cls_state, model_loss = _model_update(
-                enc, cls, enc_state, cls_state, disc, pool, fewshot, beta, cfg, pair_rng,
-            )
-            if trace is not None:
-                trace.append(PhaseEvent(epoch, "model_update",
-                                        {"adaptation": model_loss, "beta": beta},
-                                        _state_digests(gens, enc, cls, disc)))
-            disc, disc_state, disc_loss = _disc_update(disc, disc_state, enc, pool,
-                                                       fewshot, cfg, pair_rng)
-            if trace is not None:
-                trace.append(PhaseEvent(epoch, "disc_update", {"group_ce": disc_loss},
-                                        _state_digests(gens, enc, cls, disc)))
-    return TargetModel(enc=enc, cls=cls)
+    gens = _Generators(hypothesis, fewshot, "combined", cfg, gen_root)
+    return _adapt(gens, fewshot, hypothesis, cfg, disc_seed, pair_seed, trace)
 
 
 def group_discriminator_accuracy(disc: nn.Net, enc: nn.Net, intermediate: LabeledPool,
@@ -664,18 +625,5 @@ def load_hypothesis(path) -> SourceHypothesis:
             train_accuracy=float(meta.get("train_accuracy", float("nan"))),
             test_accuracy=float(meta.get("test_accuracy", float("nan"))),
         )
-    except KeyError as exc:
-        raise ConfigError(f"model file lacks a net: {exc}") from exc
-
-
-def save_target_model(path, model: TargetModel, seed: int = 0) -> None:
-    nn.save_model(path, {"encoder": model.enc, "classifier": model.cls}, seed,
-                  {"role": "target_model"})
-
-
-def load_target_model(path) -> TargetModel:
-    nets, _, _ = nn.load_model(path)
-    try:
-        return TargetModel(enc=nets["encoder"], cls=nets["classifier"])
     except KeyError as exc:
         raise ConfigError(f"model file lacks a net: {exc}") from exc

@@ -294,12 +294,18 @@ class TestSummarize:
 
     def test_skipped_lines_exit_one(self, workdir, tmp_path, capsys):
         good = (workdir / "results.jsonl").read_text(encoding="utf-8")
+        row = '{"method": "ft", "task": "rot20", "wa_accuracy": 0.5, '
         bad_path = tmp_path / "mixed.jsonl"
-        bad_path.write_text(good + "junk line\n", encoding="utf-8")
+        bad_path.write_text(good + "junk line\n"
+                            + row + '"n_t": "x", "seed": 0, "accuracy": 0.5}\n'
+                            + row + '"n_t": 1, "seed": 0, "accuracy": "abc"}\n'
+                            + row + '"n_t": 1, "seed": 0, "accuracy": NaN}\n',
+                            encoding="utf-8")
         assert cli.main(["summarize", str(bad_path)]) == 1
         captured = capsys.readouterr()
-        assert "skipped line" in captured.err
+        assert captured.err.count("skipped line") == 4
         assert captured.out.startswith("method")  # table still rendered
+        assert "nan" not in captured.out
 
     def test_empty_results_exit_one(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -351,6 +357,17 @@ class TestDumpEmbed:
         net = nn.Net(arch, nn.init_params(arch, 0))
         model_path = tmp_path / "bare.json"
         nn.save_model(model_path, {"classifier": net}, 0, {})
+        rc = cli.main([
+            "dump-embed", "--model", str(model_path),
+            "--data", f"source={workdir / 'data' / 'source.fhd'}",
+            "--out", str(tmp_path / "emb.csv"),
+        ])
+        assert rc == 2
+
+    def test_model_with_non_object_nets_is_usage_error(self, workdir, tmp_path):
+        model_path = tmp_path / "listnets.json"
+        model_path.write_text('{"format": "fha-model", "version": 1, "seed": 0, '
+                              '"nets": []}', encoding="utf-8")
         rc = cli.main([
             "dump-embed", "--model", str(model_path),
             "--data", f"source={workdir / 'data' / 'source.fhd'}",

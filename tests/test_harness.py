@@ -114,6 +114,10 @@ class TestResultsIO:
     def test_read_collects_problems_and_keeps_good_rows(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         good = format_result_line(_result())
+
+        def bad(**fields):
+            return json.dumps({**json.loads(good), **fields})
+
         path.write_text(
             "\n".join([
                 good,
@@ -123,15 +127,25 @@ class TestResultsIO:
                 '{"method": "ft", "task": "toy", "n_t": 1, "seed": 0}',
                 "",
                 good,
+                bad(n_t="x"),
+                bad(seed=True),
+                bad(accuracy="abc"),
+                bad(accuracy=float("nan")),
+                bad(wa_accuracy=1.5),
             ]) + "\n",
             encoding="utf-8",
         )
         rows, problems = read_results(path)
         assert len(rows) == 2
-        assert len(problems) == 4
+        assert len(problems) == 9
         assert problems[0].startswith("line 2:")
         assert "missing fields" in problems[2]
         assert "missing accuracy fields" in problems[3]
+        assert problems[4] == "line 8: n_t is not an integer"
+        assert problems[5] == "line 9: seed is not an integer"
+        assert problems[6] == "line 10: accuracy is not a number in [0, 1]"
+        assert problems[7] == "line 11: accuracy is not a number in [0, 1]"
+        assert problems[8] == "line 12: wa_accuracy is not a number in [0, 1]"
 
     def test_error_rows_parse_without_accuracies(self, tmp_path):
         path = tmp_path / "err.jsonl"

@@ -174,20 +174,6 @@ class TestGenTargetLoss:
 
 
 class TestGenTotalLoss:
-    def test_reference_value(self):
-        cfg = losses.GenLossConfig(class_index=0, batch_size=1, tradeoff=0.2)
-        probs = np.array([0.5, 1.0])
-        generated = np.array([[1.0, 0.0]])
-        target = np.array([[0.0, 0.0]])
-        value = losses.gen_total_loss(probs, generated, target, cfg)
-        assert value == pytest.approx(0.125 + 0.2 / np.sqrt(2.0))
-
-    def test_zero_tradeoff_ignores_target_term(self):
-        cfg = losses.GenLossConfig(class_index=0, tradeoff=0.0)
-        probs = np.array([0.25, 0.75])
-        value = losses.gen_total_loss(probs, None, None, cfg)
-        assert value == pytest.approx(losses.gen_source_loss(probs))
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             losses.GenLossConfig(class_index=-1)
@@ -321,13 +307,15 @@ class TestAdaptationLoss:
                                                             np.asarray(fs.features, float)))
         expected_ce = losses.cross_entropy(probs, np.asarray(fs.labels, np.int64))
         beta = 0.5
-        value = losses.adaptation_loss(_pairs(2), _pairs(4), disc, enc, cls, fs, beta)
+        value, _, _ = losses.adaptation_loss_and_grads(_pairs(2), _pairs(4), disc, enc, cls,
+                                                       fs, beta)
         assert value == pytest.approx(beta * 2.0 * np.log(4.0) + expected_ce, abs=1e-12)
 
     def test_beta_zero_is_pure_cross_entropy(self):
         enc, cls, disc = _small_models()
         fs = _fewshot()
-        with_pairs = losses.adaptation_loss(_pairs(2), _pairs(4), disc, enc, cls, fs, 0.0)
+        with_pairs, _, _ = losses.adaptation_loss_and_grads(_pairs(2), _pairs(4), disc, enc,
+                                                            cls, fs, 0.0)
         probs = nn.forward(cls.arch, cls.params, nn.forward(enc.arch, enc.params,
                                                             np.asarray(fs.features, float)))
         assert with_pairs == pytest.approx(
@@ -339,13 +327,13 @@ class TestAdaptationLoss:
         fs = _fewshot()
         for bad in (-0.1, 1.5):
             with pytest.raises(ConfigError):
-                losses.adaptation_loss(_pairs(2), _pairs(4), disc, enc, cls, fs, bad)
+                losses.adaptation_loss_and_grads(_pairs(2), _pairs(4), disc, enc, cls, fs, bad)
 
     def test_wrong_group_content_rejected(self):
         enc, cls, disc = _small_models()
         fs = _fewshot()
         with pytest.raises(ConfigError):
-            losses.adaptation_loss(_pairs(3), _pairs(4), disc, enc, cls, fs, 0.5)
+            losses.adaptation_loss_and_grads(_pairs(3), _pairs(4), disc, enc, cls, fs, 0.5)
 
     def test_empty_pairs_warn_and_contribute_zero(self):
         enc, cls, disc = _small_models()
@@ -353,7 +341,8 @@ class TestAdaptationLoss:
         empty = PairBatch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            value = losses.adaptation_loss(empty, empty, disc, enc, cls, fs, 0.9)
+            value, _, _ = losses.adaptation_loss_and_grads(empty, empty, disc, enc, cls, fs,
+                                                           0.9)
         assert len(caught) == 2
         probs = nn.forward(cls.arch, cls.params, nn.forward(enc.arch, enc.params,
                                                             np.asarray(fs.features, float)))

@@ -168,7 +168,8 @@ class TestBackward:
         params = nn.init_params(arch, seed=9)
         x0 = RNG.uniform(-1.0, 1.0, size=(2, 3))
         proj = RNG.normal(size=(2, 2))
-        _, x_grad = nn.backward(arch, params, x0, proj)
+        _, acts = nn.forward_and_cache(arch, params, x0)
+        _, x_grad = nn.backward_from_cache(arch, params, acts, proj)
         h = 1e-6
         fd = np.zeros_like(x0)
         for i in range(x0.shape[0]):
@@ -181,17 +182,6 @@ class TestBackward:
                     - np.sum(nn.forward(arch, params, lo) * proj)
                 ) / (2 * h)
         assert np.allclose(x_grad, fd, atol=1e-6)
-
-    def test_backward_equals_cached_variant(self):
-        arch = nn.ArchSpec((2, 3, 2), head="softmax")
-        params = nn.init_params(arch, seed=4)
-        x = RNG.uniform(-1, 1, size=(3, 2))
-        up = RNG.normal(size=(3, 2))
-        g1, xg1 = nn.backward(arch, params, x, up)
-        _, acts = nn.forward_and_cache(arch, params, x)
-        g2, xg2 = nn.backward_from_cache(arch, params, acts, up)
-        assert np.array_equal(g1, g2)
-        assert np.array_equal(xg1, xg2)
 
 
 class TestNet:
@@ -348,6 +338,15 @@ class TestModelFile:
         doc = json.loads(path.read_text())
         doc["version"] = 99
         path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            nn.load_model(path)
+
+    @pytest.mark.parametrize("nets", [[], "enc", 3, None],
+                             ids=["list", "string", "number", "null"])
+    def test_rejects_non_object_nets(self, tmp_path, nets):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"format": "fha-model", "version": 1, "seed": 0,
+                                    "nets": nets}))
         with pytest.raises(FormatError):
             nn.load_model(path)
 

@@ -97,18 +97,6 @@ class TestPairBatch:
         batch = PairBatch(np.zeros((4, 2)), np.zeros((4, 2)),
                           np.array([1, 2, 2, 4]))
         assert batch.counts() == {1: 1, 2: 2, 3: 0, 4: 1}
-        hot = batch.one_hot()
-        assert hot.shape == (4, 4)
-        assert np.array_equal(hot.argmax(axis=1) + 1, batch.group)
-        assert np.all(hot.sum(axis=1) == 1.0)
-
-    def test_only_filters_one_group(self):
-        batch = PairBatch(np.arange(8, dtype=float).reshape(4, 2), np.zeros((4, 2)),
-                          np.array([1, 2, 2, 4]))
-        sub = batch.only(2)
-        assert sub.size == 2
-        assert np.all(sub.group == 2)
-        assert np.array_equal(sub.x1, batch.x1[1:3])
 
     def test_rejects_zero_based_groups(self):
         with pytest.raises(ConfigError):

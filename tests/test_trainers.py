@@ -233,7 +233,7 @@ class TestEvaluation:
     def test_predict_proba_rows_sum_to_one(self):
         hyp = _hypothesis()
         x = np.random.default_rng(0).uniform(size=(10, 2))
-        probs = trainers.predict_proba(hyp, x)
+        probs = hyp.cls(hyp.enc(x))
         assert probs.shape == (10, 3)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -243,7 +243,7 @@ class TestEvaluation:
         feats = rng.uniform(size=(40, 2)).astype(np.float32)
         labels = rng.integers(0, 3, size=40)
         test = Dataset(feats, labels, 3)
-        probs = trainers.predict_proba(hyp, feats.astype(np.float64))
+        probs = hyp.cls(hyp.enc(feats.astype(np.float64)))
         expected = float(np.mean(np.argmax(probs, axis=1) == labels))
         assert trainers.eval_wa(hyp, test) == expected
 
@@ -347,9 +347,9 @@ class TestFewShotBenchmarks:
     def test_training_lowers_few_shot_loss(self, train):
         hyp = _hypothesis()
         fs = _fewshot()
-        before = losses.cross_entropy(trainers.predict_proba(hyp, fs.features), fs.labels)
+        before = losses.cross_entropy(hyp.cls(hyp.enc(fs.features)), fs.labels)
         model = train(hyp, fs, trainers.BaselineConfig())
-        after = losses.cross_entropy(trainers.predict_proba(model, fs.features), fs.labels)
+        after = losses.cross_entropy(model.cls(model.enc(fs.features)), fs.labels)
         assert after < before
 
     @pytest.mark.parametrize("train", [trainers.train_ft, trainers.train_shot])
@@ -653,6 +653,27 @@ class TestTrainTohan:
         trainers.train_tohan(hyp, _fewshot(), _tiny_cfg())
         assert _snapshot(hyp) == before
 
+    def test_generators_ignore_the_interleaved_adaptation(self):
+        # the one-step generators follow the stfada bank's trajectory exactly
+        hyp, fs, cfg = _hypothesis(), _fewshot(), _tiny_cfg(seed=7)
+        trace = []
+        trainers.train_tohan(hyp, fs, cfg, trace=trace)
+        bank = trainers.train_generator_bank(
+            hyp, fs, trainers.TWO_STEP_MODES["stfada"], cfg,
+            seed=nn.derive_seeds(cfg.seed, 3)[0],
+        )
+        assert trace[-1].phase == "disc_update"
+        assert trainers._digest(*[g.params for g in bank.nets]) == trace[-1].digests["gens"]
+
+    def test_zero_adapt_epochs_only_generates(self):
+        hyp = _hypothesis()
+        trace = []
+        model = trainers.train_tohan(hyp, _fewshot(), _tiny_cfg(adapt_epochs=0), trace=trace)
+        assert model.enc is hyp.enc and model.cls is hyp.cls
+        assert [(ev.epoch, ev.phase) for ev in trace] == (
+            [(-1, "init")] + [(epoch, "generate") for epoch in range(6)]
+        )
+
 
 class TestDiscriminatorAccuracy:
     def test_range_and_determinism(self):
@@ -702,19 +723,3 @@ class TestModelFiles:
         nn.save_model(path, {"encoder": hyp.enc}, 0, {"role": "source_hypothesis"})
         with pytest.raises(ConfigError):
             trainers.load_hypothesis(path)
-
-    def test_target_model_round_trip(self, tmp_path):
-        hyp = _hypothesis()
-        model = trainers.train_ft(hyp, _fewshot(), trainers.BaselineConfig(epochs=5))
-        path = tmp_path / "target.json"
-        trainers.save_target_model(path, model, seed=4)
-        loaded = trainers.load_target_model(path)
-        assert loaded.enc.params.tobytes() == model.enc.params.tobytes()
-        assert loaded.cls.params.tobytes() == model.cls.params.tobytes()
-
-    def test_target_file_missing_net(self, tmp_path):
-        hyp = _hypothesis()
-        path = tmp_path / "partial.json"
-        nn.save_model(path, {"classifier": hyp.cls}, 0, {"role": "target_model"})
-        with pytest.raises(ConfigError):
-            trainers.load_target_model(path)
