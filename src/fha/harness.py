@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn, trainers
-from .data import Dataset, TaskSpec, make_synthetic_task, sample_few_shot
+from .data import MAX_SHOTS, Dataset, TaskSpec, make_synthetic_task, sample_few_shot
 from .errors import ConfigError, FHAError, InsufficientDataError
 from .trainers import (
     BaselineConfig,
@@ -92,11 +92,12 @@ def write_results(sink, results) -> None:
 def read_results(path):
     """Parse a results file; returns (rows, per-line error messages)."""
     rows, problems = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for i, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 row = json.loads(line)
                 if not isinstance(row, dict):
                     raise ValueError("not a JSON object")
@@ -106,12 +107,19 @@ def read_results(path):
                 for key in ("n_t", "seed"):
                     if type(row[key]) is not int:  # bool is rejected too
                         raise ValueError(f"{key} is not an integer")
+                if not 1 <= row["n_t"] <= MAX_SHOTS:
+                    raise ValueError(f"n_t is not in 1..{MAX_SHOTS}")
+                if row["seed"] < 0:
+                    raise ValueError("seed is negative")
                 if row.get("error") is None:
                     if "accuracy" not in row or "wa_accuracy" not in row:
                         raise ValueError("missing accuracy fields")
                     for key in ("accuracy", "wa_accuracy"):
                         if type(row[key]) not in (int, float) or not 0.0 <= row[key] <= 1.0:
                             raise ValueError(f"{key} is not a number in [0, 1]")
+            except UnicodeDecodeError:
+                problems.append(f"line {i}: not UTF-8")
+                continue
             except ValueError as exc:
                 problems.append(f"line {i}: {exc}")
                 continue

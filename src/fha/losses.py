@@ -1,6 +1,7 @@
 """Objectives for intermediate-domain generation and pairwise adaptation.
 
-Generator side, for class n with batch size B:
+Generator side, for class n with batch size B (the generator objective
+steps all N class generators at once, generator n scoring class n):
   * source-compatibility term: mean squared gap between the generated
     batch's class-n probabilities (under the frozen source model) and 1,
     (1/B) * sum_i (l_i - 1)^2;
@@ -41,16 +42,13 @@ PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class GenLossConfig:
-    """Knobs of the per-class generator objective."""
+    """Knobs of the generator objective, shared by every class generator."""
 
-    class_index: int
     batch_size: int = 32
     tradeoff: float = 0.2
     diameter: float | None = None
 
     def __post_init__(self) -> None:
-        if self.class_index < 0:
-            raise ConfigError("class_index must be non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if self.tradeoff < 0:
@@ -64,16 +62,20 @@ def _check_probs(p: np.ndarray, what: str) -> np.ndarray:
     return p
 
 
-def gen_source_loss(class_probs: np.ndarray) -> float:
-    """(1/B) * sum_i (p_i - 1)^2 for the generated batch's class probabilities."""
+def gen_source_loss(class_probs: np.ndarray):
+    """(1/B) * sum_i (p_i - 1)^2 over the last axis of the class probabilities.
+
+    A (B,) vector gives one value; an (N, B) stack gives one per row.
+    """
     p = _check_probs(class_probs, "class probabilities")
-    if p.ndim != 1 or p.size == 0:
-        raise ConfigError("class_probs must be a non-empty vector")
-    return float(np.mean((p - 1.0) ** 2))
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise ConfigError("class_probs must be non-empty along its last axis")
+    return np.mean((p - 1.0) ** 2, axis=-1)
+
 
 def gen_source_loss_grad(class_probs: np.ndarray) -> np.ndarray:
     p = _check_probs(class_probs, "class probabilities")
-    return 2.0 * (p - 1.0) / p.size
+    return 2.0 * (p - 1.0) / p.shape[-1]
 
 
 def augmented_l1(x: np.ndarray, y: np.ndarray) -> float:
@@ -114,54 +116,41 @@ def l1_diameter(dim: int) -> float:
     return float(np.sqrt(dim))
 
 
-def _pairwise_augmented_l1(generated: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    # (B, K) matrix of distances, vectorized over both batches
-    d = generated[:, None, :] - targets[None, :, :]
-    norm = np.sqrt(np.sum(d * d, axis=2))
-    cube = np.sum(np.abs(d) ** 3, axis=2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vals = np.where(norm > 0.0, cube / np.where(norm > 0.0, norm, 1.0), 0.0)
-    return vals
+def gen_target_loss_and_grad(generated: np.ndarray, targets: np.ndarray, diameter: float):
+    """Target-proximity term and its gradient with respect to the generated batch.
+
+    Loss (1/(M*B*K)) * sum_i sum_k augmented_l1(x_i, t_k) with M = diameter,
+    for a (B, dim) batch and (K, dim) few-shots, or per row of an (N, B, dim)
+    stack against (N, K, dim) few-shots. Both come from one (.., B, K, dim)
+    difference tensor.
+    """
+    generated = np.asarray(generated, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if min(generated.ndim, targets.ndim) < 2 or generated.shape[:-2] != targets.shape[:-2]:
+        raise ConfigError("generated and targets must be (.., B, dim) and (.., K, dim)")
+    b, k = generated.shape[-2], targets.shape[-2]
+    if b == 0:
+        raise ConfigError("generated batch is empty")
+    if k == 0:
+        raise MissingClassError("no few-shot samples for this class")
+    if generated.shape[-1] != targets.shape[-1]:
+        raise ConfigError("generated and targets must share a feature dimension")
+    if diameter <= 0:
+        raise ConfigError("diameter must be positive")
+    d = generated[..., :, None, :] - targets[..., None, :, :]
+    norm = np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
+    cube = np.sum(np.abs(d) ** 3, axis=-1, keepdims=True)
+    safe = np.where(norm > 0.0, norm, 1.0)
+    vals = np.where(norm > 0.0, cube / safe, 0.0)
+    loss = vals.reshape(generated.shape[:-2] + (-1,)).sum(axis=-1) / (diameter * b * k)
+    grad = np.where(norm > 0.0, 3.0 * d * np.abs(d) / safe - d * cube / safe**3, 0.0)
+    return loss, grad.sum(axis=-2) / (diameter * b * k)
 
 
 def gen_target_loss(generated: np.ndarray, targets_n: np.ndarray,
                     diameter: float) -> float:
-    """Mean augmented-L1 distance to the class few-shots, scaled into [0, 1].
-
-    (1/(M*B*K)) * sum_i sum_k augmented_l1(x_i, t_k) with M = diameter.
-    """
-    generated = np.asarray(generated, dtype=np.float64)
-    targets_n = np.asarray(targets_n, dtype=np.float64)
-    if generated.ndim != 2 or targets_n.ndim != 2:
-        raise ConfigError("generated and targets must be 2-d arrays")
-    if generated.shape[0] == 0:
-        raise ConfigError("generated batch is empty")
-    if targets_n.shape[0] == 0:
-        raise MissingClassError("no few-shot samples for this class")
-    if generated.shape[1] != targets_n.shape[1]:
-        raise ConfigError("generated and targets must share a feature dimension")
-    if diameter <= 0:
-        raise ConfigError("diameter must be positive")
-    vals = _pairwise_augmented_l1(generated, targets_n)
-    return float(vals.sum() / (diameter * generated.shape[0] * targets_n.shape[0]))
-
-
-def gen_target_loss_grad(generated: np.ndarray, targets_n: np.ndarray,
-                         diameter: float) -> np.ndarray:
-    """Gradient of gen_target_loss with respect to the generated batch."""
-    generated = np.asarray(generated, dtype=np.float64)
-    targets_n = np.asarray(targets_n, dtype=np.float64)
-    b, k = generated.shape[0], targets_n.shape[0]
-    d = generated[:, None, :] - targets_n[None, :, :]
-    norm = np.sqrt(np.sum(d * d, axis=2, keepdims=True))
-    cube = np.sum(np.abs(d) ** 3, axis=2, keepdims=True)
-    safe = np.where(norm > 0.0, norm, 1.0)
-    g = np.where(
-        norm > 0.0,
-        3.0 * d * np.abs(d) / safe - d * cube / safe**3,
-        0.0,
-    )
-    return g.sum(axis=1) / (diameter * b * k)
+    """Mean augmented-L1 distance to the class few-shots, scaled into [0, 1]."""
+    return float(gen_target_loss_and_grad(generated, targets_n, diameter)[0])
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -275,7 +264,8 @@ def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
             up_d[:, col] = np.where(
                 d_probs[:, col] >= PROB_FLOOR, -beta / (pairs.size * picked), 0.0
             )
-            _, joint_up = nn.backward_from_cache(disc.arch, disc.params, d_cache, up_d)
+            _, joint_up = nn.backward_from_cache(disc.arch, disc.params, d_cache, up_d,
+                                                 input_only=True)
             g1, _ = nn.backward_from_cache(enc.arch, enc.params, c1, joint_up[:, :width])
             g2, _ = nn.backward_from_cache(enc.arch, enc.params, c2, joint_up[:, width:])
             enc_grad = enc_grad + g1 + g2
@@ -301,14 +291,19 @@ def group_ce_and_disc_grad(disc: nn.Net, enc: nn.Net, pairs: PairBatch):
     return loss, disc_grad
 
 
-def generator_objective_and_grad(gen: nn.Net, source_enc: nn.Net, source_cls: nn.Net,
-                                 z: np.ndarray, targets_n: np.ndarray | None,
+def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
+                                 source_enc: nn.Net, source_cls: nn.Net,
+                                 z: np.ndarray, targets: np.ndarray | None,
                                  cfg: GenLossConfig, mode: str = "combined"):
-    """Evaluate one generator objective on a noise batch.
+    """Evaluate the objective of every class generator on its noise batch.
 
-    Returns (loss, generator parameter gradient, generated batch). The
-    source model is a frozen scorer: gradients flow through it into the
-    generator but are never produced for it. Modes:
+    ``params`` is an (N, P) stack of generators of ``arch``, one per source
+    class: generator n maps ``z[n]`` (B, z_dim) and is scored on class n.
+    ``targets`` holds the (N, K, dim) few-shots of each class, or None.
+    Returns (per-generator losses (N,), parameter gradients (N, P),
+    generated batches (N, B, dim)). The source model is a frozen scorer: it
+    runs once over the whole (N, B, dim) stack of generated batches and
+    carries gradient to them, and no gradient is built for it. Modes:
       * ``source_only``: compatibility term alone (few-shots unused);
       * ``target_only``: proximity term alone;
       * ``combined``: compatibility + tradeoff * proximity. With tradeoff 0
@@ -317,30 +312,34 @@ def generator_objective_and_grad(gen: nn.Net, source_enc: nn.Net, source_cls: nn
     """
     if mode not in ("source_only", "target_only", "combined"):
         raise ConfigError(f"unknown generator mode {mode!r}")
-    generated, gen_cache = nn.forward_and_cache(gen.arch, gen.params, z)
+    num_classes = source_cls.arch.out_width
+    if np.ndim(params) != 2 or len(params) != num_classes:
+        raise ConfigError(f"expected an ({num_classes}, P) stack, one generator per class")
+    generated, gen_cache = nn.forward_and_cache(arch, params, z)
+    n, dim = len(generated), generated.shape[-1]
     x_up = np.zeros_like(generated)
-    loss = 0.0
+    loss = np.zeros(n)
     if mode != "target_only":
         emb, enc_cache = nn.forward_and_cache(source_enc.arch, source_enc.params, generated)
         probs, cls_cache = nn.forward_and_cache(source_cls.arch, source_cls.params, emb)
-        class_probs = probs[:, cfg.class_index]
-        loss += gen_source_loss(class_probs)
+        own = np.arange(n)
+        class_probs = probs[own, :, own]
+        loss = loss + gen_source_loss(class_probs)
         up_probs = np.zeros_like(probs)
-        up_probs[:, cfg.class_index] = gen_source_loss_grad(class_probs)
-        _, emb_up = nn.backward_from_cache(
-            source_cls.arch, source_cls.params, cls_cache, up_probs
-        )
-        _, x_up_src = nn.backward_from_cache(
-            source_enc.arch, source_enc.params, enc_cache, emb_up
-        )
+        up_probs[own, :, own] = gen_source_loss_grad(class_probs)
+        _, emb_up = nn.backward_from_cache(source_cls.arch, source_cls.params, cls_cache,
+                                           up_probs, input_only=True)
+        _, x_up_src = nn.backward_from_cache(source_enc.arch, source_enc.params, enc_cache,
+                                             emb_up, input_only=True)
         x_up = x_up + x_up_src
     include_target = mode == "target_only" or (mode == "combined" and cfg.tradeoff != 0.0)
     if include_target:
-        if targets_n is None:
+        if targets is None:
             raise MissingClassError("target-proximity term needs few-shot samples")
-        diameter = cfg.diameter if cfg.diameter is not None else l1_diameter(generated.shape[1])
+        diameter = cfg.diameter if cfg.diameter is not None else l1_diameter(dim)
         weight = 1.0 if mode == "target_only" else cfg.tradeoff
-        loss += weight * gen_target_loss(generated, targets_n, diameter)
-        x_up = x_up + weight * gen_target_loss_grad(generated, targets_n, diameter)
-    gen_grad, _ = nn.backward_from_cache(gen.arch, gen.params, gen_cache, x_up)
-    return float(loss), gen_grad, generated
+        target_loss, target_grad = gen_target_loss_and_grad(generated, targets, diameter)
+        loss = loss + weight * target_loss
+        x_up = x_up + weight * target_grad
+    gen_grad, _ = nn.backward_from_cache(arch, params, gen_cache, x_up)
+    return loss, gen_grad, generated

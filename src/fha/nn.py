@@ -2,9 +2,11 @@
 a finite-difference gradient checker.
 
 Every network is described by an ArchSpec and a single float64 parameter
-vector laid out layer by layer as (weight matrix row-major, then bias). All
-arithmetic runs in 64-bit with numpy's fixed reduction order, so equal seeds
-give bit-identical results.
+vector laid out layer by layer as (weight matrix row-major, then bias). A
+leading stack axis makes an (N, P) stack of N nets that run as one, net n
+mapping block n of an (N, B, in) batch. All arithmetic runs in 64-bit with
+numpy's fixed reduction order and stacked matmuls run the per-slice kernels,
+so equal seeds give bit-identical results whether nets run alone or stacked.
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ class ArchSpec:
             raise ConfigError(f"head must be one of {HEADS}")
         if self.head == "softmax" and widths[-1] < 2:
             raise ConfigError("a softmax head needs an output width of at least 2")
+        # Computed once and kept on the spec: the hot loops read the layout on
+        # every call, and a cache keyed by the spec would hash it each time.
+        layout, offset = [], 0
+        for fi, fo in zip(widths[:-1], widths[1:]):
+            layout.append((slice(offset, offset + fi * fo),
+                           slice(offset + fi * fo, offset + (fi + 1) * fo), (fi, fo)))
+            offset += (fi + 1) * fo
+        object.__setattr__(self, "layout", tuple(layout))
+        object.__setattr__(self, "n_params", offset)
 
     @property
     def in_width(self) -> int:
@@ -53,32 +64,28 @@ class ArchSpec:
 
 def num_params(arch: ArchSpec) -> int:
     """Total parameter count: sum over layers of (fan_in + 1) * fan_out."""
-    return sum(
-        (fi + 1) * fo for fi, fo in zip(arch.widths[:-1], arch.widths[1:])
-    )
+    return arch.n_params
 
 
-def _layer_slices(arch: ArchSpec):
-    offset = 0
-    for fi, fo in zip(arch.widths[:-1], arch.widths[1:]):
-        w_sl = slice(offset, offset + fi * fo)
-        b_sl = slice(offset + fi * fo, offset + fi * fo + fo)
-        offset += (fi + 1) * fo
-        yield w_sl, b_sl, (fi, fo)
+def _layers(arch: ArchSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    lead = params.shape[:-1]
+    return [(params[..., w_sl].reshape(lead + shape), params[..., b_sl])
+            for w_sl, b_sl, shape in arch.layout]
 
 
 def unflatten(arch: ArchSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat parameter vector into (weight, bias) pairs per layer."""
-    params = _check_params(arch, params)
-    return [
-        (params[w_sl].reshape(shape), params[b_sl]) for w_sl, b_sl, shape in _layer_slices(arch)
-    ]
+    """Split parameters into (weight, bias) views per layer.
+
+    A (P,) vector gives (fan_in, fan_out) weights and (fan_out,) biases; an
+    (N, P) stack gives (N, fan_in, fan_out) and (N, fan_out).
+    """
+    return _layers(arch, _check_params(arch, params))
 
 
 def flatten_layers(arch: ArchSpec, layers) -> np.ndarray:
     """Inverse of unflatten: pack (weight, bias) pairs into a flat vector."""
     parts = []
-    for (w, b), (_, _, shape) in zip(layers, _layer_slices(arch)):
+    for (w, b), (_, _, shape) in zip(layers, arch.layout):
         w = np.asarray(w, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if w.shape != shape or b.shape != (shape[1],):
@@ -86,7 +93,7 @@ def flatten_layers(arch: ArchSpec, layers) -> np.ndarray:
         parts.append(w.reshape(-1))
         parts.append(b)
     out = np.concatenate(parts)
-    if out.size != num_params(arch):
+    if out.size != arch.n_params:
         raise ConfigError("wrong number of layers for the architecture")
     return out
 
@@ -103,26 +110,28 @@ def init_params(arch: ArchSpec, seed) -> np.ndarray:
 
 def _check_params(arch: ArchSpec, params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
-    if params.ndim != 1 or params.size != num_params(arch):
+    if params.ndim not in (1, 2) or params.shape[-1] != arch.n_params:
         raise ConfigError(
-            f"parameter vector has {params.size} entries, arch needs {num_params(arch)}"
+            f"parameters must be ({arch.n_params},) or (N, {arch.n_params}), got {params.shape}"
         )
     return params
 
 
-def _check_batch(arch: ArchSpec, batch: np.ndarray) -> np.ndarray:
+def _check_batch(arch: ArchSpec, batch: np.ndarray, params: np.ndarray) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != arch.in_width:
+    lead = params.shape[:-1]
+    if (batch.ndim not in (2, 3) or batch.shape[-1] != arch.in_width
+            or (lead and batch.shape[:-2] != lead)):
         raise ConfigError(
-            f"batch must be (B, {arch.in_width}), got {batch.shape}"
+            f"batch must be {lead + ('B', arch.in_width)}, got {batch.shape}"
         )
     return batch
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -135,13 +144,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def forward_and_cache(arch: ArchSpec, params: np.ndarray, batch: np.ndarray):
-    """Forward pass returning (output, activations list for the backward pass)."""
+    """Forward pass returning (output, activations list for the backward pass).
+
+    ``params`` is one net (P,) with a (B, in) batch, or a stack of N nets
+    (N, P) with an (N, B, in) batch. One net given an (N, B, in) batch maps
+    each block as it would alone.
+    """
     params = _check_params(arch, params)
-    x = _check_batch(arch, batch)
-    acts = [x]
-    layers = unflatten(arch, params)
+    acts = [_check_batch(arch, batch, params)]
+    layers = _layers(arch, params)
     for i, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b
+        z = acts[-1] @ w + b[..., None, :]
         if i < len(layers) - 1:
             z = np.tanh(z) if arch.activation == "tanh" else np.maximum(z, 0.0)
         acts.append(z)
@@ -164,29 +177,37 @@ def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray
     return out
 
 
-def backward_from_cache(arch, params, acts, upstream):
-    """Reverse-mode pass reusing activations from forward_and_cache."""
+def backward_from_cache(arch, params, acts, upstream, *, input_only=False):
+    """Reverse-mode pass reusing activations from forward_and_cache.
+
+    Returns (parameter gradient shaped like ``params``, input gradient). With
+    ``input_only`` the parameter gradient is not built and comes back as
+    None: the pass for a frozen net that only carries gradient to its input.
+    One net run over an (N, B, in) batch supports only this pass.
+    """
     params = _check_params(arch, params)
+    if not input_only and acts[0].shape[:-2] != params.shape[:-1]:
+        raise ConfigError("a parameter gradient needs one parameter row per batch block")
     upstream = np.asarray(upstream, dtype=np.float64)
     out = acts[-1]
     if upstream.shape != out.shape:
         raise ConfigError(f"upstream must be {out.shape}, got {upstream.shape}")
     if arch.head == "softmax":
-        g = out * (upstream - np.sum(upstream * out, axis=1, keepdims=True))
+        g = out * (upstream - np.sum(upstream * out, axis=-1, keepdims=True))
     elif arch.head == "sigmoid":
         g = upstream * out * (1.0 - out)
     else:
         g = upstream
-    layers = unflatten(arch, params)
-    param_grad = np.zeros(num_params(arch))
-    slices = list(_layer_slices(arch))
+    layers = _layers(arch, params)
+    param_grad = None if input_only else np.empty(params.shape)
     for i in range(len(layers) - 1, -1, -1):
         w, _ = layers[i]
-        a_prev = acts[i]
-        w_sl, b_sl, _ = slices[i]
-        param_grad[w_sl] = (a_prev.T @ g).reshape(-1)
-        param_grad[b_sl] = g.sum(axis=0)
-        g = g @ w.T
+        if param_grad is not None:
+            w_sl, b_sl, _ = arch.layout[i]
+            w_grad = np.swapaxes(acts[i], -1, -2) @ g
+            param_grad[..., w_sl] = w_grad.reshape(params.shape[:-1] + (-1,))
+            param_grad[..., b_sl] = g.sum(axis=-2)
+        g = g @ np.swapaxes(w, -1, -2)
         if i > 0:
             a = acts[i]
             if arch.activation == "tanh":
@@ -205,6 +226,8 @@ class Net:
 
     def __post_init__(self) -> None:
         params = np.array(_check_params(self.arch, self.params), copy=True)
+        if params.ndim != 1:
+            raise ConfigError("a Net holds one parameter vector, not a stack")
         if not np.all(np.isfinite(params)):
             raise NumericalError("network parameters must be finite")
         params.setflags(write=False)
@@ -230,12 +253,13 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def init(cls, n: int, lr: float = 1e-3) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), lr=float(lr))
+    def init(cls, shape, lr: float = 1e-3) -> "AdamState":
+        """Zero moments for parameters of ``shape`` (a count, or (N, P))."""
+        return cls(m=np.zeros(shape), v=np.zeros(shape), lr=float(lr))
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
-    """One Adam update; returns (new_params, new_state)."""
+    """One Adam update of parameters of any shape; returns (new_params, new_state)."""
     params = np.asarray(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if params.shape != grad.shape or params.shape != state.m.shape:

@@ -38,6 +38,7 @@ from .data import Dataset, FewShotSet
 from .errors import (
     ConfigError,
     InsufficientDataError,
+    MissingClassError,
     NumericalError,
     QualityGateError,
 )
@@ -370,7 +371,8 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
         emb, enc_cache = nn.forward_and_cache(enc_arch, params, x)
         probs, cls_cache = nn.forward_and_cache(cls.arch, cls.params, emb)
         up = losses.cross_entropy_grad(probs, labels)
-        _, emb_up = nn.backward_from_cache(cls.arch, cls.params, cls_cache, up)
+        _, emb_up = nn.backward_from_cache(cls.arch, cls.params, cls_cache, up,
+                                           input_only=True)
         grad, _ = nn.backward_from_cache(enc_arch, params, enc_cache, emb_up)
         params, state = nn.adam_step(state, params, grad)
     return TargetModel(enc=nn.Net(enc_arch, params), cls=cls)
@@ -381,10 +383,11 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
 
 
 class _Generators:
-    """One generator per class, stepped together on one objective.
+    """The class generators as one (N, P) stack, row n for class n, stepped
+    by one Adam state on the stacked generator objective.
 
     Seeds follow derive_seeds(root, 2 * num_classes): child 2n initializes
-    generator n and child 2n + 1 drives its noise stream.
+    generator n and child 2n + 1 drives its noise stream, drawn in class order.
     """
 
     def __init__(self, hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
@@ -392,36 +395,35 @@ class _Generators:
         num_classes = hypothesis.cls.arch.out_width
         dim = hypothesis.enc.arch.in_width
         child = nn.derive_seeds(root, 2 * num_classes)
-        arch = default_generator_arch(cfg.z_dim, dim, cfg.gen_hidden)
-        self.nets = [nn.Net(arch, nn.init_params(arch, child[2 * n]))
-                     for n in range(num_classes)]
-        self._states = [nn.AdamState.init(g.params.size, cfg.lr_gen) for g in self.nets]
+        self.arch = default_generator_arch(cfg.z_dim, dim, cfg.gen_hidden)
+        self.params = np.stack([nn.init_params(self.arch, child[2 * n])
+                                for n in range(num_classes)])
+        self._state = nn.AdamState.init(self.params.shape, cfg.lr_gen)
         self._noise = [np.random.default_rng(child[2 * n + 1]) for n in range(num_classes)]
-        self._targets = [
-            None if fewshot is None else fewshot.class_features(n).astype(np.float64)
-            for n in range(num_classes)
-        ]
-        self._loss_cfgs = [
-            losses.GenLossConfig(class_index=n, batch_size=cfg.gen_batch,
-                                 tradeoff=cfg.tradeoff, diameter=losses.l1_diameter(dim))
-            for n in range(num_classes)
-        ]
+        self._targets = None
+        if fewshot is not None and mode != "source_only":
+            if fewshot.num_classes < num_classes:
+                raise MissingClassError("no few-shot samples for some source class")
+            self._targets = np.stack([fewshot.class_features(n) for n in range(num_classes)]
+                                     ).astype(np.float64)
+        self._loss_cfg = losses.GenLossConfig(batch_size=cfg.gen_batch, tradeoff=cfg.tradeoff,
+                                              diameter=losses.l1_diameter(dim))
         self._hypothesis, self._mode, self._cfg = hypothesis, mode, cfg
 
-    def step(self) -> tuple[list[float], list[np.ndarray]]:
-        """One Adam step of every generator; returns each one's loss and batch."""
+    def step(self) -> tuple[np.ndarray, np.ndarray]:
+        """One Adam step of every generator; returns the (N,) losses and the
+        (N, gen_batch, dim) batches the step was computed on."""
         hyp, cfg = self._hypothesis, self._cfg
-        step_losses, batches = [], []
-        for n, gen in enumerate(self.nets):
-            z = self._noise[n].standard_normal((cfg.gen_batch, cfg.z_dim))
-            loss, grad, generated = losses.generator_objective_and_grad(
-                gen, hyp.enc, hyp.cls, z, self._targets[n], self._loss_cfgs[n], self._mode,
-            )
-            params, self._states[n] = nn.adam_step(self._states[n], gen.params, grad)
-            self.nets[n] = gen.with_params(params)
-            step_losses.append(loss)
-            batches.append(generated)
-        return step_losses, batches
+        z = np.stack([rng.standard_normal((cfg.gen_batch, cfg.z_dim)) for rng in self._noise])
+        step_losses, grad, generated = losses.generator_objective_and_grad(
+            self.arch, self.params, hyp.enc, hyp.cls, z, self._targets, self._loss_cfg,
+            self._mode,
+        )
+        params, self._state = nn.adam_step(self._state, self.params, grad)
+        if not np.all(np.isfinite(params)):
+            raise NumericalError("network parameters must be finite")
+        self.params = params
+        return step_losses, generated
 
 
 def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
@@ -441,7 +443,8 @@ def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | Non
     gens = _Generators(hypothesis, fewshot, mode, cfg, root)
     for _ in range(cfg.total_epochs if epochs is None else epochs):
         gens.step()
-    return GeneratorBank(nets=tuple(gens.nets), z_dim=cfg.z_dim, seed=root)
+    return GeneratorBank(nets=tuple(nn.Net(gens.arch, p) for p in gens.params),
+                         z_dim=cfg.z_dim, seed=root)
 
 
 def sample_pool(bank: GeneratorBank, per_class: int, seed: int) -> LabeledPool:
@@ -461,14 +464,14 @@ def sample_pool(bank: GeneratorBank, per_class: int, seed: int) -> LabeledPool:
 # pairwise adaptation
 
 
-def _state_digests(gens, enc, cls, disc) -> dict[str, str]:
+def _state_digests(gen_params, enc, cls, disc) -> dict[str, str]:
     digests = {
         "enc": _digest(enc.params),
         "cls": _digest(cls.params),
         "disc": _digest(disc.params),
     }
-    if gens is not None:
-        digests["gens"] = _digest(*[g.params for g in gens])
+    if gen_params is not None:
+        digests["gens"] = _digest(gen_params)
     return digests
 
 
@@ -502,16 +505,16 @@ def _adapt(source, fewshot: FewShotSet, hypothesis: SourceHypothesis, cfg: Tohan
 
     def record(epoch, phase, values):
         if trace is not None:
-            nets = None if gens is None else gens.nets
+            gen_params = None if gens is None else gens.params
             trace.append(PhaseEvent(epoch, phase, values,
-                                    _state_digests(nets, enc, cls, disc)))
+                                    _state_digests(gen_params, enc, cls, disc)))
 
     record(-1, "init", {})
     lead = 0 if gens is None else cfg.total_epochs - cfg.adapt_epochs
     for epoch in range(lead + cfg.adapt_epochs):
         if gens is not None:
             gen_losses, batches = gens.step()
-            pool = LabeledPool("intermediate", np.concatenate(batches),
+            pool = LabeledPool("intermediate", batches.reshape(-1, batches.shape[-1]),
                                np.repeat(np.arange(len(batches)), cfg.gen_batch))
             record(epoch, "generate", {"gen_loss_mean": float(np.mean(gen_losses)),
                                        "dm_size": float(pool.size)})

@@ -127,9 +127,8 @@ def _build_gen_target(rng):
     diameter = losses.l1_diameter(dim)
 
     def loss_fn(flat):
-        g = flat.reshape(m, dim)
-        return (losses.gen_target_loss(g, targets, diameter),
-                losses.gen_target_loss_grad(g, targets, diameter).ravel())
+        value, grad = losses.gen_target_loss_and_grad(flat.reshape(m, dim), targets, diameter)
+        return float(value), grad.ravel()
 
     return loss_fn, rng.uniform(size=(m, dim)).ravel()
 
@@ -222,6 +221,8 @@ def _build_model_ce(rng):
 
 
 def _build_gen_objective(mode):
+    # a stack of one generator per class; the loss is the sum over the stack,
+    # so a gradient row built for another class's generator fails the check
     def build(rng):
         z_dim, hidden, dim, c = 3, 4, 2, 3
         gen_arch = trainers.default_generator_arch(z_dim, dim, hidden)
@@ -229,20 +230,19 @@ def _build_gen_objective(mode):
         cls_arch = nn.ArchSpec((4, c), "tanh", "softmax")
         enc = nn.Net(enc_arch, nn.init_params(enc_arch, _seed_of(rng)))
         cls = nn.Net(cls_arch, nn.init_params(cls_arch, _seed_of(rng)))
-        z = rng.standard_normal((4, z_dim))
-        targets = rng.uniform(size=(2, dim))
-        cfg = losses.GenLossConfig(
-            class_index=int(rng.integers(0, c)), batch_size=4,
-            tradeoff=0.2, diameter=losses.l1_diameter(dim),
-        )
+        z = rng.standard_normal((c, 4, z_dim))
+        targets = rng.uniform(size=(c, 2, dim))
+        cfg = losses.GenLossConfig(batch_size=4, tradeoff=0.2,
+                                   diameter=losses.l1_diameter(dim))
 
-        def loss_fn(p):
+        def loss_fn(flat):
             loss, grad, _ = losses.generator_objective_and_grad(
-                nn.Net(gen_arch, p), enc, cls, z, targets, cfg, mode
+                gen_arch, flat.reshape(c, -1), enc, cls, z, targets, cfg, mode
             )
-            return loss, grad
+            return float(loss.sum()), grad.ravel()
 
-        return loss_fn, nn.init_params(gen_arch, _seed_of(rng))
+        stack = [nn.init_params(gen_arch, _seed_of(rng)) for _ in range(c)]
+        return loss_fn, np.concatenate(stack)
 
     return build
 

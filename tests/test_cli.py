@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import zipfile
 from pathlib import Path
 
@@ -299,13 +300,26 @@ class TestSummarize:
         bad_path.write_text(good + "junk line\n"
                             + row + '"n_t": "x", "seed": 0, "accuracy": 0.5}\n'
                             + row + '"n_t": 1, "seed": 0, "accuracy": "abc"}\n'
-                            + row + '"n_t": 1, "seed": 0, "accuracy": NaN}\n',
+                            + row + '"n_t": 1, "seed": 0, "accuracy": NaN}\n'
+                            + row + '"n_t": -4, "seed": 0, "accuracy": 0.5}\n'
+                            + row + '"n_t": 1, "seed": -2, "accuracy": 0.5}\n',
                             encoding="utf-8")
         assert cli.main(["summarize", str(bad_path)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.count("skipped line") == 4
+        assert captured.err.count("skipped line") == 6
         assert captured.out.startswith("method")  # table still rendered
         assert "nan" not in captured.out
+        assert "n_t=-4" not in captured.out
+
+    def test_non_utf8_line_is_skipped(self, workdir, tmp_path, capsys):
+        good = (workdir / "results.jsonl").read_bytes()
+        bad_path = tmp_path / "bytes.jsonl"
+        bad_path.write_bytes(good + b"\xff\xfe\x00bad\n")
+        assert cli.main(["summarize", str(bad_path)]) == 1
+        captured = capsys.readouterr()
+        assert "not UTF-8" in captured.err
+        assert captured.err.count("skipped line") == 1
+        assert captured.out.startswith("method")
 
     def test_empty_results_exit_one(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
@@ -451,3 +465,19 @@ class TestInstalledEntryPoints:
             assert Path(zf.read(pth).decode().strip()) == REPO_ROOT / "src"
             entry_points = zf.read(f"{info}/entry_points.txt").decode().splitlines()
             assert "fha = fha.cli:main" in entry_points
+
+    def test_build_backend_falls_back_to_tomli(self, build_backend, monkeypatch):
+        # Python < 3.11 has no tomllib: the backend reads pyproject.toml with
+        # tomli and asks the frontend for it. A stub wrapping tomllib stands
+        # in for tomli, so the check needs no download.
+        tomllib = pytest.importorskip("tomllib")
+        loaded = []
+        stub = types.ModuleType("tomli")
+        stub.load = lambda fh: loaded.append(fh) or tomllib.load(fh)
+        monkeypatch.setitem(sys.modules, "tomli", stub)
+        monkeypatch.setattr(sys, "version_info", (3, 10))
+        project = build_backend._project()
+        assert project["name"] == "fha" and "version" in project
+        assert len(loaded) == 1
+        assert build_backend.get_requires_for_build_wheel() == ["tomli>=1.1"]
+        assert build_backend.get_requires_for_build_editable() == ["tomli>=1.1"]

@@ -132,12 +132,17 @@ class TestResultsIO:
                 bad(accuracy="abc"),
                 bad(accuracy=float("nan")),
                 bad(wa_accuracy=1.5),
+                bad(n_t=-4),
+                bad(n_t=0),
+                bad(n_t=8),
+                bad(seed=-1),
+                bad(n_t=7, seed=0),
             ]) + "\n",
             encoding="utf-8",
         )
         rows, problems = read_results(path)
-        assert len(rows) == 2
-        assert len(problems) == 9
+        assert len(rows) == 3
+        assert len(problems) == 13
         assert problems[0].startswith("line 2:")
         assert "missing fields" in problems[2]
         assert "missing accuracy fields" in problems[3]
@@ -146,6 +151,19 @@ class TestResultsIO:
         assert problems[6] == "line 10: accuracy is not a number in [0, 1]"
         assert problems[7] == "line 11: accuracy is not a number in [0, 1]"
         assert problems[8] == "line 12: wa_accuracy is not a number in [0, 1]"
+        assert problems[9] == "line 13: n_t is not in 1..7"
+        assert problems[10] == "line 14: n_t is not in 1..7"
+        assert problems[11] == "line 15: n_t is not in 1..7"
+        assert problems[12] == "line 16: seed is negative"
+        assert rows[2]["n_t"] == 7
+
+    def test_non_utf8_line_is_a_problem(self, tmp_path):
+        path = tmp_path / "bytes.jsonl"
+        good = format_result_line(_result()).encode("utf-8")
+        path.write_bytes(good + b"\n\xff\xfe\x00bad\n" + good + b"\n")
+        rows, problems = read_results(path)
+        assert len(rows) == 2
+        assert problems == ["line 2: not UTF-8"]
 
     def test_error_rows_parse_without_accuracies(self, tmp_path):
         path = tmp_path / "err.jsonl"

@@ -165,22 +165,37 @@ class TestGenTargetLoss:
         diameter = losses.l1_diameter(4)
 
         def loss_fn(flat):
-            x = flat.reshape(2, 4)
-            value = losses.gen_target_loss(x, target, diameter)
-            grad = losses.gen_target_loss_grad(x, target, diameter)
-            return value, grad.reshape(-1)
+            value, grad = losses.gen_target_loss_and_grad(flat.reshape(2, 4), target, diameter)
+            return float(value), grad.reshape(-1)
 
         assert nn.grad_check_fd(loss_fn, x0.reshape(-1)).passed
+
+    def test_stacked_rows_equal_single_calls(self):
+        generated = RNG.uniform(size=(3, 5, 4))
+        targets = RNG.uniform(size=(3, 2, 4))
+        generated[1, 0] = targets[1, 1]  # a zero distance takes the guarded branch
+        loss, grad = losses.gen_target_loss_and_grad(generated, targets, 2.0)
+        assert loss.shape == (3,) and grad.shape == generated.shape
+        for n in range(3):
+            row_loss, row_grad = losses.gen_target_loss_and_grad(generated[n], targets[n], 2.0)
+            assert loss[n] == row_loss
+            assert np.array_equal(grad[n], row_grad)
+
+    def test_stacked_leading_axes_must_match(self):
+        with pytest.raises(ConfigError):
+            losses.gen_target_loss_and_grad(np.zeros((3, 2, 4)), np.zeros((2, 1, 4)), 1.0)
+        with pytest.raises(ConfigError):
+            losses.gen_target_loss_and_grad(np.zeros((3, 2, 4)), np.zeros((1, 4)), 1.0)
+        with pytest.raises(ConfigError):
+            losses.gen_target_loss_and_grad(np.zeros((2, 4)), np.zeros(4), 1.0)
 
 
 class TestGenTotalLoss:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            losses.GenLossConfig(class_index=-1)
+            losses.GenLossConfig(batch_size=0)
         with pytest.raises(ConfigError):
-            losses.GenLossConfig(class_index=0, batch_size=0)
-        with pytest.raises(ConfigError):
-            losses.GenLossConfig(class_index=0, tradeoff=-0.5)
+            losses.GenLossConfig(tradeoff=-0.5)
 
 
 class TestCrossEntropy:
@@ -417,76 +432,103 @@ class TestGroupCEDiscGrad:
 
 
 class TestGeneratorObjective:
+    """The objective of a stack of two generators, one per source class."""
+
     def _setup(self, seed=3):
-        s1, s2, s3 = nn.derive_seeds(seed, 3)
+        s1, s2, s3, s4 = nn.derive_seeds(seed, 4)
         gen_arch = nn.ArchSpec((3, 5, 2), head="sigmoid")
-        gen = nn.Net(gen_arch, nn.init_params(gen_arch, seed=s1))
+        params = np.stack([nn.init_params(gen_arch, seed=s) for s in (s1, s4)])
         enc_arch = nn.ArchSpec((2, 4, 3), head="linear")
         enc = nn.Net(enc_arch, nn.init_params(enc_arch, seed=s2))
         cls_arch = nn.ArchSpec((3, 2), head="softmax")
         cls = nn.Net(cls_arch, nn.init_params(cls_arch, seed=s3))
-        z = np.random.default_rng(seed).normal(size=(4, 3))
-        targets = np.random.default_rng(seed + 1).uniform(size=(2, 2))
-        return gen, enc, cls, z, targets
+        z = np.random.default_rng(seed).normal(size=(2, 4, 3))
+        targets = np.random.default_rng(seed + 1).uniform(size=(2, 2, 2))
+        return gen_arch, params, enc, cls, z, targets
 
     @pytest.mark.parametrize("mode", ["source_only", "target_only", "combined"])
     def test_grad_matches_fd(self, mode):
-        gen, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig(class_index=1, tradeoff=0.2)
+        gen_arch, params, enc, cls, z, targets = self._setup()
+        cfg = losses.GenLossConfig(tradeoff=0.2)
 
-        def loss_fn(params):
-            g = gen.with_params(params)
+        def loss_fn(flat):
             value, grad, _ = losses.generator_objective_and_grad(
-                g, enc, cls, z, targets, cfg, mode=mode
+                gen_arch, flat.reshape(params.shape), enc, cls, z, targets, cfg, mode=mode
             )
-            return value, grad
+            return float(value.sum()), grad.reshape(-1)
 
-        assert nn.grad_check_fd(loss_fn, gen.params).passed
+        assert nn.grad_check_fd(loss_fn, params.reshape(-1)).passed
+
+    def test_generator_n_scores_class_n(self):
+        gen_arch, params, enc, cls, z, targets = self._setup()
+        cfg = losses.GenLossConfig(tradeoff=0.2)
+        src, _, generated = losses.generator_objective_and_grad(
+            gen_arch, params, enc, cls, z, targets, cfg, mode="source_only"
+        )
+        tgt, _, _ = losses.generator_objective_and_grad(
+            gen_arch, params, enc, cls, z, targets, cfg, mode="target_only"
+        )
+        diameter = losses.l1_diameter(2)
+        for n in range(2):
+            batch = nn.forward(gen_arch, params[n], z[n])
+            assert np.array_equal(generated[n], batch)
+            assert src[n] == pytest.approx(
+                losses.gen_source_loss(cls(enc(batch))[:, n]), abs=1e-15)
+            assert tgt[n] == pytest.approx(
+                losses.gen_target_loss(batch, targets[n], diameter), abs=1e-15)
+        assert src[0] != src[1]
+
+    def test_stack_must_hold_one_generator_per_class(self):
+        gen_arch, params, enc, cls, z, targets = self._setup()
+        cfg = losses.GenLossConfig()
+        for bad in (params[0], params[:1], np.concatenate([params, params[:1]])):
+            with pytest.raises(ConfigError):
+                losses.generator_objective_and_grad(gen_arch, bad, enc, cls, z, targets, cfg)
 
     def test_zero_tradeoff_combined_equals_source_only(self):
-        gen, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig(class_index=0, tradeoff=0.0)
-        a = losses.generator_objective_and_grad(gen, enc, cls, z, targets, cfg,
+        gen_arch, params, enc, cls, z, targets = self._setup()
+        cfg = losses.GenLossConfig(tradeoff=0.0)
+        a = losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, targets, cfg,
                                                 mode="combined")
-        b = losses.generator_objective_and_grad(gen, enc, cls, z, None, cfg,
+        b = losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, None, cfg,
                                                 mode="source_only")
-        assert a[0] == b[0]
+        assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
         assert np.array_equal(a[2], b[2])
 
     def test_combined_is_source_plus_weighted_target(self):
-        gen, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig(class_index=1, tradeoff=0.3)
-        total, _, generated = losses.generator_objective_and_grad(
-            gen, enc, cls, z, targets, cfg, mode="combined"
+        gen_arch, params, enc, cls, z, targets = self._setup()
+        cfg = losses.GenLossConfig(tradeoff=0.3)
+        total, _, _ = losses.generator_objective_and_grad(
+            gen_arch, params, enc, cls, z, targets, cfg, mode="combined"
         )
         src, _, _ = losses.generator_objective_and_grad(
-            gen, enc, cls, z, None, cfg, mode="source_only"
+            gen_arch, params, enc, cls, z, None, cfg, mode="source_only"
         )
         tgt, _, _ = losses.generator_objective_and_grad(
-            gen, enc, cls, z, targets, cfg, mode="target_only"
+            gen_arch, params, enc, cls, z, targets, cfg, mode="target_only"
         )
-        assert total == pytest.approx(src + 0.3 * tgt, abs=1e-12)
+        assert np.allclose(total, src + 0.3 * tgt, atol=1e-12, rtol=0.0)
 
     def test_target_only_requires_targets(self):
-        gen, enc, cls, z, _ = self._setup()
-        cfg = losses.GenLossConfig(class_index=0)
+        gen_arch, params, enc, cls, z, _ = self._setup()
+        cfg = losses.GenLossConfig()
         with pytest.raises(MissingClassError):
-            losses.generator_objective_and_grad(gen, enc, cls, z, None, cfg,
+            losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, None, cfg,
                                                 mode="target_only")
 
     def test_unknown_mode_rejected(self):
-        gen, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig(class_index=0)
+        gen_arch, params, enc, cls, z, targets = self._setup()
+        cfg = losses.GenLossConfig()
         with pytest.raises(ConfigError):
-            losses.generator_objective_and_grad(gen, enc, cls, z, targets, cfg,
+            losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, targets, cfg,
                                                 mode="both")
 
     def test_generated_batch_is_returned(self):
-        gen, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig(class_index=0)
+        gen_arch, params, enc, cls, z, targets = self._setup()
+        cfg = losses.GenLossConfig()
         _, _, generated = losses.generator_objective_and_grad(
-            gen, enc, cls, z, targets, cfg, mode="combined"
+            gen_arch, params, enc, cls, z, targets, cfg, mode="combined"
         )
-        assert generated.shape == (4, 2)
-        assert np.array_equal(generated, gen(z))
+        assert generated.shape == (2, 4, 2)
+        assert np.array_equal(generated, nn.forward_and_cache(gen_arch, params, z)[0])

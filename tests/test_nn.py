@@ -184,6 +184,83 @@ class TestBackward:
         assert np.allclose(x_grad, fd, atol=1e-6)
 
 
+class TestStacked:
+    """An (N, P) stack runs as N nets; a row alone gives the same bits."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("head", ["softmax", "linear", "sigmoid"])
+    def test_stack_equals_each_row_alone(self, head, activation, n):
+        rng = np.random.default_rng([n, len(head), len(activation)])
+        arch = nn.ArchSpec((8, 32, 5), activation=activation, head=head)
+        params = np.stack([nn.init_params(arch, seed=s) for s in range(n)])
+        x = rng.normal(size=(n, 32, 8))
+        up = rng.normal(size=(n, 32, 5))
+        out, acts = nn.forward_and_cache(arch, params, x)
+        grad, x_grad = nn.backward_from_cache(arch, params, acts, up)
+        assert out.shape == (n, 32, 5) and grad.shape == params.shape
+        for i in range(n):
+            row_out, row_acts = nn.forward_and_cache(arch, params[i], x[i])
+            row_grad, row_x_grad = nn.backward_from_cache(arch, params[i], row_acts, up[i])
+            assert np.array_equal(out[i], row_out)
+            assert all(np.array_equal(a[i], b) for a, b in zip(acts, row_acts))
+            assert np.array_equal(grad[i], row_grad)
+            assert np.array_equal(x_grad[i], row_x_grad)
+
+    @pytest.mark.parametrize("head", ["softmax", "linear", "sigmoid"])
+    def test_input_only_backward_matches_full(self, head):
+        arch = nn.ArchSpec((4, 6, 3), head=head)
+        for params, x, up in (
+            (nn.init_params(arch, seed=1), RNG.normal(size=(5, 4)), RNG.normal(size=(5, 3))),
+            (np.stack([nn.init_params(arch, seed=s) for s in (1, 2)]),
+             RNG.normal(size=(2, 5, 4)), RNG.normal(size=(2, 5, 3))),
+        ):
+            _, acts = nn.forward_and_cache(arch, params, x)
+            _, full = nn.backward_from_cache(arch, params, acts, up)
+            grad, only = nn.backward_from_cache(arch, params, acts, up, input_only=True)
+            assert grad is None
+            assert np.array_equal(only, full)
+
+    def test_one_net_over_a_stacked_batch_equals_each_block(self):
+        # the generator objective runs each frozen net once over all N blocks
+        arch = nn.ArchSpec((2, 32, 32), head="linear")
+        params = nn.init_params(arch, seed=4)
+        x = RNG.uniform(size=(6, 32, 2))
+        up = RNG.normal(size=(6, 32, 32))
+        out, acts = nn.forward_and_cache(arch, params, x)
+        _, x_grad = nn.backward_from_cache(arch, params, acts, up, input_only=True)
+        for i in range(6):
+            row_out, row_acts = nn.forward_and_cache(arch, params, x[i])
+            _, row_x_grad = nn.backward_from_cache(arch, params, row_acts, up[i])
+            assert np.array_equal(out[i], row_out)
+            assert np.array_equal(x_grad[i], row_x_grad)
+        with pytest.raises(ConfigError):
+            nn.backward_from_cache(arch, params, acts, up)
+
+    def test_adam_steps_a_stack_like_each_row(self):
+        params = RNG.normal(size=(3, 4))
+        grads = RNG.normal(size=(2, 3, 4))
+        state = nn.AdamState.init(params.shape, lr=0.01)
+        rows = [(params[i], nn.AdamState.init(4, lr=0.01)) for i in range(3)]
+        for g in grads:
+            params, state = nn.adam_step(state, params, g)
+            rows = [nn.adam_step(s, p, g[i]) for i, (p, s) in enumerate(rows)]
+        for i, (p, _) in enumerate(rows):
+            assert np.array_equal(params[i], p)
+
+    def test_stack_shapes_checked(self):
+        arch = nn.ArchSpec((3, 2))
+        stack = np.stack([nn.init_params(arch, seed=s) for s in (0, 1)])
+        with pytest.raises(ConfigError):
+            nn.forward(arch, stack, np.zeros((4, 3)))
+        with pytest.raises(ConfigError):
+            nn.forward(arch, stack, np.zeros((3, 4, 3)))
+        with pytest.raises(ConfigError):
+            nn.forward(arch, stack[None], np.zeros((1, 2, 4, 3)))
+        with pytest.raises(ConfigError):
+            nn.Net(arch, stack)
+
+
 class TestNet:
     def test_params_are_copied_and_frozen(self):
         arch = nn.ArchSpec((2, 3))

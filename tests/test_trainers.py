@@ -15,7 +15,7 @@ import pytest
 
 from fha import losses, nn, trainers
 from fha.data import Dataset, FewShotSet
-from fha.errors import ConfigError, InsufficientDataError, QualityGateError
+from fha.errors import ConfigError, InsufficientDataError, MissingClassError, QualityGateError
 from fha.pairing import LabeledPool
 
 
@@ -380,6 +380,12 @@ class TestGeneratorBank:
     def test_target_modes_need_few_shots(self, mode):
         with pytest.raises(ConfigError):
             trainers.train_generator_bank(_hypothesis(), None, mode, _tiny_cfg())
+
+    @pytest.mark.parametrize("mode", ["target_only", "combined"])
+    def test_target_modes_need_every_class_in_the_few_shots(self, mode):
+        with pytest.raises(MissingClassError):
+            trainers.train_generator_bank(_hypothesis(), _fewshot(num_classes=2), mode,
+                                          _tiny_cfg(), epochs=1)
 
     def test_source_only_ignores_few_shots(self):
         hyp = _hypothesis()
