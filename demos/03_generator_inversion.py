@@ -8,7 +8,9 @@ assign the generated points to the generator's class) and proximity (the
 points should sit near that class's few target shots, in augmented L1).
 Training only the first term copies the source; only the second copies
 the few-shots; the combined objective lands between, which is the point:
-an intermediate domain.
+an intermediate domain. A trained bank keeps its generators as one
+stacked network (an (N, P) parameter stack, row n for class n), and a pool
+is one noise draw through that stack.
 """
 
 import numpy as np

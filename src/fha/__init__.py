@@ -41,7 +41,6 @@ from .harness import (
     write_results,
 )
 from .losses import (
-    GenLossConfig,
     augmented_l1,
     beta_schedule,
     cross_entropy,

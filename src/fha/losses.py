@@ -24,7 +24,6 @@ the labeled target samples. Probabilities are clamped at 1e-12 before logs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,21 +37,6 @@ from .pairing import (
 )
 
 PROB_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class GenLossConfig:
-    """Knobs of the generator objective, shared by every class generator."""
-
-    batch_size: int = 32
-    tradeoff: float = 0.2
-    diameter: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if self.tradeoff < 0:
-            raise ConfigError("tradeoff must be non-negative")
 
 
 def _check_probs(p: np.ndarray, what: str) -> np.ndarray:
@@ -78,31 +62,23 @@ def gen_source_loss_grad(class_probs: np.ndarray) -> np.ndarray:
     return 2.0 * (p - 1.0) / p.shape[-1]
 
 
-def augmented_l1(x: np.ndarray, y: np.ndarray) -> float:
-    """sum_i |d_i|^3 / ||d||_2 with d = x - y; zero exactly at x == y."""
+def _augmented_l1_and_grad(x: np.ndarray, y: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ConfigError(f"shape mismatch: {x.shape} vs {y.shape}")
-    d = x - y
-    norm = np.sqrt(np.sum(d * d))
-    if norm == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(d) ** 3) / norm)
+    loss, grad = gen_target_loss_and_grad(x.reshape(1, x.size), y.reshape(1, y.size), 1.0)
+    return float(loss), grad.reshape(x.shape)
+
+
+def augmented_l1(x: np.ndarray, y: np.ndarray) -> float:
+    """sum_i |d_i|^3 / ||d||_2 with d = x - y; zero exactly at x == y."""
+    return _augmented_l1_and_grad(x, y)[0]
 
 
 def augmented_l1_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of augmented_l1 with respect to x (zero at x == y)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ConfigError(f"shape mismatch: {x.shape} vs {y.shape}")
-    d = x - y
-    norm = np.sqrt(np.sum(d * d))
-    if norm == 0.0:
-        return np.zeros_like(d)
-    cube = np.sum(np.abs(d) ** 3)
-    return 3.0 * d * np.abs(d) / norm - d * cube / norm**3
+    return _augmented_l1_and_grad(x, y)[1]
 
 
 def l1_diameter(dim: int) -> float:
@@ -294,14 +270,16 @@ def group_ce_and_disc_grad(disc: nn.Net, enc: nn.Net, pairs: PairBatch):
 def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
                                  source_enc: nn.Net, source_cls: nn.Net,
                                  z: np.ndarray, targets: np.ndarray | None,
-                                 cfg: GenLossConfig, mode: str = "combined"):
+                                 tradeoff: float, mode: str = "combined"):
     """Evaluate the objective of every class generator on its noise batch.
 
     ``params`` is an (N, P) stack of generators of ``arch``, one per source
     class: generator n maps ``z[n]`` (B, z_dim) and is scored on class n.
-    ``targets`` holds the (N, K, dim) few-shots of each class, or None.
-    Returns (per-generator losses (N,), parameter gradients (N, P),
-    generated batches (N, B, dim)). The source model is a frozen scorer: it
+    ``targets`` holds the (N, K, dim) few-shots of each class, or None; the
+    proximity term is scaled into [0, 1] by ``l1_diameter(dim)``.
+    ``tradeoff`` (non-negative) weighs it in the combined mode. Returns
+    (per-generator losses (N,), parameter gradients (N, P), generated
+    batches (N, B, dim)). The source model is a frozen scorer: it
     runs once over the whole (N, B, dim) stack of generated batches and
     carries gradient to them, and no gradient is built for it. Modes:
       * ``source_only``: compatibility term alone (few-shots unused);
@@ -312,6 +290,8 @@ def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
     """
     if mode not in ("source_only", "target_only", "combined"):
         raise ConfigError(f"unknown generator mode {mode!r}")
+    if tradeoff < 0:
+        raise ConfigError("tradeoff must be non-negative")
     num_classes = source_cls.arch.out_width
     if np.ndim(params) != 2 or len(params) != num_classes:
         raise ConfigError(f"expected an ({num_classes}, P) stack, one generator per class")
@@ -332,13 +312,12 @@ def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
         _, x_up_src = nn.backward_from_cache(source_enc.arch, source_enc.params, enc_cache,
                                              emb_up, input_only=True)
         x_up = x_up + x_up_src
-    include_target = mode == "target_only" or (mode == "combined" and cfg.tradeoff != 0.0)
-    if include_target:
+    if mode == "target_only" or (mode == "combined" and tradeoff != 0.0):
         if targets is None:
             raise MissingClassError("target-proximity term needs few-shot samples")
-        diameter = cfg.diameter if cfg.diameter is not None else l1_diameter(dim)
-        weight = 1.0 if mode == "target_only" else cfg.tradeoff
-        target_loss, target_grad = gen_target_loss_and_grad(generated, targets, diameter)
+        weight = 1.0 if mode == "target_only" else tradeoff
+        target_loss, target_grad = gen_target_loss_and_grad(generated, targets,
+                                                            l1_diameter(dim))
         loss = loss + weight * target_loss
         x_up = x_up + weight * target_grad
     gen_grad, _ = nn.backward_from_cache(arch, params, gen_cache, x_up)

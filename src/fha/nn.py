@@ -168,7 +168,7 @@ def forward_and_cache(arch: ArchSpec, params: np.ndarray, batch: np.ndarray):
 
 
 def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Map a (B, in) batch to the (B, out) head output.
+    """Map a (B, in) batch, or an (N, B, in) stack, to the head output.
 
     Softmax rows are computed with max subtraction and sum to 1 within
     rounding; a sigmoid head squashes every output into (0, 1).

@@ -17,7 +17,8 @@ The two-step methods and tohan share one generator set-up and step and one
 adaptation schedule (discriminator pretraining, then alternating model and
 discriminator updates). They differ only in when the intermediate pool is
 drawn: once from the converged bank, or every epoch from the live
-generators.
+generators. The class generators are one (N, P) parameter stack throughout
+(row n for class n): trained, kept in a GeneratorBank and sampled as one.
 
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and every update builds new parameter
@@ -37,6 +38,7 @@ from . import losses, nn
 from .data import Dataset, FewShotSet
 from .errors import (
     ConfigError,
+    FormatError,
     InsufficientDataError,
     MissingClassError,
     NumericalError,
@@ -169,25 +171,26 @@ class TargetModel:
 
 @dataclass(frozen=True)
 class GeneratorBank:
-    """One generator per class, shared architecture, plus its seed root."""
+    """The trained class generators: a read-only (N, P) stack of ``arch``
+    parameters, row n for class n, and the seed root they were trained from."""
 
-    nets: tuple[nn.Net, ...]
-    z_dim: int
+    arch: nn.ArchSpec
+    params: np.ndarray
     seed: int
 
     def __post_init__(self) -> None:
-        if len(self.nets) < 2:
-            raise ConfigError("a bank needs one generator per class (at least 2)")
-        arch0 = self.nets[0].arch
-        if any(g.arch != arch0 for g in self.nets):
-            raise ConfigError("all generators in a bank must share an architecture")
-        if arch0.in_width != self.z_dim:
-            raise ConfigError("generator input width must equal z_dim")
-        object.__setattr__(self, "nets", tuple(self.nets))
+        params = np.array(self.params, dtype=np.float64)
+        if params.ndim != 2 or len(params) < 2 or params.shape[1] != self.arch.n_params:
+            raise ConfigError(f"a bank needs an (N, {self.arch.n_params}) stack, one "
+                              "generator per class (at least 2)")
+        if not np.all(np.isfinite(params)):
+            raise NumericalError("network parameters must be finite")
+        params.setflags(write=False)
+        object.__setattr__(self, "params", params)
 
     @property
     def num_classes(self) -> int:
-        return len(self.nets)
+        return len(self.params)
 
 
 def default_encoder_arch(dim: int, width: int = 32) -> nn.ArchSpec:
@@ -393,9 +396,9 @@ class _Generators:
     def __init__(self, hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
                  mode: str, cfg: TohanConfig, root: int):
         num_classes = hypothesis.cls.arch.out_width
-        dim = hypothesis.enc.arch.in_width
         child = nn.derive_seeds(root, 2 * num_classes)
-        self.arch = default_generator_arch(cfg.z_dim, dim, cfg.gen_hidden)
+        self.arch = default_generator_arch(cfg.z_dim, hypothesis.enc.arch.in_width,
+                                           cfg.gen_hidden)
         self.params = np.stack([nn.init_params(self.arch, child[2 * n])
                                 for n in range(num_classes)])
         self._state = nn.AdamState.init(self.params.shape, cfg.lr_gen)
@@ -406,8 +409,6 @@ class _Generators:
                 raise MissingClassError("no few-shot samples for some source class")
             self._targets = np.stack([fewshot.class_features(n) for n in range(num_classes)]
                                      ).astype(np.float64)
-        self._loss_cfg = losses.GenLossConfig(batch_size=cfg.gen_batch, tradeoff=cfg.tradeoff,
-                                              diameter=losses.l1_diameter(dim))
         self._hypothesis, self._mode, self._cfg = hypothesis, mode, cfg
 
     def step(self) -> tuple[np.ndarray, np.ndarray]:
@@ -416,8 +417,7 @@ class _Generators:
         hyp, cfg = self._hypothesis, self._cfg
         z = np.stack([rng.standard_normal((cfg.gen_batch, cfg.z_dim)) for rng in self._noise])
         step_losses, grad, generated = losses.generator_objective_and_grad(
-            self.arch, self.params, hyp.enc, hyp.cls, z, self._targets, self._loss_cfg,
-            self._mode,
+            self.arch, self.params, hyp.enc, hyp.cls, z, self._targets, cfg.tradeoff, self._mode
         )
         params, self._state = nn.adam_step(self._state, self.params, grad)
         if not np.all(np.isfinite(params)):
@@ -443,21 +443,23 @@ def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | Non
     gens = _Generators(hypothesis, fewshot, mode, cfg, root)
     for _ in range(cfg.total_epochs if epochs is None else epochs):
         gens.step()
-    return GeneratorBank(nets=tuple(nn.Net(gens.arch, p) for p in gens.params),
-                         z_dim=cfg.z_dim, seed=root)
+    return GeneratorBank(gens.arch, gens.params, root)
+
+
+def _labeled_pool(batches: np.ndarray) -> LabeledPool:
+    """The intermediate pool of an (N, B, dim) stack of batches, block n labeled n."""
+    n, b, dim = batches.shape
+    return LabeledPool("intermediate", batches.reshape(n * b, dim), np.repeat(np.arange(n), b))
 
 
 def sample_pool(bank: GeneratorBank, per_class: int, seed: int) -> LabeledPool:
-    """Generate a labeled intermediate pool: per_class samples per generator."""
+    """Generate a labeled intermediate pool: per_class samples per generator,
+    from one (N, per_class, z_dim) noise draw through the stacked bank."""
     if per_class < 1:
         raise ConfigError("per_class must be positive")
-    rng = np.random.default_rng(seed)
-    feats, labels = [], []
-    for n, gen in enumerate(bank.nets):
-        z = rng.standard_normal((per_class, bank.z_dim))
-        feats.append(gen(z))
-        labels.append(np.full(per_class, n, dtype=np.int64))
-    return LabeledPool("intermediate", np.concatenate(feats), np.concatenate(labels))
+    z = np.random.default_rng(seed).standard_normal(
+        (bank.num_classes, per_class, bank.arch.in_width))
+    return _labeled_pool(nn.forward(bank.arch, bank.params, z))
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +516,7 @@ def _adapt(source, fewshot: FewShotSet, hypothesis: SourceHypothesis, cfg: Tohan
     for epoch in range(lead + cfg.adapt_epochs):
         if gens is not None:
             gen_losses, batches = gens.step()
-            pool = LabeledPool("intermediate", batches.reshape(-1, batches.shape[-1]),
-                               np.repeat(np.arange(len(batches)), cfg.gen_batch))
+            pool = _labeled_pool(batches)
             record(epoch, "generate", {"gen_loss_mean": float(np.mean(gen_losses)),
                                        "dm_size": float(pool.size)})
         if epoch < lead:
@@ -621,12 +622,12 @@ def save_hypothesis(path, hypothesis: SourceHypothesis) -> None:
 def load_hypothesis(path) -> SourceHypothesis:
     nets, seed, meta = nn.load_model(path)
     try:
-        return SourceHypothesis(
-            enc=nets["encoder"],
-            cls=nets["classifier"],
-            seed=seed,
-            train_accuracy=float(meta.get("train_accuracy", float("nan"))),
-            test_accuracy=float(meta.get("test_accuracy", float("nan"))),
-        )
+        train_acc, test_acc = (float(meta.get(key, float("nan")))
+                               for key in ("train_accuracy", "test_accuracy"))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"model file accuracy is not a number: {exc}") from exc
+    try:
+        return SourceHypothesis(enc=nets["encoder"], cls=nets["classifier"], seed=seed,
+                                train_accuracy=train_acc, test_accuracy=test_acc)
     except KeyError as exc:
         raise ConfigError(f"model file lacks a net: {exc}") from exc

@@ -232,12 +232,10 @@ def _build_gen_objective(mode):
         cls = nn.Net(cls_arch, nn.init_params(cls_arch, _seed_of(rng)))
         z = rng.standard_normal((c, 4, z_dim))
         targets = rng.uniform(size=(c, 2, dim))
-        cfg = losses.GenLossConfig(batch_size=4, tradeoff=0.2,
-                                   diameter=losses.l1_diameter(dim))
 
         def loss_fn(flat):
             loss, grad, _ = losses.generator_objective_and_grad(
-                gen_arch, flat.reshape(c, -1), enc, cls, z, targets, cfg, mode
+                gen_arch, flat.reshape(c, -1), enc, cls, z, targets, tradeoff=0.2, mode=mode
             )
             return float(loss.sum()), grad.ravel()
 

@@ -269,6 +269,31 @@ class TestRun:
         cfg_path.write_text("[1, 2]", encoding="utf-8")
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
 
+    def test_non_integer_shots_flag_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(["run", "--task", "rot20", "--shots", "1,a",
+                         "--out", str(tmp_path / "r.jsonl")]) == 2
+        assert capsys.readouterr().err.startswith("error: shots")
+
+    @pytest.mark.parametrize("overrides", [
+        {"shots": ["a"]},
+        {"shots": 3},
+        {"jobs": "x"},
+        {"seeds": 5},
+        {"seeds": [0, None]},
+        {"task": {"builtin": "rot40", "seed": "x"}},
+        {"tohan": {"gen_batch": "x"}},
+        {"tohan": {"gen_batch": 4.5}},
+        {"tohan": {"tradeoff": "x"}},
+        {"source": 5},
+    ], ids=repr)
+    def test_malformed_config_value_is_usage_error(self, tmp_path, capsys, overrides):
+        out = tmp_path / "r.jsonl"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(_mini_run_config(out, **overrides)), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestSummarize:
     def test_renders_table(self, workdir, capsys):

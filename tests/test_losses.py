@@ -192,10 +192,10 @@ class TestGenTargetLoss:
 
 class TestGenTotalLoss:
     def test_config_validation(self):
+        gen_arch, params, enc, cls, z, targets = _generator_stack()
         with pytest.raises(ConfigError):
-            losses.GenLossConfig(batch_size=0)
-        with pytest.raises(ConfigError):
-            losses.GenLossConfig(tradeoff=-0.5)
+            losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, targets,
+                                                tradeoff=-0.5)
 
 
 class TestCrossEntropy:
@@ -431,42 +431,43 @@ class TestGroupCEDiscGrad:
             losses.group_ce_and_disc_grad(disc, enc, empty)
 
 
+def _generator_stack(seed=3):
+    """A stack of two generators, one per class of a 2-class source model."""
+    s1, s2, s3, s4 = nn.derive_seeds(seed, 4)
+    gen_arch = nn.ArchSpec((3, 5, 2), head="sigmoid")
+    params = np.stack([nn.init_params(gen_arch, seed=s) for s in (s1, s4)])
+    enc_arch = nn.ArchSpec((2, 4, 3), head="linear")
+    enc = nn.Net(enc_arch, nn.init_params(enc_arch, seed=s2))
+    cls_arch = nn.ArchSpec((3, 2), head="softmax")
+    cls = nn.Net(cls_arch, nn.init_params(cls_arch, seed=s3))
+    z = np.random.default_rng(seed).normal(size=(2, 4, 3))
+    targets = np.random.default_rng(seed + 1).uniform(size=(2, 2, 2))
+    return gen_arch, params, enc, cls, z, targets
+
+
 class TestGeneratorObjective:
     """The objective of a stack of two generators, one per source class."""
 
-    def _setup(self, seed=3):
-        s1, s2, s3, s4 = nn.derive_seeds(seed, 4)
-        gen_arch = nn.ArchSpec((3, 5, 2), head="sigmoid")
-        params = np.stack([nn.init_params(gen_arch, seed=s) for s in (s1, s4)])
-        enc_arch = nn.ArchSpec((2, 4, 3), head="linear")
-        enc = nn.Net(enc_arch, nn.init_params(enc_arch, seed=s2))
-        cls_arch = nn.ArchSpec((3, 2), head="softmax")
-        cls = nn.Net(cls_arch, nn.init_params(cls_arch, seed=s3))
-        z = np.random.default_rng(seed).normal(size=(2, 4, 3))
-        targets = np.random.default_rng(seed + 1).uniform(size=(2, 2, 2))
-        return gen_arch, params, enc, cls, z, targets
-
     @pytest.mark.parametrize("mode", ["source_only", "target_only", "combined"])
     def test_grad_matches_fd(self, mode):
-        gen_arch, params, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig(tradeoff=0.2)
+        gen_arch, params, enc, cls, z, targets = _generator_stack()
 
         def loss_fn(flat):
             value, grad, _ = losses.generator_objective_and_grad(
-                gen_arch, flat.reshape(params.shape), enc, cls, z, targets, cfg, mode=mode
+                gen_arch, flat.reshape(params.shape), enc, cls, z, targets,
+                tradeoff=0.2, mode=mode,
             )
             return float(value.sum()), grad.reshape(-1)
 
         assert nn.grad_check_fd(loss_fn, params.reshape(-1)).passed
 
     def test_generator_n_scores_class_n(self):
-        gen_arch, params, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig(tradeoff=0.2)
+        gen_arch, params, enc, cls, z, targets = _generator_stack()
         src, _, generated = losses.generator_objective_and_grad(
-            gen_arch, params, enc, cls, z, targets, cfg, mode="source_only"
+            gen_arch, params, enc, cls, z, targets, tradeoff=0.2, mode="source_only"
         )
         tgt, _, _ = losses.generator_objective_and_grad(
-            gen_arch, params, enc, cls, z, targets, cfg, mode="target_only"
+            gen_arch, params, enc, cls, z, targets, tradeoff=0.2, mode="target_only"
         )
         diameter = losses.l1_diameter(2)
         for n in range(2):
@@ -479,56 +480,51 @@ class TestGeneratorObjective:
         assert src[0] != src[1]
 
     def test_stack_must_hold_one_generator_per_class(self):
-        gen_arch, params, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig()
+        gen_arch, params, enc, cls, z, targets = _generator_stack()
         for bad in (params[0], params[:1], np.concatenate([params, params[:1]])):
             with pytest.raises(ConfigError):
-                losses.generator_objective_and_grad(gen_arch, bad, enc, cls, z, targets, cfg)
+                losses.generator_objective_and_grad(gen_arch, bad, enc, cls, z, targets,
+                                                    tradeoff=0.2)
 
     def test_zero_tradeoff_combined_equals_source_only(self):
-        gen_arch, params, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig(tradeoff=0.0)
-        a = losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, targets, cfg,
-                                                mode="combined")
-        b = losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, None, cfg,
-                                                mode="source_only")
+        gen_arch, params, enc, cls, z, targets = _generator_stack()
+        a = losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, targets,
+                                                tradeoff=0.0, mode="combined")
+        b = losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, None,
+                                                tradeoff=0.0, mode="source_only")
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
         assert np.array_equal(a[2], b[2])
 
     def test_combined_is_source_plus_weighted_target(self):
-        gen_arch, params, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig(tradeoff=0.3)
+        gen_arch, params, enc, cls, z, targets = _generator_stack()
         total, _, _ = losses.generator_objective_and_grad(
-            gen_arch, params, enc, cls, z, targets, cfg, mode="combined"
+            gen_arch, params, enc, cls, z, targets, tradeoff=0.3, mode="combined"
         )
         src, _, _ = losses.generator_objective_and_grad(
-            gen_arch, params, enc, cls, z, None, cfg, mode="source_only"
+            gen_arch, params, enc, cls, z, None, tradeoff=0.3, mode="source_only"
         )
         tgt, _, _ = losses.generator_objective_and_grad(
-            gen_arch, params, enc, cls, z, targets, cfg, mode="target_only"
+            gen_arch, params, enc, cls, z, targets, tradeoff=0.3, mode="target_only"
         )
         assert np.allclose(total, src + 0.3 * tgt, atol=1e-12, rtol=0.0)
 
     def test_target_only_requires_targets(self):
-        gen_arch, params, enc, cls, z, _ = self._setup()
-        cfg = losses.GenLossConfig()
+        gen_arch, params, enc, cls, z, _ = _generator_stack()
         with pytest.raises(MissingClassError):
-            losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, None, cfg,
-                                                mode="target_only")
+            losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, None,
+                                                tradeoff=0.2, mode="target_only")
 
     def test_unknown_mode_rejected(self):
-        gen_arch, params, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig()
+        gen_arch, params, enc, cls, z, targets = _generator_stack()
         with pytest.raises(ConfigError):
-            losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, targets, cfg,
-                                                mode="both")
+            losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, targets,
+                                                tradeoff=0.2, mode="both")
 
     def test_generated_batch_is_returned(self):
-        gen_arch, params, enc, cls, z, targets = self._setup()
-        cfg = losses.GenLossConfig()
+        gen_arch, params, enc, cls, z, targets = _generator_stack()
         _, _, generated = losses.generator_objective_and_grad(
-            gen_arch, params, enc, cls, z, targets, cfg, mode="combined"
+            gen_arch, params, enc, cls, z, targets, tradeoff=0.2, mode="combined"
         )
         assert generated.shape == (2, 4, 2)
         assert np.array_equal(generated, nn.forward_and_cache(gen_arch, params, z)[0])

@@ -15,7 +15,14 @@ import pytest
 
 from fha import losses, nn, trainers
 from fha.data import Dataset, FewShotSet
-from fha.errors import ConfigError, InsufficientDataError, MissingClassError, QualityGateError
+from fha.errors import (
+    ConfigError,
+    FormatError,
+    InsufficientDataError,
+    MissingClassError,
+    NumericalError,
+    QualityGateError,
+)
 from fha.pairing import LabeledPool
 
 
@@ -204,19 +211,21 @@ class TestContainers:
 
     def test_generator_bank_validation(self):
         arch = trainers.default_generator_arch(3, 2, 4)
-        net = nn.Net(arch, nn.init_params(arch, 0))
-        with pytest.raises(ConfigError):
-            trainers.GeneratorBank(nets=(net,), z_dim=3, seed=0)
+        row = nn.init_params(arch, 0)
+        stack = np.stack([row, nn.init_params(arch, 1)])
+        for bad in (row, stack[:1], stack[:, :-1], stack[None]):
+            with pytest.raises(ConfigError):
+                trainers.GeneratorBank(arch=arch, params=bad, seed=0)
         other = trainers.default_generator_arch(3, 2, 5)
         with pytest.raises(ConfigError):
-            trainers.GeneratorBank(
-                nets=(net, nn.Net(other, nn.init_params(other, 1))),
-                z_dim=3, seed=0,
-            )
-        with pytest.raises(ConfigError):
-            trainers.GeneratorBank(nets=(net, net), z_dim=4, seed=0)
-        bank = trainers.GeneratorBank(nets=(net, net), z_dim=3, seed=0)
+            trainers.GeneratorBank(arch=other, params=stack, seed=0)
+        with pytest.raises(NumericalError):
+            trainers.GeneratorBank(arch=arch, params=np.where(stack > 0, np.nan, stack), seed=0)
+        bank = trainers.GeneratorBank(arch=arch, params=stack, seed=0)
         assert bank.num_classes == 2
+        assert bank.arch.in_width == 3
+        assert np.array_equal(bank.params, stack) and bank.params is not stack
+        assert not bank.params.flags.writeable
 
     def test_default_arch_shapes(self):
         assert trainers.default_encoder_arch(2, 8).widths == (2, 8, 8)
@@ -394,16 +403,17 @@ class TestGeneratorBank:
         with_fs = trainers.train_generator_bank(
             hyp, _fewshot(), "source_only", cfg, epochs=2
         )
-        for a, b in zip(without.nets, with_fs.nets):
-            assert a.params.tobytes() == b.params.tobytes()
+        assert without.params.tobytes() == with_fs.params.tobytes()
 
     def test_bank_shape_and_range(self):
         hyp = _hypothesis()
         cfg = _tiny_cfg()
         bank = trainers.train_generator_bank(hyp, _fewshot(), "combined", cfg, epochs=2)
         assert bank.num_classes == 3
-        assert bank.z_dim == cfg.z_dim
-        out = bank.nets[0](np.random.default_rng(0).standard_normal((16, cfg.z_dim)))
+        assert bank.params.shape == (3, bank.arch.n_params)
+        assert bank.arch.in_width == cfg.z_dim
+        out = nn.forward(bank.arch, bank.params[0],
+                         np.random.default_rng(0).standard_normal((16, cfg.z_dim)))
         assert out.shape == (16, 2)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
@@ -415,17 +425,17 @@ class TestGeneratorBank:
         bank = trainers.train_generator_bank(hyp, None, "source_only", cfg, epochs=0)
         child = nn.derive_seeds(42, 6)
         arch = trainers.default_generator_arch(cfg.z_dim, 2, cfg.gen_hidden)
-        for n, net in enumerate(bank.nets):
+        assert bank.arch == arch
+        for n, row in enumerate(bank.params):
             expected = nn.init_params(arch, child[2 * n])
-            assert net.params.tobytes() == expected.tobytes()
+            assert row.tobytes() == expected.tobytes()
 
     def test_combined_with_zero_tradeoff_equals_source_only(self):
         hyp = _hypothesis()
         cfg = _tiny_cfg(tradeoff=0.0)
         a = trainers.train_generator_bank(hyp, _fewshot(), "combined", cfg, epochs=3)
         b = trainers.train_generator_bank(hyp, None, "source_only", cfg, epochs=3)
-        for ga, gb in zip(a.nets, b.nets):
-            assert ga.params.tobytes() == gb.params.tobytes()
+        assert a.params.tobytes() == b.params.tobytes()
 
     def test_seed_override_beats_config_seed(self):
         hyp = _hypothesis()
@@ -436,9 +446,8 @@ class TestGeneratorBank:
                                           _tiny_cfg(seed=123), epochs=2)
         c = trainers.train_generator_bank(hyp, None, "source_only", cfg, epochs=2)
         assert a.seed == 123
-        for ga, gb in zip(a.nets, b.nets):
-            assert ga.params.tobytes() == gb.params.tobytes()
-        assert a.nets[0].params.tobytes() != c.nets[0].params.tobytes()
+        assert a.params.tobytes() == b.params.tobytes()
+        assert a.params[0].tobytes() != c.params[0].tobytes()
 
 
 class TestSamplePool:
@@ -462,6 +471,18 @@ class TestSamplePool:
         c = trainers.sample_pool(bank, 4, seed=8)
         assert a.features.tobytes() == b.features.tobytes()
         assert a.features.tobytes() != c.features.tobytes()
+
+    @pytest.mark.parametrize("per_class", [1, 7, 32])
+    def test_pool_equals_each_generator_on_its_own_draw(self, per_class):
+        # class n's rows are generator n alone on the n-th noise draw of the seed
+        bank = self._bank()
+        pool = trainers.sample_pool(bank, per_class, seed=7)
+        rng = np.random.default_rng(7)
+        for n, row in enumerate(bank.params):
+            z = rng.standard_normal((per_class, bank.arch.in_width))
+            rows = slice(n * per_class, (n + 1) * per_class)
+            assert pool.features[rows].tobytes() == nn.forward(bank.arch, row, z).tobytes()
+            assert np.all(pool.labels[rows] == n)
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ConfigError):
@@ -669,7 +690,7 @@ class TestTrainTohan:
             seed=nn.derive_seeds(cfg.seed, 3)[0],
         )
         assert trace[-1].phase == "disc_update"
-        assert trainers._digest(*[g.params for g in bank.nets]) == trace[-1].digests["gens"]
+        assert trainers._digest(bank.params) == trace[-1].digests["gens"]
 
     def test_zero_adapt_epochs_only_generates(self):
         hyp = _hypothesis()
@@ -722,6 +743,17 @@ class TestModelFiles:
         assert loaded.seed == hyp.seed
         assert loaded.train_accuracy == hyp.train_accuracy
         assert loaded.test_accuracy == hyp.test_accuracy
+
+    @pytest.mark.parametrize("value", ["abc", [1], {}])
+    @pytest.mark.parametrize("key", ["train_accuracy", "test_accuracy"])
+    def test_hypothesis_accuracy_must_be_a_number(self, tmp_path, key, value):
+        path = tmp_path / "hypothesis.json"
+        trainers.save_hypothesis(path, _hypothesis())
+        doc = json.loads(path.read_text())
+        doc["metadata"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            trainers.load_hypothesis(path)
 
     def test_hypothesis_file_missing_net(self, tmp_path):
         hyp = _hypothesis()
