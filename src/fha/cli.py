@@ -82,13 +82,6 @@ def _parse_seeds(text: str) -> list[int]:
         raise ConfigError(f"bad seed list {text!r}") from exc
 
 
-def _as_int(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
-
-
 def _dataclass_from(cls, payload: dict, what: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"{what} config must be an object")
@@ -96,9 +89,9 @@ def _dataclass_from(cls, payload: dict, what: str):
     unknown = set(payload) - set(types)
     if unknown:
         raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
-    not_int = [k for k, v in payload.items() if types[k] == "int" and type(v) is not int]
-    if not_int:
-        raise ConfigError(f"{what} fields must be integers: {sorted(not_int)}")
+    for key, value in payload.items():
+        if types[key] == "int":
+            nn._as_int(value, f"{what} field {key}")
     try:
         return cls(**payload)
     except (TypeError, ValueError) as exc:
@@ -116,7 +109,7 @@ def _task_from_config(payload) -> TaskSpec:
         seed = payload.pop("seed", 0)
         if payload:
             raise ConfigError(f"unexpected task fields next to builtin: {sorted(payload)}")
-        return builtin_task(str(name), _as_int(seed, "task seed"))
+        return builtin_task(str(name), nn._as_int(seed, "task seed"))
     if "class_means" in payload:
         payload["class_means"] = tuple(tuple(m) for m in payload["class_means"])
     if "class_scales" in payload:
@@ -206,7 +199,10 @@ def _cmd_run(args) -> int:
     if args.methods is not None:
         doc["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.shots is not None:
-        doc["shots"] = [s for s in args.shots.split(",") if s.strip()]
+        try:
+            doc["shots"] = [int(s) for s in args.shots.split(",") if s.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"shots must be integers, got {args.shots!r}") from exc
     if args.seeds is not None:
         doc["seeds"] = _parse_seeds(args.seeds)
     if args.out is not None:
@@ -225,9 +221,9 @@ def _cmd_run(args) -> int:
         seeds = _parse_seeds(seeds)
     if not isinstance(shots, list) or not isinstance(seeds, list):
         raise ConfigError("shots and seeds must be lists of integers")
-    shots = [_as_int(s, "shots") for s in shots]
-    seeds = [_as_int(s, "seeds") for s in seeds]
-    jobs = _as_int(doc.get("jobs", 1), "jobs")
+    shots = [nn._as_int(s, "shots") for s in shots]
+    seeds = [nn._as_int(s, "seeds") for s in seeds]
+    jobs = nn._as_int(doc.get("jobs", 1), "jobs")
     cfg = _experiment_config(doc)
     out = doc["out"]
     if os.path.exists(out):

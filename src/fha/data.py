@@ -54,7 +54,7 @@ class Dataset:
             raise ConfigError("num_classes must be at least 2")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ConfigError("labels must lie in [0, num_classes)")
-        if feats.size and (feats.min() < 0.0 or feats.max() > 1.0):
+        if not np.all((feats >= 0.0) & (feats <= 1.0)):  # NaN fails both
             raise ConfigError("features must lie in [0, 1]")
         feats.setflags(write=False)
         labels.setflags(write=False)

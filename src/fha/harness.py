@@ -211,8 +211,9 @@ def run_experiment(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig,
     deterministic, the sink order follows completion).
     """
     methods = list(methods)
-    shots = [int(s) for s in shots]
-    seeds = [int(s) for s in seeds]
+    shots = [nn._as_int(s, "shots") for s in shots]
+    seeds = [nn._as_int(s, "seeds") for s in seeds]
+    jobs = nn._as_int(jobs, "jobs")
     if not methods or not shots or not seeds:
         raise ConfigError("methods, shots, and seeds must be non-empty")
     unknown = set(methods) - set(METHODS)

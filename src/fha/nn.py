@@ -331,6 +331,13 @@ def derive_seeds(seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1)[0]) for c in children]
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; bools, floats and strings raise ConfigError, never truncate."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 _MODEL_FORMAT = "fha-model"
 _MODEL_VERSION = 1
 
@@ -378,11 +385,12 @@ def load_model(path) -> tuple[dict[str, Net], int, dict]:
     try:
         nets = {
             name: Net(
-                ArchSpec(tuple(entry["widths"]), entry["activation"], entry["head"]),
+                ArchSpec(tuple(_as_int(w, "a layer width") for w in entry["widths"]),
+                         entry["activation"], entry["head"]),
                 np.asarray(entry["params"], dtype=np.float64),
             )
             for name, entry in doc["nets"].items()
         }
-        return nets, int(doc["seed"]), dict(doc.get("metadata", {}))
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        return nets, _as_int(doc["seed"], "the seed"), dict(doc.get("metadata", {}))
+    except (KeyError, TypeError, ValueError, ConfigError, NumericalError) as exc:
         raise FormatError(f"model file contents invalid: {exc}") from exc

@@ -9,16 +9,18 @@ Methods (names match the results schema):
              then pairwise adversarial adaptation against the frozen pool;
   * tfada -- two-step with a generator trained for target proximity only;
   * stfada-- two-step with the combined generator objective;
-  * tohan -- one-step: generators keep training every epoch, and for the
-             final adapt_epochs the model and group discriminator update in
-             alternation against the freshly generated pool.
+  * tohan -- one-step: generators first, then adaptation over the kept
+             batches; the pool of each of the final adapt_epochs epochs is
+             the batch that epoch's generator step was computed on.
 
-The two-step methods and tohan share one generator set-up and step and one
-adaptation schedule (discriminator pretraining, then alternating model and
-discriminator updates). They differ only in when the intermediate pool is
-drawn: once from the converged bank, or every epoch from the live
-generators. The class generators are one (N, P) parameter stack throughout
-(row n for class n): trained, kept in a GeneratorBank and sampled as one.
+The two-step methods and tohan share one generator run and one adaptation
+schedule (discriminator pretraining, then alternating model and
+discriminator updates over a list of pools). They differ only in the pools:
+one pool drawn from the converged bank, or the batches of the generators'
+final steps. The generator objective never reads the adapted model, so
+tohan's trace keeps the interleaved order of the paper's one-step loop. The
+class generators are one (N, P) parameter stack throughout (row n for class
+n): trained, kept in a GeneratorBank and sampled as one.
 
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and every update builds new parameter
@@ -95,10 +97,9 @@ class BaselineConfig:
 class TohanConfig:
     """Schedule and sizes of the generation + adaptation runs.
 
-    ``pair_batch`` is the number of pairs each adaptation update consumes:
-    the discriminator step uses ``per_group`` pairs of each of the 4 groups,
-    the model step uses ``2 * per_group`` pairs of each cross-domain group,
-    so ``pair_batch`` must equal ``4 * per_group``. The final
+    Each adaptation update consumes ``4 * per_group`` pairs: the
+    discriminator step uses ``per_group`` pairs of each of the 4 groups, the
+    model step ``2 * per_group`` pairs of each cross-domain group. The final
     ``adapt_epochs`` epochs of ``total_epochs`` are the adaptation phase;
     the discriminator is pretrained for ``disc_pretrain_epochs`` right
     before it.
@@ -106,7 +107,6 @@ class TohanConfig:
 
     tradeoff: float = 0.2
     gen_batch: int = 32
-    pair_batch: int = 64
     per_group: int = 16
     z_dim: int = 8
     gen_hidden: int = 32
@@ -128,8 +128,6 @@ class TohanConfig:
             raise ConfigError("epoch counts must be non-negative")
         if self.adapt_epochs >= self.total_epochs:
             raise ConfigError("adapt_epochs must be smaller than total_epochs")
-        if self.pair_batch != 4 * self.per_group:
-            raise ConfigError("pair_batch must equal 4 * per_group")
         if self.tradeoff < 0:
             raise ConfigError("tradeoff must be non-negative")
         if min(self.lr_gen, self.lr_disc_pretrain, self.lr_model, self.lr_disc_adapt) <= 0:
@@ -385,45 +383,46 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
 # generators
 
 
-class _Generators:
-    """The class generators as one (N, P) stack, row n for class n, stepped
-    by one Adam state on the stacked generator objective.
+def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None, mode: str,
+                    cfg: TohanConfig, root: int, epochs: int, keep: int = 0,
+                    log: list | None = None) -> tuple[GeneratorBank, list[np.ndarray]]:
+    """Train the class generators as one (N, P) stack, row n for class n, with
+    one Adam state on the stacked generator objective.
 
     Seeds follow derive_seeds(root, 2 * num_classes): child 2n initializes
     generator n and child 2n + 1 drives its noise stream, drawn in class order.
+    Returns the trained bank and the (N, gen_batch, dim) batches the last
+    ``keep`` steps were computed on. ``log``, when given, receives the digest
+    of the initial stack, then one (loss mean, stack digest) pair per step.
     """
-
-    def __init__(self, hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
-                 mode: str, cfg: TohanConfig, root: int):
-        num_classes = hypothesis.cls.arch.out_width
-        child = nn.derive_seeds(root, 2 * num_classes)
-        self.arch = default_generator_arch(cfg.z_dim, hypothesis.enc.arch.in_width,
-                                           cfg.gen_hidden)
-        self.params = np.stack([nn.init_params(self.arch, child[2 * n])
-                                for n in range(num_classes)])
-        self._state = nn.AdamState.init(self.params.shape, cfg.lr_gen)
-        self._noise = [np.random.default_rng(child[2 * n + 1]) for n in range(num_classes)]
-        self._targets = None
-        if fewshot is not None and mode != "source_only":
-            if fewshot.num_classes < num_classes:
-                raise MissingClassError("no few-shot samples for some source class")
-            self._targets = np.stack([fewshot.class_features(n) for n in range(num_classes)]
-                                     ).astype(np.float64)
-        self._hypothesis, self._mode, self._cfg = hypothesis, mode, cfg
-
-    def step(self) -> tuple[np.ndarray, np.ndarray]:
-        """One Adam step of every generator; returns the (N,) losses and the
-        (N, gen_batch, dim) batches the step was computed on."""
-        hyp, cfg = self._hypothesis, self._cfg
-        z = np.stack([rng.standard_normal((cfg.gen_batch, cfg.z_dim)) for rng in self._noise])
+    num_classes = hypothesis.cls.arch.out_width
+    child = nn.derive_seeds(root, 2 * num_classes)
+    arch = default_generator_arch(cfg.z_dim, hypothesis.enc.arch.in_width, cfg.gen_hidden)
+    params = np.stack([nn.init_params(arch, child[2 * n]) for n in range(num_classes)])
+    state = nn.AdamState.init(params.shape, cfg.lr_gen)
+    noise = [np.random.default_rng(child[2 * n + 1]) for n in range(num_classes)]
+    targets = None
+    if mode != "source_only":
+        if fewshot.num_classes < num_classes:
+            raise MissingClassError("no few-shot samples for some source class")
+        targets = np.stack([fewshot.class_features(n) for n in range(num_classes)]
+                           ).astype(np.float64)
+    if log is not None:
+        log.append(_digest(params))
+    kept = []
+    for epoch in range(epochs):
+        z = np.stack([rng.standard_normal((cfg.gen_batch, cfg.z_dim)) for rng in noise])
         step_losses, grad, generated = losses.generator_objective_and_grad(
-            self.arch, self.params, hyp.enc, hyp.cls, z, self._targets, cfg.tradeoff, self._mode
+            arch, params, hypothesis.enc, hypothesis.cls, z, targets, cfg.tradeoff, mode
         )
-        params, self._state = nn.adam_step(self._state, self.params, grad)
+        params, state = nn.adam_step(state, params, grad)
         if not np.all(np.isfinite(params)):
             raise NumericalError("network parameters must be finite")
-        self.params = params
-        return step_losses, generated
+        if epoch >= epochs - keep:
+            kept.append(generated)
+        if log is not None:
+            log.append((float(np.mean(step_losses)), _digest(params)))
+    return GeneratorBank(arch, params, root), kept
 
 
 def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
@@ -440,10 +439,8 @@ def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | Non
     if mode != "source_only" and fewshot is None:
         raise ConfigError(f"mode {mode!r} needs a few-shot set")
     root = cfg.seed if seed is None else seed
-    gens = _Generators(hypothesis, fewshot, mode, cfg, root)
-    for _ in range(cfg.total_epochs if epochs is None else epochs):
-        gens.step()
-    return GeneratorBank(gens.arch, gens.params, root)
+    return _run_generators(hypothesis, fewshot, mode, cfg, root,
+                           cfg.total_epochs if epochs is None else epochs)[0]
 
 
 def _labeled_pool(batches: np.ndarray) -> LabeledPool:
@@ -466,17 +463,6 @@ def sample_pool(bank: GeneratorBank, per_class: int, seed: int) -> LabeledPool:
 # pairwise adaptation
 
 
-def _state_digests(gen_params, enc, cls, disc) -> dict[str, str]:
-    digests = {
-        "enc": _digest(enc.params),
-        "cls": _digest(cls.params),
-        "disc": _digest(disc.params),
-    }
-    if gen_params is not None:
-        digests["gens"] = _digest(gen_params)
-    return digests
-
-
 def _disc_update(disc, disc_state, enc, pool, fewshot, cfg, rng):
     pairs = build_groups(pool, fewshot, cfg.per_group, rng)
     loss, grad = losses.group_ce_and_disc_grad(disc, enc, pairs)
@@ -484,43 +470,44 @@ def _disc_update(disc, disc_state, enc, pool, fewshot, cfg, rng):
     return disc.with_params(params), disc_state, loss
 
 
-def _adapt(source, fewshot: FewShotSet, hypothesis: SourceHypothesis, cfg: TohanConfig,
-           disc_seed: int, pair_seed: int, trace: list | None) -> TargetModel:
+def _adapt(pools: list[LabeledPool], fewshot: FewShotSet, hypothesis: SourceHypothesis,
+           cfg: TohanConfig, disc_seed: int, pair_seed: int, trace: list | None,
+           gen_log: list | None = None) -> TargetModel:
     """The adaptation schedule shared by the two-step and one-step methods.
 
-    ``source`` is a fixed LabeledPool (two-step) or live _Generators
-    (one-step). A fixed pool is adapted against at once; live generators
-    step once per epoch for cfg.total_epochs, each step drawing that
-    epoch's pool, and adaptation fills the final cfg.adapt_epochs. When
-    adaptation starts, the group discriminator is pretrained for
-    cfg.disc_pretrain_epochs; then each epoch runs one model update
-    (discriminator frozen) and one discriminator update (encoder frozen).
+    ``pools`` holds one intermediate pool per epoch. The group discriminator
+    is pretrained for cfg.disc_pretrain_epochs against the first; then each
+    epoch runs one model update (discriminator frozen) and one discriminator
+    update (encoder frozen) against its own pool. With ``gen_log``, the log
+    of the generator run that drew the pools, the trace keeps the interleaved
+    order: one generate event per step, the last len(pools) opening the epochs.
     """
-    gens = source if isinstance(source, _Generators) else None
-    pool = source if gens is None else None
     enc, cls = hypothesis.enc, hypothesis.cls
     disc_arch = default_discriminator_arch(enc.arch.out_width, cfg.disc_hidden)
     disc = nn.Net(disc_arch, nn.init_params(disc_arch, disc_seed))
     pair_rng = np.random.default_rng(pair_seed)
     enc_state = nn.AdamState.init(enc.params.size, cfg.lr_model)
     cls_state = nn.AdamState.init(cls.params.size, cfg.lr_model)
+    gens = None if gen_log is None else gen_log[0]
+    dm_size = float(cfg.gen_batch * cls.arch.out_width)
 
     def record(epoch, phase, values):
         if trace is not None:
-            gen_params = None if gens is None else gens.params
-            trace.append(PhaseEvent(epoch, phase, values,
-                                    _state_digests(gen_params, enc, cls, disc)))
+            digests = {"enc": _digest(enc.params), "cls": _digest(cls.params),
+                       "disc": _digest(disc.params)}
+            if gens is not None:
+                digests["gens"] = gens
+            trace.append(PhaseEvent(epoch, phase, values, digests))
 
     record(-1, "init", {})
-    lead = 0 if gens is None else cfg.total_epochs - cfg.adapt_epochs
-    for epoch in range(lead + cfg.adapt_epochs):
-        if gens is not None:
-            gen_losses, batches = gens.step()
-            pool = _labeled_pool(batches)
-            record(epoch, "generate", {"gen_loss_mean": float(np.mean(gen_losses)),
-                                       "dm_size": float(pool.size)})
+    lead = 0 if gen_log is None else len(gen_log) - 1 - len(pools)
+    for epoch in range(lead + len(pools)):
+        if gen_log is not None:
+            gen_loss_mean, gens = gen_log[epoch + 1]
+            record(epoch, "generate", {"gen_loss_mean": gen_loss_mean, "dm_size": dm_size})
         if epoch < lead:
             continue
+        pool = pools[epoch - lead]
         if epoch == lead:
             disc_state = nn.AdamState.init(disc.params.size, cfg.lr_disc_pretrain)
             for _ in range(cfg.disc_pretrain_epochs):
@@ -528,7 +515,7 @@ def _adapt(source, fewshot: FewShotSet, hypothesis: SourceHypothesis, cfg: Tohan
                                                       fewshot, cfg, pair_rng)
                 record(epoch, "pretrain_disc", {"group_ce": loss})
             disc_state = nn.AdamState.init(disc.params.size, cfg.lr_disc_adapt)
-        beta = losses.beta_schedule((epoch - lead) / cfg.adapt_epochs)
+        beta = losses.beta_schedule((epoch - lead) / len(pools))
         g2 = sample_group_pairs(pool, fewshot, 2, 2 * cfg.per_group, pair_rng)
         g4 = sample_group_pairs(pool, fewshot, 4, 2 * cfg.per_group, pair_rng)
         loss, enc_grad, cls_grad = losses.adaptation_loss_and_grads(
@@ -558,7 +545,8 @@ def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
         return TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)
     root = cfg.seed if seed is None else seed
     disc_seed, pair_seed = nn.derive_seeds(root, 2)
-    return _adapt(intermediate, fewshot, hypothesis, cfg, disc_seed, pair_seed, trace)
+    return _adapt([intermediate] * cfg.adapt_epochs, fewshot, hypothesis, cfg,
+                  disc_seed, pair_seed, trace)
 
 
 def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
@@ -581,16 +569,20 @@ def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
 
 def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanConfig,
                 *, trace: list | None = None) -> TargetModel:
-    """One-step adaptation: generation and adaptation share one loop.
+    """One-step adaptation: generators first, then adaptation over the kept batches.
 
-    Every epoch updates each generator on the combined objective; the
-    batches that update was computed on (gen_batch samples per class, drawn
-    before it) form that epoch's intermediate pool. The final adapt_epochs
-    epochs run the shared adaptation schedule against each fresh pool.
+    The generators train for cfg.total_epochs on the combined objective; the
+    batches their final cfg.adapt_epochs steps were computed on are the
+    pools of the shared adaptation schedule, one per epoch. The generator
+    objective never reads the adapted model, so this equals interleaving the
+    two loops, and the trace keeps the interleaved order.
     """
     gen_root, disc_seed, pair_seed = nn.derive_seeds(cfg.seed, 3)
-    gens = _Generators(hypothesis, fewshot, "combined", cfg, gen_root)
-    return _adapt(gens, fewshot, hypothesis, cfg, disc_seed, pair_seed, trace)
+    gen_log = None if trace is None else []
+    _, batches = _run_generators(hypothesis, fewshot, "combined", cfg, gen_root,
+                                 cfg.total_epochs, keep=cfg.adapt_epochs, log=gen_log)
+    return _adapt([_labeled_pool(b) for b in batches], fewshot, hypothesis, cfg,
+                  disc_seed, pair_seed, trace, gen_log)
 
 
 def group_discriminator_accuracy(disc: nn.Net, enc: nn.Net, intermediate: LabeledPool,

@@ -397,7 +397,7 @@ def test_criterion_4_schedule(default_run):
 
 
 def _tiny_tohan(**overrides):
-    base = dict(gen_batch=4, pair_batch=8, per_group=2, z_dim=3, gen_hidden=4,
+    base = dict(gen_batch=4, per_group=2, z_dim=3, gen_hidden=4,
                 disc_hidden=4, total_epochs=6, disc_pretrain_epochs=2,
                 adapt_epochs=3, seed=0)
     base.update(overrides)

@@ -16,6 +16,7 @@ import types
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fha import cli, nn, trainers
@@ -192,7 +193,7 @@ def _mini_run_config(out_path, **overrides):
         "seeds": [0],
         "out": str(out_path),
         "source": {"epochs": 100, "batch_size": 32, "encoder_width": 8},
-        "tohan": {"gen_batch": 4, "pair_batch": 8, "per_group": 2, "z_dim": 3,
+        "tohan": {"gen_batch": 4, "per_group": 2, "z_dim": 3,
                   "gen_hidden": 4, "disc_hidden": 4, "total_epochs": 6,
                   "disc_pretrain_epochs": 2, "adapt_epochs": 3},
     }
@@ -284,7 +285,12 @@ class TestRun:
         {"tohan": {"gen_batch": "x"}},
         {"tohan": {"gen_batch": 4.5}},
         {"tohan": {"tradeoff": "x"}},
+        {"tohan": {"pair_batch": 64}},
         {"source": 5},
+        {"shots": [3.5]},
+        {"seeds": [0.0]},
+        {"jobs": "2"},
+        {"task": {"builtin": "rot40", "seed": 2.5}},
     ], ids=repr)
     def test_malformed_config_value_is_usage_error(self, tmp_path, capsys, overrides):
         out = tmp_path / "r.jsonl"
@@ -402,6 +408,31 @@ class TestDumpEmbed:
             "--out", str(tmp_path / "emb.csv"),
         ])
         assert rc == 2
+
+    def test_nan_features_are_usage_error(self, workdir, tmp_path, capsys):
+        blob = bytearray((workdir / "data" / "source.fhd").read_bytes())
+        blob[16:20] = np.array([np.nan], dtype="<f4").tobytes()
+        data_path = tmp_path / "nan.fhd"
+        data_path.write_bytes(bytes(blob))
+        rc = cli.main([
+            "dump-embed", "--model", str(workdir / "model.json"),
+            "--data", f"source={data_path}",
+            "--out", str(tmp_path / "emb.csv"),
+        ])
+        assert rc == 2
+        assert "[0, 1]" in capsys.readouterr().err
+
+    def test_overflowing_model_seed_is_usage_error(self, workdir, tmp_path, capsys):
+        text = (workdir / "model.json").read_text(encoding="utf-8")
+        model_path = tmp_path / "huge_seed.json"
+        model_path.write_text(text.replace('"seed": 0', '"seed": 1e400', 1), encoding="utf-8")
+        rc = cli.main([
+            "dump-embed", "--model", str(model_path),
+            "--data", f"source={workdir / 'data' / 'source.fhd'}",
+            "--out", str(tmp_path / "emb.csv"),
+        ])
+        assert rc == 2
+        assert "seed must be an integer" in capsys.readouterr().err
 
     def test_model_with_non_object_nets_is_usage_error(self, workdir, tmp_path):
         model_path = tmp_path / "listnets.json"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fha.data import (
     Dataset,
@@ -299,6 +301,42 @@ class TestDatasetIO:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_dataset(path)
+
+
+    def test_rejects_nan_features(self, tmp_path):
+        path = tmp_path / "data.fhd"
+        save_dataset(small_dataset(), path)
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"\[0, 1\]"):
+            load_dataset(path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupted_bytes_load_or_raise_format_error(self, tmp_path, data):
+        path = tmp_path / "data.fhd"
+        save_dataset(small_dataset(n=6, dim=2, num_classes=3), path)
+        blob = _corrupt(data, path.read_bytes())
+        path.write_bytes(blob)
+        try:
+            ds = load_dataset(path)
+        except FormatError:
+            return
+        assert ds.features.shape == (ds.n, ds.dim)
+        assert np.all((ds.features >= 0.0) & (ds.features <= 1.0))
+        assert np.all((ds.labels >= 0) & (ds.labels < ds.num_classes))
+
+
+def _corrupt(data, blob: bytes) -> bytes:
+    """Flip a few bytes of ``blob`` (XOR with a non-zero mask), then cut it."""
+    out = bytearray(blob)
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                         st.integers(1, 255)), max_size=4))
+    for pos, mask in flips:
+        out[pos] ^= mask
+    return bytes(out[:data.draw(st.integers(0, len(blob)))])
 
 
 class TestBuiltinTasks:

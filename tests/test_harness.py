@@ -53,7 +53,7 @@ def _tiny_cfg():
     return ExperimentConfig(
         source=SourceTrainConfig(epochs=100, batch_size=32, encoder_width=8),
         baseline=BaselineConfig(epochs=15),
-        tohan=TohanConfig(gen_batch=4, pair_batch=8, per_group=2, z_dim=3,
+        tohan=TohanConfig(gen_batch=4, per_group=2, z_dim=3,
                           gen_hidden=4, disc_hidden=4, total_epochs=6,
                           disc_pretrain_epochs=2, adapt_epochs=3),
     )
@@ -190,6 +190,24 @@ class TestRunExperimentValidation:
     def test_rejects_duplicate_seeds(self):
         with pytest.raises(ConfigError, match="distinct"):
             run_experiment(_tiny_task(), ["wa"], [1], [0, 0], _tiny_cfg())
+
+    @pytest.mark.parametrize("shots,seeds,jobs", [
+        ([1.5], [0], 1),
+        ([1], [0.0], 1),
+        ([1], ["0"], 1),
+        ([True], [0], 1),
+        ([1], [0], "2"),
+        ([1], [0], 2.0),
+    ], ids=repr)
+    def test_rejects_non_integers(self, shots, seeds, jobs):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            run_experiment(_tiny_task(), ["wa"], shots, seeds, _tiny_cfg(), jobs=jobs)
+
+    def test_accepts_numpy_integers(self):
+        results = run_experiment(_tiny_task(), ["wa"], [np.int64(1)], [np.int32(0)],
+                                 _tiny_cfg(), jobs=np.int64(1))
+        assert [(r.n_t, r.seed) for r in results] == [(1, 0)]
+        assert all(type(v) is int for r in results for v in (r.n_t, r.seed))
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ConfigError, match="jobs"):

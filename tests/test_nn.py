@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fha import nn
@@ -426,6 +426,56 @@ class TestModelFile:
                                     "nets": nets}))
         with pytest.raises(FormatError):
             nn.load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(seed=1.5),
+        lambda doc: doc.update(seed=1e400),
+        lambda doc: doc.update(seed="1"),
+        lambda doc: doc.update(seed=True),
+        lambda doc: doc["nets"]["enc"].update(widths=[2, 4.5, 3]),
+        lambda doc: doc["nets"]["enc"].update(widths=[2, 1e400, 3]),
+        lambda doc: doc["nets"]["enc"].update(widths=[2.0, 4, 3]),
+    ], ids=["float-seed", "overflowing-seed", "string-seed", "bool-seed",
+            "fractional-width", "overflowing-width", "float-width"])
+    def test_rejects_non_integer_seed_and_widths(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        nn.save_model(path, self._nets(), seed=0)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))  # 1e400 is written as Infinity
+        with pytest.raises(FormatError, match="must be an integer"):
+            nn.load_model(path)
+
+    def test_rejects_infinite_params(self, tmp_path):
+        path = tmp_path / "model.json"
+        nn.save_model(path, self._nets(), seed=0)
+        doc = json.loads(path.read_text())
+        doc["nets"]["enc"]["params"][0] = float("inf")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="finite"):
+            nn.load_model(path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupted_bytes_load_or_raise_format_error(self, tmp_path, data):
+        path = tmp_path / "model.json"
+        nets = self._nets()
+        nn.save_model(path, nets, seed=3)
+        blob = bytearray(path.read_bytes())
+        flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(1, 255)), max_size=4))
+        for pos, mask in flips:
+            blob[pos] ^= mask
+        path.write_bytes(bytes(blob[:data.draw(st.integers(0, len(blob)))]))
+        try:
+            loaded, seed, meta = nn.load_model(path)
+        except FormatError:
+            return
+        assert type(seed) is int and isinstance(meta, dict)
+        for net in loaded.values():
+            assert net.params.shape == (net.arch.n_params,)
+            assert np.all(np.isfinite(net.params))
 
     def test_rejects_corrupt_params(self, tmp_path):
         path = tmp_path / "model.json"

@@ -63,7 +63,6 @@ def _pool(num_classes=3, per_class=8, dim=2, seed=11):
 def _tiny_cfg(**overrides):
     base = dict(
         gen_batch=4,
-        pair_batch=8,
         per_group=2,
         z_dim=3,
         gen_hidden=4,
@@ -140,8 +139,8 @@ class TestConfigs:
         assert trainers.BaselineConfig(epochs=0).epochs == 0
 
     @pytest.mark.parametrize("kwargs", [
-        {"pair_batch": 10},
-        {"per_group": 15},
+        {"per_group": 0},
+        {"z_dim": 0},
         {"adapt_epochs": 500},
         {"adapt_epochs": 700},
         {"tradeoff": -0.1},
@@ -161,7 +160,7 @@ class TestConfigs:
         assert cfg.disc_pretrain_epochs == 100
         assert cfg.adapt_epochs == 50
         assert cfg.gen_batch == 32
-        assert cfg.pair_batch == 64 == 4 * cfg.per_group
+        assert cfg.per_group == 16
         assert cfg.tradeoff == 0.2
         assert (
             cfg.lr_gen == cfg.lr_disc_pretrain == cfg.lr_model
@@ -668,6 +667,12 @@ class TestTrainTohan:
         b = self._run()
         assert a.enc.params.tobytes() == b.enc.params.tobytes()
         assert a.cls.params.tobytes() == b.cls.params.tobytes()
+
+    def test_tracing_does_not_change_the_model(self):
+        untraced = self._run()
+        traced = self._run(trace=[])
+        assert untraced.enc.params.tobytes() == traced.enc.params.tobytes()
+        assert untraced.cls.params.tobytes() == traced.cls.params.tobytes()
 
     def test_seed_changes_model(self):
         a = self._run(_tiny_cfg(seed=0))
