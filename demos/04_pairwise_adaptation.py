@@ -57,7 +57,9 @@ print(f"(chance level is 0.25, uniform CE is ln 4 = {np.log(4):.4f})")
 # one model update (discriminator frozen) and one discriminator update
 # (encoder frozen) per epoch. The confusion weight beta ramps up with
 # progress. train_tohan runs this same schedule in its final adapt_epochs,
-# against a pool drawn fresh from the live generators every epoch.
+# each epoch against the batch its generator step was computed on. The
+# trace= list receives one PhaseEvent per step; the experiment grid passes
+# none and keeps only accuracies.
 trace = []
 model = trainers.adapt_pairwise(pool, fewshot, hypothesis, cfg, trace=trace)
 
@@ -67,7 +69,7 @@ print(f"{'epoch':>6} {'beta':>8} {'loss':>10}")
 for ev in (model_events[0], model_events[len(model_events) // 2], model_events[-1]):
     print(f"{ev.epoch:>6} {ev.losses['beta']:>8.4f} {ev.losses['adaptation']:>10.4f}")
 
-before = trainers.eval_wa(hypothesis, target_test)
+before = harness.accuracy(hypothesis, target_test)
 after = harness.accuracy(model, target_test)
 print(f"\ntarget test accuracy: {before:.3f} (frozen source) -> "
       f"{after:.3f} (adapted)")

@@ -60,7 +60,6 @@ from .trainers import (
     TargetModel,
     TohanConfig,
     adapt_pairwise,
-    eval_wa,
     run_two_step,
     sample_pool,
     train_ft,

@@ -85,16 +85,12 @@ def _parse_seeds(text: str) -> list[int]:
 def _dataclass_from(cls, payload: dict, what: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"{what} config must be an object")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(payload) - set(types)
+    unknown = set(payload) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
-    for key, value in payload.items():
-        if types[key] == "int":
-            nn._as_int(value, f"{what} field {key}")
     try:
         return cls(**payload)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"invalid {what} config: {exc}") from exc
 
 
@@ -109,7 +105,7 @@ def _task_from_config(payload) -> TaskSpec:
         seed = payload.pop("seed", 0)
         if payload:
             raise ConfigError(f"unexpected task fields next to builtin: {sorted(payload)}")
-        return builtin_task(str(name), nn._as_int(seed, "task seed"))
+        return builtin_task(str(name), seed)
     if "class_means" in payload:
         payload["class_means"] = tuple(tuple(m) for m in payload["class_means"])
     if "class_scales" in payload:

@@ -25,6 +25,7 @@ from .errors import (
     MissingClassError,
     ProtocolError,
 )
+from .nn import _as_int_fields
 
 MAGIC = b"FHD1"
 MAX_SHOTS = 7
@@ -97,6 +98,7 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _as_int_fields(self)
         if self.num_classes < 2:
             raise ConfigError("a task needs at least 2 classes")
         if self.dim < 1:

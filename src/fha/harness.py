@@ -5,7 +5,9 @@ Results serialize as line-delimited JSON with fields exactly
 ``method, task, n_t, seed, accuracy, wa_accuracy, wall_ms``; accuracies are
 written as decimal fractions with 17 significant digits so parsing gives
 back the exact 64-bit value. Failed runs keep their identifying fields and
-carry an ``error`` message instead of accuracies.
+carry an ``error`` message instead of accuracies. A run keeps only its
+accuracy, so the grid builds no phase traces; a trace comes from the
+trainers' ``trace=`` argument.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class RunResult:
     wa_accuracy: float | None
     wall_ms: float
     error: str | None = None
-    trace: tuple = ()
 
 
 def accuracy(model, test: Dataset) -> float:
@@ -133,20 +134,16 @@ def read_results(path):
 
 def _method_model(method: str, hypothesis, fewshot, cfg: ExperimentConfig,
                   method_seed: int):
-    trace: list = []
     if method == "wa":
-        return trainers.TargetModel(hypothesis.enc, hypothesis.cls), trace
+        return hypothesis
     if method == "ft":
-        return trainers.train_ft(hypothesis, fewshot, cfg.baseline), trace
+        return trainers.train_ft(hypothesis, fewshot, cfg.baseline)
     if method == "shot":
-        return trainers.train_shot(hypothesis, fewshot, cfg.baseline), trace
+        return trainers.train_shot(hypothesis, fewshot, cfg.baseline)
     tohan_cfg = replace(cfg.tohan, seed=method_seed)
     if method == "tohan":
-        return trainers.train_tohan(hypothesis, fewshot, tohan_cfg, trace=trace), trace
-    if method in trainers.TWO_STEP_MODES:
-        return trainers.run_two_step(method, hypothesis, fewshot, tohan_cfg,
-                                     trace=trace), trace
-    raise ConfigError(f"unknown method {method!r}")
+        return trainers.train_tohan(hypothesis, fewshot, tohan_cfg)
+    return trainers.run_two_step(method, hypothesis, fewshot, tohan_cfg)
 
 
 def _error_results(task_name, methods, shots, seed, message):
@@ -165,7 +162,7 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
     try:
         source, target, target_test = make_synthetic_task(replace(task, seed=data_seed))
         hypothesis = trainers.train_source(source, replace(cfg.source, seed=source_seed))
-        wa_acc = trainers.eval_wa(hypothesis, target_test)
+        wa_acc = accuracy(hypothesis, target_test)
     except FHAError as exc:
         log.error("seed %d setup failed: %s", seed, exc)
         return _error_results(task.name, methods, shots, seed, str(exc))
@@ -179,7 +176,7 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
         for method in methods:
             start = time.perf_counter()
             try:
-                model, trace = _method_model(method, hypothesis, fewshot, cfg, method_seed)
+                model = _method_model(method, hypothesis, fewshot, cfg, method_seed)
                 acc = accuracy(model, target_test)
             except FHAError as exc:
                 log.error("run %s/n_t=%d/seed=%d failed: %s", method, n_t, seed, exc)
@@ -193,7 +190,6 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
                 method=method, task=task.name, n_t=n_t, seed=seed,
                 accuracy=acc, wa_accuracy=wa_acc,
                 wall_ms=(time.perf_counter() - start) * 1e3,
-                trace=tuple(trace),
             ))
             log.info("%s n_t=%d seed=%d accuracy=%.4f", method, n_t, seed, acc)
     return results

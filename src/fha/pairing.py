@@ -11,7 +11,9 @@ pool and the labeled target few-shots:
 Cross-domain pairs always put the intermediate sample first. Pairs are
 drawn with replacement, uniformly over the valid combinations of each
 group, via rejection from the uniform index product (exact and
-deterministic under the seeded generator).
+deterministic under the seeded generator). Both sides are read through
+their ``features`` and ``labels``, so the target may be a FewShotSet or a
+LabeledPool and is used as given, not copied.
 """
 
 from __future__ import annotations
@@ -32,15 +34,12 @@ ALL_GROUPS = (1, 2, 3, 4)
 
 @dataclass(frozen=True)
 class LabeledPool:
-    """Samples plus labels tagged with the domain they came from."""
+    """Read-only float64 samples with aligned integer labels."""
 
-    domain: str
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.domain not in ("intermediate", "target"):
-            raise ConfigError("domain must be 'intermediate' or 'target'")
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if feats.ndim != 2 or labels.ndim != 1 or feats.shape[0] != labels.shape[0]:
@@ -87,12 +86,6 @@ class PairBatch:
         return {g: int(np.sum(self.group == g)) for g in ALL_GROUPS}
 
 
-def _as_pool(obj, domain: str) -> LabeledPool:
-    if isinstance(obj, LabeledPool):
-        return obj
-    return LabeledPool(domain, np.asarray(obj.features), np.asarray(obj.labels))
-
-
 def _rejection_sample(rng, labels_a, labels_b, same: bool, count: int):
     """Uniform draws of index pairs whose labels match the predicate."""
     ia_out, ib_out = [], []
@@ -127,20 +120,18 @@ def sample_group_pairs(intermediate: LabeledPool, target, group_id: int,
         raise ConfigError(f"unknown group id {group_id}")
     if count < 1:
         raise ConfigError("pair count must be positive")
-    inter = _as_pool(intermediate, "intermediate")
-    if inter.size == 0:
+    if intermediate.labels.size == 0:
         raise ProtocolError("intermediate pool is empty")
-    if np.unique(inter.labels).size < 2:
+    if np.unique(intermediate.labels).size < 2:
         raise ProtocolError("pairing needs at least 2 classes in the intermediate pool")
-    tgt = _as_pool(target, "target")
-    if group_id in (GROUP_CROSS_DOMAIN_SAME, GROUP_CROSS_DOMAIN_DIFF) and tgt.size == 0:
+    second = intermediate if group_id in (1, 3) else target
+    if second.labels.size == 0:
         raise ProtocolError("cross-domain groups need a non-empty target pool")
-    second = inter if group_id in (1, 3) else tgt
     same = group_id in (GROUP_BOTH_INTERMEDIATE_SAME, GROUP_CROSS_DOMAIN_SAME)
-    _check_satisfiable(inter.labels, second.labels, same, group_id)
-    ia, ib = _rejection_sample(rng, inter.labels, second.labels, same, count)
+    _check_satisfiable(intermediate.labels, second.labels, same, group_id)
+    ia, ib = _rejection_sample(rng, intermediate.labels, second.labels, same, count)
     return PairBatch(
-        inter.features[ia],
+        intermediate.features[ia],
         second.features[ib],
         np.full(count, group_id, dtype=np.int64),
     )

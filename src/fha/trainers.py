@@ -69,6 +69,7 @@ class SourceTrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        nn._as_int_fields(self)
         if self.epochs < 1 or self.batch_size < 1 or self.encoder_width < 1:
             raise ConfigError("epochs, batch_size, and encoder_width must be positive")
         if not 0.0 < self.holdout_fraction < 1.0:
@@ -87,6 +88,7 @@ class BaselineConfig:
     lr: float = 1e-3
 
     def __post_init__(self) -> None:
+        nn._as_int_fields(self)
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
         if self.lr <= 0:
@@ -121,6 +123,7 @@ class TohanConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        nn._as_int_fields(self)
         if min(self.gen_batch, self.per_group, self.z_dim, self.gen_hidden,
                self.disc_hidden, self.total_epochs) < 1:
             raise ConfigError("batch sizes, widths, and total_epochs must be positive")
@@ -170,11 +173,10 @@ class TargetModel:
 @dataclass(frozen=True)
 class GeneratorBank:
     """The trained class generators: a read-only (N, P) stack of ``arch``
-    parameters, row n for class n, and the seed root they were trained from."""
+    parameters, row n for class n."""
 
     arch: nn.ArchSpec
     params: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         params = np.array(self.params, dtype=np.float64)
@@ -258,13 +260,6 @@ def _accuracy_core(enc: nn.Net, cls: nn.Net, feats: np.ndarray, labels: np.ndarr
     probs = cls(enc(feats))
     pred = np.argmax(probs, axis=1)  # ties resolve to the lowest index
     return float(np.mean(pred == labels))
-
-
-def eval_wa(hypothesis: SourceHypothesis, target_test: Dataset) -> float:
-    """Accuracy of the unmodified source model on the target test split."""
-    return _accuracy_core(
-        hypothesis.enc, hypothesis.cls, target_test.features, target_test.labels
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +417,7 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None, mo
             kept.append(generated)
         if log is not None:
             log.append((float(np.mean(step_losses)), _digest(params)))
-    return GeneratorBank(arch, params, root), kept
+    return GeneratorBank(arch, params), kept
 
 
 def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
@@ -446,7 +441,7 @@ def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | Non
 def _labeled_pool(batches: np.ndarray) -> LabeledPool:
     """The intermediate pool of an (N, B, dim) stack of batches, block n labeled n."""
     n, b, dim = batches.shape
-    return LabeledPool("intermediate", batches.reshape(n * b, dim), np.repeat(np.arange(n), b))
+    return LabeledPool(batches.reshape(n * b, dim), np.repeat(np.arange(n), b))
 
 
 def sample_pool(bank: GeneratorBank, per_class: int, seed: int) -> LabeledPool:
@@ -622,4 +617,6 @@ def load_hypothesis(path) -> SourceHypothesis:
         return SourceHypothesis(enc=nets["encoder"], cls=nets["classifier"], seed=seed,
                                 train_accuracy=train_acc, test_accuracy=test_acc)
     except KeyError as exc:
-        raise ConfigError(f"model file lacks a net: {exc}") from exc
+        raise FormatError(f"model file lacks a net: {exc}") from exc
+    except ConfigError as exc:
+        raise FormatError(f"model file holds no source hypothesis: {exc}") from exc

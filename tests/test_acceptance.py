@@ -148,10 +148,8 @@ def _build_cross_entropy(rng):
 def _tagged_pools(rng, num_classes, per_inter, per_target, dim=2):
     inter_labels = np.repeat(np.arange(num_classes), per_inter)
     tgt_labels = np.repeat(np.arange(num_classes), per_target)
-    inter = LabeledPool("intermediate",
-                        rng.uniform(size=(inter_labels.size, dim)), inter_labels)
-    tgt = LabeledPool("target",
-                      rng.uniform(size=(tgt_labels.size, dim)), tgt_labels)
+    inter = LabeledPool(rng.uniform(size=(inter_labels.size, dim)), inter_labels)
+    tgt = LabeledPool(rng.uniform(size=(tgt_labels.size, dim)), tgt_labels)
     return inter, tgt
 
 
@@ -318,10 +316,10 @@ def test_criterion_2_augmented_l1():
 # criterion 3: pairing predicates
 
 
-def _tag_pool(domain, num_classes, per_class, tag):
+def _tag_pool(num_classes, per_class, tag):
     labels = np.repeat(np.arange(num_classes), per_class)
     feats = np.column_stack([labels / 10.0, np.full(labels.size, tag)])
-    return LabeledPool(domain, feats, labels)
+    return LabeledPool(feats, labels)
 
 
 def test_criterion_3_pairing_predicates():
@@ -330,8 +328,8 @@ def test_criterion_3_pairing_predicates():
         total = 0
         for _ in range(12):
             nc = int(rng.integers(2, 6))
-            inter = _tag_pool("intermediate", nc, int(rng.integers(2, 6)), 0.25)
-            tgt = _tag_pool("target", nc, int(rng.integers(1, 4)), 0.75)
+            inter = _tag_pool(nc, int(rng.integers(2, 6)), 0.25)
+            tgt = _tag_pool(nc, int(rng.integers(1, 4)), 0.75)
             for gid in ALL_GROUPS:
                 count = int(rng.integers(15, 30))
                 batch = sample_group_pairs(inter, tgt, gid, count, rng)
@@ -352,8 +350,8 @@ def test_criterion_3_pairing_predicates():
             assert np.all(grouped.group == np.repeat([1, 2, 3, 4], 7))
             total += grouped.size
         assert total >= 1000
-        single = LabeledPool("intermediate", np.array([[0.0, 0.25]]), np.array([0]))
-        tgt = _tag_pool("target", 2, 2, 0.75)
+        single = LabeledPool(np.array([[0.0, 0.25]]), np.array([0]))
+        tgt = _tag_pool(2, 2, 0.75)
         for gid in ALL_GROUPS:
             with pytest.raises(ProtocolError):
                 sample_group_pairs(single, tgt, gid, 4, rng)

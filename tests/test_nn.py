@@ -46,6 +46,9 @@ class TestArchSpec:
             {"widths": (4, 3), "activation": "swish"},
             {"widths": (4, 3), "head": "argmax"},
             {"widths": (4, 1), "head": "softmax"},
+            {"widths": (2.7, 3.9)},
+            {"widths": (True, 3)},
+            {"widths": ("2", 3)},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

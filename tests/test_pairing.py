@@ -39,8 +39,8 @@ def make_pools(num_classes=3, inter_per_class=8, target_per_class=2, dim=2, seed
     if dim > 2:
         inter_feats = np.pad(inter_feats, ((0, 0), (0, dim - 2)))
         tgt_feats = np.pad(tgt_feats, ((0, 0), (0, dim - 2)))
-    inter = LabeledPool("intermediate", inter_feats, inter_labels)
-    target = LabeledPool("target", tgt_feats, tgt_labels)
+    inter = LabeledPool(inter_feats, inter_labels)
+    target = LabeledPool(tgt_feats, tgt_labels)
     return inter, target
 
 
@@ -73,21 +73,13 @@ GROUP_PREDICATES = {
 
 
 class TestLabeledPool:
-    def test_accepts_both_domains(self):
-        for domain in ("intermediate", "target"):
-            pool = LabeledPool(domain, np.zeros((2, 2)), np.array([0, 1]))
-            assert pool.size == 2
-
-    def test_rejects_unknown_domain(self):
-        with pytest.raises(ConfigError):
-            LabeledPool("source", np.zeros((2, 2)), np.array([0, 1]))
-
     def test_rejects_misaligned_labels(self):
         with pytest.raises(ConfigError):
-            LabeledPool("target", np.zeros((2, 2)), np.array([0]))
+            LabeledPool(np.zeros((2, 2)), np.array([0]))
 
     def test_arrays_read_only(self):
-        pool = LabeledPool("target", np.zeros((2, 2)), np.array([0, 1]))
+        pool = LabeledPool(np.zeros((2, 2)), np.array([0, 1]))
+        assert pool.size == 2
         with pytest.raises(ValueError):
             pool.features[0, 0] = 1.0
 
@@ -128,15 +120,14 @@ class TestSampleGroupPairs:
 
     def test_single_class_pool_raises(self):
         labels = np.zeros(6, dtype=np.int64)
-        inter = LabeledPool("intermediate", np.random.default_rng(0).uniform(size=(6, 2)),
-                            labels)
+        inter = LabeledPool(np.random.default_rng(0).uniform(size=(6, 2)), labels)
         _, target = make_pools()
         with pytest.raises(ProtocolError):
             sample_group_pairs(inter, target, 1, 4, np.random.default_rng(0))
 
     def test_empty_target_rejected_for_cross_domain(self):
         inter, _ = make_pools()
-        empty = LabeledPool("target", np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        empty = LabeledPool(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
         rng = np.random.default_rng(0)
         for group_id in (GROUP_CROSS_DOMAIN_SAME, GROUP_CROSS_DOMAIN_DIFF):
             with pytest.raises(ProtocolError):
@@ -148,8 +139,7 @@ class TestSampleGroupPairs:
     def test_unsatisfiable_same_label_raises(self):
         inter, _ = make_pools(num_classes=3)
         # target labels disjoint from the intermediate ones
-        target = LabeledPool("target", np.full((4, 2), 2000.0),
-                             np.full(4, 7, dtype=np.int64))
+        target = LabeledPool(np.full((4, 2), 2000.0), np.full(4, 7, dtype=np.int64))
         with pytest.raises(ProtocolError):
             sample_group_pairs(inter, target, GROUP_CROSS_DOMAIN_SAME, 4,
                                np.random.default_rng(0))
@@ -172,10 +162,8 @@ class TestSampleGroupPairs:
     def test_uniform_over_valid_combinations(self):
         # group 2 on 2 intermediate rows x 2 same-label target rows has 2
         # valid combinations; both must appear with equal frequency
-        inter = LabeledPool("intermediate", np.array([[0.0, 0.0], [1.0, 1.0]]),
-                            np.array([0, 1]))
-        target = LabeledPool("target", np.array([[1000.0, 0.0], [1001.0, 1.0]]),
-                             np.array([0, 1]))
+        inter = LabeledPool(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
+        target = LabeledPool(np.array([[1000.0, 0.0], [1001.0, 1.0]]), np.array([0, 1]))
         batch = sample_group_pairs(inter, target, GROUP_CROSS_DOMAIN_SAME, 4000,
                                    np.random.default_rng(3))
         first = batch.x1[:, 0]
@@ -183,12 +171,21 @@ class TestSampleGroupPairs:
         assert abs(share - 0.5) < 0.03
 
     def test_accepts_fewshot_as_target(self):
+        # a FewShotSet is paired as given: the same draws, byte for byte, as
+        # its samples copied into a float64 LabeledPool
         inter, _ = make_pools(num_classes=2)
         feats = np.random.default_rng(5).uniform(size=(4, 2)).astype(np.float32)
         fs = FewShotSet(feats, np.array([0, 0, 1, 1]), np.arange(4), 2, 2)
-        batch = sample_group_pairs(inter, fs, GROUP_CROSS_DOMAIN_SAME, 10,
-                                   np.random.default_rng(0))
-        assert batch.size == 10
+        pool = LabeledPool(fs.features.astype(np.float64), fs.labels)
+        for group_id in ALL_GROUPS:
+            a, b = (sample_group_pairs(inter, tgt, group_id, 10, np.random.default_rng(0))
+                    for tgt in (fs, pool))
+            assert a.size == 10
+            for field in ("x1", "x2", "group"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        a, b = (build_groups(inter, tgt, 6, seed=9) for tgt in (fs, pool))
+        for field in ("x1", "x2", "group"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 class TestBuildGroups:

@@ -8,13 +8,16 @@ touch the model, model steps never touch the discriminator, and the source
 hypothesis is never mutated by anything.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fha import losses, nn, trainers
-from fha.data import Dataset, FewShotSet
+from fha import harness, losses, nn, trainers
+from fha.data import Dataset, FewShotSet, builtin_task
 from fha.errors import (
     ConfigError,
     FormatError,
@@ -53,11 +56,8 @@ def _fewshot(num_classes=3, n_t=2, dim=2, seed=5):
 
 def _pool(num_classes=3, per_class=8, dim=2, seed=11):
     rng = np.random.default_rng(seed)
-    return LabeledPool(
-        "intermediate",
-        rng.uniform(size=(per_class * num_classes, dim)),
-        np.repeat(np.arange(num_classes), per_class),
-    )
+    return LabeledPool(rng.uniform(size=(per_class * num_classes, dim)),
+                       np.repeat(np.arange(num_classes), per_class))
 
 
 def _tiny_cfg(**overrides):
@@ -167,6 +167,17 @@ class TestConfigs:
             == cfg.lr_disc_adapt == 1e-3
         )
 
+    @pytest.mark.parametrize("bad", [4.5, True, "3"], ids=repr)
+    @pytest.mark.parametrize("base,name", [
+        (base, f.name)
+        for base in (trainers.SourceTrainConfig(), trainers.BaselineConfig(),
+                     trainers.TohanConfig(), builtin_task("rot40"))
+        for f in dataclasses.fields(base) if f.type == "int"
+    ], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+    def test_int_fields_refuse_non_integers(self, base, name, bad):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            dataclasses.replace(base, **{name: bad})
+
     def test_method_registry(self):
         assert trainers.METHODS == (
             "wa", "ft", "shot", "sfada", "tfada", "stfada", "tohan"
@@ -214,13 +225,13 @@ class TestContainers:
         stack = np.stack([row, nn.init_params(arch, 1)])
         for bad in (row, stack[:1], stack[:, :-1], stack[None]):
             with pytest.raises(ConfigError):
-                trainers.GeneratorBank(arch=arch, params=bad, seed=0)
+                trainers.GeneratorBank(arch=arch, params=bad)
         other = trainers.default_generator_arch(3, 2, 5)
         with pytest.raises(ConfigError):
-            trainers.GeneratorBank(arch=other, params=stack, seed=0)
+            trainers.GeneratorBank(arch=other, params=stack)
         with pytest.raises(NumericalError):
-            trainers.GeneratorBank(arch=arch, params=np.where(stack > 0, np.nan, stack), seed=0)
-        bank = trainers.GeneratorBank(arch=arch, params=stack, seed=0)
+            trainers.GeneratorBank(arch=arch, params=np.where(stack > 0, np.nan, stack))
+        bank = trainers.GeneratorBank(arch=arch, params=stack)
         assert bank.num_classes == 2
         assert bank.arch.in_width == 3
         assert np.array_equal(bank.params, stack) and bank.params is not stack
@@ -253,7 +264,7 @@ class TestEvaluation:
         test = Dataset(feats, labels, 3)
         probs = hyp.cls(hyp.enc(feats.astype(np.float64)))
         expected = float(np.mean(np.argmax(probs, axis=1) == labels))
-        assert trainers.eval_wa(hyp, test) == expected
+        assert harness.accuracy(hyp, test) == expected
 
     def test_uniform_probs_predict_lowest_class(self):
         # zero classifier weights give uniform softmax rows; argmax must
@@ -266,7 +277,7 @@ class TestEvaluation:
         )
         feats = np.random.default_rng(1).uniform(size=(30, 2)).astype(np.float32)
         labels = np.zeros(30, dtype=np.int64)
-        assert trainers.eval_wa(flat, Dataset(feats, labels, 3)) == 1.0
+        assert harness.accuracy(flat, Dataset(feats, labels, 3)) == 1.0
 
     def test_empty_test_set_rejected(self):
         hyp = _hypothesis()
@@ -444,7 +455,6 @@ class TestGeneratorBank:
         b = trainers.train_generator_bank(hyp, None, "source_only",
                                           _tiny_cfg(seed=123), epochs=2)
         c = trainers.train_generator_bank(hyp, None, "source_only", cfg, epochs=2)
-        assert a.seed == 123
         assert a.params.tobytes() == b.params.tobytes()
         assert a.params[0].tobytes() != c.params[0].tobytes()
 
@@ -458,7 +468,6 @@ class TestSamplePool:
     def test_pool_layout(self):
         bank = self._bank()
         pool = trainers.sample_pool(bank, 5, seed=7)
-        assert pool.domain == "intermediate"
         assert pool.size == 15
         np.testing.assert_array_equal(pool.labels, np.repeat(np.arange(3), 5))
         assert np.all(pool.features >= 0.0) and np.all(pool.features <= 1.0)
@@ -764,5 +773,35 @@ class TestModelFiles:
         hyp = _hypothesis()
         path = tmp_path / "partial.json"
         nn.save_model(path, {"encoder": hyp.enc}, 0, {"role": "source_hypothesis"})
-        with pytest.raises(ConfigError):
+        with pytest.raises(FormatError, match="lacks a net"):
             trainers.load_hypothesis(path)
+
+    def test_hypothesis_file_with_linear_classifier_head(self, tmp_path):
+        hyp = _hypothesis()
+        linear = nn.ArchSpec(hyp.cls.arch.widths, hyp.cls.arch.activation, "linear")
+        path = tmp_path / "linear.json"
+        nn.save_model(path, {"encoder": hyp.enc, "classifier": nn.Net(linear, hyp.cls.params)},
+                      0, {"role": "source_hypothesis"})
+        with pytest.raises(FormatError, match="softmax head"):
+            trainers.load_hypothesis(path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupted_bytes_load_or_raise_format_error(self, tmp_path, data):
+        path = tmp_path / "hypothesis.json"
+        # a small file, so more flips land on names, widths and heads than on digits
+        trainers.save_hypothesis(path, _hypothesis(num_classes=2, dim=1, width=2))
+        blob = bytearray(path.read_bytes())
+        flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
+                                             st.integers(1, 255)), max_size=4))
+        for pos, mask in flips:
+            blob[pos] ^= mask
+        path.write_bytes(bytes(blob[:data.draw(st.integers(0, len(blob)))]))
+        try:
+            hyp = trainers.load_hypothesis(path)
+        except FormatError:
+            return
+        assert isinstance(hyp, trainers.SourceHypothesis)
+        assert hyp.cls.arch.head == "softmax"
+        assert hyp.enc.arch.out_width == hyp.cls.arch.in_width
