@@ -12,6 +12,7 @@ trainers' ``trace=`` argument.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import time
@@ -132,8 +133,21 @@ def read_results(path):
 # experiment driver
 
 
+def _generator_modes(methods, cfg: TohanConfig) -> tuple[str, ...]:
+    """The generator objectives the methods read: a bank for each two-step
+    method that adapts, and the combined run's batches for tohan."""
+    wanted = {trainers.TWO_STEP_MODES[m] for m in methods
+              if m in trainers.TWO_STEP_MODES and cfg.adapt_epochs > 0}
+    if "tohan" in methods:
+        wanted.add("combined")
+    return tuple(mode for mode in ("source_only", "target_only", "combined")
+                 if mode in wanted)
+
+
 def _method_model(method: str, hypothesis, fewshot, cfg: ExperimentConfig,
-                  method_seed: int):
+                  method_seed: int, generated=lambda: None):
+    """Train one method. ``generated()`` returns the (seed, n_t)'s shared
+    generator run, or None when it failed: the method then reruns its own."""
     if method == "wa":
         return hypothesis
     if method == "ft":
@@ -141,9 +155,43 @@ def _method_model(method: str, hypothesis, fewshot, cfg: ExperimentConfig,
     if method == "shot":
         return trainers.train_shot(hypothesis, fewshot, cfg.baseline)
     tohan_cfg = replace(cfg.tohan, seed=method_seed)
+    run = generated() if _generator_modes([method], tohan_cfg) else None
+    if run is None:  # the method reads no generator run, or the shared one failed
+        if method == "tohan":
+            return trainers.train_tohan(hypothesis, fewshot, tohan_cfg)
+        return trainers.run_two_step(method, hypothesis, fewshot, tohan_cfg)
+    banks, kept = run
     if method == "tohan":
-        return trainers.train_tohan(hypothesis, fewshot, tohan_cfg)
-    return trainers.run_two_step(method, hypothesis, fewshot, tohan_cfg)
+        return trainers._adapt_tohan(kept["combined"], hypothesis, fewshot, tohan_cfg)
+    return trainers._adapt_two_step(banks[trainers.TWO_STEP_MODES[method]], hypothesis,
+                                    fewshot, tohan_cfg)
+
+
+def _shared_generators(methods, hypothesis, fewshot, tohan_cfg: TohanConfig):
+    """A lazy, memoized generator run with one block per mode the methods
+    read, keeping the combined block's batches when tohan runs. A run that
+    raises an FHAError memoizes None, so each method reruns its own."""
+
+    @functools.cache
+    def generated():
+        keep = {"combined": tohan_cfg.adapt_epochs} if "tohan" in methods else None
+        try:
+            return trainers._generate(hypothesis, fewshot, _generator_modes(methods, tohan_cfg),
+                                      tohan_cfg, keep)
+        except FHAError as exc:
+            log.warning("shared generator run failed, methods run their own: %s", exc)
+            return None
+
+    return generated
+
+
+def _failure(exc: Exception, what: str) -> str:
+    """Log a failure and return its error message: an FHAError's own message,
+    or any other exception's type and message, logged with its traceback."""
+    expected = isinstance(exc, FHAError)
+    message = str(exc) if expected else f"{type(exc).__name__}: {exc}"
+    log.error("%s failed: %s", what, message, exc_info=None if expected else exc)
+    return message
 
 
 def _error_results(task_name, methods, shots, seed, message):
@@ -157,41 +205,45 @@ def _error_results(task_name, methods, shots, seed, message):
 def _run_seed(task: TaskSpec, methods, shots, seed: int,
               cfg: ExperimentConfig) -> list[RunResult]:
     """All (method, n_t) runs of one experiment seed, sharing one source
-    hypothesis and one few-shot draw per n_t (the paired design)."""
+    hypothesis and one few-shot draw per n_t (the paired design), and one
+    generator run per n_t. An exception in one run becomes its error record."""
     data_seed, source_seed, fewshot_seed, method_seed = nn.derive_seeds(seed, 4)
     try:
         source, target, target_test = make_synthetic_task(replace(task, seed=data_seed))
         hypothesis = trainers.train_source(source, replace(cfg.source, seed=source_seed))
         wa_acc = accuracy(hypothesis, target_test)
-    except FHAError as exc:
-        log.error("seed %d setup failed: %s", seed, exc)
-        return _error_results(task.name, methods, shots, seed, str(exc))
+    except Exception as exc:
+        return _error_results(task.name, methods, shots, seed,
+                              _failure(exc, f"seed {seed} setup"))
+    tohan_cfg = replace(cfg.tohan, seed=method_seed)
+    last_reader = max((i for i, m in enumerate(methods) if _generator_modes([m], tohan_cfg)),
+                      default=-1)
     results = []
     for n_t in shots:
         try:
             fewshot = sample_few_shot(target, n_t, fewshot_seed)
-        except FHAError as exc:
-            results.extend(_error_results(task.name, methods, [n_t], seed, str(exc)))
+        except Exception as exc:
+            message = _failure(exc, f"n_t={n_t}/seed={seed} few-shot draw")
+            results.extend(_error_results(task.name, methods, [n_t], seed, message))
             continue
-        for method in methods:
+        generated = _shared_generators(methods, hypothesis, fewshot, tohan_cfg)
+        for i, method in enumerate(methods):
             start = time.perf_counter()
+            acc, error = None, None
             try:
-                model = _method_model(method, hypothesis, fewshot, cfg, method_seed)
+                model = _method_model(method, hypothesis, fewshot, cfg, method_seed, generated)
                 acc = accuracy(model, target_test)
-            except FHAError as exc:
-                log.error("run %s/n_t=%d/seed=%d failed: %s", method, n_t, seed, exc)
-                results.append(RunResult(
-                    method=method, task=task.name, n_t=n_t, seed=seed,
-                    accuracy=None, wa_accuracy=None,
-                    wall_ms=(time.perf_counter() - start) * 1e3, error=str(exc),
-                ))
-                continue
+            except Exception as exc:
+                error = _failure(exc, f"run {method}/n_t={n_t}/seed={seed}")
+            wall_ms = (time.perf_counter() - start) * 1e3
+            if i == last_reader:
+                generated = None  # free the shared run before the remaining methods
             results.append(RunResult(
-                method=method, task=task.name, n_t=n_t, seed=seed,
-                accuracy=acc, wa_accuracy=wa_acc,
-                wall_ms=(time.perf_counter() - start) * 1e3,
+                method=method, task=task.name, n_t=n_t, seed=seed, accuracy=acc,
+                wa_accuracy=None if error is not None else wa_acc, wall_ms=wall_ms, error=error,
             ))
-            log.info("%s n_t=%d seed=%d accuracy=%.4f", method, n_t, seed, acc)
+            if error is None:
+                log.info("%s n_t=%d seed=%d accuracy=%.4f", method, n_t, seed, acc)
     return results
 
 
@@ -237,7 +289,11 @@ def run_experiment(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig,
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:
                     seed = pending.pop(fut)
-                    chunk = fut.result()
+                    try:
+                        chunk = fut.result()
+                    except Exception as exc:  # the worker itself died
+                        chunk = _error_results(task.name, methods, shots, seed,
+                                               _failure(exc, f"seed {seed} worker"))
                     per_seed[seed] = chunk
                     if sink is not None:
                         write_results(sink, chunk)

@@ -1,7 +1,8 @@
 """Objectives for intermediate-domain generation and pairwise adaptation.
 
 Generator side, for class n with batch size B (the generator objective
-steps all N class generators at once, generator n scoring class n):
+steps all N class generators at once, generator n scoring class n, and can
+step several row blocks of N, one objective per block, as one stack):
   * source-compatibility term: mean squared gap between the generated
     batch's class-n probabilities (under the frozen source model) and 1,
     (1/B) * sum_i (l_i - 1)^2;
@@ -270,55 +271,72 @@ def group_ce_and_disc_grad(disc: nn.Net, enc: nn.Net, pairs: PairBatch):
 def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
                                  source_enc: nn.Net, source_cls: nn.Net,
                                  z: np.ndarray, targets: np.ndarray | None,
-                                 tradeoff: float, mode: str = "combined"):
+                                 tradeoff: float, mode="combined"):
     """Evaluate the objective of every class generator on its noise batch.
 
-    ``params`` is an (N, P) stack of generators of ``arch``, one per source
-    class: generator n maps ``z[n]`` (B, z_dim) and is scored on class n.
-    ``targets`` holds the (N, K, dim) few-shots of each class, or None; the
-    proximity term is scaled into [0, 1] by ``l1_diameter(dim)``.
-    ``tradeoff`` (non-negative) weighs it in the combined mode. Returns
-    (per-generator losses (N,), parameter gradients (N, P), generated
-    batches (N, B, dim)). The source model is a frozen scorer: it
-    runs once over the whole (N, B, dim) stack of generated batches and
-    carries gradient to them, and no gradient is built for it. Modes:
+    ``mode`` is one objective, or a tuple of M objectives, one per row block.
+    ``params`` is an (M*N, P) stack of generators of ``arch``: block m holds
+    N generators on objective ``mode[m]``, and its row n maps ``z`` row
+    (B, z_dim) and is scored on class n. ``targets`` holds the (N, K, dim)
+    few-shots of each class, or None; the proximity term is scaled into
+    [0, 1] by ``l1_diameter(dim)``. ``tradeoff`` (non-negative) weighs it in
+    the combined mode. Returns (per-generator losses (M*N,), parameter
+    gradients (M*N, P), generated batches (M*N, B, dim)). The source model
+    is a frozen scorer: it runs once over the generated batches of the
+    blocks that read it and carries gradient to them, and no gradient is
+    built for it. Modes:
       * ``source_only``: compatibility term alone (few-shots unused);
       * ``target_only``: proximity term alone;
       * ``combined``: compatibility + tradeoff * proximity. With tradeoff 0
         the proximity term is skipped entirely, so the trajectory matches
         source_only bit for bit.
+    A row gets the same numbers in any stack: each term runs only on the
+    rows of the blocks that read it, and the terms add in the order above.
     """
-    if mode not in ("source_only", "target_only", "combined"):
+    modes = (mode,) if isinstance(mode, str) else tuple(mode)
+    if not modes or any(m not in ("source_only", "target_only", "combined") for m in modes):
         raise ConfigError(f"unknown generator mode {mode!r}")
     if tradeoff < 0:
         raise ConfigError("tradeoff must be non-negative")
     num_classes = source_cls.arch.out_width
-    if np.ndim(params) != 2 or len(params) != num_classes:
-        raise ConfigError(f"expected an ({num_classes}, P) stack, one generator per class")
+    if np.ndim(params) != 2 or len(params) != len(modes) * num_classes:
+        raise ConfigError(f"expected an ({len(modes) * num_classes}, P) stack, "
+                          "one generator per class and mode")
     generated, gen_cache = nn.forward_and_cache(arch, params, z)
-    n, dim = len(generated), generated.shape[-1]
+    dim = generated.shape[-1]
     x_up = np.zeros_like(generated)
-    loss = np.zeros(n)
-    if mode != "target_only":
-        emb, enc_cache = nn.forward_and_cache(source_enc.arch, source_enc.params, generated)
+    loss = np.zeros(len(generated))
+
+    def rows(blocks):
+        return np.array([m * num_classes + n for m in blocks for n in range(num_classes)],
+                        dtype=np.int64)
+
+    src = rows([m for m, name in enumerate(modes) if name != "target_only"])
+    if src.size:
+        emb, enc_cache = nn.forward_and_cache(source_enc.arch, source_enc.params,
+                                              generated[src])
         probs, cls_cache = nn.forward_and_cache(source_cls.arch, source_cls.params, emb)
-        own = np.arange(n)
-        class_probs = probs[own, :, own]
-        loss = loss + gen_source_loss(class_probs)
+        own, cls_of = np.arange(src.size), src % num_classes
+        class_probs = probs[own, :, cls_of]
+        loss[src] += gen_source_loss(class_probs)
         up_probs = np.zeros_like(probs)
-        up_probs[own, :, own] = gen_source_loss_grad(class_probs)
+        up_probs[own, :, cls_of] = gen_source_loss_grad(class_probs)
         _, emb_up = nn.backward_from_cache(source_cls.arch, source_cls.params, cls_cache,
                                            up_probs, input_only=True)
         _, x_up_src = nn.backward_from_cache(source_enc.arch, source_enc.params, enc_cache,
                                              emb_up, input_only=True)
-        x_up = x_up + x_up_src
-    if mode == "target_only" or (mode == "combined" and tradeoff != 0.0):
+        x_up[src] += x_up_src
+    tgt_blocks = [m for m, name in enumerate(modes)
+                  if name == "target_only" or (name == "combined" and tradeoff != 0.0)]
+    if tgt_blocks:
         if targets is None:
             raise MissingClassError("target-proximity term needs few-shot samples")
-        weight = 1.0 if mode == "target_only" else tradeoff
-        target_loss, target_grad = gen_target_loss_and_grad(generated, targets,
-                                                            l1_diameter(dim))
-        loss = loss + weight * target_loss
-        x_up = x_up + weight * target_grad
+        tgt = rows(tgt_blocks)
+        weight = np.repeat([1.0 if modes[m] == "target_only" else tradeoff
+                            for m in tgt_blocks], num_classes)
+        target_loss, target_grad = gen_target_loss_and_grad(
+            generated[tgt], np.tile(targets, (len(tgt_blocks), 1, 1)), l1_diameter(dim))
+        loss[tgt] += weight * target_loss
+        x_up[tgt] += weight[:, None, None] * target_grad
     gen_grad, _ = nn.backward_from_cache(arch, params, gen_cache, x_up)
     return loss, gen_grad, generated

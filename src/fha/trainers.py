@@ -20,7 +20,11 @@ one pool drawn from the converged bank, or the batches of the generators'
 final steps. The generator objective never reads the adapted model, so
 tohan's trace keeps the interleaved order of the paper's one-step loop. The
 class generators are one (N, P) parameter stack throughout (row n for class
-n): trained, kept in a GeneratorBank and sampled as one.
+n): trained, kept in a GeneratorBank and sampled as one. A generator run
+can train several objectives at once, one row block of N per mode from the
+same init and noise, so each block's bank and batches equal its one-mode
+run: the harness generates once per (seed, n_t) for sfada, tfada, stfada
+and tohan, then adapts each method from its block.
 
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and every update builds new parameter
@@ -378,46 +382,57 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
 # generators
 
 
-def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None, mode: str,
-                    cfg: TohanConfig, root: int, epochs: int, keep: int = 0,
-                    log: list | None = None) -> tuple[GeneratorBank, list[np.ndarray]]:
-    """Train the class generators as one (N, P) stack, row n for class n, with
-    one Adam state on the stacked generator objective.
+def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
+                    modes: tuple[str, ...], cfg: TohanConfig, root: int, epochs: int,
+                    keep: dict | None = None, log: list | None = None) -> tuple[dict, dict]:
+    """Train the class generators of every objective in ``modes`` as one
+    (M*N, P) stack with one Adam state: block m holds the N generators on
+    objective modes[m], row n of a block for class n.
 
     Seeds follow derive_seeds(root, 2 * num_classes): child 2n initializes
     generator n and child 2n + 1 drives its noise stream, drawn in class order.
-    Returns the trained bank and the (N, gen_batch, dim) batches the last
-    ``keep`` steps were computed on. ``log``, when given, receives the digest
-    of the initial stack, then one (loss mean, stack digest) pair per step.
+    Every block starts from the same init rows and reads the same noise, so
+    each block follows its one-mode run bit for bit. Returns the trained bank
+    of each mode and, for each mode in ``keep``, the (N, gen_batch, dim)
+    batches its last keep[mode] steps were computed on. ``log``, when given,
+    receives the digest of the initial stack, then one (loss mean, stack
+    digest) pair per step.
     """
     num_classes = hypothesis.cls.arch.out_width
     child = nn.derive_seeds(root, 2 * num_classes)
     arch = default_generator_arch(cfg.z_dim, hypothesis.enc.arch.in_width, cfg.gen_hidden)
-    params = np.stack([nn.init_params(arch, child[2 * n]) for n in range(num_classes)])
+    init = np.stack([nn.init_params(arch, child[2 * n]) for n in range(num_classes)])
+    params = np.tile(init, (len(modes), 1))
     state = nn.AdamState.init(params.shape, cfg.lr_gen)
     noise = [np.random.default_rng(child[2 * n + 1]) for n in range(num_classes)]
     targets = None
-    if mode != "source_only":
+    if any(mode != "source_only" for mode in modes):
         if fewshot.num_classes < num_classes:
             raise MissingClassError("no few-shot samples for some source class")
         targets = np.stack([fewshot.class_features(n) for n in range(num_classes)]
                            ).astype(np.float64)
+    blocks = {mode: slice(m * num_classes, (m + 1) * num_classes)
+              for m, mode in enumerate(modes)}
+    keep = keep or {}
+    kept = {mode: [] for mode in keep}
     if log is not None:
         log.append(_digest(params))
-    kept = []
     for epoch in range(epochs):
         z = np.stack([rng.standard_normal((cfg.gen_batch, cfg.z_dim)) for rng in noise])
         step_losses, grad, generated = losses.generator_objective_and_grad(
-            arch, params, hypothesis.enc, hypothesis.cls, z, targets, cfg.tradeoff, mode
+            arch, params, hypothesis.enc, hypothesis.cls, np.tile(z, (len(modes), 1, 1)),
+            targets, cfg.tradeoff, modes
         )
         params, state = nn.adam_step(state, params, grad)
         if not np.all(np.isfinite(params)):
             raise NumericalError("network parameters must be finite")
-        if epoch >= epochs - keep:
-            kept.append(generated)
+        for mode, count in keep.items():
+            if epoch >= epochs - count:
+                # a copy, so the other blocks' batches are not kept alive
+                kept[mode].append(generated[blocks[mode]].copy())
         if log is not None:
             log.append((float(np.mean(step_losses)), _digest(params)))
-    return GeneratorBank(arch, params), kept
+    return {mode: GeneratorBank(arch, params[rows]) for mode, rows in blocks.items()}, kept
 
 
 def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
@@ -434,8 +449,8 @@ def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | Non
     if mode != "source_only" and fewshot is None:
         raise ConfigError(f"mode {mode!r} needs a few-shot set")
     root = cfg.seed if seed is None else seed
-    return _run_generators(hypothesis, fewshot, mode, cfg, root,
-                           cfg.total_epochs if epochs is None else epochs)[0]
+    return _run_generators(hypothesis, fewshot, (mode,), cfg, root,
+                           cfg.total_epochs if epochs is None else epochs)[0][mode]
 
 
 def _labeled_pool(batches: np.ndarray) -> LabeledPool:
@@ -553,13 +568,29 @@ def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
     """
     if method not in TWO_STEP_MODES:
         raise ConfigError(f"method must be one of {sorted(TWO_STEP_MODES)}")
-    bank_seed, pool_seed, adapt_seed = nn.derive_seeds(cfg.seed, 3)
     if cfg.adapt_epochs == 0:
         return TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)
     bank = train_generator_bank(hypothesis, fewshot, TWO_STEP_MODES[method], cfg,
-                                seed=bank_seed)
+                                seed=nn.derive_seeds(cfg.seed, 3)[0])
+    return _adapt_two_step(bank, hypothesis, fewshot, cfg, trace)
+
+
+def _adapt_two_step(bank: GeneratorBank, hypothesis: SourceHypothesis, fewshot: FewShotSet,
+                    cfg: TohanConfig, trace: list | None = None) -> TargetModel:
+    """The second half of run_two_step: freeze a pool from the bank, adapt against it."""
+    _, pool_seed, adapt_seed = nn.derive_seeds(cfg.seed, 3)
     pool = sample_pool(bank, cfg.gen_batch, pool_seed)
     return adapt_pairwise(pool, fewshot, hypothesis, cfg, seed=adapt_seed, trace=trace)
+
+
+def _generate(hypothesis: SourceHypothesis, fewshot: FewShotSet, modes: tuple[str, ...],
+              cfg: TohanConfig, keep: dict | None = None,
+              log: list | None = None) -> tuple[dict, dict]:
+    """A generator run on the schedule of run_two_step and train_tohan, one
+    block per mode: rooted at child 0 of derive_seeds(cfg.seed, 3), for
+    cfg.total_epochs steps."""
+    return _run_generators(hypothesis, fewshot, modes, cfg, nn.derive_seeds(cfg.seed, 3)[0],
+                           cfg.total_epochs, keep, log)
 
 
 def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanConfig,
@@ -572,10 +603,18 @@ def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanCon
     objective never reads the adapted model, so this equals interleaving the
     two loops, and the trace keeps the interleaved order.
     """
-    gen_root, disc_seed, pair_seed = nn.derive_seeds(cfg.seed, 3)
     gen_log = None if trace is None else []
-    _, batches = _run_generators(hypothesis, fewshot, "combined", cfg, gen_root,
-                                 cfg.total_epochs, keep=cfg.adapt_epochs, log=gen_log)
+    _, kept = _generate(hypothesis, fewshot, ("combined",), cfg,
+                        keep={"combined": cfg.adapt_epochs}, log=gen_log)
+    return _adapt_tohan(kept["combined"], hypothesis, fewshot, cfg, trace, gen_log)
+
+
+def _adapt_tohan(batches: list[np.ndarray], hypothesis: SourceHypothesis,
+                 fewshot: FewShotSet, cfg: TohanConfig, trace: list | None = None,
+                 gen_log: list | None = None) -> TargetModel:
+    """The second half of train_tohan: adapt over the combined generators'
+    kept batches, one pool per epoch."""
+    _, disc_seed, pair_seed = nn.derive_seeds(cfg.seed, 3)
     return _adapt([_labeled_pool(b) for b in batches], fewshot, hypothesis, cfg,
                   disc_seed, pair_seed, trace, gen_log)
 

@@ -6,18 +6,27 @@ mean 0.877 and sample standard deviation 0.001, so the rendered cell must be
 "87.7±0.1".
 """
 
+import functools
 import io
 import json
 import math
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fha import harness, nn, trainers
-from fha.data import Dataset, TaskSpec
-from fha.errors import ConfigError, InsufficientDataError
+from fha import cli, harness, nn, trainers
+from fha.data import (
+    Dataset,
+    TaskSpec,
+    builtin_task,
+    make_synthetic_task,
+    sample_few_shot,
+)
+from fha.errors import ConfigError, InsufficientDataError, NumericalError
 from fha.harness import (
     EmbeddingTable,
     ExperimentConfig,
@@ -318,6 +327,195 @@ class TestRunExperiment:
         assert all(r.wall_ms == 0.0 for r in results)
         with pytest.raises(InsufficientDataError):
             summarize(results)
+
+
+def _line(r):
+    """A result line without its wall time."""
+    return (r.method, r.task, r.n_t, r.seed, r.accuracy, r.wa_accuracy, r.error)
+
+
+def _ring6_task():
+    means = tuple((0.8 * math.cos(math.radians(90.0 + 60.0 * k)),
+                   0.8 * math.sin(math.radians(90.0 + 60.0 * k))) for k in range(6))
+    return TaskSpec(name="ring6", num_classes=6, dim=2, class_means=means,
+                    class_scales=(0.8 / 6,) * 6, rotation_deg=30.0,
+                    source_per_class=40, target_per_class=20, test_per_class=10, seed=0)
+
+
+SHARED_TASKS = {"rot40": lambda: builtin_task("rot40"), "ring6": _ring6_task}
+GENERATOR_METHODS = ("sfada", "tfada", "stfada", "tohan")
+METHOD_SEED = 13
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_setup(task_name, n_t, tradeoff):
+    """A source hypothesis, a few-shot draw, an experiment config, and the
+    final parameters of every generator method from a direct trainer call."""
+    source, target, _ = make_synthetic_task(SHARED_TASKS[task_name]())
+    hyp = trainers.train_source(source, SourceTrainConfig(epochs=10, min_test_accuracy=0.0))
+    fewshot = sample_few_shot(target, n_t, 3)
+    cfg = ExperimentConfig(
+        baseline=BaselineConfig(epochs=5),
+        tohan=TohanConfig(tradeoff=tradeoff, gen_batch=6, per_group=3, z_dim=4,
+                          gen_hidden=8, disc_hidden=8, total_epochs=12,
+                          disc_pretrain_epochs=2, adapt_epochs=4),
+    )
+    tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
+    direct = {m: trainers.run_two_step(m, hyp, fewshot, tohan_cfg)
+              for m in trainers.TWO_STEP_MODES}
+    direct["tohan"] = trainers.train_tohan(hyp, fewshot, tohan_cfg)
+    return hyp, fewshot, cfg, {m: _model_bytes(model) for m, model in direct.items()}
+
+
+def _model_bytes(model):
+    return model.enc.params.tobytes(), model.cls.params.tobytes()
+
+
+SHARED_GRID = [(task, n_t, tradeoff) for task in SHARED_TASKS
+               for n_t in (1, 3) for tradeoff in (0.2, 0.0)]
+
+
+def _inject(monkeypatch, fails):
+    """Make every generator run whose modes satisfy ``fails`` diverge; returns
+    the modes of every generator run started."""
+    run_generators, started = trainers._run_generators, []
+
+    def run(hypothesis, fewshot, modes, *args, **kwargs):
+        started.append(modes)
+        if fails(modes):
+            raise NumericalError(f"injected divergence in {'+'.join(modes)}")
+        return run_generators(hypothesis, fewshot, modes, *args, **kwargs)
+
+    monkeypatch.setattr(trainers, "_run_generators", run)
+    return started
+
+
+class TestSharedGenerators:
+    @pytest.mark.parametrize("methods", [("tohan",), ("tfada",), ("sfada", "tohan"),
+                                         trainers.METHODS], ids=",".join)
+    @pytest.mark.parametrize("task,n_t,tradeoff", SHARED_GRID)
+    def test_methods_match_direct_calls(self, monkeypatch, task, n_t, tradeoff, methods):
+        hyp, fewshot, cfg, direct = _shared_setup(task, n_t, tradeoff)
+        started = _inject(monkeypatch, lambda modes: False)
+        tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
+        generated = harness._shared_generators(methods, hyp, fewshot, tohan_cfg)
+        for method in methods:
+            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, generated)
+            if method in direct:
+                assert _model_bytes(model) == direct[method], method
+            else:
+                unshared = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED)
+                assert _model_bytes(model) == _model_bytes(unshared), method
+        # one generator run, with one block per objective the methods read
+        assert started == [harness._generator_modes(methods, tohan_cfg)]
+
+    @pytest.mark.parametrize("task,n_t,tradeoff", SHARED_GRID)
+    def test_blocks_match_one_mode_runs(self, task, n_t, tradeoff):
+        hyp, fewshot, cfg, _ = _shared_setup(task, n_t, tradeoff)
+        tohan_cfg = cfg.tohan
+        modes = ("combined", "source_only", "target_only")
+        keep = dict.fromkeys(modes, 3)
+        banks, kept = trainers._run_generators(hyp, fewshot, modes, tohan_cfg, 5, 9, keep)
+        for mode in modes:
+            alone_banks, alone_kept = trainers._run_generators(
+                hyp, fewshot, (mode,), tohan_cfg, 5, 9, {mode: 3})
+            bank = trainers.train_generator_bank(hyp, fewshot, mode, tohan_cfg,
+                                                 seed=5, epochs=9)
+            assert banks[mode].params.tobytes() == bank.params.tobytes(), mode
+            assert banks[mode].params.tobytes() == alone_banks[mode].params.tobytes()
+            assert len(kept[mode]) == len(alone_kept[mode]) == 3
+            for got, want in zip(kept[mode], alone_kept[mode]):
+                assert got.tobytes() == want.tobytes(), mode
+
+    def test_zero_adapt_epochs_generates_for_tohan_only(self, monkeypatch):
+        hyp, fewshot, cfg, _ = _shared_setup("rot40", 1, 0.2)
+        cfg = replace(cfg, tohan=replace(cfg.tohan, adapt_epochs=0))
+        started = _inject(monkeypatch, lambda modes: False)
+        generated = harness._shared_generators(
+            trainers.METHODS, hyp, fewshot, replace(cfg.tohan, seed=METHOD_SEED))
+        for method in GENERATOR_METHODS:
+            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, generated)
+            assert model.enc is hyp.enc and model.cls is hyp.cls
+        assert started == [("combined",)]
+
+
+def _grid(**kwargs):
+    return [_line(r) for r in run_experiment(
+        _tiny_task(), trainers.METHODS, [1, 2], [0, 1], _tiny_cfg(), **kwargs)]
+
+
+class TestSharedRunFallback:
+    def _unshared(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_shared_generators", lambda *args: lambda: None)
+            return _grid()
+
+    def test_failed_shared_run_leaves_every_line_unchanged(self, monkeypatch, tiny_results):
+        started = _inject(monkeypatch, lambda modes: len(modes) > 1)
+        assert _grid() == [_line(r) for r in tiny_results]
+        # per (seed, n_t): the shared run, then each method's own run
+        assert started == [("source_only", "target_only", "combined"), ("source_only",),
+                           ("target_only",), ("combined",), ("combined",)] * 4
+        assert self._unshared(monkeypatch) == [_line(r) for r in tiny_results]
+
+    def test_failed_shared_run_leaves_every_model_unchanged(self, monkeypatch):
+        hyp, fewshot, cfg, direct = _shared_setup("rot40", 3, 0.2)
+        _inject(monkeypatch, lambda modes: len(modes) > 1)
+        generated = harness._shared_generators(
+            trainers.METHODS, hyp, fewshot, replace(cfg.tohan, seed=METHOD_SEED))
+        for method in GENERATOR_METHODS:
+            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, generated)
+            assert _model_bytes(model) == direct[method], method
+
+    def test_one_diverging_block_costs_only_its_method(self, monkeypatch, tiny_results):
+        _inject(monkeypatch, lambda modes: "target_only" in modes)
+        got = _grid()
+        assert got == self._unshared(monkeypatch)
+        for line, clean in zip(got, tiny_results):
+            if clean.method == "tfada":
+                assert line[-1] == "injected divergence in target_only"
+            else:
+                assert line == _line(clean)
+
+
+class TestFaultIsolation:
+    @staticmethod
+    def _boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    def test_unexpected_exception_becomes_that_runs_error(self, monkeypatch, tiny_results):
+        monkeypatch.setattr(trainers, "train_shot", self._boom)
+        for line, clean in zip(_grid(), tiny_results):
+            if clean.method == "shot":
+                assert line[4:] == (None, None, "RuntimeError: boom")
+            else:
+                assert line == _line(clean)
+
+    def test_unexpected_setup_exception_marks_the_seed(self, monkeypatch):
+        monkeypatch.setattr(trainers, "train_source", self._boom)
+        results = run_experiment(_tiny_task(), ["wa", "ft"], [1, 2], [0], _tiny_cfg())
+        assert [r.error for r in results] == ["RuntimeError: boom"] * 4
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched trainer only when forked")
+    def test_parallel_seeds_keep_streaming(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(trainers, "train_shot", self._boom)
+        sink = tmp_path / "stream.jsonl"
+        results = run_experiment(_tiny_task(), ["wa", "shot"], [1], [0, 1], _tiny_cfg(),
+                                 sink=sink, jobs=2)
+        rows, problems = read_results(sink)
+        assert problems == [] and len(rows) == len(results) == 4
+        assert {r["method"]: r.get("error") for r in rows} == {
+            "wa": None, "shot": "RuntimeError: boom"}
+
+    def test_cli_run_writes_the_other_lines_and_exits_1(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(trainers, "train_shot", self._boom)
+        out = tmp_path / "r.jsonl"
+        assert cli.main(["run", "--task", "rot40", "--methods", "wa,shot", "--shots", "1",
+                         "--seeds", "0", "--out", str(out)]) == 1
+        rows, _ = read_results(out)
+        assert [(r["method"], r.get("error")) for r in rows] == [
+            ("wa", None), ("shot", "RuntimeError: boom")]
 
 
 class TestSummarize:
