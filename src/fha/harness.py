@@ -59,7 +59,7 @@ class RunResult:
 
 def accuracy(model, test: Dataset) -> float:
     """Fraction of correct argmax predictions; ties pick the lowest index."""
-    return trainers._accuracy_core(model.enc, model.cls, test.features, test.labels)
+    return trainers.net_accuracy(model.enc, model.cls, test.features, test.labels)
 
 
 def format_result_line(result: RunResult) -> str:
@@ -106,6 +106,9 @@ def read_results(path):
                 missing = {"method", "task", "n_t", "seed"} - set(row)
                 if missing:
                     raise ValueError(f"missing fields {sorted(missing)}")
+                for key in ("method", "task"):
+                    if not isinstance(row[key], str):
+                        raise ValueError(f"{key} is not a string")
                 for key in ("n_t", "seed"):
                     if type(row[key]) is not int:  # bool is rejected too
                         raise ValueError(f"{key} is not an integer")
@@ -133,21 +136,10 @@ def read_results(path):
 # experiment driver
 
 
-def _generator_modes(methods, cfg: TohanConfig) -> tuple[str, ...]:
-    """The generator objectives the methods read: a bank for each two-step
-    method that adapts, and the combined run's batches for tohan."""
-    wanted = {trainers.TWO_STEP_MODES[m] for m in methods
-              if m in trainers.TWO_STEP_MODES and cfg.adapt_epochs > 0}
-    if "tohan" in methods:
-        wanted.add("combined")
-    return tuple(mode for mode in ("source_only", "target_only", "combined")
-                 if mode in wanted)
-
-
 def _method_model(method: str, hypothesis, fewshot, cfg: ExperimentConfig,
-                  method_seed: int, generated=lambda: None):
-    """Train one method. ``generated()`` returns the (seed, n_t)'s shared
-    generator run, or None when it failed: the method then reruns its own."""
+                  method_seed: int, shared=lambda: None):
+    """Train one method. ``shared()`` returns the (seed, n_t)'s shared
+    generator run, or None when it failed: the method then runs its own."""
     if method == "wa":
         return hypothesis
     if method == "ft":
@@ -155,34 +147,23 @@ def _method_model(method: str, hypothesis, fewshot, cfg: ExperimentConfig,
     if method == "shot":
         return trainers.train_shot(hypothesis, fewshot, cfg.baseline)
     tohan_cfg = replace(cfg.tohan, seed=method_seed)
-    run = generated() if _generator_modes([method], tohan_cfg) else None
-    if run is None:  # the method reads no generator run, or the shared one failed
-        if method == "tohan":
-            return trainers.train_tohan(hypothesis, fewshot, tohan_cfg)
-        return trainers.run_two_step(method, hypothesis, fewshot, tohan_cfg)
-    banks, kept = run
-    if method == "tohan":
-        return trainers._adapt_tohan(kept["combined"], hypothesis, fewshot, tohan_cfg)
-    return trainers._adapt_two_step(banks[trainers.TWO_STEP_MODES[method]], hypothesis,
-                                    fewshot, tohan_cfg)
+    run = shared() or trainers.generate(hypothesis, fewshot, [method], tohan_cfg)
+    return trainers.adapt_generated(method, run, hypothesis, fewshot, tohan_cfg)
 
 
 def _shared_generators(methods, hypothesis, fewshot, tohan_cfg: TohanConfig):
-    """A lazy, memoized generator run with one block per mode the methods
-    read, keeping the combined block's batches when tohan runs. A run that
-    raises an FHAError memoizes None, so each method reruns its own."""
+    """A lazy, memoized generator run for all the methods. A run that raises
+    an FHAError memoizes None, so each method reruns its own."""
 
     @functools.cache
-    def generated():
-        keep = {"combined": tohan_cfg.adapt_epochs} if "tohan" in methods else None
+    def shared():
         try:
-            return trainers._generate(hypothesis, fewshot, _generator_modes(methods, tohan_cfg),
-                                      tohan_cfg, keep)
+            return trainers.generate(hypothesis, fewshot, methods, tohan_cfg)
         except FHAError as exc:
             log.warning("shared generator run failed, methods run their own: %s", exc)
             return None
 
-    return generated
+    return shared
 
 
 def _failure(exc: Exception, what: str) -> str:
@@ -216,8 +197,6 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
         return _error_results(task.name, methods, shots, seed,
                               _failure(exc, f"seed {seed} setup"))
     tohan_cfg = replace(cfg.tohan, seed=method_seed)
-    last_reader = max((i for i, m in enumerate(methods) if _generator_modes([m], tohan_cfg)),
-                      default=-1)
     results = []
     for n_t in shots:
         try:
@@ -226,18 +205,16 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
             message = _failure(exc, f"n_t={n_t}/seed={seed} few-shot draw")
             results.extend(_error_results(task.name, methods, [n_t], seed, message))
             continue
-        generated = _shared_generators(methods, hypothesis, fewshot, tohan_cfg)
-        for i, method in enumerate(methods):
+        shared = _shared_generators(methods, hypothesis, fewshot, tohan_cfg)
+        for method in methods:
             start = time.perf_counter()
             acc, error = None, None
             try:
-                model = _method_model(method, hypothesis, fewshot, cfg, method_seed, generated)
+                model = _method_model(method, hypothesis, fewshot, cfg, method_seed, shared)
                 acc = accuracy(model, target_test)
             except Exception as exc:
                 error = _failure(exc, f"run {method}/n_t={n_t}/seed={seed}")
             wall_ms = (time.perf_counter() - start) * 1e3
-            if i == last_reader:
-                generated = None  # free the shared run before the remaining methods
             results.append(RunResult(
                 method=method, task=task.name, n_t=n_t, seed=seed, accuracy=acc,
                 wa_accuracy=None if error is not None else wa_acc, wall_ms=wall_ms, error=error,
@@ -255,8 +232,8 @@ def run_experiment(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig,
     methods, so method comparisons are paired. Run errors become error
     records in the stream instead of aborting the batch. ``sink`` (a path
     or file-like) receives each seed's result lines as they complete; with
-    ``jobs`` > 1, seeds run in worker processes (results are still
-    deterministic, the sink order follows completion).
+    ``jobs`` > 1, seeds run in worker processes, at most one per seed
+    (results are still deterministic, the sink order follows completion).
     """
     methods = list(methods)
     shots = [nn._as_int(s, "shots") for s in shots]
@@ -269,8 +246,11 @@ def run_experiment(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig,
         raise ConfigError(f"unknown methods {sorted(unknown)}; known: {list(METHODS)}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
+    if min(seeds) < 0:
+        raise ConfigError("seeds must be non-negative")
     if jobs < 1:
         raise ConfigError("jobs must be positive")
+    jobs = min(jobs, len(seeds))  # a pool starts all its workers at once
 
     per_seed: dict[int, list[RunResult]] = {}
     if jobs == 1:

@@ -23,8 +23,10 @@ class generators are one (N, P) parameter stack throughout (row n for class
 n): trained, kept in a GeneratorBank and sampled as one. A generator run
 can train several objectives at once, one row block of N per mode from the
 same init and noise, so each block's bank and batches equal its one-mode
-run: the harness generates once per (seed, n_t) for sfada, tfada, stfada
-and tohan, then adapts each method from its block.
+run. generate(methods) trains the blocks the listed methods read, and
+adapt_generated(method, run) adapts one method from that run: run_two_step
+and train_tohan are these two calls for a single method, and the harness
+makes one generate call per (seed, n_t) for sfada, tfada, stfada and tohan.
 
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and every update builds new parameter
@@ -256,7 +258,8 @@ def write_trace(events, path) -> None:
 # evaluation core (single code path shared with the harness)
 
 
-def _accuracy_core(enc: nn.Net, cls: nn.Net, feats: np.ndarray, labels: np.ndarray) -> float:
+def net_accuracy(enc: nn.Net, cls: nn.Net, feats: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of argmax predictions of cls(enc(feats)) that equal labels."""
     feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if feats.shape[0] == 0:
@@ -325,8 +328,8 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
 
     enc = nn.Net(enc_arch, enc_params)
     cls = nn.Net(cls_arch, cls_params)
-    train_acc = _accuracy_core(enc, cls, x_train, y_train)
-    test_acc = _accuracy_core(enc, cls, x_test, y_test)
+    train_acc = net_accuracy(enc, cls, x_train, y_train)
+    test_acc = net_accuracy(enc, cls, x_test, y_test)
     if test_acc < cfg.min_test_accuracy:
         raise QualityGateError(
             f"source holdout accuracy {test_acc:.3f} below the "
@@ -559,6 +562,46 @@ def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
                   disc_seed, pair_seed, trace)
 
 
+def generate(hypothesis: SourceHypothesis, fewshot: FewShotSet, methods,
+             cfg: TohanConfig, log: list | None = None) -> tuple[dict, list]:
+    """One generator run for the listed methods, rooted at child 0 of
+    derive_seeds(cfg.seed, 3), for cfg.total_epochs steps: a row block per
+    objective they read, in source_only/target_only/combined order. Returns
+    (bank per mode, the combined block's last cfg.adapt_epochs batches when
+    tohan is listed); when no method reads a generator, nothing runs.
+    ``log`` is as in _run_generators."""
+    tohan = "tohan" in methods
+    modes = tuple(mode for method, mode in TWO_STEP_MODES.items()  # in block order
+                  if (method in methods and cfg.adapt_epochs > 0)
+                  or (mode == "combined" and tohan))
+    if not modes:
+        return {}, []
+    banks, kept = _run_generators(hypothesis, fewshot, modes, cfg,
+                                  nn.derive_seeds(cfg.seed, 3)[0], cfg.total_epochs,
+                                  {"combined": cfg.adapt_epochs} if tohan else None, log)
+    return banks, kept.get("combined", [])
+
+
+def adapt_generated(method: str, run: tuple[dict, list], hypothesis: SourceHypothesis,
+                    fewshot: FewShotSet, cfg: TohanConfig, *, trace: list | None = None,
+                    gen_log: list | None = None) -> TargetModel:
+    """Adapt one generator method from ``run``, a generate() result that
+    covers it: tohan over the kept batches, one pool per epoch (``gen_log``,
+    the run's log, adds its generate events to the trace); a two-step method
+    against one pool frozen from its objective's bank."""
+    if method != "tohan" and method not in TWO_STEP_MODES:
+        raise ConfigError(f"method must be tohan or one of {sorted(TWO_STEP_MODES)}")
+    banks, kept = run
+    _, first, second = nn.derive_seeds(cfg.seed, 3)
+    if method == "tohan":  # first seeds the discriminator, second the pairing
+        return _adapt([_labeled_pool(b) for b in kept], fewshot, hypothesis, cfg,
+                      first, second, trace, gen_log)
+    if cfg.adapt_epochs == 0:
+        return TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)
+    pool = sample_pool(banks[TWO_STEP_MODES[method]], cfg.gen_batch, first)
+    return adapt_pairwise(pool, fewshot, hypothesis, cfg, seed=second, trace=trace)
+
+
 def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
                  cfg: TohanConfig, *, trace: list | None = None) -> TargetModel:
     """Train a generator bank, freeze a pool, then adapt against it.
@@ -568,29 +611,8 @@ def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
     """
     if method not in TWO_STEP_MODES:
         raise ConfigError(f"method must be one of {sorted(TWO_STEP_MODES)}")
-    if cfg.adapt_epochs == 0:
-        return TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)
-    bank = train_generator_bank(hypothesis, fewshot, TWO_STEP_MODES[method], cfg,
-                                seed=nn.derive_seeds(cfg.seed, 3)[0])
-    return _adapt_two_step(bank, hypothesis, fewshot, cfg, trace)
-
-
-def _adapt_two_step(bank: GeneratorBank, hypothesis: SourceHypothesis, fewshot: FewShotSet,
-                    cfg: TohanConfig, trace: list | None = None) -> TargetModel:
-    """The second half of run_two_step: freeze a pool from the bank, adapt against it."""
-    _, pool_seed, adapt_seed = nn.derive_seeds(cfg.seed, 3)
-    pool = sample_pool(bank, cfg.gen_batch, pool_seed)
-    return adapt_pairwise(pool, fewshot, hypothesis, cfg, seed=adapt_seed, trace=trace)
-
-
-def _generate(hypothesis: SourceHypothesis, fewshot: FewShotSet, modes: tuple[str, ...],
-              cfg: TohanConfig, keep: dict | None = None,
-              log: list | None = None) -> tuple[dict, dict]:
-    """A generator run on the schedule of run_two_step and train_tohan, one
-    block per mode: rooted at child 0 of derive_seeds(cfg.seed, 3), for
-    cfg.total_epochs steps."""
-    return _run_generators(hypothesis, fewshot, modes, cfg, nn.derive_seeds(cfg.seed, 3)[0],
-                           cfg.total_epochs, keep, log)
+    return adapt_generated(method, generate(hypothesis, fewshot, [method], cfg),
+                           hypothesis, fewshot, cfg, trace=trace)
 
 
 def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanConfig,
@@ -604,19 +626,8 @@ def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanCon
     two loops, and the trace keeps the interleaved order.
     """
     gen_log = None if trace is None else []
-    _, kept = _generate(hypothesis, fewshot, ("combined",), cfg,
-                        keep={"combined": cfg.adapt_epochs}, log=gen_log)
-    return _adapt_tohan(kept["combined"], hypothesis, fewshot, cfg, trace, gen_log)
-
-
-def _adapt_tohan(batches: list[np.ndarray], hypothesis: SourceHypothesis,
-                 fewshot: FewShotSet, cfg: TohanConfig, trace: list | None = None,
-                 gen_log: list | None = None) -> TargetModel:
-    """The second half of train_tohan: adapt over the combined generators'
-    kept batches, one pool per epoch."""
-    _, disc_seed, pair_seed = nn.derive_seeds(cfg.seed, 3)
-    return _adapt([_labeled_pool(b) for b in batches], fewshot, hypothesis, cfg,
-                  disc_seed, pair_seed, trace, gen_log)
+    return adapt_generated("tohan", generate(hypothesis, fewshot, ["tohan"], cfg, gen_log),
+                           hypothesis, fewshot, cfg, trace=trace, gen_log=gen_log)
 
 
 def group_discriminator_accuracy(disc: nn.Net, enc: nn.Net, intermediate: LabeledPool,

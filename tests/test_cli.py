@@ -270,6 +270,11 @@ class TestRun:
         cfg_path.write_text("[1, 2]", encoding="utf-8")
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(["run", "--task", "rot40", "--methods", "wa", "--shots", "1",
+                         "--seeds=-1", "--out", str(tmp_path / "r.jsonl")]) == 2
+        assert capsys.readouterr().err == "error: seeds must be non-negative\n"
+
     def test_non_integer_shots_flag_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["run", "--task", "rot20", "--shots", "1,a",
                          "--out", str(tmp_path / "r.jsonl")]) == 2
@@ -333,14 +338,19 @@ class TestSummarize:
                             + row + '"n_t": 1, "seed": 0, "accuracy": "abc"}\n'
                             + row + '"n_t": 1, "seed": 0, "accuracy": NaN}\n'
                             + row + '"n_t": -4, "seed": 0, "accuracy": 0.5}\n'
-                            + row + '"n_t": 1, "seed": -2, "accuracy": 0.5}\n',
+                            + row + '"n_t": 1, "seed": -2, "accuracy": 0.5}\n'
+                            + row.replace('"ft"', "5") + '"n_t": 1, "seed": 0, "accuracy": 0.5}\n'
+                            + row.replace('"ft"', "null")
+                            + '"n_t": 1, "seed": 0, "accuracy": 0.5}\n',
                             encoding="utf-8")
         assert cli.main(["summarize", str(bad_path)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.count("skipped line") == 6
+        assert captured.err.count("skipped line") == 8
+        assert captured.err.count("method is not a string") == 2
         assert captured.out.startswith("method")  # table still rendered
         assert "nan" not in captured.out
         assert "n_t=-4" not in captured.out
+        assert {line.split()[0] for line in captured.out.splitlines()}.isdisjoint({"5", "None"})
 
     def test_non_utf8_line_is_skipped(self, workdir, tmp_path, capsys):
         good = (workdir / "results.jsonl").read_bytes()

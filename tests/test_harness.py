@@ -11,6 +11,7 @@ import io
 import json
 import math
 import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -148,12 +149,15 @@ class TestResultsIO:
                 bad(n_t=8),
                 bad(seed=-1),
                 bad(n_t=7, seed=0),
+                bad(method=5),
+                bad(method=None),
+                bad(task=["toy"]),
             ]) + "\n",
             encoding="utf-8",
         )
         rows, problems = read_results(path)
         assert len(rows) == 3
-        assert len(problems) == 13
+        assert len(problems) == 16
         assert problems[0].startswith("line 2:")
         assert "missing fields" in problems[2]
         assert "missing accuracy fields" in problems[3]
@@ -166,6 +170,9 @@ class TestResultsIO:
         assert problems[10] == "line 14: n_t is not in 1..7"
         assert problems[11] == "line 15: n_t is not in 1..7"
         assert problems[12] == "line 16: seed is negative"
+        assert problems[13:] == ["line 18: method is not a string",
+                                 "line 19: method is not a string",
+                                 "line 20: task is not a string"]
         assert rows[2]["n_t"] == 7
 
     def test_non_utf8_line_is_a_problem(self, tmp_path):
@@ -224,6 +231,13 @@ class TestRunExperimentValidation:
         with pytest.raises(ConfigError, match="distinct"):
             run_experiment(_tiny_task(), ["wa"], [1], [0, 0], _tiny_cfg())
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rejects_negative_seeds(self, jobs):
+        with pytest.raises(ConfigError, match="non-negative"):
+            run_experiment(_tiny_task(), ["wa"], [1], [-1], _tiny_cfg(), jobs=jobs)
+        with pytest.raises(ConfigError, match="non-negative"):
+            run_experiment(_tiny_task(), ["wa"], [1], [0, -1], _tiny_cfg(), jobs=jobs)
+
     @pytest.mark.parametrize("shots,seeds,jobs", [
         ([1.5], [0], 1),
         ([1], [0.0], 1),
@@ -245,6 +259,21 @@ class TestRunExperimentValidation:
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ConfigError, match="jobs"):
             run_experiment(_tiny_task(), ["wa"], [1], [0], _tiny_cfg(), jobs=0)
+
+    @pytest.mark.parametrize("jobs,seeds,workers", [(64, [0, 1], [2]), (2, [0, 1, 2], [2]),
+                                                    (8, [0], [])])
+    def test_pool_has_at_most_one_worker_per_seed(self, monkeypatch, jobs, seeds, workers):
+        # a recorder stands in for the process pool, so no process is started
+        recorded = []
+
+        def executor(max_workers):
+            recorded.append(max_workers)
+            return ThreadPoolExecutor(max_workers=1)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", executor)
+        results = run_experiment(_tiny_task(), ["wa"], [1], seeds, _tiny_cfg(), jobs=jobs)
+        assert recorded == workers
+        assert [r.seed for r in results] == seeds
 
 
 class TestRunExperiment:
@@ -390,24 +419,29 @@ def _inject(monkeypatch, fails):
     return started
 
 
+# the generator blocks each method subset reads, in block order
+SUBSET_MODES = {("tohan",): ("combined",), ("tfada",): ("target_only",),
+                ("sfada", "tohan"): ("source_only", "combined"),
+                trainers.METHODS: ("source_only", "target_only", "combined")}
+
+
 class TestSharedGenerators:
-    @pytest.mark.parametrize("methods", [("tohan",), ("tfada",), ("sfada", "tohan"),
-                                         trainers.METHODS], ids=",".join)
+    @pytest.mark.parametrize("methods", list(SUBSET_MODES), ids=",".join)
     @pytest.mark.parametrize("task,n_t,tradeoff", SHARED_GRID)
     def test_methods_match_direct_calls(self, monkeypatch, task, n_t, tradeoff, methods):
         hyp, fewshot, cfg, direct = _shared_setup(task, n_t, tradeoff)
         started = _inject(monkeypatch, lambda modes: False)
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        generated = harness._shared_generators(methods, hyp, fewshot, tohan_cfg)
+        shared = harness._shared_generators(methods, hyp, fewshot, tohan_cfg)
         for method in methods:
-            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, generated)
+            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
             if method in direct:
                 assert _model_bytes(model) == direct[method], method
             else:
                 unshared = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED)
                 assert _model_bytes(model) == _model_bytes(unshared), method
         # one generator run, with one block per objective the methods read
-        assert started == [harness._generator_modes(methods, tohan_cfg)]
+        assert started == [SUBSET_MODES[methods]]
 
     @pytest.mark.parametrize("task,n_t,tradeoff", SHARED_GRID)
     def test_blocks_match_one_mode_runs(self, task, n_t, tradeoff):
@@ -431,10 +465,10 @@ class TestSharedGenerators:
         hyp, fewshot, cfg, _ = _shared_setup("rot40", 1, 0.2)
         cfg = replace(cfg, tohan=replace(cfg.tohan, adapt_epochs=0))
         started = _inject(monkeypatch, lambda modes: False)
-        generated = harness._shared_generators(
+        shared = harness._shared_generators(
             trainers.METHODS, hyp, fewshot, replace(cfg.tohan, seed=METHOD_SEED))
         for method in GENERATOR_METHODS:
-            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, generated)
+            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
             assert model.enc is hyp.enc and model.cls is hyp.cls
         assert started == [("combined",)]
 
@@ -461,10 +495,10 @@ class TestSharedRunFallback:
     def test_failed_shared_run_leaves_every_model_unchanged(self, monkeypatch):
         hyp, fewshot, cfg, direct = _shared_setup("rot40", 3, 0.2)
         _inject(monkeypatch, lambda modes: len(modes) > 1)
-        generated = harness._shared_generators(
+        shared = harness._shared_generators(
             trainers.METHODS, hyp, fewshot, replace(cfg.tohan, seed=METHOD_SEED))
         for method in GENERATOR_METHODS:
-            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, generated)
+            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
             assert _model_bytes(model) == direct[method], method
 
     def test_one_diverging_block_costs_only_its_method(self, monkeypatch, tiny_results):
@@ -476,6 +510,19 @@ class TestSharedRunFallback:
                 assert line[-1] == "injected divergence in target_only"
             else:
                 assert line == _line(clean)
+
+
+class TestMethodOrder:
+    @pytest.mark.parametrize("adapt_epochs", [None, 0], ids=["default", "zero"])
+    def test_lines_do_not_depend_on_method_order(self, tiny_results, adapt_epochs):
+        cfg, default = _tiny_cfg(), tiny_results
+        if adapt_epochs is not None:
+            cfg = replace(cfg, tohan=replace(cfg.tohan, adapt_epochs=adapt_epochs))
+            default = run_experiment(_tiny_task(), trainers.METHODS, [1, 2], [0, 1], cfg)
+        want = {(r.method, r.n_t, r.seed): _line(r) for r in default}
+        got = run_experiment(_tiny_task(), ["tohan", "sfada", "wa"], [1, 2], [0, 1], cfg)
+        assert len(got) == 12 and all(r.error is None for r in got)
+        assert [_line(r) for r in got] == [want[(r.method, r.n_t, r.seed)] for r in got]
 
 
 class TestFaultIsolation:

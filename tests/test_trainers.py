@@ -282,7 +282,7 @@ class TestEvaluation:
     def test_empty_test_set_rejected(self):
         hyp = _hypothesis()
         with pytest.raises(InsufficientDataError):
-            trainers._accuracy_core(
+            trainers.net_accuracy(
                 hyp.enc, hyp.cls, np.empty((0, 2)), np.empty(0, dtype=np.int64)
             )
 
@@ -714,6 +714,36 @@ class TestTrainTohan:
         assert [(ev.epoch, ev.phase) for ev in trace] == (
             [(-1, "init")] + [(epoch, "generate") for epoch in range(6)]
         )
+
+
+class TestGenerate:
+    @pytest.mark.parametrize("methods,adapt_epochs,modes", [
+        (("wa", "ft", "shot"), 3, ()),
+        (("sfada",), 0, ()),
+        (("tohan",), 3, ("combined",)),
+        (("stfada", "sfada"), 3, ("source_only", "combined")),
+        (("tfada", "tohan"), 0, ("combined",)),
+        (trainers.METHODS, 3, ("source_only", "target_only", "combined")),
+    ], ids=repr)
+    def test_one_block_per_objective_read(self, monkeypatch, methods, adapt_epochs, modes):
+        run_generators, started = trainers._run_generators, []
+
+        def run(hypothesis, fewshot, modes, *args):
+            started.append(modes)
+            return run_generators(hypothesis, fewshot, modes, *args)
+
+        monkeypatch.setattr(trainers, "_run_generators", run)
+        banks, kept = trainers.generate(_hypothesis(), _fewshot(), methods,
+                                        _tiny_cfg(adapt_epochs=adapt_epochs))
+        assert started == ([modes] if modes else [])
+        assert tuple(banks) == modes
+        assert len(kept) == (adapt_epochs if "tohan" in methods else 0)
+        assert all(batch.shape == (3, 4, 2) for batch in kept)
+
+    @pytest.mark.parametrize("method", ["wa", "ft", "nope"])
+    def test_adapt_rejects_non_generator_methods(self, method):
+        with pytest.raises(ConfigError):
+            trainers.adapt_generated(method, ({}, []), _hypothesis(), _fewshot(), _tiny_cfg())
 
 
 class TestDiscriminatorAccuracy:
