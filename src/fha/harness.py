@@ -153,14 +153,16 @@ def _method_model(method: str, hypothesis, fewshot, cfg: ExperimentConfig,
 
 def _shared_generators(methods, hypothesis, fewshot, tohan_cfg: TohanConfig):
     """A lazy, memoized generator run for all the methods. A run that raises
-    an FHAError memoizes None, so each method reruns its own."""
+    memoizes None, so each method runs its own; an exception that is not an
+    FHAError is logged with its traceback."""
 
     @functools.cache
     def shared():
         try:
             return trainers.generate(hypothesis, fewshot, methods, tohan_cfg)
-        except FHAError as exc:
-            log.warning("shared generator run failed, methods run their own: %s", exc)
+        except Exception as exc:
+            log.warning("shared generator run failed, methods run their own: %s", exc,
+                        exc_info=None if isinstance(exc, FHAError) else exc)
             return None
 
     return shared
@@ -244,8 +246,9 @@ def run_experiment(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig,
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ConfigError(f"unknown methods {sorted(unknown)}; known: {list(METHODS)}")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
+    for name, values in (("methods", methods), ("shots", shots), ("seeds", seeds)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{name} must be distinct")
     if min(seeds) < 0:
         raise ConfigError("seeds must be non-negative")
     if jobs < 1:

@@ -11,9 +11,9 @@ pool and the labeled target few-shots:
 Cross-domain pairs always put the intermediate sample first. Pairs are
 drawn with replacement, uniformly over the valid combinations of each
 group, via rejection from the uniform index product (exact and
-deterministic under the seeded generator). Both sides are read through
-their ``features`` and ``labels``, so the target may be a FewShotSet or a
-LabeledPool and is used as given, not copied.
+deterministic under the seeded generator). A call checks its label facts
+once and gathers each side's rows once; the target, a FewShotSet or a
+LabeledPool, is read through its ``features`` and ``labels``.
 """
 
 from __future__ import annotations
@@ -88,53 +88,51 @@ class PairBatch:
 
 def _rejection_sample(rng, labels_a, labels_b, same: bool, count: int):
     """Uniform draws of index pairs whose labels match the predicate."""
-    ia_out, ib_out = [], []
-    need = count
+    out, need = [], count
     while need > 0:
         k = max(4 * need, 32)
         ia = rng.integers(0, labels_a.size, size=k)
         ib = rng.integers(0, labels_b.size, size=k)
         ok = (labels_a[ia] == labels_b[ib]) if same else (labels_a[ia] != labels_b[ib])
         hits = np.flatnonzero(ok)[:need]
-        ia_out.append(ia[hits])
-        ib_out.append(ib[hits])
+        if hits.size == count:
+            return ia[hits], ib[hits]
+        out.append((ia[hits], ib[hits]))
         need -= hits.size
-    return np.concatenate(ia_out), np.concatenate(ib_out)
+    return tuple(np.concatenate(side) for side in zip(*out))
 
 
-def _check_satisfiable(labels_a, labels_b, same: bool, group_id: int) -> None:
-    shared = np.intersect1d(labels_a, labels_b)
-    if same and shared.size == 0:
-        raise ProtocolError(f"group {group_id} has no same-label combinations")
-    if not same:
-        # a differing pair exists unless both pools hold one identical label
-        ua, ub = np.unique(labels_a), np.unique(labels_b)
-        if ua.size == 1 and ub.size == 1 and ua[0] == ub[0]:
-            raise ProtocolError(f"group {group_id} has no different-label combinations")
+def _check(intermediate: LabeledPool, target, group_ids, count: int) -> None:
+    """Raise for the first unknown group id, bad count or unsatisfiable group.
+    Given 2+ intermediate classes, only group 2 can lack valid combinations."""
+    for group_id in group_ids:
+        if group_id not in ALL_GROUPS:
+            raise ConfigError(f"unknown group id {group_id}")
+    if count < 1:
+        raise ConfigError("pair count must be positive")
+    if intermediate.labels.size == 0:
+        raise ProtocolError("intermediate pool is empty")
+    classes = set(intermediate.labels.tolist())
+    if len(classes) < 2:
+        raise ProtocolError("pairing needs at least 2 classes in the intermediate pool")
+    if not any(g in (2, 4) for g in group_ids):
+        return
+    if target.labels.size == 0:
+        raise ProtocolError("cross-domain groups need a non-empty target pool")
+    if GROUP_CROSS_DOMAIN_SAME in group_ids and classes.isdisjoint(target.labels.tolist()):
+        raise ProtocolError(f"group {GROUP_CROSS_DOMAIN_SAME} has no same-label combinations")
+    if target.features.shape[1:] != intermediate.features.shape[1:]:
+        raise ConfigError("x1 and x2 must be equal-shape (P, d) arrays")
 
 
 def sample_group_pairs(intermediate: LabeledPool, target, group_id: int,
                        count: int, rng: np.random.Generator) -> PairBatch:
     """Draw ``count`` pairs of one group, uniform over valid combinations."""
-    if group_id not in ALL_GROUPS:
-        raise ConfigError(f"unknown group id {group_id}")
-    if count < 1:
-        raise ConfigError("pair count must be positive")
-    if intermediate.labels.size == 0:
-        raise ProtocolError("intermediate pool is empty")
-    if np.unique(intermediate.labels).size < 2:
-        raise ProtocolError("pairing needs at least 2 classes in the intermediate pool")
-    second = intermediate if group_id in (1, 3) else target
-    if second.labels.size == 0:
-        raise ProtocolError("cross-domain groups need a non-empty target pool")
-    same = group_id in (GROUP_BOTH_INTERMEDIATE_SAME, GROUP_CROSS_DOMAIN_SAME)
-    _check_satisfiable(intermediate.labels, second.labels, same, group_id)
-    ia, ib = _rejection_sample(rng, intermediate.labels, second.labels, same, count)
-    return PairBatch(
-        intermediate.features[ia],
-        second.features[ib],
-        np.full(count, group_id, dtype=np.int64),
-    )
+    _check(intermediate, target, (group_id,), count)
+    second = target if group_id in (2, 4) else intermediate
+    ia, ib = _rejection_sample(rng, intermediate.labels, second.labels, group_id in (1, 2), count)
+    return PairBatch(intermediate.features[ia], second.features[ib],
+                     np.full(count, group_id, dtype=np.int64))
 
 
 def build_groups(intermediate: LabeledPool, target, per_group: int,
@@ -145,14 +143,16 @@ def build_groups(intermediate: LabeledPool, target, per_group: int,
     seed; an integer seed or a numpy Generator is accepted.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    batches = [
-        sample_group_pairs(intermediate, target, g, per_group, rng) for g in ALL_GROUPS
-    ]
-    return PairBatch(
-        np.concatenate([b.x1 for b in batches]),
-        np.concatenate([b.x2 for b in batches]),
-        np.concatenate([b.group for b in batches]),
-    )
+    _check(intermediate, target, ALL_GROUPS, per_group)
+    ia, ib = [], []
+    for g in ALL_GROUPS:
+        second = target if g in (2, 4) else intermediate
+        a, b = _rejection_sample(rng, intermediate.labels, second.labels, g in (1, 2), per_group)
+        ia.append(a)
+        ib.append(b + intermediate.size if g in (2, 4) else b)  # rows of pool ++ target
+    rows = np.concatenate([intermediate.features, target.features])
+    return PairBatch(intermediate.features[np.concatenate(ia)], rows[np.concatenate(ib)],
+                     np.repeat(ALL_GROUPS, per_group))
 
 
 def phi(encoder: nn.Net, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:

@@ -275,6 +275,13 @@ class TestRun:
                          "--seeds=-1", "--out", str(tmp_path / "r.jsonl")]) == 2
         assert capsys.readouterr().err == "error: seeds must be non-negative\n"
 
+    def test_duplicate_shots_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        assert cli.main(["run", "--task", "rot40", "--methods", "wa", "--shots", "3,3",
+                         "--seeds", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: shots must be distinct\n"
+        assert not out.exists()
+
     def test_non_integer_shots_flag_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["run", "--task", "rot20", "--shots", "1,a",
                          "--out", str(tmp_path / "r.jsonl")]) == 2

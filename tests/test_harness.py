@@ -231,6 +231,15 @@ class TestRunExperimentValidation:
         with pytest.raises(ConfigError, match="distinct"):
             run_experiment(_tiny_task(), ["wa"], [1], [0, 0], _tiny_cfg())
 
+    def test_rejects_duplicate_methods(self):
+        # one (wa, 1, 0) run written twice would read as two seeds with std 0
+        with pytest.raises(ConfigError, match="^methods must be distinct$"):
+            run_experiment(_tiny_task(), ["wa", "ft", "wa"], [1], [0], _tiny_cfg())
+
+    def test_rejects_duplicate_shots(self):
+        with pytest.raises(ConfigError, match="^shots must be distinct$"):
+            run_experiment(_tiny_task(), ["wa"], [1, 2, np.int64(1)], [0], _tiny_cfg())
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rejects_negative_seeds(self, jobs):
         with pytest.raises(ConfigError, match="non-negative"):
@@ -404,15 +413,15 @@ SHARED_GRID = [(task, n_t, tradeoff) for task in SHARED_TASKS
                for n_t in (1, 3) for tradeoff in (0.2, 0.0)]
 
 
-def _inject(monkeypatch, fails):
-    """Make every generator run whose modes satisfy ``fails`` diverge; returns
-    the modes of every generator run started."""
+def _inject(monkeypatch, fails, error=NumericalError):
+    """Make every generator run whose modes satisfy ``fails`` raise ``error``;
+    returns the modes of every generator run started."""
     run_generators, started = trainers._run_generators, []
 
     def run(hypothesis, fewshot, modes, *args, **kwargs):
         started.append(modes)
         if fails(modes):
-            raise NumericalError(f"injected divergence in {'+'.join(modes)}")
+            raise error(f"injected divergence in {'+'.join(modes)}")
         return run_generators(hypothesis, fewshot, modes, *args, **kwargs)
 
     monkeypatch.setattr(trainers, "_run_generators", run)
@@ -484,22 +493,44 @@ class TestSharedRunFallback:
             m.setattr(harness, "_shared_generators", lambda *args: lambda: None)
             return _grid()
 
-    def test_failed_shared_run_leaves_every_line_unchanged(self, monkeypatch, tiny_results):
-        started = _inject(monkeypatch, lambda modes: len(modes) > 1)
+    @staticmethod
+    def _falls_back(monkeypatch, tiny_results, error):
+        started = _inject(monkeypatch, lambda modes: len(modes) > 1, error)
         assert _grid() == [_line(r) for r in tiny_results]
-        # per (seed, n_t): the shared run, then each method's own run
+        # per (seed, n_t): the shared run once, then each method's own run
         assert started == [("source_only", "target_only", "combined"), ("source_only",),
                            ("target_only",), ("combined",), ("combined",)] * 4
-        assert self._unshared(monkeypatch) == [_line(r) for r in tiny_results]
 
-    def test_failed_shared_run_leaves_every_model_unchanged(self, monkeypatch):
+    @staticmethod
+    def _models_fall_back(monkeypatch, caplog, error):
         hyp, fewshot, cfg, direct = _shared_setup("rot40", 3, 0.2)
-        _inject(monkeypatch, lambda modes: len(modes) > 1)
+        started = _inject(monkeypatch, lambda modes: len(modes) > 1, error)
         shared = harness._shared_generators(
             trainers.METHODS, hyp, fewshot, replace(cfg.tohan, seed=METHOD_SEED))
-        for method in GENERATOR_METHODS:
-            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
-            assert _model_bytes(model) == direct[method], method
+        with caplog.at_level("WARNING", logger=harness.log.name):
+            for method in GENERATOR_METHODS:
+                model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
+                assert _model_bytes(model) == direct[method], method
+        assert [len(modes) > 1 for modes in started] == [True] + [False] * 4
+        warned = [r for r in caplog.records if "shared generator run failed" in r.getMessage()]
+        assert len(warned) == 1
+        # only an exception that is not an FHAError comes with its traceback
+        assert (warned[0].exc_info is not None) == (error is RuntimeError)
+
+    def test_failed_shared_run_leaves_every_line_unchanged(self, monkeypatch, tiny_results):
+        self._falls_back(monkeypatch, tiny_results, NumericalError)
+        assert self._unshared(monkeypatch) == [_line(r) for r in tiny_results]
+
+    def test_failed_shared_run_leaves_every_model_unchanged(self, monkeypatch, caplog):
+        self._models_fall_back(monkeypatch, caplog, NumericalError)
+
+    def test_unexpected_shared_failure_runs_the_shared_run_once(self, monkeypatch,
+                                                                 tiny_results):
+        self._falls_back(monkeypatch, tiny_results, RuntimeError)
+
+    def test_unexpected_shared_failure_leaves_every_model_unchanged(self, monkeypatch,
+                                                                     caplog):
+        self._models_fall_back(monkeypatch, caplog, RuntimeError)
 
     def test_one_diverging_block_costs_only_its_method(self, monkeypatch, tiny_results):
         _inject(monkeypatch, lambda modes: "target_only" in modes)

@@ -215,6 +215,151 @@ class TestBuildGroups:
             assert GROUP_PREDICATES[int(g)](a, b)
 
 
+def reference_sample(intermediate, target, group_id, count, rng):
+    """One group drawn as the per-group sampler always drew it: rejection
+    rounds of max(4 * need, 32) uniform index pairs, hits kept in order."""
+    second = intermediate if group_id in (1, 3) else target
+    la, lb = intermediate.labels, second.labels
+    ia_out, ib_out, need = [], [], count
+    while need > 0:
+        k = max(4 * need, 32)
+        ia = rng.integers(0, la.size, size=k)
+        ib = rng.integers(0, lb.size, size=k)
+        ok = (la[ia] == lb[ib]) if group_id in (1, 2) else (la[ia] != lb[ib])
+        hits = np.flatnonzero(ok)[:need]
+        ia_out.append(ia[hits])
+        ib_out.append(ib[hits])
+        need -= hits.size
+    ia, ib = np.concatenate(ia_out), np.concatenate(ib_out)
+    return PairBatch(intermediate.features[ia], second.features[ib],
+                     np.full(count, group_id))
+
+
+def reference_build_groups(intermediate, target, per_group, rng, sample=sample_group_pairs):
+    """The per-group loop: groups 1..4 on one generator, then concatenated."""
+    batches = [sample(intermediate, target, g, per_group, rng) for g in ALL_GROUPS]
+    return PairBatch(*(np.concatenate([getattr(b, f) for b in batches])
+                       for f in ("x1", "x2", "group")))
+
+
+def assert_same_draws(intermediate, target, per_group, seed):
+    """build_groups, the per-group loop over sample_group_pairs and the
+    reference sampler give the same bytes and leave the generator alike."""
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    got = build_groups(intermediate, target, per_group, rngs[0])
+    for rng, sample in zip(rngs[1:], (sample_group_pairs, reference_sample)):
+        want = reference_build_groups(intermediate, target, per_group, rng, sample)
+        for field in ("x1", "x2", "group"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert rng.bit_generator.state == rngs[0].bit_generator.state
+    return got
+
+
+@st.composite
+def pairing_layouts(draw):
+    """An intermediate pool of 2-6 classes of unequal sizes, and a FewShotSet
+    or LabeledPool target sharing at least one class with it."""
+    num_classes = draw(st.integers(2, 6))
+    dim = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=num_classes, max_size=num_classes))
+    labels = np.repeat(np.arange(num_classes), sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inter = LabeledPool(rng.normal(size=(labels.size, dim)), labels)
+    if draw(st.booleans()):
+        n_t = draw(st.integers(1, 7))
+        tgt_labels = np.repeat(np.arange(num_classes), n_t)
+        target = FewShotSet(rng.normal(size=(tgt_labels.size, dim)).astype(np.float32),
+                            tgt_labels, np.arange(tgt_labels.size), n_t, num_classes)
+    else:
+        tgt_labels = np.array(draw(st.lists(st.integers(0, num_classes + 1),
+                                            min_size=1, max_size=20)) + [0])
+        target = LabeledPool(rng.normal(size=(tgt_labels.size, dim)), tgt_labels)
+    return inter, target
+
+
+class TestDrawSequence:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pairing_layouts(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_build_groups_matches_the_per_group_loop(self, layout, per_group, seed):
+        inter, target = layout
+        batch = assert_same_draws(inter, target, per_group, seed)
+        assert np.array_equal(batch.group, np.repeat(ALL_GROUPS, per_group))
+
+    @pytest.mark.parametrize("per_group", [1, 16, 40])
+    def test_second_rejection_rounds_match(self, per_group):
+        # six equal classes: once need > 8, a round of 4 * need draws yields
+        # about 2/3 * need same-label hits, so groups 1 and 2 take more rounds
+        inter, target = make_pools(num_classes=6, inter_per_class=5, target_per_class=1)
+        assert_same_draws(inter, target, per_group, seed=per_group)
+
+
+def _layout(name):
+    inter, target = make_pools(num_classes=3)
+    empty = LabeledPool(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+    one_class = LabeledPool(np.ones((6, 2)), np.zeros(6, dtype=np.int64))
+    disjoint = LabeledPool(np.full((4, 2), 2000.0), np.full(4, 7, dtype=np.int64))
+    wide = LabeledPool(np.zeros((3, 3)), np.array([0, 1, 2]))
+    return {
+        "empty intermediate": (empty, target),
+        "one intermediate class": (one_class, target),
+        "empty target": (inter, empty),
+        "disjoint target labels": (inter, disjoint),
+        "target of another width": (inter, wide),
+        "empty intermediate and target": (empty, empty),
+    }[name]
+
+
+TWO_CLASSES = "pairing needs at least 2 classes in the intermediate pool"
+# (layout, group id, count, error): sample_group_pairs raises the error for
+# that group, and build_groups, drawing groups 1..4 with that count, too
+UNSATISFIABLE = [
+    ("empty intermediate", 1, 4, ProtocolError, "intermediate pool is empty"),
+    ("empty intermediate", 1, 0, ConfigError, "pair count must be positive"),
+    ("empty intermediate and target", 2, 4, ProtocolError, "intermediate pool is empty"),
+    ("one intermediate class", 3, 4, ProtocolError, TWO_CLASSES),
+    ("one intermediate class", 4, 4, ProtocolError, TWO_CLASSES),
+    ("empty target", 2, 4, ProtocolError, "cross-domain groups need a non-empty target pool"),
+    ("empty target", 4, 4, ProtocolError, "cross-domain groups need a non-empty target pool"),
+    ("disjoint target labels", 2, 4, ProtocolError, "group 2 has no same-label combinations"),
+    ("target of another width", 4, 4, ConfigError, "x1 and x2 must be equal-shape (P, d) arrays"),
+]
+UNSATISFIABLE_IDS = [f"{name.replace(' ', '_')}-group{g}-count{c}"
+                     for name, g, c, *_ in UNSATISFIABLE]
+
+
+class TestUnsatisfiableLayouts:
+    @pytest.mark.parametrize("name,group_id,count,exc,message", UNSATISFIABLE,
+                             ids=UNSATISFIABLE_IDS)
+    def test_sample_group_pairs_raises(self, name, group_id, count, exc, message):
+        inter, target = _layout(name)
+        with pytest.raises(exc) as info:
+            sample_group_pairs(inter, target, group_id, count, np.random.default_rng(0))
+        assert type(info.value) is exc and str(info.value) == message
+
+    @pytest.mark.parametrize("name,group_id,count,exc,message", UNSATISFIABLE,
+                             ids=UNSATISFIABLE_IDS)
+    def test_build_groups_raises(self, name, group_id, count, exc, message):
+        inter, target = _layout(name)
+        with pytest.raises(exc) as info:
+            build_groups(inter, target, count, seed=0)
+        assert type(info.value) is exc and str(info.value) == message
+
+    @pytest.mark.parametrize("group_id", [0, 5, -1])
+    def test_unknown_group_comes_first(self, group_id):
+        empty = LabeledPool(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ConfigError, match=f"^unknown group id {group_id}$"):
+            sample_group_pairs(empty, empty, group_id, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("group_id", [1, 3])
+    def test_intermediate_groups_ignore_the_target(self, group_id):
+        inter, _ = make_pools()
+        for name in ("empty target", "disjoint target labels", "target of another width"):
+            batch = sample_group_pairs(inter, _layout(name)[1], group_id, 5,
+                                       np.random.default_rng(0))
+            assert batch.size == 5
+
+
 class TestPhi:
     def test_concatenates_in_order(self):
         arch = nn.ArchSpec((2, 3), head="linear")
