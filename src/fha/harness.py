@@ -8,6 +8,11 @@ back the exact 64-bit value. Failed runs keep their identifying fields and
 carry an ``error`` message instead of accuracies. A run keeps only its
 accuracy, so the grid builds no phase traces; a trace comes from the
 trainers' ``trace=`` argument.
+
+Per (seed, n_t), sfada, tfada, stfada and tohan share one generator run and
+one stacked adaptation (``_shared_run``), made by the first of them in
+``methods`` order, whose ``wall_ms`` includes both. A diverging block costs
+only its own method's line.
 """
 
 from __future__ import annotations
@@ -138,32 +143,49 @@ def read_results(path):
 
 def _method_model(method: str, hypothesis, fewshot, cfg: ExperimentConfig,
                   method_seed: int, shared=lambda: None):
-    """Train one method. ``shared()`` returns the (seed, n_t)'s shared
-    generator run, or None when it failed: the method then runs its own."""
+    """Train one method. ``shared()`` returns the (seed, n_t)'s shared run
+    as (generator run, models), or None: a method takes its model from the
+    shared models, adapts alone from the shared generator run when there
+    are no models, and runs its own generators when there is no shared run."""
     if method == "wa":
         return hypothesis
     if method == "ft":
         return trainers.train_ft(hypothesis, fewshot, cfg.baseline)
     if method == "shot":
         return trainers.train_shot(hypothesis, fewshot, cfg.baseline)
+    run, models = shared() or (None, None)
+    if models is not None:
+        return models[method]
     tohan_cfg = replace(cfg.tohan, seed=method_seed)
-    run = shared() or trainers.generate(hypothesis, fewshot, [method], tohan_cfg)
-    return trainers.adapt_generated(method, run, hypothesis, fewshot, tohan_cfg)
+    run = run or trainers.generate(hypothesis, fewshot, [method], tohan_cfg)
+    return trainers.adapt_generated([method], run, hypothesis, fewshot, tohan_cfg)[method]
 
 
-def _shared_generators(methods, hypothesis, fewshot, tohan_cfg: TohanConfig):
-    """A lazy, memoized generator run for all the methods. A run that raises
-    memoizes None, so each method runs its own; an exception that is not an
-    FHAError is logged with its traceback."""
+def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig):
+    """A lazy, memoized run of the generator methods among ``methods``: one
+    generator run, then one stacked adaptation of them all. Returns
+    (generator run, models). If the adaptation raises, models is None and
+    each method adapts alone from the generator run; if the generator run
+    raises, the result is None and each method runs its own. Each failure
+    is logged once, an exception that is not an FHAError with its traceback."""
+
+    def warn(what, exc):
+        log.warning("%s: %s", what, exc, exc_info=None if isinstance(exc, FHAError) else exc)
 
     @functools.cache
     def shared():
         try:
-            return trainers.generate(hypothesis, fewshot, methods, tohan_cfg)
+            run = trainers.generate(hypothesis, fewshot, methods, tohan_cfg)
         except Exception as exc:
-            log.warning("shared generator run failed, methods run their own: %s", exc,
-                        exc_info=None if isinstance(exc, FHAError) else exc)
+            warn("shared generator run failed, methods run their own", exc)
             return None
+        try:
+            return run, trainers.adapt_generated(
+                [m for m in methods if m in trainers.GENERATOR_METHODS], run,
+                hypothesis, fewshot, tohan_cfg)
+        except Exception as exc:
+            warn("shared adaptation failed, methods adapt alone", exc)
+            return run, None
 
     return shared
 
@@ -189,7 +211,8 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
               cfg: ExperimentConfig) -> list[RunResult]:
     """All (method, n_t) runs of one experiment seed, sharing one source
     hypothesis and one few-shot draw per n_t (the paired design), and one
-    generator run per n_t. An exception in one run becomes its error record."""
+    generator run and one stacked adaptation per n_t for the generator
+    methods. An exception in one run becomes its error record."""
     data_seed, source_seed, fewshot_seed, method_seed = nn.derive_seeds(seed, 4)
     try:
         source, target, target_test = make_synthetic_task(replace(task, seed=data_seed))
@@ -207,7 +230,7 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
             message = _failure(exc, f"n_t={n_t}/seed={seed} few-shot draw")
             results.extend(_error_results(task.name, methods, [n_t], seed, message))
             continue
-        shared = _shared_generators(methods, hypothesis, fewshot, tohan_cfg)
+        shared = _shared_run(methods, hypothesis, fewshot, tohan_cfg)
         for method in methods:
             start = time.perf_counter()
             acc, error = None, None

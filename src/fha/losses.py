@@ -19,7 +19,9 @@ Adaptation side: a 4-way group discriminator is trained with categorical
 cross-entropy over pair groups; the encoder/classifier update flips the
 group-2 and group-4 pair labels toward their same-domain twins (confusion
 terms, weighted by a warm-up factor beta) and adds plain cross-entropy on
-the labeled target samples. Probabilities are clamped at 1e-12 before logs.
+the labeled target samples. Both adaptation objectives also take (M, P)
+stacks of nets and reduce per block, so M adaptations step as one.
+Probabilities are clamped at 1e-12 before logs.
 """
 
 from __future__ import annotations
@@ -130,18 +132,26 @@ def gen_target_loss(generated: np.ndarray, targets_n: np.ndarray,
     return float(gen_target_loss_and_grad(generated, targets_n, diameter)[0])
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the true class, clamped at 1e-12."""
+def cross_entropy(probs: np.ndarray, labels: np.ndarray):
+    """Mean negative log-probability of the true class, clamped at 1e-12.
+
+    (B, C) probabilities give one value; an (M, B, C) stack gives one per
+    block, every block scored against the same (B,) labels.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if probs.ndim != 2 or labels.ndim != 1 or probs.shape[0] != labels.shape[0]:
-        raise ConfigError("probs must be (B, C) aligned with (B,) labels")
-    if probs.shape[0] == 0:
+    if probs.ndim not in (2, 3) or labels.ndim != 1 or probs.shape[-2] != labels.shape[0]:
+        raise ConfigError("probs must be (B, C) or (M, B, C) aligned with (B,) labels")
+    if labels.size == 0:
         raise ConfigError("cross_entropy on an empty batch")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
+    if labels.min() < 0 or labels.max() >= probs.shape[-1]:
         raise ConfigError("labels outside the class range")
-    picked = probs[np.arange(labels.size), labels]
-    return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
+    rows = np.arange(labels.size)
+    if probs.ndim == 2:
+        return float(-np.mean(np.log(np.maximum(probs[rows, labels], PROB_FLOOR))))
+    # C order, so each block's row is summed as a (B,) vector is
+    picked = np.ascontiguousarray(probs[:, rows, labels])
+    return -np.mean(np.log(np.maximum(picked, PROB_FLOOR)), axis=-1)
 
 
 def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -150,20 +160,23 @@ def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     grad = np.zeros_like(probs)
     rows = np.arange(labels.size)
-    picked = probs[rows, labels]
-    grad[rows, labels] = np.where(
+    picked = probs[..., rows, labels]
+    grad[..., rows, labels] = np.where(
         picked >= PROB_FLOOR, -1.0 / (labels.size * np.maximum(picked, PROB_FLOOR)), 0.0
     )
     return grad
 
 
-def group_ce_loss(pair_probs: np.ndarray, group_labels: np.ndarray) -> float:
-    """4-way cross-entropy over pair groups; labels are 1-based (1..4)."""
+def group_ce_loss(pair_probs: np.ndarray, group_labels: np.ndarray):
+    """4-way cross-entropy over pair groups; labels are 1-based (1..4).
+
+    (P, 4) probabilities give one value, an (M, P, 4) stack one per block.
+    """
     pair_probs = _check_probs(pair_probs, "pair probabilities")
     group_labels = np.asarray(group_labels, dtype=np.int64)
-    if pair_probs.ndim != 2 or pair_probs.shape[1] != 4:
-        raise ConfigError("pair_probs must be (P, 4)")
-    if pair_probs.size and np.max(np.abs(pair_probs.sum(axis=1) - 1.0)) > 1e-6:
+    if pair_probs.ndim not in (2, 3) or pair_probs.shape[-1] != 4:
+        raise ConfigError("pair_probs must be (P, 4) or (M, P, 4)")
+    if pair_probs.size and np.max(np.abs(pair_probs.sum(axis=-1) - 1.0)) > 1e-6:
         raise ConfigError("pair probability rows must sum to 1")
     if group_labels.size == 0:
         raise ConfigError("group_ce_loss on an empty batch")
@@ -206,10 +219,15 @@ def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
     The discriminator is a frozen scorer here: no gradient is produced for
     it, by construction. Empty pair sets contribute zero with a warning.
     Returns (loss, encoder gradient, classifier gradient).
+
+    The nets may be stacks of M nets (anything with an ``arch`` and an
+    (M, P) ``params``) with (M, P, d) pair blocks: block m runs on row m of
+    every stack and the few-shots, and the loss is one value per block.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError("beta must lie in [0, 1]")
     x_t = np.asarray(fewshot.features, dtype=np.float64)
+    x_t = np.broadcast_to(x_t, np.shape(enc.params)[:-1] + x_t.shape)  # one view per net
     y_t = np.asarray(fewshot.labels, dtype=np.int64)
     emb_t, emb_cache = nn.forward_and_cache(enc.arch, enc.params, x_t)
     probs_t, cls_cache = nn.forward_and_cache(cls.arch, cls.params, emb_t)
@@ -232,35 +250,37 @@ def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
         col = _confusion_target(expected_group)
         e1, c1 = nn.forward_and_cache(enc.arch, enc.params, pairs.x1)
         e2, c2 = nn.forward_and_cache(enc.arch, enc.params, pairs.x2)
-        joint = np.hstack([e1, e2])
+        joint = np.concatenate([e1, e2], axis=-1)
         d_probs, d_cache = nn.forward_and_cache(disc.arch, disc.params, joint)
-        picked = np.maximum(d_probs[:, col], PROB_FLOOR)
-        confusion += float(-np.mean(np.log(picked)))
+        picked = np.maximum(d_probs[..., col], PROB_FLOOR)
+        confusion = confusion - np.mean(np.log(picked), axis=-1)
         if beta != 0.0:
             up_d = np.zeros_like(d_probs)
-            up_d[:, col] = np.where(
-                d_probs[:, col] >= PROB_FLOOR, -beta / (pairs.size * picked), 0.0
+            up_d[..., col] = np.where(
+                d_probs[..., col] >= PROB_FLOOR, -beta / (pairs.size * picked), 0.0
             )
             _, joint_up = nn.backward_from_cache(disc.arch, disc.params, d_cache, up_d,
                                                  input_only=True)
-            g1, _ = nn.backward_from_cache(enc.arch, enc.params, c1, joint_up[:, :width])
-            g2, _ = nn.backward_from_cache(enc.arch, enc.params, c2, joint_up[:, width:])
+            g1, _ = nn.backward_from_cache(enc.arch, enc.params, c1, joint_up[..., :width])
+            g2, _ = nn.backward_from_cache(enc.arch, enc.params, c2, joint_up[..., width:])
             enc_grad = enc_grad + g1 + g2
     loss = float(beta) * confusion + target_ce
-    return loss, enc_grad, cls_grad
+    return (float(loss) if np.ndim(loss) == 0 else loss), enc_grad, cls_grad
 
 
 def group_ce_and_disc_grad(disc: nn.Net, enc: nn.Net, pairs: PairBatch):
     """Group cross-entropy of a pair batch and its discriminator gradient.
 
     The encoder only embeds the pairs (frozen): the gradient is taken with
-    respect to the discriminator parameters alone.
+    respect to the discriminator parameters alone. As in
+    adaptation_loss_and_grads, the nets may be (M, P) stacks scoring
+    (M, P, d) pair blocks, one loss per block.
     """
     if pairs.size == 0:
         raise ConfigError("cannot score an empty pair batch")
     e1 = nn.forward(enc.arch, enc.params, pairs.x1)
     e2 = nn.forward(enc.arch, enc.params, pairs.x2)
-    joint = np.hstack([e1, e2])
+    joint = np.concatenate([e1, e2], axis=-1)
     d_probs, cache = nn.forward_and_cache(disc.arch, disc.params, joint)
     loss = group_ce_loss(d_probs, pairs.group)
     up = group_ce_loss_grad(d_probs, pairs.group)

@@ -68,22 +68,15 @@ def num_params(arch: ArchSpec) -> int:
 
 
 def _layers(arch: ArchSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views per layer: (fan_in, fan_out) and (fan_out,) for a
+    (P,) vector, with a leading N for an (N, P) stack."""
     lead = params.shape[:-1]
     return [(params[..., w_sl].reshape(lead + shape), params[..., b_sl])
             for w_sl, b_sl, shape in arch.layout]
 
 
-def unflatten(arch: ArchSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split parameters into (weight, bias) views per layer.
-
-    A (P,) vector gives (fan_in, fan_out) weights and (fan_out,) biases; an
-    (N, P) stack gives (N, fan_in, fan_out) and (N, fan_out).
-    """
-    return _layers(arch, _check_params(arch, params))
-
-
 def flatten_layers(arch: ArchSpec, layers) -> np.ndarray:
-    """Inverse of unflatten: pack (weight, bias) pairs into a flat vector."""
+    """Inverse of _layers: pack (weight, bias) pairs into a flat vector."""
     parts = []
     for (w, b), (_, _, shape) in zip(layers, arch.layout):
         w = np.asarray(w, dtype=np.float64)

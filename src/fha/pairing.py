@@ -11,9 +11,12 @@ pool and the labeled target few-shots:
 Cross-domain pairs always put the intermediate sample first. Pairs are
 drawn with replacement, uniformly over the valid combinations of each
 group, via rejection from the uniform index product (exact and
-deterministic under the seeded generator). A call checks its label facts
-once and gathers each side's rows once; the target, a FewShotSet or a
-LabeledPool, is read through its ``features`` and ``labels``.
+deterministic under the seeded generator). ``draw_pairs`` is the one draw
+routine: it checks the label facts once and draws the index pairs of one or
+more groups from the labels alone, so pools of one label layout can share a
+draw. ``build_groups`` and ``sample_group_pairs`` gather the rows of one
+pool; the target, a FewShotSet or a LabeledPool, is read through its
+``features`` and ``labels``.
 """
 
 from __future__ import annotations
@@ -56,7 +59,11 @@ class LabeledPool:
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Ordered sample pairs with 1-based group labels."""
+    """Ordered sample pairs with 1-based group labels.
+
+    x1 and x2 are (P, d), or (M, P, d) for M blocks of pairs that share the
+    P group labels, one block per net of a stack.
+    """
 
     x1: np.ndarray
     x2: np.ndarray
@@ -66,9 +73,9 @@ class PairBatch:
         x1 = np.ascontiguousarray(self.x1, dtype=np.float64)
         x2 = np.ascontiguousarray(self.x2, dtype=np.float64)
         group = np.ascontiguousarray(self.group, dtype=np.int64)
-        if x1.shape != x2.shape or x1.ndim != 2:
-            raise ConfigError("x1 and x2 must be equal-shape (P, d) arrays")
-        if group.ndim != 1 or group.shape[0] != x1.shape[0]:
+        if x1.shape != x2.shape or x1.ndim not in (2, 3):
+            raise ConfigError("x1 and x2 must be equal-shape (P, d) or (M, P, d) arrays")
+        if group.ndim != 1 or group.shape[0] != x1.shape[-2]:
             raise ConfigError("group labels must align with the pairs")
         if group.size and (group.min() < 1 or group.max() > 4):
             raise ConfigError("group labels must lie in {1, 2, 3, 4}")
@@ -125,14 +132,38 @@ def _check(intermediate: LabeledPool, target, group_ids, count: int) -> None:
         raise ConfigError("x1 and x2 must be equal-shape (P, d) arrays")
 
 
+def draw_pairs(intermediate: LabeledPool, target, group_ids, count: int,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs of ``count`` pairs of each group in ``group_ids``, in order.
+
+    Returns (ia, ib): ia indexes the intermediate rows, ib the intermediate
+    rows followed by the target rows. The draws read only the labels, so
+    every pool with the intermediate pool's labels can gather its own rows
+    from them.
+    """
+    _check(intermediate, target, group_ids, count)
+    ia, ib = [], []
+    for g in group_ids:
+        cross = g in (GROUP_CROSS_DOMAIN_SAME, GROUP_CROSS_DOMAIN_DIFF)
+        second = target if cross else intermediate
+        a, b = _rejection_sample(rng, intermediate.labels, second.labels, g in (1, 2), count)
+        ia.append(a)
+        ib.append(b + intermediate.size if cross else b)
+    return np.concatenate(ia), np.concatenate(ib)
+
+
+def _draw_batch(intermediate: LabeledPool, target, group_ids, count: int, rng) -> PairBatch:
+    ia, ib = draw_pairs(intermediate, target, group_ids, count, rng)
+    rows = intermediate.features
+    if GROUP_CROSS_DOMAIN_SAME in group_ids or GROUP_CROSS_DOMAIN_DIFF in group_ids:
+        rows = np.concatenate([rows, target.features])
+    return PairBatch(intermediate.features[ia], rows[ib], np.repeat(group_ids, count))
+
+
 def sample_group_pairs(intermediate: LabeledPool, target, group_id: int,
                        count: int, rng: np.random.Generator) -> PairBatch:
     """Draw ``count`` pairs of one group, uniform over valid combinations."""
-    _check(intermediate, target, (group_id,), count)
-    second = target if group_id in (2, 4) else intermediate
-    ia, ib = _rejection_sample(rng, intermediate.labels, second.labels, group_id in (1, 2), count)
-    return PairBatch(intermediate.features[ia], second.features[ib],
-                     np.full(count, group_id, dtype=np.int64))
+    return _draw_batch(intermediate, target, (group_id,), count, rng)
 
 
 def build_groups(intermediate: LabeledPool, target, per_group: int,
@@ -143,16 +174,7 @@ def build_groups(intermediate: LabeledPool, target, per_group: int,
     seed; an integer seed or a numpy Generator is accepted.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    _check(intermediate, target, ALL_GROUPS, per_group)
-    ia, ib = [], []
-    for g in ALL_GROUPS:
-        second = target if g in (2, 4) else intermediate
-        a, b = _rejection_sample(rng, intermediate.labels, second.labels, g in (1, 2), per_group)
-        ia.append(a)
-        ib.append(b + intermediate.size if g in (2, 4) else b)  # rows of pool ++ target
-    rows = np.concatenate([intermediate.features, target.features])
-    return PairBatch(intermediate.features[np.concatenate(ia)], rows[np.concatenate(ib)],
-                     np.repeat(ALL_GROUPS, per_group))
+    return _draw_batch(intermediate, target, ALL_GROUPS, per_group, rng)
 
 
 def phi(encoder: nn.Net, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:

@@ -23,10 +23,14 @@ class generators are one (N, P) parameter stack throughout (row n for class
 n): trained, kept in a GeneratorBank and sampled as one. A generator run
 can train several objectives at once, one row block of N per mode from the
 same init and noise, so each block's bank and batches equal its one-mode
+run. In the same way _adapt runs M adaptations as one (M, P) stack of
+encoders, classifiers and discriminators, each row equal to its one-block
 run. generate(methods) trains the blocks the listed methods read, and
-adapt_generated(method, run) adapts one method from that run: run_two_step
-and train_tohan are these two calls for a single method, and the harness
-makes one generate call per (seed, n_t) for sfada, tfada, stfada and tohan.
+adapt_generated(methods, run) adapts the listed methods from that run in
+one stack: run_two_step and train_tohan are these two calls for a single
+method, adapt_pairwise is the one-block stack against a fixed pool, and
+the harness makes one call of each per (seed, n_t) for sfada, tfada,
+stfada and tohan.
 
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and every update builds new parameter
@@ -39,6 +43,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,10 +57,11 @@ from .errors import (
     NumericalError,
     QualityGateError,
 )
-from .pairing import LabeledPool, build_groups, phi, sample_group_pairs
+from .pairing import ALL_GROUPS, LabeledPool, PairBatch, build_groups, draw_pairs, phi
 
 TWO_STEP_MODES = {"sfada": "source_only", "tfada": "target_only", "stfada": "combined"}
-METHODS = ("wa", "ft", "shot", "sfada", "tfada", "stfada", "tohan")
+GENERATOR_METHODS = (*TWO_STEP_MODES, "tohan")
+METHODS = ("wa", "ft", "shot", *GENERATOR_METHODS)
 
 
 # ---------------------------------------------------------------------------
@@ -476,72 +482,135 @@ def sample_pool(bank: GeneratorBank, per_class: int, seed: int) -> LabeledPool:
 # pairwise adaptation
 
 
-def _disc_update(disc, disc_state, enc, pool, fewshot, cfg, rng):
-    pairs = build_groups(pool, fewshot, cfg.per_group, rng)
-    loss, grad = losses.group_ce_and_disc_grad(disc, enc, pairs)
-    params, disc_state = nn.adam_step(disc_state, disc.params, grad)
-    return disc.with_params(params), disc_state, loss
+class _Block(NamedTuple):
+    """One adaptation of a stacked _adapt run."""
+
+    pools: list
+    disc_seed: int
+    pair_seed: int
+    trace: list | None = None
+    gen_log: list | None = None
 
 
-def _adapt(pools: list[LabeledPool], fewshot: FewShotSet, hypothesis: SourceHypothesis,
-           cfg: TohanConfig, disc_seed: int, pair_seed: int, trace: list | None,
-           gen_log: list | None = None) -> TargetModel:
-    """The adaptation schedule shared by the two-step and one-step methods.
+class _Stack(NamedTuple):
+    """An (M, P) parameter stack, read by the losses as M nets of ``arch``."""
 
-    ``pools`` holds one intermediate pool per epoch. The group discriminator
+    arch: nn.ArchSpec
+    params: np.ndarray
+
+
+def _finite(stack: _Stack, params: np.ndarray) -> _Stack:
+    if not np.all(np.isfinite(params)):
+        raise NumericalError("network parameters must be finite")
+    return stack._replace(params=params)
+
+
+def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothesis,
+           cfg: TohanConfig) -> list[TargetModel]:
+    """The adaptation schedule of the two-step and one-step methods, for M
+    blocks at once: row m of an (M, P) stack each of encoders, classifiers
+    and discriminators is block m's, with one Adam state per net kind.
+
+    Each block starts from the source nets and a discriminator seeded by its
+    disc_seed, and holds one intermediate pool per epoch. The discriminator
     is pretrained for cfg.disc_pretrain_epochs against the first; then each
     epoch runs one model update (discriminator frozen) and one discriminator
-    update (encoder frozen) against its own pool. With ``gen_log``, the log
-    of the generator run that drew the pools, the trace keeps the interleaved
-    order: one generate event per step, the last len(pools) opening the epochs.
+    update (encoder frozen) against its own pool. The pair draws read only
+    labels, which all pools share, so each pair_seed's stream draws once and
+    its blocks gather the rows from their own pools. A stacked row gets the
+    bits it gets alone, so block m ends, and traces, as its one-block run.
+    A trace gets its row's digests; with ``gen_log``, the log of the
+    generator run that drew the pools, it keeps the interleaved order: one
+    generate event per generator step, the last len(pools) opening the epochs.
     """
-    enc, cls = hypothesis.enc, hypothesis.cls
+    steps, count = len(blocks[0].pools), len(blocks)
+    pools = {id(p): p for b in blocks for p in b.pools}.values()
+    if any(len(b.pools) != steps for b in blocks) or any(
+            not np.array_equal(p.labels, blocks[0].pools[0].labels) for p in pools):
+        raise ConfigError("stacked blocks need as many pools, all of one label layout")
+    enc = _Stack(hypothesis.enc.arch, np.tile(hypothesis.enc.params, (count, 1)))
+    cls = _Stack(hypothesis.cls.arch, np.tile(hypothesis.cls.params, (count, 1)))
     disc_arch = default_discriminator_arch(enc.arch.out_width, cfg.disc_hidden)
-    disc = nn.Net(disc_arch, nn.init_params(disc_arch, disc_seed))
-    pair_rng = np.random.default_rng(pair_seed)
-    enc_state = nn.AdamState.init(enc.params.size, cfg.lr_model)
-    cls_state = nn.AdamState.init(cls.params.size, cfg.lr_model)
-    gens = None if gen_log is None else gen_log[0]
+    disc = _Stack(disc_arch, np.stack([nn.init_params(disc_arch, b.disc_seed) for b in blocks]))
+    seeds = list(dict.fromkeys(b.pair_seed for b in blocks))  # one pair stream per seed
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    stream_of = [seeds.index(b.pair_seed) for b in blocks]
+    block_rows = np.arange(count)[:, None]
+    x_t = np.asarray(fewshot.features, dtype=np.float64)
+
+    def draw(k, rows, group_ids, per_group):
+        """Each block's pairs of epoch k: its stream's index pairs, gathered from
+        its own pool (ia) and from ``rows``, its pool followed by the few-shots (ib)."""
+        drawn = [draw_pairs(blocks[0].pools[k], fewshot, group_ids, per_group, rng)
+                 for rng in rngs]
+        ia, ib = (np.stack([drawn[s][side] for s in stream_of]) for side in (0, 1))
+        return rows[block_rows, ia], rows[block_rows, ib]
+
+    def disc_update(k, rows, state):
+        x1, x2 = draw(k, rows, ALL_GROUPS, cfg.per_group)
+        pairs = PairBatch(x1, x2, np.repeat(ALL_GROUPS, cfg.per_group))
+        loss, grad = losses.group_ce_and_disc_grad(disc, enc, pairs)
+        params, state = nn.adam_step(state, disc.params, grad)
+        return _finite(disc, params), state, loss
+
+    traced = [m for m, b in enumerate(blocks) if b.trace is not None]
+    gens = [None if b.gen_log is None else b.gen_log[0] for b in blocks]
+    leads = [0 if b.gen_log is None else len(b.gen_log) - 1 - steps for b in blocks]
     dm_size = float(cfg.gen_batch * cls.arch.out_width)
 
-    def record(epoch, phase, values):
-        if trace is not None:
-            digests = {"enc": _digest(enc.params), "cls": _digest(cls.params),
-                       "disc": _digest(disc.params)}
-            if gens is not None:
-                digests["gens"] = gens
-            trace.append(PhaseEvent(epoch, phase, values, digests))
+    def event(m, epoch, phase, values):
+        digests = {"enc": _digest(enc.params[m]), "cls": _digest(cls.params[m]),
+                   "disc": _digest(disc.params[m])}
+        if gens[m] is not None:
+            digests["gens"] = gens[m]
+        blocks[m].trace.append(PhaseEvent(epoch, phase, values, digests))
 
-    record(-1, "init", {})
-    lead = 0 if gen_log is None else len(gen_log) - 1 - len(pools)
-    for epoch in range(lead + len(pools)):
-        if gen_log is not None:
-            gen_loss_mean, gens = gen_log[epoch + 1]
-            record(epoch, "generate", {"gen_loss_mean": gen_loss_mean, "dm_size": dm_size})
-        if epoch < lead:
-            continue
-        pool = pools[epoch - lead]
-        if epoch == lead:
-            disc_state = nn.AdamState.init(disc.params.size, cfg.lr_disc_pretrain)
+    def generate(m, epochs):
+        """Block m's generate events of ``epochs``, read from its generator log."""
+        gen_log = blocks[m].gen_log
+        for epoch in () if gen_log is None else epochs:
+            gen_loss_mean, gens[m] = gen_log[epoch + 1]
+            event(m, epoch, "generate", {"gen_loss_mean": gen_loss_mean, "dm_size": dm_size})
+
+    def record(k, phase, **values):  # a per-block value is an (M,) array
+        for m in traced:
+            event(m, leads[m] + k, phase,
+                  {key: float(v[m]) if np.ndim(v) else v for key, v in values.items()})
+
+    for m in traced:
+        event(m, -1, "init", {})
+        generate(m, range(leads[m]))
+    enc_state = nn.AdamState.init(enc.params.shape, cfg.lr_model)
+    cls_state = nn.AdamState.init(cls.params.shape, cfg.lr_model)
+    half = 2 * cfg.per_group  # model-update pairs per cross-domain group
+    for k in range(steps):
+        for m in traced:
+            generate(m, [leads[m] + k])
+        # each block's pool rows, then the few-shots: the order draw_pairs indexes
+        feats = np.stack([b.pools[k].features for b in blocks])
+        rows = np.concatenate([feats, np.broadcast_to(x_t, (count,) + x_t.shape)], axis=1)
+        if k == 0:
+            disc_state = nn.AdamState.init(disc.params.shape, cfg.lr_disc_pretrain)
             for _ in range(cfg.disc_pretrain_epochs):
-                disc, disc_state, loss = _disc_update(disc, disc_state, enc, pool,
-                                                      fewshot, cfg, pair_rng)
-                record(epoch, "pretrain_disc", {"group_ce": loss})
-            disc_state = nn.AdamState.init(disc.params.size, cfg.lr_disc_adapt)
-        beta = losses.beta_schedule((epoch - lead) / len(pools))
-        g2 = sample_group_pairs(pool, fewshot, 2, 2 * cfg.per_group, pair_rng)
-        g4 = sample_group_pairs(pool, fewshot, 4, 2 * cfg.per_group, pair_rng)
+                disc, disc_state, loss = disc_update(k, rows, disc_state)
+                record(k, "pretrain_disc", group_ce=loss)
+            disc_state = nn.AdamState.init(disc.params.shape, cfg.lr_disc_adapt)
+        beta = losses.beta_schedule(k / steps)
+        x1, x2 = draw(k, rows, (2, 4), half)
+        g2 = PairBatch(x1[:, :half], x2[:, :half], np.full(half, 2))
+        g4 = PairBatch(x1[:, half:], x2[:, half:], np.full(half, 4))
         loss, enc_grad, cls_grad = losses.adaptation_loss_and_grads(
-            g2, g4, disc, enc, cls, fewshot, beta
-        )
+            g2, g4, disc, enc, cls, fewshot, beta)
         enc_params, enc_state = nn.adam_step(enc_state, enc.params, enc_grad)
         cls_params, cls_state = nn.adam_step(cls_state, cls.params, cls_grad)
-        enc, cls = enc.with_params(enc_params), cls.with_params(cls_params)
-        record(epoch, "model_update", {"adaptation": loss, "beta": beta})
-        disc, disc_state, loss = _disc_update(disc, disc_state, enc, pool,
-                                              fewshot, cfg, pair_rng)
-        record(epoch, "disc_update", {"group_ce": loss})
-    return TargetModel(enc=enc, cls=cls)
+        enc, cls = _finite(enc, enc_params), _finite(cls, cls_params)
+        record(k, "model_update", adaptation=loss, beta=beta)
+        disc, disc_state, loss = disc_update(k, rows, disc_state)
+        record(k, "disc_update", group_ce=loss)
+    if steps == 0:
+        return [TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)] * count
+    return [TargetModel(enc=nn.Net(enc.arch, e), cls=nn.Net(cls.arch, c))
+            for e, c in zip(enc.params, cls.params)]
 
 
 def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
@@ -558,8 +627,8 @@ def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
         return TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)
     root = cfg.seed if seed is None else seed
     disc_seed, pair_seed = nn.derive_seeds(root, 2)
-    return _adapt([intermediate] * cfg.adapt_epochs, fewshot, hypothesis, cfg,
-                  disc_seed, pair_seed, trace)
+    block = _Block([intermediate] * cfg.adapt_epochs, disc_seed, pair_seed, trace)
+    return _adapt([block], fewshot, hypothesis, cfg)[0]
 
 
 def generate(hypothesis: SourceHypothesis, fewshot: FewShotSet, methods,
@@ -582,24 +651,41 @@ def generate(hypothesis: SourceHypothesis, fewshot: FewShotSet, methods,
     return banks, kept.get("combined", [])
 
 
-def adapt_generated(method: str, run: tuple[dict, list], hypothesis: SourceHypothesis,
-                    fewshot: FewShotSet, cfg: TohanConfig, *, trace: list | None = None,
-                    gen_log: list | None = None) -> TargetModel:
-    """Adapt one generator method from ``run``, a generate() result that
-    covers it: tohan over the kept batches, one pool per epoch (``gen_log``,
-    the run's log, adds its generate events to the trace); a two-step method
-    against one pool frozen from its objective's bank."""
-    if method != "tohan" and method not in TWO_STEP_MODES:
-        raise ConfigError(f"method must be tohan or one of {sorted(TWO_STEP_MODES)}")
+def adapt_generated(methods, run: tuple[dict, list], hypothesis: SourceHypothesis,
+                    fewshot: FewShotSet, cfg: TohanConfig, *, traces: dict | None = None,
+                    gen_log: list | None = None) -> dict[str, TargetModel]:
+    """Adapt the listed generator methods from ``run``, a generate() result
+    that covers them, as one stacked _adapt run; returns each method's model.
+
+    tohan adapts over the kept batches, one pool per epoch, with its
+    discriminator seeded by child 1 of derive_seeds(cfg.seed, 3) and its
+    pairs by child 2. A two-step method adapts against one pool sampled from
+    its objective's bank with child 1, seeded as adapt_pairwise with child
+    2, so the two-step methods share one pair stream; at adapt_epochs 0 it
+    keeps the source nets. ``traces`` maps a method to the list that
+    receives its phase events; ``gen_log``, the run's log, adds tohan's
+    generate events.
+    """
+    methods = list(methods)
+    unknown = [m for m in methods if m not in GENERATOR_METHODS]
+    if unknown or not methods:
+        raise ConfigError(f"methods must be among {list(GENERATOR_METHODS)}, got {methods}")
     banks, kept = run
+    traces = traces or {}
     _, first, second = nn.derive_seeds(cfg.seed, 3)
-    if method == "tohan":  # first seeds the discriminator, second the pairing
-        return _adapt([_labeled_pool(b) for b in kept], fewshot, hypothesis, cfg,
-                      first, second, trace, gen_log)
-    if cfg.adapt_epochs == 0:
-        return TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)
-    pool = sample_pool(banks[TWO_STEP_MODES[method]], cfg.gen_batch, first)
-    return adapt_pairwise(pool, fewshot, hypothesis, cfg, seed=second, trace=trace)
+    models = dict.fromkeys(methods, TargetModel(enc=hypothesis.enc, cls=hypothesis.cls))
+    blocks = {}
+    for method in methods:
+        if method == "tohan":
+            blocks[method] = _Block([_labeled_pool(b) for b in kept], first, second,
+                                    traces.get(method), gen_log)
+        elif cfg.adapt_epochs > 0:
+            pool = sample_pool(banks[TWO_STEP_MODES[method]], cfg.gen_batch, first)
+            blocks[method] = _Block([pool] * cfg.adapt_epochs, *nn.derive_seeds(second, 2),
+                                    traces.get(method))
+    if blocks:
+        models.update(zip(blocks, _adapt(list(blocks.values()), fewshot, hypothesis, cfg)))
+    return models
 
 
 def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
@@ -611,8 +697,8 @@ def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
     """
     if method not in TWO_STEP_MODES:
         raise ConfigError(f"method must be one of {sorted(TWO_STEP_MODES)}")
-    return adapt_generated(method, generate(hypothesis, fewshot, [method], cfg),
-                           hypothesis, fewshot, cfg, trace=trace)
+    return adapt_generated([method], generate(hypothesis, fewshot, [method], cfg),
+                           hypothesis, fewshot, cfg, traces={method: trace})[method]
 
 
 def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanConfig,
@@ -626,8 +712,9 @@ def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanCon
     two loops, and the trace keeps the interleaved order.
     """
     gen_log = None if trace is None else []
-    return adapt_generated("tohan", generate(hypothesis, fewshot, ["tohan"], cfg, gen_log),
-                           hypothesis, fewshot, cfg, trace=trace, gen_log=gen_log)
+    run = generate(hypothesis, fewshot, ["tohan"], cfg, gen_log)
+    return adapt_generated(["tohan"], run, hypothesis, fewshot, cfg,
+                           traces={"tohan": trace}, gen_log=gen_log)["tohan"]
 
 
 def group_discriminator_accuracy(disc: nn.Net, enc: nn.Net, intermediate: LabeledPool,

@@ -39,6 +39,7 @@ from fha.harness import (
     summarize,
     write_results,
 )
+from fha.pairing import LabeledPool
 from fha.trainers import BaselineConfig, SourceTrainConfig, TohanConfig
 
 
@@ -386,7 +387,7 @@ METHOD_SEED = 13
 
 
 @functools.lru_cache(maxsize=None)
-def _shared_setup(task_name, n_t, tradeoff):
+def _shared_setup(task_name, n_t, tradeoff, adapt_epochs=4, disc_pretrain_epochs=2):
     """A source hypothesis, a few-shot draw, an experiment config, and the
     final parameters of every generator method from a direct trainer call."""
     source, target, _ = make_synthetic_task(SHARED_TASKS[task_name]())
@@ -396,7 +397,8 @@ def _shared_setup(task_name, n_t, tradeoff):
         baseline=BaselineConfig(epochs=5),
         tohan=TohanConfig(tradeoff=tradeoff, gen_batch=6, per_group=3, z_dim=4,
                           gen_hidden=8, disc_hidden=8, total_epochs=12,
-                          disc_pretrain_epochs=2, adapt_epochs=4),
+                          disc_pretrain_epochs=disc_pretrain_epochs,
+                          adapt_epochs=adapt_epochs),
     )
     tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
     direct = {m: trainers.run_two_step(m, hyp, fewshot, tohan_cfg)
@@ -441,7 +443,7 @@ class TestSharedGenerators:
         hyp, fewshot, cfg, direct = _shared_setup(task, n_t, tradeoff)
         started = _inject(monkeypatch, lambda modes: False)
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        shared = harness._shared_generators(methods, hyp, fewshot, tohan_cfg)
+        shared = harness._shared_run(methods, hyp, fewshot, tohan_cfg)
         for method in methods:
             model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
             if method in direct:
@@ -474,12 +476,124 @@ class TestSharedGenerators:
         hyp, fewshot, cfg, _ = _shared_setup("rot40", 1, 0.2)
         cfg = replace(cfg, tohan=replace(cfg.tohan, adapt_epochs=0))
         started = _inject(monkeypatch, lambda modes: False)
-        shared = harness._shared_generators(
+        shared = harness._shared_run(
             trainers.METHODS, hyp, fewshot, replace(cfg.tohan, seed=METHOD_SEED))
         for method in GENERATOR_METHODS:
             model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
             assert model.enc is hyp.enc and model.cls is hyp.cls
         assert started == [("combined",)]
+
+
+# (tradeoff, adapt_epochs, disc_pretrain_epochs) of the default schedule and its edges
+ADAPT_VARIANTS = {"default": (0.2, 4, 2), "tradeoff0": (0.0, 4, 2),
+                  "adapt0": (0.2, 0, 2), "pretrain0": (0.2, 4, 0)}
+
+
+def _spy_adapt(monkeypatch):
+    """Record the block count of every _adapt run."""
+    adapt, blocks = trainers._adapt, []
+
+    def spy(stack, *args):
+        blocks.append(len(stack))
+        return adapt(stack, *args)
+
+    monkeypatch.setattr(trainers, "_adapt", spy)
+    return blocks
+
+
+class TestSharedAdaptation:
+    @pytest.mark.parametrize("methods", [("tohan",), ("sfada", "tohan"), GENERATOR_METHODS],
+                             ids=",".join)
+    @pytest.mark.parametrize("variant", list(ADAPT_VARIANTS))
+    @pytest.mark.parametrize("task,n_t", [(task, n_t) for task in SHARED_TASKS
+                                          for n_t in (1, 7)])
+    def test_blocks_equal_single_method_runs(self, monkeypatch, task, n_t, variant, methods):
+        hyp, fewshot, cfg, direct = _shared_setup(task, n_t, *ADAPT_VARIANTS[variant])
+        tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
+        gen_log = []
+        run = trainers.generate(hyp, fewshot, methods, tohan_cfg, gen_log)
+        stacked = {method: [] for method in methods}
+        blocks = _spy_adapt(monkeypatch)
+        models = trainers.adapt_generated(methods, run, hyp, fewshot, tohan_cfg,
+                                          traces=stacked, gen_log=gen_log)
+        # one stacked run; a two-step method at adapt_epochs 0 keeps the source nets
+        adapting = [m for m in methods if m == "tohan" or tohan_cfg.adapt_epochs > 0]
+        assert blocks == [len(adapting)]
+        assert list(models) == list(methods)
+        for method in methods:
+            assert _model_bytes(models[method]) == direct[method], method
+            alone = []
+            trainers.adapt_generated([method], run, hyp, fewshot, tohan_cfg,
+                                     traces={method: alone}, gen_log=gen_log)
+            assert stacked[method] == alone, method
+            assert bool(alone) == (method == "tohan" or tohan_cfg.adapt_epochs > 0)
+
+
+def _poison_pools(monkeypatch, mode):
+    """Fill every pool sampled from a ``mode`` bank with NaN, so the block
+    adapting against it diverges; returns the modes of every generator run."""
+    run_generators, sample_pool, started, poisoned = (
+        trainers._run_generators, trainers.sample_pool, [], [])
+
+    def run(hypothesis, fewshot, modes, *args, **kwargs):
+        started.append(modes)
+        banks, kept = run_generators(hypothesis, fewshot, modes, *args, **kwargs)
+        poisoned.extend(bank for name, bank in banks.items() if name == mode)
+        return banks, kept
+
+    def sample(bank, per_class, seed):
+        pool = sample_pool(bank, per_class, seed)
+        if any(bank is p for p in poisoned):
+            return LabeledPool(np.full_like(pool.features, np.nan), pool.labels)
+        return pool
+
+    monkeypatch.setattr(trainers, "_run_generators", run)
+    monkeypatch.setattr(trainers, "sample_pool", sample)
+    return started
+
+
+class TestSharedAdaptationFallback:
+    def test_one_diverging_block_costs_only_its_method(self, monkeypatch, caplog,
+                                                       tiny_results):
+        started = _poison_pools(monkeypatch, "target_only")
+        blocks = _spy_adapt(monkeypatch)
+        with caplog.at_level("WARNING", logger=harness.log.name):
+            got = run_experiment(_tiny_task(), trainers.METHODS, [1], [0], _tiny_cfg())
+        # the stacked run raised; each method then adapted alone from the
+        # one shared generator run, which did not run again
+        assert started == [("source_only", "target_only", "combined")]
+        assert blocks == [4, 1, 1, 1, 1]
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warned == ["shared adaptation failed, methods adapt alone: "
+                          "non-finite gradient in adam_step"]
+        clean = [r for r in tiny_results if (r.n_t, r.seed) == (1, 0)]
+        assert [r.method for r in got] == [r.method for r in clean] == list(trainers.METHODS)
+        for line, want in zip(got, clean):
+            if want.method == "tfada":
+                assert line.error == "non-finite gradient in adam_step"
+                assert line.accuracy is None
+            else:
+                assert _line(line) == _line(want)
+
+    def test_unexpected_adaptation_failure_is_logged_with_its_traceback(self, monkeypatch,
+                                                                       caplog):
+        hyp, fewshot, cfg, direct = _shared_setup("rot40", 3, 0.2)
+        adapt = trainers._adapt
+
+        def fail_stacked(stack, *args):
+            if len(stack) > 1:
+                raise RuntimeError("boom")
+            return adapt(stack, *args)
+
+        monkeypatch.setattr(trainers, "_adapt", fail_stacked)
+        shared = harness._shared_run(trainers.METHODS, hyp, fewshot,
+                                     replace(cfg.tohan, seed=METHOD_SEED))
+        with caplog.at_level("WARNING", logger=harness.log.name):
+            for method in GENERATOR_METHODS:
+                model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
+                assert _model_bytes(model) == direct[method], method
+        warned = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warned) == 1 and warned[0].exc_info is not None
 
 
 def _grid(**kwargs):
@@ -490,7 +604,7 @@ def _grid(**kwargs):
 class TestSharedRunFallback:
     def _unshared(self, monkeypatch):
         with monkeypatch.context() as m:
-            m.setattr(harness, "_shared_generators", lambda *args: lambda: None)
+            m.setattr(harness, "_shared_run", lambda *args: lambda: None)
             return _grid()
 
     @staticmethod
@@ -505,7 +619,7 @@ class TestSharedRunFallback:
     def _models_fall_back(monkeypatch, caplog, error):
         hyp, fewshot, cfg, direct = _shared_setup("rot40", 3, 0.2)
         started = _inject(monkeypatch, lambda modes: len(modes) > 1, error)
-        shared = harness._shared_generators(
+        shared = harness._shared_run(
             trainers.METHODS, hyp, fewshot, replace(cfg.tohan, seed=METHOD_SEED))
         with caplog.at_level("WARNING", logger=harness.log.name):
             for method in GENERATOR_METHODS:

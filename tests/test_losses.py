@@ -12,6 +12,7 @@ Closed-form reference values are hand-derived:
 """
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -429,6 +430,57 @@ class TestGroupCEDiscGrad:
         empty = PairBatch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ConfigError):
             losses.group_ce_and_disc_grad(disc, enc, empty)
+
+
+class _Stack(NamedTuple):
+    arch: nn.ArchSpec
+    params: np.ndarray
+
+
+def _stacked_nets(count=3, pairs=10, seed=0):
+    """``count`` encoder, classifier and discriminator triples, their (M, P)
+    stacks, and one block of group-2, group-4 and 4-group pairs per triple."""
+    nets = [_small_models(num_classes=3, seed=seed + m) for m in range(count)]
+    stacks = [_Stack(kind[0].arch, np.stack([n.params for n in kind])) for kind in zip(*nets)]
+    rng = np.random.default_rng(seed)
+    groups = {g: np.full(pairs, g) for g in (2, 4)}
+    groups["all"] = np.repeat([1, 2, 3, 4], pairs // 2)
+    blocks = {g: PairBatch(rng.uniform(size=(count, labels.size, 2)),
+                           rng.uniform(size=(count, labels.size, 2)), labels)
+              for g, labels in groups.items()}
+    return nets, stacks, blocks
+
+
+def _row(batch, m):
+    return PairBatch(batch.x1[m], batch.x2[m], batch.group)
+
+
+class TestStackedAdaptationLosses:
+    """An (M, P) stack of nets gives every block the bits of its net alone."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.4])
+    def test_adaptation_loss_per_block(self, beta):
+        nets, (enc, cls, disc), pairs = _stacked_nets()
+        fs = _fewshot(num_classes=3, n_t=3)
+        loss, enc_grad, cls_grad = losses.adaptation_loss_and_grads(
+            pairs[2], pairs[4], disc, enc, cls, fs, beta)
+        assert loss.shape == (3,) and enc_grad.shape == enc.params.shape
+        for m, (enc_m, cls_m, disc_m) in enumerate(nets):
+            want = losses.adaptation_loss_and_grads(
+                _row(pairs[2], m), _row(pairs[4], m), disc_m, enc_m, cls_m, fs, beta)
+            assert isinstance(want[0], float) and loss[m] == want[0]
+            assert enc_grad[m].tobytes() == want[1].tobytes()
+            assert cls_grad[m].tobytes() == want[2].tobytes()
+
+    def test_group_ce_and_disc_grad_per_block(self):
+        nets, (enc, _, disc), pairs = _stacked_nets()
+        loss, grad = losses.group_ce_and_disc_grad(disc, enc, pairs["all"])
+        assert loss.shape == (3,) and grad.shape == disc.params.shape
+        for m, (enc_m, _, disc_m) in enumerate(nets):
+            want_loss, want_grad = losses.group_ce_and_disc_grad(disc_m, enc_m,
+                                                                 _row(pairs["all"], m))
+            assert isinstance(want_loss, float) and loss[m] == want_loss
+            assert grad[m].tobytes() == want_grad.tobytes()
 
 
 def _generator_stack(seed=3):

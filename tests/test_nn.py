@@ -29,7 +29,7 @@ class TestArchSpec:
 
     def test_param_count_matches_layer_shapes(self):
         arch = nn.ArchSpec((5, 7, 2, 4), activation="relu", head="linear")
-        layers = nn.unflatten(arch, nn.init_params(arch, seed=0))
+        layers = nn._layers(arch, nn.init_params(arch, seed=0))
         total = sum(w.size + b.size for w, b in layers)
         assert total == nn.num_params(arch)
 
@@ -66,7 +66,7 @@ class TestInitAndPacking:
 
     def test_init_bounds_and_zero_biases(self):
         arch = nn.ArchSpec((4, 6, 3), head="linear")
-        layers = nn.unflatten(arch, nn.init_params(arch, seed=1))
+        layers = nn._layers(arch, nn.init_params(arch, seed=1))
         for (w, b), (fi, fo) in zip(layers, [(4, 6), (6, 3)]):
             limit = np.sqrt(6.0 / (fi + fo))
             assert np.all(np.abs(w) <= limit)
@@ -75,11 +75,11 @@ class TestInitAndPacking:
     def test_flatten_roundtrip(self):
         arch = nn.ArchSpec((3, 4, 2), head="linear")
         params = nn.init_params(arch, seed=3)
-        assert np.array_equal(nn.flatten_layers(arch, nn.unflatten(arch, params)), params)
+        assert np.array_equal(nn.flatten_layers(arch, nn._layers(arch, params)), params)
 
     def test_flatten_rejects_wrong_shapes(self):
         arch = nn.ArchSpec((3, 4, 2), head="linear")
-        layers = nn.unflatten(arch, nn.init_params(arch, seed=3))
+        layers = nn._layers(arch, nn.init_params(arch, seed=3))
         bad = [(layers[0][0].T, layers[0][1]), layers[1]]
         with pytest.raises(ConfigError):
             nn.flatten_layers(arch, bad)
@@ -126,7 +126,7 @@ class TestForward:
         for act, fn in (("tanh", np.tanh), ("relu", lambda z: np.maximum(z, 0.0))):
             arch = nn.ArchSpec((3, 4, 2), activation=act, head="linear")
             params = nn.init_params(arch, seed=5)
-            (w1, b1), (w2, b2) = nn.unflatten(arch, params)
+            (w1, b1), (w2, b2) = nn._layers(arch, params)
             expected = fn(x @ w1 + b1) @ w2 + b2
             assert np.allclose(nn.forward(arch, params, x), expected, atol=1e-12)
 

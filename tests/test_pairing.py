@@ -17,6 +17,7 @@ from fha.pairing import (
     LabeledPool,
     PairBatch,
     build_groups,
+    draw_pairs,
     phi,
     sample_group_pairs,
 )
@@ -85,6 +86,14 @@ class TestLabeledPool:
 
 
 class TestPairBatch:
+    def test_stacked_blocks_share_group_labels(self):
+        batch = PairBatch(np.zeros((3, 4, 2)), np.ones((3, 4, 2)), np.array([1, 2, 2, 4]))
+        assert batch.size == 4 and batch.x1.shape == (3, 4, 2)
+        with pytest.raises(ConfigError):
+            PairBatch(np.zeros((3, 4, 2)), np.zeros((3, 4, 2)), np.array([1, 2, 3]))
+        with pytest.raises(ConfigError):
+            PairBatch(np.zeros((1, 3, 4, 2)), np.zeros((1, 3, 4, 2)), np.ones(4))
+
     def test_counts_and_one_hot(self):
         batch = PairBatch(np.zeros((4, 2)), np.zeros((4, 2)),
                           np.array([1, 2, 2, 4]))
@@ -285,6 +294,22 @@ class TestDrawSequence:
         inter, target = layout
         batch = assert_same_draws(inter, target, per_group, seed)
         assert np.array_equal(batch.group, np.repeat(ALL_GROUPS, per_group))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pairing_layouts(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_one_cross_domain_draw_matches_two_group_calls(self, layout, count, seed):
+        # the model update draws groups 2 and 4 in one call, as two calls did
+        inter, target = layout
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        ia, ib = draw_pairs(inter, target, (2, 4), count, rngs[0])
+        rows = np.concatenate([inter.features, target.features])
+        for rng, sample in zip(rngs[1:], (sample_group_pairs, reference_sample)):
+            for j, group_id in enumerate((2, 4)):
+                want = sample(inter, target, group_id, count, rng)
+                part = slice(j * count, (j + 1) * count)
+                assert inter.features[ia[part]].tobytes() == want.x1.tobytes()
+                assert rows[ib[part]].tobytes() == want.x2.tobytes()
+            assert rng.bit_generator.state == rngs[0].bit_generator.state
 
     @pytest.mark.parametrize("per_group", [1, 16, 40])
     def test_second_rejection_rounds_match(self, per_group):

@@ -743,7 +743,7 @@ class TestGenerate:
     @pytest.mark.parametrize("method", ["wa", "ft", "nope"])
     def test_adapt_rejects_non_generator_methods(self, method):
         with pytest.raises(ConfigError):
-            trainers.adapt_generated(method, ({}, []), _hypothesis(), _fewshot(), _tiny_cfg())
+            trainers.adapt_generated([method], ({}, []), _hypothesis(), _fewshot(), _tiny_cfg())
 
 
 class TestDiscriminatorAccuracy:
