@@ -346,10 +346,7 @@ class SummaryTable:
 
     def render(self) -> str:
         shots = sorted({r.n_t for r in self.rows})
-        methods = []
-        for r in self.rows:
-            if r.method not in methods:
-                methods.append(r.method)
+        methods = list(dict.fromkeys(r.method for r in self.rows))
         width = max([len("method")] + [len(m) for m in methods]) + 2
         header = "method".ljust(width) + "".join(f"n_t={s}".ljust(12) for s in shots)
         lines = [header]
@@ -418,11 +415,9 @@ class EmbeddingTable:
     degenerate: bool
 
     def to_csv(self) -> str:
-        lines = ["x,y,label,domain"]
-        for i in range(self.x.size):
-            lines.append(
-                f"{self.x[i]:.17g},{self.y[i]:.17g},{int(self.labels[i])},{self.domains[i]}"
-            )
+        lines = ["x,y,label,domain"] + [
+            f"{self.x[i]:.17g},{self.y[i]:.17g},{int(self.labels[i])},{self.domains[i]}"
+            for i in range(self.x.size)]
         return "\n".join(lines) + "\n"
 
 

@@ -35,7 +35,6 @@ from .errors import ConfigError, MissingClassError
 from .pairing import (
     GROUP_BOTH_INTERMEDIATE_DIFF,
     GROUP_BOTH_INTERMEDIATE_SAME,
-    GROUP_CROSS_DOMAIN_SAME,
     PairBatch,
 )
 
@@ -132,12 +131,8 @@ def gen_target_loss(generated: np.ndarray, targets_n: np.ndarray,
     return float(gen_target_loss_and_grad(generated, targets_n, diameter)[0])
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray):
-    """Mean negative log-probability of the true class, clamped at 1e-12.
-
-    (B, C) probabilities give one value; an (M, B, C) stack gives one per
-    block, every block scored against the same (B,) labels.
-    """
+def _check_ce(probs: np.ndarray, labels: np.ndarray):
+    """(B, C) or (M, B, C) float64 probs and their (B,) int64 labels in 0..C-1."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if probs.ndim not in (2, 3) or labels.ndim != 1 or probs.shape[-2] != labels.shape[0]:
@@ -146,6 +141,16 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray):
         raise ConfigError("cross_entropy on an empty batch")
     if labels.min() < 0 or labels.max() >= probs.shape[-1]:
         raise ConfigError("labels outside the class range")
+    return probs, labels
+
+
+def cross_entropy(probs: np.ndarray, labels: np.ndarray):
+    """Mean negative log-probability of the true class, clamped at 1e-12.
+
+    (B, C) probabilities give one value; an (M, B, C) stack gives one per
+    block, every block scored against the same (B,) labels.
+    """
+    probs, labels = _check_ce(probs, labels)
     rows = np.arange(labels.size)
     if probs.ndim == 2:
         return float(-np.mean(np.log(np.maximum(probs[rows, labels], PROB_FLOOR))))
@@ -156,8 +161,7 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray):
 
 def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """d(cross_entropy)/d(probs); zero inside the clamped region."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    probs, labels = _check_ce(probs, labels)
     grad = np.zeros_like(probs)
     rows = np.arange(labels.size)
     picked = probs[..., rows, labels]
@@ -201,14 +205,6 @@ def beta_schedule(progress: float) -> float:
     return 2.0 / (1.0 + np.exp(-10.0 * q)) - 1.0
 
 
-def _confusion_target(group: int) -> int:
-    # cross-domain groups are pushed toward their same-domain twins:
-    # group 2 -> group 1, group 4 -> group 3 (0-based column below)
-    if group == GROUP_CROSS_DOMAIN_SAME:
-        return GROUP_BOTH_INTERMEDIATE_SAME - 1
-    return GROUP_BOTH_INTERMEDIATE_DIFF - 1
-
-
 def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
                               cls: nn.Net, fewshot, beta: float):
     """beta * (confusion of cross-domain pairs) + CE on the few-shot samples,
@@ -238,7 +234,10 @@ def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
 
     confusion = 0.0
     width = enc.arch.out_width
-    for pairs, expected_group in ((g2_pairs, 2), (g4_pairs, 4)):
+    # cross-domain groups are pushed toward their same-domain twins: group 2
+    # toward group 1, group 4 toward group 3, col being the 0-based column
+    for pairs, expected_group, col in ((g2_pairs, 2, GROUP_BOTH_INTERMEDIATE_SAME - 1),
+                                       (g4_pairs, 4, GROUP_BOTH_INTERMEDIATE_DIFF - 1)):
         if pairs is None or pairs.size == 0:
             warnings.warn(
                 f"no group-{expected_group} pairs; confusion term contributes zero",
@@ -247,7 +246,6 @@ def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
             continue
         if not np.all(pairs.group == expected_group):
             raise ConfigError(f"expected only group-{expected_group} pairs")
-        col = _confusion_target(expected_group)
         e1, c1 = nn.forward_and_cache(enc.arch, enc.params, pairs.x1)
         e2, c2 = nn.forward_and_cache(enc.arch, enc.params, pairs.x2)
         joint = np.concatenate([e1, e2], axis=-1)

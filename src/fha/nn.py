@@ -7,6 +7,9 @@ leading stack axis makes an (N, P) stack of N nets that run as one, net n
 mapping block n of an (N, B, in) batch. All arithmetic runs in 64-bit with
 numpy's fixed reduction order and stacked matmuls run the per-slice kernels,
 so equal seeds give bit-identical results whether nets run alone or stacked.
+
+Every call checks its inputs and writes in place only into arrays it allocated
+itself, never into the parameters, the batch, an upstream gradient or a cache.
 """
 
 from __future__ import annotations
@@ -52,14 +55,8 @@ class ArchSpec:
             offset += (fi + 1) * fo
         object.__setattr__(self, "layout", tuple(layout))
         object.__setattr__(self, "n_params", offset)
-
-    @property
-    def in_width(self) -> int:
-        return self.widths[0]
-
-    @property
-    def out_width(self) -> int:
-        return self.widths[-1]
+        object.__setattr__(self, "in_width", widths[0])
+        object.__setattr__(self, "out_width", widths[-1])
 
 
 def num_params(arch: ArchSpec) -> int:
@@ -67,16 +64,8 @@ def num_params(arch: ArchSpec) -> int:
     return arch.n_params
 
 
-def _layers(arch: ArchSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weight, bias) views per layer: (fan_in, fan_out) and (fan_out,) for a
-    (P,) vector, with a leading N for an (N, P) stack."""
-    lead = params.shape[:-1]
-    return [(params[..., w_sl].reshape(lead + shape), params[..., b_sl])
-            for w_sl, b_sl, shape in arch.layout]
-
-
 def flatten_layers(arch: ArchSpec, layers) -> np.ndarray:
-    """Inverse of _layers: pack (weight, bias) pairs into a flat vector."""
+    """Pack (weight (fan_in, fan_out), bias (fan_out,)) pairs into a flat vector."""
     parts = []
     for (w, b), (_, _, shape) in zip(layers, arch.layout):
         w = np.asarray(w, dtype=np.float64)
@@ -121,18 +110,20 @@ def _check_batch(arch: ArchSpec, batch: np.ndarray, params: np.ndarray) -> np.nd
     return batch
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(z: np.ndarray) -> np.ndarray:  # in z, with max subtraction
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """1 / (1 + t) for z >= 0, else t / (1 + t), t = exp(-|z|); a NaN keeps its sign."""
+    t = -z
+    np.exp(np.minimum(z, t, out=t), out=t)
+    out = np.where(z >= 0.0, 1.0, t)
+    t += 1.0
+    out /= t
     return out
 
 
@@ -144,20 +135,20 @@ def forward_and_cache(arch: ArchSpec, params: np.ndarray, batch: np.ndarray):
     each block as it would alone.
     """
     params = _check_params(arch, params)
-    acts = [_check_batch(arch, batch, params)]
-    layers = _layers(arch, params)
-    for i, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b[..., None, :]
-        if i < len(layers) - 1:
-            z = np.tanh(z) if arch.activation == "tanh" else np.maximum(z, 0.0)
-        acts.append(z)
-    out = acts[-1]
-    if arch.head == "softmax":
-        out = _softmax(out)
-    elif arch.head == "sigmoid":
-        out = _sigmoid(out)
-    acts[-1] = out
-    return out, acts
+    x = _check_batch(arch, batch, params)
+    lead = params.shape[:-1]
+    acts = [x]
+    for i, (w_sl, b_sl, shape) in enumerate(arch.layout):
+        x = x @ params[..., w_sl].reshape(lead + shape)
+        x += params[..., None, b_sl]
+        if i < len(arch.layout) - 1:
+            x = np.tanh(x, out=x) if arch.activation == "tanh" else np.maximum(x, 0.0, out=x)
+        elif arch.head == "softmax":
+            x = _softmax(x)
+        elif arch.head == "sigmoid":
+            x = _sigmoid(x)
+        acts.append(x)
+    return x, acts
 
 
 def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -166,8 +157,7 @@ def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray
     Softmax rows are computed with max subtraction and sum to 1 within
     rounding; a sigmoid head squashes every output into (0, 1).
     """
-    out, _ = forward_and_cache(arch, params, batch)
-    return out
+    return forward_and_cache(arch, params, batch)[0]
 
 
 def backward_from_cache(arch, params, acts, upstream, *, input_only=False):
@@ -179,34 +169,36 @@ def backward_from_cache(arch, params, acts, upstream, *, input_only=False):
     One net run over an (N, B, in) batch supports only this pass.
     """
     params = _check_params(arch, params)
-    if not input_only and acts[0].shape[:-2] != params.shape[:-1]:
+    lead = params.shape[:-1]
+    if not input_only and acts[0].shape[:-2] != lead:
         raise ConfigError("a parameter gradient needs one parameter row per batch block")
     upstream = np.asarray(upstream, dtype=np.float64)
     out = acts[-1]
     if upstream.shape != out.shape:
         raise ConfigError(f"upstream must be {out.shape}, got {upstream.shape}")
     if arch.head == "softmax":
-        g = out * (upstream - np.sum(upstream * out, axis=-1, keepdims=True))
+        g = upstream - np.sum(upstream * out, axis=-1, keepdims=True)
+        g *= out
     elif arch.head == "sigmoid":
-        g = upstream * out * (1.0 - out)
+        g = upstream * out
+        g *= 1.0 - out
     else:
         g = upstream
-    layers = _layers(arch, params)
     param_grad = None if input_only else np.empty(params.shape)
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
+    for i in range(len(arch.layout) - 1, -1, -1):
+        w_sl, b_sl, shape = arch.layout[i]
         if param_grad is not None:
-            w_sl, b_sl, _ = arch.layout[i]
-            w_grad = np.swapaxes(acts[i], -1, -2) @ g
-            param_grad[..., w_sl] = w_grad.reshape(params.shape[:-1] + (-1,))
+            w_grad = acts[i].swapaxes(-1, -2) @ g
+            param_grad[..., w_sl] = w_grad.reshape(lead + (-1,))
             param_grad[..., b_sl] = g.sum(axis=-2)
-        g = g @ np.swapaxes(w, -1, -2)
+        g = g @ params[..., w_sl].reshape(lead + shape).swapaxes(-1, -2)
         if i > 0:
             a = acts[i]
             if arch.activation == "tanh":
-                g = g * (1.0 - a * a)
+                d = a * a
+                g *= np.subtract(1.0, d, out=d)
             else:
-                g = g * (a > 0.0)
+                g *= a > 0.0
     return param_grad, g
 
 
@@ -258,15 +250,21 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
     grad = np.asarray(grad, dtype=np.float64)
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ConfigError("params, grad, and state must share one shape")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient in adam_step")
     t = state.t + 1
-    m = _BETA1 * state.m + (1.0 - _BETA1) * grad
-    v = _BETA2 * state.v + (1.0 - _BETA2) * grad * grad
-    m_hat = m / (1.0 - _BETA1**t)
-    v_hat = v / (1.0 - _BETA2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + _EPS)
-    return new_params, AdamState(m=m, v=v, t=t, lr=state.lr)
+    m = _BETA1 * state.m
+    m += (1.0 - _BETA1) * grad
+    v = (1.0 - _BETA2) * grad
+    v *= grad
+    v += _BETA2 * state.v
+    step = m / (1.0 - _BETA1**t)
+    step *= state.lr
+    denom = v / (1.0 - _BETA2**t)
+    np.sqrt(denom, out=denom)
+    denom += _EPS
+    step /= denom
+    return params - step, AdamState(m=m, v=v, t=t, lr=state.lr)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ Cross-domain pairs always put the intermediate sample first. Pairs are
 drawn with replacement, uniformly over the valid combinations of each
 group, via rejection from the uniform index product (exact and
 deterministic under the seeded generator). ``draw_pairs`` is the one draw
-routine: it checks the label facts once and draws the index pairs of one or
-more groups from the labels alone, so pools of one label layout can share a
-draw. ``build_groups`` and ``sample_group_pairs`` gather the rows of one
-pool; the target, a FewShotSet or a LabeledPool, is read through its
-``features`` and ``labels``.
+routine: it draws the index pairs of one or more groups from the labels
+alone, after one ``check_pairs`` of them, so pools of one label layout can
+share draws. ``build_groups`` and ``sample_group_pairs`` check and gather
+one pool's rows; the target, a FewShotSet or LabeledPool, is read through
+its ``features`` and ``labels``.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def _rejection_sample(rng, labels_a, labels_b, same: bool, count: int):
     return tuple(np.concatenate(side) for side in zip(*out))
 
 
-def _check(intermediate: LabeledPool, target, group_ids, count: int) -> None:
+def check_pairs(intermediate: LabeledPool, target, group_ids, count: int) -> None:
     """Raise for the first unknown group id, bad count or unsatisfiable group.
     Given 2+ intermediate classes, only group 2 can lack valid combinations."""
     for group_id in group_ids:
@@ -139,9 +139,9 @@ def draw_pairs(intermediate: LabeledPool, target, group_ids, count: int,
     Returns (ia, ib): ia indexes the intermediate rows, ib the intermediate
     rows followed by the target rows. The draws read only the labels, so
     every pool with the intermediate pool's labels can gather its own rows
-    from them.
+    from them. The labels must have passed check_pairs for these groups and
+    count: a group with no valid combination would never fill.
     """
-    _check(intermediate, target, group_ids, count)
     ia, ib = [], []
     for g in group_ids:
         cross = g in (GROUP_CROSS_DOMAIN_SAME, GROUP_CROSS_DOMAIN_DIFF)
@@ -153,6 +153,7 @@ def draw_pairs(intermediate: LabeledPool, target, group_ids, count: int,
 
 
 def _draw_batch(intermediate: LabeledPool, target, group_ids, count: int, rng) -> PairBatch:
+    check_pairs(intermediate, target, group_ids, count)
     ia, ib = draw_pairs(intermediate, target, group_ids, count, rng)
     rows = intermediate.features
     if GROUP_CROSS_DOMAIN_SAME in group_ids or GROUP_CROSS_DOMAIN_DIFF in group_ids:

@@ -24,8 +24,8 @@ n): trained, kept in a GeneratorBank and sampled as one. A generator run
 can train several objectives at once, one row block of N per mode from the
 same init and noise, so each block's bank and batches equal its one-mode
 run. In the same way _adapt runs M adaptations as one (M, P) stack of
-encoders, classifiers and discriminators, each row equal to its one-block
-run. generate(methods) trains the blocks the listed methods read, and
+encoder + classifier rows and one of discriminators, each row equal to its
+one-block run. generate(methods) trains the blocks the listed methods read, and
 adapt_generated(methods, run) adapts the listed methods from that run in
 one stack: run_two_step and train_tohan are these two calls for a single
 method, adapt_pairwise is the one-block stack against a fixed pool, and
@@ -57,7 +57,8 @@ from .errors import (
     NumericalError,
     QualityGateError,
 )
-from .pairing import ALL_GROUPS, LabeledPool, PairBatch, build_groups, draw_pairs, phi
+from .pairing import (ALL_GROUPS, LabeledPool, PairBatch, build_groups, check_pairs,
+                      draw_pairs, phi)
 
 TWO_STEP_MODES = {"sfada": "source_only", "tfada": "target_only", "stfada": "combined"}
 GENERATOR_METHODS = (*TWO_STEP_MODES, "tohan")
@@ -309,10 +310,11 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
 
     enc_arch = default_encoder_arch(source.dim, cfg.encoder_width)
     cls_arch = default_classifier_arch(cfg.encoder_width, source.num_classes)
-    enc_params = nn.init_params(enc_arch, enc_seed)
-    cls_params = nn.init_params(cls_arch, cls_seed)
-    enc_state = nn.AdamState.init(enc_params.size, cfg.lr)
-    cls_state = nn.AdamState.init(cls_params.size, cfg.lr)
+    # encoder, then classifier: Adam is elementwise, so one state steps both bit for bit
+    params = np.concatenate([nn.init_params(enc_arch, enc_seed),
+                             nn.init_params(cls_arch, cls_seed)])
+    state = nn.AdamState.init(params.size, cfg.lr)
+    split, grad = enc_arch.n_params, np.empty(params.size)
 
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n = x_train.shape[0]
@@ -321,19 +323,19 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
         for start in range(0, n, cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
             xb, yb = x_train[rows], y_train[rows]
+            enc_params, cls_params = params[:split], params[split:]
             emb, enc_cache = nn.forward_and_cache(enc_arch, enc_params, xb)
             probs, cls_cache = nn.forward_and_cache(cls_arch, cls_params, emb)
             loss = losses.cross_entropy(probs, yb)
             if not math.isfinite(loss):
                 raise NumericalError("source training diverged (non-finite loss)")
             up = losses.cross_entropy_grad(probs, yb)
-            cls_grad, emb_up = nn.backward_from_cache(cls_arch, cls_params, cls_cache, up)
-            enc_grad, _ = nn.backward_from_cache(enc_arch, enc_params, enc_cache, emb_up)
-            enc_params, enc_state = nn.adam_step(enc_state, enc_params, enc_grad)
-            cls_params, cls_state = nn.adam_step(cls_state, cls_params, cls_grad)
+            grad[split:], emb_up = nn.backward_from_cache(cls_arch, cls_params, cls_cache, up)
+            grad[:split], _ = nn.backward_from_cache(enc_arch, enc_params, enc_cache, emb_up)
+            params, state = nn.adam_step(state, params, grad)
 
-    enc = nn.Net(enc_arch, enc_params)
-    cls = nn.Net(cls_arch, cls_params)
+    enc = nn.Net(enc_arch, params[:split])
+    cls = nn.Net(cls_arch, params[split:])
     train_acc = net_accuracy(enc, cls, x_train, y_train)
     test_acc = net_accuracy(enc, cls, x_test, y_test)
     if test_acc < cfg.min_test_accuracy:
@@ -508,8 +510,8 @@ def _finite(stack: _Stack, params: np.ndarray) -> _Stack:
 def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothesis,
            cfg: TohanConfig) -> list[TargetModel]:
     """The adaptation schedule of the two-step and one-step methods, for M
-    blocks at once: row m of an (M, P) stack each of encoders, classifiers
-    and discriminators is block m's, with one Adam state per net kind.
+    blocks at once: row m of an (M, P) stack each of encoder + classifier
+    models and of discriminators is block m's, with one Adam state per stack.
 
     Each block starts from the source nets and a discriminator seeded by its
     disc_seed, and holds one intermediate pool per epoch. The discriminator
@@ -528,8 +530,15 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
     if any(len(b.pools) != steps for b in blocks) or any(
             not np.array_equal(p.labels, blocks[0].pools[0].labels) for p in pools):
         raise ConfigError("stacked blocks need as many pools, all of one label layout")
-    enc = _Stack(hypothesis.enc.arch, np.tile(hypothesis.enc.params, (count, 1)))
-    cls = _Stack(hypothesis.cls.arch, np.tile(hypothesis.cls.params, (count, 1)))
+    half = 2 * cfg.per_group  # model-update pairs per cross-domain group
+    if steps:  # the one check for every draw below: all pools share these labels
+        for group_ids, per_group in ((ALL_GROUPS, cfg.per_group), ((2, 4), half)):
+            check_pairs(blocks[0].pools[0], fewshot, group_ids, per_group)
+    # one (M, P_enc + P_cls) model stack under one Adam state; enc and cls view its halves
+    split = hypothesis.enc.arch.n_params
+    model = np.tile(np.concatenate([hypothesis.enc.params, hypothesis.cls.params]), (count, 1))
+    enc = _Stack(hypothesis.enc.arch, model[:, :split])
+    cls = _Stack(hypothesis.cls.arch, model[:, split:])
     disc_arch = default_discriminator_arch(enc.arch.out_width, cfg.disc_hidden)
     disc = _Stack(disc_arch, np.stack([nn.init_params(disc_arch, b.disc_seed) for b in blocks]))
     seeds = list(dict.fromkeys(b.pair_seed for b in blocks))  # one pair stream per seed
@@ -580,9 +589,8 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
     for m in traced:
         event(m, -1, "init", {})
         generate(m, range(leads[m]))
-    enc_state = nn.AdamState.init(enc.params.shape, cfg.lr_model)
-    cls_state = nn.AdamState.init(cls.params.shape, cfg.lr_model)
-    half = 2 * cfg.per_group  # model-update pairs per cross-domain group
+    model_state = nn.AdamState.init(model.shape, cfg.lr_model)
+    model_grad = np.empty(model.shape)
     for k in range(steps):
         for m in traced:
             generate(m, [leads[m] + k])
@@ -599,11 +607,10 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
         x1, x2 = draw(k, rows, (2, 4), half)
         g2 = PairBatch(x1[:, :half], x2[:, :half], np.full(half, 2))
         g4 = PairBatch(x1[:, half:], x2[:, half:], np.full(half, 4))
-        loss, enc_grad, cls_grad = losses.adaptation_loss_and_grads(
+        loss, model_grad[:, :split], model_grad[:, split:] = losses.adaptation_loss_and_grads(
             g2, g4, disc, enc, cls, fewshot, beta)
-        enc_params, enc_state = nn.adam_step(enc_state, enc.params, enc_grad)
-        cls_params, cls_state = nn.adam_step(cls_state, cls.params, cls_grad)
-        enc, cls = _finite(enc, enc_params), _finite(cls, cls_params)
+        model, model_state = nn.adam_step(model_state, model, model_grad)
+        enc, cls = _finite(enc, model[:, :split]), _finite(cls, model[:, split:])
         record(k, "model_update", adaptation=loss, beta=beta)
         disc, disc_state, loss = disc_update(k, rows, disc_state)
         record(k, "disc_update", group_ce=loss)

@@ -218,6 +218,25 @@ class TestCrossEntropy:
         with pytest.raises(ConfigError):
             losses.cross_entropy(np.full((2, 2), 0.5), np.array([[0], [1]]).ravel()[:1])
 
+    # the gradient shares the loss's checks: each bad label vector raises
+    # ConfigError from both, never wrapping or dropping rows silently
+    @pytest.mark.parametrize("fn", [losses.cross_entropy, losses.cross_entropy_grad])
+    def test_negative_label_rejected(self, fn):
+        # -1 would index the last class
+        with pytest.raises(ConfigError, match="^labels outside the class range$"):
+            fn(np.full((3, 2, 4), 0.25), np.array([0, -1]))
+
+    @pytest.mark.parametrize("fn", [losses.cross_entropy, losses.cross_entropy_grad])
+    def test_label_past_the_last_class_rejected(self, fn):
+        with pytest.raises(ConfigError, match="^labels outside the class range$"):
+            fn(np.full((2, 4), 0.25), np.array([0, 4]))
+
+    @pytest.mark.parametrize("fn", [losses.cross_entropy, losses.cross_entropy_grad])
+    def test_labels_shorter_than_the_batch_rejected(self, fn):
+        # the missing rows would keep a zero gradient
+        with pytest.raises(ConfigError, match="aligned with"):
+            fn(np.full((3, 4), 0.25), np.array([0, 1]))
+
     def test_grad_matches_fd(self):
         probs0 = RNG.uniform(0.1, 0.9, size=(4, 3))
         labels = np.array([0, 2, 1, 0])

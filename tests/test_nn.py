@@ -13,6 +13,13 @@ from fha.errors import ConfigError, FormatError, NumericalError
 RNG = np.random.default_rng(20260819)
 
 
+def layers_of(arch, params):
+    """(weight, bias) views per layer of a (P,) vector, or of each net of an (N, P) stack."""
+    lead = params.shape[:-1]
+    return [(params[..., w_sl].reshape(lead + shape), params[..., b_sl])
+            for w_sl, b_sl, shape in arch.layout]
+
+
 def random_arch(rng, head=None, activation=None, max_width=6, depth=None):
     depth = int(rng.integers(2, 4)) if depth is None else depth
     widths = tuple(int(rng.integers(2, max_width + 1)) for _ in range(depth))
@@ -29,7 +36,7 @@ class TestArchSpec:
 
     def test_param_count_matches_layer_shapes(self):
         arch = nn.ArchSpec((5, 7, 2, 4), activation="relu", head="linear")
-        layers = nn._layers(arch, nn.init_params(arch, seed=0))
+        layers = layers_of(arch, nn.init_params(arch, seed=0))
         total = sum(w.size + b.size for w, b in layers)
         assert total == nn.num_params(arch)
 
@@ -66,7 +73,7 @@ class TestInitAndPacking:
 
     def test_init_bounds_and_zero_biases(self):
         arch = nn.ArchSpec((4, 6, 3), head="linear")
-        layers = nn._layers(arch, nn.init_params(arch, seed=1))
+        layers = layers_of(arch, nn.init_params(arch, seed=1))
         for (w, b), (fi, fo) in zip(layers, [(4, 6), (6, 3)]):
             limit = np.sqrt(6.0 / (fi + fo))
             assert np.all(np.abs(w) <= limit)
@@ -75,11 +82,11 @@ class TestInitAndPacking:
     def test_flatten_roundtrip(self):
         arch = nn.ArchSpec((3, 4, 2), head="linear")
         params = nn.init_params(arch, seed=3)
-        assert np.array_equal(nn.flatten_layers(arch, nn._layers(arch, params)), params)
+        assert np.array_equal(nn.flatten_layers(arch, layers_of(arch, params)), params)
 
     def test_flatten_rejects_wrong_shapes(self):
         arch = nn.ArchSpec((3, 4, 2), head="linear")
-        layers = nn._layers(arch, nn.init_params(arch, seed=3))
+        layers = layers_of(arch, nn.init_params(arch, seed=3))
         bad = [(layers[0][0].T, layers[0][1]), layers[1]]
         with pytest.raises(ConfigError):
             nn.flatten_layers(arch, bad)
@@ -126,7 +133,7 @@ class TestForward:
         for act, fn in (("tanh", np.tanh), ("relu", lambda z: np.maximum(z, 0.0))):
             arch = nn.ArchSpec((3, 4, 2), activation=act, head="linear")
             params = nn.init_params(arch, seed=5)
-            (w1, b1), (w2, b2) = nn._layers(arch, params)
+            (w1, b1), (w2, b2) = layers_of(arch, params)
             expected = fn(x @ w1 + b1) @ w2 + b2
             assert np.allclose(nn.forward(arch, params, x), expected, atol=1e-12)
 
@@ -262,6 +269,193 @@ class TestStacked:
             nn.forward(arch, stack[None], np.zeros((1, 2, 4, 3)))
         with pytest.raises(ConfigError):
             nn.Net(arch, stack)
+
+
+# The forward, backward, softmax, sigmoid and Adam step as they were before
+# the kernels walked arch.layout and wrote into their own temporaries, kept
+# verbatim (module names qualified, nn._layers as layers_of) as the
+# byte-for-byte reference.
+
+
+def ref_softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_forward_and_cache(arch, params, batch):
+    params = nn._check_params(arch, params)
+    acts = [nn._check_batch(arch, batch, params)]
+    layers = layers_of(arch, params)
+    for i, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b[..., None, :]
+        if i < len(layers) - 1:
+            z = np.tanh(z) if arch.activation == "tanh" else np.maximum(z, 0.0)
+        acts.append(z)
+    out = acts[-1]
+    if arch.head == "softmax":
+        out = ref_softmax(out)
+    elif arch.head == "sigmoid":
+        out = ref_sigmoid(out)
+    acts[-1] = out
+    return out, acts
+
+
+def ref_backward_from_cache(arch, params, acts, upstream, *, input_only=False):
+    params = nn._check_params(arch, params)
+    if not input_only and acts[0].shape[:-2] != params.shape[:-1]:
+        raise ConfigError("a parameter gradient needs one parameter row per batch block")
+    upstream = np.asarray(upstream, dtype=np.float64)
+    out = acts[-1]
+    if upstream.shape != out.shape:
+        raise ConfigError(f"upstream must be {out.shape}, got {upstream.shape}")
+    if arch.head == "softmax":
+        g = out * (upstream - np.sum(upstream * out, axis=-1, keepdims=True))
+    elif arch.head == "sigmoid":
+        g = upstream * out * (1.0 - out)
+    else:
+        g = upstream
+    layers = layers_of(arch, params)
+    param_grad = None if input_only else np.empty(params.shape)
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        if param_grad is not None:
+            w_sl, b_sl, _ = arch.layout[i]
+            w_grad = np.swapaxes(acts[i], -1, -2) @ g
+            param_grad[..., w_sl] = w_grad.reshape(params.shape[:-1] + (-1,))
+            param_grad[..., b_sl] = g.sum(axis=-2)
+        g = g @ np.swapaxes(w, -1, -2)
+        if i > 0:
+            a = acts[i]
+            if arch.activation == "tanh":
+                g = g * (1.0 - a * a)
+            else:
+                g = g * (a > 0.0)
+    return param_grad, g
+
+
+def ref_adam_step(state, params, grad):
+    params = np.asarray(params, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    if params.shape != grad.shape or params.shape != state.m.shape:
+        raise ConfigError("params, grad, and state must share one shape")
+    if not np.all(np.isfinite(grad)):
+        raise NumericalError("non-finite gradient in adam_step")
+    t = state.t + 1
+    m = nn._BETA1 * state.m + (1.0 - nn._BETA1) * grad
+    v = nn._BETA2 * state.v + (1.0 - nn._BETA2) * grad * grad
+    m_hat = m / (1.0 - nn._BETA1**t)
+    v_hat = v / (1.0 - nn._BETA2**t)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + nn._EPS)
+    return new_params, nn.AdamState(m=m, v=v, t=t, lr=state.lr)
+
+
+def same_bytes(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestMatchesReference:
+    """The kernels give the reference's bytes, and write into nothing they were handed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(head=st.sampled_from(nn.HEADS), activation=st.sampled_from(nn.ACTIVATIONS),
+           layout=st.sampled_from(["single", "stacked", "one net over blocks"]),
+           input_only=st.booleans(), depth=st.integers(2, 4), n=st.integers(1, 4),
+           b=st.integers(1, 9), scale=st.sampled_from([1.0, 30.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_forward_and_backward_bytes(self, head, activation, layout, input_only, depth,
+                                        n, b, scale, seed):
+        rng = np.random.default_rng(seed)
+        widths = tuple(int(w) for w in rng.integers(2, 7, size=depth))
+        if head == "softmax":
+            widths = widths[:-1] + (max(widths[-1], 2),)
+        arch = nn.ArchSpec(widths, activation=activation, head=head)
+        lead = () if layout == "single" else (n,)
+        # random biases too: init_params would leave them all zero
+        params = rng.normal(size=(lead if layout == "stacked" else ()) + (arch.n_params,))
+        x = scale * rng.normal(size=lead + (b, arch.in_width))
+        up = rng.normal(size=lead + (b, arch.out_width))
+        if layout == "one net over blocks":
+            input_only = True  # the only pass of one net over a stacked batch
+        handed = [a.copy() for a in (params, x, up)]
+        out, acts = nn.forward_and_cache(arch, params, x)
+        cache = [a.copy() for a in acts]
+        grad, x_grad = nn.backward_from_cache(arch, params, acts, up, input_only=input_only)
+        ref_out, ref_acts = ref_forward_and_cache(arch, params, x)
+        ref_grad, ref_x_grad = ref_backward_from_cache(arch, params, ref_acts, up,
+                                                       input_only=input_only)
+        assert same_bytes(out, ref_out)
+        assert len(acts) == len(ref_acts)
+        assert all(same_bytes(a, r) for a, r in zip(acts, ref_acts))
+        assert (grad is None) == input_only == (ref_grad is None)
+        assert input_only or same_bytes(grad, ref_grad)
+        assert same_bytes(x_grad, ref_x_grad)
+        assert all(same_bytes(a, h) for a, h in zip((params, x, up), handed))
+        assert all(same_bytes(a, c) for a, c in zip(acts, cache))
+
+    def test_sigmoid_special_values(self):
+        with np.errstate(invalid="ignore"):
+            nan = np.array([np.inf]) - np.inf  # the sign bit set, unlike np.nan
+        z = np.concatenate([[np.inf, -np.inf, np.nan, -np.nan, -0.0, 0.0, 800.0, -800.0,
+                             745.2, -745.2, 5e-324, -5e-324], nan, -nan,
+                            RNG.normal(scale=40.0, size=61)])
+        for shape in ((z.size,), (z.size, 1), (1, z.size)):
+            zz = z.reshape(shape)
+            assert same_bytes(nn._sigmoid(zz.copy()), ref_sigmoid(zz))
+        out = nn._sigmoid(z.copy())
+        assert np.array_equal(np.isnan(out), np.isnan(z))
+        assert np.all((out[~np.isnan(z)] >= 0.0) & (out[~np.isnan(z)] <= 1.0))
+
+    def test_softmax_special_values(self):
+        z = np.array([[800.0, -800.0, 0.0], [-0.0, 0.0, -0.0], [1e308, 1e308, -1e308],
+                      [-745.0, -745.0, 3.0]])
+        with np.errstate(over="ignore"):  # -1e308 - 1e308 overflows to -inf: exp 0
+            assert same_bytes(nn._softmax(z.copy()), ref_softmax(z))
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=st.sampled_from([(7,), (3, 5), (2, 2, 9)]), steps=st.integers(1, 4),
+           lr=st.sampled_from([1e-3, 0.05]), seed=st.integers(0, 2**32 - 1))
+    def test_adam_step_bytes(self, shape, steps, lr, seed):
+        rng = np.random.default_rng(seed)
+        params = rng.normal(size=shape)
+        state = ref_state = nn.AdamState.init(shape, lr=lr)
+        ref_params = params
+        for _ in range(steps):
+            grad = rng.normal(scale=10.0 ** rng.integers(-9, 3), size=shape)
+            handed = (params.copy(), grad.copy(), state.m.copy(), state.v.copy())
+            new_params, new_state = nn.adam_step(state, params, grad)
+            assert all(same_bytes(a, h) for a, h in
+                       zip((params, grad, state.m, state.v), handed))
+            params, state = new_params, new_state
+            ref_params, ref_state = ref_adam_step(ref_state, ref_params, grad)
+            assert same_bytes(params, ref_params)
+            assert same_bytes(state.m, ref_state.m) and same_bytes(state.v, ref_state.v)
+            assert state.t == ref_state.t
+
+    def test_joint_step_equals_two_steps(self):
+        # train_source and the adaptation model update step encoder + classifier as one
+        enc, cls = RNG.normal(size=(3, 41)), RNG.normal(size=(3, 13))
+        joint = np.concatenate([enc, cls], axis=1)
+        states = [nn.AdamState.init(a.shape, lr=0.01) for a in (enc, cls, joint)]
+        for step in range(5):
+            g_enc, g_cls = RNG.normal(size=enc.shape), RNG.normal(size=cls.shape)
+            enc, states[0] = nn.adam_step(states[0], enc, g_enc)
+            cls, states[1] = nn.adam_step(states[1], cls, g_cls)
+            joint, states[2] = nn.adam_step(states[2], joint,
+                                            np.concatenate([g_enc, g_cls], axis=1))
+            assert same_bytes(joint, np.concatenate([enc, cls], axis=1)), step
+            for part in ("m", "v"):
+                assert same_bytes(getattr(states[2], part), np.concatenate(
+                    [getattr(states[0], part), getattr(states[1], part)], axis=1))
 
 
 class TestNet:

@@ -9,6 +9,7 @@ hypothesis is never mutated by anything.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -16,17 +17,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fha import harness, losses, nn, trainers
-from fha.data import Dataset, FewShotSet, builtin_task
+from fha import harness, losses, nn, pairing, trainers
+from fha.data import Dataset, FewShotSet, builtin_task, make_synthetic_task
 from fha.errors import (
     ConfigError,
     FormatError,
     InsufficientDataError,
     MissingClassError,
     NumericalError,
+    ProtocolError,
     QualityGateError,
 )
-from fha.pairing import LabeledPool
+from fha.pairing import ALL_GROUPS, LabeledPool
 
 
 def _hypothesis(num_classes=3, dim=2, width=6, seed=0):
@@ -332,6 +334,28 @@ class TestTrainSource:
         b = trainers.train_source(source, trainers.SourceTrainConfig(seed=4))
         assert a.enc.params.tobytes() != b.enc.params.tobytes()
 
+    # SHA-256 (first 16 hex digits) of encoder + classifier parameter bytes,
+    # recorded when encoder and classifier still stepped under two Adam states
+    RECORDED = {
+        ("rot40", 0): "a359ff502d4a9903",
+        ("rot40", 1): "0fab60447c4297d6",
+        ("rot20", 0): "82157723e1524170",
+        ("rot20", 1): "b224d5ba95ff3ade",
+        ("rot180", 0): "504524755f780b72",
+        ("rot180", 1): "0ebd9ae284695b63",
+        ("shift", 0): "9ec8f82c476ba482",
+        ("shift", 1): "3e04f17ca7c7acca",
+        ("blobs", 0): "18df0bda8550f128",
+        ("blobs", 1): "91c615cb55c204a0",
+    }
+
+    @pytest.mark.parametrize("task,seed", sorted(RECORDED))
+    def test_parameters_match_recorded_digests(self, task, seed):
+        source = make_synthetic_task(builtin_task(task, seed=seed))[0]
+        hyp = trainers.train_source(source, trainers.SourceTrainConfig(seed=seed))
+        digest = hashlib.sha256(hyp.enc.params.tobytes() + hyp.cls.params.tobytes())
+        assert digest.hexdigest()[:16] == self.RECORDED[task, seed]
+
     def test_quality_gate_rejects_unlearnable_task(self):
         # both classes share one center, so holdout accuracy hovers near 0.5
         rng = np.random.default_rng(9)
@@ -572,6 +596,54 @@ class TestAdaptPairwise:
         assert not any(ev.phase == "pretrain_disc" for ev in trace)
         assert sum(ev.phase == "model_update" for ev in trace) == 3
         assert model.enc.params.flags.writeable is False
+
+
+# pools no adaptation can pair, with the error their first draw raised when
+# every draw ran the checks itself
+BAD_POOLS = {
+    "empty pool": (LabeledPool(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),
+                   ProtocolError, "intermediate pool is empty"),
+    "one class": (LabeledPool(np.ones((6, 2)), np.zeros(6, dtype=np.int64)), ProtocolError,
+                  "pairing needs at least 2 classes in the intermediate pool"),
+    "labels the few-shots lack": (LabeledPool(np.ones((6, 2)), np.repeat([3, 4], 3)),
+                                  ProtocolError, "group 2 has no same-label combinations"),
+    # this one was numpy's ValueError from joining pool and few-shot rows
+    "another width": (_pool(dim=3), ConfigError, "x1 and x2 must be equal-shape (P, d) arrays"),
+}
+
+
+class TestAdaptPairChecks:
+    """_adapt checks the shared label layout once per group set at entry, and
+    its per-epoch draws skip the check."""
+
+    @pytest.mark.parametrize("pretrain", [3, 0])
+    @pytest.mark.parametrize("name", sorted(BAD_POOLS))
+    def test_bad_pool_raises_before_any_update(self, monkeypatch, name, pretrain):
+        pool, exc, message = BAD_POOLS[name]
+        with pytest.raises(exc) as checked:  # the checked public draw says the same
+            pairing.build_groups(pool, _fewshot(), 2, seed=0)
+        assert str(checked.value) == message
+        calls = []
+        monkeypatch.setattr(nn, "adam_step", lambda *a: calls.append("adam_step"))
+        monkeypatch.setattr(trainers, "draw_pairs", lambda *a: calls.append("draw"))
+        blocks = [trainers._Block([pool] * 3, 1, 2), trainers._Block([pool] * 3, 3, 2)]
+        with pytest.raises(exc) as info:
+            trainers._adapt(blocks, _fewshot(), _hypothesis(), _tiny_cfg(
+                disc_pretrain_epochs=pretrain))
+        assert type(info.value) is exc and str(info.value) == message
+        assert calls == []
+
+    def test_one_check_per_group_set(self, monkeypatch):
+        checks, draws = [], []
+        check, draw = pairing.check_pairs, pairing.draw_pairs
+        monkeypatch.setattr(trainers, "check_pairs",
+                            lambda *a: checks.append(a[2]) or check(*a))
+        monkeypatch.setattr(trainers, "draw_pairs", lambda *a: draws.append(a[2]) or draw(*a))
+        blocks = [trainers._Block([_pool()] * 3, 1, 2), trainers._Block([_pool()] * 3, 3, 4)]
+        trainers._adapt(blocks, _fewshot(), _hypothesis(), _tiny_cfg())
+        assert checks == [ALL_GROUPS, (2, 4)]
+        # two pair streams, each drawing 3 pretrain + 3 x (model, disc) times
+        assert len(draws) == 2 * (3 + 2 * 3)
 
 
 class TestRunTwoStep:
