@@ -6,18 +6,14 @@ domain with per-class generators and aligning it to the target through a
 pair-group discriminator. It ships the benchmark family (wa, ft, shot, the
 two-step sfada/tfada/stfada runs), the one-step tohan loop, and a seeded
 experiment harness with a CLI.
+
+The top level re-exports the quick-start names and the error types; every
+other name lives in its submodule (``fha.data``, ``fha.nn``, ``fha.losses``,
+``fha.pairing``, ``fha.trainers``, ``fha.harness``, ``fha.cli``).
 """
 
-from .data import (
-    Dataset,
-    FewShotSet,
-    TaskSpec,
-    builtin_task,
-    load_dataset,
-    make_synthetic_task,
-    sample_few_shot,
-    save_dataset,
-)
+from . import data, errors, harness, losses, nn, pairing, trainers
+from .data import builtin_task, make_synthetic_task, sample_few_shot
 from .errors import (
     ConfigError,
     FHAError,
@@ -28,45 +24,7 @@ from .errors import (
     ProtocolError,
     QualityGateError,
 )
-from .harness import (
-    EmbeddingTable,
-    ExperimentConfig,
-    RunResult,
-    SummaryTable,
-    accuracy,
-    dump_embedding,
-    read_results,
-    run_experiment,
-    summarize,
-    write_results,
-)
-from .losses import (
-    augmented_l1,
-    beta_schedule,
-    cross_entropy,
-    gen_source_loss,
-    gen_target_loss,
-    group_ce_loss,
-    l1_diameter,
-)
-from .nn import AdamState, ArchSpec, GradCheckReport, Net, adam_step, forward, grad_check_fd, init_params, num_params
-from .pairing import LabeledPool, PairBatch, build_groups, phi
-from .trainers import (
-    BaselineConfig,
-    GeneratorBank,
-    PhaseEvent,
-    SourceHypothesis,
-    SourceTrainConfig,
-    TargetModel,
-    TohanConfig,
-    adapt_pairwise,
-    run_two_step,
-    sample_pool,
-    train_ft,
-    train_generator_bank,
-    train_shot,
-    train_source,
-    train_tohan,
-)
+from .harness import ExperimentConfig, accuracy, run_experiment, summarize
+from .trainers import SourceTrainConfig, TohanConfig, train_source, train_tohan
 
 __version__ = "0.1.0"

@@ -106,12 +106,15 @@ def _task_from_config(payload) -> TaskSpec:
         if payload:
             raise ConfigError(f"unexpected task fields next to builtin: {sorted(payload)}")
         return builtin_task(str(name), seed)
-    if "class_means" in payload:
-        payload["class_means"] = tuple(tuple(m) for m in payload["class_means"])
-    if "class_scales" in payload:
-        payload["class_scales"] = tuple(payload["class_scales"])
-    if payload.get("translation") is not None:
-        payload["translation"] = tuple(payload["translation"])
+    try:
+        if "class_means" in payload:
+            payload["class_means"] = tuple(tuple(m) for m in payload["class_means"])
+        if "class_scales" in payload:
+            payload["class_scales"] = tuple(payload["class_scales"])
+        if payload.get("translation") is not None:
+            payload["translation"] = tuple(payload["translation"])
+    except TypeError as exc:
+        raise ConfigError(f"invalid task config: {exc}") from exc
     return _dataclass_from(TaskSpec, payload, "task")
 
 

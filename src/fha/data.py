@@ -74,6 +74,17 @@ class Dataset:
         return np.flatnonzero(self.labels == label)
 
 
+def _finite(values, what: str) -> np.ndarray:
+    """``values`` as an array, or ConfigError unless every entry is a finite number."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError(f"{what} must be numeric and finite") from exc
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} must be numeric and finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """Parameters of one synthetic task.
@@ -105,21 +116,24 @@ class TaskSpec:
             raise ConfigError("feature dimension must be positive")
         if len(self.class_means) != self.num_classes:
             raise ConfigError("class_means must list one mean per class")
-        if any(len(m) != self.dim for m in self.class_means):
+        if any(_finite(m, "class means").shape != (self.dim,) for m in self.class_means):
             raise ConfigError("every class mean must have length dim")
         scales = self.class_scales or tuple(1.0 for _ in range(self.num_classes))
         if len(scales) != self.num_classes:
             raise ConfigError("class_scales must list one scale per class")
         for s in scales:
-            arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
+            arr = np.atleast_1d(_finite(s, "class scales"))
             if arr.ndim != 1 or arr.size not in (1, self.dim):
                 raise ConfigError("each class scale must be a scalar or a length-d vector")
             if np.any(arr <= 0):
                 raise ConfigError("class scales must be positive")
         object.__setattr__(self, "class_scales", tuple(scales))
+        if _finite(self.rotation_deg, "rotation_deg").shape != ():
+            raise ConfigError("rotation_deg must be a number")
         if self.rotation_deg != 0.0 and self.dim < 2:
             raise ConfigError("rotation needs at least 2 feature dimensions")
-        if self.translation is not None and len(self.translation) != self.dim:
+        if (self.translation is not None
+                and _finite(self.translation, "translation").shape != (self.dim,)):
             raise ConfigError("translation must have length dim")
         if min(self.source_per_class, self.target_per_class, self.test_per_class) < 1:
             raise ConfigError("per-class sample counts must be positive")

@@ -11,8 +11,9 @@ trainers' ``trace=`` argument.
 
 Per (seed, n_t), sfada, tfada, stfada and tohan share one generator run and
 one stacked adaptation (``_shared_run``), made by the first of them in
-``methods`` order, whose ``wall_ms`` includes both. A diverging block costs
-only its own method's line.
+``methods`` order, whose ``wall_ms`` includes both. If that shared run
+fails, each of them trains alone through its own trainer (``run_two_step``
+or ``train_tohan``), so a diverging block costs only its own method's line.
 """
 
 from __future__ import annotations
@@ -141,51 +142,41 @@ def read_results(path):
 # experiment driver
 
 
-def _method_model(method: str, hypothesis, fewshot, cfg: ExperimentConfig,
-                  method_seed: int, shared=lambda: None):
-    """Train one method. ``shared()`` returns the (seed, n_t)'s shared run
-    as (generator run, models), or None: a method takes its model from the
-    shared models, adapts alone from the shared generator run when there
-    are no models, and runs its own generators when there is no shared run."""
+def _method_model(method: str, hypothesis, fewshot, baseline: BaselineConfig,
+                  tohan_cfg: TohanConfig, shared=lambda: None):
+    """Train one method. A generator method takes its model from
+    ``shared()``, the (seed, n_t)'s shared models, or when that is None
+    runs its own trainer."""
     if method == "wa":
         return hypothesis
     if method == "ft":
-        return trainers.train_ft(hypothesis, fewshot, cfg.baseline)
+        return trainers.train_ft(hypothesis, fewshot, baseline)
     if method == "shot":
-        return trainers.train_shot(hypothesis, fewshot, cfg.baseline)
-    run, models = shared() or (None, None)
+        return trainers.train_shot(hypothesis, fewshot, baseline)
+    models = shared()
     if models is not None:
         return models[method]
-    tohan_cfg = replace(cfg.tohan, seed=method_seed)
-    run = run or trainers.generate(hypothesis, fewshot, [method], tohan_cfg)
-    return trainers.adapt_generated([method], run, hypothesis, fewshot, tohan_cfg)[method]
+    if method == "tohan":
+        return trainers.train_tohan(hypothesis, fewshot, tohan_cfg)
+    return trainers.run_two_step(method, hypothesis, fewshot, tohan_cfg)
 
 
 def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig):
     """A lazy, memoized run of the generator methods among ``methods``: one
-    generator run, then one stacked adaptation of them all. Returns
-    (generator run, models). If the adaptation raises, models is None and
-    each method adapts alone from the generator run; if the generator run
-    raises, the result is None and each method runs its own. Each failure
-    is logged once, an exception that is not an FHAError with its traceback."""
-
-    def warn(what, exc):
-        log.warning("%s: %s", what, exc, exc_info=None if isinstance(exc, FHAError) else exc)
+    generator run, then one stacked adaptation of them all. Returns their
+    models, or None if either step raises; the failure is logged once, an
+    exception that is not an FHAError with its traceback."""
+    gen_methods = [m for m in methods if m in trainers.GENERATOR_METHODS]
 
     @functools.cache
     def shared():
         try:
-            run = trainers.generate(hypothesis, fewshot, methods, tohan_cfg)
+            run = trainers.generate(hypothesis, fewshot, gen_methods, tohan_cfg)
+            return trainers.adapt_generated(gen_methods, run, hypothesis, fewshot, tohan_cfg)
         except Exception as exc:
-            warn("shared generator run failed, methods run their own", exc)
+            log.warning("shared run failed, methods run alone: %s", exc,
+                        exc_info=None if isinstance(exc, FHAError) else exc)
             return None
-        try:
-            return run, trainers.adapt_generated(
-                [m for m in methods if m in trainers.GENERATOR_METHODS], run,
-                hypothesis, fewshot, tohan_cfg)
-        except Exception as exc:
-            warn("shared adaptation failed, methods adapt alone", exc)
-            return run, None
 
     return shared
 
@@ -235,7 +226,8 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
             start = time.perf_counter()
             acc, error = None, None
             try:
-                model = _method_model(method, hypothesis, fewshot, cfg, method_seed, shared)
+                model = _method_model(method, hypothesis, fewshot, cfg.baseline, tohan_cfg,
+                                      shared)
                 acc = accuracy(model, target_test)
             except Exception as exc:
                 error = _failure(exc, f"run {method}/n_t={n_t}/seed={seed}")

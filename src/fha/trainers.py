@@ -300,6 +300,8 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
     the hypothesis is rejected when holdout accuracy falls below
     cfg.min_test_accuracy. Deterministic under cfg.seed.
     """
+    if source.n == 0:
+        raise InsufficientDataError("the source split has no samples")
     split_seed, enc_seed, cls_seed, shuffle_seed = nn.derive_seeds(cfg.seed, 4)
     rng = np.random.default_rng(split_seed)
     train_idx, test_idx = _stratified_holdout(source.labels, cfg.holdout_fraction, rng)

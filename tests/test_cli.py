@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from fha import cli, nn, trainers
-from fha.data import load_dataset
+from fha.data import Dataset, load_dataset, save_dataset
 from fha.errors import ConfigError
 from fha.harness import read_results
 
@@ -178,6 +178,15 @@ class TestTrainSource:
                        "--out", str(tmp_path / "m.json")])
         assert rc == 1
 
+    def test_empty_source_is_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "empty.fhd"
+        save_dataset(Dataset(np.zeros((0, 2), np.float32), np.zeros(0, np.int64), 3), data)
+        assert load_dataset(data).n == 0
+        rc = cli.main(["train-source", "--data", str(data), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: the source split has no samples\n"
+        assert not (tmp_path / "m.json").exists()
+
 
 def _mini_run_config(out_path, **overrides):
     doc = {
@@ -310,6 +319,29 @@ class TestRun:
         cfg_path.write_text(json.dumps(_mini_run_config(out, **overrides)), encoding="utf-8")
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields", [
+        {"class_means": 5},
+        {"class_means": [1, 2]},
+        {"class_scales": 3},
+        {"translation": 3},
+        {"class_means": [["a", "b"], [1, 1]]},
+        {"rotation_deg": "x"},
+        {"class_means": [[float("nan"), 0.3], [0.7, 0.7]]},
+        {"class_scales": [float("nan"), 0.05]},
+        {"translation": [float("inf"), 0.0]},
+        {"rotation_deg": float("nan")},
+    ], ids=repr)
+    def test_malformed_task_spec_is_usage_error(self, tmp_path, capsys, fields):
+        out = tmp_path / "r.jsonl"
+        cfg = _mini_run_config(out)
+        cfg["task"].update(fields)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid task config: ") and "Traceback" not in err
         assert not out.exists()
 
 

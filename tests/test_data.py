@@ -110,6 +110,19 @@ class TestTaskSpec:
              "class_scales": (1.0, 1.0)},
             {"translation": (0.1,)},
             {"source_per_class": 0},
+            {"class_means": (("a", "b"), (1.0, 1.0))},
+            {"class_means": ((float("nan"), 0.0), (1.0, 1.0))},
+            {"class_means": ((0.0, (0.0, 1.0)), (1.0, 1.0))},
+            {"class_scales": (float("nan"), 0.5)},
+            {"class_scales": ("0.5", 0.5)},
+            {"class_scales": (0.5, (0.1, float("inf")))},
+            {"rotation_deg": "x"},
+            {"rotation_deg": "40"},
+            {"rotation_deg": float("nan")},
+            {"rotation_deg": (10.0, 20.0)},
+            {"translation": (float("inf"), 0.0)},
+            {"translation": ("a", 0.0)},
+            {"translation": 3.0},
         ],
     )
     def test_invalid_specs_rejected(self, overrides):

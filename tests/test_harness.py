@@ -445,11 +445,11 @@ class TestSharedGenerators:
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
         shared = harness._shared_run(methods, hyp, fewshot, tohan_cfg)
         for method in methods:
-            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
+            model = harness._method_model(method, hyp, fewshot, cfg.baseline, tohan_cfg, shared)
             if method in direct:
                 assert _model_bytes(model) == direct[method], method
             else:
-                unshared = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED)
+                unshared = harness._method_model(method, hyp, fewshot, cfg.baseline, tohan_cfg)
                 assert _model_bytes(model) == _model_bytes(unshared), method
         # one generator run, with one block per objective the methods read
         assert started == [SUBSET_MODES[methods]]
@@ -476,10 +476,10 @@ class TestSharedGenerators:
         hyp, fewshot, cfg, _ = _shared_setup("rot40", 1, 0.2)
         cfg = replace(cfg, tohan=replace(cfg.tohan, adapt_epochs=0))
         started = _inject(monkeypatch, lambda modes: False)
-        shared = harness._shared_run(
-            trainers.METHODS, hyp, fewshot, replace(cfg.tohan, seed=METHOD_SEED))
+        tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
+        shared = harness._shared_run(trainers.METHODS, hyp, fewshot, tohan_cfg)
         for method in GENERATOR_METHODS:
-            model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
+            model = harness._method_model(method, hyp, fewshot, cfg.baseline, tohan_cfg, shared)
             assert model.enc is hyp.enc and model.cls is hyp.cls
         assert started == [("combined",)]
 
@@ -552,48 +552,35 @@ def _poison_pools(monkeypatch, mode):
     return started
 
 
-class TestSharedAdaptationFallback:
-    def test_one_diverging_block_costs_only_its_method(self, monkeypatch, caplog,
-                                                       tiny_results):
-        started = _poison_pools(monkeypatch, "target_only")
-        blocks = _spy_adapt(monkeypatch)
-        with caplog.at_level("WARNING", logger=harness.log.name):
-            got = run_experiment(_tiny_task(), trainers.METHODS, [1], [0], _tiny_cfg())
-        # the stacked run raised; each method then adapted alone from the
-        # one shared generator run, which did not run again
-        assert started == [("source_only", "target_only", "combined")]
-        assert blocks == [4, 1, 1, 1, 1]
-        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-        assert warned == ["shared adaptation failed, methods adapt alone: "
-                          "non-finite gradient in adam_step"]
-        clean = [r for r in tiny_results if (r.n_t, r.seed) == (1, 0)]
-        assert [r.method for r in got] == [r.method for r in clean] == list(trainers.METHODS)
-        for line, want in zip(got, clean):
-            if want.method == "tfada":
-                assert line.error == "non-finite gradient in adam_step"
-                assert line.accuracy is None
-            else:
-                assert _line(line) == _line(want)
+def _fail_stacked_adaptation(monkeypatch):
+    """Make every stacked _adapt run (more than one block) raise a
+    RuntimeError; returns the modes of every generator run."""
+    adapt = trainers._adapt
 
-    def test_unexpected_adaptation_failure_is_logged_with_its_traceback(self, monkeypatch,
-                                                                       caplog):
-        hyp, fewshot, cfg, direct = _shared_setup("rot40", 3, 0.2)
-        adapt = trainers._adapt
+    def fail_stacked(stack, *args):
+        if len(stack) > 1:
+            raise RuntimeError("boom")
+        return adapt(stack, *args)
 
-        def fail_stacked(stack, *args):
-            if len(stack) > 1:
-                raise RuntimeError("boom")
-            return adapt(stack, *args)
+    monkeypatch.setattr(trainers, "_adapt", fail_stacked)
+    return _inject(monkeypatch, lambda modes: False)
 
-        monkeypatch.setattr(trainers, "_adapt", fail_stacked)
-        shared = harness._shared_run(trainers.METHODS, hyp, fewshot,
-                                     replace(cfg.tohan, seed=METHOD_SEED))
-        with caplog.at_level("WARNING", logger=harness.log.name):
-            for method in GENERATOR_METHODS:
-                model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
-                assert _model_bytes(model) == direct[method], method
-        warned = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert len(warned) == 1 and warned[0].exc_info is not None
+
+def _spy_trainers(monkeypatch):
+    """Record the method of every run_two_step and train_tohan call."""
+    run_two_step, train_tohan, called = trainers.run_two_step, trainers.train_tohan, []
+
+    def two_step(method, *args, **kwargs):
+        called.append(method)
+        return run_two_step(method, *args, **kwargs)
+
+    def tohan(*args, **kwargs):
+        called.append("tohan")
+        return train_tohan(*args, **kwargs)
+
+    monkeypatch.setattr(trainers, "run_two_step", two_step)
+    monkeypatch.setattr(trainers, "train_tohan", tohan)
+    return called
 
 
 def _grid(**kwargs):
@@ -601,60 +588,80 @@ def _grid(**kwargs):
         _tiny_task(), trainers.METHODS, [1, 2], [0, 1], _tiny_cfg(), **kwargs)]
 
 
+# name -> (install the failure and return the modes of every generator run,
+#          the method it costs, that method's error, the shared run's
+#          exception, whether its warning carries the traceback)
+SHARED_FAILURES = {
+    "generator-divergence": (
+        lambda mp: _inject(mp, lambda modes: "target_only" in modes),
+        "tfada", "injected divergence in target_only",
+        "injected divergence in source_only+target_only+combined", False),
+    "adaptation-divergence": (
+        lambda mp: _poison_pools(mp, "target_only"),
+        "tfada", "non-finite gradient in adam_step", "non-finite gradient in adam_step", False),
+    "generator-exception": (
+        lambda mp: _inject(mp, lambda modes: len(modes) > 1, RuntimeError),
+        None, None, "injected divergence in source_only+target_only+combined", True),
+    "adaptation-exception": (_fail_stacked_adaptation, None, None, "boom", True),
+}
+# per (seed, n_t): the shared run, then each generator method's own
+FALLBACK_MODES = [("source_only", "target_only", "combined"), ("source_only",),
+                  ("target_only",), ("combined",), ("combined",)]
+
+
 class TestSharedRunFallback:
-    def _unshared(self, monkeypatch):
-        with monkeypatch.context() as m:
-            m.setattr(harness, "_shared_run", lambda *args: lambda: None)
-            return _grid()
-
-    @staticmethod
-    def _falls_back(monkeypatch, tiny_results, error):
-        started = _inject(monkeypatch, lambda modes: len(modes) > 1, error)
-        assert _grid() == [_line(r) for r in tiny_results]
-        # per (seed, n_t): the shared run once, then each method's own run
-        assert started == [("source_only", "target_only", "combined"), ("source_only",),
-                           ("target_only",), ("combined",), ("combined",)] * 4
-
-    @staticmethod
-    def _models_fall_back(monkeypatch, caplog, error):
-        hyp, fewshot, cfg, direct = _shared_setup("rot40", 3, 0.2)
-        started = _inject(monkeypatch, lambda modes: len(modes) > 1, error)
-        shared = harness._shared_run(
-            trainers.METHODS, hyp, fewshot, replace(cfg.tohan, seed=METHOD_SEED))
+    @pytest.mark.parametrize("failure", list(SHARED_FAILURES))
+    def test_failure_costs_only_its_methods_line(self, monkeypatch, caplog, tiny_results,
+                                                 failure):
+        install, failing, error, shared_error, traceback = SHARED_FAILURES[failure]
+        started = install(monkeypatch)
+        called = _spy_trainers(monkeypatch)
         with caplog.at_level("WARNING", logger=harness.log.name):
-            for method in GENERATOR_METHODS:
-                model = harness._method_model(method, hyp, fewshot, cfg, METHOD_SEED, shared)
-                assert _model_bytes(model) == direct[method], method
-        assert [len(modes) > 1 for modes in started] == [True] + [False] * 4
-        warned = [r for r in caplog.records if "shared generator run failed" in r.getMessage()]
-        assert len(warned) == 1
-        # only an exception that is not an FHAError comes with its traceback
-        assert (warned[0].exc_info is not None) == (error is RuntimeError)
-
-    def test_failed_shared_run_leaves_every_line_unchanged(self, monkeypatch, tiny_results):
-        self._falls_back(monkeypatch, tiny_results, NumericalError)
-        assert self._unshared(monkeypatch) == [_line(r) for r in tiny_results]
-
-    def test_failed_shared_run_leaves_every_model_unchanged(self, monkeypatch, caplog):
-        self._models_fall_back(monkeypatch, caplog, NumericalError)
-
-    def test_unexpected_shared_failure_runs_the_shared_run_once(self, monkeypatch,
-                                                                 tiny_results):
-        self._falls_back(monkeypatch, tiny_results, RuntimeError)
-
-    def test_unexpected_shared_failure_leaves_every_model_unchanged(self, monkeypatch,
-                                                                     caplog):
-        self._models_fall_back(monkeypatch, caplog, RuntimeError)
-
-    def test_one_diverging_block_costs_only_its_method(self, monkeypatch, tiny_results):
-        _inject(monkeypatch, lambda modes: "target_only" in modes)
-        got = _grid()
-        assert got == self._unshared(monkeypatch)
-        for line, clean in zip(got, tiny_results):
-            if clean.method == "tfada":
-                assert line[-1] == "injected divergence in target_only"
+            got = _grid()
+        for line, clean in zip(got, tiny_results, strict=True):
+            if clean.method == failing:
+                assert line == _line(clean)[:4] + (None, None, error)
             else:
                 assert line == _line(clean)
+        assert started == FALLBACK_MODES * 4
+        assert called == list(GENERATOR_METHODS) * 4
+        # one warning per (seed, n_t); only an exception that is not an
+        # FHAError comes with its traceback
+        warned = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert [r.getMessage() for r in warned] == [
+            f"shared run failed, methods run alone: {shared_error}"] * 4
+        assert [r.exc_info is not None for r in warned] == [traceback] * 4
+
+    @pytest.mark.parametrize("failure", list(SHARED_FAILURES))
+    def test_failure_leaves_every_other_model_unchanged(self, monkeypatch, caplog, failure):
+        hyp, fewshot, cfg, direct = _shared_setup("rot40", 3, 0.2)
+        install, failing, error, shared_error, traceback = SHARED_FAILURES[failure]
+        started = install(monkeypatch)
+        called = _spy_trainers(monkeypatch)
+        tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
+        shared = harness._shared_run(trainers.METHODS, hyp, fewshot, tohan_cfg)
+        with caplog.at_level("WARNING", logger=harness.log.name):
+            for method in GENERATOR_METHODS:
+                if method == failing:
+                    with pytest.raises(NumericalError, match=error):
+                        harness._method_model(method, hyp, fewshot, cfg.baseline,
+                                              tohan_cfg, shared)
+                    continue
+                model = harness._method_model(method, hyp, fewshot, cfg.baseline,
+                                              tohan_cfg, shared)
+                assert _model_bytes(model) == direct[method], method
+        assert started == FALLBACK_MODES
+        assert called == list(GENERATOR_METHODS)
+        warned = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert [r.getMessage() for r in warned] == [
+            f"shared run failed, methods run alone: {shared_error}"]
+        assert (warned[0].exc_info is not None) == traceback
+
+    def test_no_shared_run_leaves_every_line_unchanged(self, monkeypatch, tiny_results):
+        monkeypatch.setattr(harness, "_shared_run", lambda *args: lambda: None)
+        called = _spy_trainers(monkeypatch)
+        assert _grid() == [_line(r) for r in tiny_results]
+        assert called == list(GENERATOR_METHODS) * 4
 
 
 class TestMethodOrder:

@@ -366,6 +366,11 @@ class TestTrainSource:
         with pytest.raises(QualityGateError):
             trainers.train_source(source, trainers.SourceTrainConfig(epochs=20, seed=0))
 
+    def test_empty_source_is_insufficient_data(self):
+        source = Dataset(np.zeros((0, 2), np.float32), np.zeros(0, np.int64), 3)
+        with pytest.raises(InsufficientDataError, match="no samples"):
+            trainers.train_source(source, trainers.SourceTrainConfig(seed=0))
+
 
 class TestFewShotBenchmarks:
     def test_ft_freezes_encoder_and_moves_classifier(self):
