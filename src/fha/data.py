@@ -114,12 +114,12 @@ class TaskSpec:
             raise ConfigError("a task needs at least 2 classes")
         if self.dim < 1:
             raise ConfigError("feature dimension must be positive")
-        if len(self.class_means) != self.num_classes:
+        if not hasattr(self.class_means, "__len__") or len(self.class_means) != self.num_classes:
             raise ConfigError("class_means must list one mean per class")
         if any(_finite(m, "class means").shape != (self.dim,) for m in self.class_means):
             raise ConfigError("every class mean must have length dim")
         scales = self.class_scales or tuple(1.0 for _ in range(self.num_classes))
-        if len(scales) != self.num_classes:
+        if not hasattr(scales, "__len__") or len(scales) != self.num_classes:
             raise ConfigError("class_scales must list one scale per class")
         for s in scales:
             arr = np.atleast_1d(_finite(s, "class scales"))

@@ -11,9 +11,12 @@ trainers' ``trace=`` argument.
 
 Per (seed, n_t), sfada, tfada, stfada and tohan share one generator run and
 one stacked adaptation (``_shared_run``), made by the first of them in
-``methods`` order, whose ``wall_ms`` includes both. If that shared run
-fails, each of them trains alone through its own trainer (``run_two_step``
-or ``train_tohan``), so a diverging block costs only its own method's line.
+``methods`` order, whose ``wall_ms`` includes both. sfada's source_only
+bank reads no few-shot, so a seed trains it once, in its first shared run
+whose generator run succeeds (7 generator blocks instead of 9 for shots 1,
+3, 7). If a shared run fails, each of them trains alone through its own
+trainer (``run_two_step`` or ``train_tohan``), so a diverging block costs
+only its own method's line.
 """
 
 from __future__ import annotations
@@ -161,18 +164,25 @@ def _method_model(method: str, hypothesis, fewshot, baseline: BaselineConfig,
     return trainers.run_two_step(method, hypothesis, fewshot, tohan_cfg)
 
 
-def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig):
+def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig, source_bank: dict):
     """A lazy, memoized run of the generator methods among ``methods``: one
     generator run, then one stacked adaptation of them all. Returns their
     models, or None if either step raises; the failure is logged once, an
-    exception that is not an FHAError with its traceback."""
+    exception that is not an FHAError with its traceback. ``source_bank``
+    holds the seed's source_only bank, the same for every n_t: a run that
+    trains it keeps it there, and a run that finds it there reuses it."""
     gen_methods = [m for m in methods if m in trainers.GENERATOR_METHODS]
 
     @functools.cache
     def shared():
         try:
-            run = trainers.generate(hypothesis, fewshot, gen_methods, tohan_cfg)
-            return trainers.adapt_generated(gen_methods, run, hypothesis, fewshot, tohan_cfg)
+            fresh = [m for m in gen_methods if m != "sfada" or not source_bank]
+            banks, kept = trainers.generate(hypothesis, fewshot, fresh, tohan_cfg)
+            if "source_only" in banks:
+                source_bank["source_only"] = banks["source_only"]
+            banks.update(source_bank)
+            return trainers.adapt_generated(gen_methods, (banks, kept), hypothesis, fewshot,
+                                            tohan_cfg)
         except Exception as exc:
             log.warning("shared run failed, methods run alone: %s", exc,
                         exc_info=None if isinstance(exc, FHAError) else exc)
@@ -213,7 +223,7 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
         return _error_results(task.name, methods, shots, seed,
                               _failure(exc, f"seed {seed} setup"))
     tohan_cfg = replace(cfg.tohan, seed=method_seed)
-    results = []
+    results, source_bank = [], {}
     for n_t in shots:
         try:
             fewshot = sample_few_shot(target, n_t, fewshot_seed)
@@ -221,7 +231,7 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
             message = _failure(exc, f"n_t={n_t}/seed={seed} few-shot draw")
             results.extend(_error_results(task.name, methods, [n_t], seed, message))
             continue
-        shared = _shared_run(methods, hypothesis, fewshot, tohan_cfg)
+        shared = _shared_run(methods, hypothesis, fewshot, tohan_cfg, source_bank)
         for method in methods:
             start = time.perf_counter()
             acc, error = None, None

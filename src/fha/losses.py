@@ -26,6 +26,7 @@ Probabilities are clamped at 1e-12 before logs.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -99,8 +100,7 @@ def gen_target_loss_and_grad(generated: np.ndarray, targets: np.ndarray, diamete
 
     Loss (1/(M*B*K)) * sum_i sum_k augmented_l1(x_i, t_k) with M = diameter,
     for a (B, dim) batch and (K, dim) few-shots, or per row of an (N, B, dim)
-    stack against (N, K, dim) few-shots. Both come from one (.., B, K, dim)
-    difference tensor.
+    stack against (N, K, dim) few-shots.
     """
     generated = np.asarray(generated, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -115,14 +115,39 @@ def gen_target_loss_and_grad(generated: np.ndarray, targets: np.ndarray, diamete
         raise ConfigError("generated and targets must share a feature dimension")
     if diameter <= 0:
         raise ConfigError("diameter must be positive")
-    d = generated[..., :, None, :] - targets[..., None, :, :]
-    norm = np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
-    cube = np.sum(np.abs(d) ** 3, axis=-1, keepdims=True)
-    safe = np.where(norm > 0.0, norm, 1.0)
-    vals = np.where(norm > 0.0, cube / safe, 0.0)
-    loss = vals.reshape(generated.shape[:-2] + (-1,)).sum(axis=-1) / (diameter * b * k)
-    grad = np.where(norm > 0.0, 3.0 * d * np.abs(d) / safe - d * cube / safe**3, 0.0)
-    return loss, grad.sum(axis=-2) / (diameter * b * k)
+    # (dim, .., K, B) coordinate planes, so sums over dim or K are whole-plane adds
+    lead, dim = generated.ndim - 2, generated.shape[-1]
+    to_planes = (lead + 1, *range(lead + 1))
+    d = generated.transpose(to_planes)[..., None, :] - targets.transpose(to_planes)[..., :, None]
+    abs_d = np.abs(d)
+    norm = np.sqrt(_pairwise_sum(d * d))
+    cube = _pairwise_sum(abs_d ** 3)
+    pos = norm > 0.0
+    safe = np.where(pos, norm, 1.0)
+    vals = np.where(pos, cube / safe, 0.0)
+    loss = vals.swapaxes(-1, -2).reshape(generated.shape[:-2] + (-1,)).sum(axis=-1)
+    grad = np.where(pos, 3.0 * d * abs_d / safe - d * cube / safe**3, 0.0)
+    # over K a left fold, but pairwise for dim 1, where K is the contiguous axis
+    planes = np.moveaxis(grad, -2, 0)
+    grad = _pairwise_sum(planes) if dim == 1 else functools.reduce(np.add, planes)
+    scale = diameter * b * k
+    return loss / scale, grad.transpose((*range(1, lead + 2), 0)) / scale
+
+
+def _pairwise_sum(planes: np.ndarray) -> np.ndarray:
+    """planes.sum(axis=0) in the order np.sum(axis=-1) adds a contiguous
+    axis: a left fold below 8 terms, 8 interleaved accumulators up to 128,
+    halves above (np.sum starts from +0.0; no term here is -0.0)."""
+    n = len(planes)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(planes[:half]) + _pairwise_sum(planes[half:])
+    if n < 8:
+        return functools.reduce(np.add, planes)
+    m = n - n % 8
+    r = functools.reduce(np.add, planes[:m].reshape((m // 8, 8) + planes.shape[1:]))
+    r = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(np.add, planes[m:], r)
 
 
 def gen_target_loss(generated: np.ndarray, targets_n: np.ndarray,

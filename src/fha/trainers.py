@@ -63,6 +63,7 @@ from .pairing import (ALL_GROUPS, LabeledPool, PairBatch, build_groups, check_pa
 TWO_STEP_MODES = {"sfada": "source_only", "tfada": "target_only", "stfada": "combined"}
 GENERATOR_METHODS = (*TWO_STEP_MODES, "tohan")
 METHODS = ("wa", "ft", "shot", *GENERATOR_METHODS)
+_NOISE_CHUNK = 8  # generator steps of noise drawn at once: 96 KiB at 6 classes, B 32, z_dim 8
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +432,11 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
     if log is not None:
         log.append(_digest(params))
     for epoch in range(epochs):
-        z = np.stack([rng.standard_normal((cfg.gen_batch, cfg.z_dim)) for rng in noise])
+        if epoch % _NOISE_CHUNK == 0:  # the same stream as one (B, z_dim) draw per step
+            steps = min(_NOISE_CHUNK, epochs - epoch)
+            chunk = np.stack([rng.standard_normal((steps, cfg.gen_batch, cfg.z_dim))
+                              for rng in noise], axis=1)
+        z = chunk[epoch % _NOISE_CHUNK]
         step_losses, grad, generated = losses.generator_objective_and_grad(
             arch, params, hypothesis.enc, hypothesis.cls, np.tile(z, (len(modes), 1, 1)),
             targets, cfg.tradeoff, modes

@@ -123,6 +123,10 @@ class TestTaskSpec:
             {"translation": (float("inf"), 0.0)},
             {"translation": ("a", 0.0)},
             {"translation": 3.0},
+            {"class_means": 5},
+            {"class_means": None},
+            {"class_scales": 5},
+            {"class_scales": 0.5},
         ],
     )
     def test_invalid_specs_rejected(self, overrides):

@@ -443,7 +443,7 @@ class TestSharedGenerators:
         hyp, fewshot, cfg, direct = _shared_setup(task, n_t, tradeoff)
         started = _inject(monkeypatch, lambda modes: False)
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        shared = harness._shared_run(methods, hyp, fewshot, tohan_cfg)
+        shared = harness._shared_run(methods, hyp, fewshot, tohan_cfg, {})
         for method in methods:
             model = harness._method_model(method, hyp, fewshot, cfg.baseline, tohan_cfg, shared)
             if method in direct:
@@ -477,7 +477,7 @@ class TestSharedGenerators:
         cfg = replace(cfg, tohan=replace(cfg.tohan, adapt_epochs=0))
         started = _inject(monkeypatch, lambda modes: False)
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        shared = harness._shared_run(trainers.METHODS, hyp, fewshot, tohan_cfg)
+        shared = harness._shared_run(trainers.METHODS, hyp, fewshot, tohan_cfg, {})
         for method in GENERATOR_METHODS:
             model = harness._method_model(method, hyp, fewshot, cfg.baseline, tohan_cfg, shared)
             assert model.enc is hyp.enc and model.cls is hyp.cls
@@ -607,6 +607,12 @@ SHARED_FAILURES = {
 # per (seed, n_t): the shared run, then each generator method's own
 FALLBACK_MODES = [("source_only", "target_only", "combined"), ("source_only",),
                   ("target_only",), ("combined",), ("combined",)]
+# per seed of the (1, 2)-shot grid, by the step that fails: once a shared
+# generator run has succeeded, the next n_t's reuses its source_only bank
+SEED_FALLBACK_MODES = {
+    "generator": FALLBACK_MODES * 2,
+    "adaptation": FALLBACK_MODES + [("target_only", "combined"), *FALLBACK_MODES[1:]],
+}
 
 
 class TestSharedRunFallback:
@@ -623,7 +629,7 @@ class TestSharedRunFallback:
                 assert line == _line(clean)[:4] + (None, None, error)
             else:
                 assert line == _line(clean)
-        assert started == FALLBACK_MODES * 4
+        assert started == SEED_FALLBACK_MODES[failure.split("-")[0]] * 2
         assert called == list(GENERATOR_METHODS) * 4
         # one warning per (seed, n_t); only an exception that is not an
         # FHAError comes with its traceback
@@ -639,7 +645,7 @@ class TestSharedRunFallback:
         started = install(monkeypatch)
         called = _spy_trainers(monkeypatch)
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        shared = harness._shared_run(trainers.METHODS, hyp, fewshot, tohan_cfg)
+        shared = harness._shared_run(trainers.METHODS, hyp, fewshot, tohan_cfg, {})
         with caplog.at_level("WARNING", logger=harness.log.name):
             for method in GENERATOR_METHODS:
                 if method == failing:
@@ -662,6 +668,53 @@ class TestSharedRunFallback:
         called = _spy_trainers(monkeypatch)
         assert _grid() == [_line(r) for r in tiny_results]
         assert called == list(GENERATOR_METHODS) * 4
+
+
+SHOTS = (1, 2, 3)
+ALL_MODES = ("source_only", "target_only", "combined")
+
+
+def _shot_grid(shots):
+    return [_line(r) for r in run_experiment(
+        _tiny_task(), trainers.METHODS, shots, [0, 1], _tiny_cfg())]
+
+
+def _assert_equal_to_one_shot_grids(lines):
+    """Every line of a SHOTS grid equals its line in the grid of its n_t alone."""
+    want = {line[:4]: line for n_t in SHOTS for line in _shot_grid([n_t])}
+    assert len(lines) == len(want)
+    for line in lines:
+        assert line == want[line[:4]]
+
+
+class TestSourceBankReuse:
+    def test_source_only_trained_once_per_seed(self, monkeypatch):
+        started = _inject(monkeypatch, lambda modes: False)
+        lines = _shot_grid(SHOTS)
+        assert started == [ALL_MODES, ("target_only", "combined"),
+                           ("target_only", "combined")] * 2
+        _assert_equal_to_one_shot_grids(lines)
+
+    @pytest.mark.parametrize("failure", list(SHARED_FAILURES))
+    def test_failure_lines_equal_one_shot_grids(self, monkeypatch, failure):
+        SHARED_FAILURES[failure][0](monkeypatch)
+        _assert_equal_to_one_shot_grids(_shot_grid(SHOTS))
+
+    def test_failed_first_few_shot_draw_trains_the_bank_next(self, monkeypatch):
+        draw = harness.sample_few_shot
+
+        def fail_first(target, n_t, seed):
+            if n_t == SHOTS[0]:
+                raise InsufficientDataError("injected draw failure")
+            return draw(target, n_t, seed)
+
+        monkeypatch.setattr(harness, "sample_few_shot", fail_first)
+        started = _inject(monkeypatch, lambda modes: False)
+        lines = _shot_grid(SHOTS)
+        assert started == [ALL_MODES, ("target_only", "combined")] * 2
+        assert [line[-1] for line in lines if line[2] == SHOTS[0]] == (
+            ["injected draw failure"] * len(trainers.METHODS) * 2)
+        _assert_equal_to_one_shot_grids(lines)
 
 
 class TestMethodOrder:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -182,6 +182,29 @@ class TestGenTargetLoss:
             assert loss[n] == row_loss
             assert np.array_equal(grad[n], row_grad)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=9),
+           st.sampled_from([(), (1,), (3,), (2, 3)]), st.integers(min_value=0, max_value=3),
+           st.integers(min_value=0, max_value=2**31))
+    @example(dim=1, k=9, b=5, lead=(3,), zero_gaps=1, seed=0)
+    def test_equals_the_difference_tensor_kernel(self, dim, k, b, lead, zero_gaps, seed):
+        """Byte for byte equal to the kernel that sums over one (.., B, K, dim)
+        difference tensor with np.sum, zero-gap pairs included; K beyond
+        MAX_SHOTS covers np.sum's pairwise order over K at dim 1."""
+        rng = np.random.default_rng(seed)
+        generated = rng.uniform(-2.0, 2.0, size=lead + (b, dim))
+        targets = rng.uniform(-2.0, 2.0, size=lead + (k, dim))
+        for _ in range(zero_gaps):
+            i, j = rng.integers(b), rng.integers(k)
+            generated[..., i, :] = targets[..., j, :]
+        diameter = losses.l1_diameter(dim)
+        loss, grad = losses.gen_target_loss_and_grad(generated, targets, diameter)
+        want_loss, want_grad = _difference_tensor_kernel(generated, targets, diameter)
+        assert loss.shape == want_loss.shape and grad.shape == want_grad.shape
+        assert loss.tobytes() == want_loss.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
     def test_stacked_leading_axes_must_match(self):
         with pytest.raises(ConfigError):
             losses.gen_target_loss_and_grad(np.zeros((3, 2, 4)), np.zeros((2, 1, 4)), 1.0)
@@ -189,6 +212,20 @@ class TestGenTargetLoss:
             losses.gen_target_loss_and_grad(np.zeros((3, 2, 4)), np.zeros((1, 4)), 1.0)
         with pytest.raises(ConfigError):
             losses.gen_target_loss_and_grad(np.zeros((2, 4)), np.zeros(4), 1.0)
+
+
+def _difference_tensor_kernel(generated, targets, diameter):
+    """The reference target-proximity kernel: one 4-D difference tensor,
+    reduced with np.sum over its last axes."""
+    b, k = generated.shape[-2], targets.shape[-2]
+    d = generated[..., :, None, :] - targets[..., None, :, :]
+    norm = np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
+    cube = np.sum(np.abs(d) ** 3, axis=-1, keepdims=True)
+    safe = np.where(norm > 0.0, norm, 1.0)
+    vals = np.where(norm > 0.0, cube / safe, 0.0)
+    loss = vals.reshape(generated.shape[:-2] + (-1,)).sum(axis=-1) / (diameter * b * k)
+    grad = np.where(norm > 0.0, 3.0 * d * np.abs(d) / safe - d * cube / safe**3, 0.0)
+    return loss, grad.sum(axis=-2) / (diameter * b * k)
 
 
 class TestGenTotalLoss:

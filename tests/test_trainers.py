@@ -435,6 +435,27 @@ class TestGeneratorBank:
             trainers.train_generator_bank(_hypothesis(), _fewshot(num_classes=2), mode,
                                           _tiny_cfg(), epochs=1)
 
+    @pytest.mark.parametrize("epochs", [7, 51])
+    def test_noise_equals_one_draw_per_step(self, monkeypatch, epochs):
+        """Noise drawn in chunks of steps is the stream of one (B, z_dim)
+        draw per class per step, also across a last, partial chunk."""
+        objective, seen = losses.generator_objective_and_grad, []
+
+        def spy(arch, params, enc, cls, z, *args):
+            seen.append(z.copy())
+            return objective(arch, params, enc, cls, z, *args)
+
+        monkeypatch.setattr(losses, "generator_objective_and_grad", spy)
+        cfg = _tiny_cfg()
+        trainers._run_generators(_hypothesis(), _fewshot(), ("source_only", "target_only"),
+                                 cfg, 9, epochs)
+        child = nn.derive_seeds(9, 6)
+        noise = [np.random.default_rng(child[2 * n + 1]) for n in range(3)]
+        assert len(seen) == epochs
+        for z in seen:
+            step = np.stack([rng.standard_normal((cfg.gen_batch, cfg.z_dim)) for rng in noise])
+            assert z.tobytes() == np.tile(step, (2, 1, 1)).tobytes()
+
     def test_source_only_ignores_few_shots(self):
         hyp = _hypothesis()
         cfg = _tiny_cfg()
