@@ -13,7 +13,7 @@ import numpy as np
 
 from fha import harness, losses, nn, trainers
 from fha.data import builtin_task, make_synthetic_task, sample_few_shot
-from fha.pairing import build_groups
+from fha.pairing import build_groups, phi
 
 spec = builtin_task("rot40")
 source, target, target_test = make_synthetic_task(spec)
@@ -41,12 +41,14 @@ for step in range(cfg.disc_pretrain_epochs + 1):
             disc, hypothesis.enc, pool, fewshot, per_group=64, seed=123
         )
         pairs = build_groups(pool, fewshot, cfg.per_group, np.random.default_rng(5))
-        ce, _ = losses.group_ce_and_disc_grad(disc, hypothesis.enc, pairs)
+        ce, _ = losses.group_ce_and_disc_grad(
+            disc, phi(hypothesis.enc, pairs.x1, pairs.x2), pairs.group)
         print(f"{step:>6} {ce:>10.4f} {acc:>15.3f}")
     if step == cfg.disc_pretrain_epochs:
         break
     pairs = build_groups(pool, fewshot, cfg.per_group, rng)
-    _, grad = losses.group_ce_and_disc_grad(disc, hypothesis.enc, pairs)
+    _, grad = losses.group_ce_and_disc_grad(
+        disc, phi(hypothesis.enc, pairs.x1, pairs.x2), pairs.group)
     params, state = nn.adam_step(state, disc.params, grad)
     disc = disc.with_params(params)
 print(f"(chance level is 0.25, uniform CE is ln 4 = {np.log(4):.4f})")

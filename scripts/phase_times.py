@@ -2,11 +2,15 @@
 
 Runs every method on one task for each seed and shot count, the way
 ``fha run`` does (``harness._run_seed``), and times the trainer calls the
-harness makes: source training, the shared generator runs, the stacked
-adaptations, and the ft and shot baselines; "other" is the rest of the
-seed (data, few-shot draws, accuracies). Prints the median of each phase
-over the seeds, its share of their sum, and the generator blocks one seed
-trains. The defaults are the pilot's: rot40, n_t=3.
+harness makes: source training, the shared generator runs (split into the
+objective steps, the Adam steps and the rest), the stacked adaptations
+(split into pair draws, discriminator updates, model updates and the rest),
+and the ft and shot baselines; "other" is the rest of the seed (data,
+few-shot draws, accuracies). A discriminator update counts the encoder
+embedding it gathers its pairs from and its Adam step; a model update its
+Adam step. Prints the median of each phase over the seeds, its share of
+their sum, and the generator blocks one seed trains. The defaults are the
+pilot's: rot40, n_t=3.
 
     PYTHONPATH=src python3 scripts/phase_times.py [--task rot40] [--shots 3] \\
         [--seeds 0,1,2,3,4]
@@ -26,29 +30,68 @@ import statistics
 import time
 from pathlib import Path
 
-from fha import harness, trainers
+from fha import harness, losses, nn, trainers
 from fha.cli import _task_from_config
 from fha.harness import ExperimentConfig
 
-# phase -> the trainer functions it times
-PHASES = {"train_source": ("train_source",), "generate": ("generate",),
-          "adapt (stacked)": ("adapt_generated",),
-          "train_ft + train_shot": ("train_ft", "train_shot")}
+GENERATE = ("generate: objective", "generate: Adam", "generate: other")
+ADAPT = ("adapt: pair draws", "adapt: disc updates", "adapt: model updates", "adapt: other")
+PHASES = ("train_source", *GENERATE, *ADAPT, "train_ft + train_shot", "other")
+# (module, function, the phase its self time is charged to); None: the
+# phase of the update or run it belongs to, see _phase_of
+TIMED = (
+    (trainers, "train_source", "train_source"),
+    (trainers, "generate", "generate: other"),
+    (losses, "generator_objective_and_grad", "generate: objective"),
+    (trainers, "adapt_generated", "adapt: other"),
+    (trainers, "sample_pool", "adapt: other"),
+    (trainers, "draw_pairs", "adapt: pair draws"),
+    (losses, "group_ce_and_disc_grad", "adapt: disc updates"),
+    (losses, "adaptation_loss_and_grads", "adapt: model updates"),
+    (trainers, "train_ft", "train_ft + train_shot"),
+    (trainers, "train_shot", "train_ft + train_shot"),
+    (nn, "adam_step", None),
+    (nn, "forward", None),
+)
+
+
+def _phase_of(name, caller, last_update):
+    """The phase of an Adam step or a forward pass made directly by the timed
+    function ``caller`` (a (function, phase) pair): the generator Adam, the
+    adaptation update it steps or the embedding a discriminator update
+    reads, or else the caller's own phase."""
+    if caller[0] == "generate" and name == "adam_step":
+        return "generate: Adam"
+    if caller[0] == "adapt_generated":
+        return last_update if name == "adam_step" else "adapt: disc updates"
+    return caller[1]
 
 
 def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
     """Milliseconds of each phase of one seed, the generator blocks it
     trained, and its failed runs and fallback warnings."""
-    times = dict.fromkeys([*PHASES, "other"], 0.0)
+    times = dict.fromkeys(PHASES, 0.0)
+    stack = []  # [function, phase, time of the timed calls inside it]
+    last_update = ["adapt: disc updates"]
     blocks, warned = [], []
-    originals = {name: getattr(trainers, name) for names in PHASES.values() for name in names}
 
-    def timed(phase, fn):
+    def timed(name, phase, fn):
         def call(*args, **kwargs):
+            caller = stack[-1][:2] if stack else (None, "other")
+            own = phase or _phase_of(name, caller, last_update[0])
+            if phase in ADAPT[1:3]:
+                last_update[0] = phase
+            stack.append([name, own, 0.0])
             start = time.perf_counter()
-            out = fn(*args, **kwargs)
-            times[phase] += (time.perf_counter() - start) * 1e3
-            if phase == "generate":
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                spent = time.perf_counter() - start
+                inner = stack.pop()[2]
+                times[own] += (spent - inner) * 1e3
+                if stack:
+                    stack[-1][2] += spent
+            if name == "generate":
                 blocks.append(len(out[0]))
             return out
         return call
@@ -56,17 +99,17 @@ def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
     handler = logging.Handler(logging.WARNING)
     handler.emit = warned.append
     harness.log.addHandler(handler)
-    for phase, names in PHASES.items():
-        for name in names:
-            setattr(trainers, name, timed(phase, originals[name]))
+    originals = [(module, name, getattr(module, name)) for module, name, _ in TIMED]
+    for (module, name, phase), (_, _, fn) in zip(TIMED, originals):
+        setattr(module, name, timed(name, phase, fn))
     start = time.perf_counter()
     try:
         results = harness._run_seed(task, trainers.METHODS, shots, seed, cfg)
     finally:
-        for name, fn in originals.items():
-            setattr(trainers, name, fn)
+        for module, name, fn in originals:
+            setattr(module, name, fn)
         harness.log.removeHandler(handler)
-    times["other"] = (time.perf_counter() - start) * 1e3 - sum(times.values())
+    times["other"] += (time.perf_counter() - start) * 1e3 - sum(times.values())
     problems = [f"{r.method} n_t={r.n_t}: {r.error}" for r in results if r.error is not None]
     return times, sum(blocks), problems + [record.getMessage() for record in warned]
 
@@ -85,11 +128,15 @@ def main(argv=None) -> int:
     shots = [int(s) for s in args.shots.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
     runs = [seed_times(task, shots, seed, ExperimentConfig()) for seed in seeds]
-    medians = {phase: statistics.median(r[0][phase] for r in runs) for phase in runs[0][0]}
+    medians = {phase: statistics.median(r[0][phase] for r in runs) for phase in PHASES}
     total = sum(medians.values())
     print(f"{task.name}, shots {shots}, seeds {seeds}: median ms per seed")
-    for phase, ms in medians.items():
-        print(f"  {phase:<24}{ms:9.1f}  {100.0 * ms / total:5.1f}%")
+    for head, parts in (("generate", GENERATE), ("adapt (stacked)", ADAPT)):
+        medians[head] = sum(medians[p] for p in parts)
+    for phase in ("train_source", "generate", *GENERATE, "adapt (stacked)", *ADAPT,
+                  "train_ft + train_shot", "other"):
+        label = f"  {phase.split(': ')[1]}" if ": " in phase else phase
+        print(f"  {label:<24}{medians[phase]:9.1f}  {100.0 * medians[phase] / total:5.1f}%")
     print(f"  {'total':<24}{total:9.1f}")
     print(f"generator blocks per seed: {sorted({r[1] for r in runs})}")
     problems = [p for r in runs for p in r[2]]

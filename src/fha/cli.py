@@ -196,7 +196,7 @@ def _cmd_run(args) -> int:
     if args.task is not None:
         doc["task"] = args.task
     if args.methods is not None:
-        doc["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
+        doc["methods"] = args.methods
     if args.shots is not None:
         try:
             doc["shots"] = [int(s) for s in args.shots.split(",") if s.strip()]
@@ -214,12 +214,14 @@ def _cmd_run(args) -> int:
         raise ConfigError("an output path is required (--out or config)")
     task = _task_from_config(doc["task"])
     methods = doc.get("methods", list(METHODS))
+    if isinstance(methods, str):  # a comma list, as --methods takes it
+        methods = [m.strip() for m in methods.split(",") if m.strip()]
     shots = doc.get("shots", [1, 3, 7])
     seeds = doc.get("seeds", list(range(10)))
     if isinstance(seeds, str):
         seeds = _parse_seeds(seeds)
-    if not isinstance(shots, list) or not isinstance(seeds, list):
-        raise ConfigError("shots and seeds must be lists of integers")
+    if not all(isinstance(v, list) for v in (methods, shots, seeds)):
+        raise ConfigError("methods, shots and seeds must be lists")
     shots = [nn._as_int(s, "shots") for s in shots]
     seeds = [nn._as_int(s, "seeds") for s in seeds]
     jobs = nn._as_int(doc.get("jobs", 1), "jobs")

@@ -10,6 +10,9 @@ step several row blocks of N, one objective per block, as one stack):
     points and the class-n few-shot samples, normalized by the distance
     diameter M of the unit cube so the term lies in [0, 1];
   * total: source + tradeoff * target.
+What a generator run fixes for all its steps (the rows each term reads, the
+proximity weights and scale, the few-shots as K-leading coordinate planes)
+is built once, by generator_plan, and handed to every objective step.
 
 The augmented L1 distance reweights each coordinate gap by its share of the
 squared error: sum_i w_i |x_i - y_i| with w_i = |x_i - y_i|^2 / ||x - y||_2,
@@ -20,7 +23,8 @@ cross-entropy over pair groups; the encoder/classifier update flips the
 group-2 and group-4 pair labels toward their same-domain twins (confusion
 terms, weighted by a warm-up factor beta) and adds plain cross-entropy on
 the labeled target samples. Both adaptation objectives also take (M, P)
-stacks of nets and reduce per block, so M adaptations step as one.
+stacks of nets and reduce per block, so M adaptations step as one; the
+discriminator objective scores pair embeddings its caller gathered.
 Probabilities are clamped at 1e-12 before logs.
 """
 
@@ -28,16 +32,13 @@ from __future__ import annotations
 
 import functools
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
 from .errors import ConfigError, MissingClassError
-from .pairing import (
-    GROUP_BOTH_INTERMEDIATE_DIFF,
-    GROUP_BOTH_INTERMEDIATE_SAME,
-    PairBatch,
-)
+from .pairing import GROUP_BOTH_INTERMEDIATE_DIFF, GROUP_BOTH_INTERMEDIATE_SAME
 
 PROB_FLOOR = 1e-12
 
@@ -49,20 +50,18 @@ def _check_probs(p: np.ndarray, what: str) -> np.ndarray:
     return p
 
 
-def gen_source_loss(class_probs: np.ndarray):
-    """(1/B) * sum_i (p_i - 1)^2 over the last axis of the class probabilities.
-
-    A (B,) vector gives one value; an (N, B) stack gives one per row.
-    """
+def gen_source_loss_and_grad(class_probs: np.ndarray):
+    """(1/B) * sum_i (p_i - 1)^2 over the last axis of the class probabilities
+    and its gradient, from one check; an (N, B) stack gives one value per row."""
     p = _check_probs(class_probs, "class probabilities")
     if p.ndim == 0 or p.shape[-1] == 0:
         raise ConfigError("class_probs must be non-empty along its last axis")
-    return np.mean((p - 1.0) ** 2, axis=-1)
+    gap = p - 1.0
+    return (gap ** 2).mean(axis=-1), 2.0 * gap / p.shape[-1]
 
 
-def gen_source_loss_grad(class_probs: np.ndarray) -> np.ndarray:
-    p = _check_probs(class_probs, "class probabilities")
-    return 2.0 * (p - 1.0) / p.shape[-1]
+def gen_source_loss(class_probs: np.ndarray):
+    return gen_source_loss_and_grad(class_probs)[0]
 
 
 def _augmented_l1_and_grad(x: np.ndarray, y: np.ndarray):
@@ -115,23 +114,37 @@ def gen_target_loss_and_grad(generated: np.ndarray, targets: np.ndarray, diamete
         raise ConfigError("generated and targets must share a feature dimension")
     if diameter <= 0:
         raise ConfigError("diameter must be positive")
-    # (dim, .., K, B) coordinate planes, so sums over dim or K are whole-plane adds
-    lead, dim = generated.ndim - 2, generated.shape[-1]
-    to_planes = (lead + 1, *range(lead + 1))
-    d = generated.transpose(to_planes)[..., None, :] - targets.transpose(to_planes)[..., :, None]
+    return _proximity(generated, _target_planes(targets, b), diameter)
+
+
+def _target_planes(targets: np.ndarray, b: int) -> np.ndarray:
+    """(.., K, dim) few-shots as contiguous (K, dim, .., B) planes."""
+    return np.repeat(np.moveaxis(targets, (-2, -1), (0, 1))[..., None], b, axis=-1)
+
+
+def _proximity(generated: np.ndarray, planes: np.ndarray, diameter: float):
+    """The proximity kernel on checked (.., B, dim) batches and their
+    _target_planes: the gaps are (K, dim, .., B) planes, so only K
+    broadcasts, and sums over dim or K are whole-plane adds."""
+    k, dim = planes.shape[:2]
+    b, nd = generated.shape[-2], generated.ndim
+    d = generated.transpose((nd - 1, *range(nd - 1))) - planes
     abs_d = np.abs(d)
-    norm = np.sqrt(_pairwise_sum(d * d))
-    cube = _pairwise_sum(abs_d ** 3)
+    norm = np.sqrt(_pairwise_sum((d * d).swapaxes(0, 1)))
+    cube = _pairwise_sum((abs_d ** 3).swapaxes(0, 1))
     pos = norm > 0.0
     safe = np.where(pos, norm, 1.0)
     vals = np.where(pos, cube / safe, 0.0)
-    loss = vals.swapaxes(-1, -2).reshape(generated.shape[:-2] + (-1,)).sum(axis=-1)
-    grad = np.where(pos, 3.0 * d * abs_d / safe - d * cube / safe**3, 0.0)
+    # (.., B, K) rows in C order, so each row's sum is np.sum's over a contiguous axis
+    to_last = (*range(1, nd), 0)
+    loss = np.ascontiguousarray(vals.transpose(to_last)).reshape(
+        generated.shape[:-2] + (-1,)).sum(axis=-1)
+    safe, cube = safe[:, None], cube[:, None]
+    grad = np.where(pos[:, None], 3.0 * d * abs_d / safe - d * cube / safe**3, 0.0)
     # over K a left fold, but pairwise for dim 1, where K is the contiguous axis
-    planes = np.moveaxis(grad, -2, 0)
-    grad = _pairwise_sum(planes) if dim == 1 else functools.reduce(np.add, planes)
+    grad = _pairwise_sum(grad) if dim == 1 else functools.reduce(np.add, grad)
     scale = diameter * b * k
-    return loss / scale, grad.transpose((*range(1, lead + 2), 0)) / scale
+    return loss / scale, grad.transpose(to_last) / scale
 
 
 def _pairwise_sum(planes: np.ndarray) -> np.ndarray:
@@ -169,31 +182,50 @@ def _check_ce(probs: np.ndarray, labels: np.ndarray):
     return probs, labels
 
 
+def _ce_parts(probs: np.ndarray, labels: np.ndarray, with_loss=True, with_grad=True):
+    """(loss, gradient) of checked probs and labels, one gather; None for a part not wanted."""
+    rows = np.arange(labels.size)
+    # C order, so each block's row is summed as a (B,) vector is
+    picked = np.ascontiguousarray(probs[..., rows, labels])
+    floor = np.maximum(picked, PROB_FLOOR)
+    loss = grad = None
+    if with_loss:
+        loss = -np.log(floor).mean(axis=-1)
+        loss = float(loss) if loss.ndim == 0 else loss
+    if with_grad:
+        grad = np.zeros_like(probs)
+        grad[..., rows, labels] = np.where(picked >= PROB_FLOOR,
+                                           -1.0 / (labels.size * floor), 0.0)
+    return loss, grad
+
+
 def cross_entropy(probs: np.ndarray, labels: np.ndarray):
     """Mean negative log-probability of the true class, clamped at 1e-12.
 
     (B, C) probabilities give one value; an (M, B, C) stack gives one per
     block, every block scored against the same (B,) labels.
     """
-    probs, labels = _check_ce(probs, labels)
-    rows = np.arange(labels.size)
-    if probs.ndim == 2:
-        return float(-np.mean(np.log(np.maximum(probs[rows, labels], PROB_FLOOR))))
-    # C order, so each block's row is summed as a (B,) vector is
-    picked = np.ascontiguousarray(probs[:, rows, labels])
-    return -np.mean(np.log(np.maximum(picked, PROB_FLOOR)), axis=-1)
+    return _ce_parts(*_check_ce(probs, labels), with_grad=False)[0]
 
 
 def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """d(cross_entropy)/d(probs); zero inside the clamped region."""
-    probs, labels = _check_ce(probs, labels)
-    grad = np.zeros_like(probs)
-    rows = np.arange(labels.size)
-    picked = probs[..., rows, labels]
-    grad[..., rows, labels] = np.where(
-        picked >= PROB_FLOOR, -1.0 / (labels.size * np.maximum(picked, PROB_FLOOR)), 0.0
-    )
-    return grad
+    return _ce_parts(*_check_ce(probs, labels), with_loss=False)[1]
+
+
+def cross_entropy_and_grad(probs: np.ndarray, labels: np.ndarray):
+    """(cross_entropy, cross_entropy_grad) from one check and one gather."""
+    return _ce_parts(*_check_ce(probs, labels))
+
+
+def _check_group_ce(pair_probs: np.ndarray, group_labels: np.ndarray):
+    """Checked pair probabilities whose rows sum to 1, and 0-based group labels."""
+    pair_probs = _check_probs(pair_probs, "pair probabilities")
+    if pair_probs.ndim not in (2, 3) or pair_probs.shape[-1] != 4:
+        raise ConfigError("pair_probs must be (P, 4) or (M, P, 4)")
+    if pair_probs.size and np.abs(pair_probs.sum(axis=-1) - 1.0).max() > 1e-6:
+        raise ConfigError("pair probability rows must sum to 1")
+    return _check_ce(pair_probs, np.asarray(group_labels, dtype=np.int64) - 1)
 
 
 def group_ce_loss(pair_probs: np.ndarray, group_labels: np.ndarray):
@@ -201,24 +233,7 @@ def group_ce_loss(pair_probs: np.ndarray, group_labels: np.ndarray):
 
     (P, 4) probabilities give one value, an (M, P, 4) stack one per block.
     """
-    pair_probs = _check_probs(pair_probs, "pair probabilities")
-    group_labels = np.asarray(group_labels, dtype=np.int64)
-    if pair_probs.ndim not in (2, 3) or pair_probs.shape[-1] != 4:
-        raise ConfigError("pair_probs must be (P, 4) or (M, P, 4)")
-    if pair_probs.size and np.max(np.abs(pair_probs.sum(axis=-1) - 1.0)) > 1e-6:
-        raise ConfigError("pair probability rows must sum to 1")
-    if group_labels.size == 0:
-        raise ConfigError("group_ce_loss on an empty batch")
-    if group_labels.min() < 1 or group_labels.max() > 4:
-        raise ConfigError("group labels must lie in {1, 2, 3, 4}")
-    return cross_entropy(pair_probs, group_labels - 1)
-
-
-def group_ce_loss_grad(pair_probs: np.ndarray, group_labels: np.ndarray) -> np.ndarray:
-    group_labels = np.asarray(group_labels, dtype=np.int64)
-    if group_labels.min() < 1 or group_labels.max() > 4:
-        raise ConfigError("group labels must lie in {1, 2, 3, 4}")
-    return cross_entropy_grad(np.asarray(pair_probs, dtype=np.float64), group_labels - 1)
+    return _ce_parts(*_check_group_ce(pair_probs, group_labels), with_grad=False)[0]
 
 
 def beta_schedule(progress: float) -> float:
@@ -252,10 +267,10 @@ def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
     y_t = np.asarray(fewshot.labels, dtype=np.int64)
     emb_t, emb_cache = nn.forward_and_cache(enc.arch, enc.params, x_t)
     probs_t, cls_cache = nn.forward_and_cache(cls.arch, cls.params, emb_t)
-    target_ce = cross_entropy(probs_t, y_t)
-    up = cross_entropy_grad(probs_t, y_t)
+    target_ce, up = cross_entropy_and_grad(probs_t, y_t)
     cls_grad, emb_up = nn.backward_from_cache(cls.arch, cls.params, cls_cache, up)
-    enc_grad, _ = nn.backward_from_cache(enc.arch, enc.params, emb_cache, emb_up)
+    enc_grad, _ = nn.backward_from_cache(enc.arch, enc.params, emb_cache, emb_up,
+                                         want="params")
 
     confusion = 0.0
     width = enc.arch.out_width
@@ -269,117 +284,147 @@ def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
                 stacklevel=2,
             )
             continue
-        if not np.all(pairs.group == expected_group):
+        if not (pairs.group == expected_group).all():
             raise ConfigError(f"expected only group-{expected_group} pairs")
         e1, c1 = nn.forward_and_cache(enc.arch, enc.params, pairs.x1)
         e2, c2 = nn.forward_and_cache(enc.arch, enc.params, pairs.x2)
         joint = np.concatenate([e1, e2], axis=-1)
         d_probs, d_cache = nn.forward_and_cache(disc.arch, disc.params, joint)
         picked = np.maximum(d_probs[..., col], PROB_FLOOR)
-        confusion = confusion - np.mean(np.log(picked), axis=-1)
+        confusion = confusion - np.log(picked).mean(axis=-1)
         if beta != 0.0:
             up_d = np.zeros_like(d_probs)
             up_d[..., col] = np.where(
                 d_probs[..., col] >= PROB_FLOOR, -beta / (pairs.size * picked), 0.0
             )
             _, joint_up = nn.backward_from_cache(disc.arch, disc.params, d_cache, up_d,
-                                                 input_only=True)
-            g1, _ = nn.backward_from_cache(enc.arch, enc.params, c1, joint_up[..., :width])
-            g2, _ = nn.backward_from_cache(enc.arch, enc.params, c2, joint_up[..., width:])
+                                                 want="input")
+            g1, _ = nn.backward_from_cache(enc.arch, enc.params, c1, joint_up[..., :width],
+                                           want="params")
+            g2, _ = nn.backward_from_cache(enc.arch, enc.params, c2, joint_up[..., width:],
+                                           want="params")
             enc_grad = enc_grad + g1 + g2
     loss = float(beta) * confusion + target_ce
     return (float(loss) if np.ndim(loss) == 0 else loss), enc_grad, cls_grad
 
 
-def group_ce_and_disc_grad(disc: nn.Net, enc: nn.Net, pairs: PairBatch):
-    """Group cross-entropy of a pair batch and its discriminator gradient.
+def group_ce_and_disc_grad(disc: nn.Net, joint: np.ndarray, group: np.ndarray):
+    """Group cross-entropy of pair embeddings and its discriminator gradient.
 
-    The encoder only embeds the pairs (frozen): the gradient is taken with
-    respect to the discriminator parameters alone. As in
-    adaptation_loss_and_grads, the nets may be (M, P) stacks scoring
-    (M, P, d) pair blocks, one loss per block.
+    ``joint`` holds the (P, 2 * width) joint embeddings of P pairs (see
+    pairing.phi) with their (P,) 1-based ``group`` labels; the encoder that
+    embedded them is frozen, so the gradient is taken with respect to the
+    discriminator parameters alone. The discriminator may be an (M, P)
+    stack scoring (M, P, 2 * width) blocks, one loss per block.
     """
-    if pairs.size == 0:
+    if np.size(group) == 0:
         raise ConfigError("cannot score an empty pair batch")
-    e1 = nn.forward(enc.arch, enc.params, pairs.x1)
-    e2 = nn.forward(enc.arch, enc.params, pairs.x2)
-    joint = np.concatenate([e1, e2], axis=-1)
     d_probs, cache = nn.forward_and_cache(disc.arch, disc.params, joint)
-    loss = group_ce_loss(d_probs, pairs.group)
-    up = group_ce_loss_grad(d_probs, pairs.group)
-    disc_grad, _ = nn.backward_from_cache(disc.arch, disc.params, cache, up)
+    loss, up = _ce_parts(*_check_group_ce(d_probs, group))
+    disc_grad, _ = nn.backward_from_cache(disc.arch, disc.params, cache, up, want="params")
     return loss, disc_grad
 
 
-def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
-                                 source_enc: nn.Net, source_cls: nn.Net,
-                                 z: np.ndarray, targets: np.ndarray | None,
-                                 tradeoff: float, mode="combined"):
-    """Evaluate the objective of every class generator on its noise batch.
+class GeneratorPlan(NamedTuple):
+    """What one generator run fixes for every step, built by generator_plan."""
 
-    ``mode`` is one objective, or a tuple of M objectives, one per row block.
-    ``params`` is an (M*N, P) stack of generators of ``arch``: block m holds
-    N generators on objective ``mode[m]``, and its row n maps ``z`` row
-    (B, z_dim) and is scored on class n. ``targets`` holds the (N, K, dim)
-    few-shots of each class, or None; the proximity term is scaled into
-    [0, 1] by ``l1_diameter(dim)``. ``tradeoff`` (non-negative) weighs it in
-    the combined mode. Returns (per-generator losses (M*N,), parameter
-    gradients (M*N, P), generated batches (M*N, B, dim)). The source model
-    is a frozen scorer: it runs once over the generated batches of the
-    blocks that read it and carries gradient to them, and no gradient is
-    built for it. Modes:
+    modes: tuple[str, ...]
+    num_classes: int
+    src: slice | np.ndarray | None  # the rows the source term scores
+    src_pick: tuple  # (their positions 0..S-1, the class each one scores)
+    tgt: slice | np.ndarray | None  # the rows the proximity term reads
+    weight: np.ndarray  # the (R,) proximity weight of each of them
+    planes: np.ndarray | None  # their few-shots as (K, dim, R, B) planes
+    diameter: float
+
+
+def _block_rows(blocks: list[int], n: int):
+    """The stack rows of row blocks of n: a slice if they are adjacent, or None."""
+    if not blocks:
+        return None
+    if blocks[-1] - blocks[0] == len(blocks) - 1:
+        return slice(blocks[0] * n, (blocks[-1] + 1) * n)
+    return np.array([m * n + c for m in blocks for c in range(n)], dtype=np.int64)
+
+
+def generator_plan(mode, num_classes: int, targets: np.ndarray | None, tradeoff: float,
+                   batch: int) -> GeneratorPlan:
+    """The plan of generator_objective_and_grad for a run of ``batch``-row steps:
+    ``mode`` is one objective, or a tuple of M, one per row block of
+    ``num_classes`` generators, with the (N, K, dim) few-shots ``targets`` of
+    each class (or None) and the non-negative ``tradeoff``. Modes:
       * ``source_only``: compatibility term alone (few-shots unused);
-      * ``target_only``: proximity term alone;
+      * ``target_only``: proximity term alone, scaled into [0, 1] by
+        ``l1_diameter(dim)``;
       * ``combined``: compatibility + tradeoff * proximity. With tradeoff 0
-        the proximity term is skipped entirely, so the trajectory matches
-        source_only bit for bit.
-    A row gets the same numbers in any stack: each term runs only on the
-    rows of the blocks that read it, and the terms add in the order above.
+        the proximity term is skipped entirely, matching source_only.
     """
     modes = (mode,) if isinstance(mode, str) else tuple(mode)
     if not modes or any(m not in ("source_only", "target_only", "combined") for m in modes):
         raise ConfigError(f"unknown generator mode {mode!r}")
     if tradeoff < 0:
         raise ConfigError("tradeoff must be non-negative")
-    num_classes = source_cls.arch.out_width
-    if np.ndim(params) != 2 or len(params) != len(modes) * num_classes:
-        raise ConfigError(f"expected an ({len(modes) * num_classes}, P) stack, "
-                          "one generator per class and mode")
-    generated, gen_cache = nn.forward_and_cache(arch, params, z)
-    dim = generated.shape[-1]
-    x_up = np.zeros_like(generated)
-    loss = np.zeros(len(generated))
-
-    def rows(blocks):
-        return np.array([m * num_classes + n for m in blocks for n in range(num_classes)],
-                        dtype=np.int64)
-
-    src = rows([m for m, name in enumerate(modes) if name != "target_only"])
-    if src.size:
-        emb, enc_cache = nn.forward_and_cache(source_enc.arch, source_enc.params,
-                                              generated[src])
-        probs, cls_cache = nn.forward_and_cache(source_cls.arch, source_cls.params, emb)
-        own, cls_of = np.arange(src.size), src % num_classes
-        class_probs = probs[own, :, cls_of]
-        loss[src] += gen_source_loss(class_probs)
-        up_probs = np.zeros_like(probs)
-        up_probs[own, :, cls_of] = gen_source_loss_grad(class_probs)
-        _, emb_up = nn.backward_from_cache(source_cls.arch, source_cls.params, cls_cache,
-                                           up_probs, input_only=True)
-        _, x_up_src = nn.backward_from_cache(source_enc.arch, source_enc.params, enc_cache,
-                                             emb_up, input_only=True)
-        x_up[src] += x_up_src
+    if batch < 1:
+        raise ConfigError("generated batch is empty")
+    src_blocks = [m for m, name in enumerate(modes) if name != "target_only"]
+    own = np.arange(len(src_blocks) * num_classes)
     tgt_blocks = [m for m, name in enumerate(modes)
                   if name == "target_only" or (name == "combined" and tradeoff != 0.0)]
+    tgt, planes, diameter = _block_rows(tgt_blocks, num_classes), None, 1.0
     if tgt_blocks:
-        if targets is None:
-            raise MissingClassError("target-proximity term needs few-shot samples")
-        tgt = rows(tgt_blocks)
-        weight = np.repeat([1.0 if modes[m] == "target_only" else tradeoff
-                            for m in tgt_blocks], num_classes)
-        target_loss, target_grad = gen_target_loss_and_grad(
-            generated[tgt], np.tile(targets, (len(tgt_blocks), 1, 1)), l1_diameter(dim))
-        loss[tgt] += weight * target_loss
-        x_up[tgt] += weight[:, None, None] * target_grad
-    gen_grad, _ = nn.backward_from_cache(arch, params, gen_cache, x_up)
+        if (targets is None or np.ndim(targets) != 3 or len(targets) != num_classes
+                or not np.size(targets)):
+            raise MissingClassError("no few-shot samples for some source class")
+        targets = np.asarray(targets, dtype=np.float64)
+        planes = _target_planes(np.tile(targets, (len(tgt_blocks), 1, 1)), batch)
+        diameter = l1_diameter(targets.shape[-1])
+    weight = np.repeat([1.0 if modes[m] == "target_only" else tradeoff for m in tgt_blocks],
+                       num_classes)
+    return GeneratorPlan(modes, num_classes, _block_rows(src_blocks, num_classes),
+                         (own, own % num_classes), tgt, weight, planes, diameter)
+
+
+def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
+                                 source_enc: nn.Net, source_cls: nn.Net,
+                                 z: np.ndarray, plan: GeneratorPlan):
+    """Evaluate the objective of every class generator on its noise batch.
+
+    ``params`` is an (M*N, P) stack of generators of ``arch``: block m holds
+    N generators on objective ``plan.modes[m]``, and its row n maps ``z`` row
+    (B, z_dim) and is scored on class n. Returns (per-generator losses
+    (M*N,), parameter gradients (M*N, P), generated batches (M*N, B, dim)).
+    The frozen source model runs once over the batches of the blocks that
+    read it, and carries gradient to them only. A row gets the same numbers
+    in any stack: each term runs only on the rows that read it, the
+    compatibility term added before the proximity term.
+    """
+    n, rows = plan.num_classes, len(plan.modes) * plan.num_classes
+    if np.ndim(params) != 2 or len(params) != rows or source_cls.arch.out_width != n:
+        raise ConfigError(f"expected an ({rows}, P) stack, one generator per source class "
+                          "and mode of the plan")
+    generated, gen_cache = nn.forward_and_cache(arch, params, z)
+    x_up = np.zeros_like(generated)
+    loss = np.zeros(len(generated))
+    if plan.src is not None:
+        emb, enc_cache = nn.forward_and_cache(source_enc.arch, source_enc.params,
+                                              generated[plan.src])
+        probs, cls_cache = nn.forward_and_cache(source_cls.arch, source_cls.params, emb)
+        own, cls_of = plan.src_pick
+        src_loss, src_grad = gen_source_loss_and_grad(probs[own, :, cls_of])
+        loss[plan.src] += src_loss
+        up_probs = np.zeros_like(probs)
+        up_probs[own, :, cls_of] = src_grad
+        _, emb_up = nn.backward_from_cache(source_cls.arch, source_cls.params, cls_cache,
+                                           up_probs, want="input")
+        _, x_up_src = nn.backward_from_cache(source_enc.arch, source_enc.params, enc_cache,
+                                             emb_up, want="input")
+        x_up[plan.src] += x_up_src
+    if plan.tgt is not None:
+        if generated.shape[-2:] != (plan.planes.shape[-1], plan.planes.shape[1]):
+            raise ConfigError("the plan is for another batch size or feature dimension")
+        target_loss, target_grad = _proximity(generated[plan.tgt], plan.planes,
+                                              plan.diameter)
+        loss[plan.tgt] += plan.weight * target_loss
+        x_up[plan.tgt] += plan.weight[:, None, None] * target_grad
+    gen_grad, _ = nn.backward_from_cache(arch, params, gen_cache, x_up, want="params")
     return loss, gen_grad, generated

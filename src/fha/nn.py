@@ -10,6 +10,7 @@ so equal seeds give bit-identical results whether nets run alone or stacked.
 
 Every call checks its inputs and writes in place only into arrays it allocated
 itself, never into the parameters, the batch, an upstream gradient or a cache.
+The backward pass builds only the gradients its ``want`` keyword names.
 """
 
 from __future__ import annotations
@@ -160,37 +161,42 @@ def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray
     return forward_and_cache(arch, params, batch)[0]
 
 
-def backward_from_cache(arch, params, acts, upstream, *, input_only=False):
+def backward_from_cache(arch, params, acts, upstream, *, want="both"):
     """Reverse-mode pass reusing activations from forward_and_cache.
 
-    Returns (parameter gradient shaped like ``params``, input gradient). With
-    ``input_only`` the parameter gradient is not built and comes back as
-    None: the pass for a frozen net that only carries gradient to its input.
-    One net run over an (N, B, in) batch supports only this pass.
+    Returns (parameter gradient shaped like ``params``, input gradient).
+    ``want`` names what to build, "params", "input" or "both", and the other
+    comes back as None: "input" is the pass of a frozen net that only carries
+    gradient to its input, "params" the pass of a net whose input is data.
+    One net run over an (N, B, in) batch supports only the "input" pass.
     """
+    if want not in ("params", "input", "both"):
+        raise ConfigError(f"want must be 'params', 'input' or 'both', got {want!r}")
     params = _check_params(arch, params)
     lead = params.shape[:-1]
-    if not input_only and acts[0].shape[:-2] != lead:
+    if want != "input" and acts[0].shape[:-2] != lead:
         raise ConfigError("a parameter gradient needs one parameter row per batch block")
     upstream = np.asarray(upstream, dtype=np.float64)
     out = acts[-1]
     if upstream.shape != out.shape:
         raise ConfigError(f"upstream must be {out.shape}, got {upstream.shape}")
     if arch.head == "softmax":
-        g = upstream - np.sum(upstream * out, axis=-1, keepdims=True)
+        g = upstream - (upstream * out).sum(axis=-1, keepdims=True)
         g *= out
     elif arch.head == "sigmoid":
         g = upstream * out
         g *= 1.0 - out
     else:
         g = upstream
-    param_grad = None if input_only else np.empty(params.shape)
+    param_grad = None if want == "input" else np.empty(params.shape)
     for i in range(len(arch.layout) - 1, -1, -1):
         w_sl, b_sl, shape = arch.layout[i]
         if param_grad is not None:
             w_grad = acts[i].swapaxes(-1, -2) @ g
             param_grad[..., w_sl] = w_grad.reshape(lead + (-1,))
             param_grad[..., b_sl] = g.sum(axis=-2)
+        if i == 0 and want == "params":
+            return param_grad, None
         g = g @ params[..., w_sl].reshape(lead + shape).swapaxes(-1, -2)
         if i > 0:
             a = acts[i]
@@ -321,10 +327,12 @@ def _as_int(value, what: str) -> int:
 
 
 def _as_int_fields(obj) -> None:
-    """Check every ``int`` field of a frozen dataclass with _as_int, in place."""
+    """Check each ``int`` field of a frozen dataclass with _as_int, and a seed is >= 0."""
     for f in fields(obj):
         if f.type == "int":
             object.__setattr__(obj, f.name, _as_int(getattr(obj, f.name), f.name))
+    if getattr(obj, "seed", 0) < 0:
+        raise ConfigError(f"seed must be non-negative, got {obj.seed}")
 
 
 _MODEL_FORMAT = "fha-model"

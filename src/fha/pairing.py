@@ -98,10 +98,12 @@ def _rejection_sample(rng, labels_a, labels_b, same: bool, count: int):
     out, need = [], count
     while need > 0:
         k = max(4 * need, 32)
-        ia = rng.integers(0, labels_a.size, size=k)
-        ib = rng.integers(0, labels_b.size, size=k)
+        if labels_a.size == labels_b.size:  # one call draws both halves' stream
+            ia, ib = rng.integers(0, labels_a.size, size=(2, k))
+        else:
+            ia, ib = (rng.integers(0, labels.size, size=k) for labels in (labels_a, labels_b))
         ok = (labels_a[ia] == labels_b[ib]) if same else (labels_a[ia] != labels_b[ib])
-        hits = np.flatnonzero(ok)[:need]
+        hits = ok.nonzero()[0][:need]
         if hits.size == count:
             return ia[hits], ib[hits]
         out.append((ia[hits], ib[hits]))

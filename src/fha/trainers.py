@@ -21,16 +21,17 @@ final steps. The generator objective never reads the adapted model, so
 tohan's trace keeps the interleaved order of the paper's one-step loop. The
 class generators are one (N, P) parameter stack throughout (row n for class
 n): trained, kept in a GeneratorBank and sampled as one. A generator run
-can train several objectives at once, one row block of N per mode from the
+trains several objectives at once, one row block of N per mode from the
 same init and noise, so each block's bank and batches equal its one-mode
-run. In the same way _adapt runs M adaptations as one (M, P) stack of
-encoder + classifier rows and one of discriminators, each row equal to its
-one-block run. generate(methods) trains the blocks the listed methods read, and
-adapt_generated(methods, run) adapts the listed methods from that run in
-one stack: run_two_step and train_tohan are these two calls for a single
-method, adapt_pairwise is the one-block stack against a fixed pool, and
-the harness makes one call of each per (seed, n_t) for sfada, tfada,
-stfada and tohan.
+run; it builds its losses.generator_plan and tiles each chunk of noise once.
+_adapt runs M adaptations as one (M, P) stack of encoder + classifier rows
+and one of discriminators, each row equal to its one-block run, and embeds
+each pool once per encoder state for the discriminator steps, which gather
+their pair embeddings from it. generate(methods) trains the blocks the
+listed methods read, adapt_generated(methods, run) adapts them from that run
+in one stack: run_two_step and train_tohan are the two calls for one method,
+adapt_pairwise is the one-block stack against a fixed pool, and the harness
+makes one call of each per (seed, n_t) for sfada, tfada, stfada and tohan.
 
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and every update builds new parameter
@@ -53,7 +54,6 @@ from .errors import (
     ConfigError,
     FormatError,
     InsufficientDataError,
-    MissingClassError,
     NumericalError,
     QualityGateError,
 )
@@ -329,12 +329,12 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
             enc_params, cls_params = params[:split], params[split:]
             emb, enc_cache = nn.forward_and_cache(enc_arch, enc_params, xb)
             probs, cls_cache = nn.forward_and_cache(cls_arch, cls_params, emb)
-            loss = losses.cross_entropy(probs, yb)
+            loss, up = losses.cross_entropy_and_grad(probs, yb)
             if not math.isfinite(loss):
                 raise NumericalError("source training diverged (non-finite loss)")
-            up = losses.cross_entropy_grad(probs, yb)
             grad[split:], emb_up = nn.backward_from_cache(cls_arch, cls_params, cls_cache, up)
-            grad[:split], _ = nn.backward_from_cache(enc_arch, enc_params, enc_cache, emb_up)
+            grad[:split], _ = nn.backward_from_cache(enc_arch, enc_params, enc_cache, emb_up,
+                                                     want="params")
             params, state = nn.adam_step(state, params, grad)
 
     enc = nn.Net(enc_arch, params[:split])
@@ -367,7 +367,7 @@ def train_ft(hypothesis: SourceHypothesis, fewshot: FewShotSet,
     for _ in range(cfg.epochs):
         probs, cache = nn.forward_and_cache(arch, params, emb)
         up = losses.cross_entropy_grad(probs, labels)
-        grad, _ = nn.backward_from_cache(arch, params, cache, up)
+        grad, _ = nn.backward_from_cache(arch, params, cache, up, want="params")
         params, state = nn.adam_step(state, params, grad)
     return TargetModel(enc=hypothesis.enc, cls=nn.Net(arch, params))
 
@@ -385,9 +385,8 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
         emb, enc_cache = nn.forward_and_cache(enc_arch, params, x)
         probs, cls_cache = nn.forward_and_cache(cls.arch, cls.params, emb)
         up = losses.cross_entropy_grad(probs, labels)
-        _, emb_up = nn.backward_from_cache(cls.arch, cls.params, cls_cache, up,
-                                           input_only=True)
-        grad, _ = nn.backward_from_cache(enc_arch, params, enc_cache, emb_up)
+        _, emb_up = nn.backward_from_cache(cls.arch, cls.params, cls_cache, up, want="input")
+        grad, _ = nn.backward_from_cache(enc_arch, params, enc_cache, emb_up, want="params")
         params, state = nn.adam_step(state, params, grad)
     return TargetModel(enc=nn.Net(enc_arch, params), cls=cls)
 
@@ -400,17 +399,16 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
                     modes: tuple[str, ...], cfg: TohanConfig, root: int, epochs: int,
                     keep: dict | None = None, log: list | None = None) -> tuple[dict, dict]:
     """Train the class generators of every objective in ``modes`` as one
-    (M*N, P) stack with one Adam state: block m holds the N generators on
-    objective modes[m], row n of a block for class n.
+    (M*N, P) stack with one Adam state and one losses.generator_plan: block m
+    holds the N generators on objective modes[m], row n of a block for class n.
 
     Seeds follow derive_seeds(root, 2 * num_classes): child 2n initializes
     generator n and child 2n + 1 drives its noise stream, drawn in class order.
     Every block starts from the same init rows and reads the same noise, so
     each block follows its one-mode run bit for bit. Returns the trained bank
     of each mode and, for each mode in ``keep``, the (N, gen_batch, dim)
-    batches its last keep[mode] steps were computed on. ``log``, when given,
-    receives the digest of the initial stack, then one (loss mean, stack
-    digest) pair per step.
+    batches of its last keep[mode] steps. ``log``, when given, receives the
+    initial stack's digest, then one (loss mean, stack digest) per step.
     """
     num_classes = hypothesis.cls.arch.out_width
     child = nn.derive_seeds(root, 2 * num_classes)
@@ -419,12 +417,11 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
     params = np.tile(init, (len(modes), 1))
     state = nn.AdamState.init(params.shape, cfg.lr_gen)
     noise = [np.random.default_rng(child[2 * n + 1]) for n in range(num_classes)]
-    targets = None
-    if any(mode != "source_only" for mode in modes):
-        if fewshot.num_classes < num_classes:
-            raise MissingClassError("no few-shot samples for some source class")
+    targets = None  # the plan refuses a target mode without the shots of every class
+    if fewshot is not None and fewshot.num_classes >= num_classes:
         targets = np.stack([fewshot.class_features(n) for n in range(num_classes)]
                            ).astype(np.float64)
+    plan = losses.generator_plan(modes, num_classes, targets, cfg.tradeoff, cfg.gen_batch)
     blocks = {mode: slice(m * num_classes, (m + 1) * num_classes)
               for m, mode in enumerate(modes)}
     keep = keep or {}
@@ -434,15 +431,12 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
     for epoch in range(epochs):
         if epoch % _NOISE_CHUNK == 0:  # the same stream as one (B, z_dim) draw per step
             steps = min(_NOISE_CHUNK, epochs - epoch)
-            chunk = np.stack([rng.standard_normal((steps, cfg.gen_batch, cfg.z_dim))
-                              for rng in noise], axis=1)
-        z = chunk[epoch % _NOISE_CHUNK]
+            chunk = np.tile(np.stack([rng.standard_normal((steps, cfg.gen_batch, cfg.z_dim))
+                                      for rng in noise], axis=1), (1, len(modes), 1, 1))
         step_losses, grad, generated = losses.generator_objective_and_grad(
-            arch, params, hypothesis.enc, hypothesis.cls, np.tile(z, (len(modes), 1, 1)),
-            targets, cfg.tradeoff, modes
-        )
+            arch, params, hypothesis.enc, hypothesis.cls, chunk[epoch % _NOISE_CHUNK], plan)
         params, state = nn.adam_step(state, params, grad)
-        if not np.all(np.isfinite(params)):
+        if not np.isfinite(params).all():
             raise NumericalError("network parameters must be finite")
         for mode, count in keep.items():
             if epoch >= epochs - count:
@@ -509,7 +503,7 @@ class _Stack(NamedTuple):
 
 
 def _finite(stack: _Stack, params: np.ndarray) -> _Stack:
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         raise NumericalError("network parameters must be finite")
     return stack._replace(params=params)
 
@@ -526,11 +520,13 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
     epoch runs one model update (discriminator frozen) and one discriminator
     update (encoder frozen) against its own pool. The pair draws read only
     labels, which all pools share, so each pair_seed's stream draws once and
-    its blocks gather the rows from their own pools. A stacked row gets the
-    bits it gets alone, so block m ends, and traces, as its one-block run.
-    A trace gets its row's digests; with ``gen_log``, the log of the
-    generator run that drew the pools, it keeps the interleaved order: one
-    generate event per generator step, the last len(pools) opening the epochs.
+    its blocks gather from their own pools: the model update its pair rows,
+    a discriminator update its pair embeddings, from one embedding of the
+    pool and few-shot rows per encoder state. A stacked row gets the bits it
+    gets alone, so block m ends, and traces, as its one-block run. A trace
+    gets its row's digests; with ``gen_log``, the generator run's log, it keeps
+    the interleaved order: a generate event per step, the last len(pools)
+    opening the epochs.
     """
     steps, count = len(blocks[0].pools), len(blocks)
     pools = {id(p): p for b in blocks for p in b.pools}.values()
@@ -553,19 +549,19 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
     stream_of = [seeds.index(b.pair_seed) for b in blocks]
     block_rows = np.arange(count)[:, None]
     x_t = np.asarray(fewshot.features, dtype=np.float64)
+    groups = np.repeat(ALL_GROUPS, cfg.per_group)
 
-    def draw(k, rows, group_ids, per_group):
-        """Each block's pairs of epoch k: its stream's index pairs, gathered from
-        its own pool (ia) and from ``rows``, its pool followed by the few-shots (ib)."""
+    def draw(k, group_ids, per_group):
+        """Each block's index pairs of epoch k, drawn by its stream: into its
+        pool (ia) and into its pool followed by the few-shots (ib)."""
         drawn = [draw_pairs(blocks[0].pools[k], fewshot, group_ids, per_group, rng)
                  for rng in rngs]
-        ia, ib = (np.stack([drawn[s][side] for s in stream_of]) for side in (0, 1))
-        return rows[block_rows, ia], rows[block_rows, ib]
+        return (np.stack([drawn[s][side] for s in stream_of]) for side in (0, 1))
 
-    def disc_update(k, rows, state):
-        x1, x2 = draw(k, rows, ALL_GROUPS, cfg.per_group)
-        pairs = PairBatch(x1, x2, np.repeat(ALL_GROUPS, cfg.per_group))
-        loss, grad = losses.group_ce_and_disc_grad(disc, enc, pairs)
+    def disc_update(k, emb, state):  # emb: the frozen encoder's embedding of ``rows``
+        ia, ib = draw(k, ALL_GROUPS, cfg.per_group)
+        joint = np.concatenate([emb[block_rows, ia], emb[block_rows, ib]], axis=-1)
+        loss, grad = losses.group_ce_and_disc_grad(disc, joint, groups)
         params, state = nn.adam_step(state, disc.params, grad)
         return _finite(disc, params), state, loss
 
@@ -604,14 +600,17 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
         # each block's pool rows, then the few-shots: the order draw_pairs indexes
         feats = np.stack([b.pools[k].features for b in blocks])
         rows = np.concatenate([feats, np.broadcast_to(x_t, (count,) + x_t.shape)], axis=1)
-        if k == 0:
+        if k == 0:  # pretraining reads the source encoder: embed its rows once
+            emb = nn.forward(enc.arch, enc.params, rows) if cfg.disc_pretrain_epochs else None
             disc_state = nn.AdamState.init(disc.params.shape, cfg.lr_disc_pretrain)
             for _ in range(cfg.disc_pretrain_epochs):
-                disc, disc_state, loss = disc_update(k, rows, disc_state)
+                disc, disc_state, loss = disc_update(k, emb, disc_state)
                 record(k, "pretrain_disc", group_ce=loss)
             disc_state = nn.AdamState.init(disc.params.shape, cfg.lr_disc_adapt)
+            del emb  # up to 240 KB: each embedding is freed before the next is built
         beta = losses.beta_schedule(k / steps)
-        x1, x2 = draw(k, rows, (2, 4), half)
+        ia, ib = draw(k, (2, 4), half)
+        x1, x2 = rows[block_rows, ia], rows[block_rows, ib]
         g2 = PairBatch(x1[:, :half], x2[:, :half], np.full(half, 2))
         g4 = PairBatch(x1[:, half:], x2[:, half:], np.full(half, 4))
         loss, model_grad[:, :split], model_grad[:, split:] = losses.adaptation_loss_and_grads(
@@ -619,7 +618,7 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
         model, model_state = nn.adam_step(model_state, model, model_grad)
         enc, cls = _finite(enc, model[:, :split]), _finite(cls, model[:, split:])
         record(k, "model_update", adaptation=loss, beta=beta)
-        disc, disc_state, loss = disc_update(k, rows, disc_state)
+        disc, disc_state, loss = disc_update(k, nn.forward(enc.arch, enc.params, rows), disc_state)
         record(k, "disc_update", group_ce=loss)
     if steps == 0:
         return [TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)] * count

@@ -39,7 +39,8 @@ from fha import cli, harness, losses, nn, trainers
 from fha.data import FewShotSet, builtin_task, make_synthetic_task, sample_few_shot
 from fha.errors import ProtocolError
 from fha.harness import ExperimentConfig, read_results, run_experiment, summarize
-from fha.pairing import ALL_GROUPS, LabeledPool, PairBatch, build_groups, sample_group_pairs
+from fha.pairing import (ALL_GROUPS, LabeledPool, PairBatch, build_groups, phi,
+                         sample_group_pairs)
 from fha.trainers import METHODS, BaselineConfig, TohanConfig
 
 PILOT_PATH = Path(__file__).parent / "data" / "pilot_rot40.json"
@@ -105,7 +106,7 @@ def _build_gen_source(rng):
     p0 = rng.uniform(0.05, 0.95, size=int(rng.integers(1, 9)))
 
     def loss_fn(p):
-        return losses.gen_source_loss(p), losses.gen_source_loss_grad(p)
+        return losses.gen_source_loss_and_grad(p)
 
     return loss_fn, p0
 
@@ -162,7 +163,8 @@ def _build_group_ce(rng):
     pairs = build_groups(inter, tgt, 3, _seed_of(rng))
 
     def loss_fn(p):
-        return losses.group_ce_and_disc_grad(nn.Net(disc_arch, p), enc, pairs)
+        return losses.group_ce_and_disc_grad(nn.Net(disc_arch, p),
+                                             phi(enc, pairs.x1, pairs.x2), pairs.group)
 
     return loss_fn, nn.init_params(disc_arch, _seed_of(rng))
 
@@ -233,8 +235,8 @@ def _build_gen_objective(mode):
 
         def loss_fn(flat):
             loss, grad, _ = losses.generator_objective_and_grad(
-                gen_arch, flat.reshape(c, -1), enc, cls, z, targets, tradeoff=0.2, mode=mode
-            )
+                gen_arch, flat.reshape(c, -1), enc, cls, z,
+                losses.generator_plan(mode, c, targets, 0.2, z.shape[-2]))
             return float(loss.sum()), grad.ravel()
 
         stack = [nn.init_params(gen_arch, _seed_of(rng)) for _ in range(c)]

@@ -153,6 +153,12 @@ class TestGenData:
         assert cli.main(["gen-data", "--task", "nope",
                          "--out", str(tmp_path / "d")]) == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(["gen-data", "--task", "rot40", "--seed", "-1",
+                         "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrainSource:
     def test_model_file_loads_back(self, workdir, capsys):
@@ -177,6 +183,15 @@ class TestTrainSource:
         rc = cli.main(["train-source", "--data", str(tmp_path / "absent.fhd"),
                        "--out", str(tmp_path / "m.json")])
         assert rc == 1
+
+    @pytest.mark.parametrize("source", ["task", "data"])
+    def test_negative_seed_is_usage_error(self, workdir, tmp_path, capsys, source):
+        given = (["--task", "rot40"] if source == "task"
+                 else ["--data", str(workdir / "data" / "source.fhd")])
+        out = tmp_path / "m.json"
+        assert cli.main(["train-source", *given, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
 
     def test_empty_source_is_runtime_error(self, tmp_path, capsys):
         data = tmp_path / "empty.fhd"
@@ -291,6 +306,22 @@ class TestRun:
         assert capsys.readouterr().err == "error: shots must be distinct\n"
         assert not out.exists()
 
+    def test_methods_string_is_a_comma_list(self, tmp_path):
+        """A config's methods string is split like the --methods flag, not
+        read letter by letter."""
+        lines = {}
+        for given in ("wa, stfada", ["wa", "stfada"]):
+            out = tmp_path / f"{type(given).__name__}.jsonl"
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps(_mini_run_config(out, methods=given)),
+                                encoding="utf-8")
+            assert cli.main(["run", "--config", str(cfg_path)]) == 0
+            rows, problems = read_results(out)
+            assert not problems
+            lines[type(given)] = [(r["method"], r["accuracy"]) for r in rows]
+        assert [m for m, _ in lines[str]] == ["wa", "stfada"]
+        assert lines[str] == lines[list]
+
     def test_non_integer_shots_flag_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["run", "--task", "rot20", "--shots", "1,a",
                          "--out", str(tmp_path / "r.jsonl")]) == 2
@@ -312,6 +343,11 @@ class TestRun:
         {"seeds": [0.0]},
         {"jobs": "2"},
         {"task": {"builtin": "rot40", "seed": 2.5}},
+        {"task": {"builtin": "rot40", "seed": -1}},
+        {"methods": 5},
+        {"methods": None},
+        {"methods": {"wa": 1}},
+        {"methods": "wa,nope"},
     ], ids=repr)
     def test_malformed_config_value_is_usage_error(self, tmp_path, capsys, overrides):
         out = tmp_path / "r.jsonl"

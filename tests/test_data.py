@@ -127,6 +127,7 @@ class TestTaskSpec:
             {"class_means": None},
             {"class_scales": 5},
             {"class_scales": 0.5},
+            {"seed": -1},
         ],
     )
     def test_invalid_specs_rejected(self, overrides):

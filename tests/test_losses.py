@@ -11,6 +11,7 @@ Closed-form reference values are hand-derived:
   * beta_schedule(1) = 2/(1+e^-10) - 1
 """
 
+import functools
 import warnings
 from typing import NamedTuple
 
@@ -20,10 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fha import losses, nn
+from fha import losses, nn, trainers
 from fha.data import FewShotSet
 from fha.errors import ConfigError, MissingClassError
-from fha.pairing import PairBatch
+from fha.pairing import ALL_GROUPS, LabeledPool, PairBatch, draw_pairs
 
 RNG = np.random.default_rng(812)
 
@@ -58,7 +59,7 @@ class TestGenSourceLoss:
         p0 = RNG.uniform(0.05, 0.95, size=6)
 
         def loss_fn(p):
-            return losses.gen_source_loss(p), losses.gen_source_loss_grad(p)
+            return losses.gen_source_loss_and_grad(p)
 
         assert nn.grad_check_fd(loss_fn, p0).passed
 
@@ -214,6 +215,55 @@ class TestGenTargetLoss:
             losses.gen_target_loss_and_grad(np.zeros((2, 4)), np.zeros(4), 1.0)
 
 
+def _dim_leading_kernel(generated, targets, diameter):
+    """The proximity kernel before the K-leading layout: (dim, .., K, B)
+    coordinate planes, K folded after moving it to the front."""
+    lead, dim = generated.ndim - 2, generated.shape[-1]
+    b, k = generated.shape[-2], targets.shape[-2]
+    to_planes = (lead + 1, *range(lead + 1))
+    d = generated.transpose(to_planes)[..., None, :] - targets.transpose(to_planes)[..., :, None]
+    abs_d = np.abs(d)
+    norm = np.sqrt(losses._pairwise_sum(d * d))
+    cube = losses._pairwise_sum(abs_d ** 3)
+    pos = norm > 0.0
+    safe = np.where(pos, norm, 1.0)
+    vals = np.where(pos, cube / safe, 0.0)
+    loss = vals.swapaxes(-1, -2).reshape(generated.shape[:-2] + (-1,)).sum(axis=-1)
+    grad = np.where(pos, 3.0 * d * abs_d / safe - d * cube / safe**3, 0.0)
+    planes = np.moveaxis(grad, -2, 0)
+    grad = losses._pairwise_sum(planes) if dim == 1 else functools.reduce(np.add, planes)
+    scale = diameter * b * k
+    return loss / scale, grad.transpose((*range(1, lead + 2), 0)) / scale
+
+
+class TestKLeadingKernel:
+    """The K-leading proximity kernel, alone and through a generator plan,
+    gives the bytes of the (dim, .., K, B) kernel it replaced."""
+
+    @pytest.mark.parametrize("dim", range(1, 6))
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["single", "stacked"])
+    def test_equals_the_dim_leading_kernel(self, dim, lead):
+        rng = np.random.default_rng(dim)
+        for k in range(1, 10):
+            for b in (1, 5, 32):
+                generated = rng.uniform(size=lead + (b, dim))
+                targets = rng.uniform(size=lead + (k, dim))
+                generated[..., 0, :] = targets[..., k - 1, :]  # zero-distance rows
+                diameter = losses.l1_diameter(dim)
+                want = _dim_leading_kernel(generated, targets, diameter)
+                got = losses.gen_target_loss_and_grad(generated, targets, diameter)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].shape == want[1].shape
+                assert got[1].tobytes() == want[1].tobytes()
+                if lead:  # the plan tiles the few-shots over its proximity blocks
+                    plan = losses.generator_plan(("target_only", "combined"), lead[0],
+                                                 targets, 0.5, b)
+                    both = np.concatenate([generated, generated])
+                    loss, grad = losses._proximity(both, plan.planes, plan.diameter)
+                    assert loss.tobytes() == np.tile(want[0], 2).tobytes()
+                    assert grad.tobytes() == np.tile(want[1], (2, 1, 1)).tobytes()
+
+
 def _difference_tensor_kernel(generated, targets, diameter):
     """The reference target-proximity kernel: one 4-D difference tensor,
     reduced with np.sum over its last axes."""
@@ -232,8 +282,7 @@ class TestGenTotalLoss:
     def test_config_validation(self):
         gen_arch, params, enc, cls, z, targets = _generator_stack()
         with pytest.raises(ConfigError):
-            losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, targets,
-                                                tradeoff=-0.5)
+            losses.generator_plan("combined", 2, targets, -0.5, z.shape[-2])
 
 
 class TestCrossEntropy:
@@ -274,6 +323,29 @@ class TestCrossEntropy:
         with pytest.raises(ConfigError, match="aligned with"):
             fn(np.full((3, 4), 0.25), np.array([0, 1]))
 
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+    def test_fused_call_equals_the_separate_formulas(self, lead):
+        """One check and one gather give the bytes of the loss and gradient
+        as cross_entropy and cross_entropy_grad computed them apart."""
+        probs = RNG.uniform(0.0, 1.0, size=lead + (9, 4))
+        probs[..., 0, 1] = 1e-13  # inside the clamped region
+        labels = np.array([1, 0, 3, 2, 2, 1, 0, 0, 3])
+        rows = np.arange(labels.size)
+        picked = np.ascontiguousarray(probs[..., rows, labels])
+        want_loss = -np.mean(np.log(np.maximum(picked, losses.PROB_FLOOR)), axis=-1)
+        want_grad = np.zeros_like(probs)
+        want_grad[..., rows, labels] = np.where(
+            picked >= losses.PROB_FLOOR,
+            -1.0 / (labels.size * np.maximum(picked, losses.PROB_FLOOR)), 0.0)
+        for loss, grad in (losses.cross_entropy_and_grad(probs, labels),
+                           (losses.cross_entropy(probs, labels),
+                            losses.cross_entropy_grad(probs, labels))):
+            assert isinstance(loss, float) if not lead else loss.shape == lead
+            assert np.asarray(loss).tobytes() == want_loss.tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+        with pytest.raises(ConfigError, match="^labels outside the class range$"):
+            losses.cross_entropy_and_grad(probs, labels + 1)
+
     def test_grad_matches_fd(self):
         probs0 = RNG.uniform(0.1, 0.9, size=(4, 3))
         labels = np.array([0, 2, 1, 0])
@@ -306,21 +378,6 @@ class TestGroupCE:
     def test_shape_validation(self):
         with pytest.raises(ConfigError):
             losses.group_ce_loss(np.full((2, 3), 1 / 3), np.array([1, 2]))
-
-    def test_grad_matches_fd(self):
-        raw = RNG.uniform(0.2, 0.8, size=(3, 4))
-        probs0 = raw / raw.sum(axis=1, keepdims=True)
-        labels = np.array([1, 4, 2])
-
-        def loss_fn(flat):
-            p = flat.reshape(3, 4)
-            # bypass the row-sum check: the gradient is defined pointwise
-            return (
-                losses.cross_entropy(p, labels - 1),
-                losses.group_ce_loss_grad(p, labels).reshape(-1),
-            )
-
-        assert nn.grad_check_fd(loss_fn, probs0.reshape(-1)).passed
 
 
 class TestBetaSchedule:
@@ -466,6 +523,13 @@ class TestAdaptationLoss:
         assert len(out) == 3  # loss, encoder grad, classifier grad
 
 
+def _joint(enc, pairs):
+    """Joint embeddings of a pair batch by one encoder forward per side, as
+    pairing.phi builds them; an (M, P) encoder stack embeds (M, P, d) blocks."""
+    return np.concatenate([nn.forward(enc.arch, enc.params, pairs.x1),
+                           nn.forward(enc.arch, enc.params, pairs.x2)], axis=-1)
+
+
 class TestGroupCEDiscGrad:
     def test_grad_matches_fd(self):
         enc, _, disc = _small_models()
@@ -477,7 +541,7 @@ class TestGroupCEDiscGrad:
 
         def loss_fn(params):
             d = disc.with_params(params)
-            return losses.group_ce_and_disc_grad(d, enc, batch)
+            return losses.group_ce_and_disc_grad(d, _joint(enc, batch), batch.group)
 
         assert nn.grad_check_fd(loss_fn, disc.params).passed
 
@@ -485,12 +549,50 @@ class TestGroupCEDiscGrad:
         enc, _, disc = _small_models()
         empty = PairBatch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ConfigError):
-            losses.group_ce_and_disc_grad(disc, enc, empty)
+            losses.group_ce_and_disc_grad(disc, _joint(enc, empty), empty.group)
 
 
 class _Stack(NamedTuple):
     arch: nn.ArchSpec
     params: np.ndarray
+
+
+class TestGatheredPairEmbeddings:
+    """The discriminator step of the stacked adaptation gathers its pair
+    embeddings from one encoder pass over each block's pool and few-shot rows;
+    a row of a stacked matmul has the same bits whatever rows surround it, so
+    loss and gradient equal those from encoding each pair batch."""
+
+    # (classes, n_t, blocks, per_group): the pilot (rot40, n_t 3, four
+    # methods), ring6 at each grid shot count, and a one-block 4-pair draw
+    @pytest.mark.parametrize("classes,n_t,count,per_group", [
+        (3, 3, 4, 16), (6, 1, 4, 16), (6, 3, 4, 16), (6, 7, 4, 16), (3, 1, 1, 1)])
+    def test_equals_per_pair_encoder_forwards(self, classes, n_t, count, per_group):
+        enc_arch = trainers.default_encoder_arch(2)
+        disc_arch = trainers.default_discriminator_arch(32)
+        seeds = nn.derive_seeds(classes * n_t, 2 * count)
+        enc = _Stack(enc_arch, np.stack([nn.init_params(enc_arch, s) for s in seeds[:count]]))
+        disc = _Stack(disc_arch, np.stack([nn.init_params(disc_arch, s)
+                                           for s in seeds[count:]]))
+        rng = np.random.default_rng(n_t)
+        labels = np.repeat(np.arange(classes), 32)
+        pools = rng.uniform(size=(count, labels.size, 2))
+        fs = _fewshot(num_classes=classes, n_t=n_t, seed=n_t)
+        shots = np.broadcast_to(fs.features, (count,) + fs.features.shape)
+        rows = np.concatenate([pools, shots], axis=1)
+        draws = [draw_pairs(LabeledPool(pools[0], labels), fs, ALL_GROUPS, per_group,
+                            np.random.default_rng(s)) for s in range(count)]
+        ia, ib = (np.stack([d[side] for d in draws]) for side in (0, 1))
+        at = np.arange(count)[:, None]
+        groups = np.repeat(ALL_GROUPS, per_group)
+        emb = nn.forward(enc.arch, enc.params, rows)
+        gathered = np.concatenate([emb[at, ia], emb[at, ib]], axis=-1)
+        encoded = _joint(enc, PairBatch(rows[at, ia], rows[at, ib], groups))
+        assert gathered.tobytes() == encoded.tobytes()
+        loss, grad = losses.group_ce_and_disc_grad(disc, gathered, groups)
+        want_loss, want_grad = losses.group_ce_and_disc_grad(disc, encoded, groups)
+        assert loss.tobytes() == want_loss.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def _stacked_nets(count=3, pairs=10, seed=0):
@@ -530,11 +632,13 @@ class TestStackedAdaptationLosses:
 
     def test_group_ce_and_disc_grad_per_block(self):
         nets, (enc, _, disc), pairs = _stacked_nets()
-        loss, grad = losses.group_ce_and_disc_grad(disc, enc, pairs["all"])
+        loss, grad = losses.group_ce_and_disc_grad(disc, _joint(enc, pairs["all"]),
+                                                   pairs["all"].group)
         assert loss.shape == (3,) and grad.shape == disc.params.shape
         for m, (enc_m, _, disc_m) in enumerate(nets):
-            want_loss, want_grad = losses.group_ce_and_disc_grad(disc_m, enc_m,
-                                                                 _row(pairs["all"], m))
+            row = _row(pairs["all"], m)
+            want_loss, want_grad = losses.group_ce_and_disc_grad(disc_m, _joint(enc_m, row),
+                                                                 row.group)
             assert isinstance(want_loss, float) and loss[m] == want_loss
             assert grad[m].tobytes() == want_grad.tobytes()
 
@@ -553,6 +657,12 @@ def _generator_stack(seed=3):
     return gen_arch, params, enc, cls, z, targets
 
 
+def _objective(gen_arch, params, enc, cls, z, targets, tradeoff, mode="combined"):
+    """The objective under the plan of a run of ``mode`` on these few-shots."""
+    plan = losses.generator_plan(mode, cls.arch.out_width, targets, tradeoff, z.shape[-2])
+    return losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, plan)
+
+
 class TestGeneratorObjective:
     """The objective of a stack of two generators, one per source class."""
 
@@ -561,7 +671,7 @@ class TestGeneratorObjective:
         gen_arch, params, enc, cls, z, targets = _generator_stack()
 
         def loss_fn(flat):
-            value, grad, _ = losses.generator_objective_and_grad(
+            value, grad, _ = _objective(
                 gen_arch, flat.reshape(params.shape), enc, cls, z, targets,
                 tradeoff=0.2, mode=mode,
             )
@@ -571,10 +681,10 @@ class TestGeneratorObjective:
 
     def test_generator_n_scores_class_n(self):
         gen_arch, params, enc, cls, z, targets = _generator_stack()
-        src, _, generated = losses.generator_objective_and_grad(
+        src, _, generated = _objective(
             gen_arch, params, enc, cls, z, targets, tradeoff=0.2, mode="source_only"
         )
-        tgt, _, _ = losses.generator_objective_and_grad(
+        tgt, _, _ = _objective(
             gen_arch, params, enc, cls, z, targets, tradeoff=0.2, mode="target_only"
         )
         diameter = losses.l1_diameter(2)
@@ -591,14 +701,14 @@ class TestGeneratorObjective:
         gen_arch, params, enc, cls, z, targets = _generator_stack()
         for bad in (params[0], params[:1], np.concatenate([params, params[:1]])):
             with pytest.raises(ConfigError):
-                losses.generator_objective_and_grad(gen_arch, bad, enc, cls, z, targets,
+                _objective(gen_arch, bad, enc, cls, z, targets,
                                                     tradeoff=0.2)
 
     def test_zero_tradeoff_combined_equals_source_only(self):
         gen_arch, params, enc, cls, z, targets = _generator_stack()
-        a = losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, targets,
+        a = _objective(gen_arch, params, enc, cls, z, targets,
                                                 tradeoff=0.0, mode="combined")
-        b = losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, None,
+        b = _objective(gen_arch, params, enc, cls, z, None,
                                                 tradeoff=0.0, mode="source_only")
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
@@ -606,13 +716,13 @@ class TestGeneratorObjective:
 
     def test_combined_is_source_plus_weighted_target(self):
         gen_arch, params, enc, cls, z, targets = _generator_stack()
-        total, _, _ = losses.generator_objective_and_grad(
+        total, _, _ = _objective(
             gen_arch, params, enc, cls, z, targets, tradeoff=0.3, mode="combined"
         )
-        src, _, _ = losses.generator_objective_and_grad(
+        src, _, _ = _objective(
             gen_arch, params, enc, cls, z, None, tradeoff=0.3, mode="source_only"
         )
-        tgt, _, _ = losses.generator_objective_and_grad(
+        tgt, _, _ = _objective(
             gen_arch, params, enc, cls, z, targets, tradeoff=0.3, mode="target_only"
         )
         assert np.allclose(total, src + 0.3 * tgt, atol=1e-12, rtol=0.0)
@@ -620,18 +730,18 @@ class TestGeneratorObjective:
     def test_target_only_requires_targets(self):
         gen_arch, params, enc, cls, z, _ = _generator_stack()
         with pytest.raises(MissingClassError):
-            losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, None,
+            _objective(gen_arch, params, enc, cls, z, None,
                                                 tradeoff=0.2, mode="target_only")
 
     def test_unknown_mode_rejected(self):
         gen_arch, params, enc, cls, z, targets = _generator_stack()
         with pytest.raises(ConfigError):
-            losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, targets,
+            _objective(gen_arch, params, enc, cls, z, targets,
                                                 tradeoff=0.2, mode="both")
 
     def test_generated_batch_is_returned(self):
         gen_arch, params, enc, cls, z, targets = _generator_stack()
-        _, _, generated = losses.generator_objective_and_grad(
+        _, _, generated = _objective(
             gen_arch, params, enc, cls, z, targets, tradeoff=0.2, mode="combined"
         )
         assert generated.shape == (2, 4, 2)

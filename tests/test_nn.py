@@ -226,10 +226,15 @@ class TestStacked:
              RNG.normal(size=(2, 5, 4)), RNG.normal(size=(2, 5, 3))),
         ):
             _, acts = nn.forward_and_cache(arch, params, x)
-            _, full = nn.backward_from_cache(arch, params, acts, up)
-            grad, only = nn.backward_from_cache(arch, params, acts, up, input_only=True)
+            full_grad, full = nn.backward_from_cache(arch, params, acts, up)
+            grad, only = nn.backward_from_cache(arch, params, acts, up, want="input")
             assert grad is None
             assert np.array_equal(only, full)
+            grad, none = nn.backward_from_cache(arch, params, acts, up, want="params")
+            assert none is None
+            assert grad.tobytes() == full_grad.tobytes()
+        with pytest.raises(ConfigError):
+            nn.backward_from_cache(arch, params, acts, up, want="weights")
 
     def test_one_net_over_a_stacked_batch_equals_each_block(self):
         # the generator objective runs each frozen net once over all N blocks
@@ -238,7 +243,7 @@ class TestStacked:
         x = RNG.uniform(size=(6, 32, 2))
         up = RNG.normal(size=(6, 32, 32))
         out, acts = nn.forward_and_cache(arch, params, x)
-        _, x_grad = nn.backward_from_cache(arch, params, acts, up, input_only=True)
+        _, x_grad = nn.backward_from_cache(arch, params, acts, up, want="input")
         for i in range(6):
             row_out, row_acts = nn.forward_and_cache(arch, params, x[i])
             _, row_x_grad = nn.backward_from_cache(arch, params, row_acts, up[i])
@@ -369,10 +374,11 @@ class TestMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(head=st.sampled_from(nn.HEADS), activation=st.sampled_from(nn.ACTIVATIONS),
            layout=st.sampled_from(["single", "stacked", "one net over blocks"]),
-           input_only=st.booleans(), depth=st.integers(2, 4), n=st.integers(1, 4),
+           want=st.sampled_from(["params", "input", "both"]), depth=st.integers(2, 4),
+           n=st.integers(1, 4),
            b=st.integers(1, 9), scale=st.sampled_from([1.0, 30.0, 1e3]),
            seed=st.integers(0, 2**32 - 1))
-    def test_forward_and_backward_bytes(self, head, activation, layout, input_only, depth,
+    def test_forward_and_backward_bytes(self, head, activation, layout, want, depth,
                                         n, b, scale, seed):
         rng = np.random.default_rng(seed)
         widths = tuple(int(w) for w in rng.integers(2, 7, size=depth))
@@ -385,20 +391,21 @@ class TestMatchesReference:
         x = scale * rng.normal(size=lead + (b, arch.in_width))
         up = rng.normal(size=lead + (b, arch.out_width))
         if layout == "one net over blocks":
-            input_only = True  # the only pass of one net over a stacked batch
+            want = "input"  # the only pass of one net over a stacked batch
         handed = [a.copy() for a in (params, x, up)]
         out, acts = nn.forward_and_cache(arch, params, x)
         cache = [a.copy() for a in acts]
-        grad, x_grad = nn.backward_from_cache(arch, params, acts, up, input_only=input_only)
+        grad, x_grad = nn.backward_from_cache(arch, params, acts, up, want=want)
         ref_out, ref_acts = ref_forward_and_cache(arch, params, x)
         ref_grad, ref_x_grad = ref_backward_from_cache(arch, params, ref_acts, up,
-                                                       input_only=input_only)
+                                                       input_only=want == "input")
         assert same_bytes(out, ref_out)
         assert len(acts) == len(ref_acts)
         assert all(same_bytes(a, r) for a, r in zip(acts, ref_acts))
-        assert (grad is None) == input_only == (ref_grad is None)
-        assert input_only or same_bytes(grad, ref_grad)
-        assert same_bytes(x_grad, ref_x_grad)
+        assert (grad is None) == (want == "input") == (ref_grad is None)
+        assert want == "input" or same_bytes(grad, ref_grad)
+        assert (x_grad is None) == (want == "params")
+        assert want == "params" or same_bytes(x_grad, ref_x_grad)
         assert all(same_bytes(a, h) for a, h in zip((params, x, up), handed))
         assert all(same_bytes(a, c) for a, c in zip(acts, cache))
 

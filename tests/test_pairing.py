@@ -311,6 +311,32 @@ class TestDrawSequence:
                 assert rows[ib[part]].tobytes() == want.x2.tobytes()
             assert rng.bit_generator.state == rngs[0].bit_generator.state
 
+    @pytest.mark.parametrize("num_classes", range(2, 9))
+    @pytest.mark.parametrize("k", [1, 7, 32, 33])
+    def test_one_same_bound_draw_matches_two_integers_calls(self, num_classes, k):
+        """A rejection round whose two index halves share a bound draws them
+        in one integers call of 2k: the stream of two calls of k, odd k too.
+        Groups 1 and 3 always share it; groups 2 and 4 do against a target of
+        the pool's size."""
+        n = num_classes * 5
+        one, two = np.random.default_rng(k), np.random.default_rng(k)
+        ia, ib = one.integers(0, n, size=(2, k))
+        assert ia.tobytes() == two.integers(0, n, size=k).tobytes()
+        assert ib.tobytes() == two.integers(0, n, size=k).tobytes()
+        assert one.bit_generator.state == two.bit_generator.state
+        inter, target = make_pools(num_classes=num_classes, inter_per_class=5,
+                                   target_per_class=5)
+        rows = np.concatenate([inter.features, target.features])
+        for group_ids in ((1, 3), (2, 4)):
+            rngs = [np.random.default_rng(n * k) for _ in range(2)]
+            ia, ib = draw_pairs(inter, target, group_ids, k, rngs[0])
+            for j, group_id in enumerate(group_ids):
+                want = reference_sample(inter, target, group_id, k, rngs[1])
+                part = slice(j * k, (j + 1) * k)
+                assert inter.features[ia[part]].tobytes() == want.x1.tobytes()
+                assert rows[ib[part]].tobytes() == want.x2.tobytes()
+            assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
+
     @pytest.mark.parametrize("per_group", [1, 16, 40])
     def test_second_rejection_rounds_match(self, per_group):
         # six equal classes: once need > 8, a round of 4 * need draws yields

@@ -180,6 +180,14 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             dataclasses.replace(base, **{name: bad})
 
+    @pytest.mark.parametrize("base", [trainers.SourceTrainConfig(), trainers.TohanConfig()],
+                             ids=lambda b: type(b).__name__)
+    def test_negative_seed_rejected(self, base):
+        # numpy's seeding would raise a raw ValueError only when the run starts
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+            dataclasses.replace(base, seed=-1)
+        assert dataclasses.replace(base, seed=0).seed == 0
+
     def test_method_registry(self):
         assert trainers.METHODS == (
             "wa", "ft", "shot", "sfada", "tfada", "stfada", "tohan"
