@@ -6,11 +6,11 @@ harness makes: source training, the shared generator runs (split into the
 objective steps, the Adam steps and the rest), the stacked adaptations
 (split into pair draws, discriminator updates, model updates and the rest),
 and the ft and shot baselines; "other" is the rest of the seed (data,
-few-shot draws, accuracies). A discriminator update counts the encoder
-embedding it gathers its pairs from and its Adam step; a model update its
-Adam step. Prints the median of each phase over the seeds, its share of
-their sum, and the generator blocks one seed trains. The defaults are the
-pilot's: rot40, n_t=3.
+few-shot draws, accuracies). A discriminator update counts its encoder
+pass (in pretraining, the pool embedding it gathers from) and its Adam
+step; a model update its Adam step. Prints the median of each phase over
+the seeds, its share of their sum, and the generator blocks one seed
+trains. The defaults are the pilot's: rot40, n_t=3.
 
     PYTHONPATH=src python3 scripts/phase_times.py [--task rot40] [--shots 3] \\
         [--seeds 0,1,2,3,4]
@@ -58,7 +58,7 @@ TIMED = (
 def _phase_of(name, caller, last_update):
     """The phase of an Adam step or a forward pass made directly by the timed
     function ``caller`` (a (function, phase) pair): the generator Adam, the
-    adaptation update it steps or the embedding a discriminator update
+    adaptation update it steps or the encoder pass a discriminator update
     reads, or else the caller's own phase."""
     if caller[0] == "generate" and name == "adam_step":
         return "generate: Adam"

@@ -24,7 +24,7 @@ group-2 and group-4 pair labels toward their same-domain twins (confusion
 terms, weighted by a warm-up factor beta) and adds plain cross-entropy on
 the labeled target samples. Both adaptation objectives also take (M, P)
 stacks of nets and reduce per block, so M adaptations step as one; the
-discriminator objective scores pair embeddings its caller gathered.
+discriminator objective scores pair embeddings its caller built.
 Probabilities are clamped at 1e-12 before logs.
 """
 
@@ -58,10 +58,6 @@ def gen_source_loss_and_grad(class_probs: np.ndarray):
         raise ConfigError("class_probs must be non-empty along its last axis")
     gap = p - 1.0
     return (gap ** 2).mean(axis=-1), 2.0 * gap / p.shape[-1]
-
-
-def gen_source_loss(class_probs: np.ndarray):
-    return gen_source_loss_and_grad(class_probs)[0]
 
 
 def _augmented_l1_and_grad(x: np.ndarray, y: np.ndarray):
@@ -169,33 +165,32 @@ def gen_target_loss(generated: np.ndarray, targets_n: np.ndarray,
     return float(gen_target_loss_and_grad(generated, targets_n, diameter)[0])
 
 
-def _check_ce(probs: np.ndarray, labels: np.ndarray):
+def _check_ce(probs: np.ndarray, labels: np.ndarray, name="cross_entropy",
+              out_of_range="labels outside the class range"):
     """(B, C) or (M, B, C) float64 probs and their (B,) int64 labels in 0..C-1."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if probs.ndim not in (2, 3) or labels.ndim != 1 or probs.shape[-2] != labels.shape[0]:
         raise ConfigError("probs must be (B, C) or (M, B, C) aligned with (B,) labels")
     if labels.size == 0:
-        raise ConfigError("cross_entropy on an empty batch")
+        raise ConfigError(f"{name} on an empty batch")
     if labels.min() < 0 or labels.max() >= probs.shape[-1]:
-        raise ConfigError("labels outside the class range")
+        raise ConfigError(out_of_range)
     return probs, labels
 
 
-def _ce_parts(probs: np.ndarray, labels: np.ndarray, with_loss=True, with_grad=True):
-    """(loss, gradient) of checked probs and labels, one gather; None for a part not wanted."""
+def _ce_parts(probs: np.ndarray, labels: np.ndarray, with_loss=True):
+    """(loss, gradient) of checked probs and labels, one gather; loss None without with_loss."""
     rows = np.arange(labels.size)
     # C order, so each block's row is summed as a (B,) vector is
     picked = np.ascontiguousarray(probs[..., rows, labels])
     floor = np.maximum(picked, PROB_FLOOR)
-    loss = grad = None
+    loss = None
     if with_loss:
         loss = -np.log(floor).mean(axis=-1)
         loss = float(loss) if loss.ndim == 0 else loss
-    if with_grad:
-        grad = np.zeros_like(probs)
-        grad[..., rows, labels] = np.where(picked >= PROB_FLOOR,
-                                           -1.0 / (labels.size * floor), 0.0)
+    grad = np.zeros_like(probs)
+    grad[..., rows, labels] = np.where(picked >= PROB_FLOOR, -1.0 / (labels.size * floor), 0.0)
     return loss, grad
 
 
@@ -205,7 +200,7 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray):
     (B, C) probabilities give one value; an (M, B, C) stack gives one per
     block, every block scored against the same (B,) labels.
     """
-    return _ce_parts(*_check_ce(probs, labels), with_grad=False)[0]
+    return _ce_parts(*_check_ce(probs, labels))[0]
 
 
 def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -225,7 +220,8 @@ def _check_group_ce(pair_probs: np.ndarray, group_labels: np.ndarray):
         raise ConfigError("pair_probs must be (P, 4) or (M, P, 4)")
     if pair_probs.size and np.abs(pair_probs.sum(axis=-1) - 1.0).max() > 1e-6:
         raise ConfigError("pair probability rows must sum to 1")
-    return _check_ce(pair_probs, np.asarray(group_labels, dtype=np.int64) - 1)
+    return _check_ce(pair_probs, np.asarray(group_labels, dtype=np.int64) - 1,
+                     "group_ce_loss", "group labels must lie in {1, 2, 3, 4}")
 
 
 def group_ce_loss(pair_probs: np.ndarray, group_labels: np.ndarray):
@@ -233,7 +229,7 @@ def group_ce_loss(pair_probs: np.ndarray, group_labels: np.ndarray):
 
     (P, 4) probabilities give one value, an (M, P, 4) stack one per block.
     """
-    return _ce_parts(*_check_group_ce(pair_probs, group_labels), with_grad=False)[0]
+    return _ce_parts(*_check_group_ce(pair_probs, group_labels))[0]
 
 
 def beta_schedule(progress: float) -> float:
@@ -339,7 +335,8 @@ class GeneratorPlan(NamedTuple):
 
 
 def _block_rows(blocks: list[int], n: int):
-    """The stack rows of row blocks of n: a slice if they are adjacent, or None."""
+    """The stack rows of row blocks of n: a slice if they are adjacent, else an
+    index array; None for no blocks."""
     if not blocks:
         return None
     if blocks[-1] - blocks[0] == len(blocks) - 1:
@@ -372,9 +369,10 @@ def generator_plan(mode, num_classes: int, targets: np.ndarray | None, tradeoff:
                   if name == "target_only" or (name == "combined" and tradeoff != 0.0)]
     tgt, planes, diameter = _block_rows(tgt_blocks, num_classes), None, 1.0
     if tgt_blocks:
-        if (targets is None or np.ndim(targets) != 3 or len(targets) != num_classes
-                or not np.size(targets)):
+        if targets is None or not np.size(targets):
             raise MissingClassError("no few-shot samples for some source class")
+        if np.ndim(targets) != 3 or len(targets) != num_classes:
+            raise ConfigError("targets must be (N, K, dim), one row per source class")
         targets = np.asarray(targets, dtype=np.float64)
         planes = _target_planes(np.tile(targets, (len(tgt_blocks), 1, 1)), batch)
         diameter = l1_diameter(targets.shape[-1])

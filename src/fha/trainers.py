@@ -25,9 +25,10 @@ trains several objectives at once, one row block of N per mode from the
 same init and noise, so each block's bank and batches equal its one-mode
 run; it builds its losses.generator_plan and tiles each chunk of noise once.
 _adapt runs M adaptations as one (M, P) stack of encoder + classifier rows
-and one of discriminators, each row equal to its one-block run, and embeds
-each pool once per encoder state for the discriminator steps, which gather
-their pair embeddings from it. generate(methods) trains the blocks the
+and one of discriminators, each row equal to its one-block run; the
+discriminator pretraining gathers its pair embeddings from one embedding of
+the first pool, and every later discriminator step embeds its x1 and x2
+rows in one encoder pass. generate(methods) trains the blocks the
 listed methods read, adapt_generated(methods, run) adapts them from that run
 in one stack: run_two_step and train_tohan are the two calls for one method,
 adapt_pairwise is the one-block stack against a fixed pool, and the harness
@@ -521,8 +522,9 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
     update (encoder frozen) against its own pool. The pair draws read only
     labels, which all pools share, so each pair_seed's stream draws once and
     its blocks gather from their own pools: the model update its pair rows,
-    a discriminator update its pair embeddings, from one embedding of the
-    pool and few-shot rows per encoder state. A stacked row gets the bits it
+    the pretraining updates their pair embeddings from one embedding of the
+    pool and few-shot rows, and each later discriminator update embeds its
+    pair rows in one pass. A stacked row gets the bits it
     gets alone, so block m ends, and traces, as its one-block run. A trace
     gets its row's digests; with ``gen_log``, the generator run's log, it keeps
     the interleaved order: a generate event per step, the last len(pools)
@@ -558,9 +560,10 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
                  for rng in rngs]
         return (np.stack([drawn[s][side] for s in stream_of]) for side in (0, 1))
 
-    def disc_update(k, emb, state):  # emb: the frozen encoder's embedding of ``rows``
+    def disc_update(k, embed, state):  # embed: indices into ``rows`` -> frozen-encoder rows
         ia, ib = draw(k, ALL_GROUPS, cfg.per_group)
-        joint = np.concatenate([emb[block_rows, ia], emb[block_rows, ib]], axis=-1)
+        emb = embed(np.concatenate([ia, ib], axis=1))
+        joint = np.concatenate([emb[:, :groups.size], emb[:, groups.size:]], axis=-1)
         loss, grad = losses.group_ce_and_disc_grad(disc, joint, groups)
         params, state = nn.adam_step(state, disc.params, grad)
         return _finite(disc, params), state, loss
@@ -604,10 +607,10 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
             emb = nn.forward(enc.arch, enc.params, rows) if cfg.disc_pretrain_epochs else None
             disc_state = nn.AdamState.init(disc.params.shape, cfg.lr_disc_pretrain)
             for _ in range(cfg.disc_pretrain_epochs):
-                disc, disc_state, loss = disc_update(k, emb, disc_state)
+                disc, disc_state, loss = disc_update(k, lambda i: emb[block_rows, i], disc_state)
                 record(k, "pretrain_disc", group_ce=loss)
             disc_state = nn.AdamState.init(disc.params.shape, cfg.lr_disc_adapt)
-            del emb  # up to 240 KB: each embedding is freed before the next is built
+            del emb  # up to 240 KB, unread after pretraining
         beta = losses.beta_schedule(k / steps)
         ia, ib = draw(k, (2, 4), half)
         x1, x2 = rows[block_rows, ia], rows[block_rows, ib]
@@ -618,7 +621,9 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
         model, model_state = nn.adam_step(model_state, model, model_grad)
         enc, cls = _finite(enc, model[:, :split]), _finite(cls, model[:, split:])
         record(k, "model_update", adaptation=loss, beta=beta)
-        disc, disc_state, loss = disc_update(k, nn.forward(enc.arch, enc.params, rows), disc_state)
+        # one update per encoder state: embed just its pair rows, in one pass
+        disc, disc_state, loss = disc_update(
+            k, lambda i: nn.forward(enc.arch, enc.params, rows[block_rows, i]), disc_state)
         record(k, "disc_update", group_ce=loss)
     if steps == 0:
         return [TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)] * count

@@ -1,7 +1,7 @@
 """Tests for generation and adaptation objectives in fha.losses.
 
 Closed-form reference values are hand-derived:
-  * gen_source_loss([0.5, 1.0]) = ((0.5-1)^2 + 0) / 2 = 0.125
+  * gen_source_loss_and_grad([0.5, 1.0])[0] = ((0.5-1)^2 + 0) / 2 = 0.125
   * augmented_l1((1,0),(0,0)) = |1|^3 / 1 = 1
   * augmented_l1((1,1),(0,0)) = (1+1) / sqrt(2) = sqrt(2)
   * l1_diameter(d) = sqrt(d) (maximum at |d_i| = 1 everywhere)
@@ -35,25 +35,29 @@ unit_vectors = arrays(
 )
 
 
+def _gen_source_loss(p):
+    return losses.gen_source_loss_and_grad(p)[0]
+
+
 class TestGenSourceLoss:
     def test_reference_value(self):
-        assert losses.gen_source_loss(np.array([0.5, 1.0])) == pytest.approx(0.125)
+        assert _gen_source_loss(np.array([0.5, 1.0])) == pytest.approx(0.125)
 
     def test_zero_probs_give_one(self):
-        assert losses.gen_source_loss(np.zeros(4)) == pytest.approx(1.0)
+        assert _gen_source_loss(np.zeros(4)) == pytest.approx(1.0)
 
     def test_perfect_probs_give_zero(self):
-        assert losses.gen_source_loss(np.ones(3)) == 0.0
+        assert _gen_source_loss(np.ones(3)) == 0.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            losses.gen_source_loss(np.array([0.5, 1.2]))
+            _gen_source_loss(np.array([0.5, 1.2]))
         with pytest.raises(ConfigError):
-            losses.gen_source_loss(np.array([-0.1]))
+            _gen_source_loss(np.array([-0.1]))
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            losses.gen_source_loss(np.array([]))
+            _gen_source_loss(np.array([]))
 
     def test_grad_matches_fd(self):
         p0 = RNG.uniform(0.05, 0.95, size=6)
@@ -379,6 +383,27 @@ class TestGroupCE:
         with pytest.raises(ConfigError):
             losses.group_ce_loss(np.full((2, 3), 1 / 3), np.array([1, 2]))
 
+    def test_label_errors_name_the_group_labels(self):
+        with pytest.raises(ConfigError, match=r"group labels must lie in \{1, 2, 3, 4\}"):
+            losses.group_ce_loss(np.full((2, 4), 0.25), np.array([0, 4]))
+        with pytest.raises(ConfigError, match="group_ce_loss on an empty batch"):
+            losses.group_ce_loss(np.zeros((0, 4)), np.zeros(0, dtype=int))
+
+    def test_grad_matches_fd(self):
+        raw = RNG.uniform(0.2, 0.8, size=(3, 4))
+        probs0 = raw / raw.sum(axis=1, keepdims=True)
+        labels = np.array([1, 4, 2])
+
+        def loss_fn(flat):
+            p = flat.reshape(3, 4)
+            # the fused part of group_ce_and_disc_grad, without the row-sum
+            # check: the gradient is defined pointwise, also off the simplex
+            loss, grad = losses._ce_parts(*losses._check_ce(p, labels - 1))
+            assert loss == losses.cross_entropy(p, labels - 1)
+            return loss, grad.reshape(-1)
+
+        assert nn.grad_check_fd(loss_fn, probs0.reshape(-1)).passed
+
 
 class TestBetaSchedule:
     def test_endpoints(self):
@@ -589,6 +614,10 @@ class TestGatheredPairEmbeddings:
         gathered = np.concatenate([emb[at, ia], emb[at, ib]], axis=-1)
         encoded = _joint(enc, PairBatch(rows[at, ia], rows[at, ib], groups))
         assert gathered.tobytes() == encoded.tobytes()
+        # one encoder pass over the gathered x1 rows then x2 rows
+        once = nn.forward(enc.arch, enc.params, rows[at, np.concatenate([ia, ib], axis=1)])
+        once = np.concatenate([once[:, :groups.size], once[:, groups.size:]], axis=-1)
+        assert once.tobytes() == encoded.tobytes()
         loss, grad = losses.group_ce_and_disc_grad(disc, gathered, groups)
         want_loss, want_grad = losses.group_ce_and_disc_grad(disc, encoded, groups)
         assert loss.tobytes() == want_loss.tobytes()
@@ -692,7 +721,7 @@ class TestGeneratorObjective:
             batch = nn.forward(gen_arch, params[n], z[n])
             assert np.array_equal(generated[n], batch)
             assert src[n] == pytest.approx(
-                losses.gen_source_loss(cls(enc(batch))[:, n]), abs=1e-15)
+                _gen_source_loss(cls(enc(batch))[:, n]), abs=1e-15)
             assert tgt[n] == pytest.approx(
                 losses.gen_target_loss(batch, targets[n], diameter), abs=1e-15)
         assert src[0] != src[1]
@@ -732,6 +761,14 @@ class TestGeneratorObjective:
         with pytest.raises(MissingClassError):
             _objective(gen_arch, params, enc, cls, z, None,
                                                 tradeoff=0.2, mode="target_only")
+
+    def test_malformed_targets_are_config_errors(self):
+        _, _, _, _, z, targets = _generator_stack()
+        for bad in (targets[0], targets[:1], targets[..., None]):
+            with pytest.raises(ConfigError):
+                losses.generator_plan("target_only", 2, bad, 0.2, z.shape[-2])
+        with pytest.raises(MissingClassError):
+            losses.generator_plan("combined", 2, targets[:, :0], 0.2, z.shape[-2])
 
     def test_unknown_mode_rejected(self):
         gen_arch, params, enc, cls, z, targets = _generator_stack()
