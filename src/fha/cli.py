@@ -9,6 +9,7 @@ environment variable (error | info | debug) controls verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -320,10 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing reads it and never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
         _setup_logging()
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,9 @@ terms, weighted by a warm-up factor beta) and adds plain cross-entropy on
 the labeled target samples. Both adaptation objectives also take (M, P)
 stacks of nets and reduce per block, so M adaptations step as one; the
 discriminator objective scores pair embeddings its caller built.
-Probabilities are clamped at 1e-12 before logs.
+Probabilities are clamped at 1e-12 before logs. Source fitting and the
+few-shot term train through softmax_ce_and_grads, one checked pass over an
+encoder and a softmax classifier.
 """
 
 from __future__ import annotations
@@ -126,8 +128,8 @@ def _proximity(generated: np.ndarray, planes: np.ndarray, diameter: float):
     b, nd = generated.shape[-2], generated.ndim
     d = generated.transpose((nd - 1, *range(nd - 1))) - planes
     abs_d = np.abs(d)
-    norm = np.sqrt(_pairwise_sum((d * d).swapaxes(0, 1)))
-    cube = _pairwise_sum((abs_d ** 3).swapaxes(0, 1))
+    norm = np.sqrt(nn._pairwise_sum((d * d).swapaxes(0, 1)))
+    cube = nn._pairwise_sum((abs_d ** 3).swapaxes(0, 1))
     pos = norm > 0.0
     safe = np.where(pos, norm, 1.0)
     vals = np.where(pos, cube / safe, 0.0)
@@ -138,25 +140,9 @@ def _proximity(generated: np.ndarray, planes: np.ndarray, diameter: float):
     safe, cube = safe[:, None], cube[:, None]
     grad = np.where(pos[:, None], 3.0 * d * abs_d / safe - d * cube / safe**3, 0.0)
     # over K a left fold, but pairwise for dim 1, where K is the contiguous axis
-    grad = _pairwise_sum(grad) if dim == 1 else functools.reduce(np.add, grad)
+    grad = nn._pairwise_sum(grad) if dim == 1 else functools.reduce(np.add, grad)
     scale = diameter * b * k
     return loss / scale, grad.transpose(to_last) / scale
-
-
-def _pairwise_sum(planes: np.ndarray) -> np.ndarray:
-    """planes.sum(axis=0) in the order np.sum(axis=-1) adds a contiguous
-    axis: a left fold below 8 terms, 8 interleaved accumulators up to 128,
-    halves above (np.sum starts from +0.0; no term here is -0.0)."""
-    n = len(planes)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(planes[:half]) + _pairwise_sum(planes[half:])
-    if n < 8:
-        return functools.reduce(np.add, planes)
-    m = n - n % 8
-    r = functools.reduce(np.add, planes[:m].reshape((m // 8, 8) + planes.shape[1:]))
-    r = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return functools.reduce(np.add, planes[m:], r)
 
 
 def gen_target_loss(generated: np.ndarray, targets_n: np.ndarray,
@@ -174,23 +160,34 @@ def _check_ce(probs: np.ndarray, labels: np.ndarray, name="cross_entropy",
         raise ConfigError("probs must be (B, C) or (M, B, C) aligned with (B,) labels")
     if labels.size == 0:
         raise ConfigError(f"{name} on an empty batch")
-    if labels.min() < 0 or labels.max() >= probs.shape[-1]:
+    if labels.view(np.uint64).max() >= probs.shape[-1]:  # a negative label reads as >= 2**63
         raise ConfigError(out_of_range)
     return probs, labels
 
 
-def _ce_parts(probs: np.ndarray, labels: np.ndarray, with_loss=True):
-    """(loss, gradient) of checked probs and labels, one gather; loss None without with_loss."""
+def _ce_parts(probs: np.ndarray, labels: np.ndarray, with_loss=True, logits=False):
+    """(loss, gradient) of checked probs and labels from one gather, the loss
+    None without ``with_loss``. The gradient is with respect to the
+    probabilities, or with ``logits`` to the input of the softmax head that
+    gave them: the former has one nonzero per row, u = -1 / (B * max(p_y,
+    PROB_FLOOR)) or 0 under the floor, so the softmax backward's row sum is
+    s = u * p_y, giving p * (0 - s), and (u - s) * p_y at the label."""
     rows = np.arange(labels.size)
     # C order, so each block's row is summed as a (B,) vector is
     picked = np.ascontiguousarray(probs[..., rows, labels])
     floor = np.maximum(picked, PROB_FLOOR)
     loss = None
     if with_loss:
-        loss = -np.log(floor).mean(axis=-1)
+        loss = -(np.add.reduce(np.log(floor), axis=-1) / labels.size)  # mean(axis=-1)'s bits
         loss = float(loss) if loss.ndim == 0 else loss
-    grad = np.zeros_like(probs)
-    grad[..., rows, labels] = np.where(picked >= PROB_FLOOR, -1.0 / (labels.size * floor), 0.0)
+    u = np.where(picked >= PROB_FLOOR, -1.0 / (labels.size * floor), 0.0)
+    if logits:
+        s = u * picked
+        grad = probs * (0.0 - s)[..., None]  # not -s: a zero s gives +0.0, as in the backward
+        u = (u - s) * picked
+    else:
+        grad = np.zeros_like(probs)
+    grad[..., rows, labels] = u
     return loss, grad
 
 
@@ -208,9 +205,39 @@ def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return _ce_parts(*_check_ce(probs, labels), with_loss=False)[1]
 
 
-def cross_entropy_and_grad(probs: np.ndarray, labels: np.ndarray):
-    """(cross_entropy, cross_entropy_grad) from one check and one gather."""
-    return _ce_parts(*_check_ce(probs, labels))
+def softmax_ce_and_grads(enc_arch: nn.ArchSpec, enc_params: np.ndarray,
+                         cls_arch: nn.ArchSpec, cls_params: np.ndarray,
+                         x: np.ndarray, labels: np.ndarray):
+    """Cross-entropy of cls(enc(x)) against ``labels`` with its encoder and
+    classifier gradients, in one checked pass: (loss, encoder gradient,
+    classifier gradient).
+
+    One net of each maps a (B, in) batch; (M, P) stacks of both map an
+    (M, B, in) one, every block scored against the same (B,) labels, one loss
+    per block. The classifier has a softmax head. The result equals
+    forward_and_cache of both nets, cross_entropy_grad, then
+    backward_from_cache of both, bit for bit: that upstream gradient has one
+    nonzero u per row, so the softmax backward needs only the true-class
+    probability p_y, its row sum being s = u * p_y.
+    """
+    enc_params = nn._check_params(enc_arch, enc_params)
+    cls_params = nn._check_params(cls_arch, cls_params)
+    lead = enc_params.shape[:-1]
+    if (cls_arch.head != "softmax" or cls_arch.in_width != enc_arch.out_width
+            or cls_params.shape[:-1] != lead):
+        raise ConfigError("the classifier must be a softmax head on the encoder's output, "
+                          "as many nets of each")
+    x = nn._check_batch(enc_arch, x, enc_params)
+    if x.shape[:-2] != lead:
+        raise ConfigError("a parameter gradient needs one parameter row per batch block")
+    emb, enc_acts = nn._forward(enc_arch, enc_params, x)
+    probs, cls_acts = nn._forward(cls_arch, cls_params, emb)
+    loss, g = _ce_parts(*_check_ce(probs, labels), logits=True)
+    enc_grad, cls_grad = np.empty(enc_params.shape), np.empty(cls_params.shape)
+    emb_g = nn._backward(cls_arch, cls_params, cls_acts, g, cls_grad)
+    nn._backward(enc_arch, enc_params, enc_acts, nn._head_grad(enc_arch, emb, emb_g), enc_grad,
+                 want_input=False)
+    return loss, enc_grad, cls_grad
 
 
 def _check_group_ce(pair_probs: np.ndarray, group_labels: np.ndarray):
@@ -260,13 +287,8 @@ def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
         raise ConfigError("beta must lie in [0, 1]")
     x_t = np.asarray(fewshot.features, dtype=np.float64)
     x_t = np.broadcast_to(x_t, np.shape(enc.params)[:-1] + x_t.shape)  # one view per net
-    y_t = np.asarray(fewshot.labels, dtype=np.int64)
-    emb_t, emb_cache = nn.forward_and_cache(enc.arch, enc.params, x_t)
-    probs_t, cls_cache = nn.forward_and_cache(cls.arch, cls.params, emb_t)
-    target_ce, up = cross_entropy_and_grad(probs_t, y_t)
-    cls_grad, emb_up = nn.backward_from_cache(cls.arch, cls.params, cls_cache, up)
-    enc_grad, _ = nn.backward_from_cache(enc.arch, enc.params, emb_cache, emb_up,
-                                         want="params")
+    target_ce, enc_grad, cls_grad = softmax_ce_and_grads(enc.arch, enc.params, cls.arch,
+                                                         cls.params, x_t, fewshot.labels)
 
     confusion = 0.0
     width = enc.arch.out_width

@@ -8,13 +8,16 @@ mapping block n of an (N, B, in) batch. All arithmetic runs in 64-bit with
 numpy's fixed reduction order and stacked matmuls run the per-slice kernels,
 so equal seeds give bit-identical results whether nets run alone or stacked.
 
-Every call checks its inputs and writes in place only into arrays it allocated
-itself, never into the parameters, the batch, an upstream gradient or a cache.
-The backward pass builds only the gradients its ``want`` keyword names.
+Every public call checks its inputs, then runs one unchecked core (_forward,
+_backward) over per-layer weight views, the core that fused passes such as
+losses.softmax_ce_and_grads share. Nothing writes in place into an array it
+did not allocate: not the parameters, the batch, an upstream gradient or a
+cache. The backward pass builds only the gradients its ``want`` keyword names.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 
@@ -58,6 +61,7 @@ class ArchSpec:
         object.__setattr__(self, "n_params", offset)
         object.__setattr__(self, "in_width", widths[0])
         object.__setattr__(self, "out_width", widths[-1])
+        object.__setattr__(self, "tanh", self.activation == "tanh")
 
 
 def num_params(arch: ArchSpec) -> int:
@@ -111,10 +115,32 @@ def _check_batch(arch: ArchSpec, batch: np.ndarray, params: np.ndarray) -> np.nd
     return batch
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:  # in z, with max subtraction
-    z -= z.max(axis=-1, keepdims=True)
+def _pairwise_sum(planes: np.ndarray) -> np.ndarray:
+    """planes.sum(axis=0) in the order np.sum(axis=-1) adds a contiguous
+    axis: a left fold below 8 terms, 8 interleaved accumulators up to 128,
+    halves above (np.sum starts from +0.0; no term here is -0.0)."""
+    n = len(planes)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(planes[:half]) + _pairwise_sum(planes[half:])
+    if n < 8:
+        return functools.reduce(np.add, planes)
+    m = n - n % 8
+    r = functools.reduce(np.add, planes[:m].reshape((m // 8, 8) + planes.shape[1:]))
+    r = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(np.add, planes[m:], r)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in z, with max subtraction.
+
+    numpy reduces a short last axis row by row, so from 16 rows per class on
+    the row max and sum are column folds (z.T iterates the columns) instead:
+    the max is exact in any order, and _pairwise_sum adds in np.sum's."""
+    wide = z.size >= 16 * z.shape[-1] ** 2
+    z -= functools.reduce(np.maximum, z.T).T[..., None] if wide else z.max(-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= _pairwise_sum(z.T).T[..., None] if wide else z.sum(-1, keepdims=True)
     return z
 
 
@@ -128,6 +154,71 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _forward(arch: ArchSpec, params: np.ndarray, x: np.ndarray):
+    """forward_and_cache on checked params and batch."""
+    lead = params.shape[:-1]
+    acts, last = [x], len(arch.layout) - 1
+    for i, (w_sl, b_sl, shape) in enumerate(arch.layout):
+        if lead:
+            x = x @ params[..., w_sl].reshape(lead + shape)
+            x += params[..., None, b_sl]
+        else:  # one net: plain 2-d weight views
+            x = x @ params[w_sl].reshape(shape)
+            x += params[b_sl]
+        if i < last:
+            x = np.tanh(x, out=x) if arch.tanh else np.maximum(x, 0.0, out=x)
+        elif arch.head == "softmax":
+            x = _softmax(x)
+        elif arch.head == "sigmoid":
+            x = _sigmoid(x)
+        acts.append(x)
+    return x, acts
+
+
+def _backward(arch: ArchSpec, params: np.ndarray, acts: list, g: np.ndarray, param_grad,
+              want_input: bool = True):
+    """backward_from_cache on checked inputs, from the gradient ``g`` at the
+    head's input: writes the parameter gradient into ``param_grad`` (a buffer
+    shaped like params, or None for none) and returns the input gradient, or
+    None without ``want_input``."""
+    lead = params.shape[:-1]
+    for i in range(len(arch.layout) - 1, -1, -1):
+        w_sl, b_sl, shape = arch.layout[i]
+        if param_grad is not None:
+            if lead:
+                np.matmul(acts[i].swapaxes(-1, -2), g,
+                          out=param_grad[..., w_sl].reshape(lead + shape))
+                np.add.reduce(g, axis=-2, out=param_grad[..., None, b_sl], keepdims=True)
+            else:
+                np.matmul(acts[i].T, g, out=param_grad[w_sl].reshape(shape))
+                np.add.reduce(g, axis=0, out=param_grad[b_sl])
+        if i == 0 and not want_input:
+            return None
+        w = params[..., w_sl].reshape(lead + shape) if lead else params[w_sl].reshape(shape)
+        g = g @ w.swapaxes(-1, -2)
+        if i > 0:
+            a = acts[i]
+            if arch.tanh:
+                d = a * a
+                g *= np.subtract(1.0, d, out=d)
+            else:
+                g *= a > 0.0
+    return g
+
+
+def _head_grad(arch: ArchSpec, out: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """The gradient at the head's input from the upstream gradient at its output."""
+    if arch.head == "softmax":
+        g = upstream - (upstream * out).sum(axis=-1, keepdims=True)
+        g *= out
+    elif arch.head == "sigmoid":
+        g = upstream * out
+        g *= 1.0 - out
+    else:
+        g = upstream
+    return g
+
+
 def forward_and_cache(arch: ArchSpec, params: np.ndarray, batch: np.ndarray):
     """Forward pass returning (output, activations list for the backward pass).
 
@@ -137,19 +228,7 @@ def forward_and_cache(arch: ArchSpec, params: np.ndarray, batch: np.ndarray):
     """
     params = _check_params(arch, params)
     x = _check_batch(arch, batch, params)
-    lead = params.shape[:-1]
-    acts = [x]
-    for i, (w_sl, b_sl, shape) in enumerate(arch.layout):
-        x = x @ params[..., w_sl].reshape(lead + shape)
-        x += params[..., None, b_sl]
-        if i < len(arch.layout) - 1:
-            x = np.tanh(x, out=x) if arch.activation == "tanh" else np.maximum(x, 0.0, out=x)
-        elif arch.head == "softmax":
-            x = _softmax(x)
-        elif arch.head == "sigmoid":
-            x = _sigmoid(x)
-        acts.append(x)
-    return x, acts
+    return _forward(arch, params, x)
 
 
 def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -173,39 +252,16 @@ def backward_from_cache(arch, params, acts, upstream, *, want="both"):
     if want not in ("params", "input", "both"):
         raise ConfigError(f"want must be 'params', 'input' or 'both', got {want!r}")
     params = _check_params(arch, params)
-    lead = params.shape[:-1]
-    if want != "input" and acts[0].shape[:-2] != lead:
+    if want != "input" and acts[0].shape[:-2] != params.shape[:-1]:
         raise ConfigError("a parameter gradient needs one parameter row per batch block")
     upstream = np.asarray(upstream, dtype=np.float64)
     out = acts[-1]
     if upstream.shape != out.shape:
         raise ConfigError(f"upstream must be {out.shape}, got {upstream.shape}")
-    if arch.head == "softmax":
-        g = upstream - (upstream * out).sum(axis=-1, keepdims=True)
-        g *= out
-    elif arch.head == "sigmoid":
-        g = upstream * out
-        g *= 1.0 - out
-    else:
-        g = upstream
     param_grad = None if want == "input" else np.empty(params.shape)
-    for i in range(len(arch.layout) - 1, -1, -1):
-        w_sl, b_sl, shape = arch.layout[i]
-        if param_grad is not None:
-            w_grad = acts[i].swapaxes(-1, -2) @ g
-            param_grad[..., w_sl] = w_grad.reshape(lead + (-1,))
-            param_grad[..., b_sl] = g.sum(axis=-2)
-        if i == 0 and want == "params":
-            return param_grad, None
-        g = g @ params[..., w_sl].reshape(lead + shape).swapaxes(-1, -2)
-        if i > 0:
-            a = acts[i]
-            if arch.activation == "tanh":
-                d = a * a
-                g *= np.subtract(1.0, d, out=d)
-            else:
-                g *= a > 0.0
-    return param_grad, g
+    x_grad = _backward(arch, params, acts, _head_grad(arch, out, upstream), param_grad,
+                       want != "params")
+    return param_grad, x_grad
 
 
 @dataclass(frozen=True)

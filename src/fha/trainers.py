@@ -322,20 +322,19 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
 
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n = x_train.shape[0]
+    x_epoch, y_epoch = np.empty_like(x_train), np.empty_like(y_train)
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
+        # each epoch's permuted rows, gathered once; batches are slices of them
+        np.take(x_train, order, axis=0, out=x_epoch)
+        np.take(y_train, order, out=y_epoch)
         for start in range(0, n, cfg.batch_size):
-            rows = order[start:start + cfg.batch_size]
-            xb, yb = x_train[rows], y_train[rows]
-            enc_params, cls_params = params[:split], params[split:]
-            emb, enc_cache = nn.forward_and_cache(enc_arch, enc_params, xb)
-            probs, cls_cache = nn.forward_and_cache(cls_arch, cls_params, emb)
-            loss, up = losses.cross_entropy_and_grad(probs, yb)
+            stop = start + cfg.batch_size
+            loss, grad[:split], grad[split:] = losses.softmax_ce_and_grads(
+                enc_arch, params[:split], cls_arch, params[split:],
+                x_epoch[start:stop], y_epoch[start:stop])
             if not math.isfinite(loss):
                 raise NumericalError("source training diverged (non-finite loss)")
-            grad[split:], emb_up = nn.backward_from_cache(cls_arch, cls_params, cls_cache, up)
-            grad[:split], _ = nn.backward_from_cache(enc_arch, enc_params, enc_cache, emb_up,
-                                                     want="params")
             params, state = nn.adam_step(state, params, grad)
 
     enc = nn.Net(enc_arch, params[:split])

@@ -111,6 +111,39 @@ class TestUsageErrors:
         assert rc == 0
 
 
+class TestOneParser:
+    """main builds its parser once per process, and each call parses alone."""
+
+    def test_parser_is_built_once(self, monkeypatch, tmp_path, capsys):
+        built, real = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for argv in (["gen-data", "--task", "rot20", "--out", str(tmp_path / "a")],
+                         ["frobnicate"], ["summarize", str(tmp_path / "absent.jsonl")]):
+                cli.main(argv)
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_consecutive_calls_parse_independently(self, tmp_path, capsys):
+        d, model = tmp_path / "d", tmp_path / "m.json"
+        assert cli.main(["gen-data", "--task", "rot20", "--seed", "1", "--out", str(d)]) == 0
+        # no --seed: the default, not the seed of the call before
+        assert cli.main(["train-source", "--data", str(d / "source.fhd"),
+                         "--out", str(model)]) == 0
+        assert nn.load_model(model)[1] == 0
+        assert cli.main(["summarize"]) == 2
+        assert cli.main(["dump-embed", "--model", str(model), "--data",
+                         f"source={d / 'source.fhd'}", "--out", str(tmp_path / "e.csv")]) == 0
+        run = cli._parser().parse_args(["run", "--jobs", "2", "--seeds", "0"])
+        summary = cli._parser().parse_args(["summarize", "r.jsonl"])
+        bare = cli._parser().parse_args(["run"])
+        assert (run.jobs, run.seeds, bare.jobs, bare.seeds) == (2, "0", None, None)
+        assert not hasattr(summary, "jobs") and summary.format == "table"
+        assert (run.func, summary.func) == (cli._cmd_run, cli._cmd_summarize)
+
+
 class TestGenData:
     def test_writes_three_loadable_splits(self, workdir, capsys):
         data = workdir / "data"

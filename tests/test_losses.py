@@ -227,15 +227,15 @@ def _dim_leading_kernel(generated, targets, diameter):
     to_planes = (lead + 1, *range(lead + 1))
     d = generated.transpose(to_planes)[..., None, :] - targets.transpose(to_planes)[..., :, None]
     abs_d = np.abs(d)
-    norm = np.sqrt(losses._pairwise_sum(d * d))
-    cube = losses._pairwise_sum(abs_d ** 3)
+    norm = np.sqrt(nn._pairwise_sum(d * d))
+    cube = nn._pairwise_sum(abs_d ** 3)
     pos = norm > 0.0
     safe = np.where(pos, norm, 1.0)
     vals = np.where(pos, cube / safe, 0.0)
     loss = vals.swapaxes(-1, -2).reshape(generated.shape[:-2] + (-1,)).sum(axis=-1)
     grad = np.where(pos, 3.0 * d * abs_d / safe - d * cube / safe**3, 0.0)
     planes = np.moveaxis(grad, -2, 0)
-    grad = losses._pairwise_sum(planes) if dim == 1 else functools.reduce(np.add, planes)
+    grad = nn._pairwise_sum(planes) if dim == 1 else functools.reduce(np.add, planes)
     scale = diameter * b * k
     return loss / scale, grad.transpose((*range(1, lead + 2), 0)) / scale
 
@@ -328,9 +328,9 @@ class TestCrossEntropy:
             fn(np.full((3, 4), 0.25), np.array([0, 1]))
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
-    def test_fused_call_equals_the_separate_formulas(self, lead):
-        """One check and one gather give the bytes of the loss and gradient
-        as cross_entropy and cross_entropy_grad computed them apart."""
+    def test_loss_and_grad_equal_their_formulas(self, lead):
+        """cross_entropy and cross_entropy_grad give the bytes of their
+        formulas, from one gather of the true-class probabilities each."""
         probs = RNG.uniform(0.0, 1.0, size=lead + (9, 4))
         probs[..., 0, 1] = 1e-13  # inside the clamped region
         labels = np.array([1, 0, 3, 2, 2, 1, 0, 0, 3])
@@ -341,14 +341,10 @@ class TestCrossEntropy:
         want_grad[..., rows, labels] = np.where(
             picked >= losses.PROB_FLOOR,
             -1.0 / (labels.size * np.maximum(picked, losses.PROB_FLOOR)), 0.0)
-        for loss, grad in (losses.cross_entropy_and_grad(probs, labels),
-                           (losses.cross_entropy(probs, labels),
-                            losses.cross_entropy_grad(probs, labels))):
-            assert isinstance(loss, float) if not lead else loss.shape == lead
-            assert np.asarray(loss).tobytes() == want_loss.tobytes()
-            assert grad.tobytes() == want_grad.tobytes()
-        with pytest.raises(ConfigError, match="^labels outside the class range$"):
-            losses.cross_entropy_and_grad(probs, labels + 1)
+        loss = losses.cross_entropy(probs, labels)
+        assert isinstance(loss, float) if not lead else loss.shape == lead
+        assert np.asarray(loss).tobytes() == want_loss.tobytes()
+        assert losses.cross_entropy_grad(probs, labels).tobytes() == want_grad.tobytes()
 
     def test_grad_matches_fd(self):
         probs0 = RNG.uniform(0.1, 0.9, size=(4, 3))
@@ -359,6 +355,125 @@ class TestCrossEntropy:
             return losses.cross_entropy(p, labels), losses.cross_entropy_grad(p, labels).reshape(-1)
 
         assert nn.grad_check_fd(loss_fn, probs0.reshape(-1)).passed
+
+
+def _composed_softmax_ce(enc_arch, ep, cls_arch, cp, x, labels):
+    """The five calls softmax_ce_and_grads replaces."""
+    emb, enc_cache = nn.forward_and_cache(enc_arch, ep, x)
+    probs, cls_cache = nn.forward_and_cache(cls_arch, cp, emb)
+    up = losses.cross_entropy_grad(probs, labels)
+    cls_grad, emb_up = nn.backward_from_cache(cls_arch, cp, cls_cache, up)
+    enc_grad, _ = nn.backward_from_cache(enc_arch, ep, enc_cache, emb_up, want="params")
+    return losses.cross_entropy(probs, labels), enc_grad, cls_grad, probs
+
+
+def _ce_nets(rng, classes, lead=(), activation="tanh", cls_widths=()):
+    enc_arch = nn.ArchSpec((3, 7, 5), activation=activation, head="linear")
+    cls_arch = nn.ArchSpec((5, *cls_widths, classes), activation=activation)
+    ep = rng.normal(size=lead + (enc_arch.n_params,))
+    cp = 3.0 * rng.normal(size=lead + (cls_arch.n_params,))
+    return enc_arch, ep, cls_arch, cp
+
+
+class TestSoftmaxCEAndGrads:
+    """The fused pass gives the composed path's bytes and checks its inputs once."""
+
+    @pytest.mark.parametrize("classes", range(2, 7))
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+    @pytest.mark.parametrize("activation,cls_widths", [("tanh", ()), ("relu", (4,))])
+    def test_equals_the_composed_path(self, classes, lead, activation, cls_widths):
+        rng = np.random.default_rng(classes)
+        for b in (1, 2, 9, 64):
+            enc_arch, ep, cls_arch, cp = _ce_nets(rng, classes, lead, activation, cls_widths)
+            x = rng.normal(size=lead + (b, 3))
+            if lead and b == 9:  # one batch seen by every net, as the few-shot term passes it
+                x = np.broadcast_to(x[0], x.shape)
+            labels = rng.integers(0, classes, size=b)
+            handed = [a.copy() for a in (ep, cp, x, labels)]
+            want = _composed_softmax_ce(enc_arch, ep, cls_arch, cp, x, labels)
+            got = losses.softmax_ce_and_grads(enc_arch, ep, cls_arch, cp, x, labels)
+            assert isinstance(got[0], float) if not lead else got[0].shape == lead
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            assert got[1].shape == ep.shape and got[2].shape == cp.shape
+            assert all(a.tobytes() == h.tobytes() for a, h in zip((ep, cp, x, labels), handed))
+
+    @pytest.mark.parametrize("classes", range(2, 7))
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stacked"])
+    def test_rows_below_the_probability_floor(self, classes, lead):
+        """Rows whose true class sits under PROB_FLOOR (or underflows to 0)
+        get the composed path's clamped loss and zero gradient, and the
+        gradient at the softmax's input its bytes, signs of zero included."""
+        rng = np.random.default_rng(100 + classes)
+        enc_arch, ep, cls_arch, cp = _ce_nets(rng, classes, lead)
+        cp = 200.0 * cp
+        x = rng.normal(size=lead + (64, 3))
+        probs = nn.forward(cls_arch, cp, nn.forward(enc_arch, ep, x)).reshape(-1, 64, classes)
+        # rows where the least likely class is under the floor in every block
+        rows = np.flatnonzero((probs.min(axis=-1) < losses.PROB_FLOOR).all(axis=0))[:8]
+        assert rows.size == 8
+        x, lowest = x[..., rows, :], probs[0, rows].argmin(axis=-1)
+        # half the rows under the floor, then all of them: every logit gradient
+        # is then zero, and its sign reaches the classifier's bias gradient
+        for labels in (np.where(np.arange(8) % 2 == 0, lowest, (lowest + 1) % classes),
+                       lowest):
+            want = _composed_softmax_ce(enc_arch, ep, cls_arch, cp, x, labels)
+            got = losses.softmax_ce_and_grads(enc_arch, ep, cls_arch, cp, x, labels)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            probs = want[-1]
+            logit_grad = nn._head_grad(cls_arch, probs, losses.cross_entropy_grad(probs, labels))
+            assert losses._ce_parts(probs, labels, logits=True)[1].tobytes() == logit_grad.tobytes()
+
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_gradients_match_fd(self, classes):
+        rng = np.random.default_rng(7)
+        enc_arch, ep, cls_arch, cp = _ce_nets(rng, classes)
+        x = rng.normal(size=(6, 3))
+        labels = rng.integers(0, classes, size=6)
+        split = enc_arch.n_params
+
+        def loss_fn(flat):
+            loss, enc_grad, cls_grad = losses.softmax_ce_and_grads(
+                enc_arch, flat[:split], cls_arch, flat[split:], x, labels)
+            return loss, np.concatenate([enc_grad, cls_grad])
+
+        report = nn.grad_check_fd(loss_fn, np.concatenate([ep, cp]))
+        assert report.passed, report
+
+    def test_bad_labels_raise_the_cross_entropy_messages(self):
+        rng = np.random.default_rng(3)
+        enc_arch, ep, cls_arch, cp = _ce_nets(rng, 4)
+        x = rng.normal(size=(3, 3))
+
+        def call(x, labels):
+            return losses.softmax_ce_and_grads(enc_arch, ep, cls_arch, cp, x, labels)
+
+        with pytest.raises(ConfigError, match="^cross_entropy on an empty batch$"):
+            call(np.zeros((0, 3)), np.zeros(0, dtype=int))
+        with pytest.raises(ConfigError, match="aligned with"):
+            call(x, np.array([0, 1]))
+        with pytest.raises(ConfigError, match="aligned with"):
+            call(x, np.array([[0, 1, 2]]))
+        for labels in ([0, -1, 2], [0, 4, 1]):
+            with pytest.raises(ConfigError, match="^labels outside the class range$"):
+                call(x, np.array(labels))
+
+    def test_nets_and_batch_are_checked(self):
+        rng = np.random.default_rng(4)
+        enc_arch, ep, cls_arch, cp = _ce_nets(rng, 3)
+        x, labels = rng.normal(size=(4, 3)), np.array([0, 1, 2, 0])
+        with pytest.raises(ConfigError, match="parameters must be"):
+            losses.softmax_ce_and_grads(enc_arch, ep[:-1], cls_arch, cp, x, labels)
+        with pytest.raises(ConfigError, match="batch must be"):
+            losses.softmax_ce_and_grads(enc_arch, ep, cls_arch, cp, x[:, :2], labels)
+        with pytest.raises(ConfigError, match="one parameter row per batch block"):
+            losses.softmax_ce_and_grads(enc_arch, ep, cls_arch, cp, x[None], labels)
+        with pytest.raises(ConfigError, match="softmax head"):
+            losses.softmax_ce_and_grads(enc_arch, ep, cls_arch, cp[None], x, labels)
+        linear = nn.ArchSpec(cls_arch.widths, head="linear")
+        with pytest.raises(ConfigError, match="softmax head"):
+            losses.softmax_ce_and_grads(enc_arch, ep, linear, cp, x, labels)
 
 
 class TestGroupCE:

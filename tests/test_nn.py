@@ -422,6 +422,24 @@ class TestMatchesReference:
         assert np.array_equal(np.isnan(out), np.isnan(z))
         assert np.all((out[~np.isnan(z)] >= 0.0) & (out[~np.isnan(z)] <= 1.0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(classes=st.integers(2, 9), lead=st.sampled_from([(), (3,)]),
+           rows=st.integers(1, 160), special=st.integers(0, 5), scale=st.sampled_from([1.0, 50.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_softmax_folds_match_the_reference(self, classes, lead, rows, special, scale, seed):
+        """The column folds (from 16 rows per class) and the row reductions
+        give ref_softmax's bytes, special-value rows included."""
+        rng = np.random.default_rng(seed)
+        z = scale * rng.normal(size=lead + (rows, classes))
+        flat = z.reshape(-1, classes)  # a view of z's rows
+        for _ in range(special):  # rows of ±0, ±1e308 and 1, some with one NaN
+            row = rng.choice([0.0, -0.0, 1e308, -1e308, 1.0], size=classes)
+            if rng.integers(2):
+                row[rng.integers(classes)] = np.nan
+            flat[rng.integers(len(flat))] = row
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bytes(nn._softmax(z.copy()), ref_softmax(z))
+
     def test_softmax_special_values(self):
         z = np.array([[800.0, -800.0, 0.0], [-0.0, 0.0, -0.0], [1e308, 1e308, -1e308],
                       [-745.0, -745.0, 3.0]])

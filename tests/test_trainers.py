@@ -342,19 +342,21 @@ class TestTrainSource:
         b = trainers.train_source(source, trainers.SourceTrainConfig(seed=4))
         assert a.enc.params.tobytes() != b.enc.params.tobytes()
 
-    # SHA-256 (first 16 hex digits) of encoder + classifier parameter bytes,
-    # recorded when encoder and classifier still stepped under two Adam states
+    # SHA-256 of encoder + classifier parameter bytes, recorded while each step
+    # still ran the five checked calls (two forwards, cross_entropy_and_grad,
+    # two backwards) that losses.softmax_ce_and_grads replaced; their first 16
+    # hex digits go back to when encoder and classifier had two Adam states
     RECORDED = {
-        ("rot40", 0): "a359ff502d4a9903",
-        ("rot40", 1): "0fab60447c4297d6",
-        ("rot20", 0): "82157723e1524170",
-        ("rot20", 1): "b224d5ba95ff3ade",
-        ("rot180", 0): "504524755f780b72",
-        ("rot180", 1): "0ebd9ae284695b63",
-        ("shift", 0): "9ec8f82c476ba482",
-        ("shift", 1): "3e04f17ca7c7acca",
-        ("blobs", 0): "18df0bda8550f128",
-        ("blobs", 1): "91c615cb55c204a0",
+        ("rot40", 0): "a359ff502d4a9903ce003db21806493ae5227bb1eae72fca93e15c53e7e6d4f6",
+        ("rot40", 1): "0fab60447c4297d63a80fbeb3a392677f20e3fe24028b41994a6dfc978999013",
+        ("rot20", 0): "82157723e1524170a821c33dbd067dbf7418e72cfda293619707eac48d3b2121",
+        ("rot20", 1): "b224d5ba95ff3ade1466a380fa92c53a5d55d1898ecbe0b443b34eec0ab10ecb",
+        ("rot180", 0): "504524755f780b72c3e8246b42c1f3cdcaa760eec765fd69a750d86cca6ce964",
+        ("rot180", 1): "0ebd9ae284695b637382e4fea08bbbeaedc3b7be316210d86ac3c781a28614e8",
+        ("shift", 0): "9ec8f82c476ba482be30c84d28574b77acbf17f7f5a7e7d138724aa24d20e729",
+        ("shift", 1): "3e04f17ca7c7acca7c0d2e0e5db87f71d5f4c16ab7c286b4e951a570230641e9",
+        ("blobs", 0): "18df0bda8550f1289346d4855b3635f71f3b0a677781922219ada694975abd26",
+        ("blobs", 1): "91c615cb55c204a06e4ec43101d38b63c4bf6e11e50a191b52d09d9ba6f8c1b9",
     }
 
     @pytest.mark.parametrize("task,seed", sorted(RECORDED))
@@ -362,7 +364,7 @@ class TestTrainSource:
         source = make_synthetic_task(builtin_task(task, seed=seed))[0]
         hyp = trainers.train_source(source, trainers.SourceTrainConfig(seed=seed))
         digest = hashlib.sha256(hyp.enc.params.tobytes() + hyp.cls.params.tobytes())
-        assert digest.hexdigest()[:16] == self.RECORDED[task, seed]
+        assert digest.hexdigest() == self.RECORDED[task, seed]
 
     def test_quality_gate_rejects_unlearnable_task(self):
         # both classes share one center, so holdout accuracy hovers near 0.5
