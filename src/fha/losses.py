@@ -12,7 +12,9 @@ step several row blocks of N, one objective per block, as one stack):
   * total: source + tradeoff * target.
 What a generator run fixes for all its steps (the rows each term reads, the
 proximity weights and scale, the few-shots as K-leading coordinate planes)
-is built once, by generator_plan, and handed to every objective step.
+is built once, by generator_plan. Each step is then one checked pass over
+the generators and the source model through the nn cores, which builds the
+loss values only ``with_loss``: training reads the gradient alone.
 
 The augmented L1 distance reweights each coordinate gap by its share of the
 squared error: sum_i w_i |x_i - y_i| with w_i = |x_i - y_i|^2 / ||x - y||_2,
@@ -52,14 +54,14 @@ def _check_probs(p: np.ndarray, what: str) -> np.ndarray:
     return p
 
 
-def gen_source_loss_and_grad(class_probs: np.ndarray):
+def gen_source_loss_and_grad(class_probs: np.ndarray, with_loss=True):
     """(1/B) * sum_i (p_i - 1)^2 over the last axis of the class probabilities
-    and its gradient, from one check; an (N, B) stack gives one value per row."""
+    (None without ``with_loss``) and its gradient; an (N, B) stack, one per row."""
     p = _check_probs(class_probs, "class probabilities")
     if p.ndim == 0 or p.shape[-1] == 0:
         raise ConfigError("class_probs must be non-empty along its last axis")
     gap = p - 1.0
-    return (gap ** 2).mean(axis=-1), 2.0 * gap / p.shape[-1]
+    return (gap ** 2).mean(axis=-1) if with_loss else None, 2.0 * gap / p.shape[-1]
 
 
 def _augmented_l1_and_grad(x: np.ndarray, y: np.ndarray):
@@ -120,10 +122,11 @@ def _target_planes(targets: np.ndarray, b: int) -> np.ndarray:
     return np.repeat(np.moveaxis(targets, (-2, -1), (0, 1))[..., None], b, axis=-1)
 
 
-def _proximity(generated: np.ndarray, planes: np.ndarray, diameter: float):
+def _proximity(generated: np.ndarray, planes: np.ndarray, diameter: float, with_loss=True):
     """The proximity kernel on checked (.., B, dim) batches and their
     _target_planes: the gaps are (K, dim, .., B) planes, so only K
-    broadcasts, and sums over dim or K are whole-plane adds."""
+    broadcasts, and sums over dim or K are whole-plane adds. The loss is None
+    without ``with_loss``; with no zero gap, the np.where passes are skipped."""
     k, dim = planes.shape[:2]
     b, nd = generated.shape[-2], generated.ndim
     d = generated.transpose((nd - 1, *range(nd - 1))) - planes
@@ -131,18 +134,21 @@ def _proximity(generated: np.ndarray, planes: np.ndarray, diameter: float):
     norm = np.sqrt(nn._pairwise_sum((d * d).swapaxes(0, 1)))
     cube = nn._pairwise_sum((abs_d ** 3).swapaxes(0, 1))
     pos = norm > 0.0
-    safe = np.where(pos, norm, 1.0)
-    vals = np.where(pos, cube / safe, 0.0)
-    # (.., B, K) rows in C order, so each row's sum is np.sum's over a contiguous axis
-    to_last = (*range(1, nd), 0)
-    loss = np.ascontiguousarray(vals.transpose(to_last)).reshape(
-        generated.shape[:-2] + (-1,)).sum(axis=-1)
+    every = pos.all()
+    safe = norm if every else np.where(pos, norm, 1.0)
+    to_last, scale, loss = (*range(1, nd), 0), diameter * b * k, None
+    if with_loss:
+        vals = cube / safe if every else np.where(pos, cube / safe, 0.0)
+        # (.., B, K) rows in C order, so each row's sum is np.sum's over a contiguous axis
+        loss = np.ascontiguousarray(vals.transpose(to_last)).reshape(
+            generated.shape[:-2] + (-1,)).sum(axis=-1) / scale
     safe, cube = safe[:, None], cube[:, None]
-    grad = np.where(pos[:, None], 3.0 * d * abs_d / safe - d * cube / safe**3, 0.0)
+    grad = 3.0 * d * abs_d / safe - d * cube / safe**3
+    if not every:
+        grad = np.where(pos[:, None], grad, 0.0)
     # over K a left fold, but pairwise for dim 1, where K is the contiguous axis
     grad = nn._pairwise_sum(grad) if dim == 1 else functools.reduce(np.add, grad)
-    scale = diameter * b * k
-    return loss / scale, grad.transpose(to_last) / scale
+    return loss, grad.transpose(to_last) / scale
 
 
 def gen_target_loss(generated: np.ndarray, targets_n: np.ndarray,
@@ -165,16 +171,26 @@ def _check_ce(probs: np.ndarray, labels: np.ndarray, name="cross_entropy",
     return probs, labels
 
 
+def _softmax_input_grad(probs: np.ndarray, pick: tuple, picked: np.ndarray, u: np.ndarray):
+    """The gradient at the input of the softmax head that gave ``probs`` from
+    an upstream gradient whose one nonzero per row is u, at ``pick``, where
+    the probabilities are ``picked``: the backward's row sum is s = u * picked,
+    giving probs * (0 - s), and (u - s) * picked at the pick."""
+    s = u * picked
+    grad = probs * (0.0 - s)[..., None]  # not -s: a zero s gives +0.0, as in the backward
+    grad[pick] = (u - s) * picked
+    return grad
+
+
 def _ce_parts(probs: np.ndarray, labels: np.ndarray, with_loss=True, logits=False):
     """(loss, gradient) of checked probs and labels from one gather, the loss
     None without ``with_loss``. The gradient is with respect to the
-    probabilities, or with ``logits`` to the input of the softmax head that
-    gave them: the former has one nonzero per row, u = -1 / (B * max(p_y,
-    PROB_FLOOR)) or 0 under the floor, so the softmax backward's row sum is
-    s = u * p_y, giving p * (0 - s), and (u - s) * p_y at the label."""
-    rows = np.arange(labels.size)
+    probabilities, one nonzero u = -1 / (B * max(p_y, PROB_FLOOR)) per row or
+    0 under the floor, or with ``logits`` to the input of the softmax head
+    that gave them."""
+    pick = (..., np.arange(labels.size), labels)
     # C order, so each block's row is summed as a (B,) vector is
-    picked = np.ascontiguousarray(probs[..., rows, labels])
+    picked = np.ascontiguousarray(probs[pick])
     floor = np.maximum(picked, PROB_FLOOR)
     loss = None
     if with_loss:
@@ -182,12 +198,9 @@ def _ce_parts(probs: np.ndarray, labels: np.ndarray, with_loss=True, logits=Fals
         loss = float(loss) if loss.ndim == 0 else loss
     u = np.where(picked >= PROB_FLOOR, -1.0 / (labels.size * floor), 0.0)
     if logits:
-        s = u * picked
-        grad = probs * (0.0 - s)[..., None]  # not -s: a zero s gives +0.0, as in the backward
-        u = (u - s) * picked
-    else:
-        grad = np.zeros_like(probs)
-    grad[..., rows, labels] = u
+        return loss, _softmax_input_grad(probs, pick, picked, u)
+    grad = np.zeros_like(probs)
+    grad[pick] = u
     return loss, grad
 
 
@@ -349,7 +362,7 @@ class GeneratorPlan(NamedTuple):
     modes: tuple[str, ...]
     num_classes: int
     src: slice | np.ndarray | None  # the rows the source term scores
-    src_pick: tuple  # (their positions 0..S-1, the class each one scores)
+    src_pick: tuple  # (their positions 0..S-1, :, the class each one scores)
     tgt: slice | np.ndarray | None  # the rows the proximity term reads
     weight: np.ndarray  # the (R,) proximity weight of each of them
     planes: np.ndarray | None  # their few-shots as (K, dim, R, B) planes
@@ -401,50 +414,57 @@ def generator_plan(mode, num_classes: int, targets: np.ndarray | None, tradeoff:
     weight = np.repeat([1.0 if modes[m] == "target_only" else tradeoff for m in tgt_blocks],
                        num_classes)
     return GeneratorPlan(modes, num_classes, _block_rows(src_blocks, num_classes),
-                         (own, own % num_classes), tgt, weight, planes, diameter)
+                         (own, slice(None), own % num_classes), tgt, weight, planes, diameter)
 
 
 def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
                                  source_enc: nn.Net, source_cls: nn.Net,
-                                 z: np.ndarray, plan: GeneratorPlan):
+                                 z: np.ndarray, plan: GeneratorPlan, *, with_loss=True):
     """Evaluate the objective of every class generator on its noise batch.
 
     ``params`` is an (M*N, P) stack of generators of ``arch``: block m holds
     N generators on objective ``plan.modes[m]``, and its row n maps ``z`` row
     (B, z_dim) and is scored on class n. Returns (per-generator losses
-    (M*N,), parameter gradients (M*N, P), generated batches (M*N, B, dim)).
-    The frozen source model runs once over the batches of the blocks that
-    read it, and carries gradient to them only. A row gets the same numbers
-    in any stack: each term runs only on the rows that read it, the
-    compatibility term added before the proximity term.
+    (M*N,) or None without ``with_loss``, parameter gradients (M*N, P),
+    generated batches (M*N, B, dim)). The frozen source model, a softmax
+    classifier on an encoder, runs once over the batches of the blocks that
+    read it, and carries gradient to them only, in one checked pass over the
+    nn cores: the gradient at its probabilities has one nonzero per row, so
+    the softmax backward needs only the picked probabilities.
+    A row gets the same numbers in any stack: each term runs only on the rows
+    that read it, the compatibility term added before the proximity term.
     """
     n, rows = plan.num_classes, len(plan.modes) * plan.num_classes
     if np.ndim(params) != 2 or len(params) != rows or source_cls.arch.out_width != n:
         raise ConfigError(f"expected an ({rows}, P) stack, one generator per source class "
                           "and mode of the plan")
-    generated, gen_cache = nn.forward_and_cache(arch, params, z)
+    params = nn._check_params(arch, params)
+    generated, gen_acts = nn._forward(arch, params, nn._check_batch(arch, z, params))
     x_up = np.zeros_like(generated)
-    loss = np.zeros(len(generated))
+    loss = np.zeros(len(generated)) if with_loss else None
     if plan.src is not None:
-        emb, enc_cache = nn.forward_and_cache(source_enc.arch, source_enc.params,
-                                              generated[plan.src])
-        probs, cls_cache = nn.forward_and_cache(source_cls.arch, source_cls.params, emb)
-        own, cls_of = plan.src_pick
-        src_loss, src_grad = gen_source_loss_and_grad(probs[own, :, cls_of])
-        loss[plan.src] += src_loss
-        up_probs = np.zeros_like(probs)
-        up_probs[own, :, cls_of] = src_grad
-        _, emb_up = nn.backward_from_cache(source_cls.arch, source_cls.params, cls_cache,
-                                           up_probs, want="input")
-        _, x_up_src = nn.backward_from_cache(source_enc.arch, source_enc.params, enc_cache,
-                                             emb_up, want="input")
-        x_up[plan.src] += x_up_src
+        enc, cls = source_enc.arch, source_cls.arch
+        if (arch.out_width, enc.out_width, cls.head) != (enc.in_width, cls.in_width, "softmax"):
+            raise ConfigError("the generators must feed the encoder, and it a softmax head")
+        emb, enc_acts = nn._forward(enc, source_enc.params, generated[plan.src])
+        probs, cls_acts = nn._forward(cls, source_cls.params, emb)
+        picked = probs[plan.src_pick]
+        src_loss, u = gen_source_loss_and_grad(picked, with_loss)
+        if with_loss:
+            loss[plan.src] += src_loss
+        g = _softmax_input_grad(probs, plan.src_pick, picked, u)
+        emb_g = nn._backward(cls, source_cls.params, cls_acts, g, None)
+        x_up[plan.src] += nn._backward(enc, source_enc.params, enc_acts,
+                                       nn._head_grad(enc, emb, emb_g), None)
     if plan.tgt is not None:
         if generated.shape[-2:] != (plan.planes.shape[-1], plan.planes.shape[1]):
             raise ConfigError("the plan is for another batch size or feature dimension")
         target_loss, target_grad = _proximity(generated[plan.tgt], plan.planes,
-                                              plan.diameter)
-        loss[plan.tgt] += plan.weight * target_loss
+                                              plan.diameter, with_loss)
+        if with_loss:
+            loss[plan.tgt] += plan.weight * target_loss
         x_up[plan.tgt] += plan.weight[:, None, None] * target_grad
-    gen_grad, _ = nn.backward_from_cache(arch, params, gen_cache, x_up, want="params")
+    gen_grad = np.empty(params.shape)
+    nn._backward(arch, params, gen_acts, nn._head_grad(arch, generated, x_up), gen_grad,
+                 want_input=False)
     return loss, gen_grad, generated

@@ -443,6 +443,8 @@ def load_model(path) -> tuple[dict[str, Net], int, dict]:
             )
             for name, entry in doc["nets"].items()
         }
-        return nets, _as_int(doc["seed"], "the seed"), dict(doc.get("metadata", {}))
+        if (seed := _as_int(doc["seed"], "the seed")) < 0:
+            raise ConfigError(f"the seed must be non-negative, got {seed}")
+        return nets, seed, dict(doc.get("metadata", {}))
     except (KeyError, TypeError, ValueError, ConfigError, NumericalError) as exc:
         raise FormatError(f"model file contents invalid: {exc}") from exc

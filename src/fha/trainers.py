@@ -408,7 +408,8 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
     each block follows its one-mode run bit for bit. Returns the trained bank
     of each mode and, for each mode in ``keep``, the (N, gen_batch, dim)
     batches of its last keep[mode] steps. ``log``, when given, receives the
-    initial stack's digest, then one (loss mean, stack digest) per step.
+    initial stack's digest, then one (loss mean, stack digest) per step; the
+    step losses are built only then.
     """
     num_classes = hypothesis.cls.arch.out_width
     child = nn.derive_seeds(root, 2 * num_classes)
@@ -434,7 +435,8 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
             chunk = np.tile(np.stack([rng.standard_normal((steps, cfg.gen_batch, cfg.z_dim))
                                       for rng in noise], axis=1), (1, len(modes), 1, 1))
         step_losses, grad, generated = losses.generator_objective_and_grad(
-            arch, params, hypothesis.enc, hypothesis.cls, chunk[epoch % _NOISE_CHUNK], plan)
+            arch, params, hypothesis.enc, hypothesis.cls, chunk[epoch % _NOISE_CHUNK], plan,
+            with_loss=log is not None)
         params, state = nn.adam_step(state, params, grad)
         if not np.isfinite(params).all():
             raise NumericalError("network parameters must be finite")

@@ -327,6 +327,14 @@ class TestRun:
         cfg_path.write_text("[1, 2]", encoding="utf-8")
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_bytes(b'\xff\xfe{"task": "rot40"}')
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg_path} is not valid JSON: ")
+        assert "Traceback" not in err
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         assert cli.main(["run", "--task", "rot40", "--methods", "wa", "--shots", "1",
                          "--seeds=-1", "--out", str(tmp_path / "r.jsonl")]) == 2

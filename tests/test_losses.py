@@ -898,3 +898,128 @@ class TestGeneratorObjective:
         )
         assert generated.shape == (2, 4, 2)
         assert np.array_equal(generated, nn.forward_and_cache(gen_arch, params, z)[0])
+
+
+def _composed_objective(arch, params, source_enc, source_cls, z, plan):
+    """The objective as six checked public nn calls: the reference the one
+    checked pass must reproduce bit for bit."""
+    generated, gen_cache = nn.forward_and_cache(arch, params, z)
+    x_up = np.zeros_like(generated)
+    loss = np.zeros(len(generated))
+    if plan.src is not None:
+        emb, enc_cache = nn.forward_and_cache(source_enc.arch, source_enc.params,
+                                              generated[plan.src])
+        probs, cls_cache = nn.forward_and_cache(source_cls.arch, source_cls.params, emb)
+        gap = probs[plan.src_pick] - 1.0
+        loss[plan.src] += (gap ** 2).mean(axis=-1)
+        up_probs = np.zeros_like(probs)
+        up_probs[plan.src_pick] = 2.0 * gap / gap.shape[-1]
+        _, emb_up = nn.backward_from_cache(source_cls.arch, source_cls.params, cls_cache,
+                                           up_probs, want="input")
+        _, x_up_src = nn.backward_from_cache(source_enc.arch, source_enc.params, enc_cache,
+                                             emb_up, want="input")
+        x_up[plan.src] += x_up_src
+    if plan.tgt is not None:
+        targets = np.moveaxis(plan.planes[..., 0], -1, 0)  # the (R, K, dim) few-shots
+        target_loss, target_grad = _dim_leading_kernel(generated[plan.tgt], targets,
+                                                       plan.diameter)
+        loss[plan.tgt] += plan.weight * target_loss
+        x_up[plan.tgt] += plan.weight[:, None, None] * target_grad
+    gen_grad, _ = nn.backward_from_cache(arch, params, gen_cache, x_up, want="params")
+    return loss, gen_grad, generated
+
+
+def _objective_case(classes, modes, tradeoff=0.2, seed=0, saturate=False, touch=False,
+                    dim=2, batch=5):
+    """A generator stack on ``modes`` over a ``classes``-class source model:
+    (arch, params, enc, cls, z, plan). ``saturate`` scales the classifier so
+    some class probabilities are exactly 0 and 1; ``touch`` puts a few-shot
+    on a generated point, so one gap norm is zero."""
+    rng = np.random.default_rng(seed)
+    arch = trainers.default_generator_arch(3, dim, 6)
+    params = np.stack([nn.init_params(arch, int(s)) for s in
+                       rng.integers(2**31, size=len(modes) * classes)])
+    enc_arch = nn.ArchSpec((dim, 5, 4), "tanh", "linear")
+    enc = nn.Net(enc_arch, nn.init_params(enc_arch, int(rng.integers(2**31))))
+    cls_arch = nn.ArchSpec((4, classes), "tanh", "softmax")
+    cls_params = nn.init_params(cls_arch, int(rng.integers(2**31)))
+    cls = nn.Net(cls_arch, cls_params * (3000.0 if saturate else 1.0))
+    z = rng.standard_normal((len(modes) * classes, batch, 3))
+    targets = rng.uniform(size=(classes, 2, dim))
+    if touch:
+        generated = nn.forward(arch, params, z)
+        tgt = [m for m, name in enumerate(modes) if name != "source_only"][-1]
+        targets[1, 0] = generated[tgt * classes + 1, 3]
+    plan = losses.generator_plan(modes, classes, targets, tradeoff, batch)
+    return arch, params, enc, cls, z, plan
+
+
+ONE_PASS_CASES = {
+    "one mode": dict(classes=3, modes=("combined",)),
+    "two blocks": dict(classes=3, modes=("target_only", "combined")),
+    "three blocks": dict(classes=3, modes=("source_only", "target_only", "combined")),
+    **{f"C={c}": dict(classes=c, modes=("source_only", "target_only", "combined"), seed=c)
+       for c in range(2, 7)},
+    "tradeoff 0": dict(classes=4, modes=("source_only", "combined"), tradeoff=0.0),
+    "probability 1.0": dict(classes=3, modes=("source_only", "combined"), saturate=True),
+    "zero gap": dict(classes=3, modes=("source_only", "target_only", "combined"),
+                     touch=True),
+    "dim 1": dict(classes=2, modes=("target_only", "combined"), dim=1, touch=True),
+}
+
+
+class TestOnePassObjective:
+    """generator_objective_and_grad, one checked pass over the nn cores, gives
+    the bytes of the composed public nn calls, with or without its losses."""
+
+    @pytest.mark.parametrize("case", ONE_PASS_CASES)
+    def test_equals_the_composed_calls(self, case):
+        arch, params, enc, cls, z, plan = _objective_case(**ONE_PASS_CASES[case])
+        want = _composed_objective(arch, params, enc, cls, z, plan)
+        got = losses.generator_objective_and_grad(arch, params, enc, cls, z, plan)
+        for w, g in zip(want, got):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        lean = losses.generator_objective_and_grad(arch, params, enc, cls, z, plan,
+                                                   with_loss=False)
+        assert lean[0] is None
+        assert lean[1].tobytes() == want[1].tobytes()
+        assert lean[2].tobytes() == want[2].tobytes()
+
+    def test_cases_reach_the_edges(self):
+        """The source rows of three blocks are not adjacent, and the saturated
+        and touching cases hit exact 0/1 probabilities and a zero gap."""
+        arch, params, enc, cls, z, plan = _objective_case(**ONE_PASS_CASES["three blocks"])
+        assert isinstance(plan.src, np.ndarray) and plan.src.size == 6
+        arch, params, enc, cls, z, plan = _objective_case(**ONE_PASS_CASES["probability 1.0"])
+        probs = cls(enc(nn.forward(arch, params, z)[plan.src]))
+        picked = probs[plan.src_pick]
+        assert (picked == 1.0).any() and (picked == 0.0).any()
+        for case in ("zero gap", "dim 1"):
+            arch, params, enc, cls, z, plan = _objective_case(**ONE_PASS_CASES[case])
+            generated = nn.forward(arch, params, z)[plan.tgt]
+            targets = np.moveaxis(plan.planes[..., 0], -1, 0)
+            gaps = generated[:, :, None] - targets[:, None]
+            assert (np.abs(gaps).sum(axis=-1) == 0.0).any()
+
+    def test_non_softmax_classifier_rejected(self):
+        arch, params, enc, cls, z, plan = _objective_case(3, ("source_only",))
+        sigmoid = nn.Net(nn.ArchSpec(cls.arch.widths, "tanh", "sigmoid"), cls.params)
+        with pytest.raises(ConfigError, match="softmax head"):
+            losses.generator_objective_and_grad(arch, params, enc, sigmoid, z, plan)
+
+    def test_width_mismatches_rejected(self):
+        arch, params, enc, cls, z, plan = _objective_case(3, ("combined",))
+        wide_enc_arch = nn.ArchSpec((3, 5, 4), "tanh", "linear")
+        wide_enc = nn.Net(wide_enc_arch, nn.init_params(wide_enc_arch, 0))
+        with pytest.raises(ConfigError, match="feed the encoder"):
+            losses.generator_objective_and_grad(arch, params, wide_enc, cls, z, plan)
+        narrow_cls_arch = nn.ArchSpec((3, 3), "tanh", "softmax")
+        narrow_cls = nn.Net(narrow_cls_arch, nn.init_params(narrow_cls_arch, 0))
+        with pytest.raises(ConfigError, match="feed the encoder"):
+            losses.generator_objective_and_grad(arch, params, enc, narrow_cls, z, plan)
+
+    @pytest.mark.parametrize("modes", [("source_only",), ("target_only",), ("combined",)])
+    def test_empty_batch_rejected(self, modes):
+        arch, params, enc, cls, z, plan = _objective_case(3, modes)
+        with pytest.raises(ConfigError):
+            losses.generator_objective_and_grad(arch, params, enc, cls, z[:, :0], plan)

@@ -668,6 +668,15 @@ class TestModelFile:
         with pytest.raises(FormatError, match="must be an integer"):
             nn.load_model(path)
 
+    def test_rejects_negative_seed(self, tmp_path):
+        path = tmp_path / "model.json"
+        nn.save_model(path, self._nets(), seed=0)
+        doc = json.loads(path.read_text())
+        doc["seed"] = -1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="seed must be non-negative, got -1"):
+            nn.load_model(path)
+
     def test_rejects_infinite_params(self, tmp_path):
         path = tmp_path / "model.json"
         nn.save_model(path, self._nets(), seed=0)

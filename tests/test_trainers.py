@@ -451,9 +451,9 @@ class TestGeneratorBank:
         draw per class per step, also across a last, partial chunk."""
         objective, seen = losses.generator_objective_and_grad, []
 
-        def spy(arch, params, enc, cls, z, *args):
+        def spy(arch, params, enc, cls, z, *args, **kwargs):
             seen.append(z.copy())
-            return objective(arch, params, enc, cls, z, *args)
+            return objective(arch, params, enc, cls, z, *args, **kwargs)
 
         monkeypatch.setattr(losses, "generator_objective_and_grad", spy)
         cfg = _tiny_cfg()
