@@ -223,13 +223,11 @@ def _cmd_run(args) -> int:
         seeds = _parse_seeds(seeds)
     if not all(isinstance(v, list) for v in (methods, shots, seeds)):
         raise ConfigError("methods, shots and seeds must be lists")
-    shots = [nn._as_int(s, "shots") for s in shots]
-    seeds = [nn._as_int(s, "seeds") for s in seeds]
-    jobs = nn._as_int(doc.get("jobs", 1), "jobs")
+    methods, shots, seeds, jobs = harness._check_grid(methods, shots, seeds, doc.get("jobs", 1))
     cfg = _experiment_config(doc)
     out = doc["out"]
     if os.path.exists(out):
-        os.remove(out)  # each invocation produces a fresh stream
+        os.remove(out)  # each invocation produces a fresh stream, once the grid is valid
     results = run_experiment(task, methods, shots, seeds, cfg, sink=out, jobs=jobs)
     errors = [r for r in results if r.error is not None]
     print(f"{out} runs={len(results)} errors={len(errors)}")
@@ -265,6 +263,8 @@ def _cmd_dump_embed(args) -> int:
         tag, sep, path = item.partition("=")
         if not sep or not tag or not path:
             raise ConfigError(f"--data expects TAG=FILE, got {item!r}")
+        if harness._CSV_BREAKING.intersection(tag):
+            raise ConfigError(f"--data tag must hold no comma, quote or line break, got {tag!r}")
         tagged.append((tag, load_dataset(path)))
     table = harness.dump_embedding(nets["encoder"], tagged)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,22 +1,9 @@
 """Seeded experiment harness: paired runs, a results stream, summary
 tables, and a 2-d embedding export.
 
-Results serialize as line-delimited JSON with fields exactly
-``method, task, n_t, seed, accuracy, wa_accuracy, wall_ms``; accuracies are
-written as decimal fractions with 17 significant digits so parsing gives
-back the exact 64-bit value. Failed runs keep their identifying fields and
-carry an ``error`` message instead of accuracies. A run keeps only its
-accuracy, so the grid builds no phase traces; a trace comes from the
-trainers' ``trace=`` argument.
-
-Per (seed, n_t), sfada, tfada, stfada and tohan share one generator run and
-one stacked adaptation (``_shared_run``), made by the first of them in
-``methods`` order, whose ``wall_ms`` includes both. sfada's source_only
-bank reads no few-shot, so a seed trains it once, in its first shared run
-whose generator run succeeds (7 generator blocks instead of 9 for shots 1,
-3, 7). If a shared run fails, each of them trains alone through its own
-trainer (``run_two_step`` or ``train_tohan``), so a diverging block costs
-only its own method's line.
+The README fixes the results-line schema (File formats) and describes the
+one shared run of the generator methods per (seed, n_t), whose failure
+costs no method its line (Methods).
 """
 
 from __future__ import annotations
@@ -41,6 +28,8 @@ from .trainers import (
 )
 
 log = logging.getLogger("fha.harness")
+
+_CSV_BREAKING = frozenset(',"\r\n')  # a method, task or tag holding one would break its CSV row
 
 
 @dataclass(frozen=True)
@@ -86,18 +75,13 @@ def format_result_line(result: RunResult) -> str:
     )
 
 
-def write_results(sink, results) -> None:
-    """Append result lines to a path or file-like sink, flushing per line."""
-    own = not hasattr(sink, "write")
-    fh = open(sink, "a", encoding="utf-8") if own else sink
-    try:
+def write_results(path, results) -> None:
+    """Append result lines to the file at ``path``, flushing per line."""
+    with open(path, "a", encoding="utf-8") as fh:
         for r in results:
             fh.write(format_result_line(r))
             fh.write("\n")
             fh.flush()
-    finally:
-        if own:
-            fh.close()
 
 
 def read_results(path):
@@ -118,6 +102,8 @@ def read_results(path):
                 for key in ("method", "task"):
                     if not isinstance(row[key], str):
                         raise ValueError(f"{key} is not a string")
+                    if _CSV_BREAKING.intersection(row[key]):
+                        raise ValueError(f"{key} holds a comma, quote or line break")
                 for key in ("n_t", "seed"):
                     if type(row[key]) is not int:  # bool is rejected too
                         raise ValueError(f"{key} is not an integer")
@@ -251,17 +237,9 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
     return results
 
 
-def run_experiment(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig,
-                   sink=None, jobs: int = 1) -> list[RunResult]:
-    """Run every (method, n_t, seed) combination of one task.
-
-    The source hypothesis and few-shot sets are shared per seed across
-    methods, so method comparisons are paired. Run errors become error
-    records in the stream instead of aborting the batch. ``sink`` (a path
-    or file-like) receives each seed's result lines as they complete; with
-    ``jobs`` > 1, seeds run in worker processes, at most one per seed
-    (results are still deterministic, the sink order follows completion).
-    """
+def _check_grid(methods, shots, seeds, jobs):
+    """The checked grid of run_experiment: (methods, shots, seeds) as lists,
+    shots, seeds and jobs as ints, or a ConfigError."""
     methods = list(methods)
     shots = [nn._as_int(s, "shots") for s in shots]
     seeds = [nn._as_int(s, "seeds") for s in seeds]
@@ -278,6 +256,21 @@ def run_experiment(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig,
         raise ConfigError("seeds must be non-negative")
     if jobs < 1:
         raise ConfigError("jobs must be positive")
+    return methods, shots, seeds, jobs
+
+
+def run_experiment(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig,
+                   sink=None, jobs: int = 1) -> list[RunResult]:
+    """Run every (method, n_t, seed) combination of one task.
+
+    The source hypothesis and few-shot sets are shared per seed across
+    methods, so method comparisons are paired. Run errors become error
+    records in the stream instead of aborting the batch. ``sink``, a path,
+    receives each seed's result lines as they complete; with ``jobs`` > 1,
+    seeds run in worker processes, at most one per seed (results are still
+    deterministic, the sink order follows completion).
+    """
+    methods, shots, seeds, jobs = _check_grid(methods, shots, seeds, jobs)
     jobs = min(jobs, len(seeds))  # a pool starts all its workers at once
 
     per_seed: dict[int, list[RunResult]] = {}

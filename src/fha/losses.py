@@ -1,35 +1,15 @@
 """Objectives for intermediate-domain generation and pairwise adaptation.
 
-Generator side, for class n with batch size B (the generator objective
-steps all N class generators at once, generator n scoring class n, and can
-step several row blocks of N, one objective per block, as one stack):
-  * source-compatibility term: mean squared gap between the generated
-    batch's class-n probabilities (under the frozen source model) and 1,
-    (1/B) * sum_i (l_i - 1)^2;
-  * target-proximity term: mean augmented-L1 distance between generated
-    points and the class-n few-shot samples, normalized by the distance
-    diameter M of the unit cube so the term lies in [0, 1];
-  * total: source + tradeoff * target.
-What a generator run fixes for all its steps (the rows each term reads, the
-proximity weights and scale, the few-shots as K-leading coordinate planes)
-is built once, by generator_plan. Each step is then one checked pass over
-the generators and the source model through the nn cores, which builds the
-loss values only ``with_loss``: training reads the gradient alone.
+The generator objective scores an (M*N, P) stack of class generators, and
+both adaptation objectives take (M, P) stacks of nets as well as one net;
+each reduces per block, so a row gets the same numbers in any stack. The
+fused passes, and why their bits equal the composed nn calls, are in the
+README's "Where the time goes".
 
 The augmented L1 distance reweights each coordinate gap by its share of the
 squared error: sum_i w_i |x_i - y_i| with w_i = |x_i - y_i|^2 / ||x - y||_2,
 which collapses to sum_i |d_i|^3 / ||d||_2 and is 0 exactly when x == y.
-
-Adaptation side: a 4-way group discriminator is trained with categorical
-cross-entropy over pair groups; the encoder/classifier update flips the
-group-2 and group-4 pair labels toward their same-domain twins (confusion
-terms, weighted by a warm-up factor beta) and adds plain cross-entropy on
-the labeled target samples. Both adaptation objectives also take (M, P)
-stacks of nets and reduce per block, so M adaptations step as one; the
-discriminator objective scores pair embeddings its caller built.
-Probabilities are clamped at 1e-12 before logs. Source fitting and the
-few-shot term train through softmax_ce_and_grads, one checked pass over an
-encoder and a softmax classifier.
+Probabilities are clamped at 1e-12 before logs.
 """
 
 from __future__ import annotations
@@ -261,15 +241,7 @@ def _check_group_ce(pair_probs: np.ndarray, group_labels: np.ndarray):
     if pair_probs.size and np.abs(pair_probs.sum(axis=-1) - 1.0).max() > 1e-6:
         raise ConfigError("pair probability rows must sum to 1")
     return _check_ce(pair_probs, np.asarray(group_labels, dtype=np.int64) - 1,
-                     "group_ce_loss", "group labels must lie in {1, 2, 3, 4}")
-
-
-def group_ce_loss(pair_probs: np.ndarray, group_labels: np.ndarray):
-    """4-way cross-entropy over pair groups; labels are 1-based (1..4).
-
-    (P, 4) probabilities give one value, an (M, P, 4) stack one per block.
-    """
-    return _ce_parts(*_check_group_ce(pair_probs, group_labels))[0]
+                     "group cross-entropy", "group labels must lie in {1, 2, 3, 4}")
 
 
 def beta_schedule(progress: float) -> float:

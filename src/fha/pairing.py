@@ -1,22 +1,12 @@
-"""Pair groups for the group discriminator.
+"""Pair groups for the group discriminator, over the generated intermediate
+pool and the labeled target few-shots: 1 both intermediate, same label;
+2 intermediate then target, same label; 3 both intermediate, different
+labels; 4 intermediate then target, different labels.
 
-Four groups of ordered sample pairs, built from the generated intermediate
-pool and the labeled target few-shots:
-
-  1. both intermediate, same label;
-  2. first intermediate, second target, same label;
-  3. both intermediate, different labels;
-  4. first intermediate, second target, different labels.
-
-Cross-domain pairs always put the intermediate sample first. Pairs are
-drawn with replacement, uniformly over the valid combinations of each
-group, via rejection from the uniform index product (exact and
-deterministic under the seeded generator). ``draw_pairs`` is the one draw
-routine: it draws the index pairs of one or more groups from the labels
-alone, after one ``check_pairs`` of them, so pools of one label layout can
-share draws. ``build_groups`` and ``sample_group_pairs`` check and gather
-one pool's rows; the target, a FewShotSet or LabeledPool, is read through
-its ``features`` and ``labels``.
+Pairs are drawn with replacement, uniformly over the valid combinations of
+each group, by rejection from the uniform index product (exact and
+deterministic under the seeded generator). ``draw_pairs`` reads the labels
+alone, so pools of one label layout can share draws.
 """
 
 from __future__ import annotations

@@ -1,38 +1,11 @@
-"""Training routines: source fitting, the benchmark family, and one-step
-hypothesis adaptation with generated intermediate data.
+"""Training routines: source fitting, the ft and shot baselines, the class
+generators and the adaptation schedule the generator methods share (the
+README's Methods section says what each method trains and how generate and
+adapt_generated split a run).
 
-Methods (names match the results schema):
-  * wa    -- apply the frozen source model to the target directly;
-  * ft    -- freeze the encoder, fit the classifier on the few-shots;
-  * shot  -- freeze the classifier, fit the encoder on the few-shots;
-  * sfada -- two-step: generator trained for source compatibility only,
-             then pairwise adversarial adaptation against the frozen pool;
-  * tfada -- two-step with a generator trained for target proximity only;
-  * stfada-- two-step with the combined generator objective;
-  * tohan -- one-step: generators first, then adaptation over the kept
-             batches; the pool of each of the final adapt_epochs epochs is
-             the batch that epoch's generator step was computed on.
-
-The two-step methods and tohan share one generator run and one adaptation
-schedule (discriminator pretraining, then alternating model and
-discriminator updates over a list of pools). They differ only in the pools:
-one pool drawn from the converged bank, or the batches of the generators'
-final steps. The generator objective never reads the adapted model, so
-tohan's trace keeps the interleaved order of the paper's one-step loop. The
-class generators are one (N, P) parameter stack throughout (row n for class
-n): trained, kept in a GeneratorBank and sampled as one. A generator run
-trains several objectives at once, one row block of N per mode from the
-same init and noise, so each block's bank and batches equal its one-mode
-run; it builds its losses.generator_plan and tiles each chunk of noise once.
-_adapt runs M adaptations as one (M, P) stack of encoder + classifier rows
-and one of discriminators, each row equal to its one-block run; the
-discriminator pretraining gathers its pair embeddings from one embedding of
-the first pool, and every later discriminator step embeds its x1 and x2
-rows in one encoder pass. generate(methods) trains the blocks the
-listed methods read, adapt_generated(methods, run) adapts them from that run
-in one stack: run_two_step and train_tohan are the two calls for one method,
-adapt_pairwise is the one-block stack against a fixed pool, and the harness
-makes one call of each per (seed, n_t) for sfada, tfada, stfada and tohan.
+A stack equals its rows run alone, bit for bit: each row block of a
+generator run equals its one-mode run, and each row of an _adapt stack its
+one-block run, trace included.
 
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and every update builds new parameter
@@ -53,7 +26,6 @@ from . import losses, nn
 from .data import Dataset, FewShotSet
 from .errors import (
     ConfigError,
-    FormatError,
     InsufficientDataError,
     NumericalError,
     QualityGateError,
@@ -375,18 +347,12 @@ def train_ft(hypothesis: SourceHypothesis, fewshot: FewShotSet,
 def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
                cfg: BaselineConfig) -> TargetModel:
     """Freeze the classifier, fit the encoder on the few-shots (full batch)."""
-    x = fewshot.features.astype(np.float64)
-    labels = fewshot.labels
-    enc_arch = hypothesis.enc.arch
-    cls = hypothesis.cls
+    enc_arch, cls = hypothesis.enc.arch, hypothesis.cls
     params = np.array(hypothesis.enc.params)
     state = nn.AdamState.init(params.size, cfg.lr)
     for _ in range(cfg.epochs):
-        emb, enc_cache = nn.forward_and_cache(enc_arch, params, x)
-        probs, cls_cache = nn.forward_and_cache(cls.arch, cls.params, emb)
-        up = losses.cross_entropy_grad(probs, labels)
-        _, emb_up = nn.backward_from_cache(cls.arch, cls.params, cls_cache, up, want="input")
-        grad, _ = nn.backward_from_cache(enc_arch, params, enc_cache, emb_up, want="params")
+        _, grad, _ = losses.softmax_ce_and_grads(enc_arch, params, cls.arch, cls.params,
+                                                 fewshot.features, fewshot.labels)
         params, state = nn.adam_step(state, params, grad)
     return TargetModel(enc=nn.Net(enc_arch, params), cls=cls)
 
@@ -634,7 +600,7 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
 
 def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
                    hypothesis: SourceHypothesis, cfg: TohanConfig, *,
-                   seed: int | None = None, trace: list | None = None) -> TargetModel:
+                   trace: list | None = None) -> TargetModel:
     """Adversarial adaptation against a fixed intermediate pool.
 
     Starts from the source hypothesis and runs the shared schedule for
@@ -642,11 +608,7 @@ def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
     one discriminator update per epoch. With adapt_epochs 0 the source nets
     are returned untouched.
     """
-    if cfg.adapt_epochs == 0:
-        return TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)
-    root = cfg.seed if seed is None else seed
-    disc_seed, pair_seed = nn.derive_seeds(root, 2)
-    block = _Block([intermediate] * cfg.adapt_epochs, disc_seed, pair_seed, trace)
+    block = _Block([intermediate] * cfg.adapt_epochs, *nn.derive_seeds(cfg.seed, 2), trace)
     return _adapt([block], fewshot, hypothesis, cfg)[0]
 
 
@@ -760,19 +722,3 @@ def save_hypothesis(path, hypothesis: SourceHypothesis) -> None:
             "test_accuracy": hypothesis.test_accuracy,
         },
     )
-
-
-def load_hypothesis(path) -> SourceHypothesis:
-    nets, seed, meta = nn.load_model(path)
-    try:
-        train_acc, test_acc = (float(meta.get(key, float("nan")))
-                               for key in ("train_accuracy", "test_accuracy"))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"model file accuracy is not a number: {exc}") from exc
-    try:
-        return SourceHypothesis(enc=nets["encoder"], cls=nets["classifier"], seed=seed,
-                                train_accuracy=train_acc, test_accuracy=test_acc)
-    except KeyError as exc:
-        raise FormatError(f"model file lacks a net: {exc}") from exc
-    except ConfigError as exc:
-        raise FormatError(f"model file holds no source hypothesis: {exc}") from exc

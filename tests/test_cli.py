@@ -195,7 +195,10 @@ class TestGenData:
 
 class TestTrainSource:
     def test_model_file_loads_back(self, workdir, capsys):
-        hyp = trainers.load_hypothesis(workdir / "model.json")
+        nets, seed, meta = nn.load_model(workdir / "model.json")
+        hyp = trainers.SourceHypothesis(enc=nets["encoder"], cls=nets["classifier"], seed=seed,
+                                        train_accuracy=meta["train_accuracy"],
+                                        test_accuracy=meta["test_accuracy"])
         assert hyp.test_accuracy >= 0.8
         assert hyp.cls.arch.out_width == 3
 
@@ -347,6 +350,16 @@ class TestRun:
         assert capsys.readouterr().err == "error: shots must be distinct\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--methods", "bogus"], ["--seeds", "0,0"],
+                                       ["--jobs", "0"]], ids=" ".join)
+    def test_usage_error_keeps_the_old_results_file(self, tmp_path, capsys, flags):
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b'{"an": "earlier run"}\n')
+        assert cli.main(["run", "--task", "rot20", "--methods", "wa", "--shots", "1",
+                         "--seeds", "0", "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b'{"an": "earlier run"}\n'
+
     def test_methods_string_is_a_comma_list(self, tmp_path):
         """A config's methods string is split like the --methods flag, not
         read letter by letter."""
@@ -468,6 +481,20 @@ class TestSummarize:
         assert "n_t=-4" not in captured.out
         assert {line.split()[0] for line in captured.out.splitlines()}.isdisjoint({"5", "None"})
 
+    def test_csv_breaking_method_is_skipped(self, workdir, tmp_path, capsys):
+        good = (workdir / "results.jsonl").read_text(encoding="utf-8")
+        row = json.loads(good.splitlines()[0])
+        path = tmp_path / "names.jsonl"
+        path.write_text(good + "".join(json.dumps({**row, "method": name}) + "\n"
+                                       for name in ("a,b", 'a"b', "a\nb", "a\rb")),
+                        encoding="utf-8")
+        assert cli.main(["summarize", str(path), "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("method holds a comma, quote or line break") == 4
+        assert cli.main(["summarize", str(workdir / "results.jsonl"), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == captured.out
+        assert all(len(r) == 5 for r in csv.reader(captured.out.splitlines()))
+
     def test_non_utf8_line_is_skipped(self, workdir, tmp_path, capsys):
         good = (workdir / "results.jsonl").read_bytes()
         bad_path = tmp_path / "bytes.jsonl"
@@ -514,6 +541,7 @@ class TestDumpEmbed:
         assert len(lines) == n_points + 1
         domains = {line.rsplit(",", 1)[1] for line in lines[1:]}
         assert domains == {"source", "target"}
+        assert all(len(r) == 4 for r in csv.reader(lines))
 
     def test_bad_tag_syntax_is_usage_error(self, workdir, tmp_path):
         rc = cli.main([
@@ -522,6 +550,18 @@ class TestDumpEmbed:
             "--out", str(tmp_path / "emb.csv"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("tag", ["src,x", 'src"x', "src\nx", "src\rx"], ids=repr)
+    def test_csv_breaking_tag_is_usage_error(self, workdir, tmp_path, capsys, tag):
+        out = tmp_path / "emb.csv"
+        rc = cli.main([
+            "dump-embed", "--model", str(workdir / "model.json"),
+            "--data", f"{tag}={workdir / 'data' / 'source.fhd'}",
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --data tag must hold no comma")
+        assert not out.exists()
 
     def test_model_without_encoder_is_usage_error(self, workdir, tmp_path):
         arch = trainers.default_classifier_arch(4, 2)

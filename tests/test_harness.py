@@ -7,7 +7,6 @@ mean 0.877 and sample standard deviation 0.001, so the rendered cell must be
 """
 
 import functools
-import io
 import json
 import math
 import multiprocessing
@@ -117,10 +116,10 @@ class TestResultsIO:
         assert problems == []
         assert [r["seed"] for r in rows] == [0, 1]
 
-    def test_write_to_file_like(self):
-        buf = io.StringIO()
-        write_results(buf, [_result(), _result(seed=2)])
-        lines = buf.getvalue().splitlines()
+    def test_write_one_line_per_result(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        write_results(path, [_result(), _result(seed=2)])
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         assert json.loads(lines[1])["seed"] == 2
 
@@ -176,6 +175,18 @@ class TestResultsIO:
                                  "line 20: task is not a string"]
         assert rows[2]["n_t"] == 7
 
+    @pytest.mark.parametrize("key", ["method", "task"])
+    def test_csv_breaking_names_are_problems(self, tmp_path, key):
+        path = tmp_path / "names.jsonl"
+        good = json.loads(format_result_line(_result()))
+        names = ("a,b", 'a"b', "a\nb", "a\rb", "a b;c'd")
+        path.write_text("".join(json.dumps({**good, key: name}) + "\n" for name in names),
+                        encoding="utf-8")
+        rows, problems = read_results(path)
+        assert [r[key] for r in rows] == ["a b;c'd"]
+        assert problems == [f"line {i}: {key} holds a comma, quote or line break"
+                            for i in range(1, 5)]
+
     def test_non_utf8_line_is_a_problem(self, tmp_path):
         path = tmp_path / "bytes.jsonl"
         good = format_result_line(_result()).encode("utf-8")
@@ -195,15 +206,15 @@ class TestResultsIO:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_corrupted_bytes_never_raise(self, tmp_path, data):
-        buf = io.StringIO()
-        write_results(buf, [_result(seed=0), _result(method="wa", n_t=7, seed=2),
-                            _result(accuracy=None, wa_accuracy=None, error="boom")])
-        blob = bytearray(buf.getvalue().encode("utf-8"))
+        path = tmp_path / "results.jsonl"
+        path.unlink(missing_ok=True)  # one tmp_path serves every example
+        write_results(path, [_result(seed=0), _result(method="wa", n_t=7, seed=2),
+                             _result(accuracy=None, wa_accuracy=None, error="boom")])
+        blob = bytearray(path.read_bytes())
         flips = data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1),
                                              st.integers(1, 255)), max_size=4))
         for pos, mask in flips:
             blob[pos] ^= mask
-        path = tmp_path / "results.jsonl"
         path.write_bytes(bytes(blob[:data.draw(st.integers(0, len(blob)))]))
         rows, problems = read_results(path)
         assert all(isinstance(p, str) and p.startswith("line ") for p in problems)

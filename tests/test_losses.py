@@ -477,32 +477,37 @@ class TestSoftmaxCEAndGrads:
 
 
 class TestGroupCE:
+    """The group cross-entropy of group_ce_and_disc_grad and its checks."""
+
     def test_uniform_value(self):
-        probs = np.full((8, 4), 0.25)
+        # an all-zero discriminator puts 1/4 on every group
+        arch = trainers.default_discriminator_arch(3)
+        disc = nn.Net(arch, np.zeros(arch.n_params))
         labels = np.array([1, 2, 3, 4, 1, 2, 3, 4])
-        assert losses.group_ce_loss(probs, labels) == pytest.approx(np.log(4.0))
+        loss, _ = losses.group_ce_and_disc_grad(disc, np.ones((8, 6)), labels)
+        assert loss == pytest.approx(np.log(4.0))
 
     def test_one_based_labels_enforced(self):
         probs = np.full((2, 4), 0.25)
         with pytest.raises(ConfigError):
-            losses.group_ce_loss(probs, np.array([0, 1]))
+            losses._check_group_ce(probs, np.array([0, 1]))
         with pytest.raises(ConfigError):
-            losses.group_ce_loss(probs, np.array([1, 5]))
+            losses._check_group_ce(probs, np.array([1, 5]))
 
     def test_row_sum_validation(self):
         probs = np.full((2, 4), 0.3)
         with pytest.raises(ConfigError):
-            losses.group_ce_loss(probs, np.array([1, 2]))
+            losses._check_group_ce(probs, np.array([1, 2]))
 
     def test_shape_validation(self):
         with pytest.raises(ConfigError):
-            losses.group_ce_loss(np.full((2, 3), 1 / 3), np.array([1, 2]))
+            losses._check_group_ce(np.full((2, 3), 1 / 3), np.array([1, 2]))
 
     def test_label_errors_name_the_group_labels(self):
         with pytest.raises(ConfigError, match=r"group labels must lie in \{1, 2, 3, 4\}"):
-            losses.group_ce_loss(np.full((2, 4), 0.25), np.array([0, 4]))
-        with pytest.raises(ConfigError, match="group_ce_loss on an empty batch"):
-            losses.group_ce_loss(np.zeros((0, 4)), np.zeros(0, dtype=int))
+            losses._check_group_ce(np.full((2, 4), 0.25), np.array([0, 4]))
+        with pytest.raises(ConfigError, match="^group cross-entropy on an empty batch$"):
+            losses._check_group_ce(np.zeros((0, 4)), np.zeros(0, dtype=int))
 
     def test_grad_matches_fd(self):
         raw = RNG.uniform(0.2, 0.8, size=(3, 4))
