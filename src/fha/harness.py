@@ -246,9 +246,9 @@ def _check_grid(methods, shots, seeds, jobs):
     jobs = nn._as_int(jobs, "jobs")
     if not methods or not shots or not seeds:
         raise ConfigError("methods, shots, and seeds must be non-empty")
-    unknown = set(methods) - set(METHODS)
+    unknown = [m for m in methods if m not in METHODS]  # a config may hold unhashable entries
     if unknown:
-        raise ConfigError(f"unknown methods {sorted(unknown)}; known: {list(METHODS)}")
+        raise ConfigError(f"unknown methods {unknown}; known: {list(METHODS)}")
     for name, values in (("methods", methods), ("shots", shots), ("seeds", seeds)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{name} must be distinct")

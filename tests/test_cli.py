@@ -402,6 +402,7 @@ class TestRun:
         {"methods": None},
         {"methods": {"wa": 1}},
         {"methods": "wa,nope"},
+        {"methods": [["wa"]]},
     ], ids=repr)
     def test_malformed_config_value_is_usage_error(self, tmp_path, capsys, overrides):
         out = tmp_path / "r.jsonl"
