@@ -120,7 +120,7 @@ def read_results(path):
             except UnicodeDecodeError:
                 problems.append(f"line {i}: not UTF-8")
                 continue
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 problems.append(f"line {i}: {exc}")
                 continue
             rows.append(row)

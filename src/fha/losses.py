@@ -2,9 +2,10 @@
 
 The generator objective scores an (M*N, P) stack of class generators, and
 both adaptation objectives take (M, P) stacks of nets as well as one net;
-each reduces per block, so a row gets the same numbers in any stack. The
-fused passes, and why their bits equal the composed nn calls, are in the
-README's "Where the time goes".
+each reduces per block, so a row gets the same numbers in any stack. Each
+objective that returns parameter gradients is one checked pass over the nn
+cores; the passes, and why their bits equal the composed nn calls, are in
+the README's "Where the time goes".
 
 The augmented L1 distance reweights each coordinate gap by its share of the
 squared error: sum_i w_i |x_i - y_i| with w_i = |x_i - y_i|^2 / ||x - y||_2,
@@ -15,7 +16,6 @@ Probabilities are clamped at 1e-12 before logs.
 from __future__ import annotations
 
 import functools
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -253,79 +253,88 @@ def beta_schedule(progress: float) -> float:
     return 2.0 / (1.0 + np.exp(-10.0 * q)) - 1.0
 
 
-def adaptation_loss_and_grads(g2_pairs, g4_pairs, disc: nn.Net, enc: nn.Net,
-                              cls: nn.Net, fewshot, beta: float):
+def adaptation_loss_and_grads(x1, x2, disc, enc, cls, fewshot, beta: float):
     """beta * (confusion of cross-domain pairs) + CE on the few-shot samples,
-    with gradients for the encoder and classifier only.
+    with gradients for the encoder and classifier only: (loss, encoder
+    gradient, classifier gradient).
 
-    The confusion terms score group-2 pairs against the group-1 label and
-    group-4 pairs against the group-3 label under the group discriminator.
-    The discriminator is a frozen scorer here: no gradient is produced for
-    it, by construction. Empty pair sets contribute zero with a warning.
-    Returns (loss, encoder gradient, classifier gradient).
-
-    The nets may be stacks of M nets (anything with an ``arch`` and an
-    (M, P) ``params``) with (M, P, d) pair blocks: block m runs on row m of
-    every stack and the few-shots, and the loss is one value per block.
+    ``x1`` and ``x2`` hold 2h pairs: the first h of group 2, scored against
+    the group-1 label of the group discriminator, the last h of group 4,
+    against the group-3 label. The discriminator is a frozen scorer: no
+    gradient is produced for it. One net of each kind (an ``arch`` and a
+    ``params``) maps (2h, d) pairs; (M, P) stacks map (M, 2h, d) blocks, one
+    loss per block. One checked pass over the nn cores gives the bits of the
+    public calls run per group, the encoder gradient summed in their order.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError("beta must lie in [0, 1]")
+    enc_params = nn._check_params(enc.arch, enc.params)
+    disc_params = nn._check_params(disc.arch, disc.params)
+    lead, width = enc_params.shape[:-1], enc.arch.out_width
+    x1 = nn._check_batch(enc.arch, x1, enc_params)
+    x2 = nn._check_batch(enc.arch, x2, enc_params)
+    if x1.shape != x2.shape or x1.shape[:-2] != lead:
+        raise ConfigError("x1 and x2 must be equal-shape pairs, one block per encoder")
+    if ((disc.arch.head, disc.arch.in_width, disc.arch.out_width) != ("softmax", 2 * width, 4)
+            or disc_params.shape[:-1] != lead):
+        raise ConfigError("the discriminator must be a 4-way softmax head on pairs of "
+                          "encoder outputs, one per encoder")
+    h, odd = divmod(x1.shape[-2], 2)
+    if h == 0 or odd:
+        raise ConfigError("the pairs must be h of group 2, then h of group 4, h >= 1")
     x_t = np.asarray(fewshot.features, dtype=np.float64)
-    x_t = np.broadcast_to(x_t, np.shape(enc.params)[:-1] + x_t.shape)  # one view per net
-    target_ce, enc_grad, cls_grad = softmax_ce_and_grads(enc.arch, enc.params, cls.arch,
+    x_t = np.broadcast_to(x_t, lead + x_t.shape)  # one view per net
+    target_ce, enc_grad, cls_grad = softmax_ce_and_grads(enc.arch, enc_params, cls.arch,
                                                          cls.params, x_t, fewshot.labels)
-
-    confusion = 0.0
-    width = enc.arch.out_width
+    e1, acts1 = nn._forward(enc.arch, enc_params, x1)
+    e2, acts2 = nn._forward(enc.arch, enc_params, x2)
+    probs, disc_acts = nn._forward(disc.arch, disc_params, np.concatenate([e1, e2], axis=-1))
     # cross-domain groups are pushed toward their same-domain twins: group 2
-    # toward group 1, group 4 toward group 3, col being the 0-based column
-    for pairs, expected_group, col in ((g2_pairs, 2, GROUP_BOTH_INTERMEDIATE_SAME - 1),
-                                       (g4_pairs, 4, GROUP_BOTH_INTERMEDIATE_DIFF - 1)):
-        if pairs is None or pairs.size == 0:
-            warnings.warn(
-                f"no group-{expected_group} pairs; confusion term contributes zero",
-                stacklevel=2,
-            )
-            continue
-        if not (pairs.group == expected_group).all():
-            raise ConfigError(f"expected only group-{expected_group} pairs")
-        e1, c1 = nn.forward_and_cache(enc.arch, enc.params, pairs.x1)
-        e2, c2 = nn.forward_and_cache(enc.arch, enc.params, pairs.x2)
-        joint = np.concatenate([e1, e2], axis=-1)
-        d_probs, d_cache = nn.forward_and_cache(disc.arch, disc.params, joint)
-        picked = np.maximum(d_probs[..., col], PROB_FLOOR)
-        confusion = confusion - np.log(picked).mean(axis=-1)
-        if beta != 0.0:
-            up_d = np.zeros_like(d_probs)
-            up_d[..., col] = np.where(
-                d_probs[..., col] >= PROB_FLOOR, -beta / (pairs.size * picked), 0.0
-            )
-            _, joint_up = nn.backward_from_cache(disc.arch, disc.params, d_cache, up_d,
-                                                 want="input")
-            g1, _ = nn.backward_from_cache(enc.arch, enc.params, c1, joint_up[..., :width],
-                                           want="params")
-            g2, _ = nn.backward_from_cache(enc.arch, enc.params, c2, joint_up[..., width:],
-                                           want="params")
-            enc_grad = enc_grad + g1 + g2
-    loss = float(beta) * confusion + target_ce
+    # toward group 1, group 4 toward group 3, at their 0-based columns
+    cols = (GROUP_BOTH_INTERMEDIATE_SAME - 1, GROUP_BOTH_INTERMEDIATE_DIFF - 1)
+    pick, halves = (..., np.arange(2 * h), np.repeat(cols, h)), (slice(0, h), slice(h, 2 * h))
+    picked = probs[pick]
+    floor = np.maximum(picked, PROB_FLOOR)
+    # each group's mean over a C-contiguous copy of its half: numpy sums the
+    # rows of a strided view, or of an (.., 2, h) array, in another order
+    logs = np.log(floor)
+    g2, g4 = (np.ascontiguousarray(logs[..., half]).mean(axis=-1) for half in halves)
+    loss = float(beta) * (0.0 - g2 - g4) + target_ce
+    if beta != 0.0:
+        u = np.where(picked >= PROB_FLOOR, -beta / (h * floor), 0.0)
+        joint_g = nn._backward(disc.arch, disc_params, disc_acts,
+                               _softmax_input_grad(probs, pick, picked, u), None)
+        part = np.empty(enc_params.shape)
+        for half in halves:
+            for acts, side in ((acts1, slice(0, width)), (acts2, slice(width, 2 * width))):
+                acts = [a[..., half, :] for a in acts]
+                nn._backward(enc.arch, enc_params, acts,
+                             nn._head_grad(enc.arch, acts[-1], joint_g[..., half, side]),
+                             part, want_input=False)
+                enc_grad += part
     return (float(loss) if np.ndim(loss) == 0 else loss), enc_grad, cls_grad
 
 
-def group_ce_and_disc_grad(disc: nn.Net, joint: np.ndarray, group: np.ndarray):
+def group_ce_and_disc_grad(disc, joint: np.ndarray, group: np.ndarray):
     """Group cross-entropy of pair embeddings and its discriminator gradient.
 
     ``joint`` holds the (P, 2 * width) joint embeddings of P pairs (see
     pairing.phi) with their (P,) 1-based ``group`` labels; the encoder that
     embedded them is frozen, so the gradient is taken with respect to the
-    discriminator parameters alone. The discriminator may be an (M, P)
-    stack scoring (M, P, 2 * width) blocks, one loss per block.
+    discriminator parameters alone. The discriminator, a softmax head, may
+    be an (M, P) stack scoring (M, P, 2 * width) blocks, one loss per block.
     """
     if np.size(group) == 0:
         raise ConfigError("cannot score an empty pair batch")
-    d_probs, cache = nn.forward_and_cache(disc.arch, disc.params, joint)
-    loss, up = _ce_parts(*_check_group_ce(d_probs, group))
-    disc_grad, _ = nn.backward_from_cache(disc.arch, disc.params, cache, up, want="params")
-    return loss, disc_grad
+    params = nn._check_params(disc.arch, disc.params)
+    joint = nn._check_batch(disc.arch, joint, params)
+    if disc.arch.head != "softmax" or joint.shape[:-2] != params.shape[:-1]:
+        raise ConfigError("the discriminator must be a softmax head, one per block of pairs")
+    probs, acts = nn._forward(disc.arch, params, joint)
+    loss, g = _ce_parts(*_check_group_ce(probs, group), logits=True)
+    grad = np.empty(params.shape)
+    nn._backward(disc.arch, params, acts, g, grad, want_input=False)
+    return loss, grad
 
 
 class GeneratorPlan(NamedTuple):

@@ -9,17 +9,18 @@ numpy's fixed reduction order and stacked matmuls run the per-slice kernels,
 so equal seeds give bit-identical results whether nets run alone or stacked.
 
 Every public call checks its inputs, then runs one unchecked core (_forward,
-_backward) over per-layer weight views, the core that fused passes such as
-losses.softmax_ce_and_grads share. Nothing writes in place into an array it
-did not allocate: not the parameters, the batch, an upstream gradient or a
-cache. The backward pass builds only the gradients its ``want`` keyword names.
+_backward) over per-layer weight views; every training pass in losses checks
+once and runs these cores too. Nothing writes in place into an array it did
+not allocate: not the parameters, the batch, an upstream gradient or a cache.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import sys
 from dataclasses import dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -240,28 +241,19 @@ def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray
     return forward_and_cache(arch, params, batch)[0]
 
 
-def backward_from_cache(arch, params, acts, upstream, *, want="both"):
-    """Reverse-mode pass reusing activations from forward_and_cache.
-
-    Returns (parameter gradient shaped like ``params``, input gradient).
-    ``want`` names what to build, "params", "input" or "both", and the other
-    comes back as None: "input" is the pass of a frozen net that only carries
-    gradient to its input, "params" the pass of a net whose input is data.
-    One net run over an (N, B, in) batch supports only the "input" pass.
-    """
-    if want not in ("params", "input", "both"):
-        raise ConfigError(f"want must be 'params', 'input' or 'both', got {want!r}")
+def backward_from_cache(arch, params, acts, upstream):
+    """Reverse-mode pass reusing activations from forward_and_cache, one
+    parameter row per batch block: returns (parameter gradient shaped like
+    ``params``, input gradient)."""
     params = _check_params(arch, params)
-    if want != "input" and acts[0].shape[:-2] != params.shape[:-1]:
+    if acts[0].shape[:-2] != params.shape[:-1]:
         raise ConfigError("a parameter gradient needs one parameter row per batch block")
     upstream = np.asarray(upstream, dtype=np.float64)
     out = acts[-1]
     if upstream.shape != out.shape:
         raise ConfigError(f"upstream must be {out.shape}, got {upstream.shape}")
-    param_grad = None if want == "input" else np.empty(params.shape)
-    x_grad = _backward(arch, params, acts, _head_grad(arch, out, upstream), param_grad,
-                       want != "params")
-    return param_grad, x_grad
+    param_grad = np.empty(params.shape)
+    return param_grad, _backward(arch, params, acts, _head_grad(arch, out, upstream), param_grad)
 
 
 @dataclass(frozen=True)
@@ -383,10 +375,15 @@ def _as_int(value, what: str) -> int:
 
 
 def _as_int_fields(obj) -> None:
-    """Check each ``int`` field of a frozen dataclass with _as_int, and a seed is >= 0."""
+    """Check each ``int`` field of a frozen dataclass with _as_int, that each
+    ``float`` field is a finite real and not a bool, and that a seed is >= 0."""
     for f in fields(obj):
+        value = getattr(obj, f.name)
         if f.type == "int":
-            object.__setattr__(obj, f.name, _as_int(getattr(obj, f.name), f.name))
+            object.__setattr__(obj, f.name, _as_int(value, f.name))
+        elif f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)
+                                    or not abs(value) <= sys.float_info.max):
+            raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
     if getattr(obj, "seed", 0) < 0:
         raise ConfigError(f"seed must be non-negative, got {obj.seed}")
 
@@ -427,7 +424,7 @@ def load_model(path) -> tuple[dict[str, Net], int, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise FormatError("not a model file (missing format marker)")

@@ -49,11 +49,7 @@ class LabeledPool:
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Ordered sample pairs with 1-based group labels.
-
-    x1 and x2 are (P, d), or (M, P, d) for M blocks of pairs that share the
-    P group labels, one block per net of a stack.
-    """
+    """Ordered (P, d) sample pairs with their (P,) 1-based group labels."""
 
     x1: np.ndarray
     x2: np.ndarray
@@ -63,9 +59,9 @@ class PairBatch:
         x1 = np.ascontiguousarray(self.x1, dtype=np.float64)
         x2 = np.ascontiguousarray(self.x2, dtype=np.float64)
         group = np.ascontiguousarray(self.group, dtype=np.int64)
-        if x1.shape != x2.shape or x1.ndim not in (2, 3):
-            raise ConfigError("x1 and x2 must be equal-shape (P, d) or (M, P, d) arrays")
-        if group.ndim != 1 or group.shape[0] != x1.shape[-2]:
+        if x1.shape != x2.shape or x1.ndim != 2:
+            raise ConfigError("x1 and x2 must be equal-shape (P, d) arrays")
+        if group.ndim != 1 or group.shape[0] != x1.shape[0]:
             raise ConfigError("group labels must align with the pairs")
         if group.size and (group.min() < 1 or group.max() > 4):
             raise ConfigError("group labels must lie in {1, 2, 3, 4}")

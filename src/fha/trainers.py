@@ -30,8 +30,7 @@ from .errors import (
     NumericalError,
     QualityGateError,
 )
-from .pairing import (ALL_GROUPS, LabeledPool, PairBatch, build_groups, check_pairs,
-                      draw_pairs, phi)
+from .pairing import ALL_GROUPS, LabeledPool, build_groups, check_pairs, draw_pairs, phi
 
 TWO_STEP_MODES = {"sfada": "source_only", "tfada": "target_only", "stfada": "combined"}
 GENERATOR_METHODS = (*TWO_STEP_MODES, "tohan")
@@ -339,7 +338,7 @@ def train_ft(hypothesis: SourceHypothesis, fewshot: FewShotSet,
     for _ in range(cfg.epochs):
         probs, cache = nn.forward_and_cache(arch, params, emb)
         up = losses.cross_entropy_grad(probs, labels)
-        grad, _ = nn.backward_from_cache(arch, params, cache, up, want="params")
+        grad, _ = nn.backward_from_cache(arch, params, cache, up)
         params, state = nn.adam_step(state, params, grad)
     return TargetModel(enc=hypothesis.enc, cls=nn.Net(arch, params))
 
@@ -580,11 +579,8 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
             del emb  # up to 240 KB, unread after pretraining
         beta = losses.beta_schedule(k / steps)
         ia, ib = draw(k, (2, 4), half)
-        x1, x2 = rows[block_rows, ia], rows[block_rows, ib]
-        g2 = PairBatch(x1[:, :half], x2[:, :half], np.full(half, 2))
-        g4 = PairBatch(x1[:, half:], x2[:, half:], np.full(half, 4))
         loss, model_grad[:, :split], model_grad[:, split:] = losses.adaptation_loss_and_grads(
-            g2, g4, disc, enc, cls, fewshot, beta)
+            rows[block_rows, ia], rows[block_rows, ib], disc, enc, cls, fewshot, beta)
         model, model_state = nn.adam_step(model_state, model, model_grad)
         enc, cls = _finite(enc, model[:, :split]), _finite(cls, model[:, split:])
         record(k, "model_update", adaptation=loss, beta=beta)

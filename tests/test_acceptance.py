@@ -39,8 +39,7 @@ from fha import cli, harness, losses, nn, trainers
 from fha.data import FewShotSet, builtin_task, make_synthetic_task, sample_few_shot
 from fha.errors import ProtocolError
 from fha.harness import ExperimentConfig, read_results, run_experiment, summarize
-from fha.pairing import (ALL_GROUPS, LabeledPool, PairBatch, build_groups, phi,
-                         sample_group_pairs)
+from fha.pairing import ALL_GROUPS, LabeledPool, build_groups, phi, sample_group_pairs
 from fha.trainers import METHODS, BaselineConfig, TohanConfig
 
 PILOT_PATH = Path(__file__).parent / "data" / "pilot_rot40.json"
@@ -177,11 +176,9 @@ def _build_adaptation(rng):
     disc = nn.Net(disc_arch, nn.init_params(disc_arch, _seed_of(rng)))
     enc_p = nn.init_params(enc_arch, _seed_of(rng))
     cls_p = nn.init_params(cls_arch, _seed_of(rng))
-    n = 6
-    g2 = PairBatch(rng.uniform(size=(n, dim)), rng.uniform(size=(n, dim)),
-                   np.full(n, 2))
-    g4 = PairBatch(rng.uniform(size=(n, dim)), rng.uniform(size=(n, dim)),
-                   np.full(n, 4))
+    n = 6  # pairs per cross-domain group: x1 and x2 hold group 2's, then group 4's
+    g2_x1, g2_x2, g4_x1, g4_x2 = (rng.uniform(size=(n, dim)) for _ in range(4))
+    x1, x2 = np.concatenate([g2_x1, g4_x1]), np.concatenate([g2_x2, g4_x2])
     fs = _fewshot(num_classes=c, n_t=2, dim=dim, seed=_seed_of(rng))
     beta = float(rng.uniform(0.05, 0.95))
     n_enc = enc_p.size
@@ -189,9 +186,7 @@ def _build_adaptation(rng):
     def loss_fn(stacked):
         enc = nn.Net(enc_arch, stacked[:n_enc])
         cls = nn.Net(cls_arch, stacked[n_enc:])
-        loss, eg, cg = losses.adaptation_loss_and_grads(
-            g2, g4, disc, enc, cls, fs, beta
-        )
+        loss, eg, cg = losses.adaptation_loss_and_grads(x1, x2, disc, enc, cls, fs, beta)
         return loss, np.concatenate([eg, cg])
 
     return loss_fn, np.concatenate([enc_p, cls_p])

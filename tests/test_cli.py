@@ -360,6 +360,31 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: ")
         assert out.read_bytes() == b'{"an": "earlier run"}\n'
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("tohan", "tradeoff", float("nan")), ("tohan", "lr_gen", float("inf")),
+        ("tohan", "lr_model", True), ("source", "lr", -float("inf")),
+        ("baseline", "lr", float("nan"))], ids=repr)
+    def test_non_finite_or_bool_rate_is_usage_error(self, tmp_path, capsys, section, field,
+                                                     value):
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b'{"an": "earlier run"}\n')
+        cfg = _mini_run_config(out)
+        cfg.setdefault(section, {})[field] = value
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")  # NaN, Infinity, true
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid {section} config: {field} must be a finite number, got ")
+        assert out.read_bytes() == b'{"an": "earlier run"}\n'
+
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg_path} is not valid JSON: ")
+        assert "Traceback" not in err
+
     def test_methods_string_is_a_comma_list(self, tmp_path):
         """A config's methods string is split like the --methods flag, not
         read letter by letter."""
@@ -575,6 +600,17 @@ class TestDumpEmbed:
             "--out", str(tmp_path / "emb.csv"),
         ])
         assert rc == 2
+
+    def test_deeply_nested_model_file_is_usage_error(self, workdir, tmp_path, capsys):
+        model_path = tmp_path / "deep.json"
+        model_path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        rc = cli.main([
+            "dump-embed", "--model", str(model_path),
+            "--data", f"source={workdir / 'data' / 'source.fhd'}",
+            "--out", str(tmp_path / "emb.csv"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: model file is not valid JSON: ")
 
     def test_nan_features_are_usage_error(self, workdir, tmp_path, capsys):
         blob = bytearray((workdir / "data" / "source.fhd").read_bytes())

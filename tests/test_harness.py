@@ -195,6 +195,15 @@ class TestResultsIO:
         assert len(rows) == 2
         assert problems == ["line 2: not UTF-8"]
 
+    def test_deeply_nested_line_is_a_problem(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        good = format_result_line(_result())
+        path.write_text("\n".join([good, "[" * 100_000 + "]" * 100_000, good]) + "\n",
+                        encoding="utf-8")
+        rows, problems = read_results(path)
+        assert len(rows) == 2
+        assert len(problems) == 1 and problems[0].startswith("line 2: maximum recursion depth")
+
     def test_error_rows_parse_without_accuracies(self, tmp_path):
         path = tmp_path / "err.jsonl"
         write_results(path, [_result(accuracy=None, wa_accuracy=None, error="boom")])

@@ -12,7 +12,6 @@ Closed-form reference values are hand-derived:
 """
 
 import functools
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -363,7 +362,7 @@ def _composed_softmax_ce(enc_arch, ep, cls_arch, cp, x, labels):
     probs, cls_cache = nn.forward_and_cache(cls_arch, cp, emb)
     up = losses.cross_entropy_grad(probs, labels)
     cls_grad, emb_up = nn.backward_from_cache(cls_arch, cp, cls_cache, up)
-    enc_grad, _ = nn.backward_from_cache(enc_arch, ep, enc_cache, emb_up, want="params")
+    enc_grad, _ = nn.backward_from_cache(enc_arch, ep, enc_cache, emb_up)
     return losses.cross_entropy(probs, labels), enc_grad, cls_grad, probs
 
 
@@ -561,13 +560,14 @@ def _fewshot(num_classes=2, n_t=2, dim=2, seed=1):
                       indices=np.arange(num_classes * n_t), num_classes=num_classes)
 
 
-def _pairs(group, count=3, dim=2, seed=5):
-    rng = np.random.default_rng(seed)
-    return PairBatch(
-        rng.uniform(size=(count, dim)),
-        rng.uniform(size=(count, dim)),
-        np.full(count, group, dtype=np.int64),
-    )
+def _pair_rows(g2_seed=5, g4_seed=5, count=3, dim=2):
+    """The model update's pair rows: x1 and x2 of ``count`` group-2 pairs,
+    then ``count`` group-4 pairs, each group drawn by its own seed."""
+    groups = []
+    for seed in (g2_seed, g4_seed):
+        rng = np.random.default_rng(seed)
+        groups.append((rng.uniform(size=(count, dim)), rng.uniform(size=(count, dim))))
+    return tuple(np.concatenate(side) for side in zip(*groups))
 
 
 class TestAdaptationLoss:
@@ -581,15 +581,14 @@ class TestAdaptationLoss:
                                                             np.asarray(fs.features, float)))
         expected_ce = losses.cross_entropy(probs, np.asarray(fs.labels, np.int64))
         beta = 0.5
-        value, _, _ = losses.adaptation_loss_and_grads(_pairs(2), _pairs(4), disc, enc, cls,
-                                                       fs, beta)
+        value, _, _ = losses.adaptation_loss_and_grads(*_pair_rows(), disc, enc, cls, fs, beta)
         assert value == pytest.approx(beta * 2.0 * np.log(4.0) + expected_ce, abs=1e-12)
 
     def test_beta_zero_is_pure_cross_entropy(self):
         enc, cls, disc = _small_models()
         fs = _fewshot()
-        with_pairs, _, _ = losses.adaptation_loss_and_grads(_pairs(2), _pairs(4), disc, enc,
-                                                            cls, fs, 0.0)
+        with_pairs, _, _ = losses.adaptation_loss_and_grads(*_pair_rows(), disc, enc, cls, fs,
+                                                            0.0)
         probs = nn.forward(cls.arch, cls.params, nn.forward(enc.arch, enc.params,
                                                             np.asarray(fs.features, float)))
         assert with_pairs == pytest.approx(
@@ -601,40 +600,48 @@ class TestAdaptationLoss:
         fs = _fewshot()
         for bad in (-0.1, 1.5):
             with pytest.raises(ConfigError):
-                losses.adaptation_loss_and_grads(_pairs(2), _pairs(4), disc, enc, cls, fs, bad)
+                losses.adaptation_loss_and_grads(*_pair_rows(), disc, enc, cls, fs, bad)
 
-    def test_wrong_group_content_rejected(self):
+    def test_empty_or_odd_pairs_rejected(self):
         enc, cls, disc = _small_models()
         fs = _fewshot()
-        with pytest.raises(ConfigError):
-            losses.adaptation_loss_and_grads(_pairs(3), _pairs(4), disc, enc, cls, fs, 0.5)
+        x1, x2 = _pair_rows()
+        for rows in (slice(0, 0), slice(0, 5)):
+            with pytest.raises(ConfigError, match="h of group 2, then h of group 4"):
+                losses.adaptation_loss_and_grads(x1[rows], x2[rows], disc, enc, cls, fs, 0.9)
 
-    def test_empty_pairs_warn_and_contribute_zero(self):
+    def test_nets_and_pairs_are_checked(self):
         enc, cls, disc = _small_models()
         fs = _fewshot()
-        empty = PairBatch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value, _, _ = losses.adaptation_loss_and_grads(empty, empty, disc, enc, cls, fs,
-                                                           0.9)
-        assert len(caught) == 2
-        probs = nn.forward(cls.arch, cls.params, nn.forward(enc.arch, enc.params,
-                                                            np.asarray(fs.features, float)))
-        assert value == pytest.approx(
-            losses.cross_entropy(probs, np.asarray(fs.labels, np.int64)), abs=1e-12
-        )
+        x1, x2 = _pair_rows()
+
+        def call(x1=x1, x2=x2, disc=disc, enc=enc):
+            losses.adaptation_loss_and_grads(x1, x2, disc, enc, cls, fs, 0.5)
+
+        with pytest.raises(ConfigError, match="batch must be"):
+            call(x1=x1[:, :1])
+        with pytest.raises(ConfigError, match="equal-shape pairs"):
+            call(x2=x2[:4])
+        with pytest.raises(ConfigError, match="one block per encoder"):
+            call(x1=x1[None], x2=x2[None])
+        with pytest.raises(ConfigError, match="parameters must be"):
+            call(disc=_Stack(disc.arch, disc.params[:-1]))
+        for arch in (nn.ArchSpec((6, 5, 4), head="sigmoid"), nn.ArchSpec((6, 5, 3)),
+                     nn.ArchSpec((4, 5, 4))):
+            with pytest.raises(ConfigError, match="4-way softmax head"):
+                call(disc=nn.Net(arch, nn.init_params(arch, 0)))
+        with pytest.raises(ConfigError, match="one per encoder"):
+            call(disc=_Stack(disc.arch, disc.params[None]))
 
     def test_encoder_grad_matches_fd(self):
         enc, cls, disc = _small_models()
         fs = _fewshot()
-        g2, g4 = _pairs(2, seed=11), _pairs(4, seed=12)
+        x1, x2 = _pair_rows(11, 12)
         beta = 0.7
 
         def loss_fn(params):
             e = enc.with_params(params)
-            value, enc_grad, _ = losses.adaptation_loss_and_grads(
-                g2, g4, disc, e, cls, fs, beta
-            )
+            value, enc_grad, _ = losses.adaptation_loss_and_grads(x1, x2, disc, e, cls, fs, beta)
             return value, enc_grad
 
         assert nn.grad_check_fd(loss_fn, enc.params).passed
@@ -642,13 +649,11 @@ class TestAdaptationLoss:
     def test_classifier_grad_matches_fd(self):
         enc, cls, disc = _small_models()
         fs = _fewshot()
-        g2, g4 = _pairs(2, seed=21), _pairs(4, seed=22)
+        x1, x2 = _pair_rows(21, 22)
 
         def loss_fn(params):
             c = cls.with_params(params)
-            value, _, cls_grad = losses.adaptation_loss_and_grads(
-                g2, g4, disc, enc, c, fs, 0.5
-            )
+            value, _, cls_grad = losses.adaptation_loss_and_grads(x1, x2, disc, enc, c, fs, 0.5)
             return value, cls_grad
 
         assert nn.grad_check_fd(loss_fn, cls.params).passed
@@ -656,23 +661,23 @@ class TestAdaptationLoss:
     def test_classifier_grad_sees_only_the_ce_path(self):
         enc, cls, disc = _small_models()
         fs = _fewshot()
-        g2, g4 = _pairs(2), _pairs(4)
-        _, _, grad_low = losses.adaptation_loss_and_grads(g2, g4, disc, enc, cls, fs, 0.0)
-        _, _, grad_high = losses.adaptation_loss_and_grads(g2, g4, disc, enc, cls, fs, 0.99)
+        x1, x2 = _pair_rows()
+        _, _, grad_low = losses.adaptation_loss_and_grads(x1, x2, disc, enc, cls, fs, 0.0)
+        _, _, grad_high = losses.adaptation_loss_and_grads(x1, x2, disc, enc, cls, fs, 0.99)
         assert np.array_equal(grad_low, grad_high)
 
     def test_no_discriminator_gradient_is_produced(self):
         enc, cls, disc = _small_models()
         fs = _fewshot()
-        out = losses.adaptation_loss_and_grads(_pairs(2), _pairs(4), disc, enc, cls, fs, 0.5)
+        out = losses.adaptation_loss_and_grads(*_pair_rows(), disc, enc, cls, fs, 0.5)
         assert len(out) == 3  # loss, encoder grad, classifier grad
 
 
-def _joint(enc, pairs):
-    """Joint embeddings of a pair batch by one encoder forward per side, as
+def _joint(enc, x1, x2):
+    """Joint embeddings of pairs by one encoder forward per side, as
     pairing.phi builds them; an (M, P) encoder stack embeds (M, P, d) blocks."""
-    return np.concatenate([nn.forward(enc.arch, enc.params, pairs.x1),
-                           nn.forward(enc.arch, enc.params, pairs.x2)], axis=-1)
+    return np.concatenate([nn.forward(enc.arch, enc.params, x1),
+                           nn.forward(enc.arch, enc.params, x2)], axis=-1)
 
 
 class TestGroupCEDiscGrad:
@@ -686,7 +691,8 @@ class TestGroupCEDiscGrad:
 
         def loss_fn(params):
             d = disc.with_params(params)
-            return losses.group_ce_and_disc_grad(d, _joint(enc, batch), batch.group)
+            return losses.group_ce_and_disc_grad(d, _joint(enc, batch.x1, batch.x2),
+                                                 batch.group)
 
         assert nn.grad_check_fd(loss_fn, disc.params).passed
 
@@ -694,7 +700,18 @@ class TestGroupCEDiscGrad:
         enc, _, disc = _small_models()
         empty = PairBatch(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ConfigError):
-            losses.group_ce_and_disc_grad(disc, _joint(enc, empty), empty.group)
+            losses.group_ce_and_disc_grad(disc, _joint(enc, empty.x1, empty.x2), empty.group)
+
+    def test_discriminator_and_blocks_are_checked(self):
+        _, _, disc = _small_models()
+        joint, group = RNG.uniform(size=(4, 6)), np.array([1, 2, 3, 4])
+        with pytest.raises(ConfigError, match="batch must be"):
+            losses.group_ce_and_disc_grad(disc, joint[:, :5], group)
+        with pytest.raises(ConfigError, match="one per block of pairs"):
+            losses.group_ce_and_disc_grad(disc, joint[None], group)
+        linear = nn.ArchSpec(disc.arch.widths, head="linear")
+        with pytest.raises(ConfigError, match="softmax head"):
+            losses.group_ce_and_disc_grad(nn.Net(linear, disc.params), joint, group)
 
 
 class _Stack(NamedTuple):
@@ -732,7 +749,7 @@ class TestGatheredPairEmbeddings:
         groups = np.repeat(ALL_GROUPS, per_group)
         emb = nn.forward(enc.arch, enc.params, rows)
         gathered = np.concatenate([emb[at, ia], emb[at, ib]], axis=-1)
-        encoded = _joint(enc, PairBatch(rows[at, ia], rows[at, ib], groups))
+        encoded = _joint(enc, rows[at, ia], rows[at, ib])
         assert gathered.tobytes() == encoded.tobytes()
         # one encoder pass over the gathered x1 rows then x2 rows
         once = nn.forward(enc.arch, enc.params, rows[at, np.concatenate([ia, ib], axis=1)])
@@ -744,22 +761,112 @@ class TestGatheredPairEmbeddings:
         assert grad.tobytes() == want_grad.tobytes()
 
 
+def _composed_model_update(x1, x2, disc, enc, cls, fewshot, beta):
+    """The model update as it ran before its one checked pass: the few-shot
+    term, then per cross-domain group two encoder forwards, a discriminator
+    forward and three backwards through the public nn calls, on contiguous
+    copies of the group's pair rows."""
+    x_t = np.asarray(fewshot.features, dtype=np.float64)
+    x_t = np.broadcast_to(x_t, np.shape(enc.params)[:-1] + x_t.shape)
+    target_ce, enc_grad, cls_grad = losses.softmax_ce_and_grads(enc.arch, enc.params, cls.arch,
+                                                                cls.params, x_t, fewshot.labels)
+    confusion, h, width = 0.0, x1.shape[-2] // 2, enc.arch.out_width
+    for rows, col in ((slice(0, h), 0), (slice(h, None), 2)):
+        e1, c1 = nn.forward_and_cache(enc.arch, enc.params, np.ascontiguousarray(x1[..., rows, :]))
+        e2, c2 = nn.forward_and_cache(enc.arch, enc.params, np.ascontiguousarray(x2[..., rows, :]))
+        d_probs, d_cache = nn.forward_and_cache(disc.arch, disc.params,
+                                                np.concatenate([e1, e2], axis=-1))
+        picked = np.maximum(d_probs[..., col], losses.PROB_FLOOR)
+        confusion = confusion - np.log(picked).mean(axis=-1)
+        if beta != 0.0:
+            up_d = np.zeros_like(d_probs)
+            up_d[..., col] = np.where(d_probs[..., col] >= losses.PROB_FLOOR,
+                                      -beta / (h * picked), 0.0)
+            _, joint_up = nn.backward_from_cache(disc.arch, disc.params, d_cache, up_d)
+            g1, _ = nn.backward_from_cache(enc.arch, enc.params, c1, joint_up[..., :width])
+            g2, _ = nn.backward_from_cache(enc.arch, enc.params, c2, joint_up[..., width:])
+            enc_grad = enc_grad + g1 + g2
+    loss = float(beta) * confusion + target_ce
+    return (float(loss) if np.ndim(loss) == 0 else loss), enc_grad, cls_grad
+
+
+def _composed_disc_update(disc, joint, group):
+    """The discriminator update as the public nn calls ran it."""
+    d_probs, cache = nn.forward_and_cache(disc.arch, disc.params, joint)
+    loss, up = losses._ce_parts(*losses._check_group_ce(d_probs, group))
+    return loss, nn.backward_from_cache(disc.arch, disc.params, cache, up)[0]
+
+
+def _same_bytes(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is type(w) and np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+class TestAdaptationUpdatesEqualTheComposedCalls:
+    """Both adaptation updates, one checked pass each over the nn cores, give
+    the bytes of the composed public calls at the grid's shapes: the pair
+    rows _adapt gathers for M = 1 and 4 blocks, rot40 (3 classes) and ring6
+    (6 classes) widths, every grid shot count, betas of the schedule, and a
+    discriminator sharp enough to reach the probability floor."""
+
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("classes", [3, 6], ids=["rot40", "ring6"])
+    @pytest.mark.parametrize("n_t", [1, 3, 7])
+    def test_bytes(self, count, classes, n_t):
+        cfg = trainers.TohanConfig()
+        enc_arch = trainers.default_encoder_arch(2)
+        cls_arch = trainers.default_classifier_arch(enc_arch.out_width, classes)
+        disc_arch = trainers.default_discriminator_arch(enc_arch.out_width, cfg.disc_hidden)
+        seeds = iter(nn.derive_seeds(100 * classes + 10 * n_t + count, 3 * count))
+        enc, cls, disc = (_Stack(arch, np.stack([nn.init_params(arch, next(seeds))
+                                                 for _ in range(count)]))
+                          for arch in (enc_arch, cls_arch, disc_arch))
+        rng = np.random.default_rng(n_t)
+        labels = np.repeat(np.arange(classes), cfg.gen_batch)
+        pools = rng.uniform(size=(count, labels.size, 2))
+        fs = _fewshot(num_classes=classes, n_t=n_t, seed=n_t)
+        rows = np.concatenate([pools, np.broadcast_to(fs.features, (count,) + fs.features.shape)],
+                              axis=1)
+        at = np.arange(count)[:, None]
+
+        def gather(group_ids, per_group):
+            draws = [draw_pairs(LabeledPool(pools[0], labels), fs, group_ids, per_group, rng)
+                     for _ in range(count)]
+            return (rows[at, np.stack([d[side] for d in draws])] for side in (0, 1))
+
+        x1, x2 = gather((2, 4), 2 * cfg.per_group)
+        joint = np.concatenate([nn.forward(enc.arch, enc.params, x) for x in
+                                gather(ALL_GROUPS, cfg.per_group)], axis=-1)
+        groups = np.repeat(ALL_GROUPS, cfg.per_group)
+        # a discriminator 20x as sharp puts some scored probabilities under the floor
+        sharp = _Stack(disc_arch, 20.0 * disc.params)
+        emb = np.concatenate([nn.forward(enc.arch, enc.params, x) for x in (x1, x2)], axis=-1)
+        assert (nn.forward(disc_arch, sharp.params, emb)[..., [0, 2]] < losses.PROB_FLOOR).any()
+        cases = [(enc, cls, d, x1, x2, joint) for d in (disc, sharp)]
+        if count == 1:  # and as one net of each kind
+            cases += [(*(nn.Net(n.arch, n.params[0]) for n in (enc, cls, d)),
+                       x1[0], x2[0], joint[0]) for d in (disc, sharp)]
+        for enc, cls, disc, x1, x2, joint in cases:
+            for beta in (0.0, losses.beta_schedule(0.1), losses.beta_schedule(0.98)):
+                _same_bytes(losses.adaptation_loss_and_grads(x1, x2, disc, enc, cls, fs, beta),
+                            _composed_model_update(x1, x2, disc, enc, cls, fs, beta))
+            _same_bytes(losses.group_ce_and_disc_grad(disc, joint, groups),
+                        _composed_disc_update(disc, joint, groups))
+
+
 def _stacked_nets(count=3, pairs=10, seed=0):
     """``count`` encoder, classifier and discriminator triples, their (M, P)
-    stacks, and one block of group-2, group-4 and 4-group pairs per triple."""
+    stacks, and one block per triple of the model update's x1 and x2 rows
+    (``pairs`` group-2 pairs, then as many group-4 pairs) and of 4-group
+    pairs, with those pairs' group labels."""
     nets = [_small_models(num_classes=3, seed=seed + m) for m in range(count)]
     stacks = [_Stack(kind[0].arch, np.stack([n.params for n in kind])) for kind in zip(*nets)]
     rng = np.random.default_rng(seed)
-    groups = {g: np.full(pairs, g) for g in (2, 4)}
-    groups["all"] = np.repeat([1, 2, 3, 4], pairs // 2)
-    blocks = {g: PairBatch(rng.uniform(size=(count, labels.size, 2)),
-                           rng.uniform(size=(count, labels.size, 2)), labels)
-              for g, labels in groups.items()}
-    return nets, stacks, blocks
-
-
-def _row(batch, m):
-    return PairBatch(batch.x1[m], batch.x2[m], batch.group)
+    sizes = {2: pairs, 4: pairs, "all": 2 * pairs}
+    drawn = {g: [rng.uniform(size=(count, size, 2)) for _ in range(2)]
+             for g, size in sizes.items()}
+    model = tuple(np.concatenate(side, axis=1) for side in zip(drawn[2], drawn[4]))
+    return nets, stacks, model, drawn["all"], np.repeat([1, 2, 3, 4], pairs // 2)
 
 
 class TestStackedAdaptationLosses:
@@ -767,27 +874,24 @@ class TestStackedAdaptationLosses:
 
     @pytest.mark.parametrize("beta", [0.0, 0.4])
     def test_adaptation_loss_per_block(self, beta):
-        nets, (enc, cls, disc), pairs = _stacked_nets()
+        nets, (enc, cls, disc), (x1, x2), _, _ = _stacked_nets()
         fs = _fewshot(num_classes=3, n_t=3)
         loss, enc_grad, cls_grad = losses.adaptation_loss_and_grads(
-            pairs[2], pairs[4], disc, enc, cls, fs, beta)
+            x1, x2, disc, enc, cls, fs, beta)
         assert loss.shape == (3,) and enc_grad.shape == enc.params.shape
         for m, (enc_m, cls_m, disc_m) in enumerate(nets):
-            want = losses.adaptation_loss_and_grads(
-                _row(pairs[2], m), _row(pairs[4], m), disc_m, enc_m, cls_m, fs, beta)
+            want = losses.adaptation_loss_and_grads(x1[m], x2[m], disc_m, enc_m, cls_m, fs, beta)
             assert isinstance(want[0], float) and loss[m] == want[0]
             assert enc_grad[m].tobytes() == want[1].tobytes()
             assert cls_grad[m].tobytes() == want[2].tobytes()
 
     def test_group_ce_and_disc_grad_per_block(self):
-        nets, (enc, _, disc), pairs = _stacked_nets()
-        loss, grad = losses.group_ce_and_disc_grad(disc, _joint(enc, pairs["all"]),
-                                                   pairs["all"].group)
+        nets, (enc, _, disc), _, (x1, x2), groups = _stacked_nets()
+        loss, grad = losses.group_ce_and_disc_grad(disc, _joint(enc, x1, x2), groups)
         assert loss.shape == (3,) and grad.shape == disc.params.shape
         for m, (enc_m, _, disc_m) in enumerate(nets):
-            row = _row(pairs["all"], m)
-            want_loss, want_grad = losses.group_ce_and_disc_grad(disc_m, _joint(enc_m, row),
-                                                                 row.group)
+            want_loss, want_grad = losses.group_ce_and_disc_grad(
+                disc_m, _joint(enc_m, x1[m], x2[m]), groups)
             assert isinstance(want_loss, float) and loss[m] == want_loss
             assert grad[m].tobytes() == want_grad.tobytes()
 
@@ -907,22 +1011,24 @@ class TestGeneratorObjective:
 
 def _composed_objective(arch, params, source_enc, source_cls, z, plan):
     """The objective as six checked public nn calls: the reference the one
-    checked pass must reproduce bit for bit."""
+    checked pass must reproduce bit for bit. The frozen source nets run as
+    stacks of one row per generator they read (a stacked row has the bits
+    of its net alone)."""
     generated, gen_cache = nn.forward_and_cache(arch, params, z)
     x_up = np.zeros_like(generated)
     loss = np.zeros(len(generated))
     if plan.src is not None:
-        emb, enc_cache = nn.forward_and_cache(source_enc.arch, source_enc.params,
-                                              generated[plan.src])
-        probs, cls_cache = nn.forward_and_cache(source_cls.arch, source_cls.params, emb)
+        src = generated[plan.src]
+        enc_params, cls_params = (np.broadcast_to(p, (len(src), p.size))
+                                  for p in (source_enc.params, source_cls.params))
+        emb, enc_cache = nn.forward_and_cache(source_enc.arch, enc_params, src)
+        probs, cls_cache = nn.forward_and_cache(source_cls.arch, cls_params, emb)
         gap = probs[plan.src_pick] - 1.0
         loss[plan.src] += (gap ** 2).mean(axis=-1)
         up_probs = np.zeros_like(probs)
         up_probs[plan.src_pick] = 2.0 * gap / gap.shape[-1]
-        _, emb_up = nn.backward_from_cache(source_cls.arch, source_cls.params, cls_cache,
-                                           up_probs, want="input")
-        _, x_up_src = nn.backward_from_cache(source_enc.arch, source_enc.params, enc_cache,
-                                             emb_up, want="input")
+        _, emb_up = nn.backward_from_cache(source_cls.arch, cls_params, cls_cache, up_probs)
+        _, x_up_src = nn.backward_from_cache(source_enc.arch, enc_params, enc_cache, emb_up)
         x_up[plan.src] += x_up_src
     if plan.tgt is not None:
         targets = np.moveaxis(plan.planes[..., 0], -1, 0)  # the (R, K, dim) few-shots
@@ -930,7 +1036,7 @@ def _composed_objective(arch, params, source_enc, source_cls, z, plan):
                                                        plan.diameter)
         loss[plan.tgt] += plan.weight * target_loss
         x_up[plan.tgt] += plan.weight[:, None, None] * target_grad
-    gen_grad, _ = nn.backward_from_cache(arch, params, gen_cache, x_up, want="params")
+    gen_grad, _ = nn.backward_from_cache(arch, params, gen_cache, x_up)
     return loss, gen_grad, generated
 
 

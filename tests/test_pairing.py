@@ -86,13 +86,14 @@ class TestLabeledPool:
 
 
 class TestPairBatch:
-    def test_stacked_blocks_share_group_labels(self):
-        batch = PairBatch(np.zeros((3, 4, 2)), np.ones((3, 4, 2)), np.array([1, 2, 2, 4]))
-        assert batch.size == 4 and batch.x1.shape == (3, 4, 2)
+    def test_pairs_are_two_dimensional(self):
+        batch = PairBatch(np.zeros((4, 2)), np.ones((4, 2)), np.array([1, 2, 2, 4]))
+        assert batch.size == 4 and batch.x1.shape == (4, 2)
         with pytest.raises(ConfigError):
-            PairBatch(np.zeros((3, 4, 2)), np.zeros((3, 4, 2)), np.array([1, 2, 3]))
-        with pytest.raises(ConfigError):
-            PairBatch(np.zeros((1, 3, 4, 2)), np.zeros((1, 3, 4, 2)), np.ones(4))
+            PairBatch(np.zeros((4, 2)), np.zeros((4, 2)), np.array([1, 2, 3]))
+        for shape in ((3, 4, 2), (4,)):
+            with pytest.raises(ConfigError, match=r"equal-shape \(P, d\) arrays"):
+                PairBatch(np.zeros(shape), np.zeros(shape), np.ones(4))
 
     def test_counts_and_one_hot(self):
         batch = PairBatch(np.zeros((4, 2)), np.zeros((4, 2)),

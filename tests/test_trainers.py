@@ -180,6 +180,23 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             dataclasses.replace(base, **{name: bad})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), True, False,
+                                     "0.1", None], ids=repr)
+    @pytest.mark.parametrize("base,name", [
+        (base, f.name)
+        for base in (trainers.SourceTrainConfig(), trainers.BaselineConfig(),
+                     trainers.TohanConfig(), builtin_task("rot40"))
+        for f in dataclasses.fields(base) if f.type == "float"
+    ], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+    def test_float_fields_refuse_non_finite_and_bools(self, base, name, bad):
+        # a NaN or infinite rate would reach the runs, which then fail one by one
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number, got "):
+            dataclasses.replace(base, **{name: bad})
+
+    def test_float_fields_take_ints_and_numpy_floats(self):
+        cfg = trainers.TohanConfig(tradeoff=0, lr_model=np.float64(0.01), lr_gen=2)
+        assert (cfg.tradeoff, cfg.lr_model, cfg.lr_gen) == (0, 0.01, 2)
+
     @pytest.mark.parametrize("base", [trainers.SourceTrainConfig(), trainers.TohanConfig()],
                              ids=lambda b: type(b).__name__)
     def test_negative_seed_rejected(self, base):
@@ -393,8 +410,8 @@ def _composed_train_shot(hypothesis, fewshot, cfg):
         emb, enc_cache = nn.forward_and_cache(enc_arch, params, x)
         probs, cls_cache = nn.forward_and_cache(cls.arch, cls.params, emb)
         up = losses.cross_entropy_grad(probs, fewshot.labels)
-        _, emb_up = nn.backward_from_cache(cls.arch, cls.params, cls_cache, up, want="input")
-        grad, _ = nn.backward_from_cache(enc_arch, params, enc_cache, emb_up, want="params")
+        _, emb_up = nn.backward_from_cache(cls.arch, cls.params, cls_cache, up)
+        grad, _ = nn.backward_from_cache(enc_arch, params, enc_cache, emb_up)
         params, state = nn.adam_step(state, params, grad)
     return params
 
