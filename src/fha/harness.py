@@ -12,7 +12,6 @@ import functools
 import json
 import logging
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -259,6 +258,49 @@ def _check_grid(methods, shots, seeds, jobs):
     return methods, shots, seeds, jobs
 
 
+def _run_pool(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig, jobs: int,
+              finish) -> None:
+    """Run the seeds in ``jobs`` worker processes, calling ``finish(seed,
+    results)`` as each seed completes.
+
+    A worker that dies breaks its pool and takes every unfinished seed with
+    it. Those seeds run again one by one, each in a fresh one-worker pool,
+    so only a seed whose own worker dies gets error records. The pool is
+    imported here, so a run with one job never loads it.
+    """
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    def collect(fut, seed):
+        try:
+            chunk = fut.result()
+        except Exception as exc:  # the worker died, or could not send its results back
+            chunk = _error_results(task.name, methods, shots, seed,
+                                   _failure(exc, f"seed {seed} worker"))
+        finish(seed, chunk)
+
+    cut = []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending = {
+            pool.submit(_run_seed, task, methods, shots, seed, cfg): seed
+            for seed in seeds
+        }
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for fut in done:
+                seed = pending.pop(fut)
+                if isinstance(fut.exception(), BrokenProcessPool):
+                    cut.append(seed)
+                else:
+                    collect(fut, seed)
+    if cut:
+        cut.sort(key=seeds.index)
+        log.warning("a worker died; rerunning seeds %s, each in a fresh worker", cut)
+    for seed in cut:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            collect(pool.submit(_run_seed, task, methods, shots, seed, cfg), seed)
+
+
 def run_experiment(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig,
                    sink=None, jobs: int = 1) -> list[RunResult]:
     """Run every (method, n_t, seed) combination of one task.
@@ -274,30 +316,17 @@ def run_experiment(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig,
     jobs = min(jobs, len(seeds))  # a pool starts all its workers at once
 
     per_seed: dict[int, list[RunResult]] = {}
+
+    def finish(seed, chunk):
+        per_seed[seed] = chunk
+        if sink is not None:
+            write_results(sink, chunk)
+
     if jobs == 1:
         for seed in seeds:
-            chunk = _run_seed(task, methods, shots, seed, cfg)
-            per_seed[seed] = chunk
-            if sink is not None:
-                write_results(sink, chunk)
+            finish(seed, _run_seed(task, methods, shots, seed, cfg))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending = {
-                pool.submit(_run_seed, task, methods, shots, seed, cfg): seed
-                for seed in seeds
-            }
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    seed = pending.pop(fut)
-                    try:
-                        chunk = fut.result()
-                    except Exception as exc:  # the worker itself died
-                        chunk = _error_results(task.name, methods, shots, seed,
-                                               _failure(exc, f"seed {seed} worker"))
-                    per_seed[seed] = chunk
-                    if sink is not None:
-                        write_results(sink, chunk)
+        _run_pool(task, methods, shots, seeds, cfg, jobs, finish)
     return [r for seed in seeds for r in per_seed[seed]]
 
 

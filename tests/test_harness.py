@@ -6,12 +6,18 @@ mean 0.877 and sample standard deviation 0.001, so the rendered cell must be
 "87.7±0.1".
 """
 
+import concurrent.futures
 import functools
 import json
 import math
 import multiprocessing
+import os
+import re
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,7 +306,7 @@ class TestRunExperimentValidation:
             recorded.append(max_workers)
             return ThreadPoolExecutor(max_workers=1)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", executor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
         results = run_experiment(_tiny_task(), ["wa"], [1], seeds, _tiny_cfg(), jobs=jobs)
         assert recorded == workers
         assert [r.seed for r in results] == seeds
@@ -788,6 +794,67 @@ class TestFaultIsolation:
         rows, _ = read_results(out)
         assert [(r["method"], r.get("error")) for r in rows] == [
             ("wa", None), ("shot", "RuntimeError: boom")]
+
+
+_RUN_SEED = harness._run_seed
+
+
+def _dies_on_seed_2(task, methods, shots, seed, cfg):
+    """A stand-in for harness._run_seed whose worker process dies on seed 2."""
+    if seed == 2 and multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return _RUN_SEED(task, methods, shots, seed, cfg)
+
+
+def _sink_lines(path):
+    """The set of a results file's lines without their wall times."""
+    return {re.sub(r', "wall_ms": [0-9.]+', "", line) for line in path.read_text().splitlines()}
+
+
+class TestWorkerPool:
+    def test_pool_run_equals_one_job_run(self, tmp_path):
+        task, cfg, methods = _tiny_task(), _tiny_cfg(), ["wa", "ft", "tohan"]
+        one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        want = run_experiment(task, methods, [1], [0, 1], cfg, sink=one, jobs=1)
+        got = run_experiment(task, methods, [1], [0, 1], cfg, sink=two, jobs=2)
+        assert [_line(r) for r in got] == [_line(r) for r in want]
+        assert all(r.error is None for r in got)
+        assert len(_sink_lines(two)) == len(got) and _sink_lines(two) == _sink_lines(one)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched _run_seed only when forked")
+    def test_dying_worker_costs_only_its_own_seed(self, monkeypatch, tmp_path):
+        task, cfg, seeds = _tiny_task(), _tiny_cfg(), [0, 1, 2, 3]
+        want = run_experiment(task, ["wa"], [1], seeds, cfg)
+        monkeypatch.setattr(harness, "_run_seed", _dies_on_seed_2)
+        sink = tmp_path / "r.jsonl"
+        got = run_experiment(task, ["wa"], [1], seeds, cfg, sink=sink, jobs=2)
+        assert [r.seed for r in got] == seeds
+        assert [(r.seed, r.error.split(":")[0]) for r in got if r.error is not None] == [
+            (2, "BrokenProcessPool")]
+        assert [_line(r) for r in got if r.seed != 2] == [_line(r) for r in want if r.seed != 2]
+        rows, problems = read_results(sink)
+        assert problems == [] and sorted(r["seed"] for r in rows) == seeds
+        assert [r["seed"] for r in rows if "error" in r] == [2]
+
+    def test_one_job_run_imports_no_pool(self):
+        code = (
+            "import sys\n"
+            "import fha, fha.cli\n"
+            "from fha.data import TaskSpec\n"
+            "from fha.harness import ExperimentConfig, run_experiment\n"
+            "from fha.trainers import BaselineConfig, SourceTrainConfig, TohanConfig\n"
+            f"results = run_experiment({_tiny_task()!r}, ['wa', 'tohan'], [1], [0],\n"
+            f"                         {_tiny_cfg()!r}, jobs=1)\n"
+            "assert [r.error for r in results] == [None, None], results\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        src = str(Path(harness.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestSummarize:
