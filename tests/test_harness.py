@@ -15,7 +15,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -304,7 +303,7 @@ class TestRunExperimentValidation:
 
         def executor(max_workers):
             recorded.append(max_workers)
-            return ThreadPoolExecutor(max_workers=1)
+            return concurrent.futures.ThreadPoolExecutor(max_workers=1)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
         results = run_experiment(_tiny_task(), ["wa"], [1], seeds, _tiny_cfg(), jobs=jobs)
