@@ -16,8 +16,7 @@ trains. The defaults are the pilot's: rot40, n_t=3.
         [--seeds 0,1,2,3,4]
 
 ``--task`` is a builtin task name or a JSON file holding a task object, as
-in ``fha run --config``. The exit code is 1 when a run failed or a shared
-run fell back to the methods' own trainers.
+in ``fha run --config``. The exit code is 1 when a run failed.
 
 Times are wall clock (time.perf_counter) on whatever machine runs it; read
 them next to the machine's own speed, and compare two trees on one machine.
@@ -25,7 +24,6 @@ them next to the machine's own speed, and compare two trees on one machine.
 
 import argparse
 import json
-import logging
 import statistics
 import time
 from pathlib import Path
@@ -69,11 +67,11 @@ def _phase_of(name, caller, last_update):
 
 def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
     """Milliseconds of each phase of one seed, the generator blocks it
-    trained, and its failed runs and fallback warnings."""
+    trained, and its failed runs."""
     times = dict.fromkeys(PHASES, 0.0)
     stack = []  # [function, phase, time of the timed calls inside it]
     last_update = ["adapt: disc updates"]
-    blocks, warned = [], []
+    blocks = []
 
     def timed(name, phase, fn):
         def call(*args, **kwargs):
@@ -96,9 +94,6 @@ def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
             return out
         return call
 
-    handler = logging.Handler(logging.WARNING)
-    handler.emit = warned.append
-    harness.log.addHandler(handler)
     originals = [(module, name, getattr(module, name)) for module, name, _ in TIMED]
     for (module, name, phase), (_, _, fn) in zip(TIMED, originals):
         setattr(module, name, timed(name, phase, fn))
@@ -108,10 +103,9 @@ def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
     finally:
         for module, name, fn in originals:
             setattr(module, name, fn)
-        harness.log.removeHandler(handler)
     times["other"] += (time.perf_counter() - start) * 1e3 - sum(times.values())
     problems = [f"{r.method} n_t={r.n_t}: {r.error}" for r in results if r.error is not None]
-    return times, sum(blocks), problems + [record.getMessage() for record in warned]
+    return times, sum(blocks), problems
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,8 @@
 tables, and a 2-d embedding export.
 
 The README fixes the results-line schema (File formats) and describes the
-one shared run of the generator methods per (seed, n_t), whose failure
-costs no method its line (Methods).
+one shared run of the generator methods per (seed, n_t), in which a
+diverging block costs only the methods that read it (Methods).
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ import numpy as np
 from . import nn, trainers
 from .data import MAX_SHOTS, Dataset, TaskSpec, make_synthetic_task, sample_few_shot
 from .errors import ConfigError, FHAError, InsufficientDataError
-from .trainers import (
-    BaselineConfig,
-    SourceTrainConfig,
-    TohanConfig,
-    METHODS,
-)
+from .trainers import METHODS, BaselineConfig, SourceTrainConfig, TohanConfig
 
 log = logging.getLogger("fha.harness")
 
@@ -130,32 +125,27 @@ def read_results(path):
 # experiment driver
 
 
-def _method_model(method: str, hypothesis, fewshot, baseline: BaselineConfig,
-                  tohan_cfg: TohanConfig, shared=lambda: None):
+def _method_model(method: str, hypothesis, fewshot, baseline: BaselineConfig, shared):
     """Train one method. A generator method takes its model from
-    ``shared()``, the (seed, n_t)'s shared models, or when that is None
-    runs its own trainer."""
+    ``shared()``, the (seed, n_t)'s shared run, and raises its error there."""
     if method == "wa":
         return hypothesis
     if method == "ft":
         return trainers.train_ft(hypothesis, fewshot, baseline)
     if method == "shot":
         return trainers.train_shot(hypothesis, fewshot, baseline)
-    models = shared()
-    if models is not None:
-        return models[method]
-    if method == "tohan":
-        return trainers.train_tohan(hypothesis, fewshot, tohan_cfg)
-    return trainers.run_two_step(method, hypothesis, fewshot, tohan_cfg)
+    model = shared()[method]
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig, source_bank: dict):
     """A lazy, memoized run of the generator methods among ``methods``: one
-    generator run, then one stacked adaptation of them all. Returns their
-    models, or None if either step raises; the failure is logged once, an
-    exception that is not an FHAError with its traceback. ``source_bank``
-    holds the seed's source_only bank, the same for every n_t: a run that
-    trains it keeps it there, and a run that finds it there reuses it."""
+    generator run, then one stacked adaptation of them all. Returns each
+    method's model or error; an exception that stops the run is each one's.
+    ``source_bank`` holds the seed's source_only bank or error, the same for
+    every n_t: a run that trains it keeps it there, and later ones reuse it."""
     gen_methods = [m for m in methods if m in trainers.GENERATOR_METHODS]
 
     @functools.cache
@@ -169,9 +159,7 @@ def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig, source_ban
             return trainers.adapt_generated(gen_methods, (banks, kept), hypothesis, fewshot,
                                             tohan_cfg)
         except Exception as exc:
-            log.warning("shared run failed, methods run alone: %s", exc,
-                        exc_info=None if isinstance(exc, FHAError) else exc)
-            return None
+            return dict.fromkeys(gen_methods, exc)
 
     return shared
 
@@ -198,7 +186,7 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
     """All (method, n_t) runs of one experiment seed, sharing one source
     hypothesis and one few-shot draw per n_t (the paired design), and one
     generator run and one stacked adaptation per n_t for the generator
-    methods. An exception in one run becomes its error record."""
+    methods. A failed run or stack block is the error record of each run it costs."""
     data_seed, source_seed, fewshot_seed, method_seed = nn.derive_seeds(seed, 4)
     try:
         source, target, target_test = make_synthetic_task(replace(task, seed=data_seed))
@@ -221,8 +209,7 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
             start = time.perf_counter()
             acc, error = None, None
             try:
-                model = _method_model(method, hypothesis, fewshot, cfg.baseline, tohan_cfg,
-                                      shared)
+                model = _method_model(method, hypothesis, fewshot, cfg.baseline, shared)
                 acc = accuracy(model, target_test)
             except Exception as exc:
                 error = _failure(exc, f"run {method}/n_t={n_t}/seed={seed}")

@@ -5,7 +5,8 @@ adapt_generated split a run).
 
 A stack equals its rows run alone, bit for bit: each row block of a
 generator run equals its one-mode run, and each row of an _adapt stack its
-one-block run, trace included.
+one-block run, trace included. A diverging block fails alone (_step), with
+the NumericalError its one-block run raises.
 
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and every update builds new parameter
@@ -360,6 +361,34 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
 # generators
 
 
+def _step(state: nn.AdamState, params: np.ndarray, grad: np.ndarray, failed: dict,
+          rows: int = 1) -> tuple[np.ndarray, nn.AdamState]:
+    """nn.adam_step of a stack of ``rows``-row blocks. Once a whole-stack check
+    fails, each failing block goes into ``failed`` with its one-block run's
+    NumericalError and steps finite on a zero gradient from then on, so (Adam
+    being elementwise) the others keep their bits. Raises once none is left."""
+    count = len(params) // rows
+    if failed:
+        grad[np.repeat(np.isin(np.arange(count), list(failed)), rows)] = 0.0
+    try:
+        stepped = nn.adam_step(state, params, grad)
+        if np.isfinite(stepped[0]).all():
+            return stepped
+    except NumericalError:
+        pass
+    bad_grad = ~np.isfinite(grad).reshape(count, -1).all(axis=1)
+    grad[np.repeat(bad_grad, rows)] = 0.0
+    new, state = nn.adam_step(state, params, grad)
+    bad = np.repeat(~np.isfinite(new).reshape(count, -1).all(axis=1), rows)
+    new[bad] = params[bad]
+    for m in np.flatnonzero(bad_grad | bad[::rows]):
+        failed.setdefault(int(m), NumericalError("non-finite gradient in adam_step" if bad_grad[m]
+                                                 else "network parameters must be finite"))
+    if len(failed) == count:
+        raise list(failed.values())[-1]
+    return new, state
+
+
 def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
                     modes: tuple[str, ...], cfg: TohanConfig, root: int, epochs: int,
                     keep: dict | None = None, log: list | None = None) -> tuple[dict, dict]:
@@ -371,10 +400,10 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
     generator n and child 2n + 1 drives its noise stream, drawn in class order.
     Every block starts from the same init rows and reads the same noise, so
     each block follows its one-mode run bit for bit. Returns the trained bank
-    of each mode and, for each mode in ``keep``, the (N, gen_batch, dim)
-    batches of its last keep[mode] steps. ``log``, when given, receives the
-    initial stack's digest, then one (loss mean, stack digest) per step; the
-    step losses are built only then.
+    of each mode, or its failed block's NumericalError (_step), and, for each
+    mode in ``keep``, the (N, gen_batch, dim) batches of its last keep[mode]
+    steps. ``log``, when given, receives the initial stack's digest, then one
+    (loss mean, stack digest) per step; the step losses are built only then.
     """
     num_classes = hypothesis.cls.arch.out_width
     child = nn.derive_seeds(root, 2 * num_classes)
@@ -391,7 +420,7 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
     blocks = {mode: slice(m * num_classes, (m + 1) * num_classes)
               for m, mode in enumerate(modes)}
     keep = keep or {}
-    kept = {mode: [] for mode in keep}
+    kept, failed = {mode: [] for mode in keep}, {}
     if log is not None:
         log.append(_digest(params))
     for epoch in range(epochs):
@@ -402,16 +431,15 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
         step_losses, grad, generated = losses.generator_objective_and_grad(
             arch, params, hypothesis.enc, hypothesis.cls, chunk[epoch % _NOISE_CHUNK], plan,
             with_loss=log is not None)
-        params, state = nn.adam_step(state, params, grad)
-        if not np.isfinite(params).all():
-            raise NumericalError("network parameters must be finite")
+        params, state = _step(state, params, grad, failed, num_classes)
         for mode, count in keep.items():
             if epoch >= epochs - count:
                 # a copy, so the other blocks' batches are not kept alive
                 kept[mode].append(generated[blocks[mode]].copy())
         if log is not None:
             log.append((float(np.mean(step_losses)), _digest(params)))
-    return {mode: GeneratorBank(arch, params[rows]) for mode, rows in blocks.items()}, kept
+    return {mode: failed.get(m) or GeneratorBank(arch, params[blocks[mode]])
+            for m, mode in enumerate(modes)}, kept
 
 
 def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
@@ -469,14 +497,8 @@ class _Stack(NamedTuple):
     params: np.ndarray
 
 
-def _finite(stack: _Stack, params: np.ndarray) -> _Stack:
-    if not np.isfinite(params).all():
-        raise NumericalError("network parameters must be finite")
-    return stack._replace(params=params)
-
-
 def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothesis,
-           cfg: TohanConfig) -> list[TargetModel]:
+           cfg: TohanConfig) -> list[TargetModel | NumericalError]:
     """The adaptation schedule of the two-step and one-step methods, for M
     blocks at once: row m of an (M, P) stack each of encoder + classifier
     models and of discriminators is block m's, with one Adam state per stack.
@@ -491,10 +513,10 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
     the pretraining updates their pair embeddings from one embedding of the
     pool and few-shot rows, and each later discriminator update embeds its
     pair rows in one pass. A stacked row gets the bits it
-    gets alone, so block m ends, and traces, as its one-block run. A trace
-    gets its row's digests; with ``gen_log``, the generator run's log, it keeps
-    the interleaved order: a generate event per step, the last len(pools)
-    opening the epochs.
+    gets alone, so block m ends, or fails (_step) with its NumericalError, and
+    traces as its one-block run. A trace gets its row's digests; with
+    ``gen_log``, the generator run's log, it keeps the interleaved order: a
+    generate event per step, the last len(pools) opening the epochs.
     """
     steps, count = len(blocks[0].pools), len(blocks)
     pools = {id(p): p for b in blocks for p in b.pools}.values()
@@ -531,10 +553,11 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
         emb = embed(np.concatenate([ia, ib], axis=1))
         joint = np.concatenate([emb[:, :groups.size], emb[:, groups.size:]], axis=-1)
         loss, grad = losses.group_ce_and_disc_grad(disc, joint, groups)
-        params, state = nn.adam_step(state, disc.params, grad)
-        return _finite(disc, params), state, loss
+        params, state = _step(state, disc.params, grad, failed)
+        return disc._replace(params=params), state, loss
 
     traced = [m for m, b in enumerate(blocks) if b.trace is not None]
+    failed = {}  # block -> its NumericalError, for the model and discriminator steps
     gens = [None if b.gen_log is None else b.gen_log[0] for b in blocks]
     leads = [0 if b.gen_log is None else len(b.gen_log) - 1 - steps for b in blocks]
     dm_size = float(cfg.gen_batch * cls.arch.out_width)
@@ -554,7 +577,7 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
             event(m, epoch, "generate", {"gen_loss_mean": gen_loss_mean, "dm_size": dm_size})
 
     def record(k, phase, **values):  # a per-block value is an (M,) array
-        for m in traced:
+        for m in (m for m in traced if m not in failed):
             event(m, leads[m] + k, phase,
                   {key: float(v[m]) if np.ndim(v) else v for key, v in values.items()})
 
@@ -564,7 +587,7 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
     model_state = nn.AdamState.init(model.shape, cfg.lr_model)
     model_grad = np.empty(model.shape)
     for k in range(steps):
-        for m in traced:
+        for m in (m for m in traced if m not in failed):
             generate(m, [leads[m] + k])
         # each block's pool rows, then the few-shots: the order draw_pairs indexes
         feats = np.stack([b.pools[k].features for b in blocks])
@@ -581,8 +604,8 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
         ia, ib = draw(k, (2, 4), half)
         loss, model_grad[:, :split], model_grad[:, split:] = losses.adaptation_loss_and_grads(
             rows[block_rows, ia], rows[block_rows, ib], disc, enc, cls, fewshot, beta)
-        model, model_state = nn.adam_step(model_state, model, model_grad)
-        enc, cls = _finite(enc, model[:, :split]), _finite(cls, model[:, split:])
+        model, model_state = _step(model_state, model, model_grad, failed)
+        enc, cls = enc._replace(params=model[:, :split]), cls._replace(params=model[:, split:])
         record(k, "model_update", adaptation=loss, beta=beta)
         # one update per encoder state: embed just its pair rows, in one pass
         disc, disc_state, loss = disc_update(
@@ -590,8 +613,8 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
         record(k, "disc_update", group_ce=loss)
     if steps == 0:
         return [TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)] * count
-    return [TargetModel(enc=nn.Net(enc.arch, e), cls=nn.Net(cls.arch, c))
-            for e, c in zip(enc.params, cls.params)]
+    return [failed.get(m) or TargetModel(enc=nn.Net(enc.arch, e), cls=nn.Net(cls.arch, c))
+            for m, (e, c) in enumerate(zip(enc.params, cls.params))]
 
 
 def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
@@ -613,9 +636,9 @@ def generate(hypothesis: SourceHypothesis, fewshot: FewShotSet, methods,
     """One generator run for the listed methods, rooted at child 0 of
     derive_seeds(cfg.seed, 3), for cfg.total_epochs steps: a row block per
     objective they read, in source_only/target_only/combined order. Returns
-    (bank per mode, the combined block's last cfg.adapt_epochs batches when
-    tohan is listed); when no method reads a generator, nothing runs.
-    ``log`` is as in _run_generators."""
+    (bank or failed block's NumericalError per mode, the combined block's last
+    cfg.adapt_epochs batches when tohan is listed); when no method reads a
+    generator, nothing runs. ``log`` is as in _run_generators."""
     tohan = "tohan" in methods
     modes = tuple(mode for method, mode in TWO_STEP_MODES.items()  # in block order
                   if (method in methods and cfg.adapt_epochs > 0)
@@ -630,9 +653,10 @@ def generate(hypothesis: SourceHypothesis, fewshot: FewShotSet, methods,
 
 def adapt_generated(methods, run: tuple[dict, list], hypothesis: SourceHypothesis,
                     fewshot: FewShotSet, cfg: TohanConfig, *, traces: dict | None = None,
-                    gen_log: list | None = None) -> dict[str, TargetModel]:
+                    gen_log: list | None = None) -> dict[str, TargetModel | NumericalError]:
     """Adapt the listed generator methods from ``run``, a generate() result
-    that covers them, as one stacked _adapt run; returns each method's model.
+    that covers them, as one stacked _adapt run; returns each method's model
+    or the NumericalError of its failed bank or block.
 
     tohan adapts over the kept batches, one pool per epoch, with its
     discriminator seeded by child 1 of derive_seeds(cfg.seed, 3) and its
@@ -653,7 +677,10 @@ def adapt_generated(methods, run: tuple[dict, list], hypothesis: SourceHypothesi
     models = dict.fromkeys(methods, TargetModel(enc=hypothesis.enc, cls=hypothesis.cls))
     blocks = {}
     for method in methods:
-        if method == "tohan":
+        bank = banks.get("combined" if method == "tohan" else TWO_STEP_MODES[method])
+        if isinstance(bank, NumericalError):
+            models[method] = bank
+        elif method == "tohan":
             blocks[method] = _Block([_labeled_pool(b) for b in kept], first, second,
                                     traces.get(method), gen_log)
         elif cfg.adapt_epochs > 0:

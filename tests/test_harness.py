@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fha import cli, harness, nn, trainers
+from fha import cli, harness, losses, nn, trainers
 from fha.data import (
     Dataset,
     TaskSpec,
@@ -470,11 +470,11 @@ class TestSharedGenerators:
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
         shared = harness._shared_run(methods, hyp, fewshot, tohan_cfg, {})
         for method in methods:
-            model = harness._method_model(method, hyp, fewshot, cfg.baseline, tohan_cfg, shared)
+            model = harness._method_model(method, hyp, fewshot, cfg.baseline, shared)
             if method in direct:
                 assert _model_bytes(model) == direct[method], method
             else:
-                unshared = harness._method_model(method, hyp, fewshot, cfg.baseline, tohan_cfg)
+                unshared = harness._method_model(method, hyp, fewshot, cfg.baseline, None)
                 assert _model_bytes(model) == _model_bytes(unshared), method
         # one generator run, with one block per objective the methods read
         assert started == [SUBSET_MODES[methods]]
@@ -504,7 +504,7 @@ class TestSharedGenerators:
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
         shared = harness._shared_run(trainers.METHODS, hyp, fewshot, tohan_cfg, {})
         for method in GENERATOR_METHODS:
-            model = harness._method_model(method, hyp, fewshot, cfg.baseline, tohan_cfg, shared)
+            model = harness._method_model(method, hyp, fewshot, cfg.baseline, shared)
             assert model.enc is hyp.enc and model.cls is hyp.cls
         assert started == [("combined",)]
 
@@ -591,6 +591,22 @@ def _fail_stacked_adaptation(monkeypatch):
     return _inject(monkeypatch, lambda modes: False)
 
 
+def _poison_objective(monkeypatch, mode):
+    """Fill the gradient rows of the ``mode`` block of every generator step
+    with NaN, so that block diverges; returns the modes of every generator run."""
+    objective = losses.generator_objective_and_grad
+
+    def poisoned(arch, params, enc, cls, z, plan, **kwargs):
+        loss, grad, generated = objective(arch, params, enc, cls, z, plan, **kwargs)
+        if mode in plan.modes:
+            m, n = plan.modes.index(mode), plan.num_classes
+            grad[m * n:(m + 1) * n] = np.nan
+        return loss, grad, generated
+
+    monkeypatch.setattr(losses, "generator_objective_and_grad", poisoned)
+    return _inject(monkeypatch, lambda modes: False)
+
+
 def _spy_trainers(monkeypatch):
     """Record the method of every run_two_step and train_tohan call."""
     run_two_step, train_tohan, called = trainers.run_two_step, trainers.train_tohan, []
@@ -613,90 +629,81 @@ def _grid(**kwargs):
         _tiny_task(), trainers.METHODS, [1, 2], [0, 1], _tiny_cfg(), **kwargs)]
 
 
-# name -> (install the failure and return the modes of every generator run,
-#          the method it costs, that method's error, the shared run's
-#          exception, whether its warning carries the traceback)
-SHARED_FAILURES = {
-    "generator-divergence": (
-        lambda mp: _inject(mp, lambda modes: "target_only" in modes),
-        "tfada", "injected divergence in target_only",
-        "injected divergence in source_only+target_only+combined", False),
-    "adaptation-divergence": (
-        lambda mp: _poison_pools(mp, "target_only"),
-        "tfada", "non-finite gradient in adam_step", "non-finite gradient in adam_step", False),
-    "generator-exception": (
-        lambda mp: _inject(mp, lambda modes: len(modes) > 1, RuntimeError),
-        None, None, "injected divergence in source_only+target_only+combined", True),
-    "adaptation-exception": (_fail_stacked_adaptation, None, None, "boom", True),
+ALL_MODES = ("source_only", "target_only", "combined")
+# the generator runs of the clean (1, 2)-shot grid: per seed, all three
+# blocks, then the second n_t reuses the source_only bank
+GRID_MODES = [ALL_MODES, ("target_only", "combined")] * 2
+DIVERGED = "non-finite gradient in adam_step"
+# name -> (install a diverging block and return the modes of every generator
+#          run, the methods that read the block)
+BLOCK_FAILURES = {
+    "source_only": (lambda mp: _poison_objective(mp, "source_only"), ("sfada",)),
+    "target_only": (lambda mp: _poison_objective(mp, "target_only"), ("tfada",)),
+    "combined": (lambda mp: _poison_objective(mp, "combined"), ("stfada", "tohan")),
+    "adaptation": (lambda mp: _poison_pools(mp, "target_only"), ("tfada",)),
 }
-# per (seed, n_t): the shared run, then each generator method's own
-FALLBACK_MODES = [("source_only", "target_only", "combined"), ("source_only",),
-                  ("target_only",), ("combined",), ("combined",)]
-# per seed of the (1, 2)-shot grid, by the step that fails: once a shared
-# generator run has succeeded, the next n_t's reuses its source_only bank
-SEED_FALLBACK_MODES = {
-    "generator": FALLBACK_MODES * 2,
-    "adaptation": FALLBACK_MODES + [("target_only", "combined"), *FALLBACK_MODES[1:]],
+# name -> (install an exception that stops the whole shared run and return
+#          the modes of every generator run, the error line of each generator
+#          method, the modes of the runs it starts)
+RUN_FAILURES = {
+    "generator": (lambda mp: _inject(mp, lambda modes: True, RuntimeError),
+                  f"RuntimeError: injected divergence in {'+'.join(ALL_MODES)}",
+                  [ALL_MODES] * 4),
+    "adaptation": (_fail_stacked_adaptation, "RuntimeError: boom", GRID_MODES),
 }
 
 
-class TestSharedRunFallback:
-    @pytest.mark.parametrize("failure", list(SHARED_FAILURES))
-    def test_failure_costs_only_its_methods_line(self, monkeypatch, caplog, tiny_results,
-                                                 failure):
-        install, failing, error, shared_error, traceback = SHARED_FAILURES[failure]
+class TestBlockFailures:
+    @pytest.mark.parametrize("failure", list(BLOCK_FAILURES))
+    def test_block_costs_only_the_methods_that_read_it(self, monkeypatch, caplog,
+                                                       tiny_results, failure):
+        install, failing = BLOCK_FAILURES[failure]
         started = install(monkeypatch)
         called = _spy_trainers(monkeypatch)
         with caplog.at_level("WARNING", logger=harness.log.name):
             got = _grid()
         for line, clean in zip(got, tiny_results, strict=True):
-            if clean.method == failing:
+            if clean.method in failing:
+                assert line == _line(clean)[:4] + (None, None, DIVERGED)
+            else:
+                assert line == _line(clean)
+        # one generator run per (seed, n_t), as in the clean grid, and no method alone
+        assert started == GRID_MODES
+        assert called == []
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
+
+    @pytest.mark.parametrize("failure", list(BLOCK_FAILURES))
+    def test_block_leaves_every_other_model_unchanged(self, monkeypatch, failure):
+        hyp, fewshot, cfg, direct = _shared_setup("rot40", 3, 0.2)
+        install, failing = BLOCK_FAILURES[failure]
+        started = install(monkeypatch)
+        tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
+        shared = harness._shared_run(trainers.METHODS, hyp, fewshot, tohan_cfg, {})
+        for method in GENERATOR_METHODS:
+            if method in failing:
+                with pytest.raises(NumericalError, match=f"^{DIVERGED}$"):
+                    harness._method_model(method, hyp, fewshot, cfg.baseline, shared)
+            else:
+                model = harness._method_model(method, hyp, fewshot, cfg.baseline, shared)
+                assert _model_bytes(model) == direct[method], method
+        assert started == [ALL_MODES]
+
+    @pytest.mark.parametrize("failure", list(RUN_FAILURES))
+    def test_run_exception_costs_every_generator_method(self, monkeypatch, tiny_results,
+                                                        failure):
+        install, error, modes = RUN_FAILURES[failure]
+        started = install(monkeypatch)
+        called = _spy_trainers(monkeypatch)
+        for line, clean in zip(_grid(), tiny_results, strict=True):
+            if clean.method in GENERATOR_METHODS:
                 assert line == _line(clean)[:4] + (None, None, error)
             else:
                 assert line == _line(clean)
-        assert started == SEED_FALLBACK_MODES[failure.split("-")[0]] * 2
-        assert called == list(GENERATOR_METHODS) * 4
-        # one warning per (seed, n_t); only an exception that is not an
-        # FHAError comes with its traceback
-        warned = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert [r.getMessage() for r in warned] == [
-            f"shared run failed, methods run alone: {shared_error}"] * 4
-        assert [r.exc_info is not None for r in warned] == [traceback] * 4
-
-    @pytest.mark.parametrize("failure", list(SHARED_FAILURES))
-    def test_failure_leaves_every_other_model_unchanged(self, monkeypatch, caplog, failure):
-        hyp, fewshot, cfg, direct = _shared_setup("rot40", 3, 0.2)
-        install, failing, error, shared_error, traceback = SHARED_FAILURES[failure]
-        started = install(monkeypatch)
-        called = _spy_trainers(monkeypatch)
-        tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        shared = harness._shared_run(trainers.METHODS, hyp, fewshot, tohan_cfg, {})
-        with caplog.at_level("WARNING", logger=harness.log.name):
-            for method in GENERATOR_METHODS:
-                if method == failing:
-                    with pytest.raises(NumericalError, match=error):
-                        harness._method_model(method, hyp, fewshot, cfg.baseline,
-                                              tohan_cfg, shared)
-                    continue
-                model = harness._method_model(method, hyp, fewshot, cfg.baseline,
-                                              tohan_cfg, shared)
-                assert _model_bytes(model) == direct[method], method
-        assert started == FALLBACK_MODES
-        assert called == list(GENERATOR_METHODS)
-        warned = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert [r.getMessage() for r in warned] == [
-            f"shared run failed, methods run alone: {shared_error}"]
-        assert (warned[0].exc_info is not None) == traceback
-
-    def test_no_shared_run_leaves_every_line_unchanged(self, monkeypatch, tiny_results):
-        monkeypatch.setattr(harness, "_shared_run", lambda *args: lambda: None)
-        called = _spy_trainers(monkeypatch)
-        assert _grid() == [_line(r) for r in tiny_results]
-        assert called == list(GENERATOR_METHODS) * 4
+        assert started == modes
+        assert called == []
 
 
 SHOTS = (1, 2, 3)
-ALL_MODES = ("source_only", "target_only", "combined")
 
 
 def _shot_grid(shots):
@@ -720,10 +727,22 @@ class TestSourceBankReuse:
                            ("target_only", "combined")] * 2
         _assert_equal_to_one_shot_grids(lines)
 
-    @pytest.mark.parametrize("failure", list(SHARED_FAILURES))
+    @pytest.mark.parametrize("failure", [*BLOCK_FAILURES, *(f"run-{f}" for f in RUN_FAILURES)])
     def test_failure_lines_equal_one_shot_grids(self, monkeypatch, failure):
-        SHARED_FAILURES[failure][0](monkeypatch)
+        if failure.startswith("run-"):
+            RUN_FAILURES[failure[4:]][0](monkeypatch)
+        else:
+            BLOCK_FAILURES[failure][0](monkeypatch)
         _assert_equal_to_one_shot_grids(_shot_grid(SHOTS))
+
+    def test_failed_source_only_bank_is_kept_as_its_error(self, monkeypatch):
+        started = _poison_objective(monkeypatch, "source_only")
+        lines = _shot_grid(SHOTS)
+        # later n_t report sfada's error without training the block again
+        assert started == [ALL_MODES, ("target_only", "combined"),
+                           ("target_only", "combined")] * 2
+        assert [line[-1] for line in lines if line[0] == "sfada"] == [DIVERGED] * 6
+        assert all(line[-1] is None for line in lines if line[0] != "sfada")
 
     def test_failed_first_few_shot_draw_trains_the_bank_next(self, monkeypatch):
         draw = harness.sample_few_shot

@@ -11,6 +11,7 @@ hypothesis is never mutated by anything.
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -896,6 +897,119 @@ class TestGenerate:
     def test_adapt_rejects_non_generator_methods(self, method):
         with pytest.raises(ConfigError):
             trainers.adapt_generated([method], ({}, []), _hypothesis(), _fewshot(), _tiny_cfg())
+
+
+# the losses whose gradient each kind of Adam step reads
+GRADIENTS = {"generator": "generator_objective_and_grad",
+             "model": "adaptation_loss_and_grads", "disc": "group_ce_and_disc_grad"}
+DIVERGED = "^non-finite gradient in adam_step$"
+
+
+def _poison_grad(monkeypatch, kind, rows=slice(None), after=1):
+    """Fill ``rows`` of the gradient of every ``kind`` step after the first
+    ``after`` with NaN."""
+    loss_and_grad, calls = getattr(losses, GRADIENTS[kind]), []
+
+    def poisoned(*args, **kwargs):
+        out = loss_and_grad(*args, **kwargs)
+        calls.append(None)
+        if len(calls) > after:
+            out[1][rows] = np.nan
+        return out
+
+    monkeypatch.setattr(losses, GRADIENTS[kind], poisoned)
+
+
+def _overflow_params(monkeypatch, after=1):
+    """Make every Adam step after the first ``after`` return an infinite
+    parameter in row 0."""
+    adam_step, calls = nn.adam_step, []
+
+    def step(state, params, grad):
+        params, state = adam_step(state, params, grad)
+        calls.append(None)
+        if len(calls) > after:
+            params[0] = np.inf
+        return params, state
+
+    monkeypatch.setattr(nn, "adam_step", step)
+
+
+# one-method entry point -> (its call, the kinds of Adam step it runs)
+ENTRY_POINTS = {
+    "train_generator_bank": (lambda hyp, fs, cfg: trainers.train_generator_bank(
+        hyp, fs, "combined", cfg), ("generator",)),
+    "run_two_step": (lambda hyp, fs, cfg: trainers.run_two_step("stfada", hyp, fs, cfg),
+                     ("generator", "model", "disc")),
+    "train_tohan": (lambda hyp, fs, cfg: trainers.train_tohan(hyp, fs, cfg),
+                    ("generator", "model", "disc")),
+    "adapt_pairwise": (lambda hyp, fs, cfg: trainers.adapt_pairwise(_pool(), fs, hyp, cfg),
+                       ("model", "disc")),
+}
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("entry,kind", [(e, k) for e, (_, kinds) in ENTRY_POINTS.items()
+                                            for k in kinds])
+    def test_one_method_run_raises_on_a_non_finite_gradient(self, monkeypatch, entry, kind):
+        _poison_grad(monkeypatch, kind)
+        with pytest.raises(NumericalError, match=DIVERGED):
+            ENTRY_POINTS[entry][0](_hypothesis(), _fewshot(), _tiny_cfg())
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_one_method_run_raises_on_non_finite_parameters(self, monkeypatch, entry):
+        _overflow_params(monkeypatch)
+        with pytest.raises(NumericalError, match="^network parameters must be finite$"):
+            ENTRY_POINTS[entry][0](_hypothesis(), _fewshot(), _tiny_cfg())
+
+    @pytest.mark.parametrize("failing,error", [
+        (0, DIVERGED), (1, DIVERGED), (0, "^network parameters must be finite$")])
+    def test_generator_block_fails_alone(self, monkeypatch, failing, error):
+        hyp, fs, cfg, modes = _hypothesis(), _fewshot(), _tiny_cfg(), ("source_only", "combined")
+        keep = dict.fromkeys(modes, 2)
+        clean = trainers._run_generators(hyp, fs, modes, cfg, 9, 6, keep)
+        if error == DIVERGED:
+            _poison_grad(monkeypatch, "generator", slice(3 * failing, 3 * failing + 3), after=2)
+        else:  # row 0 is block 0's
+            _overflow_params(monkeypatch, after=2)
+        banks, kept = trainers._run_generators(hyp, fs, modes, cfg, 9, 6, keep)
+        assert isinstance(banks[modes[failing]], NumericalError)
+        assert re.match(error, str(banks[modes[failing]]))
+        other = modes[1 - failing]
+        assert banks[other].params.tobytes() == clean[0][other].params.tobytes()
+        assert [b.tobytes() for b in kept[other]] == [b.tobytes() for b in clean[1][other]]
+
+    @pytest.mark.parametrize("kind,after", [("model", 1), ("disc", 1), ("disc", 4)])
+    @pytest.mark.parametrize("failing", ["sfada", "tohan"])
+    def test_adaptation_block_fails_alone(self, monkeypatch, kind, after, failing):
+        """A failing block's error and trace, generate events included, are
+        its one-method run's; the other block keeps its model and trace."""
+        hyp, fs, cfg, methods = _hypothesis(), _fewshot(), _tiny_cfg(), ("sfada", "tohan")
+        gen_log = []
+        run = trainers.generate(hyp, fs, methods, cfg, gen_log)
+
+        def adapt(names):
+            traces = {m: [] for m in names}
+            return trainers.adapt_generated(names, run, hyp, fs, cfg, traces=traces,
+                                            gen_log=gen_log), traces
+
+        other = methods[1 - methods.index(failing)]
+        clean, clean_traces = adapt([other])
+        with monkeypatch.context() as mp:
+            _poison_grad(mp, kind, methods.index(failing), after)
+            models, traces = adapt(methods)
+        alone = []
+        with monkeypatch.context() as mp:
+            _poison_grad(mp, kind, after=after)
+            with pytest.raises(NumericalError, match=DIVERGED):
+                trainers.adapt_generated([failing], run, hyp, fs, cfg,
+                                         traces={failing: alone}, gen_log=gen_log)
+        assert isinstance(models[failing], NumericalError)
+        assert re.match(DIVERGED, str(models[failing]))
+        assert traces[failing] == alone and len(alone) > 1
+        assert models[other].enc.params.tobytes() == clean[other].enc.params.tobytes()
+        assert models[other].cls.params.tobytes() == clean[other].cls.params.tobytes()
+        assert traces[other] == clean_traces[other]
 
 
 class TestDiscriminatorAccuracy:
