@@ -2,8 +2,10 @@
 
 Runs every method on one task for each seed and shot count, the way
 ``fha run`` does (``harness._run_seed``), and times the trainer calls the
-harness makes: source training, the shared generator runs (split into the
-objective steps, the Adam steps and the rest), the stacked adaptations
+harness makes: source training (split into its Adam steps and the rest:
+the fitting passes, the holdout split and its accuracy gate), the shared
+generator runs (split into the objective steps, the Adam steps and the
+rest), the stacked adaptations
 (split into pair draws, discriminator updates, model updates and the rest),
 and the ft and shot baselines; "other" is the rest of the seed (data,
 few-shot draws, accuracies). A discriminator update counts its encoder
@@ -32,13 +34,14 @@ from fha import harness, losses, nn, trainers
 from fha.cli import _task_from_config
 from fha.harness import ExperimentConfig
 
+SOURCE = ("train_source: passes", "train_source: Adam")
 GENERATE = ("generate: objective", "generate: Adam", "generate: other")
 ADAPT = ("adapt: pair draws", "adapt: disc updates", "adapt: model updates", "adapt: other")
-PHASES = ("train_source", *GENERATE, *ADAPT, "train_ft + train_shot", "other")
+PHASES = (*SOURCE, *GENERATE, *ADAPT, "train_ft + train_shot", "other")
 # (module, function, the phase its self time is charged to); None: the
 # phase of the update or run it belongs to, see _phase_of
 TIMED = (
-    (trainers, "train_source", "train_source"),
+    (trainers, "train_source", "train_source: passes"),
     (trainers, "generate", "generate: other"),
     (losses, "generator_objective_and_grad", "generate: objective"),
     (trainers, "adapt_generated", "adapt: other"),
@@ -55,11 +58,11 @@ TIMED = (
 
 def _phase_of(name, caller, last_update):
     """The phase of an Adam step or a forward pass made directly by the timed
-    function ``caller`` (a (function, phase) pair): the generator Adam, the
-    adaptation update it steps or the encoder pass a discriminator update
-    reads, or else the caller's own phase."""
-    if caller[0] == "generate" and name == "adam_step":
-        return "generate: Adam"
+    function ``caller`` (a (function, phase) pair): the source fitting's or
+    the generators' Adam, the adaptation update it steps or the encoder pass
+    a discriminator update reads, or else the caller's own phase."""
+    if caller[0] in ("train_source", "generate") and name == "adam_step":
+        return f"{caller[0]}: Adam"
     if caller[0] == "adapt_generated":
         return last_update if name == "adam_step" else "adapt: disc updates"
     return caller[1]
@@ -125,9 +128,10 @@ def main(argv=None) -> int:
     medians = {phase: statistics.median(r[0][phase] for r in runs) for phase in PHASES}
     total = sum(medians.values())
     print(f"{task.name}, shots {shots}, seeds {seeds}: median ms per seed")
-    for head, parts in (("generate", GENERATE), ("adapt (stacked)", ADAPT)):
+    for head, parts in (("train_source", SOURCE), ("generate", GENERATE),
+                        ("adapt (stacked)", ADAPT)):
         medians[head] = sum(medians[p] for p in parts)
-    for phase in ("train_source", "generate", *GENERATE, "adapt (stacked)", *ADAPT,
+    for phase in ("train_source", *SOURCE, "generate", *GENERATE, "adapt (stacked)", *ADAPT,
                   "train_ft + train_shot", "other"):
         label = f"  {phase.split(': ')[1]}" if ": " in phase else phase
         print(f"  {label:<24}{medians[phase]:9.1f}  {100.0 * medians[phase] / total:5.1f}%")

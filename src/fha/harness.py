@@ -140,10 +140,12 @@ def _method_model(method: str, hypothesis, fewshot, baseline: BaselineConfig, sh
     return model
 
 
-def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig, source_bank: dict):
+def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig, source_bank: dict,
+                what: str = "shared"):
     """A lazy, memoized run of the generator methods among ``methods``: one
     generator run, then one stacked adaptation of them all. Returns each
-    method's model or error; an exception that stops the run is each one's.
+    method's model or error; an exception that stops the run is each one's,
+    logged once here as the ``what`` run's.
     ``source_bank`` holds the seed's source_only bank or error, the same for
     every n_t: a run that trains it keeps it there, and later ones reuse it."""
     gen_methods = [m for m in methods if m in trainers.GENERATOR_METHODS]
@@ -159,17 +161,19 @@ def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig, source_ban
             return trainers.adapt_generated(gen_methods, (banks, kept), hypothesis, fewshot,
                                             tohan_cfg)
         except Exception as exc:
+            _failure(exc, f"{what} run")
             return dict.fromkeys(gen_methods, exc)
 
     return shared
 
 
-def _failure(exc: Exception, what: str) -> str:
+def _failure(exc: Exception, what: str, logged=False) -> str:
     """Log a failure and return its error message: an FHAError's own message,
-    or any other exception's type and message, logged with its traceback."""
+    or any other exception's type and message, logged with its traceback
+    unless it was ``logged`` already."""
     expected = isinstance(exc, FHAError)
     message = str(exc) if expected else f"{type(exc).__name__}: {exc}"
-    log.error("%s failed: %s", what, message, exc_info=None if expected else exc)
+    log.error("%s failed: %s", what, message, exc_info=None if expected or logged else exc)
     return message
 
 
@@ -204,15 +208,17 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
             message = _failure(exc, f"n_t={n_t}/seed={seed} few-shot draw")
             results.extend(_error_results(task.name, methods, [n_t], seed, message))
             continue
-        shared = _shared_run(methods, hypothesis, fewshot, tohan_cfg, source_bank)
+        shared = _shared_run(methods, hypothesis, fewshot, tohan_cfg, source_bank,
+                             f"n_t={n_t}/seed={seed} shared")
         for method in methods:
             start = time.perf_counter()
             acc, error = None, None
             try:
                 model = _method_model(method, hypothesis, fewshot, cfg.baseline, shared)
                 acc = accuracy(model, target_test)
-            except Exception as exc:
-                error = _failure(exc, f"run {method}/n_t={n_t}/seed={seed}")
+            except Exception as exc:  # the shared run logged its own with the traceback
+                error = _failure(exc, f"run {method}/n_t={n_t}/seed={seed}",
+                                 method in trainers.GENERATOR_METHODS and exc is shared()[method])
             wall_ms = (time.perf_counter() - start) * 1e3
             results.append(RunResult(
                 method=method, task=task.name, n_t=n_t, seed=seed, accuracy=acc,

@@ -137,18 +137,23 @@ def gen_target_loss(generated: np.ndarray, targets_n: np.ndarray,
     return float(gen_target_loss_and_grad(generated, targets_n, diameter)[0])
 
 
-def _check_ce(probs: np.ndarray, labels: np.ndarray, name="cross_entropy",
-              out_of_range="labels outside the class range"):
-    """(B, C) or (M, B, C) float64 probs and their (B,) int64 labels in 0..C-1."""
-    probs = np.asarray(probs, dtype=np.float64)
+def _check_labels(labels: np.ndarray, shape: tuple, name="cross_entropy",
+                  out_of_range="labels outside the class range") -> np.ndarray:
+    """(B,) int64 labels in 0..C-1 for probabilities of ``shape`` (B, C) or (M, B, C)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if probs.ndim not in (2, 3) or labels.ndim != 1 or probs.shape[-2] != labels.shape[0]:
+    if len(shape) not in (2, 3) or labels.ndim != 1 or shape[-2] != labels.shape[0]:
         raise ConfigError("probs must be (B, C) or (M, B, C) aligned with (B,) labels")
     if labels.size == 0:
         raise ConfigError(f"{name} on an empty batch")
-    if labels.view(np.uint64).max() >= probs.shape[-1]:  # a negative label reads as >= 2**63
+    if labels.view(np.uint64).max() >= shape[-1]:  # a negative label reads as >= 2**63
         raise ConfigError(out_of_range)
-    return probs, labels
+    return labels
+
+
+def _check_ce(probs: np.ndarray, labels: np.ndarray, *names):
+    """(B, C) or (M, B, C) float64 probs and their checked labels."""
+    probs = np.asarray(probs, dtype=np.float64)
+    return probs, _check_labels(labels, probs.shape, *names)
 
 
 def _softmax_input_grad(probs: np.ndarray, pick: tuple, picked: np.ndarray, u: np.ndarray):
@@ -198,6 +203,21 @@ def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return _ce_parts(*_check_ce(probs, labels), with_loss=False)[1]
 
 
+def _softmax_ce(enc_arch: nn.ArchSpec, enc: list, enc_grad: list,
+                cls_arch: nn.ArchSpec, cls: list, cls_grad: list | None,
+                x: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+    """softmax_ce_and_grads on checked inputs, each net and gradient buffer
+    bound by nn._layers: writes the gradients (none for the classifier
+    without ``cls_grad``) and returns the loss."""
+    emb, enc_acts = nn._forward(enc_arch, enc, x)
+    probs, cls_acts = nn._forward(cls_arch, cls, emb)
+    loss, g = _ce_parts(probs, labels, logits=True)
+    emb_g = nn._backward(cls_arch, cls, cls_acts, g, cls_grad)
+    nn._backward(enc_arch, enc, enc_acts, nn._head_grad(enc_arch, emb, emb_g), enc_grad,
+                 want_input=False)
+    return loss
+
+
 def softmax_ce_and_grads(enc_arch: nn.ArchSpec, enc_params: np.ndarray,
                          cls_arch: nn.ArchSpec, cls_params: np.ndarray,
                          x: np.ndarray, labels: np.ndarray):
@@ -223,13 +243,11 @@ def softmax_ce_and_grads(enc_arch: nn.ArchSpec, enc_params: np.ndarray,
     x = nn._check_batch(enc_arch, x, enc_params)
     if x.shape[:-2] != lead:
         raise ConfigError("a parameter gradient needs one parameter row per batch block")
-    emb, enc_acts = nn._forward(enc_arch, enc_params, x)
-    probs, cls_acts = nn._forward(cls_arch, cls_params, emb)
-    loss, g = _ce_parts(*_check_ce(probs, labels), logits=True)
+    labels = _check_labels(labels, x.shape[:-1] + (cls_arch.out_width,))
     enc_grad, cls_grad = np.empty(enc_params.shape), np.empty(cls_params.shape)
-    emb_g = nn._backward(cls_arch, cls_params, cls_acts, g, cls_grad)
-    nn._backward(enc_arch, enc_params, enc_acts, nn._head_grad(enc_arch, emb, emb_g), enc_grad,
-                 want_input=False)
+    loss = _softmax_ce(enc_arch, nn._layers(enc_arch, enc_params), nn._layers(enc_arch, enc_grad),
+                       cls_arch, nn._layers(cls_arch, cls_params), nn._layers(cls_arch, cls_grad),
+                       x, labels)
     return loss, enc_grad, cls_grad
 
 
@@ -286,9 +304,10 @@ def adaptation_loss_and_grads(x1, x2, disc, enc, cls, fewshot, beta: float):
     x_t = np.broadcast_to(x_t, lead + x_t.shape)  # one view per net
     target_ce, enc_grad, cls_grad = softmax_ce_and_grads(enc.arch, enc_params, cls.arch,
                                                          cls.params, x_t, fewshot.labels)
-    e1, acts1 = nn._forward(enc.arch, enc_params, x1)
-    e2, acts2 = nn._forward(enc.arch, enc_params, x2)
-    probs, disc_acts = nn._forward(disc.arch, disc_params, np.concatenate([e1, e2], axis=-1))
+    enc_layers, disc_layers = nn._layers(enc.arch, enc_params), nn._layers(disc.arch, disc_params)
+    e1, acts1 = nn._forward(enc.arch, enc_layers, x1)
+    e2, acts2 = nn._forward(enc.arch, enc_layers, x2)
+    probs, disc_acts = nn._forward(disc.arch, disc_layers, np.concatenate([e1, e2], axis=-1))
     # cross-domain groups are pushed toward their same-domain twins: group 2
     # toward group 1, group 4 toward group 3, at their 0-based columns
     cols = (GROUP_BOTH_INTERMEDIATE_SAME - 1, GROUP_BOTH_INTERMEDIATE_DIFF - 1)
@@ -302,15 +321,16 @@ def adaptation_loss_and_grads(x1, x2, disc, enc, cls, fewshot, beta: float):
     loss = float(beta) * (0.0 - g2 - g4) + target_ce
     if beta != 0.0:
         u = np.where(picked >= PROB_FLOOR, -beta / (h * floor), 0.0)
-        joint_g = nn._backward(disc.arch, disc_params, disc_acts,
+        joint_g = nn._backward(disc.arch, disc_layers, disc_acts,
                                _softmax_input_grad(probs, pick, picked, u), None)
         part = np.empty(enc_params.shape)
+        part_layers = nn._layers(enc.arch, part)
         for half in halves:
             for acts, side in ((acts1, slice(0, width)), (acts2, slice(width, 2 * width))):
                 acts = [a[..., half, :] for a in acts]
-                nn._backward(enc.arch, enc_params, acts,
+                nn._backward(enc.arch, enc_layers, acts,
                              nn._head_grad(enc.arch, acts[-1], joint_g[..., half, side]),
-                             part, want_input=False)
+                             part_layers, want_input=False)
                 enc_grad += part
     return (float(loss) if np.ndim(loss) == 0 else loss), enc_grad, cls_grad
 
@@ -330,10 +350,11 @@ def group_ce_and_disc_grad(disc, joint: np.ndarray, group: np.ndarray):
     joint = nn._check_batch(disc.arch, joint, params)
     if disc.arch.head != "softmax" or joint.shape[:-2] != params.shape[:-1]:
         raise ConfigError("the discriminator must be a softmax head, one per block of pairs")
-    probs, acts = nn._forward(disc.arch, params, joint)
+    layers = nn._layers(disc.arch, params)
+    probs, acts = nn._forward(disc.arch, layers, joint)
     loss, g = _ce_parts(*_check_group_ce(probs, group), logits=True)
     grad = np.empty(params.shape)
-    nn._backward(disc.arch, params, acts, g, grad, want_input=False)
+    nn._backward(disc.arch, layers, acts, g, nn._layers(disc.arch, grad), want_input=False)
     return loss, grad
 
 
@@ -420,22 +441,25 @@ def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
         raise ConfigError(f"expected an ({rows}, P) stack, one generator per source class "
                           "and mode of the plan")
     params = nn._check_params(arch, params)
-    generated, gen_acts = nn._forward(arch, params, nn._check_batch(arch, z, params))
+    gen = nn._layers(arch, params)
+    generated, gen_acts = nn._forward(arch, gen, nn._check_batch(arch, z, params))
     x_up = np.zeros_like(generated)
     loss = np.zeros(len(generated)) if with_loss else None
     if plan.src is not None:
         enc, cls = source_enc.arch, source_cls.arch
         if (arch.out_width, enc.out_width, cls.head) != (enc.in_width, cls.in_width, "softmax"):
             raise ConfigError("the generators must feed the encoder, and it a softmax head")
-        emb, enc_acts = nn._forward(enc, source_enc.params, generated[plan.src])
-        probs, cls_acts = nn._forward(cls, source_cls.params, emb)
+        enc_layers = nn._layers(enc, source_enc.params)
+        cls_layers = nn._layers(cls, source_cls.params)
+        emb, enc_acts = nn._forward(enc, enc_layers, generated[plan.src])
+        probs, cls_acts = nn._forward(cls, cls_layers, emb)
         picked = probs[plan.src_pick]
         src_loss, u = gen_source_loss_and_grad(picked, with_loss)
         if with_loss:
             loss[plan.src] += src_loss
         g = _softmax_input_grad(probs, plan.src_pick, picked, u)
-        emb_g = nn._backward(cls, source_cls.params, cls_acts, g, None)
-        x_up[plan.src] += nn._backward(enc, source_enc.params, enc_acts,
+        emb_g = nn._backward(cls, cls_layers, cls_acts, g, None)
+        x_up[plan.src] += nn._backward(enc, enc_layers, enc_acts,
                                        nn._head_grad(enc, emb, emb_g), None)
     if plan.tgt is not None:
         if generated.shape[-2:] != (plan.planes.shape[-1], plan.planes.shape[1]):
@@ -446,6 +470,6 @@ def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
             loss[plan.tgt] += plan.weight * target_loss
         x_up[plan.tgt] += plan.weight[:, None, None] * target_grad
     gen_grad = np.empty(params.shape)
-    nn._backward(arch, params, gen_acts, nn._head_grad(arch, generated, x_up), gen_grad,
-                 want_input=False)
+    nn._backward(arch, gen, gen_acts, nn._head_grad(arch, generated, x_up),
+                 nn._layers(arch, gen_grad), want_input=False)
     return loss, gen_grad, generated

@@ -8,10 +8,14 @@ mapping block n of an (N, B, in) batch. All arithmetic runs in 64-bit with
 numpy's fixed reduction order and stacked matmuls run the per-slice kernels,
 so equal seeds give bit-identical results whether nets run alone or stacked.
 
-Every public call checks its inputs, then runs one unchecked core (_forward,
-_backward) over per-layer weight views; every training pass in losses checks
-once and runs these cores too. Nothing writes in place into an array it did
-not allocate: not the parameters, the batch, an upstream gradient or a cache.
+Every public call checks its inputs, binds per-layer (weight, bias) views of
+the parameters once (_layers) and runs one unchecked core (_forward,
+_backward) over them, one code path for a net and a stack; every training
+pass in losses checks once and runs these cores too. The training loops
+check once at entry, bind their parameter and gradient buffers once, and
+copy each Adam result into the bound buffer. Apart from those buffers,
+nothing writes in place into an array it did not allocate: not the
+parameters, the batch, an upstream gradient or a cache.
 """
 
 from __future__ import annotations
@@ -155,17 +159,21 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(arch: ArchSpec, params: np.ndarray, x: np.ndarray):
-    """forward_and_cache on checked params and batch."""
+def _layers(arch: ArchSpec, params: np.ndarray) -> list:
+    """Per-layer (weight, bias) views of checked params: (fi, fo) and (1, fo)
+    for one net, (N, fi, fo) and (N, 1, fo) for an (N, P) stack. Views, so
+    they read (or, bound to a gradient buffer, write) ``params`` in place."""
     lead = params.shape[:-1]
-    acts, last = [x], len(arch.layout) - 1
-    for i, (w_sl, b_sl, shape) in enumerate(arch.layout):
-        if lead:
-            x = x @ params[..., w_sl].reshape(lead + shape)
-            x += params[..., None, b_sl]
-        else:  # one net: plain 2-d weight views
-            x = x @ params[w_sl].reshape(shape)
-            x += params[b_sl]
+    return [(params[..., w_sl].reshape(lead + shape), params[..., None, b_sl])
+            for w_sl, b_sl, shape in arch.layout]
+
+
+def _forward(arch: ArchSpec, layers: list, x: np.ndarray):
+    """forward_and_cache on checked params, bound by _layers, and batch."""
+    acts, last = [x], len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        x = x @ w
+        x += b
         if i < last:
             x = np.tanh(x, out=x) if arch.tanh else np.maximum(x, 0.0, out=x)
         elif arch.head == "softmax":
@@ -176,27 +184,20 @@ def _forward(arch: ArchSpec, params: np.ndarray, x: np.ndarray):
     return x, acts
 
 
-def _backward(arch: ArchSpec, params: np.ndarray, acts: list, g: np.ndarray, param_grad,
+def _backward(arch: ArchSpec, layers: list, acts: list, g: np.ndarray, grad_layers,
               want_input: bool = True):
     """backward_from_cache on checked inputs, from the gradient ``g`` at the
-    head's input: writes the parameter gradient into ``param_grad`` (a buffer
-    shaped like params, or None for none) and returns the input gradient, or
-    None without ``want_input``."""
-    lead = params.shape[:-1]
-    for i in range(len(arch.layout) - 1, -1, -1):
-        w_sl, b_sl, shape = arch.layout[i]
-        if param_grad is not None:
-            if lead:
-                np.matmul(acts[i].swapaxes(-1, -2), g,
-                          out=param_grad[..., w_sl].reshape(lead + shape))
-                np.add.reduce(g, axis=-2, out=param_grad[..., None, b_sl], keepdims=True)
-            else:
-                np.matmul(acts[i].T, g, out=param_grad[w_sl].reshape(shape))
-                np.add.reduce(g, axis=0, out=param_grad[b_sl])
+    head's input: writes the parameter gradient into ``grad_layers`` (a
+    buffer shaped like params, bound by _layers, or None for none) and
+    returns the input gradient, or None without ``want_input``."""
+    for i in range(len(layers) - 1, -1, -1):
+        if grad_layers is not None:
+            gw, gb = grad_layers[i]
+            np.matmul(acts[i].swapaxes(-1, -2), g, out=gw)
+            np.add.reduce(g, axis=-2, out=gb, keepdims=True)
         if i == 0 and not want_input:
             return None
-        w = params[..., w_sl].reshape(lead + shape) if lead else params[w_sl].reshape(shape)
-        g = g @ w.swapaxes(-1, -2)
+        g = g @ layers[i][0].swapaxes(-1, -2)
         if i > 0:
             a = acts[i]
             if arch.tanh:
@@ -229,7 +230,7 @@ def forward_and_cache(arch: ArchSpec, params: np.ndarray, batch: np.ndarray):
     """
     params = _check_params(arch, params)
     x = _check_batch(arch, batch, params)
-    return _forward(arch, params, x)
+    return _forward(arch, _layers(arch, params), x)
 
 
 def forward(arch: ArchSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
@@ -253,7 +254,8 @@ def backward_from_cache(arch, params, acts, upstream):
     if upstream.shape != out.shape:
         raise ConfigError(f"upstream must be {out.shape}, got {upstream.shape}")
     param_grad = np.empty(params.shape)
-    return param_grad, _backward(arch, params, acts, _head_grad(arch, out, upstream), param_grad)
+    return param_grad, _backward(arch, _layers(arch, params), acts,
+                                 _head_grad(arch, out, upstream), _layers(arch, param_grad))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ one-block run, trace included. A diverging block fails alone (_step), with
 the NumericalError its one-block run raises.
 
 All routines are functional: the source hypothesis is never mutated (its
-parameter arrays are read-only), and every update builds new parameter
-vectors. Equal seeds give bit-identical outputs.
+parameter arrays are read-only), and an update writes only into arrays its
+routine allocated. Equal seeds give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -291,6 +291,12 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
                              nn.init_params(cls_arch, cls_seed)])
     state = nn.AdamState.init(params.size, cfg.lr)
     split, grad = enc_arch.n_params, np.empty(params.size)
+    # checked once (the Dataset holds finite features of the encoder's width); each
+    # step runs the unchecked pass on views of params and grad bound once, and
+    # adam_step's result is copied into params, so the views stay valid
+    y_train = losses._check_labels(y_train, (len(y_train), cls_arch.out_width))
+    nets = (enc_arch, nn._layers(enc_arch, params[:split]), nn._layers(enc_arch, grad[:split]),
+            cls_arch, nn._layers(cls_arch, params[split:]), nn._layers(cls_arch, grad[split:]))
 
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n = x_train.shape[0]
@@ -302,12 +308,10 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
         np.take(y_train, order, out=y_epoch)
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
-            loss, grad[:split], grad[split:] = losses.softmax_ce_and_grads(
-                enc_arch, params[:split], cls_arch, params[split:],
-                x_epoch[start:stop], y_epoch[start:stop])
+            loss = losses._softmax_ce(*nets, x_epoch[start:stop], y_epoch[start:stop])
             if not math.isfinite(loss):
                 raise NumericalError("source training diverged (non-finite loss)")
-            params, state = nn.adam_step(state, params, grad)
+            params[:], state = nn.adam_step(state, params, grad)
 
     enc = nn.Net(enc_arch, params[:split])
     cls = nn.Net(cls_arch, params[split:])
@@ -332,15 +336,16 @@ def train_ft(hypothesis: SourceHypothesis, fewshot: FewShotSet,
              cfg: BaselineConfig) -> TargetModel:
     """Freeze the encoder, fit the classifier on the few-shots (full batch)."""
     emb = hypothesis.enc(fewshot.features.astype(np.float64))
-    labels = fewshot.labels
     arch = hypothesis.cls.arch
-    params = np.array(hypothesis.cls.params)
+    labels = losses._check_labels(fewshot.labels, (len(emb), arch.out_width))
+    params, grad = np.array(hypothesis.cls.params), np.empty(arch.n_params)
     state = nn.AdamState.init(params.size, cfg.lr)
+    net, net_grad = nn._layers(arch, params), nn._layers(arch, grad)  # as in train_source
     for _ in range(cfg.epochs):
-        probs, cache = nn.forward_and_cache(arch, params, emb)
-        up = losses.cross_entropy_grad(probs, labels)
-        grad, _ = nn.backward_from_cache(arch, params, cache, up)
-        params, state = nn.adam_step(state, params, grad)
+        probs, acts = nn._forward(arch, net, emb)
+        g = losses._ce_parts(probs, labels, with_loss=False, logits=True)[1]
+        nn._backward(arch, net, acts, g, net_grad, want_input=False)
+        params[:], state = nn.adam_step(state, params, grad)
     return TargetModel(enc=hypothesis.enc, cls=nn.Net(arch, params))
 
 
@@ -348,12 +353,16 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
                cfg: BaselineConfig) -> TargetModel:
     """Freeze the classifier, fit the encoder on the few-shots (full batch)."""
     enc_arch, cls = hypothesis.enc.arch, hypothesis.cls
-    params = np.array(hypothesis.enc.params)
+    params, grad = np.array(hypothesis.enc.params), np.empty(enc_arch.n_params)
+    x = nn._check_batch(enc_arch, fewshot.features, params)
+    labels = losses._check_labels(fewshot.labels, (len(x), cls.arch.out_width))
     state = nn.AdamState.init(params.size, cfg.lr)
+    # as in train_source; the frozen classifier builds no parameter gradient
+    nets = (enc_arch, nn._layers(enc_arch, params), nn._layers(enc_arch, grad),
+            cls.arch, nn._layers(cls.arch, cls.params), None)
     for _ in range(cfg.epochs):
-        _, grad, _ = losses.softmax_ce_and_grads(enc_arch, params, cls.arch, cls.params,
-                                                 fewshot.features, fewshot.labels)
-        params, state = nn.adam_step(state, params, grad)
+        losses._softmax_ce(*nets, x, labels)
+        params[:], state = nn.adam_step(state, params, grad)
     return TargetModel(enc=nn.Net(enc_arch, params), cls=cls)
 
 
@@ -655,8 +664,8 @@ def adapt_generated(methods, run: tuple[dict, list], hypothesis: SourceHypothesi
                     fewshot: FewShotSet, cfg: TohanConfig, *, traces: dict | None = None,
                     gen_log: list | None = None) -> dict[str, TargetModel | NumericalError]:
     """Adapt the listed generator methods from ``run``, a generate() result
-    that covers them, as one stacked _adapt run; returns each method's model
-    or the NumericalError of its failed bank or block.
+    that covers them (else a ConfigError), as one stacked _adapt run; returns
+    each method's model or the NumericalError of its failed bank or block.
 
     tohan adapts over the kept batches, one pool per epoch, with its
     discriminator seeded by child 1 of derive_seeds(cfg.seed, 3) and its
@@ -677,7 +686,11 @@ def adapt_generated(methods, run: tuple[dict, list], hypothesis: SourceHypothesi
     models = dict.fromkeys(methods, TargetModel(enc=hypothesis.enc, cls=hypothesis.cls))
     blocks = {}
     for method in methods:
-        bank = banks.get("combined" if method == "tohan" else TWO_STEP_MODES[method])
+        mode = "combined" if method == "tohan" else TWO_STEP_MODES[method]
+        if (mode not in banks and (method == "tohan" or cfg.adapt_epochs > 0)) or (
+                method == "tohan" and len(kept) != cfg.adapt_epochs):
+            raise ConfigError(f"the generator run does not cover {method}")
+        bank = banks.get(mode)
         if isinstance(bank, NumericalError):
             models[method] = bank
         elif method == "tohan":

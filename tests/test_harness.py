@@ -702,6 +702,21 @@ class TestBlockFailures:
         assert started == modes
         assert called == []
 
+    @pytest.mark.parametrize("failure", list(RUN_FAILURES))
+    def test_run_exception_logs_one_traceback_per_shared_run(self, monkeypatch, caplog,
+                                                             failure):
+        install, error, _ = RUN_FAILURES[failure]
+        install(monkeypatch)
+        with caplog.at_level("ERROR", logger=harness.log.name):
+            _grid()
+        runs = [(seed, n_t) for seed in (0, 1) for n_t in (1, 2)]
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert [r.getMessage() for r in errors if r.exc_info] == [
+            f"n_t={n_t}/seed={seed} shared run failed: {error}" for seed, n_t in runs]
+        assert [r.getMessage() for r in errors if not r.exc_info] == [
+            f"run {method}/n_t={n_t}/seed={seed} failed: {error}"
+            for seed, n_t in runs for method in GENERATOR_METHODS]
+
 
 SHOTS = (1, 2, 3)
 

@@ -371,7 +371,8 @@ class TestMatchesReference:
         cache = [a.copy() for a in acts]
         if blocks:  # a frozen net's pass in the fused losses: the core, input gradient only
             grad = None
-            x_grad = nn._backward(arch, params, acts, nn._head_grad(arch, out, up), None)
+            x_grad = nn._backward(arch, nn._layers(arch, params), acts,
+                                  nn._head_grad(arch, out, up), None)
             with pytest.raises(ConfigError, match="one parameter row per batch block"):
                 nn.backward_from_cache(arch, params, acts, up)
         else:

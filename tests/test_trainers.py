@@ -399,6 +399,13 @@ class TestTrainSource:
         with pytest.raises(InsufficientDataError, match="no samples"):
             trainers.train_source(source, trainers.SourceTrainConfig(seed=0))
 
+    def test_diverging_fit_raises(self):
+        source = make_synthetic_task(builtin_task("rot40", seed=0))[0]
+        cfg = trainers.SourceTrainConfig(epochs=3, lr=1e300, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalError, match=r"^source training diverged \(non-finite loss\)$"):
+            trainers.train_source(source, cfg)
+
 
 def _composed_train_shot(hypothesis, fewshot, cfg):
     """train_shot's encoder parameters as it computed them before one
@@ -417,6 +424,21 @@ def _composed_train_shot(hypothesis, fewshot, cfg):
     return params
 
 
+def _composed_train_ft(hypothesis, fewshot, cfg):
+    """train_ft's classifier parameters as it computed them through the public
+    nn calls: a forward, cross_entropy_grad and a backward per epoch."""
+    emb = hypothesis.enc(fewshot.features.astype(np.float64))
+    arch = hypothesis.cls.arch
+    params = np.array(hypothesis.cls.params)
+    state = nn.AdamState.init(params.size, cfg.lr)
+    for _ in range(cfg.epochs):
+        probs, cache = nn.forward_and_cache(arch, params, emb)
+        up = losses.cross_entropy_grad(probs, fewshot.labels)
+        grad, _ = nn.backward_from_cache(arch, params, cache, up)
+        params, state = nn.adam_step(state, params, grad)
+    return params
+
+
 class TestFewShotBenchmarks:
     @pytest.mark.parametrize("n_t", [1, 7])
     def test_shot_equals_the_composed_calls(self, n_t):
@@ -427,6 +449,16 @@ class TestFewShotBenchmarks:
         model = trainers.train_shot(hyp, fs, cfg)
         assert model.cls is hyp.cls
         assert model.enc.params.tobytes() == _composed_train_shot(hyp, fs, cfg).tobytes()
+
+    @pytest.mark.parametrize("n_t", [1, 7])
+    def test_ft_equals_the_composed_calls(self, n_t):
+        source, target, _ = make_synthetic_task(builtin_task("rot40", seed=n_t))
+        hyp = trainers.train_source(source, trainers.SourceTrainConfig(seed=n_t))
+        fs = sample_few_shot(target, n_t, seed=n_t)
+        cfg = trainers.BaselineConfig()
+        model = trainers.train_ft(hyp, fs, cfg)
+        assert model.enc is hyp.enc
+        assert model.cls.params.tobytes() == _composed_train_ft(hyp, fs, cfg).tobytes()
 
     def test_ft_freezes_encoder_and_moves_classifier(self):
         hyp = _hypothesis()
@@ -763,6 +795,22 @@ class TestRunTwoStep:
         assert phases.count("pretrain_disc") == 3
         assert phases.count("model_update") == 3
         assert "generate" not in phases  # the pool is frozen before adaptation
+
+
+class TestAdaptGenerated:
+    @pytest.mark.parametrize("method", ["sfada", "tfada", "stfada", "tohan"])
+    def test_run_without_the_method_rejected(self, method):
+        with pytest.raises(ConfigError, match=f"does not cover {method}$"):
+            trainers.adapt_generated([method], ({}, []), _hypothesis(), _fewshot(),
+                                     _tiny_cfg())
+
+    def test_tohan_run_without_its_kept_batches_rejected(self):
+        hyp, fs, cfg = _hypothesis(), _fewshot(), _tiny_cfg()
+        banks, kept = trainers.generate(hyp, fs, ["tohan"], cfg)
+        assert len(kept) == cfg.adapt_epochs
+        for short in ([], kept[1:]):
+            with pytest.raises(ConfigError, match="does not cover tohan$"):
+                trainers.adapt_generated(["tohan"], (banks, short), hyp, fs, cfg)
 
 
 class TestTrainTohan:
