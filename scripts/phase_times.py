@@ -18,7 +18,9 @@ trains. The defaults are the pilot's: rot40, n_t=3.
         [--seeds 0,1,2,3,4]
 
 ``--task`` is a builtin task name or a JSON file holding a task object, as
-in ``fha run --config``. The exit code is 1 when a run failed.
+in ``fha run --config``. The exit code is 1 when a run failed, or when a
+timed function made no call: the phase map no longer matches the code, and
+its phases would read zero.
 
 Times are wall clock (time.perf_counter) on whatever machine runs it; read
 them next to the machine's own speed, and compare two trees on one machine.
@@ -42,9 +44,9 @@ PHASES = (*SOURCE, *GENERATE, *ADAPT, "train_ft + train_shot", "other")
 # phase of the update or run it belongs to, see _phase_of
 TIMED = (
     (trainers, "train_source", "train_source: passes"),
-    (trainers, "generate", "generate: other"),
+    (trainers, "_run_generators", "generate: other"),
     (losses, "generator_objective_and_grad", "generate: objective"),
-    (trainers, "adapt_generated", "adapt: other"),
+    (trainers, "run_generator_methods", "adapt: other"),
     (trainers, "sample_pool", "adapt: other"),
     (trainers, "draw_pairs", "adapt: pair draws"),
     (losses, "group_ce_and_disc_grad", "adapt: disc updates"),
@@ -61,23 +63,26 @@ def _phase_of(name, caller, last_update):
     function ``caller`` (a (function, phase) pair): the source fitting's or
     the generators' Adam, the adaptation update it steps or the encoder pass
     a discriminator update reads, or else the caller's own phase."""
-    if caller[0] in ("train_source", "generate") and name == "adam_step":
-        return f"{caller[0]}: Adam"
-    if caller[0] == "adapt_generated":
+    if caller[0] == "train_source" and name == "adam_step":
+        return "train_source: Adam"
+    if caller[0] == "_run_generators" and name == "adam_step":
+        return "generate: Adam"
+    if caller[0] == "run_generator_methods":
         return last_update if name == "adam_step" else "adapt: disc updates"
     return caller[1]
 
 
 def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
     """Milliseconds of each phase of one seed, the generator blocks it
-    trained, and its failed runs."""
+    trained, its failed runs, and the timed functions it called."""
     times = dict.fromkeys(PHASES, 0.0)
     stack = []  # [function, phase, time of the timed calls inside it]
     last_update = ["adapt: disc updates"]
-    blocks = []
+    blocks, called = [], set()
 
     def timed(name, phase, fn):
         def call(*args, **kwargs):
+            called.add(name)
             caller = stack[-1][:2] if stack else (None, "other")
             own = phase or _phase_of(name, caller, last_update[0])
             if phase in ADAPT[1:3]:
@@ -92,7 +97,7 @@ def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
                 times[own] += (spent - inner) * 1e3
                 if stack:
                     stack[-1][2] += spent
-            if name == "generate":
+            if name == "_run_generators":
                 blocks.append(len(out[0]))
             return out
         return call
@@ -108,7 +113,7 @@ def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
             setattr(module, name, fn)
     times["other"] += (time.perf_counter() - start) * 1e3 - sum(times.values())
     problems = [f"{r.method} n_t={r.n_t}: {r.error}" for r in results if r.error is not None]
-    return times, sum(blocks), problems
+    return times, sum(blocks), problems, called
 
 
 def main(argv=None) -> int:
@@ -138,6 +143,9 @@ def main(argv=None) -> int:
     print(f"  {'total':<24}{total:9.1f}")
     print(f"generator blocks per seed: {sorted({r[1] for r in runs})}")
     problems = [p for r in runs for p in r[2]]
+    called = set().union(*(r[3] for r in runs))
+    problems += [f"{module.__name__}.{name} made no call; the phase map is stale"
+                 for module, name, _ in TIMED if name not in called]
     for problem in problems:
         print(f"problem: {problem}")
     return 1 if problems else 0

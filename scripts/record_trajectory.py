@@ -61,10 +61,8 @@ def trajectory() -> dict:
     runs = {}
     for method in METHODS:
         trace: list = []
-        if method == "tohan":
-            model = trainers.train_tohan(hypothesis, fewshot, cfg, trace=trace)
-        else:
-            model = trainers.run_two_step(method, hypothesis, fewshot, cfg, trace=trace)
+        model = trainers.run_generator_methods([method], hypothesis, fewshot, cfg,
+                                               traces={method: trace})[method]
         runs[method] = {"enc": _sha(model.enc.params), "cls": _sha(model.cls.params),
                         "trace": _trace_sha(trace), "events": len(trace)}
 

@@ -213,6 +213,8 @@ def _cmd_run(args) -> int:
         raise ConfigError("a task is required (--task or config)")
     if "out" not in doc:
         raise ConfigError("an output path is required (--out or config)")
+    if not isinstance(doc["out"], str) or not doc["out"]:
+        raise ConfigError(f"out must be a non-empty path string, got {doc['out']!r}")
     task = _task_from_config(doc["task"])
     methods = doc.get("methods", list(METHODS))
     if isinstance(methods, str):  # a comma list, as --methods takes it

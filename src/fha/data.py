@@ -319,59 +319,22 @@ def _circle_means(num_classes: int, radius: float, phase_deg: float = 90.0) -> t
     return tuple((radius * float(np.cos(a)), radius * float(np.sin(a))) for a in angles)
 
 
+# name -> (class means, the scale of every class, the target shift); every
+# builtin task is 2-d with 100/60/300 source/target/test samples per class
+_BUILTIN_TASKS = {
+    "rot40": (_circle_means(3, 0.8), 0.35, {"rotation_deg": 40.0}),
+    "rot20": (_circle_means(3, 0.8), 0.35, {"rotation_deg": 20.0}),
+    "rot180": (((-0.7, 0.0), (0.7, 0.0)), 0.25, {"rotation_deg": 180.0}),
+    "shift": (((-0.6, -0.3), (0.6, 0.3)), 0.3, {"translation": (0.5, 0.5)}),
+    "blobs": (_circle_means(3, 0.8), 0.3, {}),
+}
+
+
 def builtin_task(name: str, seed: int = 0) -> TaskSpec:
     """Look up a named task. Known names: rot40, rot20, rot180, shift, blobs."""
-    registry = {
-        "rot40": dict(
-            num_classes=3,
-            dim=2,
-            class_means=_circle_means(3, 0.8),
-            class_scales=(0.35, 0.35, 0.35),
-            rotation_deg=40.0,
-            source_per_class=100,
-            target_per_class=60,
-            test_per_class=300,
-        ),
-        "rot20": dict(
-            num_classes=3,
-            dim=2,
-            class_means=_circle_means(3, 0.8),
-            class_scales=(0.35, 0.35, 0.35),
-            rotation_deg=20.0,
-            source_per_class=100,
-            target_per_class=60,
-            test_per_class=300,
-        ),
-        "rot180": dict(
-            num_classes=2,
-            dim=2,
-            class_means=((-0.7, 0.0), (0.7, 0.0)),
-            class_scales=(0.25, 0.25),
-            rotation_deg=180.0,
-            source_per_class=100,
-            target_per_class=60,
-            test_per_class=300,
-        ),
-        "shift": dict(
-            num_classes=2,
-            dim=2,
-            class_means=((-0.6, -0.3), (0.6, 0.3)),
-            class_scales=(0.3, 0.3),
-            translation=(0.5, 0.5),
-            source_per_class=100,
-            target_per_class=60,
-            test_per_class=300,
-        ),
-        "blobs": dict(
-            num_classes=3,
-            dim=2,
-            class_means=_circle_means(3, 0.8),
-            class_scales=(0.3, 0.3, 0.3),
-            source_per_class=100,
-            target_per_class=60,
-            test_per_class=300,
-        ),
-    }
-    if name not in registry:
-        raise ConfigError(f"unknown task {name!r}; known: {sorted(registry)}")
-    return TaskSpec(name=name, seed=seed, **registry[name])
+    if name not in _BUILTIN_TASKS:
+        raise ConfigError(f"unknown task {name!r}; known: {sorted(_BUILTIN_TASKS)}")
+    means, scale, shift = _BUILTIN_TASKS[name]
+    return TaskSpec(name=name, num_classes=len(means), dim=2, class_means=means,
+                    class_scales=(scale,) * len(means), source_per_class=100,
+                    target_per_class=60, test_per_class=300, seed=seed, **shift)

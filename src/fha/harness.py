@@ -140,26 +140,19 @@ def _method_model(method: str, hypothesis, fewshot, baseline: BaselineConfig, sh
     return model
 
 
-def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig, source_bank: dict,
+def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig, banks: dict,
                 what: str = "shared"):
-    """A lazy, memoized run of the generator methods among ``methods``: one
-    generator run, then one stacked adaptation of them all. Returns each
+    """A lazy, memoized trainers.run_generator_methods run of the generator
+    methods among ``methods``, with the seed's ``banks``. Returns each
     method's model or error; an exception that stops the run is each one's,
-    logged once here as the ``what`` run's.
-    ``source_bank`` holds the seed's source_only bank or error, the same for
-    every n_t: a run that trains it keeps it there, and later ones reuse it."""
+    logged once here as the ``what`` run's."""
     gen_methods = [m for m in methods if m in trainers.GENERATOR_METHODS]
 
     @functools.cache
     def shared():
         try:
-            fresh = [m for m in gen_methods if m != "sfada" or not source_bank]
-            banks, kept = trainers.generate(hypothesis, fewshot, fresh, tohan_cfg)
-            if "source_only" in banks:
-                source_bank["source_only"] = banks["source_only"]
-            banks.update(source_bank)
-            return trainers.adapt_generated(gen_methods, (banks, kept), hypothesis, fewshot,
-                                            tohan_cfg)
+            return trainers.run_generator_methods(gen_methods, hypothesis, fewshot, tohan_cfg,
+                                                  banks=banks)
         except Exception as exc:
             _failure(exc, f"{what} run")
             return dict.fromkeys(gen_methods, exc)
@@ -200,7 +193,7 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
         return _error_results(task.name, methods, shots, seed,
                               _failure(exc, f"seed {seed} setup"))
     tohan_cfg = replace(cfg.tohan, seed=method_seed)
-    results, source_bank = [], {}
+    results, banks = [], {}
     for n_t in shots:
         try:
             fewshot = sample_few_shot(target, n_t, fewshot_seed)
@@ -208,7 +201,7 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
             message = _failure(exc, f"n_t={n_t}/seed={seed} few-shot draw")
             results.extend(_error_results(task.name, methods, [n_t], seed, message))
             continue
-        shared = _shared_run(methods, hypothesis, fewshot, tohan_cfg, source_bank,
+        shared = _shared_run(methods, hypothesis, fewshot, tohan_cfg, banks,
                              f"n_t={n_t}/seed={seed} shared")
         for method in methods:
             start = time.perf_counter()

@@ -1,7 +1,8 @@
 """Training routines: source fitting, the ft and shot baselines, the class
 generators and the adaptation schedule the generator methods share (the
-README's Methods section says what each method trains and how generate and
-adapt_generated split a run).
+README's Methods section says what each method trains, and how
+run_generator_methods runs them all in one generator run and one stacked
+adaptation).
 
 A stack equals its rows run alone, bit for bit: each row block of a
 generator run equals its one-mode run, and each row of an _adapt stack its
@@ -400,7 +401,7 @@ def _step(state: nn.AdamState, params: np.ndarray, grad: np.ndarray, failed: dic
 
 def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
                     modes: tuple[str, ...], cfg: TohanConfig, root: int, epochs: int,
-                    keep: dict | None = None, log: list | None = None) -> tuple[dict, dict]:
+                    keep: dict | None = None, logs: dict | None = None) -> tuple[dict, dict]:
     """Train the class generators of every objective in ``modes`` as one
     (M*N, P) stack with one Adam state and one losses.generator_plan: block m
     holds the N generators on objective modes[m], row n of a block for class n.
@@ -411,8 +412,9 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
     each block follows its one-mode run bit for bit. Returns the trained bank
     of each mode, or its failed block's NumericalError (_step), and, for each
     mode in ``keep``, the (N, gen_batch, dim) batches of its last keep[mode]
-    steps. ``log``, when given, receives the initial stack's digest, then one
-    (loss mean, stack digest) per step; the step losses are built only then.
+    steps. ``logs`` maps a mode to the list that receives its block's initial
+    digest, then one (loss mean, digest) of the block per step; the step
+    losses are built only for a logged run.
     """
     num_classes = hypothesis.cls.arch.out_width
     child = nn.derive_seeds(root, 2 * num_classes)
@@ -428,10 +430,10 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
     plan = losses.generator_plan(modes, num_classes, targets, cfg.tradeoff, cfg.gen_batch)
     blocks = {mode: slice(m * num_classes, (m + 1) * num_classes)
               for m, mode in enumerate(modes)}
-    keep = keep or {}
+    keep, logs = keep or {}, logs or {}
     kept, failed = {mode: [] for mode in keep}, {}
-    if log is not None:
-        log.append(_digest(params))
+    for mode, log in logs.items():
+        log.append(_digest(params[blocks[mode]]))
     for epoch in range(epochs):
         if epoch % _NOISE_CHUNK == 0:  # the same stream as one (B, z_dim) draw per step
             steps = min(_NOISE_CHUNK, epochs - epoch)
@@ -439,14 +441,14 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
                                       for rng in noise], axis=1), (1, len(modes), 1, 1))
         step_losses, grad, generated = losses.generator_objective_and_grad(
             arch, params, hypothesis.enc, hypothesis.cls, chunk[epoch % _NOISE_CHUNK], plan,
-            with_loss=log is not None)
+            with_loss=bool(logs))
         params, state = _step(state, params, grad, failed, num_classes)
         for mode, count in keep.items():
             if epoch >= epochs - count:
                 # a copy, so the other blocks' batches are not kept alive
                 kept[mode].append(generated[blocks[mode]].copy())
-        if log is not None:
-            log.append((float(np.mean(step_losses)), _digest(params)))
+        for mode, log in logs.items():
+            log.append((float(np.mean(step_losses[blocks[mode]])), _digest(params[blocks[mode]])))
     return {mode: failed.get(m) or GeneratorBank(arch, params[blocks[mode]])
             for m, mode in enumerate(modes)}, kept
 
@@ -524,7 +526,7 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
     pair rows in one pass. A stacked row gets the bits it
     gets alone, so block m ends, or fails (_step) with its NumericalError, and
     traces as its one-block run. A trace gets its row's digests; with
-    ``gen_log``, the generator run's log, it keeps the interleaved order: a
+    ``gen_log``, its generator block's log, it keeps the interleaved order: a
     generate event per step, the last len(pools) opening the epochs.
     """
     steps, count = len(blocks[0].pools), len(blocks)
@@ -578,7 +580,7 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
             digests["gens"] = gens[m]
         blocks[m].trace.append(PhaseEvent(epoch, phase, values, digests))
 
-    def generate(m, epochs):
+    def generate_events(m, epochs):
         """Block m's generate events of ``epochs``, read from its generator log."""
         gen_log = blocks[m].gen_log
         for epoch in () if gen_log is None else epochs:
@@ -592,12 +594,12 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
 
     for m in traced:
         event(m, -1, "init", {})
-        generate(m, range(leads[m]))
+        generate_events(m, range(leads[m]))
     model_state = nn.AdamState.init(model.shape, cfg.lr_model)
     model_grad = np.empty(model.shape)
     for k in range(steps):
         for m in (m for m in traced if m not in failed):
-            generate(m, [leads[m] + k])
+            generate_events(m, [leads[m] + k])
         # each block's pool rows, then the few-shots: the order draw_pairs indexes
         feats = np.stack([b.pools[k].features for b in blocks])
         rows = np.concatenate([feats, np.broadcast_to(x_t, (count,) + x_t.shape)], axis=1)
@@ -640,64 +642,60 @@ def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
     return _adapt([block], fewshot, hypothesis, cfg)[0]
 
 
-def generate(hypothesis: SourceHypothesis, fewshot: FewShotSet, methods,
-             cfg: TohanConfig, log: list | None = None) -> tuple[dict, list]:
-    """One generator run for the listed methods, rooted at child 0 of
-    derive_seeds(cfg.seed, 3), for cfg.total_epochs steps: a row block per
-    objective they read, in source_only/target_only/combined order. Returns
-    (bank or failed block's NumericalError per mode, the combined block's last
-    cfg.adapt_epochs batches when tohan is listed); when no method reads a
-    generator, nothing runs. ``log`` is as in _run_generators."""
-    tohan = "tohan" in methods
-    modes = tuple(mode for method, mode in TWO_STEP_MODES.items()  # in block order
-                  if (method in methods and cfg.adapt_epochs > 0)
-                  or (mode == "combined" and tohan))
-    if not modes:
-        return {}, []
-    banks, kept = _run_generators(hypothesis, fewshot, modes, cfg,
-                                  nn.derive_seeds(cfg.seed, 3)[0], cfg.total_epochs,
-                                  {"combined": cfg.adapt_epochs} if tohan else None, log)
-    return banks, kept.get("combined", [])
+def run_generator_methods(methods, hypothesis: SourceHypothesis, fewshot: FewShotSet,
+                          cfg: TohanConfig, *, banks: dict | None = None,
+                          traces: dict | None = None) -> dict[str, TargetModel | NumericalError]:
+    """Run the listed generator methods as one generator run and one stacked
+    _adapt run; returns each method's model or the NumericalError of its
+    failed bank or block.
 
-
-def adapt_generated(methods, run: tuple[dict, list], hypothesis: SourceHypothesis,
-                    fewshot: FewShotSet, cfg: TohanConfig, *, traces: dict | None = None,
-                    gen_log: list | None = None) -> dict[str, TargetModel | NumericalError]:
-    """Adapt the listed generator methods from ``run``, a generate() result
-    that covers them (else a ConfigError), as one stacked _adapt run; returns
-    each method's model or the NumericalError of its failed bank or block.
-
-    tohan adapts over the kept batches, one pool per epoch, with its
-    discriminator seeded by child 1 of derive_seeds(cfg.seed, 3) and its
-    pairs by child 2. A two-step method adapts against one pool sampled from
-    its objective's bank with child 1, seeded as adapt_pairwise with child
-    2, so the two-step methods share one pair stream; at adapt_epochs 0 it
-    keeps the source nets. ``traces`` maps a method to the list that
-    receives its phase events; ``gen_log``, the run's log, adds tohan's
-    generate events.
+    The generator run is rooted at child 0 of derive_seeds(cfg.seed, 3) and
+    takes cfg.total_epochs steps, with a row block per objective the methods
+    read, in source_only/target_only/combined order: a two-step method reads
+    its objective's bank when cfg.adapt_epochs > 0 (at 0 it keeps the source
+    nets), tohan always reads the combined block. tohan adapts over that
+    block's last cfg.adapt_epochs batches, one pool per epoch, with its
+    discriminator seeded by child 1 and its pairs by child 2. A two-step
+    method adapts against one pool sampled from its bank with child 1,
+    seeded as adapt_pairwise with child 2, so the two-step methods share one
+    pair stream. ``banks``, a dict the caller keeps across the few-shot draws
+    of one seed, holds the source_only bank (or its error), which reads no
+    few-shots: a call that trains it stores it there, and later calls read
+    it instead of training it again. ``traces`` maps a method to the list
+    that receives its phase events; a traced tohan gets its block's generate
+    events too.
     """
     methods = list(methods)
     unknown = [m for m in methods if m not in GENERATOR_METHODS]
     if unknown or not methods:
         raise ConfigError(f"methods must be among {list(GENERATOR_METHODS)}, got {methods}")
-    banks, kept = run
+    banks = {} if banks is None else banks
     traces = traces or {}
-    _, first, second = nn.derive_seeds(cfg.seed, 3)
+    root, first, second = nn.derive_seeds(cfg.seed, 3)
+    tohan = "tohan" in methods
+    modes = tuple(mode for method, mode in TWO_STEP_MODES.items()  # in block order
+                  if (method in methods and cfg.adapt_epochs > 0 and mode not in banks)
+                  or (mode == "combined" and tohan))
+    gen_log = [] if traces.get("tohan") is not None else None
+    trained, kept = {}, {}
+    if modes:
+        trained, kept = _run_generators(hypothesis, fewshot, modes, cfg, root, cfg.total_epochs,
+                                        {"combined": cfg.adapt_epochs} if tohan else None,
+                                        None if gen_log is None else {"combined": gen_log})
+    if "source_only" in trained:
+        banks["source_only"] = trained["source_only"]
+    trained.update(banks)
     models = dict.fromkeys(methods, TargetModel(enc=hypothesis.enc, cls=hypothesis.cls))
     blocks = {}
     for method in methods:
-        mode = "combined" if method == "tohan" else TWO_STEP_MODES[method]
-        if (mode not in banks and (method == "tohan" or cfg.adapt_epochs > 0)) or (
-                method == "tohan" and len(kept) != cfg.adapt_epochs):
-            raise ConfigError(f"the generator run does not cover {method}")
-        bank = banks.get(mode)
+        bank = trained.get("combined" if method == "tohan" else TWO_STEP_MODES[method])
         if isinstance(bank, NumericalError):
             models[method] = bank
         elif method == "tohan":
-            blocks[method] = _Block([_labeled_pool(b) for b in kept], first, second,
+            blocks[method] = _Block([_labeled_pool(b) for b in kept["combined"]], first, second,
                                     traces.get(method), gen_log)
         elif cfg.adapt_epochs > 0:
-            pool = sample_pool(banks[TWO_STEP_MODES[method]], cfg.gen_batch, first)
+            pool = sample_pool(bank, cfg.gen_batch, first)
             blocks[method] = _Block([pool] * cfg.adapt_epochs, *nn.derive_seeds(second, 2),
                                     traces.get(method))
     if blocks:
@@ -714,8 +712,8 @@ def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
     """
     if method not in TWO_STEP_MODES:
         raise ConfigError(f"method must be one of {sorted(TWO_STEP_MODES)}")
-    return adapt_generated([method], generate(hypothesis, fewshot, [method], cfg),
-                           hypothesis, fewshot, cfg, traces={method: trace})[method]
+    return run_generator_methods([method], hypothesis, fewshot, cfg,
+                                 traces={method: trace})[method]
 
 
 def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanConfig,
@@ -728,10 +726,8 @@ def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanCon
     objective never reads the adapted model, so this equals interleaving the
     two loops, and the trace keeps the interleaved order.
     """
-    gen_log = None if trace is None else []
-    run = generate(hypothesis, fewshot, ["tohan"], cfg, gen_log)
-    return adapt_generated(["tohan"], run, hypothesis, fewshot, cfg,
-                           traces={"tohan": trace}, gen_log=gen_log)["tohan"]
+    return run_generator_methods(["tohan"], hypothesis, fewshot, cfg,
+                                 traces={"tohan": trace})["tohan"]
 
 
 def group_discriminator_accuracy(disc: nn.Net, enc: nn.Net, intermediate: LabeledPool,

@@ -317,6 +317,25 @@ class TestRun:
     def test_out_required(self):
         assert cli.main(["run", "--task", "rot20"]) == 2
 
+    @pytest.mark.parametrize("out", [True, 2, 7, "", None, ["r.jsonl"]], ids=repr)
+    def test_out_not_a_non_empty_string_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                       out):
+        """Checked before any file is removed or any run starts: an integer
+        out was a file descriptor to os.path.exists, os.remove and open."""
+        monkeypatch.setattr(os, "remove", lambda *a: pytest.fail("removed a file"))
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran the grid"))
+        cfg = _mini_run_config(tmp_path / "r.jsonl")
+        cfg["out"] = out
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: out must be a non-empty path string, got {out!r}\n")
+
+    def test_empty_out_flag_is_usage_error(self, capsys):
+        assert cli.main(["run", "--task", "rot20", "--out", ""]) == 2
+        assert capsys.readouterr().err == "error: out must be a non-empty path string, got ''\n"
+
     def test_unknown_config_field_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"task": "rot20", "output": "x"}),

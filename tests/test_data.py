@@ -1,5 +1,7 @@
 """Tests for synthetic tasks, the few-shot protocol, and dataset I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -357,6 +359,23 @@ def _corrupt(data, blob: bytes) -> bytes:
     return bytes(out[:data.draw(st.integers(0, len(blob)))])
 
 
+_CIRCLE3 = ((4.898587196589413e-17, 0.8), (-0.6928203230275509, -0.40000000000000013),
+            (0.6928203230275507, -0.40000000000000036))  # three means on a radius-0.8 circle
+_COUNTS = dict(dim=2, source_per_class=100, target_per_class=60, test_per_class=300)
+BUILTIN_SPECS = {
+    "rot40": dict(num_classes=3, class_means=_CIRCLE3, class_scales=(0.35, 0.35, 0.35),
+                  rotation_deg=40.0, translation=None, **_COUNTS),
+    "rot20": dict(num_classes=3, class_means=_CIRCLE3, class_scales=(0.35, 0.35, 0.35),
+                  rotation_deg=20.0, translation=None, **_COUNTS),
+    "rot180": dict(num_classes=2, class_means=((-0.7, 0.0), (0.7, 0.0)),
+                   class_scales=(0.25, 0.25), rotation_deg=180.0, translation=None, **_COUNTS),
+    "shift": dict(num_classes=2, class_means=((-0.6, -0.3), (0.6, 0.3)),
+                  class_scales=(0.3, 0.3), rotation_deg=0.0, translation=(0.5, 0.5), **_COUNTS),
+    "blobs": dict(num_classes=3, class_means=_CIRCLE3, class_scales=(0.3, 0.3, 0.3),
+                  rotation_deg=0.0, translation=None, **_COUNTS),
+}
+
+
 class TestBuiltinTasks:
     def test_known_names_build_and_draw(self):
         for name in ("rot40", "rot20", "rot180", "shift", "blobs"):
@@ -370,6 +389,15 @@ class TestBuiltinTasks:
         assert spec.num_classes == 3
         assert spec.dim == 2
         assert spec.rotation_deg == 40.0
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SPECS))
+    def test_spec_fields(self, name):
+        """Each builtin spec, field by field; repr pins the value types too."""
+        spec = builtin_task(name, seed=4)
+        want = {**BUILTIN_SPECS[name], "name": name, "seed": 4}
+        assert set(want) == {f.name for f in dataclasses.fields(TaskSpec)}
+        for key, value in want.items():
+            assert repr(getattr(spec, key)) == repr(value), key
 
     def test_seed_is_passed_through(self):
         assert builtin_task("rot40", seed=9).seed == 9

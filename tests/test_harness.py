@@ -535,12 +535,9 @@ class TestSharedAdaptation:
     def test_blocks_equal_single_method_runs(self, monkeypatch, task, n_t, variant, methods):
         hyp, fewshot, cfg, direct = _shared_setup(task, n_t, *ADAPT_VARIANTS[variant])
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        gen_log = []
-        run = trainers.generate(hyp, fewshot, methods, tohan_cfg, gen_log)
         stacked = {method: [] for method in methods}
         blocks = _spy_adapt(monkeypatch)
-        models = trainers.adapt_generated(methods, run, hyp, fewshot, tohan_cfg,
-                                          traces=stacked, gen_log=gen_log)
+        models = trainers.run_generator_methods(methods, hyp, fewshot, tohan_cfg, traces=stacked)
         # one stacked run; a two-step method at adapt_epochs 0 keeps the source nets
         adapting = [m for m in methods if m == "tohan" or tohan_cfg.adapt_epochs > 0]
         assert blocks == [len(adapting)]
@@ -548,8 +545,8 @@ class TestSharedAdaptation:
         for method in methods:
             assert _model_bytes(models[method]) == direct[method], method
             alone = []
-            trainers.adapt_generated([method], run, hyp, fewshot, tohan_cfg,
-                                     traces={method: alone}, gen_log=gen_log)
+            trainers.run_generator_methods([method], hyp, fewshot, tohan_cfg,
+                                           traces={method: alone})
             assert stacked[method] == alone, method
             assert bool(alone) == (method == "tohan" or tohan_cfg.adapt_epochs > 0)
 

@@ -93,6 +93,10 @@ def _snapshot(hypothesis):
     return hypothesis.enc.params.tobytes(), hypothesis.cls.params.tobytes()
 
 
+def _model_bytes(model):
+    return model.enc.params.tobytes(), model.cls.params.tobytes()
+
+
 # which parameter sets each trace phase is allowed (and required) to change
 PHASE_CHANGES = {
     "generate": {"gens"},
@@ -797,22 +801,6 @@ class TestRunTwoStep:
         assert "generate" not in phases  # the pool is frozen before adaptation
 
 
-class TestAdaptGenerated:
-    @pytest.mark.parametrize("method", ["sfada", "tfada", "stfada", "tohan"])
-    def test_run_without_the_method_rejected(self, method):
-        with pytest.raises(ConfigError, match=f"does not cover {method}$"):
-            trainers.adapt_generated([method], ({}, []), _hypothesis(), _fewshot(),
-                                     _tiny_cfg())
-
-    def test_tohan_run_without_its_kept_batches_rejected(self):
-        hyp, fs, cfg = _hypothesis(), _fewshot(), _tiny_cfg()
-        banks, kept = trainers.generate(hyp, fs, ["tohan"], cfg)
-        assert len(kept) == cfg.adapt_epochs
-        for short in ([], kept[1:]):
-            with pytest.raises(ConfigError, match="does not cover tohan$"):
-                trainers.adapt_generated(["tohan"], (banks, short), hyp, fs, cfg)
-
-
 class TestTrainTohan:
     def _run(self, cfg=None, trace=None):
         return trainers.train_tohan(_hypothesis(), _fewshot(),
@@ -917,34 +905,62 @@ class TestTrainTohan:
         )
 
 
-class TestGenerate:
+def _spy_generators(monkeypatch):
+    """Record the modes and the (banks, kept) result of every generator run."""
+    run_generators, started = trainers._run_generators, []
+
+    def run(hypothesis, fewshot, modes, *args):
+        out = run_generators(hypothesis, fewshot, modes, *args)
+        started.append((modes, out))
+        return out
+
+    monkeypatch.setattr(trainers, "_run_generators", run)
+    return started
+
+
+class TestRunGeneratorMethods:
     @pytest.mark.parametrize("methods,adapt_epochs,modes", [
-        (("wa", "ft", "shot"), 3, ()),
         (("sfada",), 0, ()),
         (("tohan",), 3, ("combined",)),
         (("stfada", "sfada"), 3, ("source_only", "combined")),
         (("tfada", "tohan"), 0, ("combined",)),
-        (trainers.METHODS, 3, ("source_only", "target_only", "combined")),
+        (trainers.GENERATOR_METHODS, 3, ("source_only", "target_only", "combined")),
     ], ids=repr)
     def test_one_block_per_objective_read(self, monkeypatch, methods, adapt_epochs, modes):
-        run_generators, started = trainers._run_generators, []
+        started = _spy_generators(monkeypatch)
+        models = trainers.run_generator_methods(methods, _hypothesis(), _fewshot(),
+                                                _tiny_cfg(adapt_epochs=adapt_epochs))
+        assert list(models) == list(methods)
+        assert [run_modes for run_modes, _ in started] == ([modes] if modes else [])
+        if modes:
+            banks, kept = started[0][1]
+            assert tuple(banks) == modes
+            batches = kept.get("combined", [])
+            assert len(batches) == (adapt_epochs if "tohan" in methods else 0)
+            assert all(batch.shape == (3, 4, 2) for batch in batches)
 
-        def run(hypothesis, fewshot, modes, *args):
-            started.append(modes)
-            return run_generators(hypothesis, fewshot, modes, *args)
-
-        monkeypatch.setattr(trainers, "_run_generators", run)
-        banks, kept = trainers.generate(_hypothesis(), _fewshot(), methods,
-                                        _tiny_cfg(adapt_epochs=adapt_epochs))
-        assert started == ([modes] if modes else [])
-        assert tuple(banks) == modes
-        assert len(kept) == (adapt_epochs if "tohan" in methods else 0)
-        assert all(batch.shape == (3, 4, 2) for batch in kept)
-
-    @pytest.mark.parametrize("method", ["wa", "ft", "nope"])
-    def test_adapt_rejects_non_generator_methods(self, method):
+    @pytest.mark.parametrize("methods", [["wa"], ["ft"], ["nope"], ["tohan", "shot"], []],
+                             ids=repr)
+    def test_rejects_non_generator_methods(self, methods):
         with pytest.raises(ConfigError):
-            trainers.adapt_generated([method], ({}, []), _hypothesis(), _fewshot(), _tiny_cfg())
+            trainers.run_generator_methods(methods, _hypothesis(), _fewshot(), _tiny_cfg())
+
+    def test_second_call_reuses_the_source_only_bank(self, monkeypatch):
+        """A call with the banks of an earlier one trains only the blocks that
+        read the few-shots, and returns the bytes a call without them does."""
+        hyp, cfg, methods = _hypothesis(), _tiny_cfg(), trainers.GENERATOR_METHODS
+        started, banks = _spy_generators(monkeypatch), {}
+        trainers.run_generator_methods(methods, hyp, _fewshot(n_t=1), cfg, banks=banks)
+        assert list(banks) == ["source_only"]
+        source_only = banks["source_only"]
+        reused = trainers.run_generator_methods(methods, hyp, _fewshot(), cfg, banks=banks)
+        fresh = trainers.run_generator_methods(methods, hyp, _fewshot(), cfg)
+        assert banks == {"source_only": source_only}
+        assert [run_modes for run_modes, _ in started] == [
+            ("source_only", "target_only", "combined"), ("target_only", "combined"),
+            ("source_only", "target_only", "combined")]
+        for method in methods:
+            assert _model_bytes(reused[method]) == _model_bytes(fresh[method]), method
 
 
 # the losses whose gradient each kind of Adam step reads
@@ -1033,13 +1049,10 @@ class TestDivergence:
         """A failing block's error and trace, generate events included, are
         its one-method run's; the other block keeps its model and trace."""
         hyp, fs, cfg, methods = _hypothesis(), _fewshot(), _tiny_cfg(), ("sfada", "tohan")
-        gen_log = []
-        run = trainers.generate(hyp, fs, methods, cfg, gen_log)
 
         def adapt(names):
             traces = {m: [] for m in names}
-            return trainers.adapt_generated(names, run, hyp, fs, cfg, traces=traces,
-                                            gen_log=gen_log), traces
+            return trainers.run_generator_methods(names, hyp, fs, cfg, traces=traces), traces
 
         other = methods[1 - methods.index(failing)]
         clean, clean_traces = adapt([other])
@@ -1050,8 +1063,7 @@ class TestDivergence:
         with monkeypatch.context() as mp:
             _poison_grad(mp, kind, after=after)
             with pytest.raises(NumericalError, match=DIVERGED):
-                trainers.adapt_generated([failing], run, hyp, fs, cfg,
-                                         traces={failing: alone}, gen_log=gen_log)
+                trainers.run_generator_methods([failing], hyp, fs, cfg, traces={failing: alone})
         assert isinstance(models[failing], NumericalError)
         assert re.match(DIVERGED, str(models[failing]))
         assert traces[failing] == alone and len(alone) > 1
