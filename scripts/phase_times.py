@@ -53,7 +53,7 @@ TIMED = (
     (losses, "adaptation_loss_and_grads", "adapt: model updates"),
     (trainers, "train_ft", "train_ft + train_shot"),
     (trainers, "train_shot", "train_ft + train_shot"),
-    (nn, "adam_step", None),
+    (nn, "adam_into", None),
     (nn, "forward", None),
 )
 
@@ -63,12 +63,12 @@ def _phase_of(name, caller, last_update):
     function ``caller`` (a (function, phase) pair): the source fitting's or
     the generators' Adam, the adaptation update it steps or the encoder pass
     a discriminator update reads, or else the caller's own phase."""
-    if caller[0] == "train_source" and name == "adam_step":
+    if caller[0] == "train_source" and name == "adam_into":
         return "train_source: Adam"
-    if caller[0] == "_run_generators" and name == "adam_step":
+    if caller[0] == "_run_generators" and name == "adam_into":
         return "generate: Adam"
     if caller[0] == "run_generator_methods":
-        return last_update if name == "adam_step" else "adapt: disc updates"
+        return last_update if name == "adam_into" else "adapt: disc updates"
     return caller[1]
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn, trainers
 from .data import MAX_SHOTS, Dataset, TaskSpec, make_synthetic_task, sample_few_shot
-from .errors import ConfigError, FHAError, InsufficientDataError
+from .errors import ConfigError, FHAError, InsufficientDataError, ProtocolError
 from .trainers import METHODS, BaselineConfig, SourceTrainConfig, TohanConfig
 
 log = logging.getLogger("fha.harness")
@@ -224,7 +224,8 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
 
 def _check_grid(methods, shots, seeds, jobs):
     """The checked grid of run_experiment: (methods, shots, seeds) as lists,
-    shots, seeds and jobs as ints, or a ConfigError."""
+    shots, seeds and jobs as ints, or a ConfigError (a ProtocolError for a
+    shot count outside 1..MAX_SHOTS)."""
     methods = list(methods)
     shots = [nn._as_int(s, "shots") for s in shots]
     seeds = [nn._as_int(s, "seeds") for s in seeds]
@@ -239,6 +240,9 @@ def _check_grid(methods, shots, seeds, jobs):
             raise ConfigError(f"{name} must be distinct")
     if min(seeds) < 0:
         raise ConfigError("seeds must be non-negative")
+    for n_t in shots:
+        if not 1 <= n_t <= MAX_SHOTS:
+            raise ProtocolError(f"n_t must be in [1, {MAX_SHOTS}], got {n_t}")
     if jobs < 1:
         raise ConfigError("jobs must be positive")
     return methods, shots, seeds, jobs

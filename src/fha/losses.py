@@ -205,13 +205,13 @@ def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def _softmax_ce(enc_arch: nn.ArchSpec, enc: list, enc_grad: list,
                 cls_arch: nn.ArchSpec, cls: list, cls_grad: list | None,
-                x: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+                x: np.ndarray, labels: np.ndarray, with_loss=True) -> float | np.ndarray | None:
     """softmax_ce_and_grads on checked inputs, each net and gradient buffer
     bound by nn._layers: writes the gradients (none for the classifier
-    without ``cls_grad``) and returns the loss."""
+    without ``cls_grad``) and returns the loss, or None without ``with_loss``."""
     emb, enc_acts = nn._forward(enc_arch, enc, x)
     probs, cls_acts = nn._forward(cls_arch, cls, emb)
-    loss, g = _ce_parts(probs, labels, logits=True)
+    loss, g = _ce_parts(probs, labels, with_loss, logits=True)
     emb_g = nn._backward(cls_arch, cls, cls_acts, g, cls_grad)
     nn._backward(enc_arch, enc, enc_acts, nn._head_grad(enc_arch, emb, emb_g), enc_grad,
                  want_input=False)
@@ -449,8 +449,7 @@ def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
         enc, cls = source_enc.arch, source_cls.arch
         if (arch.out_width, enc.out_width, cls.head) != (enc.in_width, cls.in_width, "softmax"):
             raise ConfigError("the generators must feed the encoder, and it a softmax head")
-        enc_layers = nn._layers(enc, source_enc.params)
-        cls_layers = nn._layers(cls, source_cls.params)
+        enc_layers, cls_layers = source_enc.layers, source_cls.layers
         emb, enc_acts = nn._forward(enc, enc_layers, generated[plan.src])
         probs, cls_acts = nn._forward(cls, cls_layers, emb)
         picked = probs[plan.src_pick]

@@ -11,9 +11,10 @@ so equal seeds give bit-identical results whether nets run alone or stacked.
 Every public call checks its inputs, binds per-layer (weight, bias) views of
 the parameters once (_layers) and runs one unchecked core (_forward,
 _backward) over them, one code path for a net and a stack; every training
-pass in losses checks once and runs these cores too. The training loops
-check once at entry, bind their parameter and gradient buffers once, and
-copy each Adam result into the bound buffer. Apart from those buffers,
+pass in losses checks once and runs these cores too (a Net binds its views
+once, for the passes that read a frozen Net). The training loops check once at entry, bind their parameter
+and gradient buffers once, and step Adam (adam_into) in place on those
+buffers and moment buffers they allocated. Apart from those buffers,
 nothing writes in place into an array it did not allocate: not the
 parameters, the batch, an upstream gradient or a cache.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from numbers import Real
 
 import numpy as np
@@ -260,10 +261,12 @@ def backward_from_cache(arch, params, acts, upstream):
 
 @dataclass(frozen=True)
 class Net:
-    """An architecture bound to a read-only parameter vector."""
+    """An architecture bound to a read-only parameter vector, and its
+    per-layer views (_layers), bound once for the passes in losses."""
 
     arch: ArchSpec
     params: np.ndarray
+    layers: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         params = np.array(_check_params(self.arch, self.params), copy=True)
@@ -273,6 +276,7 @@ class Net:
             raise NumericalError("network parameters must be finite")
         params.setflags(write=False)
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "layers", _layers(self.arch, params))
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         return forward(self.arch, self.params, batch)
@@ -287,7 +291,8 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Adam moments and step count at one lr; adam_step returns a new state."""
+    """Adam moments and step count at one lr; adam_step returns a new state,
+    adam_into writes one."""
 
     m: np.ndarray
     v: np.ndarray
@@ -300,27 +305,46 @@ class AdamState:
         return cls(m=np.zeros(shape), v=np.zeros(shape), lr=float(lr))
 
 
+def adam_into(state: AdamState, params: np.ndarray, grad: np.ndarray, out: AdamState,
+              out_params: np.ndarray) -> None:
+    """One Adam update from ``state`` and ``params`` on ``grad``, written into
+    ``out`` (its moments, step and lr) and ``out_params``: float64 buffers
+    of the shape of ``params``, which the caller owns and has checked.
+    ``out`` may be ``state`` and ``out_params`` ``params``, a step in place.
+    A non-finite gradient raises before anything is written."""
+    if not np.isfinite(grad).all():
+        raise NumericalError("non-finite gradient in adam_step")
+    t = state.t + 1
+    # m' = b1 m + (1 - b1) g and v' = b2 v + (1 - b2) g g, each product and sum
+    # in this order or commuted (the same bits); state is read before out is written
+    work = grad * (1.0 - _BETA1)
+    np.multiply(state.m, _BETA1, out=out.m)
+    out.m += work
+    np.multiply(grad, 1.0 - _BETA2, out=work)
+    work *= grad
+    np.multiply(state.v, _BETA2, out=out.v)
+    out.v += work
+    np.divide(out.m, 1.0 - _BETA1**t, out=work)
+    work *= state.lr
+    denom = out.v / (1.0 - _BETA2**t)
+    np.sqrt(denom, out=denom)
+    denom += _EPS
+    work /= denom
+    np.subtract(params, work, out=out_params)
+    out.t, out.lr = t, state.lr
+
+
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
-    """One Adam update of parameters of any shape; returns (new_params, new_state)."""
+    """One Adam update of parameters of any shape into fresh buffers (adam_into);
+    returns (new_params, new_state) and leaves its inputs untouched."""
     params = np.asarray(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ConfigError("params, grad, and state must share one shape")
-    if not np.isfinite(grad).all():
-        raise NumericalError("non-finite gradient in adam_step")
-    t = state.t + 1
-    m = _BETA1 * state.m
-    m += (1.0 - _BETA1) * grad
-    v = (1.0 - _BETA2) * grad
-    v *= grad
-    v += _BETA2 * state.v
-    step = m / (1.0 - _BETA1**t)
-    step *= state.lr
-    denom = v / (1.0 - _BETA2**t)
-    np.sqrt(denom, out=denom)
-    denom += _EPS
-    step /= denom
-    return params - step, AdamState(m=m, v=v, t=t, lr=state.lr)
+    new = AdamState(np.empty(params.shape), np.empty(params.shape))
+    new_params = np.empty(params.shape)
+    adam_into(state, params, grad, new, new_params)
+    return new_params, new
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,13 @@ adaptation).
 
 A stack equals its rows run alone, bit for bit: each row block of a
 generator run equals its one-mode run, and each row of an _adapt stack its
-one-block run, trace included. A diverging block fails alone (_step), with
+one-block run, trace included. A diverging block fails alone (_Adam), with
 the NumericalError its one-block run raises.
 
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and an update writes only into arrays its
-routine allocated. Equal seeds give bit-identical outputs.
+routine allocated: each loop steps Adam (nn.adam_into) in place on its own
+parameter and moment buffers. Equal seeds give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -294,7 +295,7 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
     split, grad = enc_arch.n_params, np.empty(params.size)
     # checked once (the Dataset holds finite features of the encoder's width); each
     # step runs the unchecked pass on views of params and grad bound once, and
-    # adam_step's result is copied into params, so the views stay valid
+    # Adam steps params and the state's moments in place, so the views stay valid
     y_train = losses._check_labels(y_train, (len(y_train), cls_arch.out_width))
     nets = (enc_arch, nn._layers(enc_arch, params[:split]), nn._layers(enc_arch, grad[:split]),
             cls_arch, nn._layers(cls_arch, params[split:]), nn._layers(cls_arch, grad[split:]))
@@ -308,11 +309,16 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
         np.take(x_train, order, axis=0, out=x_epoch)
         np.take(y_train, order, out=y_epoch)
         for start in range(0, n, cfg.batch_size):
-            stop = start + cfg.batch_size
-            loss = losses._softmax_ce(*nets, x_epoch[start:stop], y_epoch[start:stop])
-            if not math.isfinite(loss):
-                raise NumericalError("source training diverged (non-finite loss)")
-            params[:], state = nn.adam_step(state, params, grad)
+            batch = x_epoch[start:start + cfg.batch_size], y_epoch[start:start + cfg.batch_size]
+            losses._softmax_ce(*nets, *batch, with_loss=False)
+            try:
+                nn.adam_into(state, params, grad, state, params)
+            except NumericalError:
+                # the loss is built only here: a non-finite one needs a NaN
+                # true-class probability, which makes the gradient NaN too
+                if not math.isfinite(losses._softmax_ce(*nets, *batch)):
+                    raise NumericalError("source training diverged (non-finite loss)") from None
+                raise
 
     enc = nn.Net(enc_arch, params[:split])
     cls = nn.Net(cls_arch, params[split:])
@@ -346,7 +352,7 @@ def train_ft(hypothesis: SourceHypothesis, fewshot: FewShotSet,
         probs, acts = nn._forward(arch, net, emb)
         g = losses._ce_parts(probs, labels, with_loss=False, logits=True)[1]
         nn._backward(arch, net, acts, g, net_grad, want_input=False)
-        params[:], state = nn.adam_step(state, params, grad)
+        nn.adam_into(state, params, grad, state, params)
     return TargetModel(enc=hypothesis.enc, cls=nn.Net(arch, params))
 
 
@@ -362,8 +368,8 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
     nets = (enc_arch, nn._layers(enc_arch, params), nn._layers(enc_arch, grad),
             cls.arch, nn._layers(cls.arch, cls.params), None)
     for _ in range(cfg.epochs):
-        losses._softmax_ce(*nets, x, labels)
-        params[:], state = nn.adam_step(state, params, grad)
+        losses._softmax_ce(*nets, x, labels, with_loss=False)
+        nn.adam_into(state, params, grad, state, params)
     return TargetModel(enc=nn.Net(enc_arch, params), cls=cls)
 
 
@@ -371,46 +377,58 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
 # generators
 
 
-def _step(state: nn.AdamState, params: np.ndarray, grad: np.ndarray, failed: dict,
-          rows: int = 1) -> tuple[np.ndarray, nn.AdamState]:
-    """nn.adam_step of a stack of ``rows``-row blocks. Once a whole-stack check
-    fails, each failing block goes into ``failed`` with its one-block run's
-    NumericalError and steps finite on a zero gradient from then on, so (Adam
-    being elementwise) the others keep their bits. Raises once none is left."""
-    count = len(params) // rows
-    if failed:
-        grad[np.repeat(np.isin(np.arange(count), list(failed)), rows)] = 0.0
-    try:
-        stepped = nn.adam_step(state, params, grad)
-        if np.isfinite(stepped[0]).all():
-            return stepped
-    except NumericalError:
-        pass
-    bad_grad = ~np.isfinite(grad).reshape(count, -1).all(axis=1)
-    grad[np.repeat(bad_grad, rows)] = 0.0
-    new, state = nn.adam_step(state, params, grad)
-    bad = np.repeat(~np.isfinite(new).reshape(count, -1).all(axis=1), rows)
-    new[bad] = params[bad]
-    for m in np.flatnonzero(bad_grad | bad[::rows]):
-        failed.setdefault(int(m), NumericalError("non-finite gradient in adam_step" if bad_grad[m]
-                                                 else "network parameters must be finite"))
-    if len(failed) == count:
-        raise list(failed.values())[-1]
-    return new, state
+class _Adam:
+    """Adam on ``params``, a stack of ``rows``-row blocks, stepped in place:
+    nn.adam_into runs into spare moment and parameter buffers, committed once
+    the whole stack is finite. Once that check fails, each failing block goes
+    into ``failed`` with its one-block run's NumericalError and steps finite
+    on a zero gradient from then on, so (Adam being elementwise) the others
+    keep their bits. A step raises once no block is left."""
+
+    def __init__(self, params: np.ndarray, lr: float, failed: dict, rows: int = 1):
+        self.params, self.failed, self.rows = params, failed, rows
+        self.state, self.spare = (nn.AdamState.init(params.shape, lr) for _ in range(2))
+        self.new = np.empty(params.shape)
+
+    def step(self, grad: np.ndarray) -> None:
+        params, new, failed, rows = self.params, self.new, self.failed, self.rows
+        count = len(params) // rows
+        if failed:
+            grad[np.repeat(np.isin(np.arange(count), list(failed)), rows)] = 0.0
+        try:
+            nn.adam_into(self.state, params, grad, self.spare, new)
+            finite = np.isfinite(new).all()
+        except NumericalError:
+            finite = False
+        if not finite:
+            bad_grad = ~np.isfinite(grad).reshape(count, -1).all(axis=1)
+            grad[np.repeat(bad_grad, rows)] = 0.0
+            nn.adam_into(self.state, params, grad, self.spare, new)
+            bad = np.repeat(~np.isfinite(new).reshape(count, -1).all(axis=1), rows)
+            new[bad] = params[bad]
+            for m in np.flatnonzero(bad_grad | bad[::rows]):
+                failed.setdefault(int(m), NumericalError(
+                    "non-finite gradient in adam_step" if bad_grad[m]
+                    else "network parameters must be finite"))
+            if len(failed) == count:
+                raise list(failed.values())[-1]
+        params[...] = new
+        self.state, self.spare = self.spare, self.state
 
 
 def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
                     modes: tuple[str, ...], cfg: TohanConfig, root: int, epochs: int,
                     keep: dict | None = None, logs: dict | None = None) -> tuple[dict, dict]:
     """Train the class generators of every objective in ``modes`` as one
-    (M*N, P) stack with one Adam state and one losses.generator_plan: block m
-    holds the N generators on objective modes[m], row n of a block for class n.
+    (M*N, P) stack in one buffer with one Adam state and one
+    losses.generator_plan: block m holds the N generators on objective
+    modes[m], row n of a block for class n.
 
     Seeds follow derive_seeds(root, 2 * num_classes): child 2n initializes
     generator n and child 2n + 1 drives its noise stream, drawn in class order.
     Every block starts from the same init rows and reads the same noise, so
     each block follows its one-mode run bit for bit. Returns the trained bank
-    of each mode, or its failed block's NumericalError (_step), and, for each
+    of each mode, or its failed block's NumericalError (_Adam), and, for each
     mode in ``keep``, the (N, gen_batch, dim) batches of its last keep[mode]
     steps. ``logs`` maps a mode to the list that receives its block's initial
     digest, then one (loss mean, digest) of the block per step; the step
@@ -421,7 +439,6 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
     arch = default_generator_arch(cfg.z_dim, hypothesis.enc.arch.in_width, cfg.gen_hidden)
     init = np.stack([nn.init_params(arch, child[2 * n]) for n in range(num_classes)])
     params = np.tile(init, (len(modes), 1))
-    state = nn.AdamState.init(params.shape, cfg.lr_gen)
     noise = [np.random.default_rng(child[2 * n + 1]) for n in range(num_classes)]
     targets = None  # the plan refuses a target mode without the shots of every class
     if fewshot is not None and fewshot.num_classes >= num_classes:
@@ -432,6 +449,7 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
               for m, mode in enumerate(modes)}
     keep, logs = keep or {}, logs or {}
     kept, failed = {mode: [] for mode in keep}, {}
+    adam = _Adam(params, cfg.lr_gen, failed, num_classes)
     for mode, log in logs.items():
         log.append(_digest(params[blocks[mode]]))
     for epoch in range(epochs):
@@ -442,7 +460,7 @@ def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
         step_losses, grad, generated = losses.generator_objective_and_grad(
             arch, params, hypothesis.enc, hypothesis.cls, chunk[epoch % _NOISE_CHUNK], plan,
             with_loss=bool(logs))
-        params, state = _step(state, params, grad, failed, num_classes)
+        adam.step(grad)
         for mode, count in keep.items():
             if epoch >= epochs - count:
                 # a copy, so the other blocks' batches are not kept alive
@@ -512,7 +530,8 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
            cfg: TohanConfig) -> list[TargetModel | NumericalError]:
     """The adaptation schedule of the two-step and one-step methods, for M
     blocks at once: row m of an (M, P) stack each of encoder + classifier
-    models and of discriminators is block m's, with one Adam state per stack.
+    models and of discriminators is block m's, each stack one buffer for the
+    whole run with one Adam state.
 
     Each block starts from the source nets and a discriminator seeded by its
     disc_seed, and holds one intermediate pool per epoch. The discriminator
@@ -524,7 +543,7 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
     the pretraining updates their pair embeddings from one embedding of the
     pool and few-shot rows, and each later discriminator update embeds its
     pair rows in one pass. A stacked row gets the bits it
-    gets alone, so block m ends, or fails (_step) with its NumericalError, and
+    gets alone, so block m ends, or fails (_Adam) with its NumericalError, and
     traces as its one-block run. A trace gets its row's digests; with
     ``gen_log``, its generator block's log, it keeps the interleaved order: a
     generate event per step, the last len(pools) opening the epochs.
@@ -559,13 +578,13 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
                  for rng in rngs]
         return (np.stack([drawn[s][side] for s in stream_of]) for side in (0, 1))
 
-    def disc_update(k, embed, state):  # embed: indices into ``rows`` -> frozen-encoder rows
+    def disc_update(k, embed):  # embed: indices into ``rows`` -> frozen-encoder rows
         ia, ib = draw(k, ALL_GROUPS, cfg.per_group)
         emb = embed(np.concatenate([ia, ib], axis=1))
         joint = np.concatenate([emb[:, :groups.size], emb[:, groups.size:]], axis=-1)
         loss, grad = losses.group_ce_and_disc_grad(disc, joint, groups)
-        params, state = _step(state, disc.params, grad, failed)
-        return disc._replace(params=params), state, loss
+        disc_adam.step(grad)
+        return loss
 
     traced = [m for m, b in enumerate(blocks) if b.trace is not None]
     failed = {}  # block -> its NumericalError, for the model and discriminator steps
@@ -595,7 +614,7 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
     for m in traced:
         event(m, -1, "init", {})
         generate_events(m, range(leads[m]))
-    model_state = nn.AdamState.init(model.shape, cfg.lr_model)
+    model_adam = _Adam(model, cfg.lr_model, failed)
     model_grad = np.empty(model.shape)
     for k in range(steps):
         for m in (m for m in traced if m not in failed):
@@ -605,22 +624,20 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
         rows = np.concatenate([feats, np.broadcast_to(x_t, (count,) + x_t.shape)], axis=1)
         if k == 0:  # pretraining reads the source encoder: embed its rows once
             emb = nn.forward(enc.arch, enc.params, rows) if cfg.disc_pretrain_epochs else None
-            disc_state = nn.AdamState.init(disc.params.shape, cfg.lr_disc_pretrain)
+            disc_adam = _Adam(disc.params, cfg.lr_disc_pretrain, failed)
             for _ in range(cfg.disc_pretrain_epochs):
-                disc, disc_state, loss = disc_update(k, lambda i: emb[block_rows, i], disc_state)
+                loss = disc_update(k, lambda i: emb[block_rows, i])
                 record(k, "pretrain_disc", group_ce=loss)
-            disc_state = nn.AdamState.init(disc.params.shape, cfg.lr_disc_adapt)
+            disc_adam = _Adam(disc.params, cfg.lr_disc_adapt, failed)
             del emb  # up to 240 KB, unread after pretraining
         beta = losses.beta_schedule(k / steps)
         ia, ib = draw(k, (2, 4), half)
         loss, model_grad[:, :split], model_grad[:, split:] = losses.adaptation_loss_and_grads(
             rows[block_rows, ia], rows[block_rows, ib], disc, enc, cls, fewshot, beta)
-        model, model_state = _step(model_state, model, model_grad, failed)
-        enc, cls = enc._replace(params=model[:, :split]), cls._replace(params=model[:, split:])
+        model_adam.step(model_grad)
         record(k, "model_update", adaptation=loss, beta=beta)
         # one update per encoder state: embed just its pair rows, in one pass
-        disc, disc_state, loss = disc_update(
-            k, lambda i: nn.forward(enc.arch, enc.params, rows[block_rows, i]), disc_state)
+        loss = disc_update(k, lambda i: nn.forward(enc.arch, enc.params, rows[block_rows, i]))
         record(k, "disc_update", group_ce=loss)
     if steps == 0:
         return [TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)] * count

@@ -369,6 +369,20 @@ class TestRun:
         assert capsys.readouterr().err == "error: shots must be distinct\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_t", ["0", "8", "-1"])
+    def test_shots_outside_the_protocol_are_usage_errors(self, tmp_path, capsys, monkeypatch,
+                                                         n_t):
+        """Rejected before the old results are removed or a source model trains."""
+        calls = []
+        monkeypatch.setattr(trainers, "train_source", lambda *a: calls.append(a))
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b'{"an": "earlier run"}\n')
+        assert cli.main(["run", "--task", "rot40", "--methods", "wa,ft", "--seeds", "0",
+                         f"--shots={n_t}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: n_t must be in [1, 7], got {n_t}\n"
+        assert out.read_bytes() == b'{"an": "earlier run"}\n'
+        assert calls == []
+
     @pytest.mark.parametrize("flags", [["--methods", "bogus"], ["--seeds", "0,0"],
                                        ["--jobs", "0"]], ids=" ".join)
     def test_usage_error_keeps_the_old_results_file(self, tmp_path, capsys, flags):

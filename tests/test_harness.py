@@ -31,7 +31,7 @@ from fha.data import (
     make_synthetic_task,
     sample_few_shot,
 )
-from fha.errors import ConfigError, InsufficientDataError, NumericalError
+from fha.errors import ConfigError, InsufficientDataError, NumericalError, ProtocolError
 from fha.harness import (
     EmbeddingTable,
     ExperimentConfig,
@@ -262,6 +262,12 @@ class TestRunExperimentValidation:
         with pytest.raises(ConfigError, match="^methods must be distinct$"):
             run_experiment(_tiny_task(), ["wa", "ft", "wa"], [1], [0], _tiny_cfg())
 
+    @pytest.mark.parametrize("n_t", [0, 8, -1])
+    def test_rejects_shots_outside_the_protocol_before_any_seed(self, monkeypatch, n_t):
+        monkeypatch.setattr(trainers, "train_source", lambda *a: pytest.fail("a seed ran"))
+        with pytest.raises(ProtocolError, match=rf"^n_t must be in \[1, 7\], got {n_t}$"):
+            run_experiment(_tiny_task(), ["wa"], [1, n_t], [0], _tiny_cfg())
+
     def test_rejects_duplicate_shots(self):
         with pytest.raises(ConfigError, match="^shots must be distinct$"):
             run_experiment(_tiny_task(), ["wa"], [1, 2, np.int64(1)], [0], _tiny_cfg())
@@ -368,16 +374,18 @@ class TestRunExperiment:
             row = by_key[(res.method, res.n_t, res.seed)]
             assert row["accuracy"] == res.accuracy
 
-    def test_oversized_shot_budget_becomes_error_records(self):
+    def test_shot_budget_above_the_target_split_becomes_error_records(self):
+        # n_t=7 is within the protocol, but each class has only 5 target samples
         results = run_experiment(
-            _tiny_task(), ["wa", "ft"], [1, 8], [0], _tiny_cfg()
+            replace(_tiny_task(), target_per_class=5), ["wa", "ft"], [1, 7], [0], _tiny_cfg()
         )
         good = [r for r in results if r.error is None]
         bad = [r for r in results if r.error is not None]
         assert {r.n_t for r in good} == {1}
-        assert {r.n_t for r in bad} == {8}
+        assert {r.n_t for r in bad} == {7}
         assert {r.method for r in bad} == {"wa", "ft"}
         assert all(r.accuracy is None for r in bad)
+        assert {r.error for r in bad} == {"class 0 has 5 target samples, fewer than n_t=7"}
 
     def test_setup_failure_marks_whole_seed(self):
         # overlapping classes cannot clear the source quality gate, so every

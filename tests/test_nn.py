@@ -445,6 +445,44 @@ class TestMatchesReference:
             assert same_bytes(state.m, ref_state.m) and same_bytes(state.v, ref_state.v)
             assert state.t == ref_state.t
 
+    @settings(max_examples=50, deadline=None)
+    @given(shape=st.sampled_from([(7,), (3, 5), (2, 2, 9)]), steps=st.integers(1, 4),
+           lr=st.sampled_from([1e-3, 0.05]), seed=st.integers(0, 2**32 - 1),
+           in_place=st.booleans())
+    def test_adam_into_bytes(self, shape, steps, lr, seed, in_place):
+        """The core gives the reference's bytes step after step, in place or
+        into spare buffers (swapped in after each step, as trainers._Adam does),
+        and writes nothing but its outputs."""
+        rng = np.random.default_rng(seed)
+        params, spare_params = rng.normal(size=shape), np.empty(shape)
+        state, spare = nn.AdamState.init(shape, lr=lr), nn.AdamState.init(shape, lr=lr)
+        ref_params, ref_state = params.copy(), nn.AdamState.init(shape, lr=lr)
+        for _ in range(steps):
+            grad = rng.normal(scale=10.0 ** rng.integers(-9, 3), size=shape)
+            handed = (grad.copy(), params.copy(), state.m.copy(), state.v.copy())
+            if in_place:
+                nn.adam_into(state, params, grad, state, params)
+            else:
+                nn.adam_into(state, params, grad, spare, spare_params)
+                assert all(same_bytes(a, h) for a, h in
+                           zip((grad, params, state.m, state.v), handed))
+                state, spare, params, spare_params = spare, state, spare_params, params
+            assert same_bytes(grad, handed[0])
+            ref_params, ref_state = ref_adam_step(ref_state, ref_params, grad)
+            assert same_bytes(params, ref_params)
+            assert same_bytes(state.m, ref_state.m) and same_bytes(state.v, ref_state.v)
+            assert (state.t, state.lr) == (ref_state.t, ref_state.lr)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_adam_into_non_finite_grad_writes_nothing(self, bad):
+        state = nn.AdamState(np.full(3, 0.5), np.full(3, 0.25), t=4, lr=0.01)
+        params, grad = np.array([1.0, -2.0, 0.5]), np.array([0.3, bad, 0.0])
+        before = (params.copy(), state.m.copy(), state.v.copy())
+        with pytest.raises(NumericalError, match="^non-finite gradient in adam_step$"):
+            nn.adam_into(state, params, grad, state, params)
+        assert all(same_bytes(a, b) for a, b in zip((params, state.m, state.v), before))
+        assert state.t == 4
+
     def test_joint_step_equals_two_steps(self):
         # train_source and the adaptation model update step encoder + classifier as one
         enc, cls = RNG.normal(size=(3, 41)), RNG.normal(size=(3, 13))
@@ -478,6 +516,18 @@ class TestNet:
         params[3] = np.nan
         with pytest.raises(NumericalError):
             nn.Net(arch, params)
+
+    def test_layer_views_alias_the_params(self):
+        arch = nn.ArchSpec((2, 3, 4))
+        net = nn.Net(arch, nn.init_params(arch, seed=0))
+        assert len(net.layers) == len(arch.layout)
+        for (w, b), (w_sl, b_sl, shape) in zip(net.layers, arch.layout):
+            assert w.shape == shape and b.shape == (1, shape[1])
+            assert np.shares_memory(w, net.params) and np.shares_memory(b, net.params)
+            assert same_bytes(w.reshape(-1), net.params[w_sl])
+            assert same_bytes(b.reshape(-1), net.params[b_sl])
+            assert not w.flags.writeable and not b.flags.writeable
+        assert "layers" not in repr(net)
 
     def test_call_and_with_params(self):
         arch = nn.ArchSpec((2, 3))

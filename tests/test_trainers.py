@@ -11,6 +11,7 @@ hypothesis is never mutated by anything.
 import dataclasses
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -403,12 +404,40 @@ class TestTrainSource:
         with pytest.raises(InsufficientDataError, match="no samples"):
             trainers.train_source(source, trainers.SourceTrainConfig(seed=0))
 
-    def test_diverging_fit_raises(self):
+    @staticmethod
+    def _spy_losses(monkeypatch, poison_after=None):
+        """Record the loss of each fitting pass that builds one, and with
+        ``poison_after`` put a NaN into the gradient of every later pass."""
+        softmax_ce, passes, built = losses._softmax_ce, [], []
+
+        def spy(*args, **kwargs):
+            loss = softmax_ce(*args, **kwargs)
+            passes.append(None)
+            if poison_after is not None and len(passes) > poison_after:
+                args[2][0][1][0, 0] = np.nan  # the encoder's first bias, in the bound gradient
+            if loss is not None:
+                built.append(loss)
+            return loss
+
+        monkeypatch.setattr(losses, "_softmax_ce", spy)
+        return built
+
+    def test_diverging_fit_raises(self, monkeypatch):
+        built = self._spy_losses(monkeypatch)
         source = make_synthetic_task(builtin_task("rot40", seed=0))[0]
         cfg = trainers.SourceTrainConfig(epochs=3, lr=1e300, seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NumericalError, match=r"^source training diverged \(non-finite loss\)$"):
             trainers.train_source(source, cfg)
+        # the Adam step refused the NaN gradient first; only then was the loss built
+        assert len(built) == 1 and not math.isfinite(built[0])
+
+    def test_nan_gradient_with_a_finite_loss_raises_the_gradient_error(self, monkeypatch):
+        built = self._spy_losses(monkeypatch, poison_after=2)
+        source = make_synthetic_task(builtin_task("rot40", seed=0))[0]
+        with pytest.raises(NumericalError, match="^non-finite gradient in adam_step$"):
+            trainers.train_source(source, trainers.SourceTrainConfig(epochs=3, seed=0))
+        assert len(built) == 1 and math.isfinite(built[0])
 
 
 def _composed_train_shot(hypothesis, fewshot, cfg):
@@ -741,7 +770,7 @@ class TestAdaptPairChecks:
             pairing.build_groups(pool, _fewshot(), 2, seed=0)
         assert str(checked.value) == message
         calls = []
-        monkeypatch.setattr(nn, "adam_step", lambda *a: calls.append("adam_step"))
+        monkeypatch.setattr(nn, "adam_into", lambda *a: calls.append("adam_into"))
         monkeypatch.setattr(trainers, "draw_pairs", lambda *a: calls.append("draw"))
         blocks = [trainers._Block([pool] * 3, 1, 2), trainers._Block([pool] * 3, 3, 2)]
         with pytest.raises(exc) as info:
@@ -985,18 +1014,17 @@ def _poison_grad(monkeypatch, kind, rows=slice(None), after=1):
 
 
 def _overflow_params(monkeypatch, after=1):
-    """Make every Adam step after the first ``after`` return an infinite
+    """Make every Adam step after the first ``after`` write an infinite
     parameter in row 0."""
-    adam_step, calls = nn.adam_step, []
+    adam_into, calls = nn.adam_into, []
 
-    def step(state, params, grad):
-        params, state = adam_step(state, params, grad)
+    def step(state, params, grad, out, out_params):
+        adam_into(state, params, grad, out, out_params)
         calls.append(None)
         if len(calls) > after:
-            params[0] = np.inf
-        return params, state
+            out_params[0] = np.inf
 
-    monkeypatch.setattr(nn, "adam_step", step)
+    monkeypatch.setattr(nn, "adam_into", step)
 
 
 # one-method entry point -> (its call, the kinds of Adam step it runs)
