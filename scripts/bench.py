@@ -32,15 +32,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def commit(tree: Path) -> dict:
-    """The tree's git commit and whether it has uncommitted changes, or
-    None for both outside a repository."""
+    """The tree's directory name, its git commit and whether it has
+    uncommitted changes, or None for both outside a repository."""
     def git(*args):
         proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
         return proc.stdout.strip() if proc.returncode == 0 else None
 
     head = git("rev-parse", "HEAD")
     status = git("status", "--porcelain") if head else None
-    return {"dir": str(tree), "commit": head, "dirty": None if status is None else bool(status)}
+    return {"dir": tree.name, "commit": head, "dirty": None if status is None else bool(status)}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -118,12 +118,12 @@ def main(argv=None) -> int:
                       + ", ".join(f"{k} {v:.4g}" for k, v in runs[-1]["metrics"].items()),
                       flush=True)
     doc = {
-        "command": ["scripts/bench.py", *(argv if argv is not None else sys.argv[1:])],
         "environment": {"platform": platform.platform(), "machine": platform.machine(),
                         "nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
                         "python": platform.python_version(), "numpy": np.__version__},
         "parent": commit(parent), "change": commit(ROOT),
         "pairs": args.pairs, "seconds": args.seconds, "seed_base": args.seed_base,
+        "workloads": args.workloads.split(","),
         "summary": summarize(runs, spec), "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
