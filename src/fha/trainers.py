@@ -386,11 +386,18 @@ class _Adam:
     keep their bits. A step raises once no block is left."""
 
     def __init__(self, params: np.ndarray, lr: float, failed: dict, rows: int = 1):
-        self.params, self.failed, self.rows = params, failed, rows
-        self.state, self.spare = (nn.AdamState.init(params.shape, lr) for _ in range(2))
-        self.new = np.empty(params.shape)
+        self.params, self.lr, self.failed, self.rows = params, lr, failed, rows
+        self.state = None
 
     def step(self, grad: np.ndarray) -> None:
+        if self.state is None:
+            # allocated at the first step, while that step's temporaries are live:
+            # allocated up front, they cost an adaptation 10-30x the minor page
+            # faults (by all appearances glibc trimming the freed temporaries off
+            # the heap top after every step)
+            self.state, self.spare = (nn.AdamState.init(self.params.shape, self.lr)
+                                      for _ in range(2))
+            self.new = np.empty(self.params.shape)
         params, new, failed, rows = self.params, self.new, self.failed, self.rows
         count = len(params) // rows
         if failed:
