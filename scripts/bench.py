@@ -2,7 +2,7 @@
 
 For each workload of ``BENCHMARK.json`` (or those listed) and each pair i,
 runs ``perfbench/run.py --trace 0`` once in the parent checkout and once in
-this tree, with the seed ``--seed-base + i`` on both sides; the parent runs
+this tree, with the seed ``SEED_BASE + i`` on both sides; the parent runs
 first in even pairs, the change in odd ones. Only the last line of each
 run's output (the benchmark's result object) is read; no other timer is
 kept. Writes a JSON file with the environment, both commits, every run's
@@ -12,7 +12,7 @@ quartiles and the number of pairs the change wins in the direction
 ``correct``.
 
     python3 scripts/bench.py --parent DIR [--pairs 10] [--seconds 10] \\
-        [--workloads pilot,source-prep] [--seed-base 2501] --out BENCH_<n>.json
+        [--workloads pilot,source-prep] --out BENCH_<n>.json
 
 Run it from a quiet machine: both sides share it, one run at a time.
 """
@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED_BASE = 2541
 
 
 def commit(tree: Path) -> dict:
@@ -94,7 +95,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]),
                         help="comma-separated workload names (default: all)")
-    parser.add_argument("--seed-base", type=int, default=2501)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     runs = []
     for workload in args.workloads.split(","):
         for pair in range(args.pairs):
-            seed = args.seed_base + pair
+            seed = SEED_BASE + pair
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order):
                 result = run_once(trees[side], workload, seed, args.seconds)
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
                         "nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
                         "python": platform.python_version(), "numpy": np.__version__},
         "parent": commit(parent), "change": commit(ROOT),
-        "pairs": args.pairs, "seconds": args.seconds, "seed_base": args.seed_base,
+        "pairs": args.pairs, "seconds": args.seconds, "seed_base": SEED_BASE,
         "workloads": args.workloads.split(","),
         "summary": summarize(runs, spec), "runs": runs,
     }

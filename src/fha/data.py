@@ -85,6 +85,12 @@ def _finite(values, what: str) -> np.ndarray:
     return arr
 
 
+def _check_n_t(n_t: int) -> None:
+    """ProtocolError unless the shot count ``n_t`` is in 1..MAX_SHOTS."""
+    if not 1 <= n_t <= MAX_SHOTS:
+        raise ProtocolError(f"n_t must be in [1, {MAX_SHOTS}], got {n_t}")
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """Parameters of one synthetic task.
@@ -157,8 +163,7 @@ class FewShotSet:
         feats = np.ascontiguousarray(self.features, dtype=np.float32)
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         idx = np.ascontiguousarray(self.indices, dtype=np.int64)
-        if not 1 <= self.n_t <= MAX_SHOTS:
-            raise ProtocolError(f"n_t must be in [1, {MAX_SHOTS}], got {self.n_t}")
+        _check_n_t(self.n_t)
         expected = self.n_t * self.num_classes
         if feats.shape[0] != expected or labels.shape[0] != expected:
             raise ProtocolError("few-shot set must hold exactly n_t samples per class")
@@ -252,8 +257,7 @@ def sample_few_shot(target: Dataset, n_t: int, seed: int) -> FewShotSet:
     """
     if not isinstance(n_t, (int, np.integer)) or isinstance(n_t, bool):
         raise ProtocolError("n_t must be an integer")
-    if n_t < 1 or n_t > MAX_SHOTS:
-        raise ProtocolError(f"n_t must be in [1, {MAX_SHOTS}], got {n_t}")
+    _check_n_t(n_t)
     rng = np.random.default_rng(seed)
     picks = []
     for c in range(target.num_classes):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn, trainers
-from .data import MAX_SHOTS, Dataset, TaskSpec, make_synthetic_task, sample_few_shot
-from .errors import ConfigError, FHAError, InsufficientDataError, ProtocolError
+from .data import MAX_SHOTS, Dataset, TaskSpec, _check_n_t, make_synthetic_task, sample_few_shot
+from .errors import ConfigError, FHAError, InsufficientDataError
 from .trainers import METHODS, BaselineConfig, SourceTrainConfig, TohanConfig
 
 log = logging.getLogger("fha.harness")
@@ -241,8 +241,7 @@ def _check_grid(methods, shots, seeds, jobs):
     if min(seeds) < 0:
         raise ConfigError("seeds must be non-negative")
     for n_t in shots:
-        if not 1 <= n_t <= MAX_SHOTS:
-            raise ProtocolError(f"n_t must be in [1, {MAX_SHOTS}], got {n_t}")
+        _check_n_t(n_t)
     if jobs < 1:
         raise ConfigError("jobs must be positive")
     return methods, shots, seeds, jobs

@@ -366,7 +366,7 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
     state = nn.AdamState.init(params.size, cfg.lr)
     # as in train_source; the frozen classifier builds no parameter gradient
     nets = (enc_arch, nn._layers(enc_arch, params), nn._layers(enc_arch, grad),
-            cls.arch, nn._layers(cls.arch, cls.params), None)
+            cls.arch, cls.layers, None)
     for _ in range(cfg.epochs):
         losses._softmax_ce(*nets, x, labels, with_loss=False)
         nn.adam_into(state, params, grad, state, params)
