@@ -150,42 +150,62 @@ def _check_labels(labels: np.ndarray, shape: tuple, name="cross_entropy",
     return labels
 
 
+def _flat_pick(shape: tuple, labels: np.ndarray) -> np.ndarray:
+    """Indices into probs.reshape(-1), probs of ``shape`` (B, C) or (M, B, C),
+    of the label of each row: row * C + label, plus block * B * C for block m
+    of a stack. ``labels`` is (B,), the same for every block, or (M, B), one
+    row of labels per block."""
+    b, c = shape[-2:]
+    pick = np.arange(0, b * c, c) + labels
+    if len(shape) == 3:
+        pick = np.arange(0, shape[0] * b * c, b * c)[:, None] + pick
+    return pick
+
+
+def _label_pick(labels: np.ndarray, shape: tuple, *names) -> np.ndarray:
+    """The _flat_pick of (B,) labels, checked by _check_labels, into probabilities of ``shape``."""
+    return _flat_pick(shape, _check_labels(labels, shape, *names))
+
+
 def _check_ce(probs: np.ndarray, labels: np.ndarray, *names):
-    """(B, C) or (M, B, C) float64 probs and their checked labels."""
+    """(B, C) or (M, B, C) float64 probs and their _label_pick."""
     probs = np.asarray(probs, dtype=np.float64)
-    return probs, _check_labels(labels, probs.shape, *names)
+    return probs, _label_pick(labels, probs.shape, *names)
 
 
-def _softmax_input_grad(probs: np.ndarray, pick: tuple, picked: np.ndarray, u: np.ndarray):
+def _softmax_input_grad(probs: np.ndarray, pick: np.ndarray, picked: np.ndarray, u: np.ndarray):
     """The gradient at the input of the softmax head that gave ``probs`` from
-    an upstream gradient whose one nonzero per row is u, at ``pick``, where
-    the probabilities are ``picked``: the backward's row sum is s = u * picked,
-    giving probs * (0 - s), and (u - s) * picked at the pick."""
+    an upstream gradient whose one nonzero per row is u, at the flat ``pick``
+    (_flat_pick), where the probabilities are ``picked``: the backward's row
+    sum is s = u * picked, giving probs * (0 - s), and (u - s) * picked at
+    the pick."""
     s = u * picked
     grad = probs * (0.0 - s)[..., None]  # not -s: a zero s gives +0.0, as in the backward
-    grad[pick] = (u - s) * picked
+    grad.put(pick, (u - s) * picked)
     return grad
 
 
-def _ce_parts(probs: np.ndarray, labels: np.ndarray, with_loss=True, logits=False):
-    """(loss, gradient) of checked probs and labels from one gather, the loss
-    None without ``with_loss``. The gradient is with respect to the
-    probabilities, one nonzero u = -1 / (B * max(p_y, PROB_FLOOR)) per row or
-    0 under the floor, or with ``logits`` to the input of the softmax head
-    that gave them."""
-    pick = (..., np.arange(labels.size), labels)
-    # C order, so each block's row is summed as a (B,) vector is
-    picked = np.ascontiguousarray(probs[pick])
-    floor = np.maximum(picked, PROB_FLOOR)
+def _ce_parts(probs: np.ndarray, pick: np.ndarray, with_loss=True, logits=False):
+    """(loss, gradient) of probs at the flat label picks of their B rows
+    (_flat_pick), the loss None without ``with_loss``. The gradient is
+    with respect to the probabilities, one nonzero u = -1 / (B * max(p_y,
+    PROB_FLOOR)) per row or 0 under the floor, or with ``logits`` to the
+    input of the softmax head that gave them."""
+    b = pick.shape[-1]
+    picked = probs.take(pick)  # C order, so each block's row is summed as a (B,) vector is
+    if picked.min() >= PROB_FLOOR:  # a NaN fails this and takes the general branch
+        floor, u = picked, -1.0 / (b * picked)
+    else:
+        floor = np.maximum(picked, PROB_FLOOR)
+        u = np.where(picked >= PROB_FLOOR, -1.0 / (b * floor), 0.0)
     loss = None
     if with_loss:
-        loss = -(np.add.reduce(np.log(floor), axis=-1) / labels.size)  # mean(axis=-1)'s bits
+        loss = -(np.add.reduce(np.log(floor), axis=-1) / b)  # mean(axis=-1)'s bits
         loss = float(loss) if loss.ndim == 0 else loss
-    u = np.where(picked >= PROB_FLOOR, -1.0 / (labels.size * floor), 0.0)
     if logits:
         return loss, _softmax_input_grad(probs, pick, picked, u)
     grad = np.zeros_like(probs)
-    grad[pick] = u
+    grad.put(pick, u)
     return loss, grad
 
 
@@ -205,13 +225,14 @@ def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def _softmax_ce(enc_arch: nn.ArchSpec, enc: list, enc_grad: list,
                 cls_arch: nn.ArchSpec, cls: list, cls_grad: list | None,
-                x: np.ndarray, labels: np.ndarray, with_loss=True) -> float | np.ndarray | None:
+                x: np.ndarray, pick: np.ndarray, with_loss=True) -> float | np.ndarray | None:
     """softmax_ce_and_grads on checked inputs, each net and gradient buffer
-    bound by nn._layers: writes the gradients (none for the classifier
-    without ``cls_grad``) and returns the loss, or None without ``with_loss``."""
+    bound by nn._layers and the labels as their _flat_pick: writes the
+    gradients (none for the classifier without ``cls_grad``) and returns the
+    loss, or None without ``with_loss``."""
     emb, enc_acts = nn._forward(enc_arch, enc, x)
     probs, cls_acts = nn._forward(cls_arch, cls, emb)
-    loss, g = _ce_parts(probs, labels, with_loss, logits=True)
+    loss, g = _ce_parts(probs, pick, with_loss, logits=True)
     emb_g = nn._backward(cls_arch, cls, cls_acts, g, cls_grad)
     nn._backward(enc_arch, enc, enc_acts, nn._head_grad(enc_arch, emb, emb_g), enc_grad,
                  want_input=False)
@@ -243,21 +264,20 @@ def softmax_ce_and_grads(enc_arch: nn.ArchSpec, enc_params: np.ndarray,
     x = nn._check_batch(enc_arch, x, enc_params)
     if x.shape[:-2] != lead:
         raise ConfigError("a parameter gradient needs one parameter row per batch block")
-    labels = _check_labels(labels, x.shape[:-1] + (cls_arch.out_width,))
+    pick = _label_pick(labels, x.shape[:-1] + (cls_arch.out_width,))
     enc_grad, cls_grad = np.empty(enc_params.shape), np.empty(cls_params.shape)
     loss = _softmax_ce(enc_arch, nn._layers(enc_arch, enc_params), nn._layers(enc_arch, enc_grad),
                        cls_arch, nn._layers(cls_arch, cls_params), nn._layers(cls_arch, cls_grad),
-                       x, labels)
+                       x, pick)
     return loss, enc_grad, cls_grad
 
 
 def _check_group_ce(pair_probs: np.ndarray, group_labels: np.ndarray):
-    """Checked pair probabilities whose rows sum to 1, and 0-based group labels."""
-    pair_probs = _check_probs(pair_probs, "pair probabilities")
-    if pair_probs.ndim not in (2, 3) or pair_probs.shape[-1] != 4:
+    """4-wide pair probabilities and the _flat_pick of their checked 0-based
+    group labels. The rows are not scanned: the only caller passes the rows
+    of its discriminator's softmax head, which lie in [0, 1] and sum to 1."""
+    if np.ndim(pair_probs) not in (2, 3) or np.shape(pair_probs)[-1] != 4:
         raise ConfigError("pair_probs must be (P, 4) or (M, P, 4)")
-    if pair_probs.size and np.abs(pair_probs.sum(axis=-1) - 1.0).max() > 1e-6:
-        raise ConfigError("pair probability rows must sum to 1")
     return _check_ce(pair_probs, np.asarray(group_labels, dtype=np.int64) - 1,
                      "group cross-entropy", "group labels must lie in {1, 2, 3, 4}")
 
@@ -311,8 +331,8 @@ def adaptation_loss_and_grads(x1, x2, disc, enc, cls, fewshot, beta: float):
     # cross-domain groups are pushed toward their same-domain twins: group 2
     # toward group 1, group 4 toward group 3, at their 0-based columns
     cols = (GROUP_BOTH_INTERMEDIATE_SAME - 1, GROUP_BOTH_INTERMEDIATE_DIFF - 1)
-    pick, halves = (..., np.arange(2 * h), np.repeat(cols, h)), (slice(0, h), slice(h, 2 * h))
-    picked = probs[pick]
+    pick, halves = _flat_pick(probs.shape, np.repeat(cols, h)), (slice(0, h), slice(h, 2 * h))
+    picked = probs.take(pick)
     floor = np.maximum(picked, PROB_FLOOR)
     # each group's mean over a C-contiguous copy of its half: numpy sums the
     # rows of a strided view, or of an (.., 2, h) array, in another order
@@ -364,7 +384,7 @@ class GeneratorPlan(NamedTuple):
     modes: tuple[str, ...]
     num_classes: int
     src: slice | np.ndarray | None  # the rows the source term scores
-    src_pick: tuple  # (their positions 0..S-1, :, the class each one scores)
+    src_pick: np.ndarray  # the (S, B) _flat_pick of the class each of them scores
     tgt: slice | np.ndarray | None  # the rows the proximity term reads
     weight: np.ndarray  # the (R,) proximity weight of each of them
     planes: np.ndarray | None  # their few-shots as (K, dim, R, B) planes
@@ -415,8 +435,10 @@ def generator_plan(mode, num_classes: int, targets: np.ndarray | None, tradeoff:
         diameter = l1_diameter(targets.shape[-1])
     weight = np.repeat([1.0 if modes[m] == "target_only" else tradeoff for m in tgt_blocks],
                        num_classes)
+    src_pick = _flat_pick((own.size, batch, num_classes),
+                          np.repeat((own % num_classes)[:, None], batch, axis=1))
     return GeneratorPlan(modes, num_classes, _block_rows(src_blocks, num_classes),
-                         (own, slice(None), own % num_classes), tgt, weight, planes, diameter)
+                         src_pick, tgt, weight, planes, diameter)
 
 
 def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
@@ -443,6 +465,9 @@ def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
     params = nn._check_params(arch, params)
     gen = nn._layers(arch, params)
     generated, gen_acts = nn._forward(arch, gen, nn._check_batch(arch, z, params))
+    if generated.shape[-2] != plan.src_pick.shape[-1] or (
+            plan.planes is not None and generated.shape[-1] != plan.planes.shape[1]):
+        raise ConfigError("the plan is for another batch size or feature dimension")
     x_up = np.zeros_like(generated)
     loss = np.zeros(len(generated)) if with_loss else None
     if plan.src is not None:
@@ -452,7 +477,7 @@ def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
         enc_layers, cls_layers = source_enc.layers, source_cls.layers
         emb, enc_acts = nn._forward(enc, enc_layers, generated[plan.src])
         probs, cls_acts = nn._forward(cls, cls_layers, emb)
-        picked = probs[plan.src_pick]
+        picked = probs.take(plan.src_pick)
         src_loss, u = gen_source_loss_and_grad(picked, with_loss)
         if with_loss:
             loss[plan.src] += src_loss
@@ -461,8 +486,6 @@ def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
         x_up[plan.src] += nn._backward(enc, enc_layers, enc_acts,
                                        nn._head_grad(enc, emb, emb_g), None)
     if plan.tgt is not None:
-        if generated.shape[-2:] != (plan.planes.shape[-1], plan.planes.shape[1]):
-            raise ConfigError("the plan is for another batch size or feature dimension")
         target_loss, target_grad = _proximity(generated[plan.tgt], plan.planes,
                                               plan.diameter, with_loss)
         if with_loss:

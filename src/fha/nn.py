@@ -12,11 +12,12 @@ Every public call checks its inputs, binds per-layer (weight, bias) views of
 the parameters once (_layers) and runs one unchecked core (_forward,
 _backward) over them, one code path for a net and a stack; every training
 pass in losses checks once and runs these cores too (a Net binds its views
-once, for the passes that read a frozen Net). The training loops check once at entry, bind their parameter
-and gradient buffers once, and step Adam (adam_into) in place on those
-buffers and moment buffers they allocated. Apart from those buffers,
-nothing writes in place into an array it did not allocate: not the
-parameters, the batch, an upstream gradient or a cache.
+once, for the passes that read a frozen Net). The training loops check once
+at entry, bind their parameter and gradient buffers once, and step Adam
+(adam_into) in place on those buffers and on the moment and scratch buffers
+of the AdamState they made. Apart from those buffers, nothing writes in
+place into an array it did not allocate: not the parameters, the batch, an
+upstream gradient or a cache.
 """
 
 from __future__ import annotations
@@ -169,11 +170,18 @@ def _layers(arch: ArchSpec, params: np.ndarray) -> list:
             for w_sl, b_sl, shape in arch.layout]
 
 
+def _matmul(x: np.ndarray):
+    """The matrix product for layers on batch (or gradient) ``x``: np.dot for
+    a (B, in) one, which gives np.matmul's bits with less per-call work, and
+    np.matmul for an (N, B, in) stack."""
+    return np.dot if x.ndim == 2 else np.matmul
+
+
 def _forward(arch: ArchSpec, layers: list, x: np.ndarray):
     """forward_and_cache on checked params, bound by _layers, and batch."""
-    acts, last = [x], len(layers) - 1
+    acts, last, mm = [x], len(layers) - 1, _matmul(x)
     for i, (w, b) in enumerate(layers):
-        x = x @ w
+        x = mm(x, w)
         x += b
         if i < last:
             x = np.tanh(x, out=x) if arch.tanh else np.maximum(x, 0.0, out=x)
@@ -191,14 +199,15 @@ def _backward(arch: ArchSpec, layers: list, acts: list, g: np.ndarray, grad_laye
     head's input: writes the parameter gradient into ``grad_layers`` (a
     buffer shaped like params, bound by _layers, or None for none) and
     returns the input gradient, or None without ``want_input``."""
+    mm = _matmul(g)
     for i in range(len(layers) - 1, -1, -1):
         if grad_layers is not None:
             gw, gb = grad_layers[i]
-            np.matmul(acts[i].swapaxes(-1, -2), g, out=gw)
+            mm(acts[i].swapaxes(-1, -2), g, out=gw)
             np.add.reduce(g, axis=-2, out=gb, keepdims=True)
         if i == 0 and not want_input:
             return None
-        g = g @ layers[i][0].swapaxes(-1, -2)
+        g = mm(g, layers[i][0].swapaxes(-1, -2))
         if i > 0:
             a = acts[i]
             if arch.tanh:
@@ -292,17 +301,22 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 @dataclass
 class AdamState:
     """Adam moments and step count at one lr; adam_step returns a new state,
-    adam_into writes one."""
+    adam_into writes one. ``scratch`` holds the two buffers, shaped like the
+    moments, that adam_into works in when it writes this state; without
+    them it allocates two on each step."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     lr: float = 1e-3
+    scratch: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def init(cls, shape, lr: float = 1e-3) -> "AdamState":
-        """Zero moments for parameters of ``shape`` (a count, or (N, P))."""
-        return cls(m=np.zeros(shape), v=np.zeros(shape), lr=float(lr))
+        """Zero moments for parameters of ``shape`` (a count, or (N, P)), and
+        their scratch."""
+        return cls(np.zeros(shape), np.zeros(shape), lr=float(lr),
+                   scratch=(np.empty(shape), np.empty(shape)))
 
 
 def adam_into(state: AdamState, params: np.ndarray, grad: np.ndarray, out: AdamState,
@@ -311,13 +325,15 @@ def adam_into(state: AdamState, params: np.ndarray, grad: np.ndarray, out: AdamS
     ``out`` (its moments, step and lr) and ``out_params``: float64 buffers
     of the shape of ``params``, which the caller owns and has checked.
     ``out`` may be ``state`` and ``out_params`` ``params``, a step in place.
-    A non-finite gradient raises before anything is written."""
+    The step works in ``out.scratch``. A non-finite gradient raises before
+    anything is written."""
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient in adam_step")
     t = state.t + 1
+    work, denom = out.scratch or (np.empty(grad.shape), np.empty(grad.shape))
     # m' = b1 m + (1 - b1) g and v' = b2 v + (1 - b2) g g, each product and sum
     # in this order or commuted (the same bits); state is read before out is written
-    work = grad * (1.0 - _BETA1)
+    np.multiply(grad, 1.0 - _BETA1, out=work)
     np.multiply(state.m, _BETA1, out=out.m)
     out.m += work
     np.multiply(grad, 1.0 - _BETA2, out=work)
@@ -326,7 +342,7 @@ def adam_into(state: AdamState, params: np.ndarray, grad: np.ndarray, out: AdamS
     out.v += work
     np.divide(out.m, 1.0 - _BETA1**t, out=work)
     work *= state.lr
-    denom = out.v / (1.0 - _BETA2**t)
+    np.divide(out.v, 1.0 - _BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += _EPS
     work /= denom
@@ -418,31 +434,36 @@ _MODEL_FORMAT = "fha-model"
 _MODEL_VERSION = 1
 
 
+def _float_list(values: np.ndarray, depth: int) -> str:
+    """json.dump's ``indent=1`` text of a non-empty float list at nesting
+    ``depth``; json writes a finite float as float.__repr__ does."""
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(map(float.__repr__, values.tolist())) + pad[:-1] + "]"
+
+
 def save_model(path, nets: dict[str, Net], seed: int, metadata: dict | None = None) -> None:
     """Write named networks to a JSON text file.
 
     Parameters are serialized with Python's shortest round-trip decimal repr
     (at most 17 significant digits), so loading reconstructs the exact
-    64-bit values.
+    64-bit values. The text is json.dump's with ``indent=1``; only the
+    parameter lists are written without its encoder, which takes about a
+    microsecond per value.
     """
-    doc = {
-        "format": _MODEL_FORMAT,
-        "version": _MODEL_VERSION,
-        "seed": int(seed),
-        "metadata": metadata or {},
-        "nets": {
-            name: {
-                "widths": list(net.arch.widths),
-                "activation": net.arch.activation,
-                "head": net.arch.head,
-                "params": [float(p) for p in net.params],
-            }
-            for name, net in nets.items()
-        },
-    }
+    # "nets" is the document's last key, and "params" the last of each net, so
+    # each text ends in the empty value that the parts after it replace
+    text = json.dumps({"format": _MODEL_FORMAT, "version": _MODEL_VERSION, "seed": int(seed),
+                       "metadata": metadata or {}, "nets": {}}, indent=1)
+    entries = []
+    for name, net in nets.items():
+        entry = json.dumps({"widths": list(net.arch.widths), "activation": net.arch.activation,
+                            "head": net.arch.head, "params": []}, indent=1)
+        entries.append(f"  {json.dumps(name)}: " + entry[:-len("[]\n}")].replace("\n", "\n  ")
+                       + _float_list(net.params, 3) + "\n  }")
+    if entries:
+        text = text[:-len("{}\n}")] + "{\n" + ",\n".join(entries) + "\n }\n}"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> tuple[dict[str, Net], int, dict]:

@@ -301,15 +301,19 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
             cls_arch, nn._layers(cls_arch, params[split:]), nn._layers(cls_arch, grad[split:]))
 
     shuffle_rng = np.random.default_rng(shuffle_seed)
-    n = x_train.shape[0]
-    x_epoch, y_epoch = np.empty_like(x_train), np.empty_like(y_train)
+    n, size = x_train.shape[0], cfg.batch_size
+    # row r of the epoch is row r % size of its batch: its flat label pick
+    # (losses._flat_pick) is that row's offset plus its label
+    rows = np.arange(n) % size * cls_arch.out_width
+    x_epoch, pick_epoch = np.empty_like(x_train), np.empty_like(y_train)
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
-        # each epoch's permuted rows, gathered once; batches are slices of them
+        # each epoch's permuted rows and picks, built once; batches are slices of them
         np.take(x_train, order, axis=0, out=x_epoch)
-        np.take(y_train, order, out=y_epoch)
-        for start in range(0, n, cfg.batch_size):
-            batch = x_epoch[start:start + cfg.batch_size], y_epoch[start:start + cfg.batch_size]
+        np.take(y_train, order, out=pick_epoch)
+        pick_epoch += rows
+        for start in range(0, n, size):
+            batch = x_epoch[start:start + size], pick_epoch[start:start + size]
             losses._softmax_ce(*nets, *batch, with_loss=False)
             try:
                 nn.adam_into(state, params, grad, state, params)
@@ -344,13 +348,13 @@ def train_ft(hypothesis: SourceHypothesis, fewshot: FewShotSet,
     """Freeze the encoder, fit the classifier on the few-shots (full batch)."""
     emb = hypothesis.enc(fewshot.features.astype(np.float64))
     arch = hypothesis.cls.arch
-    labels = losses._check_labels(fewshot.labels, (len(emb), arch.out_width))
+    pick = losses._label_pick(fewshot.labels, (len(emb), arch.out_width))
     params, grad = np.array(hypothesis.cls.params), np.empty(arch.n_params)
     state = nn.AdamState.init(params.size, cfg.lr)
     net, net_grad = nn._layers(arch, params), nn._layers(arch, grad)  # as in train_source
     for _ in range(cfg.epochs):
         probs, acts = nn._forward(arch, net, emb)
-        g = losses._ce_parts(probs, labels, with_loss=False, logits=True)[1]
+        g = losses._ce_parts(probs, pick, with_loss=False, logits=True)[1]
         nn._backward(arch, net, acts, g, net_grad, want_input=False)
         nn.adam_into(state, params, grad, state, params)
     return TargetModel(enc=hypothesis.enc, cls=nn.Net(arch, params))
@@ -362,13 +366,13 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
     enc_arch, cls = hypothesis.enc.arch, hypothesis.cls
     params, grad = np.array(hypothesis.enc.params), np.empty(enc_arch.n_params)
     x = nn._check_batch(enc_arch, fewshot.features, params)
-    labels = losses._check_labels(fewshot.labels, (len(x), cls.arch.out_width))
+    pick = losses._label_pick(fewshot.labels, (len(x), cls.arch.out_width))
     state = nn.AdamState.init(params.size, cfg.lr)
     # as in train_source; the frozen classifier builds no parameter gradient
     nets = (enc_arch, nn._layers(enc_arch, params), nn._layers(enc_arch, grad),
             cls.arch, cls.layers, None)
     for _ in range(cfg.epochs):
-        losses._softmax_ce(*nets, x, labels, with_loss=False)
+        losses._softmax_ce(*nets, x, pick, with_loss=False)
         nn.adam_into(state, params, grad, state, params)
     return TargetModel(enc=nn.Net(enc_arch, params), cls=cls)
 
@@ -395,9 +399,12 @@ class _Adam:
             # allocated up front, they cost an adaptation 10-30x the minor page
             # faults (by all appearances glibc trimming the freed temporaries off
             # the heap top after every step)
-            self.state, self.spare = (nn.AdamState.init(self.params.shape, self.lr)
-                                      for _ in range(2))
-            self.new = np.empty(self.params.shape)
+            shape = self.params.shape
+            self.state = nn.AdamState.init(shape, self.lr)
+            # the two states take turns as adam_into's output, so they share its scratch
+            self.spare = nn.AdamState(np.empty(shape), np.empty(shape),
+                                      scratch=self.state.scratch)
+            self.new = np.empty(shape)
         params, new, failed, rows = self.params, self.new, self.failed, self.rows
         count = len(params) // rows
         if failed:

@@ -1046,6 +1046,21 @@ class TestDumpEmbedding:
         with pytest.raises(InsufficientDataError):
             dump_embedding(model, [("a", empty)])
 
+    def test_csv_bytes(self):
+        """Each row is "%.17g" of both coordinates, the label and the domain,
+        edge floats included."""
+        x = np.array([5e-324, -0.0, 1e16, 0.1, 1.0 / 3.0, -2.5e-300])
+        table = EmbeddingTable(x, x[::-1].copy(), np.array([0, 2, 1, 0, 1, 2]),
+                               ("src", "tgt") * 3, False)
+        assert table.to_csv() == (
+            "x,y,label,domain\n"
+            "4.9406564584124654e-324,-2.5e-300,0,src\n"
+            "-0,0.33333333333333331,2,tgt\n"
+            "10000000000000000,0.10000000000000001,1,src\n"
+            "0.10000000000000001,10000000000000000,0,tgt\n"
+            "0.33333333333333331,-0,1,src\n"
+            "-2.5e-300,4.9406564584124654e-324,2,tgt\n")
+
     def test_csv_round_trips_coordinates(self):
         model = _embed_model()
         table = dump_embedding(model, [("src", _embed_data(5, 4))])

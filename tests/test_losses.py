@@ -356,6 +356,95 @@ class TestCrossEntropy:
         assert nn.grad_check_fd(loss_fn, probs0.reshape(-1)).passed
 
 
+def _tuple_pick(shape, labels):
+    """The label pick as an index tuple: (..., rows, labels), or with one row
+    of labels per block, (blocks, rows, labels)."""
+    rows = np.arange(shape[-2])
+    return (np.arange(shape[0])[:, None], rows, labels) if np.ndim(labels) == 2 else (
+        ..., rows, labels)
+
+
+def _tuple_ce_parts(probs, labels, with_loss=True, logits=False):
+    """_ce_parts as it gathered and scattered through index tuples."""
+    pick, b = _tuple_pick(probs.shape, labels), probs.shape[-2]
+    picked = np.ascontiguousarray(probs[pick])
+    floor = np.maximum(picked, losses.PROB_FLOOR)
+    loss = -(np.add.reduce(np.log(floor), axis=-1) / b) if with_loss else None
+    u = np.where(picked >= losses.PROB_FLOOR, -1.0 / (b * floor), 0.0)
+    if logits:
+        s = u * picked
+        grad = probs * (0.0 - s)[..., None]
+        grad[pick] = (u - s) * picked
+    else:
+        grad = np.zeros_like(probs)
+        grad[pick] = u
+    return (float(loss) if loss is not None and loss.ndim == 0 else loss), grad
+
+
+def _softmax_rows(rng, shape, edges):
+    """Softmax rows of ``shape``; with ``edges``, one row is exactly 1.0 at
+    class 0, two are under the probability floor at a class and one is NaN."""
+    probs = nn._softmax(rng.normal(size=shape))
+    if edges:
+        flat = probs.reshape(-1, shape[-1])
+        flat[1] = np.eye(shape[-1])[0]
+        flat[2, :2] = (1e-13, 1.0 - 1e-13)
+        flat[3, 1] = 0.0
+        flat[-1] = np.nan
+    return probs
+
+
+class TestFlatPicks:
+    """Flat label picks (_flat_pick) gather and scatter the bits the index
+    tuples did, for one net, a stack with one label vector and a stack with
+    per-block labels, and the batches source fitting slices from its epochs."""
+
+    CASES = {"(B, C)": ((7, 3), (7,)), "(M, B, C)": ((4, 7, 3), (7,)),
+             "(M, B, C) per block": ((4, 7, 3), (4, 7)),
+             "(M, B, C) per block, 2 classes": ((3, 5, 2), (3, 5))}
+
+    @pytest.mark.parametrize("edges", [False, True], ids=["inside the floor", "edges"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_equal_the_tuple_picks(self, case, edges):
+        shape, label_shape = self.CASES[case]
+        rng = np.random.default_rng(len(case))
+        probs = _softmax_rows(rng, shape, edges)
+        labels = rng.integers(0, shape[-1], size=label_shape)
+        pick = losses._flat_pick(shape, labels)
+        assert pick.shape == shape[:-1]
+        want = np.ascontiguousarray(probs[_tuple_pick(shape, labels)])
+        assert probs.take(pick).tobytes() == want.tobytes()
+        for with_loss in (True, False):
+            for logits in (True, False):
+                got = losses._ce_parts(probs, pick, with_loss, logits)
+                ref = _tuple_ce_parts(probs, labels, with_loss, logits)
+                assert type(got[0]) is type(ref[0])
+                assert np.asarray(got[0]).tobytes() == np.asarray(ref[0]).tobytes()
+                assert got[1].tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("rows,classes", [(240, 3), (160, 2)], ids=["rot40", "shift"])
+    def test_epoch_picks_slice_into_batch_picks(self, rows, classes):
+        """train_source's epoch picks (row % batch * C + label) sliced into
+        batches of 64 are each batch's own picks, with its tail (rot40: 240
+        rows as 3 x 64 + 48; shift: 160 as 2 x 64 + 32)."""
+        rng = np.random.default_rng(rows)
+        labels = rng.integers(0, classes, size=rows)
+        epoch = labels + np.arange(rows) % 64 * classes
+        sizes = []
+        for start in range(0, rows, 64):
+            batch = labels[start:start + 64]
+            pick = epoch[start:start + 64]
+            sizes.append(batch.size)
+            assert np.array_equal(pick, losses._flat_pick((batch.size, classes), batch))
+            for edges in (False, True):
+                probs = _softmax_rows(rng, (batch.size, classes), edges)
+                got, ref = losses._ce_parts(probs, pick, logits=True), _tuple_ce_parts(
+                    probs, batch, logits=True)
+                assert np.asarray(got[0]).tobytes() == np.asarray(ref[0]).tobytes()
+                assert got[1].tobytes() == ref[1].tobytes()
+        assert sizes == [64] * (rows // 64) + [rows % 64]
+
+
 def _composed_softmax_ce(enc_arch, ep, cls_arch, cp, x, labels):
     """The five calls softmax_ce_and_grads replaces."""
     emb, enc_cache = nn.forward_and_cache(enc_arch, ep, x)
@@ -422,7 +511,8 @@ class TestSoftmaxCEAndGrads:
                 assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
             probs = want[-1]
             logit_grad = nn._head_grad(cls_arch, probs, losses.cross_entropy_grad(probs, labels))
-            assert losses._ce_parts(probs, labels, logits=True)[1].tobytes() == logit_grad.tobytes()
+            pick = losses._flat_pick(probs.shape, labels)
+            assert losses._ce_parts(probs, pick, logits=True)[1].tobytes() == logit_grad.tobytes()
 
     @pytest.mark.parametrize("classes", [2, 4])
     def test_gradients_match_fd(self, classes):
@@ -492,11 +582,6 @@ class TestGroupCE:
             losses._check_group_ce(probs, np.array([0, 1]))
         with pytest.raises(ConfigError):
             losses._check_group_ce(probs, np.array([1, 5]))
-
-    def test_row_sum_validation(self):
-        probs = np.full((2, 4), 0.3)
-        with pytest.raises(ConfigError):
-            losses._check_group_ce(probs, np.array([1, 2]))
 
     def test_shape_validation(self):
         with pytest.raises(ConfigError):
@@ -1023,10 +1108,12 @@ def _composed_objective(arch, params, source_enc, source_cls, z, plan):
                                   for p in (source_enc.params, source_cls.params))
         emb, enc_cache = nn.forward_and_cache(source_enc.arch, enc_params, src)
         probs, cls_cache = nn.forward_and_cache(source_cls.arch, cls_params, emb)
-        gap = probs[plan.src_pick] - 1.0
+        own = np.arange(len(src))  # source row s scores class s % N, at every batch row
+        pick = (own, slice(None), own % plan.num_classes)
+        gap = probs[pick] - 1.0
         loss[plan.src] += (gap ** 2).mean(axis=-1)
         up_probs = np.zeros_like(probs)
-        up_probs[plan.src_pick] = 2.0 * gap / gap.shape[-1]
+        up_probs[pick] = 2.0 * gap / gap.shape[-1]
         _, emb_up = nn.backward_from_cache(source_cls.arch, cls_params, cls_cache, up_probs)
         _, x_up_src = nn.backward_from_cache(source_enc.arch, enc_params, enc_cache, emb_up)
         x_up[plan.src] += x_up_src
@@ -1103,7 +1190,7 @@ class TestOnePassObjective:
         assert isinstance(plan.src, np.ndarray) and plan.src.size == 6
         arch, params, enc, cls, z, plan = _objective_case(**ONE_PASS_CASES["probability 1.0"])
         probs = cls(enc(nn.forward(arch, params, z)[plan.src]))
-        picked = probs[plan.src_pick]
+        picked = probs.take(plan.src_pick)
         assert (picked == 1.0).any() and (picked == 0.0).any()
         for case in ("zero gap", "dim 1"):
             arch, params, enc, cls, z, plan = _objective_case(**ONE_PASS_CASES[case])
@@ -1134,3 +1221,11 @@ class TestOnePassObjective:
         arch, params, enc, cls, z, plan = _objective_case(3, modes)
         with pytest.raises(ConfigError):
             losses.generator_objective_and_grad(arch, params, enc, cls, z[:, :0], plan)
+
+    @pytest.mark.parametrize("modes", [("source_only",), ("target_only",), ("combined",)])
+    def test_plan_for_another_batch_size_rejected(self, modes):
+        """The source term's flat picks, like the proximity planes, fix the
+        batch size the plan was built for."""
+        arch, params, enc, cls, z, plan = _objective_case(3, modes)
+        with pytest.raises(ConfigError, match="^the plan is for another batch size"):
+            losses.generator_objective_and_grad(arch, params, enc, cls, z[:, :-1], plan)

@@ -425,6 +425,28 @@ class TestMatchesReference:
         with np.errstate(over="ignore"):  # -1e308 - 1e308 overflows to -inf: exp 0
             assert same_bytes(nn._softmax(z.copy()), ref_softmax(z))
 
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 70), k=st.integers(1, 40), p=st.integers(1, 40),
+           layout=st.sampled_from(["C", "F left", "F right", "row slice"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_net_product_equals_matmul(self, m, k, p, layout, seed):
+        """The cores multiply a (B, in) batch with np.dot (_matmul), which gives
+        np.matmul's bytes, also for one row or column, transposed operands and
+        row slices; a stack keeps np.matmul, so a net alone equals its row."""
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(m + 2, k))[1:m + 1], rng.normal(size=(k, p))
+        if layout == "C":
+            a = np.ascontiguousarray(a)
+        elif layout == "F left":
+            a = np.asfortranarray(a)
+        elif layout == "F right":
+            b = np.asfortranarray(b)
+        assert nn._matmul(a) is np.dot and nn._matmul(a[None]) is np.matmul
+        assert same_bytes(np.dot(a, b), np.matmul(a, b))
+        out = np.empty((m, p))
+        np.dot(a, b, out=out)
+        assert same_bytes(out, np.matmul(a[None], b[None])[0])
+
     @settings(max_examples=50, deadline=None)
     @given(shape=st.sampled_from([(7,), (3, 5), (2, 2, 9)]), steps=st.integers(1, 4),
            lr=st.sampled_from([1e-3, 0.05]), seed=st.integers(0, 2**32 - 1))
@@ -567,6 +589,43 @@ class TestAdam:
         p, state = nn.adam_step(state, p, g2)
         assert np.allclose(p, ref, atol=1e-15)
 
+    @pytest.mark.parametrize("shape", [7, (3, 5)])
+    @pytest.mark.parametrize("mode", ["in place", "spare state", "bare state"])
+    def test_adam_into_in_owned_scratch_matches_adam_step(self, shape, mode):
+        """adam_into works in the scratch its output state owns and gives
+        adam_step's bytes: in place, alternating with a spare state that shares
+        that scratch (as trainers._Adam does), and in place from a bare
+        AdamState(m, v), which owns none."""
+        rng = np.random.default_rng(11)
+        params, spare_params = rng.normal(size=shape), np.empty(shape)
+        ref_params, ref_state = params.copy(), nn.AdamState.init(shape, lr=0.05)
+        state = (nn.AdamState(np.zeros(shape), np.zeros(shape), lr=0.05) if mode == "bare state"
+                 else nn.AdamState.init(shape, lr=0.05))
+        scratch = state.scratch
+        for buf in scratch or ():
+            buf.fill(np.nan)  # what a step leaves there must not reach its results
+        spare = nn.AdamState(np.empty(shape), np.empty(shape), scratch=scratch)
+        for _ in range(4):
+            grad = rng.normal(size=shape)
+            ref_params, ref_state = nn.adam_step(ref_state, ref_params, grad)
+            if mode == "spare state":
+                nn.adam_into(state, params, grad, spare, spare_params)
+                state, spare, params, spare_params = spare, state, spare_params, params
+            else:
+                nn.adam_into(state, params, grad, state, params)
+            assert same_bytes(params, ref_params)
+            assert same_bytes(state.m, ref_state.m) and same_bytes(state.v, ref_state.v)
+            assert (state.t, state.lr) == (ref_state.t, ref_state.lr)
+        assert state.scratch is scratch
+        if scratch is not None:
+            assert all(np.isfinite(buf).all() for buf in scratch)
+
+    def test_init_owns_scratch_shaped_like_the_moments(self):
+        state = nn.AdamState.init((3, 5))
+        assert [buf.shape for buf in state.scratch] == [(3, 5), (3, 5)]
+        assert state.scratch[0] is not state.scratch[1]
+        assert nn.AdamState(np.zeros(2), np.zeros(2)).scratch is None
+
     def test_non_finite_grad_raises(self):
         state = nn.AdamState.init(2)
         with pytest.raises(NumericalError):
@@ -647,6 +706,29 @@ class TestModelFile:
         for name in nets:
             assert loaded[name].arch == nets[name].arch
             assert np.array_equal(loaded[name].params, nets[name].params)
+
+    @pytest.mark.parametrize("metadata", [None, {"task": "demo", "acc": 0.25, "tags": ["a", 1],
+                                                 "nested": {"é": None, "empty": []}}])
+    def test_bytes_equal_json_dump(self, tmp_path, metadata):
+        """The file is json.dump's ``indent=1`` text, edge floats included."""
+        nets = self._nets()
+        params = np.array(nets["enc"].params)
+        params[:4] = (5e-324, -0.0, 1e16, 0.1)
+        nets = {"enc": nets["enc"].with_params(params), 'c"l\u00e9s': nets["cls"]}
+        path = tmp_path / "model.json"
+        nn.save_model(path, nets, seed=3, metadata=metadata)
+        doc = {"format": "fha-model", "version": 1, "seed": 3, "metadata": metadata or {},
+               "nets": {name: {"widths": list(net.arch.widths), "activation": net.arch.activation,
+                               "head": net.arch.head, "params": [float(p) for p in net.params]}
+                        for name, net in nets.items()}}
+        want = tmp_path / "want.json"
+        with open(want, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        assert path.read_bytes() == want.read_bytes()
+        nn.save_model(path, {}, seed=3, metadata=metadata)
+        doc["nets"] = {}
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=1) + "\n"
 
     def test_rejects_non_json(self, tmp_path):
         path = tmp_path / "junk.json"
