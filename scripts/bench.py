@@ -5,9 +5,10 @@ runs ``perfbench/run.py --trace 0`` once in the parent checkout and once in
 this tree, with the seed ``SEED_BASE + i`` on both sides; the parent runs
 first in even pairs, the change in odd ones. Only the last line of each
 run's output (the benchmark's result object) is read; no other timer is
-kept. Writes a JSON file with the environment, both commits, every run's
-end-to-end metrics and, per (workload, metric), each side's median and
-quartiles and the number of pairs the change wins in the direction
+kept. Writes a JSON file with the environment, both commits, each side's
+``src/fha`` code and total line counts (``scripts/line_counts.py``), every
+run's end-to-end metrics and, per (workload, metric), each side's median
+and quartiles and the number of pairs the change wins in the direction
 ``BENCHMARK.json`` gives. Exits 1, writing nothing, as soon as a run is not
 ``correct``.
 
@@ -27,6 +28,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from line_counts import split
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED_BASE = 2541
@@ -42,6 +44,13 @@ def commit(tree: Path) -> dict:
     head = git("rev-parse", "HEAD")
     status = git("status", "--porcelain") if head else None
     return {"dir": tree.name, "commit": head, "dirty": None if status is None else bool(status)}
+
+
+def src_lines(tree: Path) -> dict:
+    """The code and total line counts of the tree's ``src/fha`` modules."""
+    counts = [split(path.read_text(encoding="utf-8"))
+              for path in (tree / "src" / "fha").glob("*.py")]
+    return {kind: sum(c[kind] for c in counts) for kind in ("code", "total")}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -122,6 +131,7 @@ def main(argv=None) -> int:
                         "nproc": os.cpu_count(), "affinity": len(os.sched_getaffinity(0)),
                         "python": platform.python_version(), "numpy": np.__version__},
         "parent": commit(parent), "change": commit(ROOT),
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "pairs": args.pairs, "seconds": args.seconds, "seed_base": SEED_BASE,
         "workloads": args.workloads.split(","),
         "summary": summarize(runs, spec), "runs": runs,

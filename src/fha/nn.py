@@ -14,10 +14,10 @@ _backward) over them, one code path for a net and a stack; every training
 pass in losses checks once and runs these cores too (a Net binds its views
 once, for the passes that read a frozen Net). The training loops check once
 at entry, bind their parameter and gradient buffers once, and step Adam
-(adam_into) in place on those buffers and on the moment and scratch buffers
-of the AdamState they made. Apart from those buffers, nothing writes in
-place into an array it did not allocate: not the parameters, the batch, an
-upstream gradient or a cache.
+(adam_into, which works only in place) on those buffers and on the AdamState
+they made. Apart from those buffers, nothing writes in place into an array
+it did not allocate: not the parameters, the batch, an upstream gradient or
+a cache.
 """
 
 from __future__ import annotations
@@ -300,10 +300,10 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Adam moments and step count at one lr; adam_step returns a new state,
-    adam_into writes one. ``scratch`` holds the two buffers, shaped like the
-    moments, that adam_into works in when it writes this state; without
-    them it allocates two on each step."""
+    """Adam moments and step count at one lr; adam_into steps one in place,
+    adam_step returns a new one. ``scratch`` holds the two buffers, shaped
+    like the moments, that adam_into works in; without them it allocates
+    two on each step."""
 
     m: np.ndarray
     v: np.ndarray
@@ -319,48 +319,45 @@ class AdamState:
                    scratch=(np.empty(shape), np.empty(shape)))
 
 
-def adam_into(state: AdamState, params: np.ndarray, grad: np.ndarray, out: AdamState,
-              out_params: np.ndarray) -> None:
-    """One Adam update from ``state`` and ``params`` on ``grad``, written into
-    ``out`` (its moments, step and lr) and ``out_params``: float64 buffers
-    of the shape of ``params``, which the caller owns and has checked.
-    ``out`` may be ``state`` and ``out_params`` ``params``, a step in place.
-    The step works in ``out.scratch``. A non-finite gradient raises before
-    anything is written."""
+def adam_into(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
+    """One Adam update on ``grad``, in place: steps ``params`` and ``state``'s
+    moments and step count, float64 buffers of one shape that the caller
+    owns and has checked. The step works in ``state.scratch``. A non-finite
+    gradient raises before anything is written."""
     if not np.isfinite(grad).all():
         raise NumericalError("non-finite gradient in adam_step")
-    t = state.t + 1
-    work, denom = out.scratch or (np.empty(grad.shape), np.empty(grad.shape))
+    state.t += 1
+    work, denom = state.scratch or (np.empty(grad.shape), np.empty(grad.shape))
     # m' = b1 m + (1 - b1) g and v' = b2 v + (1 - b2) g g, each product and sum
-    # in this order or commuted (the same bits); state is read before out is written
+    # in this order or commuted (the same bits)
     np.multiply(grad, 1.0 - _BETA1, out=work)
-    np.multiply(state.m, _BETA1, out=out.m)
-    out.m += work
+    state.m *= _BETA1
+    state.m += work
     np.multiply(grad, 1.0 - _BETA2, out=work)
     work *= grad
-    np.multiply(state.v, _BETA2, out=out.v)
-    out.v += work
-    np.divide(out.m, 1.0 - _BETA1**t, out=work)
+    state.v *= _BETA2
+    state.v += work
+    np.divide(state.m, 1.0 - _BETA1**state.t, out=work)
     work *= state.lr
-    np.divide(out.v, 1.0 - _BETA2**t, out=denom)
+    np.divide(state.v, 1.0 - _BETA2**state.t, out=denom)
     np.sqrt(denom, out=denom)
     denom += _EPS
     work /= denom
-    np.subtract(params, work, out=out_params)
-    out.t, out.lr = t, state.lr
+    params -= work
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray):
-    """One Adam update of parameters of any shape into fresh buffers (adam_into);
-    returns (new_params, new_state) and leaves its inputs untouched."""
-    params = np.asarray(params, dtype=np.float64)
+    """One Adam update of parameters of any shape: adam_into on copies of
+    ``params`` and ``state``; returns (new_params, new_state) and leaves its
+    inputs untouched."""
+    params = np.array(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ConfigError("params, grad, and state must share one shape")
-    new = AdamState(np.empty(params.shape), np.empty(params.shape))
-    new_params = np.empty(params.shape)
-    adam_into(state, params, grad, new, new_params)
-    return new_params, new
+    new = AdamState(np.array(state.m, dtype=np.float64), np.array(state.v, dtype=np.float64),
+                    state.t, state.lr)
+    adam_into(new, params, grad)
+    return params, new
 
 
 @dataclass(frozen=True)

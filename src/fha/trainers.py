@@ -12,7 +12,8 @@ the NumericalError its one-block run raises.
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and an update writes only into arrays its
 routine allocated: each loop steps Adam (nn.adam_into) in place on its own
-parameter and moment buffers. Equal seeds give bit-identical outputs.
+parameter and moment buffers, a stack through _Adam. Equal seeds give
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
             batch = x_epoch[start:start + size], pick_epoch[start:start + size]
             losses._softmax_ce(*nets, *batch, with_loss=False)
             try:
-                nn.adam_into(state, params, grad, state, params)
+                nn.adam_into(state, params, grad)
             except NumericalError:
                 # the loss is built only here: a non-finite one needs a NaN
                 # true-class probability, which makes the gradient NaN too
@@ -356,7 +357,7 @@ def train_ft(hypothesis: SourceHypothesis, fewshot: FewShotSet,
         probs, acts = nn._forward(arch, net, emb)
         g = losses._ce_parts(probs, pick, with_loss=False, logits=True)[1]
         nn._backward(arch, net, acts, g, net_grad, want_input=False)
-        nn.adam_into(state, params, grad, state, params)
+        nn.adam_into(state, params, grad)
     return TargetModel(enc=hypothesis.enc, cls=nn.Net(arch, params))
 
 
@@ -373,7 +374,7 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
             cls.arch, cls.layers, None)
     for _ in range(cfg.epochs):
         losses._softmax_ce(*nets, x, pick, with_loss=False)
-        nn.adam_into(state, params, grad, state, params)
+        nn.adam_into(state, params, grad)
     return TargetModel(enc=nn.Net(enc_arch, params), cls=cls)
 
 
@@ -382,12 +383,14 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
 
 
 class _Adam:
-    """Adam on ``params``, a stack of ``rows``-row blocks, stepped in place:
-    nn.adam_into runs into spare moment and parameter buffers, committed once
-    the whole stack is finite. Once that check fails, each failing block goes
-    into ``failed`` with its one-block run's NumericalError and steps finite
-    on a zero gradient from then on, so (Adam being elementwise) the others
-    keep their bits. A step raises once no block is left."""
+    """Adam on ``params``, a stack of ``rows``-row blocks, stepped in place
+    (nn.adam_into). A block whose gradient or new parameters are not finite
+    goes into ``failed`` (which the stacks of one run may share) with its
+    one-block run's NumericalError, and its parameter and moment rows are
+    zeroed, so no later stacked pass reads inf or NaN. A block in ``failed``
+    steps on a zero gradient, which keeps zero rows zero; Adam being
+    elementwise, the other blocks keep their bits. A step raises once no
+    block is left."""
 
     def __init__(self, params: np.ndarray, lr: float, failed: dict, rows: int = 1):
         self.params, self.lr, self.failed, self.rows = params, lr, failed, rows
@@ -399,35 +402,30 @@ class _Adam:
             # allocated up front, they cost an adaptation 10-30x the minor page
             # faults (by all appearances glibc trimming the freed temporaries off
             # the heap top after every step)
-            shape = self.params.shape
-            self.state = nn.AdamState.init(shape, self.lr)
-            # the two states take turns as adam_into's output, so they share its scratch
-            self.spare = nn.AdamState(np.empty(shape), np.empty(shape),
-                                      scratch=self.state.scratch)
-            self.new = np.empty(shape)
-        params, new, failed, rows = self.params, self.new, self.failed, self.rows
+            self.state = nn.AdamState.init(self.params.shape, self.lr)
+        params, state, failed, rows = self.params, self.state, self.failed, self.rows
         count = len(params) // rows
         if failed:
             grad[np.repeat(np.isin(np.arange(count), list(failed)), rows)] = 0.0
         try:
-            nn.adam_into(self.state, params, grad, self.spare, new)
-            finite = np.isfinite(new).all()
-        except NumericalError:
-            finite = False
-        if not finite:
+            nn.adam_into(state, params, grad)
+        except NumericalError:  # nothing written: step again without those blocks' gradients
             bad_grad = ~np.isfinite(grad).reshape(count, -1).all(axis=1)
             grad[np.repeat(bad_grad, rows)] = 0.0
-            nn.adam_into(self.state, params, grad, self.spare, new)
-            bad = np.repeat(~np.isfinite(new).reshape(count, -1).all(axis=1), rows)
-            new[bad] = params[bad]
-            for m in np.flatnonzero(bad_grad | bad[::rows]):
-                failed.setdefault(int(m), NumericalError(
-                    "non-finite gradient in adam_step" if bad_grad[m]
-                    else "network parameters must be finite"))
-            if len(failed) == count:
-                raise list(failed.values())[-1]
-        params[...] = new
-        self.state, self.spare = self.spare, self.state
+            nn.adam_into(state, params, grad)
+        else:
+            if np.isfinite(params).all():
+                return
+            bad_grad = np.zeros(count, dtype=bool)
+        bad = bad_grad | ~np.isfinite(params).reshape(count, -1).all(axis=1)
+        for m in np.flatnonzero(bad):
+            failed.setdefault(int(m), NumericalError(
+                "non-finite gradient in adam_step" if bad_grad[m]
+                else "network parameters must be finite"))
+        bad = np.repeat(bad, rows)
+        params[bad] = state.m[bad] = state.v[bad] = 0.0
+        if len(failed) == count:
+            raise list(failed.values())[-1]
 
 
 def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,

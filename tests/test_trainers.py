@@ -1018,11 +1018,11 @@ def _overflow_params(monkeypatch, after=1):
     parameter in row 0."""
     adam_into, calls = nn.adam_into, []
 
-    def step(state, params, grad, out, out_params):
-        adam_into(state, params, grad, out, out_params)
+    def step(state, params, grad):
+        adam_into(state, params, grad)
         calls.append(None)
         if len(calls) > after:
-            out_params[0] = np.inf
+            params[0] = np.inf
 
     monkeypatch.setattr(nn, "adam_into", step)
 
@@ -1098,6 +1098,52 @@ class TestDivergence:
         assert models[other].enc.params.tobytes() == clean[other].enc.params.tobytes()
         assert models[other].cls.params.tobytes() == clean[other].cls.params.tobytes()
         assert traces[other] == clean_traces[other]
+
+
+class TestAdamStack:
+    ROWS = 2  # rows per block of a 3-block (6, 5) stack
+
+    @pytest.mark.parametrize("kind,error", [("grad", DIVERGED),
+                                            ("params", "^network parameters must be finite$")])
+    def test_failed_block_leaves_the_others_bits(self, monkeypatch, kind, error):
+        """Block 1 fails at step 3: blocks 0 and 2 keep the parameters and
+        moments of a 2-block run without it, its rows are zero from then on,
+        and a step that fails the last blocks raises, failures in block order."""
+        rows, rng = self.ROWS, np.random.default_rng(4)
+        init, grads = rng.normal(size=(6, 5)), rng.normal(size=(6, 6, 5))
+        keep, block1 = np.r_[0:rows, 2 * rows:3 * rows], slice(rows, 2 * rows)
+        adam_into, overflow = nn.adam_into, []  # rows the next core step leaves infinite
+
+        def step(state, params, grad):
+            adam_into(state, params, grad)
+            params[overflow] = np.inf
+
+        monkeypatch.setattr(nn, "adam_into", step)
+        failed = {}
+        adam = trainers._Adam(init.copy(), 0.01, failed, rows)
+        alone = trainers._Adam(init[keep], 0.01, {}, rows)
+        for k, grad in enumerate(grads):
+            alone.step(grad[keep])
+            if k == 3 and kind == "grad":
+                grad[block1] = np.nan
+            overflow[:] = [rows] if k == 3 and kind == "params" else []
+            adam.step(grad)
+            overflow.clear()
+            assert list(failed) == ([1] if k >= 3 else [])
+            for mine, its in ((adam.params, alone.params), (adam.state.m, alone.state.m),
+                              (adam.state.v, alone.state.v)):
+                assert mine[keep].tobytes() == its.tobytes()
+                assert k < 3 or not mine[block1].any()
+            assert adam.state.t == alone.state.t
+        assert re.match(error, str(failed[1]))
+        grad = rng.normal(size=(6, 5))
+        grad[2 * rows:] = np.nan
+        overflow[:] = [0]
+        with pytest.raises(NumericalError, match=DIVERGED):
+            adam.step(grad)
+        assert list(failed) == [1, 0, 2]
+        assert re.match("^network parameters must be finite$", str(failed[0]))
+        assert re.match(DIVERGED, str(failed[2]))
 
 
 class TestDiscriminatorAccuracy:
