@@ -11,8 +11,8 @@ and the ft and shot baselines; "other" is the rest of the seed (data,
 few-shot draws, accuracies). A discriminator update counts its encoder
 pass (in pretraining, the pool embedding it gathers from) and its Adam
 step; a model update its Adam step. Prints the median of each phase over
-the seeds, its share of their sum, and the generator blocks one seed
-trains. The defaults are the pilot's: rot40, n_t=3.
+the seeds, its share of their sum, and the generator runs one seed makes
+and the blocks they train. The defaults are the pilot's: rot40, n_t=3.
 
     PYTHONPATH=src python3 scripts/phase_times.py [--task rot40] [--shots 3] \\
         [--seeds 0,1,2,3,4]
@@ -73,8 +73,8 @@ def _phase_of(name, caller, last_update):
 
 
 def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
-    """Milliseconds of each phase of one seed, the generator blocks it
-    trained, its failed runs, and the timed functions it called."""
+    """Milliseconds of each phase of one seed, its generator runs and the
+    blocks they trained, its failed runs, and the timed functions it called."""
     times = dict.fromkeys(PHASES, 0.0)
     stack = []  # [function, phase, time of the timed calls inside it]
     last_update = ["adapt: disc updates"]
@@ -113,7 +113,7 @@ def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
             setattr(module, name, fn)
     times["other"] += (time.perf_counter() - start) * 1e3 - sum(times.values())
     problems = [f"{r.method} n_t={r.n_t}: {r.error}" for r in results if r.error is not None]
-    return times, sum(blocks), problems, called
+    return times, (len(blocks), sum(blocks)), problems, called
 
 
 def main(argv=None) -> int:
@@ -141,7 +141,8 @@ def main(argv=None) -> int:
         label = f"  {phase.split(': ')[1]}" if ": " in phase else phase
         print(f"  {label:<24}{medians[phase]:9.1f}  {100.0 * medians[phase] / total:5.1f}%")
     print(f"  {'total':<24}{total:9.1f}")
-    print(f"generator blocks per seed: {sorted({r[1] for r in runs})}")
+    print(f"generator runs per seed: {sorted({r[1][0] for r in runs})}, "
+          f"blocks per seed: {sorted({r[1][1] for r in runs})}")
     problems = [p for r in runs for p in r[2]]
     called = set().union(*(r[3] for r in runs))
     problems += [f"{module.__name__}.{name} made no call; the phase map is stale"

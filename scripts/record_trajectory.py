@@ -61,8 +61,8 @@ def trajectory() -> dict:
     runs = {}
     for method in METHODS:
         trace: list = []
-        model = trainers.run_generator_methods([method], hypothesis, fewshot, cfg,
-                                               traces={method: trace})[method]
+        model = trainers.run_generator_methods([method], hypothesis, [fewshot], cfg,
+                                               traces=[{method: trace}])[0][method]
         runs[method] = {"enc": _sha(model.enc.params), "cls": _sha(model.cls.params),
                         "trace": _trace_sha(trace), "events": len(trace)}
 

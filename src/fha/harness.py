@@ -2,8 +2,9 @@
 tables, and a 2-d embedding export.
 
 The README fixes the results-line schema (File formats) and describes the
-one shared run of the generator methods per (seed, n_t), in which a
-diverging block costs only the methods that read it (Methods).
+one shared run of the generator methods per seed, over its few-shot set of
+every n_t, in which a diverging block costs only the (method, n_t) runs
+that read it (Methods).
 """
 
 from __future__ import annotations
@@ -140,24 +141,23 @@ def _method_model(method: str, hypothesis, fewshot, baseline: BaselineConfig, sh
     return model
 
 
-def _shared_run(methods, hypothesis, fewshot, tohan_cfg: TohanConfig, banks: dict,
-                what: str = "shared"):
+def _shared_run(methods, hypothesis, fewshots, tohan_cfg: TohanConfig, what: str = "shared"):
     """A lazy, memoized trainers.run_generator_methods run of the generator
-    methods among ``methods``, with the seed's ``banks``. Returns each
-    method's model or error; an exception that stops the run is each one's,
-    logged once here as the ``what`` run's."""
+    methods among ``methods`` on every set of ``fewshots``: one callable per
+    set, returning each method's model or error on it, the first call of any
+    making the run. An exception that stops the run is each one's on every
+    set, logged once here as the ``what`` run's."""
     gen_methods = [m for m in methods if m in trainers.GENERATOR_METHODS]
 
     @functools.cache
-    def shared():
+    def run():
         try:
-            return trainers.run_generator_methods(gen_methods, hypothesis, fewshot, tohan_cfg,
-                                                  banks=banks)
+            return trainers.run_generator_methods(gen_methods, hypothesis, fewshots, tohan_cfg)
         except Exception as exc:
             _failure(exc, f"{what} run")
-            return dict.fromkeys(gen_methods, exc)
+            return [dict.fromkeys(gen_methods, exc)] * len(fewshots)
 
-    return shared
+    return [lambda i=i: run()[i] for i in range(len(fewshots))]
 
 
 def _failure(exc: Exception, what: str, logged=False) -> str:
@@ -181,9 +181,10 @@ def _error_results(task_name, methods, shots, seed, message):
 def _run_seed(task: TaskSpec, methods, shots, seed: int,
               cfg: ExperimentConfig) -> list[RunResult]:
     """All (method, n_t) runs of one experiment seed, sharing one source
-    hypothesis and one few-shot draw per n_t (the paired design), and one
-    generator run and one stacked adaptation per n_t for the generator
-    methods. A failed run or stack block is the error record of each run it costs."""
+    hypothesis and one few-shot draw per n_t (the paired design); the
+    generator methods of every n_t share one trainers.run_generator_methods
+    run, made at the seed's first generator line. A failed draw, run or
+    stack block is the error record of each run it costs."""
     data_seed, source_seed, fewshot_seed, method_seed = nn.derive_seeds(seed, 4)
     try:
         source, target, target_test = make_synthetic_task(replace(task, seed=data_seed))
@@ -193,16 +194,21 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
         return _error_results(task.name, methods, shots, seed,
                               _failure(exc, f"seed {seed} setup"))
     tohan_cfg = replace(cfg.tohan, seed=method_seed)
-    results, banks = [], {}
+    drawn = {}  # n_t -> its few-shot set, or the error message of its failed draw
     for n_t in shots:
         try:
-            fewshot = sample_few_shot(target, n_t, fewshot_seed)
+            drawn[n_t] = sample_few_shot(target, n_t, fewshot_seed)
         except Exception as exc:
-            message = _failure(exc, f"n_t={n_t}/seed={seed} few-shot draw")
-            results.extend(_error_results(task.name, methods, [n_t], seed, message))
+            drawn[n_t] = _failure(exc, f"n_t={n_t}/seed={seed} few-shot draw")
+    fewshots = {n_t: fs for n_t, fs in drawn.items() if not isinstance(fs, str)}
+    runs = dict(zip(fewshots, _shared_run(methods, hypothesis, list(fewshots.values()),
+                                          tohan_cfg, f"seed={seed} shared")))
+    results = []
+    for n_t in shots:
+        if n_t not in fewshots:
+            results.extend(_error_results(task.name, methods, [n_t], seed, drawn[n_t]))
             continue
-        shared = _shared_run(methods, hypothesis, fewshot, tohan_cfg, banks,
-                             f"n_t={n_t}/seed={seed} shared")
+        fewshot, shared = fewshots[n_t], runs[n_t]
         for method in methods:
             start = time.perf_counter()
             acc, error = None, None

@@ -40,6 +40,11 @@ def gen_source_loss_and_grad(class_probs: np.ndarray, with_loss=True):
     p = _check_probs(class_probs, "class probabilities")
     if p.ndim == 0 or p.shape[-1] == 0:
         raise ConfigError("class_probs must be non-empty along its last axis")
+    return _compatibility(p, with_loss)
+
+
+def _compatibility(p: np.ndarray, with_loss=True):
+    """gen_source_loss_and_grad on checked, non-empty float64 probabilities."""
     gap = p - 1.0
     return (gap ** 2).mean(axis=-1) if with_loss else None, 2.0 * gap / p.shape[-1]
 
@@ -385,9 +390,9 @@ class GeneratorPlan(NamedTuple):
     num_classes: int
     src: slice | np.ndarray | None  # the rows the source term scores
     src_pick: np.ndarray  # the (S, B) _flat_pick of the class each of them scores
-    tgt: slice | np.ndarray | None  # the rows the proximity term reads
-    weight: np.ndarray  # the (R,) proximity weight of each of them
-    planes: np.ndarray | None  # their few-shots as (K, dim, R, B) planes
+    # per few-shot count K, the rows the proximity term reads with K shots:
+    # (rows, their (R,) proximity weights, their few-shots as (K, dim, R, B) planes)
+    tgt: tuple[tuple, ...]
     diameter: float
 
 
@@ -401,44 +406,53 @@ def _block_rows(blocks: list[int], n: int):
     return np.array([m * n + c for m in blocks for c in range(n)], dtype=np.int64)
 
 
-def generator_plan(mode, num_classes: int, targets: np.ndarray | None, tradeoff: float,
+def generator_plan(mode, num_classes: int, targets, tradeoff: float,
                    batch: int) -> GeneratorPlan:
     """The plan of generator_objective_and_grad for a run of ``batch``-row steps:
-    ``mode`` is one objective, or a tuple of M, one per row block of
-    ``num_classes`` generators, with the (N, K, dim) few-shots ``targets`` of
-    each class (or None) and the non-negative ``tradeoff``. Modes:
+    ``mode`` is one objective with the (N, K, dim) few-shots ``targets`` of
+    each class (or None), or a tuple of M, one per row block of
+    ``num_classes`` generators, with a sequence of M such ``targets``, each
+    block's, and the non-negative ``tradeoff``. Modes:
       * ``source_only``: compatibility term alone (few-shots unused);
       * ``target_only``: proximity term alone, scaled into [0, 1] by
         ``l1_diameter(dim)``;
       * ``combined``: compatibility + tradeoff * proximity. With tradeoff 0
         the proximity term is skipped entirely, matching source_only.
+    The proximity blocks with K few-shots per class share one ``tgt`` entry,
+    in the order their K first appears.
     """
-    modes = (mode,) if isinstance(mode, str) else tuple(mode)
+    modes, targets = ((mode,), (targets,)) if isinstance(mode, str) else (tuple(mode), targets)
     if not modes or any(m not in ("source_only", "target_only", "combined") for m in modes):
         raise ConfigError(f"unknown generator mode {mode!r}")
+    if targets is None or len(targets) != len(modes):
+        raise ConfigError("targets must hold one entry per mode")
     if tradeoff < 0:
         raise ConfigError("tradeoff must be non-negative")
     if batch < 1:
         raise ConfigError("generated batch is empty")
     src_blocks = [m for m, name in enumerate(modes) if name != "target_only"]
     own = np.arange(len(src_blocks) * num_classes)
-    tgt_blocks = [m for m, name in enumerate(modes)
-                  if name == "target_only" or (name == "combined" and tradeoff != 0.0)]
-    tgt, planes, diameter = _block_rows(tgt_blocks, num_classes), None, 1.0
-    if tgt_blocks:
-        if targets is None or not np.size(targets):
-            raise MissingClassError("no few-shot samples for some source class")
-        if np.ndim(targets) != 3 or len(targets) != num_classes:
-            raise ConfigError("targets must be (N, K, dim), one row per source class")
-        targets = np.asarray(targets, dtype=np.float64)
-        planes = _target_planes(np.tile(targets, (len(tgt_blocks), 1, 1)), batch)
-        diameter = l1_diameter(targets.shape[-1])
-    weight = np.repeat([1.0 if modes[m] == "target_only" else tradeoff for m in tgt_blocks],
-                       num_classes)
+    by_k = {}  # K -> the proximity blocks with K few-shots per class
+    for m, name in enumerate(modes):
+        if name == "target_only" or (name == "combined" and tradeoff != 0.0):
+            if targets[m] is None or not np.size(targets[m]):
+                raise MissingClassError("no few-shot samples for some source class")
+            if np.ndim(targets[m]) != 3 or len(targets[m]) != num_classes:
+                raise ConfigError("targets must be (N, K, dim), one row per source class")
+            by_k.setdefault(np.shape(targets[m])[1], []).append(m)
+    if len({np.shape(targets[m])[2] for blocks in by_k.values() for m in blocks}) > 1:
+        raise ConfigError("the few-shots of every block must share a feature dimension")
+    tgt = tuple((
+        _block_rows(blocks, num_classes),
+        np.repeat([1.0 if modes[m] == "target_only" else tradeoff for m in blocks], num_classes),
+        _target_planes(np.concatenate([np.asarray(targets[m], dtype=np.float64)
+                                       for m in blocks]), batch))
+        for blocks in by_k.values())
+    diameter = l1_diameter(tgt[0][2].shape[1]) if tgt else 1.0
     src_pick = _flat_pick((own.size, batch, num_classes),
                           np.repeat((own % num_classes)[:, None], batch, axis=1))
     return GeneratorPlan(modes, num_classes, _block_rows(src_blocks, num_classes),
-                         src_pick, tgt, weight, planes, diameter)
+                         src_pick, tgt, diameter)
 
 
 def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
@@ -466,7 +480,7 @@ def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
     gen = nn._layers(arch, params)
     generated, gen_acts = nn._forward(arch, gen, nn._check_batch(arch, z, params))
     if generated.shape[-2] != plan.src_pick.shape[-1] or (
-            plan.planes is not None and generated.shape[-1] != plan.planes.shape[1]):
+            plan.tgt and generated.shape[-1] != plan.tgt[0][2].shape[1]):
         raise ConfigError("the plan is for another batch size or feature dimension")
     x_up = np.zeros_like(generated)
     loss = np.zeros(len(generated)) if with_loss else None
@@ -478,19 +492,18 @@ def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
         emb, enc_acts = nn._forward(enc, enc_layers, generated[plan.src])
         probs, cls_acts = nn._forward(cls, cls_layers, emb)
         picked = probs.take(plan.src_pick)
-        src_loss, u = gen_source_loss_and_grad(picked, with_loss)
+        src_loss, u = _compatibility(picked, with_loss)
         if with_loss:
             loss[plan.src] += src_loss
         g = _softmax_input_grad(probs, plan.src_pick, picked, u)
         emb_g = nn._backward(cls, cls_layers, cls_acts, g, None)
         x_up[plan.src] += nn._backward(enc, enc_layers, enc_acts,
                                        nn._head_grad(enc, emb, emb_g), None)
-    if plan.tgt is not None:
-        target_loss, target_grad = _proximity(generated[plan.tgt], plan.planes,
-                                              plan.diameter, with_loss)
+    for rows, weight, planes in plan.tgt:
+        target_loss, target_grad = _proximity(generated[rows], planes, plan.diameter, with_loss)
         if with_loss:
-            loss[plan.tgt] += plan.weight * target_loss
-        x_up[plan.tgt] += plan.weight[:, None, None] * target_grad
+            loss[rows] += weight * target_loss
+        x_up[rows] += weight[:, None, None] * target_grad
     gen_grad = np.empty(params.shape)
     nn._backward(arch, gen, gen_acts, nn._head_grad(arch, generated, x_up),
                  nn._layers(arch, gen_grad), want_input=False)

@@ -1,11 +1,11 @@
 """Training routines: source fitting, the ft and shot baselines, the class
 generators and the adaptation schedule the generator methods share (the
 README's Methods section says what each method trains, and how
-run_generator_methods runs them all in one generator run and one stacked
-adaptation).
+run_generator_methods runs them on every few-shot set of a seed in one
+generator run and one stacked adaptation per set).
 
 A stack equals its rows run alone, bit for bit: each row block of a
-generator run equals its one-mode run, and each row of an _adapt stack its
+generator run equals its one-block run, and each row of an _adapt stack its
 one-block run, trace included. A diverging block fails alone (_Adam), with
 the NumericalError its one-block run raises.
 
@@ -428,59 +428,59 @@ class _Adam:
             raise list(failed.values())[-1]
 
 
-def _run_generators(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
-                    modes: tuple[str, ...], cfg: TohanConfig, root: int, epochs: int,
-                    keep: dict | None = None, logs: dict | None = None) -> tuple[dict, dict]:
-    """Train the class generators of every objective in ``modes`` as one
-    (M*N, P) stack in one buffer with one Adam state and one
-    losses.generator_plan: block m holds the N generators on objective
-    modes[m], row n of a block for class n.
+def _run_generators(hypothesis: SourceHypothesis, blocks, cfg: TohanConfig, root: int,
+                    epochs: int, keep: dict | None = None,
+                    logs: dict | None = None) -> tuple[list, dict]:
+    """Train the class generators of every row block in ``blocks``, an
+    (objective, few-shot set or None) pair each, as one (M*N, P) stack in one
+    buffer with one Adam state and one losses.generator_plan: block m holds
+    the N generators on objective blocks[m][0] and its few-shots, row n of a
+    block for class n.
 
     Seeds follow derive_seeds(root, 2 * num_classes): child 2n initializes
     generator n and child 2n + 1 drives its noise stream, drawn in class order.
     Every block starts from the same init rows and reads the same noise, so
-    each block follows its one-mode run bit for bit. Returns the trained bank
-    of each mode, or its failed block's NumericalError (_Adam), and, for each
-    mode in ``keep``, the (N, gen_batch, dim) batches of its last keep[mode]
-    steps. ``logs`` maps a mode to the list that receives its block's initial
-    digest, then one (loss mean, digest) of the block per step; the step
-    losses are built only for a logged run.
+    each block follows its one-block run bit for bit. Returns each block's
+    trained bank, or its failed block's NumericalError (_Adam), in block
+    order, and, for each block m in ``keep``, the (N, gen_batch, dim) batches
+    of its last keep[m] steps. ``logs`` maps a block to the list that
+    receives its initial digest, then one (loss mean, digest) of the block
+    per step; the step losses are built only for a logged run.
     """
-    num_classes = hypothesis.cls.arch.out_width
+    num_classes, count = hypothesis.cls.arch.out_width, len(blocks)
     child = nn.derive_seeds(root, 2 * num_classes)
     arch = default_generator_arch(cfg.z_dim, hypothesis.enc.arch.in_width, cfg.gen_hidden)
     init = np.stack([nn.init_params(arch, child[2 * n]) for n in range(num_classes)])
-    params = np.tile(init, (len(modes), 1))
+    params = np.tile(init, (count, 1))
     noise = [np.random.default_rng(child[2 * n + 1]) for n in range(num_classes)]
-    targets = None  # the plan refuses a target mode without the shots of every class
-    if fewshot is not None and fewshot.num_classes >= num_classes:
-        targets = np.stack([fewshot.class_features(n) for n in range(num_classes)]
-                           ).astype(np.float64)
-    plan = losses.generator_plan(modes, num_classes, targets, cfg.tradeoff, cfg.gen_batch)
-    blocks = {mode: slice(m * num_classes, (m + 1) * num_classes)
-              for m, mode in enumerate(modes)}
+    # the plan refuses a target block without the shots of every class
+    targets = [None if fs is None or fs.num_classes < num_classes else
+               np.stack([fs.class_features(n) for n in range(num_classes)]).astype(np.float64)
+               for _, fs in blocks]
+    plan = losses.generator_plan(tuple(mode for mode, _ in blocks), num_classes, targets,
+                                 cfg.tradeoff, cfg.gen_batch)
+    rows = [slice(m * num_classes, (m + 1) * num_classes) for m in range(count)]
     keep, logs = keep or {}, logs or {}
-    kept, failed = {mode: [] for mode in keep}, {}
+    kept, failed = {m: [] for m in keep}, {}
     adam = _Adam(params, cfg.lr_gen, failed, num_classes)
-    for mode, log in logs.items():
-        log.append(_digest(params[blocks[mode]]))
+    for m, log in logs.items():
+        log.append(_digest(params[rows[m]]))
     for epoch in range(epochs):
         if epoch % _NOISE_CHUNK == 0:  # the same stream as one (B, z_dim) draw per step
             steps = min(_NOISE_CHUNK, epochs - epoch)
             chunk = np.tile(np.stack([rng.standard_normal((steps, cfg.gen_batch, cfg.z_dim))
-                                      for rng in noise], axis=1), (1, len(modes), 1, 1))
+                                      for rng in noise], axis=1), (1, count, 1, 1))
         step_losses, grad, generated = losses.generator_objective_and_grad(
             arch, params, hypothesis.enc, hypothesis.cls, chunk[epoch % _NOISE_CHUNK], plan,
             with_loss=bool(logs))
         adam.step(grad)
-        for mode, count in keep.items():
-            if epoch >= epochs - count:
+        for m, steps_kept in keep.items():
+            if epoch >= epochs - steps_kept:
                 # a copy, so the other blocks' batches are not kept alive
-                kept[mode].append(generated[blocks[mode]].copy())
-        for mode, log in logs.items():
-            log.append((float(np.mean(step_losses[blocks[mode]])), _digest(params[blocks[mode]])))
-    return {mode: failed.get(m) or GeneratorBank(arch, params[blocks[mode]])
-            for m, mode in enumerate(modes)}, kept
+                kept[m].append(generated[rows[m]].copy())
+        for m, log in logs.items():
+            log.append((float(np.mean(step_losses[rows[m]])), _digest(params[rows[m]])))
+    return [failed.get(m) or GeneratorBank(arch, params[rows[m]]) for m in range(count)], kept
 
 
 def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
@@ -497,8 +497,8 @@ def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | Non
     if mode != "source_only" and fewshot is None:
         raise ConfigError(f"mode {mode!r} needs a few-shot set")
     root = cfg.seed if seed is None else seed
-    return _run_generators(hypothesis, fewshot, (mode,), cfg, root,
-                           cfg.total_epochs if epochs is None else epochs)[0][mode]
+    return _run_generators(hypothesis, [(mode, fewshot)], cfg, root,
+                           cfg.total_epochs if epochs is None else epochs)[0][0]
 
 
 def _labeled_pool(batches: np.ndarray) -> LabeledPool:
@@ -671,65 +671,87 @@ def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
     return _adapt([block], fewshot, hypothesis, cfg)[0]
 
 
-def run_generator_methods(methods, hypothesis: SourceHypothesis, fewshot: FewShotSet,
-                          cfg: TohanConfig, *, banks: dict | None = None,
-                          traces: dict | None = None) -> dict[str, TargetModel | NumericalError]:
-    """Run the listed generator methods as one generator run and one stacked
-    _adapt run; returns each method's model or the NumericalError of its
-    failed bank or block.
+def run_generator_methods(methods, hypothesis: SourceHypothesis, fewshots, cfg: TohanConfig, *,
+                          traces=None) -> list[dict[str, TargetModel | NumericalError]]:
+    """Run the listed generator methods on each few-shot set of ``fewshots``
+    (one seed's sets, one per shot count) as one generator run, then one
+    stacked _adapt run per set; returns, per set, each method's model or the
+    NumericalError of its failed bank or block, or of its set's adaptation
+    when that fails in every block (the error a one-set run raises).
 
     The generator run is rooted at child 0 of derive_seeds(cfg.seed, 3) and
     takes cfg.total_epochs steps, with a row block per objective the methods
-    read, in source_only/target_only/combined order: a two-step method reads
-    its objective's bank when cfg.adapt_epochs > 0 (at 0 it keeps the source
-    nets), tohan always reads the combined block. tohan adapts over that
-    block's last cfg.adapt_epochs batches, one pool per epoch, with its
-    discriminator seeded by child 1 and its pairs by child 2. A two-step
+    read: the source_only block once, since it reads no few-shots, then the
+    target_only and combined blocks of each set in turn. A two-step method
+    reads its objective's bank when cfg.adapt_epochs > 0 (at 0 it keeps the
+    source nets), tohan always reads its set's combined block. tohan adapts
+    over that block's last cfg.adapt_epochs batches, one pool per epoch, with
+    its discriminator seeded by child 1 and its pairs by child 2. A two-step
     method adapts against one pool sampled from its bank with child 1,
     seeded as adapt_pairwise with child 2, so the two-step methods share one
-    pair stream. ``banks``, a dict the caller keeps across the few-shot draws
-    of one seed, holds the source_only bank (or its error), which reads no
-    few-shots: a call that trains it stores it there, and later calls read
-    it instead of training it again. ``traces`` maps a method to the list
-    that receives its phase events; a traced tohan gets its block's generate
-    events too.
+    pair stream. ``traces``, one dict per set, maps a method to the list that
+    receives its phase events on that set; a traced tohan gets its block's
+    generate events too.
     """
     methods = list(methods)
     unknown = [m for m in methods if m not in GENERATOR_METHODS]
     if unknown or not methods:
         raise ConfigError(f"methods must be among {list(GENERATOR_METHODS)}, got {methods}")
-    banks = {} if banks is None else banks
-    traces = traces or {}
+    fewshots = [] if isinstance(fewshots, FewShotSet) else list(fewshots)
+    traces = [{}] * len(fewshots) if traces is None else [t or {} for t in traces]
+    if not fewshots or len(traces) != len(fewshots):
+        raise ConfigError("need one or more few-shot sets, with one traces dict (or None) each")
     root, first, second = nn.derive_seeds(cfg.seed, 3)
     tohan = "tohan" in methods
-    modes = tuple(mode for method, mode in TWO_STEP_MODES.items()  # in block order
-                  if (method in methods and cfg.adapt_epochs > 0 and mode not in banks)
-                  or (mode == "combined" and tohan))
-    gen_log = [] if traces.get("tohan") is not None else None
-    trained, kept = {}, {}
-    if modes:
-        trained, kept = _run_generators(hypothesis, fewshot, modes, cfg, root, cfg.total_epochs,
-                                        {"combined": cfg.adapt_epochs} if tohan else None,
-                                        None if gen_log is None else {"combined": gen_log})
-    if "source_only" in trained:
-        banks["source_only"] = trained["source_only"]
-    trained.update(banks)
-    models = dict.fromkeys(methods, TargetModel(enc=hypothesis.enc, cls=hypothesis.cls))
-    blocks = {}
-    for method in methods:
-        bank = trained.get("combined" if method == "tohan" else TWO_STEP_MODES[method])
-        if isinstance(bank, NumericalError):
-            models[method] = bank
-        elif method == "tohan":
-            blocks[method] = _Block([_labeled_pool(b) for b in kept["combined"]], first, second,
-                                    traces.get(method), gen_log)
-        elif cfg.adapt_epochs > 0:
-            pool = sample_pool(bank, cfg.gen_batch, first)
-            blocks[method] = _Block([pool] * cfg.adapt_epochs, *nn.derive_seeds(second, 2),
-                                    traces.get(method))
-    if blocks:
-        models.update(zip(blocks, _adapt(list(blocks.values()), fewshot, hypothesis, cfg)))
-    return models
+    reads = [mode for method, mode in TWO_STEP_MODES.items()  # in block order
+             if (method in methods and cfg.adapt_epochs > 0) or (mode == "combined" and tohan)]
+    blocks, block_of = [], [{} for _ in fewshots]  # per set, each mode's block
+    for i, fewshot in enumerate(fewshots):
+        for mode in reads:
+            if mode == "source_only" and i:  # it reads no few-shots: one block serves every set
+                block_of[i][mode] = block_of[0][mode]
+            else:
+                block_of[i][mode] = len(blocks)
+                blocks.append((mode, None if mode == "source_only" else fewshot))
+    gen_logs = [None if t.get("tohan") is None else [] for t in traces]
+    combined = [of["combined"] for of in block_of] if tohan else []
+    banks, kept = _run_generators(
+        hypothesis, blocks, cfg, root, cfg.total_epochs, dict.fromkeys(combined, cfg.adapt_epochs),
+        {m: log for m, log in zip(combined, gen_logs) if log is not None}) if blocks else ([], {})
+    results = []
+    for i, (fewshot, trace) in enumerate(zip(fewshots, traces)):
+        models = dict.fromkeys(methods, TargetModel(enc=hypothesis.enc, cls=hypothesis.cls))
+        adapting = {}
+        for method in methods:
+            block = block_of[i].get("combined" if method == "tohan" else TWO_STEP_MODES[method])
+            bank = None if block is None else banks[block]
+            if isinstance(bank, NumericalError):
+                models[method] = bank
+            elif method == "tohan":
+                adapting[method] = _Block([_labeled_pool(b) for b in kept[block]], first, second,
+                                          trace.get(method), gen_logs[i])
+            elif cfg.adapt_epochs > 0:
+                pool = sample_pool(bank, cfg.gen_batch, first)
+                adapting[method] = _Block([pool] * cfg.adapt_epochs, *nn.derive_seeds(second, 2),
+                                          trace.get(method))
+        if adapting:
+            try:
+                models.update(zip(adapting, _adapt(list(adapting.values()), fewshot, hypothesis,
+                                                   cfg)))
+            except NumericalError as exc:  # no block left: what a one-set run raises
+                models = dict.fromkeys(methods, exc)
+        results.append(models)
+    return results
+
+
+def _one_method(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
+                cfg: TohanConfig, trace: list | None) -> TargetModel:
+    """run_generator_methods of one method on one set; raises its error."""
+    model = run_generator_methods([method], hypothesis, [fewshot], cfg,
+                                  traces=[{method: trace}])[0][method]
+    if isinstance(model, NumericalError):
+        raise model
+    return model
 
 
 def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
@@ -741,8 +763,7 @@ def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
     """
     if method not in TWO_STEP_MODES:
         raise ConfigError(f"method must be one of {sorted(TWO_STEP_MODES)}")
-    return run_generator_methods([method], hypothesis, fewshot, cfg,
-                                 traces={method: trace})[method]
+    return _one_method(method, hypothesis, fewshot, cfg, trace)
 
 
 def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanConfig,
@@ -755,8 +776,7 @@ def train_tohan(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: TohanCon
     objective never reads the adapted model, so this equals interleaving the
     two loops, and the trace keeps the interleaved order.
     """
-    return run_generator_methods(["tohan"], hypothesis, fewshot, cfg,
-                                 traces={"tohan": trace})["tohan"]
+    return _one_method("tohan", hypothesis, fewshot, cfg, trace)
 
 
 def group_discriminator_accuracy(disc: nn.Net, enc: nn.Net, intermediate: LabeledPool,

@@ -449,18 +449,27 @@ SHARED_GRID = [(task, n_t, tradeoff) for task in SHARED_TASKS
 
 
 def _inject(monkeypatch, fails, error=NumericalError):
-    """Make every generator run whose modes satisfy ``fails`` raise ``error``;
-    returns the modes of every generator run started."""
+    """Make every generator run whose blocks satisfy ``fails`` raise
+    ``error``; returns the blocks of every generator run started, as
+    (mode, n_t or None) pairs."""
     run_generators, started = trainers._run_generators, []
 
-    def run(hypothesis, fewshot, modes, *args, **kwargs):
-        started.append(modes)
-        if fails(modes):
-            raise error(f"injected divergence in {'+'.join(modes)}")
-        return run_generators(hypothesis, fewshot, modes, *args, **kwargs)
+    def run(hypothesis, blocks, *args, **kwargs):
+        started.append([(mode, fs and fs.n_t) for mode, fs in blocks])
+        if fails(started[-1]):
+            raise error("injected failure")
+        return run_generators(hypothesis, blocks, *args, **kwargs)
 
     monkeypatch.setattr(trainers, "_run_generators", run)
     return started
+
+
+def _run_blocks(modes, shots):
+    """The blocks, as _inject records them, of one generator run over the
+    few-shot sets of ``shots`` whose methods read the objectives ``modes``."""
+    blocks = [("source_only", None)] if "source_only" in modes else []
+    return blocks + [(mode, n_t) for n_t in shots for mode in ("target_only", "combined")
+                     if mode in modes]
 
 
 # the generator blocks each method subset reads, in block order
@@ -474,9 +483,9 @@ class TestSharedGenerators:
     @pytest.mark.parametrize("task,n_t,tradeoff", SHARED_GRID)
     def test_methods_match_direct_calls(self, monkeypatch, task, n_t, tradeoff, methods):
         hyp, fewshot, cfg, direct = _shared_setup(task, n_t, tradeoff)
-        started = _inject(monkeypatch, lambda modes: False)
+        started = _inject(monkeypatch, lambda blocks: False)
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        shared = harness._shared_run(methods, hyp, fewshot, tohan_cfg, {})
+        shared, = harness._shared_run(methods, hyp, [fewshot], tohan_cfg)
         for method in methods:
             model = harness._method_model(method, hyp, fewshot, cfg.baseline, shared)
             if method in direct:
@@ -485,36 +494,35 @@ class TestSharedGenerators:
                 unshared = harness._method_model(method, hyp, fewshot, cfg.baseline, None)
                 assert _model_bytes(model) == _model_bytes(unshared), method
         # one generator run, with one block per objective the methods read
-        assert started == [SUBSET_MODES[methods]]
+        assert started == [_run_blocks(SUBSET_MODES[methods], [n_t])]
 
     @pytest.mark.parametrize("task,n_t,tradeoff", SHARED_GRID)
     def test_blocks_match_one_mode_runs(self, task, n_t, tradeoff):
         hyp, fewshot, cfg, _ = _shared_setup(task, n_t, tradeoff)
         tohan_cfg = cfg.tohan
-        modes = ("combined", "source_only", "target_only")
-        keep = dict.fromkeys(modes, 3)
-        banks, kept = trainers._run_generators(hyp, fewshot, modes, tohan_cfg, 5, 9, keep)
-        for mode in modes:
+        blocks = [(mode, fewshot) for mode in ("combined", "source_only", "target_only")]
+        banks, kept = trainers._run_generators(hyp, blocks, tohan_cfg, 5, 9, {0: 3, 1: 3, 2: 3})
+        for m, (mode, _) in enumerate(blocks):
             alone_banks, alone_kept = trainers._run_generators(
-                hyp, fewshot, (mode,), tohan_cfg, 5, 9, {mode: 3})
+                hyp, [blocks[m]], tohan_cfg, 5, 9, {0: 3})
             bank = trainers.train_generator_bank(hyp, fewshot, mode, tohan_cfg,
                                                  seed=5, epochs=9)
-            assert banks[mode].params.tobytes() == bank.params.tobytes(), mode
-            assert banks[mode].params.tobytes() == alone_banks[mode].params.tobytes()
-            assert len(kept[mode]) == len(alone_kept[mode]) == 3
-            for got, want in zip(kept[mode], alone_kept[mode]):
+            assert banks[m].params.tobytes() == bank.params.tobytes(), mode
+            assert banks[m].params.tobytes() == alone_banks[0].params.tobytes()
+            assert len(kept[m]) == len(alone_kept[0]) == 3
+            for got, want in zip(kept[m], alone_kept[0]):
                 assert got.tobytes() == want.tobytes(), mode
 
     def test_zero_adapt_epochs_generates_for_tohan_only(self, monkeypatch):
         hyp, fewshot, cfg, _ = _shared_setup("rot40", 1, 0.2)
         cfg = replace(cfg, tohan=replace(cfg.tohan, adapt_epochs=0))
-        started = _inject(monkeypatch, lambda modes: False)
+        started = _inject(monkeypatch, lambda blocks: False)
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        shared = harness._shared_run(trainers.METHODS, hyp, fewshot, tohan_cfg, {})
+        shared, = harness._shared_run(trainers.METHODS, hyp, [fewshot], tohan_cfg)
         for method in GENERATOR_METHODS:
             model = harness._method_model(method, hyp, fewshot, cfg.baseline, shared)
             assert model.enc is hyp.enc and model.cls is hyp.cls
-        assert started == [("combined",)]
+        assert started == [[("combined", 1)]]
 
 
 # (tradeoff, adapt_epochs, disc_pretrain_epochs) of the default schedule and its edges
@@ -545,7 +553,8 @@ class TestSharedAdaptation:
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
         stacked = {method: [] for method in methods}
         blocks = _spy_adapt(monkeypatch)
-        models = trainers.run_generator_methods(methods, hyp, fewshot, tohan_cfg, traces=stacked)
+        models, = trainers.run_generator_methods(methods, hyp, [fewshot], tohan_cfg,
+                                                 traces=[stacked])
         # one stacked run; a two-step method at adapt_epochs 0 keeps the source nets
         adapting = [m for m in methods if m == "tohan" or tohan_cfg.adapt_epochs > 0]
         assert blocks == [len(adapting)]
@@ -553,22 +562,69 @@ class TestSharedAdaptation:
         for method in methods:
             assert _model_bytes(models[method]) == direct[method], method
             alone = []
-            trainers.run_generator_methods([method], hyp, fewshot, tohan_cfg,
-                                           traces={method: alone})
+            trainers.run_generator_methods([method], hyp, [fewshot], tohan_cfg,
+                                           traces=[{method: alone}])
             assert stacked[method] == alone, method
             assert bool(alone) == (method == "tohan" or tohan_cfg.adapt_epochs > 0)
 
 
+RING6_SHOTS = (1, 3, 7)
+
+
+@functools.lru_cache(maxsize=None)
+def _ring6_sets():
+    """A ring6 source hypothesis, its few-shot sets of RING6_SHOTS, and an
+    experiment config with a short generator schedule."""
+    source, target, _ = make_synthetic_task(_ring6_task())
+    cfg = ExperimentConfig(
+        source=SourceTrainConfig(epochs=10, min_test_accuracy=0.0),
+        baseline=BaselineConfig(epochs=5),
+        tohan=TohanConfig(gen_batch=6, per_group=3, z_dim=4, gen_hidden=8, disc_hidden=8,
+                          total_epochs=12, disc_pretrain_epochs=2, adapt_epochs=4,
+                          seed=METHOD_SEED),
+    )
+    hyp = trainers.train_source(source, cfg.source)
+    return hyp, [sample_few_shot(target, n_t, 3) for n_t in RING6_SHOTS], cfg
+
+
+class TestOneRunPerSeed:
+    def test_ring6_seed_makes_one_generator_run(self, monkeypatch):
+        started = _inject(monkeypatch, lambda blocks: False)
+        results = harness._run_seed(_ring6_task(), trainers.METHODS, list(RING6_SHOTS), 1,
+                                    _ring6_sets()[2])
+        assert all(r.error is None for r in results)
+        assert started == [[("source_only", None), ("target_only", 1), ("combined", 1),
+                            ("target_only", 3), ("combined", 3),
+                            ("target_only", 7), ("combined", 7)]]
+
+    def test_every_model_and_trace_equals_its_one_set_run(self, monkeypatch):
+        hyp, fewshots, cfg = _ring6_sets()
+        blocks = _spy_adapt(monkeypatch)
+        traces = [{method: [] for method in GENERATOR_METHODS} for _ in fewshots]
+        shared = trainers.run_generator_methods(GENERATOR_METHODS, hyp, fewshots, cfg.tohan,
+                                                traces=traces)
+        assert blocks == [4] * len(fewshots)  # one stacked adaptation per set
+        for fewshot, models, trace in zip(fewshots, shared, traces, strict=True):
+            alone_traces = {method: [] for method in GENERATOR_METHODS}
+            alone, = trainers.run_generator_methods(GENERATOR_METHODS, hyp, [fewshot],
+                                                    cfg.tohan, traces=[alone_traces])
+            for method in GENERATOR_METHODS:
+                assert _model_bytes(models[method]) == _model_bytes(alone[method]), method
+                assert trace[method] == alone_traces[method] and trace[method], method
+            generate = [ev for ev in trace["tohan"] if ev.phase == "generate"]
+            assert len(generate) == cfg.tohan.total_epochs
+
+
 def _poison_pools(monkeypatch, mode):
     """Fill every pool sampled from a ``mode`` bank with NaN, so the block
-    adapting against it diverges; returns the modes of every generator run."""
+    adapting against it diverges; returns the blocks of every generator run."""
     run_generators, sample_pool, started, poisoned = (
         trainers._run_generators, trainers.sample_pool, [], [])
 
-    def run(hypothesis, fewshot, modes, *args, **kwargs):
-        started.append(modes)
-        banks, kept = run_generators(hypothesis, fewshot, modes, *args, **kwargs)
-        poisoned.extend(bank for name, bank in banks.items() if name == mode)
+    def run(hypothesis, blocks, *args, **kwargs):
+        started.append([(name, fs and fs.n_t) for name, fs in blocks])
+        banks, kept = run_generators(hypothesis, blocks, *args, **kwargs)
+        poisoned.extend(bank for (name, _), bank in zip(blocks, banks) if name == mode)
         return banks, kept
 
     def sample(bank, per_class, seed):
@@ -584,7 +640,7 @@ def _poison_pools(monkeypatch, mode):
 
 def _fail_stacked_adaptation(monkeypatch):
     """Make every stacked _adapt run (more than one block) raise a
-    RuntimeError; returns the modes of every generator run."""
+    RuntimeError; returns the blocks of every generator run."""
     adapt = trainers._adapt
 
     def fail_stacked(stack, *args):
@@ -593,23 +649,26 @@ def _fail_stacked_adaptation(monkeypatch):
         return adapt(stack, *args)
 
     monkeypatch.setattr(trainers, "_adapt", fail_stacked)
-    return _inject(monkeypatch, lambda modes: False)
+    return _inject(monkeypatch, lambda blocks: False)
 
 
-def _poison_objective(monkeypatch, mode):
-    """Fill the gradient rows of the ``mode`` block of every generator step
-    with NaN, so that block diverges; returns the modes of every generator run."""
+def _poison_objective(monkeypatch, mode, n_t=None):
+    """Fill the gradient rows of every ``mode`` block (the one of the
+    few-shot set of ``n_t`` only, if given) of every generator step with NaN,
+    so those blocks diverge; returns the blocks of every generator run."""
     objective = losses.generator_objective_and_grad
 
     def poisoned(arch, params, enc, cls, z, plan, **kwargs):
         loss, grad, generated = objective(arch, params, enc, cls, z, plan, **kwargs)
-        if mode in plan.modes:
-            m, n = plan.modes.index(mode), plan.num_classes
-            grad[m * n:(m + 1) * n] = np.nan
+        n = plan.num_classes
+        for m, block in enumerate(started[-1]):
+            if block[0] == mode and n_t in (None, block[1]):
+                grad[m * n:(m + 1) * n] = np.nan
         return loss, grad, generated
 
     monkeypatch.setattr(losses, "generator_objective_and_grad", poisoned)
-    return _inject(monkeypatch, lambda modes: False)
+    started = _inject(monkeypatch, lambda blocks: False)
+    return started
 
 
 def _spy_trainers(monkeypatch):
@@ -635,11 +694,11 @@ def _grid(**kwargs):
 
 
 ALL_MODES = ("source_only", "target_only", "combined")
-# the generator runs of the clean (1, 2)-shot grid: per seed, all three
-# blocks, then the second n_t reuses the source_only bank
-GRID_MODES = [ALL_MODES, ("target_only", "combined")] * 2
+# the generator runs of the clean (1, 2)-shot grid: one per seed, the
+# source_only block, then each n_t's target_only and combined blocks
+GRID_MODES = [_run_blocks(ALL_MODES, [1, 2])] * 2
 DIVERGED = "non-finite gradient in adam_step"
-# name -> (install a diverging block and return the modes of every generator
+# name -> (install a diverging block and return the blocks of every generator
 #          run, the methods that read the block)
 BLOCK_FAILURES = {
     "source_only": (lambda mp: _poison_objective(mp, "source_only"), ("sfada",)),
@@ -648,13 +707,12 @@ BLOCK_FAILURES = {
     "adaptation": (lambda mp: _poison_pools(mp, "target_only"), ("tfada",)),
 }
 # name -> (install an exception that stops the whole shared run and return
-#          the modes of every generator run, the error line of each generator
-#          method, the modes of the runs it starts)
+#          the blocks of every generator run, the error line of each
+#          generator method)
 RUN_FAILURES = {
-    "generator": (lambda mp: _inject(mp, lambda modes: True, RuntimeError),
-                  f"RuntimeError: injected divergence in {'+'.join(ALL_MODES)}",
-                  [ALL_MODES] * 4),
-    "adaptation": (_fail_stacked_adaptation, "RuntimeError: boom", GRID_MODES),
+    "generator": (lambda mp: _inject(mp, lambda blocks: True, RuntimeError),
+                  "RuntimeError: injected failure"),
+    "adaptation": (_fail_stacked_adaptation, "RuntimeError: boom"),
 }
 
 
@@ -672,7 +730,7 @@ class TestBlockFailures:
                 assert line == _line(clean)[:4] + (None, None, DIVERGED)
             else:
                 assert line == _line(clean)
-        # one generator run per (seed, n_t), as in the clean grid, and no method alone
+        # one generator run per seed, as in the clean grid, and no method alone
         assert started == GRID_MODES
         assert called == []
         assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == []
@@ -683,7 +741,7 @@ class TestBlockFailures:
         install, failing = BLOCK_FAILURES[failure]
         started = install(monkeypatch)
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        shared = harness._shared_run(trainers.METHODS, hyp, fewshot, tohan_cfg, {})
+        shared, = harness._shared_run(trainers.METHODS, hyp, [fewshot], tohan_cfg)
         for method in GENERATOR_METHODS:
             if method in failing:
                 with pytest.raises(NumericalError, match=f"^{DIVERGED}$"):
@@ -691,12 +749,12 @@ class TestBlockFailures:
             else:
                 model = harness._method_model(method, hyp, fewshot, cfg.baseline, shared)
                 assert _model_bytes(model) == direct[method], method
-        assert started == [ALL_MODES]
+        assert started == [_run_blocks(ALL_MODES, [3])]
 
     @pytest.mark.parametrize("failure", list(RUN_FAILURES))
     def test_run_exception_costs_every_generator_method(self, monkeypatch, tiny_results,
                                                         failure):
-        install, error, modes = RUN_FAILURES[failure]
+        install, error = RUN_FAILURES[failure]
         started = install(monkeypatch)
         called = _spy_trainers(monkeypatch)
         for line, clean in zip(_grid(), tiny_results, strict=True):
@@ -704,23 +762,22 @@ class TestBlockFailures:
                 assert line == _line(clean)[:4] + (None, None, error)
             else:
                 assert line == _line(clean)
-        assert started == modes
+        assert started == GRID_MODES
         assert called == []
 
     @pytest.mark.parametrize("failure", list(RUN_FAILURES))
     def test_run_exception_logs_one_traceback_per_shared_run(self, monkeypatch, caplog,
                                                              failure):
-        install, error, _ = RUN_FAILURES[failure]
+        install, error = RUN_FAILURES[failure]
         install(monkeypatch)
         with caplog.at_level("ERROR", logger=harness.log.name):
             _grid()
-        runs = [(seed, n_t) for seed in (0, 1) for n_t in (1, 2)]
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert [r.getMessage() for r in errors if r.exc_info] == [
-            f"n_t={n_t}/seed={seed} shared run failed: {error}" for seed, n_t in runs]
+            f"seed={seed} shared run failed: {error}" for seed in (0, 1)]
         assert [r.getMessage() for r in errors if not r.exc_info] == [
             f"run {method}/n_t={n_t}/seed={seed} failed: {error}"
-            for seed, n_t in runs for method in GENERATOR_METHODS]
+            for seed in (0, 1) for n_t in (1, 2) for method in GENERATOR_METHODS]
 
 
 SHOTS = (1, 2, 3)
@@ -739,12 +796,17 @@ def _assert_equal_to_one_shot_grids(lines):
         assert line == want[line[:4]]
 
 
-class TestSourceBankReuse:
-    def test_source_only_trained_once_per_seed(self, monkeypatch):
-        started = _inject(monkeypatch, lambda modes: False)
+@pytest.fixture(scope="module")
+def shot_lines():
+    """The lines of the clean SHOTS grid."""
+    return _shot_grid(SHOTS)
+
+
+class TestSharedShots:
+    def test_one_generator_run_per_seed(self, monkeypatch):
+        started = _inject(monkeypatch, lambda blocks: False)
         lines = _shot_grid(SHOTS)
-        assert started == [ALL_MODES, ("target_only", "combined"),
-                           ("target_only", "combined")] * 2
+        assert started == [_run_blocks(ALL_MODES, SHOTS)] * 2
         _assert_equal_to_one_shot_grids(lines)
 
     @pytest.mark.parametrize("failure", [*BLOCK_FAILURES, *(f"run-{f}" for f in RUN_FAILURES)])
@@ -755,30 +817,57 @@ class TestSourceBankReuse:
             BLOCK_FAILURES[failure][0](monkeypatch)
         _assert_equal_to_one_shot_grids(_shot_grid(SHOTS))
 
-    def test_failed_source_only_bank_is_kept_as_its_error(self, monkeypatch):
+    def test_failed_source_only_block_costs_sfada_at_every_n_t(self, monkeypatch):
         started = _poison_objective(monkeypatch, "source_only")
         lines = _shot_grid(SHOTS)
-        # later n_t report sfada's error without training the block again
-        assert started == [ALL_MODES, ("target_only", "combined"),
-                           ("target_only", "combined")] * 2
+        assert started == [_run_blocks(ALL_MODES, SHOTS)] * 2
         assert [line[-1] for line in lines if line[0] == "sfada"] == [DIVERGED] * 6
         assert all(line[-1] is None for line in lines if line[0] != "sfada")
 
-    def test_failed_first_few_shot_draw_trains_the_bank_next(self, monkeypatch):
+    def test_block_of_one_n_t_costs_only_its_methods_there(self, monkeypatch, shot_lines):
+        """A target_only block poisoned at n_t=3 costs tfada at n_t=3 alone."""
+        _poison_objective(monkeypatch, "target_only", n_t=3)
+        for line, clean in zip(_shot_grid(SHOTS), shot_lines, strict=True):
+            if line[0] == "tfada" and line[2] == 3:
+                assert line == clean[:4] + (None, None, DIVERGED)
+            else:
+                assert line == clean
+
+    def test_adaptation_failing_in_every_block_costs_only_its_n_t(self, monkeypatch, shot_lines):
+        """An adaptation with no block left costs every generator method of
+        its n_t, with the error a one-set run raises, and no other line."""
+        adapt = trainers._adapt
+
+        def fail_at_two(stack, fewshot, *args):
+            if fewshot.n_t == 2:
+                raise NumericalError("injected adaptation failure")
+            return adapt(stack, fewshot, *args)
+
+        monkeypatch.setattr(trainers, "_adapt", fail_at_two)
+        for line, clean in zip(_shot_grid(SHOTS), shot_lines, strict=True):
+            if line[0] in GENERATOR_METHODS and line[2] == 2:
+                assert line == clean[:4] + (None, None, "injected adaptation failure")
+            else:
+                assert line == clean
+
+    @pytest.mark.parametrize("failing", SHOTS)
+    def test_failed_few_shot_draw_costs_only_its_n_t(self, monkeypatch, shot_lines, failing):
         draw = harness.sample_few_shot
 
-        def fail_first(target, n_t, seed):
-            if n_t == SHOTS[0]:
+        def fail_one(target, n_t, seed):
+            if n_t == failing:
                 raise InsufficientDataError("injected draw failure")
             return draw(target, n_t, seed)
 
-        monkeypatch.setattr(harness, "sample_few_shot", fail_first)
-        started = _inject(monkeypatch, lambda modes: False)
+        monkeypatch.setattr(harness, "sample_few_shot", fail_one)
+        started = _inject(monkeypatch, lambda blocks: False)
         lines = _shot_grid(SHOTS)
-        assert started == [ALL_MODES, ("target_only", "combined")] * 2
-        assert [line[-1] for line in lines if line[2] == SHOTS[0]] == (
-            ["injected draw failure"] * len(trainers.METHODS) * 2)
-        _assert_equal_to_one_shot_grids(lines)
+        assert started == [_run_blocks(ALL_MODES, [s for s in SHOTS if s != failing])] * 2
+        for line, clean in zip(lines, shot_lines, strict=True):
+            if line[2] == failing:
+                assert line == clean[:4] + (None, None, "injected draw failure")
+            else:
+                assert line == clean
 
 
 class TestMethodOrder:

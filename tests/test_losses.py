@@ -258,11 +258,11 @@ class TestKLeadingKernel:
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].shape == want[1].shape
                 assert got[1].tobytes() == want[1].tobytes()
-                if lead:  # the plan tiles the few-shots over its proximity blocks
+                if lead:  # the plan stacks the few-shots of its proximity blocks
                     plan = losses.generator_plan(("target_only", "combined"), lead[0],
-                                                 targets, 0.5, b)
+                                                 [targets, targets], 0.5, b)
                     both = np.concatenate([generated, generated])
-                    loss, grad = losses._proximity(both, plan.planes, plan.diameter)
+                    loss, grad = losses._proximity(both, plan.tgt[0][2], plan.diameter)
                     assert loss.tobytes() == np.tile(want[0], 2).tobytes()
                     assert grad.tobytes() == np.tile(want[1], (2, 1, 1)).tobytes()
 
@@ -1117,12 +1117,11 @@ def _composed_objective(arch, params, source_enc, source_cls, z, plan):
         _, emb_up = nn.backward_from_cache(source_cls.arch, cls_params, cls_cache, up_probs)
         _, x_up_src = nn.backward_from_cache(source_enc.arch, enc_params, enc_cache, emb_up)
         x_up[plan.src] += x_up_src
-    if plan.tgt is not None:
-        targets = np.moveaxis(plan.planes[..., 0], -1, 0)  # the (R, K, dim) few-shots
-        target_loss, target_grad = _dim_leading_kernel(generated[plan.tgt], targets,
-                                                       plan.diameter)
-        loss[plan.tgt] += plan.weight * target_loss
-        x_up[plan.tgt] += plan.weight[:, None, None] * target_grad
+    for rows, weight, planes in plan.tgt:
+        targets = np.moveaxis(planes[..., 0], -1, 0)  # the (R, K, dim) few-shots
+        target_loss, target_grad = _dim_leading_kernel(generated[rows], targets, plan.diameter)
+        loss[rows] += weight * target_loss
+        x_up[rows] += weight[:, None, None] * target_grad
     gen_grad, _ = nn.backward_from_cache(arch, params, gen_cache, x_up)
     return loss, gen_grad, generated
 
@@ -1148,7 +1147,7 @@ def _objective_case(classes, modes, tradeoff=0.2, seed=0, saturate=False, touch=
         generated = nn.forward(arch, params, z)
         tgt = [m for m, name in enumerate(modes) if name != "source_only"][-1]
         targets[1, 0] = generated[tgt * classes + 1, 3]
-    plan = losses.generator_plan(modes, classes, targets, tradeoff, batch)
+    plan = losses.generator_plan(modes, classes, [targets] * len(modes), tradeoff, batch)
     return arch, params, enc, cls, z, plan
 
 
@@ -1183,6 +1182,38 @@ class TestOnePassObjective:
         assert lean[1].tobytes() == want[1].tobytes()
         assert lean[2].tobytes() == want[2].tobytes()
 
+    def test_blocks_of_each_shot_count_equal_their_one_block_runs(self):
+        """The blocks of few-shot sets of K = 1, 3 and 2 shots share one
+        proximity entry per K, in the order K first appears; each block's rows get
+        the bits of the block scored alone, and the whole the composed calls'."""
+        classes, batch, rng = 3, 5, np.random.default_rng(4)
+        modes = ("source_only", *("target_only", "combined") * 3)
+        shots = [rng.uniform(size=(classes, k, 2)) for k in (1, 3, 2)]
+        targets = [None, *(t for t in shots for _ in range(2))]
+        arch, params, enc, cls, z, _ = _objective_case(classes, modes, batch=batch)
+        plan = losses.generator_plan(modes, classes, targets, 0.2, batch)
+        assert [planes.shape[0] for _, _, planes in plan.tgt] == [1, 3, 2]
+        assert [rows for rows, _, _ in plan.tgt] == [slice(3, 9), slice(9, 15), slice(15, 21)]
+        got = losses.generator_objective_and_grad(arch, params, enc, cls, z, plan)
+        want = _composed_objective(arch, params, enc, cls, z, plan)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        for m, mode in enumerate(modes):
+            rows = slice(m * classes, (m + 1) * classes)
+            alone = losses.generator_objective_and_grad(
+                arch, params[rows], enc, cls, z[rows],
+                losses.generator_plan(mode, classes, targets[m], 0.2, batch))
+            for g, a in zip(got, alone):
+                assert g[rows].tobytes() == a.tobytes(), mode
+
+    def test_mixed_feature_dimensions_rejected(self):
+        targets = [np.zeros((2, 1, 2)), np.zeros((2, 3, 4))]
+        with pytest.raises(ConfigError, match="share a feature dimension"):
+            losses.generator_plan(("target_only", "target_only"), 2, targets, 0.2, 4)
+
+    def test_targets_need_one_entry_per_mode(self):
+        with pytest.raises(ConfigError, match="one entry per mode"):
+            losses.generator_plan(("target_only", "combined"), 2, [np.zeros((2, 1, 2))], 0.2, 4)
+
     def test_cases_reach_the_edges(self):
         """The source rows of three blocks are not adjacent, and the saturated
         and touching cases hit exact 0/1 probabilities and a zero gap."""
@@ -1194,8 +1225,9 @@ class TestOnePassObjective:
         assert (picked == 1.0).any() and (picked == 0.0).any()
         for case in ("zero gap", "dim 1"):
             arch, params, enc, cls, z, plan = _objective_case(**ONE_PASS_CASES[case])
-            generated = nn.forward(arch, params, z)[plan.tgt]
-            targets = np.moveaxis(plan.planes[..., 0], -1, 0)
+            (rows, _, planes), = plan.tgt
+            generated = nn.forward(arch, params, z)[rows]
+            targets = np.moveaxis(planes[..., 0], -1, 0)
             gaps = generated[:, :, None] - targets[:, None]
             assert (np.abs(gaps).sum(axis=-1) == 0.0).any()
 

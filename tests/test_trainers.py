@@ -567,8 +567,8 @@ class TestGeneratorBank:
 
         monkeypatch.setattr(losses, "generator_objective_and_grad", spy)
         cfg = _tiny_cfg()
-        trainers._run_generators(_hypothesis(), _fewshot(), ("source_only", "target_only"),
-                                 cfg, 9, epochs)
+        trainers._run_generators(_hypothesis(), [("source_only", None),
+                                                 ("target_only", _fewshot())], cfg, 9, epochs)
         child = nn.derive_seeds(9, 6)
         noise = [np.random.default_rng(child[2 * n + 1]) for n in range(3)]
         assert len(seen) == epochs
@@ -935,12 +935,13 @@ class TestTrainTohan:
 
 
 def _spy_generators(monkeypatch):
-    """Record the modes and the (banks, kept) result of every generator run."""
+    """Record the blocks, as (mode, n_t or None) pairs, and the (banks, kept)
+    result of every generator run."""
     run_generators, started = trainers._run_generators, []
 
-    def run(hypothesis, fewshot, modes, *args):
-        out = run_generators(hypothesis, fewshot, modes, *args)
-        started.append((modes, out))
+    def run(hypothesis, blocks, *args):
+        out = run_generators(hypothesis, blocks, *args)
+        started.append(([(mode, fs and fs.n_t) for mode, fs in blocks], out))
         return out
 
     monkeypatch.setattr(trainers, "_run_generators", run)
@@ -957,39 +958,48 @@ class TestRunGeneratorMethods:
     ], ids=repr)
     def test_one_block_per_objective_read(self, monkeypatch, methods, adapt_epochs, modes):
         started = _spy_generators(monkeypatch)
-        models = trainers.run_generator_methods(methods, _hypothesis(), _fewshot(),
-                                                _tiny_cfg(adapt_epochs=adapt_epochs))
+        models, = trainers.run_generator_methods(methods, _hypothesis(), [_fewshot()],
+                                                 _tiny_cfg(adapt_epochs=adapt_epochs))
         assert list(models) == list(methods)
-        assert [run_modes for run_modes, _ in started] == ([modes] if modes else [])
+        assert [tuple(mode for mode, _ in blocks) for blocks, _ in started] == (
+            [modes] if modes else [])
         if modes:
             banks, kept = started[0][1]
-            assert tuple(banks) == modes
-            batches = kept.get("combined", [])
-            assert len(batches) == (adapt_epochs if "tohan" in methods else 0)
-            assert all(batch.shape == (3, 4, 2) for batch in batches)
+            assert len(banks) == len(modes)
+            assert list(kept) == ([modes.index("combined")] if "tohan" in methods else [])
+            for batches in kept.values():
+                assert len(batches) == adapt_epochs
+                assert all(batch.shape == (3, 4, 2) for batch in batches)
 
     @pytest.mark.parametrize("methods", [["wa"], ["ft"], ["nope"], ["tohan", "shot"], []],
                              ids=repr)
     def test_rejects_non_generator_methods(self, methods):
         with pytest.raises(ConfigError):
-            trainers.run_generator_methods(methods, _hypothesis(), _fewshot(), _tiny_cfg())
+            trainers.run_generator_methods(methods, _hypothesis(), [_fewshot()], _tiny_cfg())
 
-    def test_second_call_reuses_the_source_only_bank(self, monkeypatch):
-        """A call with the banks of an earlier one trains only the blocks that
-        read the few-shots, and returns the bytes a call without them does."""
+    @pytest.mark.parametrize("fewshots,traces", [
+        ([], None), ("bare set", None), (["set"], [{}, {}]), (["set", "set"], [{}])], ids=repr)
+    def test_rejects_bad_few_shot_lists(self, fewshots, traces):
+        fs = _fewshot()
+        fewshots = fs if fewshots == "bare set" else [fs for _ in fewshots]
+        with pytest.raises(ConfigError, match="one traces dict"):
+            trainers.run_generator_methods(["tohan"], _hypothesis(), fewshots, _tiny_cfg(),
+                                           traces=traces)
+
+    def test_sets_share_one_run_and_its_source_only_block(self, monkeypatch):
+        """Several few-shot sets train one source_only block, then each set's
+        target_only and combined blocks, in one run; each set's models are the
+        bytes of a one-set call's."""
         hyp, cfg, methods = _hypothesis(), _tiny_cfg(), trainers.GENERATOR_METHODS
-        started, banks = _spy_generators(monkeypatch), {}
-        trainers.run_generator_methods(methods, hyp, _fewshot(n_t=1), cfg, banks=banks)
-        assert list(banks) == ["source_only"]
-        source_only = banks["source_only"]
-        reused = trainers.run_generator_methods(methods, hyp, _fewshot(), cfg, banks=banks)
-        fresh = trainers.run_generator_methods(methods, hyp, _fewshot(), cfg)
-        assert banks == {"source_only": source_only}
-        assert [run_modes for run_modes, _ in started] == [
-            ("source_only", "target_only", "combined"), ("target_only", "combined"),
-            ("source_only", "target_only", "combined")]
-        for method in methods:
-            assert _model_bytes(reused[method]) == _model_bytes(fresh[method]), method
+        started, sets = _spy_generators(monkeypatch), [_fewshot(n_t=1), _fewshot()]
+        shared = trainers.run_generator_methods(methods, hyp, sets, cfg)
+        assert [blocks for blocks, _ in started] == [[
+            ("source_only", None), ("target_only", 1), ("combined", 1),
+            ("target_only", 2), ("combined", 2)]]
+        for fewshot, models in zip(sets, shared, strict=True):
+            alone, = trainers.run_generator_methods(methods, hyp, [fewshot], cfg)
+            for method in methods:
+                assert _model_bytes(models[method]) == _model_bytes(alone[method]), method
 
 
 # the losses whose gradient each kind of Adam step reads
@@ -1057,17 +1067,18 @@ class TestDivergence:
     @pytest.mark.parametrize("failing,error", [
         (0, DIVERGED), (1, DIVERGED), (0, "^network parameters must be finite$")])
     def test_generator_block_fails_alone(self, monkeypatch, failing, error):
-        hyp, fs, cfg, modes = _hypothesis(), _fewshot(), _tiny_cfg(), ("source_only", "combined")
-        keep = dict.fromkeys(modes, 2)
-        clean = trainers._run_generators(hyp, fs, modes, cfg, 9, 6, keep)
+        hyp, cfg = _hypothesis(), _tiny_cfg()
+        blocks = [("source_only", None), ("combined", _fewshot())]
+        keep = {0: 2, 1: 2}
+        clean = trainers._run_generators(hyp, blocks, cfg, 9, 6, keep)
         if error == DIVERGED:
             _poison_grad(monkeypatch, "generator", slice(3 * failing, 3 * failing + 3), after=2)
         else:  # row 0 is block 0's
             _overflow_params(monkeypatch, after=2)
-        banks, kept = trainers._run_generators(hyp, fs, modes, cfg, 9, 6, keep)
-        assert isinstance(banks[modes[failing]], NumericalError)
-        assert re.match(error, str(banks[modes[failing]]))
-        other = modes[1 - failing]
+        banks, kept = trainers._run_generators(hyp, blocks, cfg, 9, 6, keep)
+        assert isinstance(banks[failing], NumericalError)
+        assert re.match(error, str(banks[failing]))
+        other = 1 - failing
         assert banks[other].params.tobytes() == clean[0][other].params.tobytes()
         assert [b.tobytes() for b in kept[other]] == [b.tobytes() for b in clean[1][other]]
 
@@ -1080,21 +1091,21 @@ class TestDivergence:
 
         def adapt(names):
             traces = {m: [] for m in names}
-            return trainers.run_generator_methods(names, hyp, fs, cfg, traces=traces), traces
+            models, = trainers.run_generator_methods(names, hyp, [fs], cfg, traces=[traces])
+            return models, traces
 
         other = methods[1 - methods.index(failing)]
         clean, clean_traces = adapt([other])
         with monkeypatch.context() as mp:
             _poison_grad(mp, kind, methods.index(failing), after)
             models, traces = adapt(methods)
-        alone = []
         with monkeypatch.context() as mp:
             _poison_grad(mp, kind, after=after)
-            with pytest.raises(NumericalError, match=DIVERGED):
-                trainers.run_generator_methods([failing], hyp, fs, cfg, traces={failing: alone})
+            alone, alone_traces = adapt([failing])
         assert isinstance(models[failing], NumericalError)
         assert re.match(DIVERGED, str(models[failing]))
-        assert traces[failing] == alone and len(alone) > 1
+        assert str(alone[failing]) == str(models[failing])
+        assert traces[failing] == alone_traces[failing] and len(traces[failing]) > 1
         assert models[other].enc.params.tobytes() == clean[other].enc.params.tobytes()
         assert models[other].cls.params.tobytes() == clean[other].cls.params.tobytes()
         assert traces[other] == clean_traces[other]
