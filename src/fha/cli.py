@@ -191,24 +191,14 @@ def _cmd_train_source(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    doc: dict = {}
-    if args.config is not None:
-        doc = _load_run_config(args.config)
-    if args.task is not None:
-        doc["task"] = args.task
-    if args.methods is not None:
-        doc["methods"] = args.methods
+    doc = {} if args.config is None else _load_run_config(args.config)
+    flags = {key: getattr(args, key) for key in ("task", "methods", "seeds", "out", "jobs")}
     if args.shots is not None:
         try:
-            doc["shots"] = [int(s) for s in args.shots.split(",") if s.strip()]
+            flags["shots"] = [int(s) for s in args.shots.split(",") if s.strip()]
         except ValueError as exc:
             raise ConfigError(f"shots must be integers, got {args.shots!r}") from exc
-    if args.seeds is not None:
-        doc["seeds"] = _parse_seeds(args.seeds)
-    if args.out is not None:
-        doc["out"] = args.out
-    if args.jobs is not None:
-        doc["jobs"] = args.jobs
+    doc.update({key: value for key, value in flags.items() if value is not None})
     if "task" not in doc:
         raise ConfigError("a task is required (--task or config)")
     if "out" not in doc:
@@ -225,11 +215,11 @@ def _cmd_run(args) -> int:
         seeds = _parse_seeds(seeds)
     if not all(isinstance(v, list) for v in (methods, shots, seeds)):
         raise ConfigError("methods, shots and seeds must be lists")
-    methods, shots, seeds, jobs = harness._check_grid(methods, shots, seeds, doc.get("jobs", 1))
+    methods, shots, seeds, jobs = harness._check_grid(task, methods, shots, seeds,
+                                                      doc.get("jobs", 1))
     cfg = _experiment_config(doc)
     out = doc["out"]
-    if os.path.exists(out):
-        os.remove(out)  # each invocation produces a fresh stream, once the grid is valid
+    open(out, "w", encoding="utf-8").close()  # a fresh stream, once the grid is valid
     results = run_experiment(task, methods, shots, seeds, cfg, sink=out, jobs=jobs)
     errors = [r for r in results if r.error is not None]
     print(f"{out} runs={len(results)} errors={len(errors)}")
@@ -343,10 +333,7 @@ def main(argv=None) -> int:
     except (ConfigError, ProtocolError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FHAError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FHAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

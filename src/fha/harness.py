@@ -2,14 +2,13 @@
 tables, and a 2-d embedding export.
 
 The README fixes the results-line schema (File formats) and describes the
-one shared run of the generator methods per seed, over its few-shot set of
-every n_t, in which a diverging block costs only the (method, n_t) runs
-that read it (Methods).
+seed's one generator run, made over its few-shot set of every n_t before
+any of its lines, in which a diverging block costs only the (method, n_t)
+runs that read it (Methods).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import time
@@ -25,6 +24,15 @@ from .trainers import METHODS, BaselineConfig, SourceTrainConfig, TohanConfig
 log = logging.getLogger("fha.harness")
 
 _CSV_BREAKING = frozenset(',"\r\n')  # a method, task or tag holding one would break its CSV row
+
+
+def _check_name(key: str, value) -> None:
+    """Raise a ConfigError unless ``value`` can be a results line's ``key``:
+    a string with no character of _CSV_BREAKING."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} is not a string")
+    if _CSV_BREAKING.intersection(value):
+        raise ConfigError(f"{key} holds a comma, quote or line break")
 
 
 @dataclass(frozen=True)
@@ -95,10 +103,7 @@ def read_results(path):
                 if missing:
                     raise ValueError(f"missing fields {sorted(missing)}")
                 for key in ("method", "task"):
-                    if not isinstance(row[key], str):
-                        raise ValueError(f"{key} is not a string")
-                    if _CSV_BREAKING.intersection(row[key]):
-                        raise ValueError(f"{key} holds a comma, quote or line break")
+                    _check_name(key, row[key])
                 for key in ("n_t", "seed"):
                     if type(row[key]) is not int:  # bool is rejected too
                         raise ValueError(f"{key} is not an integer")
@@ -115,7 +120,7 @@ def read_results(path):
             except UnicodeDecodeError:
                 problems.append(f"line {i}: not UTF-8")
                 continue
-            except (ValueError, RecursionError) as exc:
+            except (ValueError, ConfigError, RecursionError) as exc:
                 problems.append(f"line {i}: {exc}")
                 continue
             rows.append(row)
@@ -124,40 +129,6 @@ def read_results(path):
 
 # ---------------------------------------------------------------------------
 # experiment driver
-
-
-def _method_model(method: str, hypothesis, fewshot, baseline: BaselineConfig, shared):
-    """Train one method. A generator method takes its model from
-    ``shared()``, the (seed, n_t)'s shared run, and raises its error there."""
-    if method == "wa":
-        return hypothesis
-    if method == "ft":
-        return trainers.train_ft(hypothesis, fewshot, baseline)
-    if method == "shot":
-        return trainers.train_shot(hypothesis, fewshot, baseline)
-    model = shared()[method]
-    if isinstance(model, Exception):
-        raise model
-    return model
-
-
-def _shared_run(methods, hypothesis, fewshots, tohan_cfg: TohanConfig, what: str = "shared"):
-    """A lazy, memoized trainers.run_generator_methods run of the generator
-    methods among ``methods`` on every set of ``fewshots``: one callable per
-    set, returning each method's model or error on it, the first call of any
-    making the run. An exception that stops the run is each one's on every
-    set, logged once here as the ``what`` run's."""
-    gen_methods = [m for m in methods if m in trainers.GENERATOR_METHODS]
-
-    @functools.cache
-    def run():
-        try:
-            return trainers.run_generator_methods(gen_methods, hypothesis, fewshots, tohan_cfg)
-        except Exception as exc:
-            _failure(exc, f"{what} run")
-            return [dict.fromkeys(gen_methods, exc)] * len(fewshots)
-
-    return [lambda i=i: run()[i] for i in range(len(fewshots))]
 
 
 def _failure(exc: Exception, what: str, logged=False) -> str:
@@ -181,10 +152,11 @@ def _error_results(task_name, methods, shots, seed, message):
 def _run_seed(task: TaskSpec, methods, shots, seed: int,
               cfg: ExperimentConfig) -> list[RunResult]:
     """All (method, n_t) runs of one experiment seed, sharing one source
-    hypothesis and one few-shot draw per n_t (the paired design); the
+    hypothesis and one few-shot draw per n_t (the paired design). The
     generator methods of every n_t share one trainers.run_generator_methods
-    run, made at the seed's first generator line. A failed draw, run or
-    stack block is the error record of each run it costs."""
+    run, made once the sets are drawn; its time counts to the seed's first
+    generator line. A failed draw, run or stack block is the error record of
+    each run it costs."""
     data_seed, source_seed, fewshot_seed, method_seed = nn.derive_seeds(seed, 4)
     try:
         source, target, target_test = make_synthetic_task(replace(task, seed=data_seed))
@@ -193,7 +165,6 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
     except Exception as exc:
         return _error_results(task.name, methods, shots, seed,
                               _failure(exc, f"seed {seed} setup"))
-    tohan_cfg = replace(cfg.tohan, seed=method_seed)
     drawn = {}  # n_t -> its few-shot set, or the error message of its failed draw
     for n_t in shots:
         try:
@@ -201,24 +172,44 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
         except Exception as exc:
             drawn[n_t] = _failure(exc, f"n_t={n_t}/seed={seed} few-shot draw")
     fewshots = {n_t: fs for n_t, fs in drawn.items() if not isinstance(fs, str)}
-    runs = dict(zip(fewshots, _shared_run(methods, hypothesis, list(fewshots.values()),
-                                          tohan_cfg, f"seed={seed} shared")))
+    gen_methods = [m for m in methods if m in trainers.GENERATOR_METHODS]
+    generated, run_ms = {}, 0.0  # n_t -> each generator method's model or error
+    if gen_methods and fewshots:
+        start = time.perf_counter()
+        try:
+            runs = trainers.run_generator_methods(gen_methods, hypothesis, list(fewshots.values()),
+                                                  replace(cfg.tohan, seed=method_seed))
+            generated = dict(zip(fewshots, runs))
+        except Exception as exc:  # logged once with its traceback, then by each line it costs
+            _failure(exc, f"seed={seed} shared run")
+            generated = dict.fromkeys(fewshots, dict.fromkeys(gen_methods, exc))
+        run_ms = (time.perf_counter() - start) * 1e3
     results = []
     for n_t in shots:
         if n_t not in fewshots:
             results.extend(_error_results(task.name, methods, [n_t], seed, drawn[n_t]))
             continue
-        fewshot, shared = fewshots[n_t], runs[n_t]
         for method in methods:
             start = time.perf_counter()
-            acc, error = None, None
+            acc, error, what = None, None, f"run {method}/n_t={n_t}/seed={seed}"
             try:
-                model = _method_model(method, hypothesis, fewshot, cfg.baseline, shared)
-                acc = accuracy(model, target_test)
-            except Exception as exc:  # the shared run logged its own with the traceback
-                error = _failure(exc, f"run {method}/n_t={n_t}/seed={seed}",
-                                 method in trainers.GENERATOR_METHODS and exc is shared()[method])
+                if method == "wa":
+                    model = hypothesis
+                elif method == "ft":
+                    model = trainers.train_ft(hypothesis, fewshots[n_t], cfg.baseline)
+                elif method == "shot":
+                    model = trainers.train_shot(hypothesis, fewshots[n_t], cfg.baseline)
+                else:
+                    model = generated[n_t][method]
+                if isinstance(model, Exception):
+                    error = _failure(model, what, logged=True)
+                else:
+                    acc = accuracy(model, target_test)
+            except Exception as exc:
+                error = _failure(exc, what)
             wall_ms = (time.perf_counter() - start) * 1e3
+            if method in trainers.GENERATOR_METHODS:
+                wall_ms, run_ms = wall_ms + run_ms, 0.0
             results.append(RunResult(
                 method=method, task=task.name, n_t=n_t, seed=seed, accuracy=acc,
                 wa_accuracy=None if error is not None else wa_acc, wall_ms=wall_ms, error=error,
@@ -228,10 +219,12 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
     return results
 
 
-def _check_grid(methods, shots, seeds, jobs):
+def _check_grid(task: TaskSpec, methods, shots, seeds, jobs):
     """The checked grid of run_experiment: (methods, shots, seeds) as lists,
     shots, seeds and jobs as ints, or a ConfigError (a ProtocolError for a
-    shot count outside 1..MAX_SHOTS)."""
+    shot count outside 1..MAX_SHOTS). The task's name must be one its
+    results lines can hold."""
+    _check_name("task", task.name)
     methods = list(methods)
     shots = [nn._as_int(s, "shots") for s in shots]
     seeds = [nn._as_int(s, "seeds") for s in seeds]
@@ -307,7 +300,7 @@ def run_experiment(task: TaskSpec, methods, shots, seeds, cfg: ExperimentConfig,
     seeds run in worker processes, at most one per seed (results are still
     deterministic, the sink order follows completion).
     """
-    methods, shots, seeds, jobs = _check_grid(methods, shots, seeds, jobs)
+    methods, shots, seeds, jobs = _check_grid(task, methods, shots, seeds, jobs)
     jobs = min(jobs, len(seeds))  # a pool starts all its workers at once
 
     per_seed: dict[int, list[RunResult]] = {}
@@ -396,10 +389,7 @@ def summarize(results) -> SummaryTable:
     groups: dict[tuple[str, int], list[float]] = {}
     skipped = 0
     for r in results:
-        row = r if isinstance(r, dict) else {
-            "method": r.method, "n_t": r.n_t, "accuracy": r.accuracy,
-            "error": r.error,
-        }
+        row = r if isinstance(r, dict) else vars(r)
         if row.get("error") is not None or row.get("accuracy") is None:
             skipped += 1
             continue

@@ -409,10 +409,10 @@ def _block_rows(blocks: list[int], n: int):
 def generator_plan(mode, num_classes: int, targets, tradeoff: float,
                    batch: int) -> GeneratorPlan:
     """The plan of generator_objective_and_grad for a run of ``batch``-row steps:
-    ``mode`` is one objective with the (N, K, dim) few-shots ``targets`` of
-    each class (or None), or a tuple of M, one per row block of
-    ``num_classes`` generators, with a sequence of M such ``targets``, each
-    block's, and the non-negative ``tradeoff``. Modes:
+    ``mode`` is a sequence of M objectives, one per row block of
+    ``num_classes`` generators, with a sequence of M ``targets``, each
+    block's (N, K, dim) few-shots of each class (or None), and the
+    non-negative ``tradeoff``. Modes:
       * ``source_only``: compatibility term alone (few-shots unused);
       * ``target_only``: proximity term alone, scaled into [0, 1] by
         ``l1_diameter(dim)``;
@@ -421,7 +421,7 @@ def generator_plan(mode, num_classes: int, targets, tradeoff: float,
     The proximity blocks with K few-shots per class share one ``tgt`` entry,
     in the order their K first appears.
     """
-    modes, targets = ((mode,), (targets,)) if isinstance(mode, str) else (tuple(mode), targets)
+    modes = tuple(mode)  # a bare string is a sequence of unknown one-letter modes
     if not modes or any(m not in ("source_only", "target_only", "combined") for m in modes):
         raise ConfigError(f"unknown generator mode {mode!r}")
     if targets is None or len(targets) != len(modes):

@@ -231,7 +231,7 @@ def _build_gen_objective(mode):
         def loss_fn(flat):
             loss, grad, _ = losses.generator_objective_and_grad(
                 gen_arch, flat.reshape(c, -1), enc, cls, z,
-                losses.generator_plan(mode, c, targets, 0.2, z.shape[-2]))
+                losses.generator_plan((mode,), c, [targets], 0.2, z.shape[-2]))
             return float(loss.sum()), grad.ravel()
 
         stack = [nn.init_params(gen_arch, _seed_of(rng)) for _ in range(c)]

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fha import cli, nn, trainers
+from fha import cli, harness, nn, trainers
 from fha.data import Dataset, load_dataset, save_dataset
 from fha.errors import ConfigError
 from fha.harness import read_results
@@ -298,6 +298,61 @@ class TestRun:
         assert problems == []
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unwritable_out_fails_before_any_seed(self, tmp_path, capsys, monkeypatch, jobs):
+        """An --out in a missing directory exits 1 before a seed trains, at
+        one job and in a pool alike."""
+        calls = []
+        monkeypatch.setattr(harness, "_run_seed", lambda *a: calls.append(a))
+        monkeypatch.setattr(harness, "_run_pool", lambda *a: calls.append(a))
+        out = tmp_path / "nodir" / "r.jsonl"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(_mini_run_config(out, seeds=[0, 1, 2])), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path), "--jobs", jobs]) == 1
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("name,error", [
+        (5, "task is not a string"),
+        *((name, "task holds a comma, quote or line break")
+          for name in ("ring,6", 'ring"6', "ring\r6", "ring\n6"))], ids=repr)
+    def test_task_name_summarize_would_skip_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                          name, error):
+        """Rejected before the old results are touched or a seed runs."""
+        monkeypatch.setattr(trainers, "train_source", lambda *a: pytest.fail("a seed ran"))
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b'{"an": "earlier run"}\n')
+        cfg = _mini_run_config(out)
+        cfg["task"]["name"] = name
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert out.read_bytes() == b'{"an": "earlier run"}\n'
+
+    @pytest.mark.parametrize("key,stale,flag,value", [
+        ("task", "rot40", "rot20", "rot20"),
+        ("methods", ["wa"], "ft,shot", "ft,shot"),
+        ("shots", [1], "2,3", [2, 3]),
+        ("seeds", [5], "0..2", "0..2"),
+        ("out", "stale.jsonl", "flag.jsonl", "flag.jsonl"),
+        ("jobs", 1, "2", 2),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_each_flag_overrides_its_config_key(self, tmp_path, capsys, monkeypatch, key, stale,
+                                                 flag, value):
+        """A config whose ``key`` is ``stale``, run with ``--key flag``, runs
+        the grid of the config whose ``key`` is ``value``."""
+        grids = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: grids.append((a, k)) or [])
+        monkeypatch.chdir(tmp_path)
+        for doc, flags in ((_mini_run_config("r.jsonl", **{key: value}), []),
+                           (_mini_run_config("r.jsonl", **{key: stale}), [f"--{key}", flag])):
+            Path("run.json").write_text(json.dumps(doc), encoding="utf-8")
+            assert cli.main(["run", "--config", "run.json", *flags]) == 0
+        assert grids[0] == grids[1]
+        assert not Path("stale.jsonl").exists()
+
     def test_failed_runs_exit_one(self, tmp_path, capsys):
         out = tmp_path / "r.jsonl"
         cfg = _mini_run_config(out, methods=["wa"])
@@ -320,9 +375,8 @@ class TestRun:
     @pytest.mark.parametrize("out", [True, 2, 7, "", None, ["r.jsonl"]], ids=repr)
     def test_out_not_a_non_empty_string_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                                        out):
-        """Checked before any file is removed or any run starts: an integer
-        out was a file descriptor to os.path.exists, os.remove and open."""
-        monkeypatch.setattr(os, "remove", lambda *a: pytest.fail("removed a file"))
+        """Checked before any file is made or any run starts: an integer out
+        would be a file descriptor to open."""
         monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("ran the grid"))
         cfg = _mini_run_config(tmp_path / "r.jsonl")
         cfg["out"] = out
@@ -331,6 +385,7 @@ class TestRun:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (
             f"error: out must be a non-empty path string, got {out!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_empty_out_flag_is_usage_error(self, capsys):
         assert cli.main(["run", "--task", "rot20", "--out", ""]) == 2

@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -268,6 +269,18 @@ class TestRunExperimentValidation:
         with pytest.raises(ProtocolError, match=rf"^n_t must be in \[1, 7\], got {n_t}$"):
             run_experiment(_tiny_task(), ["wa"], [1, n_t], [0], _tiny_cfg())
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name,error", [
+        (5, "task is not a string"),
+        *((name, "task holds a comma, quote or line break")
+          for name in ("ring,6", 'ring"6', "ring\r6", "ring\n6"))], ids=repr)
+    def test_rejects_task_names_a_results_line_cannot_hold(self, monkeypatch, jobs, name, error):
+        """read_results would skip every line of such a task: rejected before any seed."""
+        monkeypatch.setattr(trainers, "train_source", lambda *a: pytest.fail("a seed ran"))
+        with pytest.raises(ConfigError, match=f"^{error}$"):
+            run_experiment(replace(_tiny_task(), name=name), ["wa"], [1], [0, 1], _tiny_cfg(),
+                           jobs=jobs)
+
     def test_rejects_duplicate_shots(self):
         with pytest.raises(ConfigError, match="^shots must be distinct$"):
             run_experiment(_tiny_task(), ["wa"], [1, 2, np.int64(1)], [0], _tiny_cfg())
@@ -444,6 +457,14 @@ def _model_bytes(model):
     return model.enc.params.tobytes(), model.cls.params.tobytes()
 
 
+def _baseline_model(method, hyp, fewshot, baseline):
+    """The model of wa, ft or shot, as a seed's line trains it."""
+    if method == "wa":
+        return hyp
+    train = trainers.train_ft if method == "ft" else trainers.train_shot
+    return train(hyp, fewshot, baseline)
+
+
 SHARED_GRID = [(task, n_t, tradeoff) for task in SHARED_TASKS
                for n_t in (1, 3) for tradeoff in (0.2, 0.0)]
 
@@ -483,16 +504,18 @@ class TestSharedGenerators:
     @pytest.mark.parametrize("task,n_t,tradeoff", SHARED_GRID)
     def test_methods_match_direct_calls(self, monkeypatch, task, n_t, tradeoff, methods):
         hyp, fewshot, cfg, direct = _shared_setup(task, n_t, tradeoff)
+        unshared = {method: _model_bytes(_baseline_model(method, hyp, fewshot, cfg.baseline))
+                    for method in methods if method not in direct}
         started = _inject(monkeypatch, lambda blocks: False)
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        shared, = harness._shared_run(methods, hyp, [fewshot], tohan_cfg)
+        models, = trainers.run_generator_methods([m for m in methods if m in direct], hyp,
+                                                 [fewshot], tohan_cfg)
         for method in methods:
-            model = harness._method_model(method, hyp, fewshot, cfg.baseline, shared)
             if method in direct:
-                assert _model_bytes(model) == direct[method], method
-            else:
-                unshared = harness._method_model(method, hyp, fewshot, cfg.baseline, None)
-                assert _model_bytes(model) == _model_bytes(unshared), method
+                assert _model_bytes(models[method]) == direct[method], method
+            else:  # the generator run leaves what wa, ft and shot train from as it was
+                model = _baseline_model(method, hyp, fewshot, cfg.baseline)
+                assert _model_bytes(model) == unshared[method], method
         # one generator run, with one block per objective the methods read
         assert started == [_run_blocks(SUBSET_MODES[methods], [n_t])]
 
@@ -518,9 +541,9 @@ class TestSharedGenerators:
         cfg = replace(cfg, tohan=replace(cfg.tohan, adapt_epochs=0))
         started = _inject(monkeypatch, lambda blocks: False)
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        shared, = harness._shared_run(trainers.METHODS, hyp, [fewshot], tohan_cfg)
+        models, = trainers.run_generator_methods(GENERATOR_METHODS, hyp, [fewshot], tohan_cfg)
         for method in GENERATOR_METHODS:
-            model = harness._method_model(method, hyp, fewshot, cfg.baseline, shared)
+            model = models[method]
             assert model.enc is hyp.enc and model.cls is hyp.cls
         assert started == [[("combined", 1)]]
 
@@ -741,14 +764,13 @@ class TestBlockFailures:
         install, failing = BLOCK_FAILURES[failure]
         started = install(monkeypatch)
         tohan_cfg = replace(cfg.tohan, seed=METHOD_SEED)
-        shared, = harness._shared_run(trainers.METHODS, hyp, [fewshot], tohan_cfg)
+        models, = trainers.run_generator_methods(GENERATOR_METHODS, hyp, [fewshot], tohan_cfg)
         for method in GENERATOR_METHODS:
             if method in failing:
-                with pytest.raises(NumericalError, match=f"^{DIVERGED}$"):
-                    harness._method_model(method, hyp, fewshot, cfg.baseline, shared)
+                assert isinstance(models[method], NumericalError), method
+                assert str(models[method]) == DIVERGED
             else:
-                model = harness._method_model(method, hyp, fewshot, cfg.baseline, shared)
-                assert _model_bytes(model) == direct[method], method
+                assert _model_bytes(models[method]) == direct[method], method
         assert started == [_run_blocks(ALL_MODES, [3])]
 
     @pytest.mark.parametrize("failure", list(RUN_FAILURES))
@@ -778,6 +800,69 @@ class TestBlockFailures:
         assert [r.getMessage() for r in errors if not r.exc_info] == [
             f"run {method}/n_t={n_t}/seed={seed} failed: {error}"
             for seed in (0, 1) for n_t in (1, 2) for method in GENERATOR_METHODS]
+
+
+def _spy_generator_runs(monkeypatch):
+    """Record the methods of every trainers.run_generator_methods call."""
+    run, calls = trainers.run_generator_methods, []
+
+    def spy(methods, *args, **kwargs):
+        calls.append(list(methods))
+        return run(methods, *args, **kwargs)
+
+    monkeypatch.setattr(trainers, "run_generator_methods", spy)
+    return calls
+
+
+class TestOneEagerRun:
+    """A seed makes its one generator run once its few-shot sets are drawn,
+    before any of its lines, and only when a line reads it."""
+
+    def test_grid_without_generator_methods_makes_no_run(self, monkeypatch, tiny_results):
+        calls = _spy_generator_runs(monkeypatch)
+        baselines = ("wa", "ft", "shot")
+        lines = [_line(r) for r in run_experiment(_tiny_task(), baselines, [1, 2], [0, 1],
+                                                  _tiny_cfg())]
+        assert calls == []
+        assert lines == [_line(r) for r in tiny_results if r.method in baselines]
+
+    def test_seed_whose_every_draw_fails_makes_no_run(self, monkeypatch):
+        def fail(target, n_t, seed):
+            raise InsufficientDataError("injected draw failure")
+
+        monkeypatch.setattr(harness, "sample_few_shot", fail)
+        calls = _spy_generator_runs(monkeypatch)
+        results = harness._run_seed(_tiny_task(), trainers.METHODS, [1, 2], 0, _tiny_cfg())
+        assert calls == []
+        assert [(r.method, r.n_t) for r in results] == [
+            (m, n_t) for n_t in (1, 2) for m in trainers.METHODS]
+        assert all(r.error == "injected draw failure" and r.wall_ms == 0.0 for r in results)
+
+    def test_one_run_for_the_generator_methods_of_every_drawn_set(self, monkeypatch):
+        calls = _spy_generator_runs(monkeypatch)
+        harness._run_seed(_tiny_task(), ("tohan", "wa", "sfada"), [1, 2], 0, _tiny_cfg())
+        assert calls == [["tohan", "sfada"]]
+
+    def test_run_time_counts_to_the_seeds_first_generator_line(self, monkeypatch):
+        run = trainers.run_generator_methods
+
+        def slow(*args, **kwargs):
+            time.sleep(0.3)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(trainers, "run_generator_methods", slow)
+        results = harness._run_seed(_tiny_task(), ("wa", "ft", "sfada", "tohan"), [1, 2], 0,
+                                    _tiny_cfg())
+        assert all(r.error is None for r in results)
+        assert [(r.method, r.n_t) for r in results if r.wall_ms >= 300.0] == [("sfada", 1)]
+
+    def test_run_exception_is_logged_before_the_seeds_lines(self, monkeypatch, caplog):
+        _inject(monkeypatch, lambda blocks: True, RuntimeError)
+        with caplog.at_level("INFO", logger=harness.log.name):
+            harness._run_seed(_tiny_task(), trainers.METHODS, [1, 2], 0, _tiny_cfg())
+        messages = [r.getMessage() for r in caplog.records if r.name == harness.log.name]
+        assert messages[0] == "seed=0 shared run failed: RuntimeError: injected failure"
+        assert messages[1].startswith("wa n_t=1 seed=0 accuracy=")
 
 
 SHOTS = (1, 2, 3)

@@ -285,7 +285,7 @@ class TestGenTotalLoss:
     def test_config_validation(self):
         gen_arch, params, enc, cls, z, targets = _generator_stack()
         with pytest.raises(ConfigError):
-            losses.generator_plan("combined", 2, targets, -0.5, z.shape[-2])
+            losses.generator_plan(("combined",), 2, [targets], -0.5, z.shape[-2])
 
 
 class TestCrossEntropy:
@@ -997,7 +997,7 @@ def _generator_stack(seed=3):
 
 def _objective(gen_arch, params, enc, cls, z, targets, tradeoff, mode="combined"):
     """The objective under the plan of a run of ``mode`` on these few-shots."""
-    plan = losses.generator_plan(mode, cls.arch.out_width, targets, tradeoff, z.shape[-2])
+    plan = losses.generator_plan((mode,), cls.arch.out_width, [targets], tradeoff, z.shape[-2])
     return losses.generator_objective_and_grad(gen_arch, params, enc, cls, z, plan)
 
 
@@ -1075,15 +1075,22 @@ class TestGeneratorObjective:
         _, _, _, _, z, targets = _generator_stack()
         for bad in (targets[0], targets[:1], targets[..., None]):
             with pytest.raises(ConfigError):
-                losses.generator_plan("target_only", 2, bad, 0.2, z.shape[-2])
+                losses.generator_plan(("target_only",), 2, [bad], 0.2, z.shape[-2])
         with pytest.raises(MissingClassError):
-            losses.generator_plan("combined", 2, targets[:, :0], 0.2, z.shape[-2])
+            losses.generator_plan(("combined",), 2, [targets[:, :0]], 0.2, z.shape[-2])
 
     def test_unknown_mode_rejected(self):
         gen_arch, params, enc, cls, z, targets = _generator_stack()
         with pytest.raises(ConfigError):
             _objective(gen_arch, params, enc, cls, z, targets,
                                                 tradeoff=0.2, mode="both")
+
+    @pytest.mark.parametrize("targets_of", [lambda t: t, lambda t: [t]], ids=["bare", "listed"])
+    def test_bare_string_mode_rejected(self, targets_of):
+        """The modes are a sequence, one per block, even for one block."""
+        _, _, _, _, z, targets = _generator_stack()
+        with pytest.raises(ConfigError, match="^unknown generator mode 'combined'$"):
+            losses.generator_plan("combined", 2, targets_of(targets), 0.2, z.shape[-2])
 
     def test_generated_batch_is_returned(self):
         gen_arch, params, enc, cls, z, targets = _generator_stack()
@@ -1201,7 +1208,7 @@ class TestOnePassObjective:
             rows = slice(m * classes, (m + 1) * classes)
             alone = losses.generator_objective_and_grad(
                 arch, params[rows], enc, cls, z[rows],
-                losses.generator_plan(mode, classes, targets[m], 0.2, batch))
+                losses.generator_plan((mode,), classes, [targets[m]], 0.2, batch))
             for g, a in zip(got, alone):
                 assert g[rows].tobytes() == a.tobytes(), mode
 
