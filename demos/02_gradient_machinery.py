@@ -13,9 +13,10 @@ from fha import losses, nn
 
 rng = np.random.default_rng(0)
 
-# A 2 -> 8 -> 3 softmax classifier. Parameters live in one flat vector;
-# init_params draws Glorot-uniform weights with zero biases.
-arch = nn.ArchSpec((2, 8, 3), activation="tanh", head="softmax")
+# A 2 -> 8 -> 3 classifier: a tanh hidden layer, a softmax head. Parameters
+# live in one flat vector; init_params draws Glorot-uniform weights with
+# zero biases.
+arch = nn.ArchSpec((2, 8, 3), head="softmax")
 params = nn.init_params(arch, seed=1)
 print(f"arch {arch.widths}, {params.size} parameters")
 

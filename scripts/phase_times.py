@@ -11,8 +11,10 @@ and the ft and shot baselines; "other" is the rest of the seed (data,
 few-shot draws, accuracies). A discriminator update counts its encoder
 pass (in pretraining, the pool embedding it gathers from) and its Adam
 step; a model update its Adam step. Prints the median of each phase over
-the seeds, its share of their sum, and the generator runs one seed makes
-and the blocks they train. The defaults are the pilot's: rot40, n_t=3.
+the seeds, its share of their sum, the median minor page faults of a seed
+(resource.getrusage; a run whose freed memory glibc trims off the heap
+faults it back in page by page), and the generator runs one seed makes and
+the blocks they train. The defaults are the pilot's: rot40, n_t=3.
 
     PYTHONPATH=src python3 scripts/phase_times.py [--task rot40] [--shots 3] \\
         [--seeds 0,1,2,3,4]
@@ -28,6 +30,7 @@ them next to the machine's own speed, and compare two trees on one machine.
 
 import argparse
 import json
+import resource
 import statistics
 import time
 from pathlib import Path
@@ -74,7 +77,8 @@ def _phase_of(name, caller, last_update):
 
 def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
     """Milliseconds of each phase of one seed, its generator runs and the
-    blocks they trained, its failed runs, and the timed functions it called."""
+    blocks they trained, its failed runs, the timed functions it called and
+    its minor page faults."""
     times = dict.fromkeys(PHASES, 0.0)
     stack = []  # [function, phase, time of the timed calls inside it]
     last_update = ["adapt: disc updates"]
@@ -105,6 +109,7 @@ def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
     originals = [(module, name, getattr(module, name)) for module, name, _ in TIMED]
     for (module, name, phase), (_, _, fn) in zip(TIMED, originals):
         setattr(module, name, timed(name, phase, fn))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     try:
         results = harness._run_seed(task, trainers.METHODS, shots, seed, cfg)
@@ -112,8 +117,9 @@ def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
         for module, name, fn in originals:
             setattr(module, name, fn)
     times["other"] += (time.perf_counter() - start) * 1e3 - sum(times.values())
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     problems = [f"{r.method} n_t={r.n_t}: {r.error}" for r in results if r.error is not None]
-    return times, (len(blocks), sum(blocks)), problems, called
+    return times, (len(blocks), sum(blocks)), problems, called, faults
 
 
 def main(argv=None) -> int:
@@ -141,6 +147,7 @@ def main(argv=None) -> int:
         label = f"  {phase.split(': ')[1]}" if ": " in phase else phase
         print(f"  {label:<24}{medians[phase]:9.1f}  {100.0 * medians[phase] / total:5.1f}%")
     print(f"  {'total':<24}{total:9.1f}")
+    print(f"minor page faults per seed: {statistics.median(r[4] for r in runs):.0f}")
     print(f"generator runs per seed: {sorted({r[1][0] for r in runs})}, "
           f"blocks per seed: {sorted({r[1][1] for r in runs})}")
     problems = [p for r in runs for p in r[2]]

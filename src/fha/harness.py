@@ -194,14 +194,14 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
             acc, error, what = None, None, f"run {method}/n_t={n_t}/seed={seed}"
             try:
                 if method == "wa":
-                    model = hypothesis
+                    acc = wa_acc
                 elif method == "ft":
-                    model = trainers.train_ft(hypothesis, fewshots[n_t], cfg.baseline)
+                    acc = accuracy(trainers.train_ft(hypothesis, fewshots[n_t], cfg.baseline),
+                                   target_test)
                 elif method == "shot":
-                    model = trainers.train_shot(hypothesis, fewshots[n_t], cfg.baseline)
-                else:
-                    model = generated[n_t][method]
-                if isinstance(model, Exception):
+                    acc = accuracy(trainers.train_shot(hypothesis, fewshots[n_t], cfg.baseline),
+                                   target_test)
+                elif isinstance(model := generated[n_t][method], Exception):
                     error = _failure(model, what, logged=True)
                 else:
                     acc = accuracy(model, target_test)

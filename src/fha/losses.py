@@ -238,9 +238,8 @@ def _softmax_ce(enc_arch: nn.ArchSpec, enc: list, enc_grad: list,
     emb, enc_acts = nn._forward(enc_arch, enc, x)
     probs, cls_acts = nn._forward(cls_arch, cls, emb)
     loss, g = _ce_parts(probs, pick, with_loss, logits=True)
-    emb_g = nn._backward(cls_arch, cls, cls_acts, g, cls_grad)
-    nn._backward(enc_arch, enc, enc_acts, nn._head_grad(enc_arch, emb, emb_g), enc_grad,
-                 want_input=False)
+    emb_g = nn._backward(cls, cls_acts, g, cls_grad)
+    nn._backward(enc, enc_acts, nn._head_grad(enc_arch, emb, emb_g), enc_grad, want_input=False)
     return loss
 
 
@@ -346,14 +345,14 @@ def adaptation_loss_and_grads(x1, x2, disc, enc, cls, fewshot, beta: float):
     loss = float(beta) * (0.0 - g2 - g4) + target_ce
     if beta != 0.0:
         u = np.where(picked >= PROB_FLOOR, -beta / (h * floor), 0.0)
-        joint_g = nn._backward(disc.arch, disc_layers, disc_acts,
+        joint_g = nn._backward(disc_layers, disc_acts,
                                _softmax_input_grad(probs, pick, picked, u), None)
         part = np.empty(enc_params.shape)
         part_layers = nn._layers(enc.arch, part)
         for half in halves:
             for acts, side in ((acts1, slice(0, width)), (acts2, slice(width, 2 * width))):
                 acts = [a[..., half, :] for a in acts]
-                nn._backward(enc.arch, enc_layers, acts,
+                nn._backward(enc_layers, acts,
                              nn._head_grad(enc.arch, acts[-1], joint_g[..., half, side]),
                              part_layers, want_input=False)
                 enc_grad += part
@@ -379,7 +378,7 @@ def group_ce_and_disc_grad(disc, joint: np.ndarray, group: np.ndarray):
     probs, acts = nn._forward(disc.arch, layers, joint)
     loss, g = _ce_parts(*_check_group_ce(probs, group), logits=True)
     grad = np.empty(params.shape)
-    nn._backward(disc.arch, layers, acts, g, nn._layers(disc.arch, grad), want_input=False)
+    nn._backward(layers, acts, g, nn._layers(disc.arch, grad), want_input=False)
     return loss, grad
 
 
@@ -496,15 +495,14 @@ def generator_objective_and_grad(arch: nn.ArchSpec, params: np.ndarray,
         if with_loss:
             loss[plan.src] += src_loss
         g = _softmax_input_grad(probs, plan.src_pick, picked, u)
-        emb_g = nn._backward(cls, cls_layers, cls_acts, g, None)
-        x_up[plan.src] += nn._backward(enc, enc_layers, enc_acts,
-                                       nn._head_grad(enc, emb, emb_g), None)
+        emb_g = nn._backward(cls_layers, cls_acts, g, None)
+        x_up[plan.src] += nn._backward(enc_layers, enc_acts, nn._head_grad(enc, emb, emb_g), None)
     for rows, weight, planes in plan.tgt:
         target_loss, target_grad = _proximity(generated[rows], planes, plan.diameter, with_loss)
         if with_loss:
             loss[rows] += weight * target_loss
         x_up[rows] += weight[:, None, None] * target_grad
     gen_grad = np.empty(params.shape)
-    nn._backward(arch, gen, gen_acts, nn._head_grad(arch, generated, x_up),
-                 nn._layers(arch, gen_grad), want_input=False)
+    nn._backward(gen, gen_acts, nn._head_grad(arch, generated, x_up), nn._layers(arch, gen_grad),
+                 want_input=False)
     return loss, gen_grad, generated

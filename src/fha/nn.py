@@ -1,10 +1,11 @@
-"""A small differentiable core: MLPs over flat parameter vectors, Adam, and
-a finite-difference gradient checker.
+"""A small differentiable core: tanh MLPs over flat parameter vectors, Adam,
+and a finite-difference gradient checker.
 
-Every network is described by an ArchSpec and a single float64 parameter
-vector laid out layer by layer as (weight matrix row-major, then bias). A
-leading stack axis makes an (N, P) stack of N nets that run as one, net n
-mapping block n of an (N, B, in) batch. All arithmetic runs in 64-bit with
+Every network is described by an ArchSpec (widths and head; every hidden
+layer is tanh) and a single float64 parameter vector laid out layer by layer
+as (weight matrix row-major, then bias). A leading stack axis makes an
+(N, P) stack of N nets that run as one, net n mapping block n of an
+(N, B, in) batch. All arithmetic runs in 64-bit with
 numpy's fixed reduction order and stacked matmuls run the per-slice kernels,
 so equal seeds give bit-identical results whether nets run alone or stacked.
 
@@ -32,16 +33,15 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, NumericalError
 
-ACTIVATIONS = ("tanh", "relu")
 HEADS = ("softmax", "linear", "sigmoid")
 
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """Layer widths (input first, output last), hidden activation, head."""
+    """Layer widths (input first, output last) and head; every hidden layer
+    is tanh."""
 
     widths: tuple[int, ...]
-    activation: str = "tanh"
     head: str = "softmax"
 
     def __post_init__(self) -> None:
@@ -51,8 +51,6 @@ class ArchSpec:
             raise ConfigError("an architecture needs at least input and output widths")
         if any(w < 1 for w in widths):
             raise ConfigError("layer widths must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
         if self.head not in HEADS:
             raise ConfigError(f"head must be one of {HEADS}")
         if self.head == "softmax" and widths[-1] < 2:
@@ -68,7 +66,6 @@ class ArchSpec:
         object.__setattr__(self, "n_params", offset)
         object.__setattr__(self, "in_width", widths[0])
         object.__setattr__(self, "out_width", widths[-1])
-        object.__setattr__(self, "tanh", self.activation == "tanh")
 
 
 def num_params(arch: ArchSpec) -> int:
@@ -76,30 +73,14 @@ def num_params(arch: ArchSpec) -> int:
     return arch.n_params
 
 
-def flatten_layers(arch: ArchSpec, layers) -> np.ndarray:
-    """Pack (weight (fan_in, fan_out), bias (fan_out,)) pairs into a flat vector."""
-    parts = []
-    for (w, b), (_, _, shape) in zip(layers, arch.layout):
-        w = np.asarray(w, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if w.shape != shape or b.shape != (shape[1],):
-            raise ConfigError("layer shapes do not match the architecture")
-        parts.append(w.reshape(-1))
-        parts.append(b)
-    out = np.concatenate(parts)
-    if out.size != arch.n_params:
-        raise ConfigError("wrong number of layers for the architecture")
-    return out
-
-
 def init_params(arch: ArchSpec, seed) -> np.ndarray:
     """Uniform(-a, a) weights with a = sqrt(6 / (fan_in + fan_out)); zero biases."""
     rng = np.random.default_rng(seed)
-    layers = []
-    for fi, fo in zip(arch.widths[:-1], arch.widths[1:]):
+    params = np.zeros(arch.n_params)
+    for w_sl, _, (fi, fo) in arch.layout:
         limit = np.sqrt(6.0 / (fi + fo))
-        layers.append((rng.uniform(-limit, limit, size=(fi, fo)), np.zeros(fo)))
-    return flatten_layers(arch, layers)
+        params[w_sl] = rng.uniform(-limit, limit, size=fi * fo)
+    return params
 
 
 def _check_params(arch: ArchSpec, params: np.ndarray) -> np.ndarray:
@@ -184,7 +165,7 @@ def _forward(arch: ArchSpec, layers: list, x: np.ndarray):
         x = mm(x, w)
         x += b
         if i < last:
-            x = np.tanh(x, out=x) if arch.tanh else np.maximum(x, 0.0, out=x)
+            x = np.tanh(x, out=x)
         elif arch.head == "softmax":
             x = _softmax(x)
         elif arch.head == "sigmoid":
@@ -193,8 +174,7 @@ def _forward(arch: ArchSpec, layers: list, x: np.ndarray):
     return x, acts
 
 
-def _backward(arch: ArchSpec, layers: list, acts: list, g: np.ndarray, grad_layers,
-              want_input: bool = True):
+def _backward(layers: list, acts: list, g: np.ndarray, grad_layers, want_input: bool = True):
     """backward_from_cache on checked inputs, from the gradient ``g`` at the
     head's input: writes the parameter gradient into ``grad_layers`` (a
     buffer shaped like params, bound by _layers, or None for none) and
@@ -209,12 +189,8 @@ def _backward(arch: ArchSpec, layers: list, acts: list, g: np.ndarray, grad_laye
             return None
         g = mm(g, layers[i][0].swapaxes(-1, -2))
         if i > 0:
-            a = acts[i]
-            if arch.tanh:
-                d = a * a
-                g *= np.subtract(1.0, d, out=d)
-            else:
-                g *= a > 0.0
+            d = acts[i] * acts[i]
+            g *= np.subtract(1.0, d, out=d)
     return g
 
 
@@ -264,8 +240,8 @@ def backward_from_cache(arch, params, acts, upstream):
     if upstream.shape != out.shape:
         raise ConfigError(f"upstream must be {out.shape}, got {upstream.shape}")
     param_grad = np.empty(params.shape)
-    return param_grad, _backward(arch, _layers(arch, params), acts,
-                                 _head_grad(arch, out, upstream), _layers(arch, param_grad))
+    return param_grad, _backward(_layers(arch, params), acts, _head_grad(arch, out, upstream),
+                                 _layers(arch, param_grad))
 
 
 @dataclass(frozen=True)
@@ -453,7 +429,7 @@ def save_model(path, nets: dict[str, Net], seed: int, metadata: dict | None = No
                        "metadata": metadata or {}, "nets": {}}, indent=1)
     entries = []
     for name, net in nets.items():
-        entry = json.dumps({"widths": list(net.arch.widths), "activation": net.arch.activation,
+        entry = json.dumps({"widths": list(net.arch.widths), "activation": "tanh",
                             "head": net.arch.head, "params": []}, indent=1)
         entries.append(f"  {json.dumps(name)}: " + entry[:-len("[]\n}")].replace("\n", "\n  ")
                        + _float_list(net.params, 3) + "\n  }")
@@ -477,11 +453,12 @@ def load_model(path) -> tuple[dict[str, Net], int, dict]:
     if not isinstance(doc.get("nets"), dict):
         raise FormatError("model file has no object of nets")
     try:
+        for entry in doc["nets"].values():
+            if entry["activation"] != "tanh":
+                raise ConfigError(f"activation must be 'tanh', got {entry['activation']!r}")
         nets = {
-            name: Net(
-                ArchSpec(tuple(entry["widths"]), entry["activation"], entry["head"]),
-                np.asarray(entry["params"], dtype=np.float64),
-            )
+            name: Net(ArchSpec(tuple(entry["widths"]), entry["head"]),
+                      np.asarray(entry["params"], dtype=np.float64))
             for name, entry in doc["nets"].items()
         }
         if (seed := _as_int(doc["seed"], "the seed")) < 0:

@@ -184,19 +184,19 @@ class GeneratorBank:
 
 
 def default_encoder_arch(dim: int, width: int = 32) -> nn.ArchSpec:
-    return nn.ArchSpec((dim, width, width), activation="tanh", head="linear")
+    return nn.ArchSpec((dim, width, width), head="linear")
 
 
 def default_classifier_arch(width: int, num_classes: int) -> nn.ArchSpec:
-    return nn.ArchSpec((width, num_classes), activation="tanh", head="softmax")
+    return nn.ArchSpec((width, num_classes), head="softmax")
 
 
 def default_generator_arch(z_dim: int, dim: int, hidden: int = 32) -> nn.ArchSpec:
-    return nn.ArchSpec((z_dim, hidden, dim), activation="tanh", head="sigmoid")
+    return nn.ArchSpec((z_dim, hidden, dim), head="sigmoid")
 
 
 def default_discriminator_arch(emb_width: int, hidden: int = 32) -> nn.ArchSpec:
-    return nn.ArchSpec((2 * emb_width, hidden, 4), activation="tanh", head="softmax")
+    return nn.ArchSpec((2 * emb_width, hidden, 4), head="softmax")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +356,7 @@ def train_ft(hypothesis: SourceHypothesis, fewshot: FewShotSet,
     for _ in range(cfg.epochs):
         probs, acts = nn._forward(arch, net, emb)
         g = losses._ce_parts(probs, pick, with_loss=False, logits=True)[1]
-        nn._backward(arch, net, acts, g, net_grad, want_input=False)
+        nn._backward(net, acts, g, net_grad, want_input=False)
         nn.adam_into(state, params, grad)
     return TargetModel(enc=hypothesis.enc, cls=nn.Net(arch, params))
 
@@ -467,6 +467,12 @@ def _run_generators(hypothesis: SourceHypothesis, blocks, cfg: TohanConfig, root
         log.append(_digest(params[rows[m]]))
     for epoch in range(epochs):
         if epoch % _NOISE_CHUNK == 0:  # the same stream as one (B, z_dim) draw per step
+            # The tile (672 KiB at grid6's 7 blocks of 6 classes) also keeps glibc from
+            # handing the step temporaries' memory back and faulting it in again: one
+            # (M*N, B, z_dim) buffer per run, drawn into each step, took 69k-101k minor
+            # page faults per 7-block grid6 run against 0.5k-1.2k once a first run has
+            # grown the heap, and 0.79-0.92 s against 0.68-0.83 s (resource.getrusage,
+            # 4 runs each in one process, 2-CPU VM).
             steps = min(_NOISE_CHUNK, epochs - epoch)
             chunk = np.tile(np.stack([rng.standard_normal((steps, cfg.gen_batch, cfg.z_dim))
                                       for rng in noise], axis=1), (1, count, 1, 1))

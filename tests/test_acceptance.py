@@ -155,7 +155,7 @@ def _tagged_pools(rng, num_classes, per_inter, per_target, dim=2):
 
 def _build_group_ce(rng):
     width = 4
-    enc_arch = nn.ArchSpec((2, width, width), "tanh", "linear")
+    enc_arch = nn.ArchSpec((2, width, width), "linear")
     disc_arch = trainers.default_discriminator_arch(width, 4)
     enc = nn.Net(enc_arch, nn.init_params(enc_arch, _seed_of(rng)))
     inter, tgt = _tagged_pools(rng, 3, 3, 2)
@@ -170,8 +170,8 @@ def _build_group_ce(rng):
 
 def _build_adaptation(rng):
     width, c, dim = 4, 3, 2
-    enc_arch = nn.ArchSpec((dim, width, width), "tanh", "linear")
-    cls_arch = nn.ArchSpec((width, c), "tanh", "softmax")
+    enc_arch = nn.ArchSpec((dim, width, width), "linear")
+    cls_arch = nn.ArchSpec((width, c), "softmax")
     disc_arch = trainers.default_discriminator_arch(width, 4)
     disc = nn.Net(disc_arch, nn.init_params(disc_arch, _seed_of(rng)))
     enc_p = nn.init_params(enc_arch, _seed_of(rng))
@@ -194,8 +194,8 @@ def _build_adaptation(rng):
 
 def _build_model_ce(rng):
     width, c, dim = int(rng.integers(3, 6)), int(rng.integers(2, 4)), 2
-    enc_arch = nn.ArchSpec((dim, width, width), "tanh", "linear")
-    cls_arch = nn.ArchSpec((width, c), "tanh", "softmax")
+    enc_arch = nn.ArchSpec((dim, width, width), "linear")
+    cls_arch = nn.ArchSpec((width, c), "softmax")
     enc_p = nn.init_params(enc_arch, _seed_of(rng))
     cls_p = nn.init_params(cls_arch, _seed_of(rng))
     x = rng.uniform(size=(5, dim))
@@ -221,8 +221,8 @@ def _build_gen_objective(mode):
     def build(rng):
         z_dim, hidden, dim, c = 3, 4, 2, 3
         gen_arch = trainers.default_generator_arch(z_dim, dim, hidden)
-        enc_arch = nn.ArchSpec((dim, 4, 4), "tanh", "linear")
-        cls_arch = nn.ArchSpec((4, c), "tanh", "softmax")
+        enc_arch = nn.ArchSpec((dim, 4, 4), "linear")
+        cls_arch = nn.ArchSpec((4, c), "softmax")
         enc = nn.Net(enc_arch, nn.init_params(enc_arch, _seed_of(rng)))
         cls = nn.Net(cls_arch, nn.init_params(cls_arch, _seed_of(rng)))
         z = rng.standard_normal((c, 4, z_dim))

@@ -856,6 +856,18 @@ class TestOneEagerRun:
         assert all(r.error is None for r in results)
         assert [(r.method, r.n_t) for r in results if r.wall_ms >= 300.0] == [("sfada", 1)]
 
+    def test_hypothesis_is_scored_once_per_seed(self, monkeypatch):
+        score, calls = harness.accuracy, []
+
+        def spy(model, data):
+            calls.append(model)
+            return score(model, data)
+
+        monkeypatch.setattr(harness, "accuracy", spy)
+        results = run_experiment(_tiny_task(), ["wa"], [1, 3], [0], _tiny_cfg())
+        assert len(calls) == 1
+        assert [r.accuracy for r in results] == [r.wa_accuracy for r in results]
+
     def test_run_exception_is_logged_before_the_seeds_lines(self, monkeypatch, caplog):
         _inject(monkeypatch, lambda blocks: True, RuntimeError)
         with caplog.at_level("INFO", logger=harness.log.name):
@@ -1206,7 +1218,7 @@ class TestDumpEmbedding:
         np.testing.assert_array_equal(table.y, emb[:, 1])
 
     def test_narrow_encoder_rejected(self):
-        enc_arch = nn.ArchSpec((2, 1), activation="tanh", head="linear")
+        enc_arch = nn.ArchSpec((2, 1), head="linear")
         enc = nn.Net(enc_arch, nn.init_params(enc_arch, 0))
         with pytest.raises(ConfigError):
             dump_embedding(enc, [("a", _embed_data(5, 0))])

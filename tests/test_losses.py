@@ -455,9 +455,9 @@ def _composed_softmax_ce(enc_arch, ep, cls_arch, cp, x, labels):
     return losses.cross_entropy(probs, labels), enc_grad, cls_grad, probs
 
 
-def _ce_nets(rng, classes, lead=(), activation="tanh", cls_widths=()):
-    enc_arch = nn.ArchSpec((3, 7, 5), activation=activation, head="linear")
-    cls_arch = nn.ArchSpec((5, *cls_widths, classes), activation=activation)
+def _ce_nets(rng, classes, lead=(), cls_widths=()):
+    enc_arch = nn.ArchSpec((3, 7, 5), head="linear")
+    cls_arch = nn.ArchSpec((5, *cls_widths, classes))
     ep = rng.normal(size=lead + (enc_arch.n_params,))
     cp = 3.0 * rng.normal(size=lead + (cls_arch.n_params,))
     return enc_arch, ep, cls_arch, cp
@@ -468,11 +468,11 @@ class TestSoftmaxCEAndGrads:
 
     @pytest.mark.parametrize("classes", range(2, 7))
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
-    @pytest.mark.parametrize("activation,cls_widths", [("tanh", ()), ("relu", (4,))])
-    def test_equals_the_composed_path(self, classes, lead, activation, cls_widths):
+    @pytest.mark.parametrize("cls_widths", [(), (4,)])
+    def test_equals_the_composed_path(self, classes, lead, cls_widths):
         rng = np.random.default_rng(classes)
         for b in (1, 2, 9, 64):
-            enc_arch, ep, cls_arch, cp = _ce_nets(rng, classes, lead, activation, cls_widths)
+            enc_arch, ep, cls_arch, cp = _ce_nets(rng, classes, lead, cls_widths)
             x = rng.normal(size=lead + (b, 3))
             if lead and b == 9:  # one batch seen by every net, as the few-shot term passes it
                 x = np.broadcast_to(x[0], x.shape)
@@ -1143,9 +1143,9 @@ def _objective_case(classes, modes, tradeoff=0.2, seed=0, saturate=False, touch=
     arch = trainers.default_generator_arch(3, dim, 6)
     params = np.stack([nn.init_params(arch, int(s)) for s in
                        rng.integers(2**31, size=len(modes) * classes)])
-    enc_arch = nn.ArchSpec((dim, 5, 4), "tanh", "linear")
+    enc_arch = nn.ArchSpec((dim, 5, 4), "linear")
     enc = nn.Net(enc_arch, nn.init_params(enc_arch, int(rng.integers(2**31))))
-    cls_arch = nn.ArchSpec((4, classes), "tanh", "softmax")
+    cls_arch = nn.ArchSpec((4, classes), "softmax")
     cls_params = nn.init_params(cls_arch, int(rng.integers(2**31)))
     cls = nn.Net(cls_arch, cls_params * (3000.0 if saturate else 1.0))
     z = rng.standard_normal((len(modes) * classes, batch, 3))
@@ -1240,17 +1240,17 @@ class TestOnePassObjective:
 
     def test_non_softmax_classifier_rejected(self):
         arch, params, enc, cls, z, plan = _objective_case(3, ("source_only",))
-        sigmoid = nn.Net(nn.ArchSpec(cls.arch.widths, "tanh", "sigmoid"), cls.params)
+        sigmoid = nn.Net(nn.ArchSpec(cls.arch.widths, "sigmoid"), cls.params)
         with pytest.raises(ConfigError, match="softmax head"):
             losses.generator_objective_and_grad(arch, params, enc, sigmoid, z, plan)
 
     def test_width_mismatches_rejected(self):
         arch, params, enc, cls, z, plan = _objective_case(3, ("combined",))
-        wide_enc_arch = nn.ArchSpec((3, 5, 4), "tanh", "linear")
+        wide_enc_arch = nn.ArchSpec((3, 5, 4), "linear")
         wide_enc = nn.Net(wide_enc_arch, nn.init_params(wide_enc_arch, 0))
         with pytest.raises(ConfigError, match="feed the encoder"):
             losses.generator_objective_and_grad(arch, params, wide_enc, cls, z, plan)
-        narrow_cls_arch = nn.ArchSpec((3, 3), "tanh", "softmax")
+        narrow_cls_arch = nn.ArchSpec((3, 3), "softmax")
         narrow_cls = nn.Net(narrow_cls_arch, nn.init_params(narrow_cls_arch, 0))
         with pytest.raises(ConfigError, match="feed the encoder"):
             losses.generator_objective_and_grad(arch, params, enc, narrow_cls, z, plan)

@@ -20,14 +20,6 @@ def layers_of(arch, params):
             for w_sl, b_sl, shape in arch.layout]
 
 
-def random_arch(rng, head=None, activation=None, max_width=6, depth=None):
-    depth = int(rng.integers(2, 4)) if depth is None else depth
-    widths = tuple(int(rng.integers(2, max_width + 1)) for _ in range(depth))
-    head = head or str(rng.choice(["softmax", "linear", "sigmoid"]))
-    activation = activation or str(rng.choice(["tanh", "relu"]))
-    return nn.ArchSpec(widths, activation=activation, head=head)
-
-
 class TestArchSpec:
     def test_param_count_small_example(self):
         # 2->4->3: (2+1)*4 + (4+1)*3 = 27
@@ -35,7 +27,7 @@ class TestArchSpec:
         assert nn.num_params(arch) == 27
 
     def test_param_count_matches_layer_shapes(self):
-        arch = nn.ArchSpec((5, 7, 2, 4), activation="relu", head="linear")
+        arch = nn.ArchSpec((5, 7, 2, 4), head="linear")
         layers = layers_of(arch, nn.init_params(arch, seed=0))
         total = sum(w.size + b.size for w, b in layers)
         assert total == nn.num_params(arch)
@@ -50,7 +42,6 @@ class TestArchSpec:
         [
             {"widths": (4,)},
             {"widths": (4, 0)},
-            {"widths": (4, 3), "activation": "swish"},
             {"widths": (4, 3), "head": "argmax"},
             {"widths": (4, 1), "head": "softmax"},
             {"widths": (2.7, 3.9)},
@@ -79,18 +70,6 @@ class TestInitAndPacking:
             assert np.all(np.abs(w) <= limit)
             assert np.all(b == 0.0)
 
-    def test_flatten_roundtrip(self):
-        arch = nn.ArchSpec((3, 4, 2), head="linear")
-        params = nn.init_params(arch, seed=3)
-        assert np.array_equal(nn.flatten_layers(arch, layers_of(arch, params)), params)
-
-    def test_flatten_rejects_wrong_shapes(self):
-        arch = nn.ArchSpec((3, 4, 2), head="linear")
-        layers = layers_of(arch, nn.init_params(arch, seed=3))
-        bad = [(layers[0][0].T, layers[0][1]), layers[1]]
-        with pytest.raises(ConfigError):
-            nn.flatten_layers(arch, bad)
-
     def test_wrong_param_length_rejected(self):
         arch = nn.ArchSpec((3, 4, 2))
         with pytest.raises(ConfigError):
@@ -108,14 +87,14 @@ class TestForward:
     def test_softmax_is_shift_stable(self):
         # huge logits must not overflow
         arch = nn.ArchSpec((2, 3), head="softmax")
-        params = nn.flatten_layers(arch, [(np.full((2, 3), 500.0), np.zeros(3))])
+        params = np.concatenate([np.full(6, 500.0), np.zeros(3)])
         out = nn.forward(arch, params, np.array([[1.0, 1.0]]))
         assert np.all(np.isfinite(out))
         assert np.allclose(out.sum(axis=1), 1.0)
 
     def test_sigmoid_bounds_and_stability(self):
         arch = nn.ArchSpec((2, 2), head="sigmoid")
-        params = nn.flatten_layers(arch, [(np.array([[800.0, 0.0], [0.0, -800.0]]), np.zeros(2))])
+        params = np.concatenate([[800.0, 0.0, 0.0, -800.0], np.zeros(2)])
         out = nn.forward(arch, params, np.array([[1.0, 1.0]]))
         assert np.all(np.isfinite(out))
         assert np.all((out >= 0.0) & (out <= 1.0))
@@ -124,21 +103,20 @@ class TestForward:
         arch = nn.ArchSpec((3, 2), head="linear")
         w = RNG.normal(size=(3, 2))
         b = RNG.normal(size=2)
-        params = nn.flatten_layers(arch, [(w, b)])
+        params = np.concatenate([w.ravel(), b])
         x = RNG.normal(size=(5, 3))
         assert np.allclose(nn.forward(arch, params, x), x @ w + b, atol=1e-12)
 
     def test_hidden_activations(self):
         x = RNG.normal(size=(4, 3))
-        for act, fn in (("tanh", np.tanh), ("relu", lambda z: np.maximum(z, 0.0))):
-            arch = nn.ArchSpec((3, 4, 2), activation=act, head="linear")
-            params = nn.init_params(arch, seed=5)
-            (w1, b1), (w2, b2) = layers_of(arch, params)
-            expected = fn(x @ w1 + b1) @ w2 + b2
-            assert np.allclose(nn.forward(arch, params, x), expected, atol=1e-12)
+        arch = nn.ArchSpec((3, 4, 2), head="linear")
+        params = nn.init_params(arch, seed=5)
+        (w1, b1), (w2, b2) = layers_of(arch, params)
+        expected = np.tanh(x @ w1 + b1) @ w2 + b2
+        assert np.allclose(nn.forward(arch, params, x), expected, atol=1e-12)
 
     def test_forward_and_cache_matches_forward(self):
-        arch = nn.ArchSpec((3, 4, 4), activation="relu", head="softmax")
+        arch = nn.ArchSpec((3, 4, 4), head="softmax")
         params = nn.init_params(arch, seed=11)
         x = RNG.normal(size=(6, 3))
         out, acts = nn.forward_and_cache(arch, params, x)
@@ -157,10 +135,9 @@ class TestForward:
 
 class TestBackward:
     @pytest.mark.parametrize("head", ["softmax", "linear", "sigmoid"])
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_backward_matches_fd(self, head, activation):
-        rng = np.random.default_rng(hash((head, activation)) % 2**32)
-        arch = nn.ArchSpec((3, 5, 3), activation=activation, head=head)
+    def test_backward_matches_fd(self, head):
+        rng = np.random.default_rng(hash(head) % 2**32)
+        arch = nn.ArchSpec((3, 5, 3), head=head)
         x = rng.uniform(-1.0, 1.0, size=(4, 3))
         # random fixed projection makes the scalar loss exercise all outputs
         proj = rng.normal(size=(4, 3))
@@ -198,11 +175,10 @@ class TestStacked:
     """An (N, P) stack runs as N nets; a row alone gives the same bits."""
 
     @pytest.mark.parametrize("n", [1, 3, 6])
-    @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("head", ["softmax", "linear", "sigmoid"])
-    def test_stack_equals_each_row_alone(self, head, activation, n):
-        rng = np.random.default_rng([n, len(head), len(activation)])
-        arch = nn.ArchSpec((8, 32, 5), activation=activation, head=head)
+    def test_stack_equals_each_row_alone(self, head, n):
+        rng = np.random.default_rng([n, len(head)])
+        arch = nn.ArchSpec((8, 32, 5), head=head)
         params = np.stack([nn.init_params(arch, seed=s) for s in range(n)])
         x = rng.normal(size=(n, 32, 8))
         up = rng.normal(size=(n, 32, 5))
@@ -254,8 +230,8 @@ class TestStacked:
 
 # The forward, backward, softmax, sigmoid and Adam step as they were before
 # the kernels walked arch.layout and wrote into their own temporaries, kept
-# verbatim (module names qualified, nn._layers as layers_of) as the
-# byte-for-byte reference.
+# verbatim (module names qualified, nn._layers as layers_of, the relu
+# branches dropped) as the byte-for-byte reference.
 
 
 def ref_softmax(z: np.ndarray) -> np.ndarray:
@@ -280,7 +256,7 @@ def ref_forward_and_cache(arch, params, batch):
     for i, (w, b) in enumerate(layers):
         z = acts[-1] @ w + b[..., None, :]
         if i < len(layers) - 1:
-            z = np.tanh(z) if arch.activation == "tanh" else np.maximum(z, 0.0)
+            z = np.tanh(z)
         acts.append(z)
     out = acts[-1]
     if arch.head == "softmax":
@@ -317,10 +293,7 @@ def ref_backward_from_cache(arch, params, acts, upstream, *, input_only=False):
         g = g @ np.swapaxes(w, -1, -2)
         if i > 0:
             a = acts[i]
-            if arch.activation == "tanh":
-                g = g * (1.0 - a * a)
-            else:
-                g = g * (a > 0.0)
+            g = g * (1.0 - a * a)
     return param_grad, g
 
 
@@ -348,18 +321,17 @@ class TestMatchesReference:
     """The kernels give the reference's bytes, and write into nothing they were handed."""
 
     @settings(max_examples=150, deadline=None)
-    @given(head=st.sampled_from(nn.HEADS), activation=st.sampled_from(nn.ACTIVATIONS),
+    @given(head=st.sampled_from(nn.HEADS),
            layout=st.sampled_from(["single", "stacked", "one net over blocks"]),
            depth=st.integers(2, 4), n=st.integers(1, 4),
            b=st.integers(1, 9), scale=st.sampled_from([1.0, 30.0, 1e3]),
            seed=st.integers(0, 2**32 - 1))
-    def test_forward_and_backward_bytes(self, head, activation, layout, depth,
-                                        n, b, scale, seed):
+    def test_forward_and_backward_bytes(self, head, layout, depth, n, b, scale, seed):
         rng = np.random.default_rng(seed)
         widths = tuple(int(w) for w in rng.integers(2, 7, size=depth))
         if head == "softmax":
             widths = widths[:-1] + (max(widths[-1], 2),)
-        arch = nn.ArchSpec(widths, activation=activation, head=head)
+        arch = nn.ArchSpec(widths, head=head)
         lead = () if layout == "single" else (n,)
         # random biases too: init_params would leave them all zero
         params = rng.normal(size=(lead if layout == "stacked" else ()) + (arch.n_params,))
@@ -371,8 +343,8 @@ class TestMatchesReference:
         cache = [a.copy() for a in acts]
         if blocks:  # a frozen net's pass in the fused losses: the core, input gradient only
             grad = None
-            x_grad = nn._backward(arch, nn._layers(arch, params), acts,
-                                  nn._head_grad(arch, out, up), None)
+            x_grad = nn._backward(nn._layers(arch, params), acts, nn._head_grad(arch, out, up),
+                                  None)
             with pytest.raises(ConfigError, match="one parameter row per batch block"):
                 nn.backward_from_cache(arch, params, acts, up)
         else:
@@ -691,6 +663,26 @@ class TestModelFile:
             assert loaded[name].arch == nets[name].arch
             assert np.array_equal(loaded[name].params, nets[name].params)
 
+    def test_roundtrip_writes_the_tanh_activation(self, tmp_path):
+        path = tmp_path / "model.json"
+        nn.save_model(path, self._nets(), seed=0)
+        loaded, _, _ = nn.load_model(path)
+        nn.save_model(path, loaded, seed=0)
+        nets = json.loads(path.read_text())["nets"]
+        assert [list(entry) for entry in nets.values()] == [
+            ["widths", "activation", "head", "params"]] * 2
+        assert [entry["activation"] for entry in nets.values()] == ["tanh", "tanh"]
+
+    @pytest.mark.parametrize("activation", ["relu", None, 1])
+    def test_rejects_any_activation_but_tanh(self, tmp_path, activation):
+        path = tmp_path / "model.json"
+        nn.save_model(path, self._nets(), seed=0)
+        doc = json.loads(path.read_text())
+        doc["nets"]["cls"]["activation"] = activation
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="activation must be 'tanh'"):
+            nn.load_model(path)
+
     @pytest.mark.parametrize("metadata", [None, {"task": "demo", "acc": 0.25, "tags": ["a", 1],
                                                  "nested": {"é": None, "empty": []}}])
     def test_bytes_equal_json_dump(self, tmp_path, metadata):
@@ -702,7 +694,7 @@ class TestModelFile:
         path = tmp_path / "model.json"
         nn.save_model(path, nets, seed=3, metadata=metadata)
         doc = {"format": "fha-model", "version": 1, "seed": 3, "metadata": metadata or {},
-               "nets": {name: {"widths": list(net.arch.widths), "activation": net.arch.activation,
+               "nets": {name: {"widths": list(net.arch.widths), "activation": "tanh",
                                "head": net.arch.head, "params": [float(p) for p in net.params]}
                         for name, net in nets.items()}}
         want = tmp_path / "want.json"

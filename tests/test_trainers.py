@@ -235,7 +235,7 @@ class TestContainers:
 
     def test_hypothesis_requires_softmax_head(self):
         enc_arch = trainers.default_encoder_arch(2, 6)
-        cls_arch = nn.ArchSpec((6, 3), activation="tanh", head="linear")
+        cls_arch = nn.ArchSpec((6, 3), head="linear")
         with pytest.raises(ConfigError):
             trainers.SourceHypothesis(
                 enc=nn.Net(enc_arch, nn.init_params(enc_arch, 0)),
@@ -1204,7 +1204,7 @@ class TestModelFiles:
 
     def test_hypothesis_file_with_linear_classifier_head(self, tmp_path):
         hyp = _hypothesis()
-        linear = nn.ArchSpec(hyp.cls.arch.widths, hyp.cls.arch.activation, "linear")
+        linear = nn.ArchSpec(hyp.cls.arch.widths, "linear")
         path = tmp_path / "linear.json"
         nn.save_model(path, {"encoder": hyp.enc, "classifier": nn.Net(linear, hyp.cls.params)},
                       0, {"role": "source_hypothesis"})
