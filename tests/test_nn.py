@@ -70,6 +70,18 @@ class TestInitAndPacking:
             assert np.all(np.abs(w) <= limit)
             assert np.all(b == 0.0)
 
+    @pytest.mark.parametrize("widths", [(3, 2), (3, 4, 2), (5, 7, 2, 4)])
+    def test_init_draws_each_layer_in_turn(self, widths):
+        # one (fan_in, fan_out) uniform block per layer, from one generator,
+        # packed weights-then-biases layer by layer
+        arch = nn.ArchSpec(widths, head="linear")
+        rng = np.random.default_rng(3)
+        want = []
+        for fi, fo in zip(widths[:-1], widths[1:]):
+            limit = np.sqrt(6.0 / (fi + fo))
+            want += [rng.uniform(-limit, limit, size=(fi, fo)).ravel(), np.zeros(fo)]
+        assert np.array_equal(nn.init_params(arch, seed=3), np.concatenate(want))
+
     def test_wrong_param_length_rejected(self):
         arch = nn.ArchSpec((3, 4, 2))
         with pytest.raises(ConfigError):
@@ -134,10 +146,11 @@ class TestForward:
 
 
 class TestBackward:
+    @pytest.mark.parametrize("hidden", [(5,), (5, 4)], ids=["one-hidden", "two-hidden"])
     @pytest.mark.parametrize("head", ["softmax", "linear", "sigmoid"])
-    def test_backward_matches_fd(self, head):
-        rng = np.random.default_rng(hash(head) % 2**32)
-        arch = nn.ArchSpec((3, 5, 3), head=head)
+    def test_backward_matches_fd(self, head, hidden):
+        rng = np.random.default_rng(hash((head, hidden)) % 2**32)
+        arch = nn.ArchSpec((3, *hidden, 3), head=head)
         x = rng.uniform(-1.0, 1.0, size=(4, 3))
         # random fixed projection makes the scalar loss exercise all outputs
         proj = rng.normal(size=(4, 3))
@@ -175,10 +188,11 @@ class TestStacked:
     """An (N, P) stack runs as N nets; a row alone gives the same bits."""
 
     @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("hidden", [(32,), (32, 16)], ids=["one-hidden", "two-hidden"])
     @pytest.mark.parametrize("head", ["softmax", "linear", "sigmoid"])
-    def test_stack_equals_each_row_alone(self, head, n):
-        rng = np.random.default_rng([n, len(head)])
-        arch = nn.ArchSpec((8, 32, 5), head=head)
+    def test_stack_equals_each_row_alone(self, head, hidden, n):
+        rng = np.random.default_rng([n, len(head), len(hidden)])
+        arch = nn.ArchSpec((8, *hidden, 5), head=head)
         params = np.stack([nn.init_params(arch, seed=s) for s in range(n)])
         x = rng.normal(size=(n, 32, 8))
         up = rng.normal(size=(n, 32, 5))
