@@ -19,7 +19,8 @@ One test per numbered criterion; each emits exactly one PASS or FAIL line
   6  a repeated same-seed run reproduces the final accuracy bit-exactly
   7  benchmark ordering on the 40-degree rotation task (n_t=3, seeds 0..9)
      reproduces the committed pilot bit-exactly and satisfies the ordering
-     conditions in < 5 minutes
+     conditions in < 5 minutes; the pilot is the n_t=3 slice of one run of
+     the default grid (shots 1, 3, 7), which replays its own oracle too
   8  the few-shot protocol returns exactly n_t per class for n_t in 1..7
      and rejects budgets outside that range
   9  end-to-end CLI: gen-data -> run (7 methods x {1,3,7} shots x 3 seeds)
@@ -43,6 +44,7 @@ from fha.pairing import ALL_GROUPS, LabeledPool, build_groups, phi, sample_group
 from fha.trainers import METHODS, BaselineConfig, TohanConfig
 
 PILOT_PATH = Path(__file__).parent / "data" / "pilot_rot40.json"
+GRID_PATH = Path(__file__).parent / "data" / "grid_rot40.json"
 
 
 class _Check:
@@ -474,12 +476,22 @@ def test_criterion_7_ordering():
     with _criterion(7, "benchmark ordering matches the committed pilot") as chk:
         start = perf_counter()
         pilot = json.loads(PILOT_PATH.read_text(encoding="utf-8"))
+        grid = json.loads(GRID_PATH.read_text(encoding="utf-8"))
         seeds = pilot["seeds"]
         task = builtin_task(pilot["task"])
         assert task.rotation_deg == 40.0 and task.num_classes == 3
-        results = run_experiment(task, METHODS, [pilot["n_t"]], seeds,
+        assert (grid["task"], grid["seeds"]) == (pilot["task"], seeds)
+        assert pilot["n_t"] in grid["shots"]
+        results = run_experiment(task, METHODS, grid["shots"], seeds,
                                  ExperimentConfig())
         assert all(r.error is None for r in results)
+        assert len(results) == len(METHODS) * len(grid["shots"]) * len(seeds)
+        for r in results:
+            assert r.accuracy == grid["accuracies"][r.method][str(r.n_t)][str(r.seed)], (
+                f"{r.method} n_t={r.n_t} seed {r.seed} drifted from the grid"
+            )
+            assert r.wa_accuracy == grid["wa_accuracy"][str(r.seed)]
+        results = [r for r in results if r.n_t == pilot["n_t"]]
         for r in results:
             assert r.accuracy == pilot["accuracies"][r.method][str(r.seed)], (
                 f"{r.method} seed {r.seed} drifted from the pilot"
@@ -502,7 +514,8 @@ def test_criterion_7_ordering():
             f"tohan {100 * tohan.mean():.1f} > wa {100 * wa.mean():.1f} "
             f"({wins_wa}/10 seeds); tohan >= stfada by "
             f"{100 * (tohan.mean() - stf.mean()):.2f}pt ({wins_stf}/10); "
-            f"stfada >= min(sfada, tfada); {elapsed:.0f}s"
+            f"stfada >= min(sfada, tfada); grid of n_t {grid['shots']} replayed; "
+            f"{elapsed:.0f}s"
         )
 
 
