@@ -140,6 +140,10 @@ def _load_run_config(path) -> dict:
 
 
 def _experiment_config(doc: dict) -> ExperimentConfig:
+    for what in ("source", "tohan"):  # each run derives these seeds from its grid seed
+        if isinstance(doc.get(what), dict) and "seed" in doc[what]:
+            raise ConfigError(f"{what}.seed has no effect in a run config: each run "
+                              "derives it from its seed in seeds")
     return ExperimentConfig(
         source=_dataclass_from(SourceTrainConfig, doc.get("source", {}), "source"),
         baseline=_dataclass_from(BaselineConfig, doc.get("baseline", {}), "baseline"),

@@ -14,6 +14,7 @@ matrix in row-major order, and one u32 label per sample.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,19 @@ class TaskSpec:
             raise ConfigError("translation must have length dim")
         if min(self.source_per_class, self.target_per_class, self.test_per_class) < 1:
             raise ConfigError("per-class sample counts must be positive")
+        for name in ("source_per_class", "target_per_class", "test_per_class"):
+            if self.num_classes * getattr(self, name) * self.dim > np.iinfo(np.intp).max:
+                raise ConfigError(f"{name} gives a split too large for one array")
+        # a standard normal draw stays under 14 in size (numpy's ziggurat tail), so no
+        # draw passes |mean| + 16 scale; with the translation kept under float64's
+        # max / (64 N), the draws, the centroid, the rotation and the rescale stay finite
+        reach = {"class_means": float(np.max(np.abs(self.class_means))),
+                 "class_scales": 16.0 * max(float(np.max(s)) for s in scales),
+                 "translation": 0.0 if self.translation is None
+                 else float(np.max(np.abs(self.translation)))}
+        if sum(reach.values()) > sys.float_info.max / (64 * self.num_classes):
+            raise ConfigError(f"{max(reach, key=reach.get)} too large: the task's draws "
+                              "would overflow float64")
 
 
 @dataclass(frozen=True)

@@ -228,18 +228,21 @@ def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return _ce_parts(*_check_ce(probs, labels), with_loss=False)[1]
 
 
-def _softmax_ce(enc_arch: nn.ArchSpec, enc: list, enc_grad: list,
+def _softmax_ce(enc_arch: nn.ArchSpec, enc: list, enc_grad: list | None,
                 cls_arch: nn.ArchSpec, cls: list, cls_grad: list | None,
                 x: np.ndarray, pick: np.ndarray, with_loss=True) -> float | np.ndarray | None:
     """softmax_ce_and_grads on checked inputs, each net and gradient buffer
     bound by nn._layers and the labels as their _flat_pick: writes the
-    gradients (none for the classifier without ``cls_grad``) and returns the
-    loss, or None without ``with_loss``."""
+    gradients (none for a net whose buffer is None, and then computes none
+    that only it would read) and returns the loss, or None without
+    ``with_loss``."""
     emb, enc_acts = nn._forward(enc_arch, enc, x)
     probs, cls_acts = nn._forward(cls_arch, cls, emb)
     loss, g = _ce_parts(probs, pick, with_loss, logits=True)
-    emb_g = nn._backward(cls, cls_acts, g, cls_grad)
-    nn._backward(enc, enc_acts, nn._head_grad(enc_arch, emb, emb_g), enc_grad, want_input=False)
+    emb_g = nn._backward(cls, cls_acts, g, cls_grad, want_input=enc_grad is not None)
+    if enc_grad is not None:
+        nn._backward(enc, enc_acts, nn._head_grad(enc_arch, emb, emb_g), enc_grad,
+                     want_input=False)
     return loss
 
 

@@ -13,12 +13,13 @@ Every public call checks its inputs, binds per-layer (weight, bias) views of
 the parameters once (_layers) and runs one unchecked core (_forward,
 _backward) over them, one code path for a net and a stack; every training
 pass in losses checks once and runs these cores too (a Net binds its views
-once, for the passes that read a frozen Net). The training loops check once
-at entry, bind their parameter and gradient buffers once, and step Adam
-(adam_into, which works only in place) on those buffers and on the AdamState
-they made. Apart from those buffers, nothing writes in place into an array
-it did not allocate: not the parameters, the batch, an upstream gradient or
-a cache.
+once, for the passes that read a frozen Net). The training loops (trainers'
+one fitting loop _fit, behind the source fit and the ft and shot baselines,
+and its stacked loops through _Adam) check once at entry, bind their
+parameter and gradient buffers once, and step Adam (adam_into, which works
+only in place) on those buffers and on the AdamState they made. Apart from
+those buffers, nothing writes in place into an array it did not allocate:
+not the parameters, the batch, an upstream gradient or a cache.
 """
 
 from __future__ import annotations

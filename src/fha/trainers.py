@@ -9,11 +9,16 @@ generator run equals its one-block run, and each row of an _adapt stack its
 one-block run, trace included. A diverging block fails alone (_Adam), with
 the NumericalError its one-block run raises.
 
+The source fit and the ft and shot baselines share one fitting loop, _fit:
+a softmax cross-entropy pass and an Adam step per batch, minibatches for
+the source fit, the full few-shot batch with one source net frozen for the
+baselines.
+
 All routines are functional: the source hypothesis is never mutated (its
 parameter arrays are read-only), and an update writes only into arrays its
 routine allocated: each loop steps Adam (nn.adam_into) in place on its own
-parameter and moment buffers, a stack through _Adam. Equal seeds give
-bit-identical outputs.
+parameter and moment buffers, _fit on one net's, a stack through _Adam.
+Equal seeds give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -270,6 +275,26 @@ def _stratified_holdout(labels: np.ndarray, fraction: float, rng: np.random.Gene
     return np.concatenate(train_idx), np.concatenate(test_idx)
 
 
+def _fit(nets: tuple, params: np.ndarray, grad: np.ndarray, lr: float, batches,
+         what: str) -> None:
+    """The one fitting loop: per (x, pick) batch of ``batches``, one
+    losses._softmax_ce pass over ``nets`` (its six net arguments, with
+    ``params`` and ``grad`` bound into the trained ones) and one Adam step
+    (nn.adam_into) of ``params`` in place. A refused step raises "<what>
+    diverged (non-finite loss)" if the batch's loss, built only then, is not
+    finite (a NaN true-class probability makes the gradient NaN too), else
+    Adam's own error."""
+    state = nn.AdamState.init(params.size, lr)
+    for batch in batches:
+        losses._softmax_ce(*nets, *batch, with_loss=False)
+        try:
+            nn.adam_into(state, params, grad)
+        except NumericalError:
+            if not math.isfinite(losses._softmax_ce(*nets, *batch)):
+                raise NumericalError(f"{what} diverged (non-finite loss)") from None
+            raise
+
+
 def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
     """Fit encoder + classifier on the source split with minibatch Adam.
 
@@ -292,39 +317,31 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
     # encoder, then classifier: Adam is elementwise, so one state steps both bit for bit
     params = np.concatenate([nn.init_params(enc_arch, enc_seed),
                              nn.init_params(cls_arch, cls_seed)])
-    state = nn.AdamState.init(params.size, cfg.lr)
     split, grad = enc_arch.n_params, np.empty(params.size)
-    # checked once (the Dataset holds finite features of the encoder's width); each
-    # step runs the unchecked pass on views of params and grad bound once, and
-    # Adam steps params and the state's moments in place, so the views stay valid
+    # checked once (the Dataset holds finite features of the encoder's width); _fit
+    # runs the unchecked pass on views of params and grad bound once, and Adam
+    # steps params in place, so the views stay valid
     y_train = losses._check_labels(y_train, (len(y_train), cls_arch.out_width))
     nets = (enc_arch, nn._layers(enc_arch, params[:split]), nn._layers(enc_arch, grad[:split]),
             cls_arch, nn._layers(cls_arch, params[split:]), nn._layers(cls_arch, grad[split:]))
-
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n, size = x_train.shape[0], cfg.batch_size
     # row r of the epoch is row r % size of its batch: its flat label pick
     # (losses._flat_pick) is that row's offset plus its label
     rows = np.arange(n) % size * cls_arch.out_width
     x_epoch, pick_epoch = np.empty_like(x_train), np.empty_like(y_train)
-    for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        # each epoch's permuted rows and picks, built once; batches are slices of them
-        np.take(x_train, order, axis=0, out=x_epoch)
-        np.take(y_train, order, out=pick_epoch)
-        pick_epoch += rows
-        for start in range(0, n, size):
-            batch = x_epoch[start:start + size], pick_epoch[start:start + size]
-            losses._softmax_ce(*nets, *batch, with_loss=False)
-            try:
-                nn.adam_into(state, params, grad)
-            except NumericalError:
-                # the loss is built only here: a non-finite one needs a NaN
-                # true-class probability, which makes the gradient NaN too
-                if not math.isfinite(losses._softmax_ce(*nets, *batch)):
-                    raise NumericalError("source training diverged (non-finite loss)") from None
-                raise
 
+    def batches():
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(n)
+            # each epoch's permuted rows and picks, built once; batches are slices of them
+            np.take(x_train, order, axis=0, out=x_epoch)
+            np.take(y_train, order, out=pick_epoch)
+            np.add(pick_epoch, rows, out=pick_epoch)
+            for start in range(0, n, size):
+                yield x_epoch[start:start + size], pick_epoch[start:start + size]
+
+    _fit(nets, params, grad, cfg.lr, batches(), "source training")
     enc = nn.Net(enc_arch, params[:split])
     cls = nn.Net(cls_arch, params[split:])
     train_acc = net_accuracy(enc, cls, x_train, y_train)
@@ -344,38 +361,34 @@ def train_source(source: Dataset, cfg: SourceTrainConfig) -> SourceHypothesis:
 # few-shot benchmarks
 
 
+def _fit_few_shots(hypothesis: SourceHypothesis, fewshot: FewShotSet, cfg: BaselineConfig,
+                   method: str) -> TargetModel:
+    """Fit one source net on the few-shots (full batch) with the other frozen:
+    the classifier for ft, the encoder for shot."""
+    nets = {"enc": hypothesis.enc, "cls": hypothesis.cls}
+    name = "cls" if method == "ft" else "enc"
+    arch = nets[name].arch
+    params, grad = np.array(nets[name].params), np.empty(arch.n_params)
+    x = nn._check_batch(hypothesis.enc.arch, fewshot.features, hypothesis.enc.params)
+    pick = losses._label_pick(fewshot.labels, (len(x), hypothesis.cls.arch.out_width))
+    # as in train_source; the frozen net builds no parameter gradient
+    bound = {key: (net.arch, net.layers, None) for key, net in nets.items()}
+    bound[name] = (arch, nn._layers(arch, params), nn._layers(arch, grad))
+    _fit((*bound["enc"], *bound["cls"]), params, grad, cfg.lr, [(x, pick)] * cfg.epochs,
+         f"{method} training")
+    return TargetModel(**{**nets, name: nn.Net(arch, params)})
+
+
 def train_ft(hypothesis: SourceHypothesis, fewshot: FewShotSet,
              cfg: BaselineConfig) -> TargetModel:
     """Freeze the encoder, fit the classifier on the few-shots (full batch)."""
-    emb = hypothesis.enc(fewshot.features.astype(np.float64))
-    arch = hypothesis.cls.arch
-    pick = losses._label_pick(fewshot.labels, (len(emb), arch.out_width))
-    params, grad = np.array(hypothesis.cls.params), np.empty(arch.n_params)
-    state = nn.AdamState.init(params.size, cfg.lr)
-    net, net_grad = nn._layers(arch, params), nn._layers(arch, grad)  # as in train_source
-    for _ in range(cfg.epochs):
-        probs, acts = nn._forward(arch, net, emb)
-        g = losses._ce_parts(probs, pick, with_loss=False, logits=True)[1]
-        nn._backward(net, acts, g, net_grad, want_input=False)
-        nn.adam_into(state, params, grad)
-    return TargetModel(enc=hypothesis.enc, cls=nn.Net(arch, params))
+    return _fit_few_shots(hypothesis, fewshot, cfg, "ft")
 
 
 def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
                cfg: BaselineConfig) -> TargetModel:
     """Freeze the classifier, fit the encoder on the few-shots (full batch)."""
-    enc_arch, cls = hypothesis.enc.arch, hypothesis.cls
-    params, grad = np.array(hypothesis.enc.params), np.empty(enc_arch.n_params)
-    x = nn._check_batch(enc_arch, fewshot.features, params)
-    pick = losses._label_pick(fewshot.labels, (len(x), cls.arch.out_width))
-    state = nn.AdamState.init(params.size, cfg.lr)
-    # as in train_source; the frozen classifier builds no parameter gradient
-    nets = (enc_arch, nn._layers(enc_arch, params), nn._layers(enc_arch, grad),
-            cls.arch, cls.layers, None)
-    for _ in range(cfg.epochs):
-        losses._softmax_ce(*nets, x, pick, with_loss=False)
-        nn.adam_into(state, params, grad)
-    return TargetModel(enc=nn.Net(enc_arch, params), cls=cls)
+    return _fit_few_shots(hypothesis, fewshot, cfg, "shot")
 
 
 # ---------------------------------------------------------------------------

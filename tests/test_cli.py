@@ -10,9 +10,11 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -547,6 +549,55 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid task config: ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fields,field", [
+        ({"source_per_class": 10**30}, "source_per_class"),
+        ({"target_per_class": 2**63}, "target_per_class"),
+        ({"class_scales": [1e308, 1e308]}, "class_scales"),
+        ({"class_means": [[1e307, 0.3], [0.7, 0.7]]}, "class_means"),
+        ({"translation": [0.0, -1e307]}, "translation"),
+    ], ids=repr)
+    def test_task_that_cannot_be_drawn_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                      fields, field):
+        """Refused, naming the field, before --out is created or a seed runs."""
+        monkeypatch.setattr(trainers, "train_source", lambda *a: pytest.fail("a seed ran"))
+        out = tmp_path / "r.jsonl"
+        cfg = _mini_run_config(out)
+        cfg["task"].update(fields)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way to the refusal
+            assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid task config: {field} ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,seed", [("source", 5), ("tohan", 35), ("source", 0)])
+    def test_seed_in_source_or_tohan_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                    section, seed):
+        """Each run derives these seeds from its grid seed, so a config seed
+        would be silently ignored: it is refused before --out is created."""
+        monkeypatch.setattr(trainers, "train_source", lambda *a: pytest.fail("a seed ran"))
+        out = tmp_path / "r.jsonl"
+        cfg = _mini_run_config(out)
+        cfg[section]["seed"] = seed
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {section}.seed has no effect")
+        assert not out.exists()
+
+    def test_readme_example_config_is_accepted(self, tmp_path, monkeypatch):
+        """The run config shown in the README passes every check (the grid
+        itself is stubbed out)."""
+        readme = (REPO_ROOT / "README.md").read_text("utf-8")
+        doc = json.loads(re.search(r'```json\n(\{\n  "task".*?\n\})\n```', readme, re.S)[1])
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: [])
+        doc["out"] = str(tmp_path / doc["out"])
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
 
 
 class TestSummarize:

@@ -1,6 +1,7 @@
 """Tests for synthetic tasks, the few-shot protocol, and dataset I/O."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -135,6 +136,36 @@ class TestTaskSpec:
     def test_invalid_specs_rejected(self, overrides):
         with pytest.raises(ConfigError):
             TaskSpec(**self._kwargs(**overrides))
+
+    @pytest.mark.parametrize("means,scales,translation", [
+        (((1.0, -1.0), (-1.0, 1.0), (0.0, 0.0)), (0.0,) * 3, None),
+        (((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)), (1 / 16,) * 3, None),
+        (((1 / 3, -1 / 3), (-1 / 3, 1 / 3), (0.0, 0.0)), (1 / 48,) * 3, (1 / 3, -1 / 3)),
+    ])
+    def test_largest_drawable_spec_draws_finite_splits(self, means, scales, translation):
+        """Just inside the refusal bound, drawing, rotating and rescaling
+        the splits raises no floating-point error; just outside it the spec
+        is refused."""
+        reach = 0.999 * sys.float_info.max / (64 * 3)
+        kwargs = dict(name="t", num_classes=3, dim=2, rotation_deg=45.0, source_per_class=50,
+                      target_per_class=50, test_per_class=50,
+                      class_means=tuple(tuple(reach * v for v in m) for m in means),
+                      class_scales=tuple(reach * s or 1.0 for s in scales),
+                      translation=translation and tuple(reach * v for v in translation))
+        with np.errstate(all="raise"):
+            splits = make_synthetic_task(TaskSpec(**kwargs))
+        assert all(np.all(np.isfinite(ds.features)) for ds in splits)
+        grown = {key: tuple(np.multiply(v, 1.01).tolist() for v in kwargs[key])
+                 for key in ("class_means", "class_scales")}
+        with pytest.raises(ConfigError, match="would overflow float64"):
+            TaskSpec(**{**kwargs, **grown})
+
+    @pytest.mark.parametrize("field", ["source_per_class", "target_per_class", "test_per_class"])
+    def test_split_beyond_one_array_rejected(self, field):
+        limit = np.iinfo(np.intp).max // 4  # 2 classes x 2 dims
+        TaskSpec(**self._kwargs(**{field: limit}))
+        with pytest.raises(ConfigError, match=f"^{field} gives a split too large"):
+            TaskSpec(**self._kwargs(**{field: limit + 1}))
 
 
 class TestMakeSyntheticTask:

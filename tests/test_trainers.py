@@ -404,26 +404,8 @@ class TestTrainSource:
         with pytest.raises(InsufficientDataError, match="no samples"):
             trainers.train_source(source, trainers.SourceTrainConfig(seed=0))
 
-    @staticmethod
-    def _spy_losses(monkeypatch, poison_after=None):
-        """Record the loss of each fitting pass that builds one, and with
-        ``poison_after`` put a NaN into the gradient of every later pass."""
-        softmax_ce, passes, built = losses._softmax_ce, [], []
-
-        def spy(*args, **kwargs):
-            loss = softmax_ce(*args, **kwargs)
-            passes.append(None)
-            if poison_after is not None and len(passes) > poison_after:
-                args[2][0][1][0, 0] = np.nan  # the encoder's first bias, in the bound gradient
-            if loss is not None:
-                built.append(loss)
-            return loss
-
-        monkeypatch.setattr(losses, "_softmax_ce", spy)
-        return built
-
     def test_diverging_fit_raises(self, monkeypatch):
-        built = self._spy_losses(monkeypatch)
+        built = _spy_losses(monkeypatch)
         source = make_synthetic_task(builtin_task("rot40", seed=0))[0]
         cfg = trainers.SourceTrainConfig(epochs=3, lr=1e300, seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
@@ -433,11 +415,59 @@ class TestTrainSource:
         assert len(built) == 1 and not math.isfinite(built[0])
 
     def test_nan_gradient_with_a_finite_loss_raises_the_gradient_error(self, monkeypatch):
-        built = self._spy_losses(monkeypatch, poison_after=2)
+        built = _spy_losses(monkeypatch, poison_after=2)
         source = make_synthetic_task(builtin_task("rot40", seed=0))[0]
         with pytest.raises(NumericalError, match="^non-finite gradient in adam_step$"):
             trainers.train_source(source, trainers.SourceTrainConfig(epochs=3, seed=0))
         assert len(built) == 1 and math.isfinite(built[0])
+
+
+def _spy_losses(monkeypatch, poison_after=None):
+    """Record the loss of each fitting pass that builds one, and with
+    ``poison_after`` put a NaN into the gradient of every later pass."""
+    softmax_ce, passes, built = losses._softmax_ce, [], []
+
+    def spy(*args, **kwargs):
+        loss = softmax_ce(*args, **kwargs)
+        passes.append(None)
+        if poison_after is not None and len(passes) > poison_after:
+            # the first bias of the trained net (the encoder, if it trains), in its bound gradient
+            (args[5] if args[2] is None else args[2])[0][1][0, 0] = np.nan
+        if loss is not None:
+            built.append(loss)
+        return loss
+
+    monkeypatch.setattr(losses, "_softmax_ce", spy)
+    return built
+
+
+@pytest.mark.parametrize("what,epochs,steps", [("source", 2, 8), ("ft", 3, 3), ("shot", 3, 3)])
+def test_every_fit_steps_through_the_one_fitting_loop(monkeypatch, what, epochs, steps):
+    fit, adam_into, fits, inside, stepped = trainers._fit, nn.adam_into, [], [], []
+
+    def fit_spy(*args):
+        fits.append(args[-1])
+        inside.append(None)
+        try:
+            return fit(*args)
+        finally:
+            inside.pop()
+
+    def adam_spy(*args):
+        stepped.append(bool(inside))
+        return adam_into(*args)
+
+    monkeypatch.setattr(trainers, "_fit", fit_spy)
+    monkeypatch.setattr(nn, "adam_into", adam_spy)
+    if what == "source":  # rot40's 240 training rows make 4 batches of 64 per epoch
+        source = make_synthetic_task(builtin_task("rot40", seed=0))[0]
+        trainers.train_source(source, trainers.SourceTrainConfig(
+            epochs=epochs, min_test_accuracy=0.0, seed=0))
+    else:
+        getattr(trainers, f"train_{what}")(_hypothesis(), _fewshot(),
+                                           trainers.BaselineConfig(epochs=epochs))
+    assert fits == [f"{what} training"]
+    assert stepped == [True] * steps
 
 
 def _composed_train_shot(hypothesis, fewshot, cfg):
@@ -519,6 +549,39 @@ class TestFewShotBenchmarks:
         model = train(hyp, fs, trainers.BaselineConfig())
         after = losses.cross_entropy(model.cls(model.enc(fs.features)), fs.labels)
         assert after < before
+
+    @pytest.mark.parametrize("train", [trainers.train_ft, trainers.train_shot])
+    def test_diverging_fit_raises(self, monkeypatch, train):
+        built = _spy_losses(monkeypatch)
+        what = train.__name__.removeprefix("train_")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalError, match=rf"^{what} training diverged \(non-finite loss\)$"):
+            train(_hypothesis(), _fewshot(), trainers.BaselineConfig(epochs=3, lr=1e308))
+        # the Adam step refused the NaN gradient first; only then was the loss built
+        assert len(built) == 1 and not math.isfinite(built[0])
+
+    @pytest.mark.parametrize("train", [trainers.train_ft, trainers.train_shot])
+    def test_nan_gradient_with_a_finite_loss_raises_the_gradient_error(self, monkeypatch, train):
+        built = _spy_losses(monkeypatch, poison_after=2)
+        with pytest.raises(NumericalError, match="^non-finite gradient in adam_step$"):
+            train(_hypothesis(), _fewshot(), trainers.BaselineConfig(epochs=5))
+        assert len(built) == 1 and math.isfinite(built[0])
+
+    @pytest.mark.parametrize("n_t", [1, 7])
+    def test_ft_and_shot_fit_the_few_shots_once_per_epoch(self, monkeypatch, n_t):
+        """The one full-batch pass per epoch reads every few-shot row, with
+        the frozen net's gradient buffer None."""
+        softmax_ce, seen = losses._softmax_ce, []
+
+        def spy(*args, **kwargs):
+            seen.append((args[2] is None, args[5] is None, len(args[6])))
+            return softmax_ce(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "_softmax_ce", spy)
+        fs = _fewshot(n_t=n_t)
+        trainers.train_ft(_hypothesis(), fs, trainers.BaselineConfig(epochs=4))
+        trainers.train_shot(_hypothesis(), fs, trainers.BaselineConfig(epochs=3))
+        assert seen == [(True, False, 3 * n_t)] * 4 + [(False, True, 3 * n_t)] * 3
 
     @pytest.mark.parametrize("train", [trainers.train_ft, trainers.train_shot])
     def test_zero_epochs_returns_source_parameters(self, train):
