@@ -1,11 +1,19 @@
-"""Regenerate the frozen ordering-pilot oracle.
+"""Regenerate the frozen rot40 oracles: the default grid and the ordering pilot.
 
-Runs the full benchmark ladder on the rot40 task (n_t=3, seeds 0..9, default
-configs) and rewrites tests/data/pilot_rot40.json with the per-seed
-accuracies. The acceptance suite replays the same experiment and compares
-against this file, so regenerate it only after an intentional change to the
-training pipeline, and re-check the ordering conditions below before
-committing the new oracle.
+Runs the full benchmark ladder once on the rot40 task (shots 1, 3 and 7,
+seeds 0..9, default configs) and rewrites two files from that one run:
+
+- tests/data/grid_rot40.json: every (method, n_t, seed) accuracy and each
+  seed's weight-averaging accuracy;
+- tests/data/pilot_rot40.json: the n_t=3 slice of the same run, in the
+  pilot's own format.
+
+The acceptance suite replays the same grid and compares against both files
+bit for bit, so regenerate them only after an intentional change to the
+training pipeline, say in the change why the numbers moved, and re-check the
+ordering conditions printed below before committing the new oracles.
+
+    PYTHONPATH=src python scripts/run_pilot.py
 """
 
 import json
@@ -18,34 +26,53 @@ from fha.data import builtin_task
 from fha.harness import ExperimentConfig, run_experiment, summarize
 from fha.trainers import METHODS
 
-OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "pilot_rot40.json"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+GRID_OUT = DATA / "grid_rot40.json"
+PILOT_OUT = DATA / "pilot_rot40.json"
+SHOTS = [1, 3, 7]
+PILOT_N_T = 3
+
+
+def _write(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {path}")
 
 
 def main() -> int:
     task = builtin_task("rot40")
     seeds = list(range(10))
-    results = run_experiment(task, list(METHODS), [3], seeds, ExperimentConfig())
+    results = run_experiment(task, list(METHODS), SHOTS, seeds, ExperimentConfig())
     errors = [r for r in results if r.error is not None]
     if errors:
         for r in errors:
-            print(f"error: {r.method} seed={r.seed}: {r.error}", file=sys.stderr)
+            print(f"error: {r.method} n_t={r.n_t} seed={r.seed}: {r.error}", file=sys.stderr)
         return 1
 
-    doc = {
+    def accuracies(n_t: int) -> dict:
+        return {m: {str(r.seed): r.accuracy for r in results if r.method == m and r.n_t == n_t}
+                for m in METHODS}
+
+    def wa_accuracy(n_t: int) -> dict:
+        return {str(r.seed): r.wa_accuracy for r in results if r.method == "wa" and r.n_t == n_t}
+
+    _write(GRID_OUT, {
         "task": task.name,
-        "n_t": 3,
+        "shots": SHOTS,
         "seeds": seeds,
-        "accuracies": {
-            m: {str(r.seed): r.accuracy for r in results if r.method == m}
-            for m in METHODS
-        },
-        "wa_accuracy": {str(r.seed): r.wa_accuracy for r in results if r.method == "wa"},
+        "accuracies": {m: {str(n_t): accuracies(n_t)[m] for n_t in SHOTS} for m in METHODS},
+        "wa_accuracy": wa_accuracy(SHOTS[0]),
+    })
+    pilot = {
+        "task": task.name,
+        "n_t": PILOT_N_T,
+        "seeds": seeds,
+        "accuracies": accuracies(PILOT_N_T),
+        "wa_accuracy": wa_accuracy(PILOT_N_T),
     }
-    OUT.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {OUT}")
+    _write(PILOT_OUT, pilot)
     print(summarize(results).render())
 
-    acc = {m: np.array([doc["accuracies"][m][str(s)] for s in seeds]) for m in METHODS}
+    acc = {m: np.array([pilot["accuracies"][m][str(s)] for s in seeds]) for m in METHODS}
     tohan, stf = acc["tohan"], acc["stfada"]
     checks = [
         ("mean tohan > mean wa", tohan.mean() > acc["wa"].mean()),
