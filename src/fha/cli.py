@@ -103,10 +103,9 @@ def _task_from_config(payload) -> TaskSpec:
     payload = dict(payload)
     if "builtin" in payload:
         name = payload.pop("builtin")
-        seed = payload.pop("seed", 0)
         if payload:
             raise ConfigError(f"unexpected task fields next to builtin: {sorted(payload)}")
-        return builtin_task(str(name), seed)
+        return builtin_task(str(name))
     try:
         if "class_means" in payload:
             payload["class_means"] = tuple(tuple(m) for m in payload["class_means"])
@@ -140,7 +139,7 @@ def _load_run_config(path) -> dict:
 
 
 def _experiment_config(doc: dict) -> ExperimentConfig:
-    for what in ("source", "tohan"):  # each run derives these seeds from its grid seed
+    for what in ("task", "source", "tohan"):  # each run derives these seeds from its grid seed
         if isinstance(doc.get(what), dict) and "seed" in doc[what]:
             raise ConfigError(f"{what}.seed has no effect in a run config: each run "
                               "derives it from its seed in seeds")
@@ -209,6 +208,7 @@ def _cmd_run(args) -> int:
         raise ConfigError("an output path is required (--out or config)")
     if not isinstance(doc["out"], str) or not doc["out"]:
         raise ConfigError(f"out must be a non-empty path string, got {doc['out']!r}")
+    cfg = _experiment_config(doc)  # first: its seed check reads the task object too
     task = _task_from_config(doc["task"])
     methods = doc.get("methods", list(METHODS))
     if isinstance(methods, str):  # a comma list, as --methods takes it
@@ -221,7 +221,6 @@ def _cmd_run(args) -> int:
         raise ConfigError("methods, shots and seeds must be lists")
     methods, shots, seeds, jobs = harness._check_grid(task, methods, shots, seeds,
                                                       doc.get("jobs", 1))
-    cfg = _experiment_config(doc)
     out = doc["out"]
     open(out, "w", encoding="utf-8").close()  # a fresh stream, once the grid is valid
     results = run_experiment(task, methods, shots, seeds, cfg, sink=out, jobs=jobs)

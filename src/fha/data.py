@@ -30,6 +30,10 @@ from .nn import _as_int_fields
 
 MAGIC = b"FHD1"
 MAX_SHOTS = 7
+# elements (classes x per-class count x dim) of one split: 80 MB of float64 draws, and
+# thousands of times the builtin tasks' largest; past it a split is a usage error
+# rather than a MemoryError in every seed
+MAX_SPLIT_ELEMENTS = 10**7
 _HEADER = struct.Struct("<4sIII")
 
 
@@ -145,8 +149,9 @@ class TaskSpec:
         if min(self.source_per_class, self.target_per_class, self.test_per_class) < 1:
             raise ConfigError("per-class sample counts must be positive")
         for name in ("source_per_class", "target_per_class", "test_per_class"):
-            if self.num_classes * getattr(self, name) * self.dim > np.iinfo(np.intp).max:
-                raise ConfigError(f"{name} gives a split too large for one array")
+            if self.num_classes * getattr(self, name) * self.dim > MAX_SPLIT_ELEMENTS:
+                raise ConfigError(f"{name} gives a split too large: over "
+                                  f"{MAX_SPLIT_ELEMENTS:,} elements (classes x count x dim)")
         # a standard normal draw stays under 14 in size (numpy's ziggurat tail), so no
         # draw passes |mean| + 16 scale; with the translation kept under float64's
         # max / (64 N), the draws, the centroid, the rotation and the rescale stay finite

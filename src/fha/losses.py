@@ -34,17 +34,18 @@ def _check_probs(p: np.ndarray, what: str) -> np.ndarray:
     return p
 
 
-def gen_source_loss_and_grad(class_probs: np.ndarray, with_loss=True):
+def gen_source_loss_and_grad(class_probs: np.ndarray):
     """(1/B) * sum_i (p_i - 1)^2 over the last axis of the class probabilities
-    (None without ``with_loss``) and its gradient; an (N, B) stack, one per row."""
+    and its gradient; an (N, B) stack, one per row."""
     p = _check_probs(class_probs, "class probabilities")
     if p.ndim == 0 or p.shape[-1] == 0:
         raise ConfigError("class_probs must be non-empty along its last axis")
-    return _compatibility(p, with_loss)
+    return _compatibility(p)
 
 
 def _compatibility(p: np.ndarray, with_loss=True):
-    """gen_source_loss_and_grad on checked, non-empty float64 probabilities."""
+    """gen_source_loss_and_grad on checked, non-empty float64 probabilities,
+    the loss None without ``with_loss``."""
     gap = p - 1.0
     return (gap ** 2).mean(axis=-1) if with_loss else None, 2.0 * gap / p.shape[-1]
 

@@ -5,8 +5,8 @@ labels; 4 intermediate then target, different labels.
 
 Pairs are drawn with replacement, uniformly over the valid combinations of
 each group, by rejection from the uniform index product (exact and
-deterministic under the seeded generator). ``draw_pairs`` reads the labels
-alone, so pools of one label layout can share draws.
+deterministic under the seeded generator). ``draw_pairs`` takes the two
+label vectors alone, so pools of one label layout can share draws.
 """
 
 from __future__ import annotations
@@ -120,29 +120,29 @@ def check_pairs(intermediate: LabeledPool, target, group_ids, count: int) -> Non
         raise ConfigError("x1 and x2 must be equal-shape (P, d) arrays")
 
 
-def draw_pairs(intermediate: LabeledPool, target, group_ids, count: int,
+def draw_pairs(labels: np.ndarray, target_labels: np.ndarray, group_ids, count: int,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs of ``count`` pairs of each group in ``group_ids``, in order.
 
-    Returns (ia, ib): ia indexes the intermediate rows, ib the intermediate
-    rows followed by the target rows. The draws read only the labels, so
-    every pool with the intermediate pool's labels can gather its own rows
-    from them. The labels must have passed check_pairs for these groups and
-    count: a group with no valid combination would never fill.
+    Returns (ia, ib): ia indexes the intermediate rows (``labels``), ib the
+    intermediate rows followed by the target rows (``target_labels``). Every
+    pool with these labels can gather its own rows from them. The labels
+    must have passed check_pairs for these groups and count: a group with no
+    valid combination would never fill.
     """
     ia, ib = [], []
     for g in group_ids:
         cross = g in (GROUP_CROSS_DOMAIN_SAME, GROUP_CROSS_DOMAIN_DIFF)
-        second = target if cross else intermediate
-        a, b = _rejection_sample(rng, intermediate.labels, second.labels, g in (1, 2), count)
+        a, b = _rejection_sample(rng, labels, target_labels if cross else labels, g in (1, 2),
+                                 count)
         ia.append(a)
-        ib.append(b + intermediate.size if cross else b)
+        ib.append(b + labels.size if cross else b)
     return np.concatenate(ia), np.concatenate(ib)
 
 
 def _draw_batch(intermediate: LabeledPool, target, group_ids, count: int, rng) -> PairBatch:
     check_pairs(intermediate, target, group_ids, count)
-    ia, ib = draw_pairs(intermediate, target, group_ids, count, rng)
+    ia, ib = draw_pairs(intermediate.labels, target.labels, group_ids, count, rng)
     rows = intermediate.features
     if GROUP_CROSS_DOMAIN_SAME in group_ids or GROUP_CROSS_DOMAIN_DIFF in group_ids:
         rows = np.concatenate([rows, target.features])

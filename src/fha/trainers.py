@@ -520,12 +520,6 @@ def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | Non
                            cfg.total_epochs if epochs is None else epochs)[0][0]
 
 
-def _labeled_pool(batches: np.ndarray) -> LabeledPool:
-    """The intermediate pool of an (N, B, dim) stack of batches, block n labeled n."""
-    n, b, dim = batches.shape
-    return LabeledPool(batches.reshape(n * b, dim), np.repeat(np.arange(n), b))
-
-
 def sample_pool(bank: GeneratorBank, per_class: int, seed: int) -> LabeledPool:
     """Generate a labeled intermediate pool: per_class samples per generator,
     from one (N, per_class, z_dim) noise draw through the stacked bank."""
@@ -533,7 +527,9 @@ def sample_pool(bank: GeneratorBank, per_class: int, seed: int) -> LabeledPool:
         raise ConfigError("per_class must be positive")
     z = np.random.default_rng(seed).standard_normal(
         (bank.num_classes, per_class, bank.arch.in_width))
-    return _labeled_pool(nn.forward(bank.arch, bank.params, z))
+    generated = nn.forward(bank.arch, bank.params, z)
+    return LabeledPool(generated.reshape(-1, generated.shape[-1]),
+                       np.repeat(np.arange(bank.num_classes), per_class))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +539,7 @@ def sample_pool(bank: GeneratorBank, per_class: int, seed: int) -> LabeledPool:
 class _Block(NamedTuple):
     """One adaptation of a stacked _adapt run."""
 
-    pools: list
+    pools: list  # one (R, dim) array of rows per epoch, labeled by _adapt's labels
     disc_seed: int
     pair_seed: int
     trace: list | None = None
@@ -557,37 +553,34 @@ class _Stack(NamedTuple):
     params: np.ndarray
 
 
-def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothesis,
-           cfg: TohanConfig) -> list[TargetModel | NumericalError]:
+def _adapt(blocks: list[_Block], labels: np.ndarray, fewshot: FewShotSet,
+           hypothesis: SourceHypothesis, cfg: TohanConfig) -> list[TargetModel | NumericalError]:
     """The adaptation schedule of the two-step and one-step methods, for M
     blocks at once: row m of an (M, P) stack each of encoder + classifier
     models and of discriminators is block m's, each stack one buffer for the
     whole run with one Adam state.
 
     Each block starts from the source nets and a discriminator seeded by its
-    disc_seed, and holds one intermediate pool per epoch. The discriminator
+    disc_seed, and holds one intermediate pool per epoch: its (R, dim) rows,
+    row r labeled labels[r] in every pool of every block. The discriminator
     is pretrained for cfg.disc_pretrain_epochs against the first; then each
     epoch runs one model update (discriminator frozen) and one discriminator
     update (encoder frozen) against its own pool. The pair draws read only
-    labels, which all pools share, so each pair_seed's stream draws once and
-    its blocks gather from their own pools: the model update its pair rows,
-    the pretraining updates their pair embeddings from one embedding of the
-    pool and few-shot rows, and each later discriminator update embeds its
-    pair rows in one pass. A stacked row gets the bits it
+    the labels, so each pair_seed's stream draws once and its blocks gather
+    from their own pools: the model update its pair rows, the pretraining
+    updates their pair embeddings from one embedding of the pool and
+    few-shot rows, and each later discriminator update embeds its pair rows
+    in one pass. A stacked row gets the bits it
     gets alone, so block m ends, or fails (_Adam) with its NumericalError, and
     traces as its one-block run. A trace gets its row's digests; with
     ``gen_log``, its generator block's log, it keeps the interleaved order: a
     generate event per step, the last len(pools) opening the epochs.
     """
     steps, count = len(blocks[0].pools), len(blocks)
-    pools = {id(p): p for b in blocks for p in b.pools}.values()
-    if any(len(b.pools) != steps for b in blocks) or any(
-            not np.array_equal(p.labels, blocks[0].pools[0].labels) for p in pools):
-        raise ConfigError("stacked blocks need as many pools, all of one label layout")
     half = 2 * cfg.per_group  # model-update pairs per cross-domain group
     if steps:  # the one check for every draw below: all pools share these labels
         for group_ids, per_group in ((ALL_GROUPS, cfg.per_group), ((2, 4), half)):
-            check_pairs(blocks[0].pools[0], fewshot, group_ids, per_group)
+            check_pairs(LabeledPool(blocks[0].pools[0], labels), fewshot, group_ids, per_group)
     # one (M, P_enc + P_cls) model stack under one Adam state; enc and cls view its halves
     split = hypothesis.enc.arch.n_params
     model = np.tile(np.concatenate([hypothesis.enc.params, hypothesis.cls.params]), (count, 1))
@@ -602,15 +595,14 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
     x_t = np.asarray(fewshot.features, dtype=np.float64)
     groups = np.repeat(ALL_GROUPS, cfg.per_group)
 
-    def draw(k, group_ids, per_group):
-        """Each block's index pairs of epoch k, drawn by its stream: into its
-        pool (ia) and into its pool followed by the few-shots (ib)."""
-        drawn = [draw_pairs(blocks[0].pools[k], fewshot, group_ids, per_group, rng)
-                 for rng in rngs]
+    def draw(group_ids, per_group):
+        """Each block's index pairs, drawn by its stream: into its pool (ia)
+        and into its pool followed by the few-shots (ib)."""
+        drawn = [draw_pairs(labels, fewshot.labels, group_ids, per_group, rng) for rng in rngs]
         return (np.stack([drawn[s][side] for s in stream_of]) for side in (0, 1))
 
-    def disc_update(k, embed):  # embed: indices into ``rows`` -> frozen-encoder rows
-        ia, ib = draw(k, ALL_GROUPS, cfg.per_group)
+    def disc_update(embed):  # embed: indices into ``rows`` -> frozen-encoder rows
+        ia, ib = draw(ALL_GROUPS, cfg.per_group)
         emb = embed(np.concatenate([ia, ib], axis=1))
         joint = np.concatenate([emb[:, :groups.size], emb[:, groups.size:]], axis=-1)
         loss, grad = losses.group_ce_and_disc_grad(disc, joint, groups)
@@ -651,24 +643,24 @@ def _adapt(blocks: list[_Block], fewshot: FewShotSet, hypothesis: SourceHypothes
         for m in (m for m in traced if m not in failed):
             generate_events(m, [leads[m] + k])
         # each block's pool rows, then the few-shots: the order draw_pairs indexes
-        feats = np.stack([b.pools[k].features for b in blocks])
+        feats = np.stack([b.pools[k] for b in blocks])
         rows = np.concatenate([feats, np.broadcast_to(x_t, (count,) + x_t.shape)], axis=1)
         if k == 0:  # pretraining reads the source encoder: embed its rows once
             emb = nn.forward(enc.arch, enc.params, rows) if cfg.disc_pretrain_epochs else None
             disc_adam = _Adam(disc.params, cfg.lr_disc_pretrain, failed)
             for _ in range(cfg.disc_pretrain_epochs):
-                loss = disc_update(k, lambda i: emb[block_rows, i])
+                loss = disc_update(lambda i: emb[block_rows, i])
                 record(k, "pretrain_disc", group_ce=loss)
             disc_adam = _Adam(disc.params, cfg.lr_disc_adapt, failed)
             del emb  # up to 240 KB, unread after pretraining
         beta = losses.beta_schedule(k / steps)
-        ia, ib = draw(k, (2, 4), half)
+        ia, ib = draw((2, 4), half)
         loss, model_grad[:, :split], model_grad[:, split:] = losses.adaptation_loss_and_grads(
             rows[block_rows, ia], rows[block_rows, ib], disc, enc, cls, fewshot, beta)
         model_adam.step(model_grad)
         record(k, "model_update", adaptation=loss, beta=beta)
         # one update per encoder state: embed just its pair rows, in one pass
-        loss = disc_update(k, lambda i: nn.forward(enc.arch, enc.params, rows[block_rows, i]))
+        loss = disc_update(lambda i: nn.forward(enc.arch, enc.params, rows[block_rows, i]))
         record(k, "disc_update", group_ce=loss)
     if steps == 0:
         return [TargetModel(enc=hypothesis.enc, cls=hypothesis.cls)] * count
@@ -686,8 +678,9 @@ def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
     one discriminator update per epoch. With adapt_epochs 0 the source nets
     are returned untouched.
     """
-    block = _Block([intermediate] * cfg.adapt_epochs, *nn.derive_seeds(cfg.seed, 2), trace)
-    return _adapt([block], fewshot, hypothesis, cfg)[0]
+    block = _Block([intermediate.features] * cfg.adapt_epochs, *nn.derive_seeds(cfg.seed, 2),
+                   trace)
+    return _adapt([block], intermediate.labels, fewshot, hypothesis, cfg)[0]
 
 
 def run_generator_methods(methods, hypothesis: SourceHypothesis, fewshots, cfg: TohanConfig, *,
@@ -737,6 +730,8 @@ def run_generator_methods(methods, hypothesis: SourceHypothesis, fewshots, cfg: 
     banks, kept = _run_generators(
         hypothesis, blocks, cfg, root, cfg.total_epochs, dict.fromkeys(combined, cfg.adapt_epochs),
         {m: log for m, log in zip(combined, gen_logs) if log is not None}) if blocks else ([], {})
+    # the labels of every pool: a kept batch or a sampled pool, gen_batch rows per class
+    labels = np.repeat(np.arange(hypothesis.cls.arch.out_width), cfg.gen_batch)
     results = []
     for i, (fewshot, trace) in enumerate(zip(fewshots, traces)):
         models = dict.fromkeys(methods, TargetModel(enc=hypothesis.enc, cls=hypothesis.cls))
@@ -747,16 +742,16 @@ def run_generator_methods(methods, hypothesis: SourceHypothesis, fewshots, cfg: 
             if isinstance(bank, NumericalError):
                 models[method] = bank
             elif method == "tohan":
-                adapting[method] = _Block([_labeled_pool(b) for b in kept[block]], first, second,
-                                          trace.get(method), gen_logs[i])
+                pools = [b.reshape(labels.size, -1) for b in kept[block]]
+                adapting[method] = _Block(pools, first, second, trace.get(method), gen_logs[i])
             elif cfg.adapt_epochs > 0:
-                pool = sample_pool(bank, cfg.gen_batch, first)
+                pool = sample_pool(bank, cfg.gen_batch, first).features
                 adapting[method] = _Block([pool] * cfg.adapt_epochs, *nn.derive_seeds(second, 2),
                                           trace.get(method))
         if adapting:
             try:
-                models.update(zip(adapting, _adapt(list(adapting.values()), fewshot, hypothesis,
-                                                   cfg)))
+                models.update(zip(adapting, _adapt(list(adapting.values()), labels, fewshot,
+                                                   hypothesis, cfg)))
             except NumericalError as exc:  # no block left: what a one-set run raises
                 models = dict.fromkeys(methods, exc)
         results.append(models)

@@ -77,7 +77,6 @@ class TestParsers:
         assert cli._task_from_config("rot40").name == "rot40"
 
     def test_task_builtin_object_rejects_extras(self):
-        assert cli._task_from_config({"builtin": "rot40", "seed": 3}).seed == 3
         with pytest.raises(ConfigError):
             cli._task_from_config({"builtin": "rot40", "dim": 2})
 
@@ -552,6 +551,7 @@ class TestRun:
 
     @pytest.mark.parametrize("fields,field", [
         ({"source_per_class": 10**30}, "source_per_class"),
+        ({"source_per_class": 10**17}, "source_per_class"),
         ({"target_per_class": 2**63}, "target_per_class"),
         ({"class_scales": [1e308, 1e308]}, "class_scales"),
         ({"class_means": [[1e307, 0.3], [0.7, 0.7]]}, "class_means"),
@@ -573,14 +573,19 @@ class TestRun:
         assert err.startswith(f"error: invalid task config: {field} ") and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("section,seed", [("source", 5), ("tohan", 35), ("source", 0)])
-    def test_seed_in_source_or_tohan_is_usage_error(self, tmp_path, capsys, monkeypatch,
-                                                    section, seed):
-        """Each run derives these seeds from its grid seed, so a config seed
-        would be silently ignored: it is refused before --out is created."""
+    @pytest.mark.parametrize("section,seed", [("source", 5), ("tohan", 35), ("source", 0),
+                                              ("task", 3), ("builtin", 0)])
+    def test_seed_in_task_source_or_tohan_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                         section, seed):
+        """Each run derives these seeds, the task's data seed included, from
+        its grid seed, so a config seed would be silently ignored: it is
+        refused before --out is created, in an inline task and next to
+        builtin alike."""
         monkeypatch.setattr(trainers, "train_source", lambda *a: pytest.fail("a seed ran"))
         out = tmp_path / "r.jsonl"
         cfg = _mini_run_config(out)
+        if section == "builtin":
+            cfg["task"], section = {"builtin": "rot40"}, "task"
         cfg[section]["seed"] = seed
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")

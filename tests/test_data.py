@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fha.data import (
+    MAX_SPLIT_ELEMENTS,
     Dataset,
     FewShotSet,
     TaskSpec,
@@ -161,8 +162,8 @@ class TestTaskSpec:
             TaskSpec(**{**kwargs, **grown})
 
     @pytest.mark.parametrize("field", ["source_per_class", "target_per_class", "test_per_class"])
-    def test_split_beyond_one_array_rejected(self, field):
-        limit = np.iinfo(np.intp).max // 4  # 2 classes x 2 dims
+    def test_split_beyond_the_size_bound_rejected(self, field):
+        limit = MAX_SPLIT_ELEMENTS // 4  # 2 classes x 2 dims
         TaskSpec(**self._kwargs(**{field: limit}))
         with pytest.raises(ConfigError, match=f"^{field} gives a split too large"):
             TaskSpec(**self._kwargs(**{field: limit + 1}))

@@ -935,10 +935,10 @@ class TestSharedShots:
         its n_t, with the error a one-set run raises, and no other line."""
         adapt = trainers._adapt
 
-        def fail_at_two(stack, fewshot, *args):
+        def fail_at_two(stack, labels, fewshot, *args):
             if fewshot.n_t == 2:
                 raise NumericalError("injected adaptation failure")
-            return adapt(stack, fewshot, *args)
+            return adapt(stack, labels, fewshot, *args)
 
         monkeypatch.setattr(trainers, "_adapt", fail_at_two)
         for line, clean in zip(_shot_grid(SHOTS), shot_lines, strict=True):

@@ -23,7 +23,7 @@ from hypothesis.extra.numpy import arrays
 from fha import losses, nn, trainers
 from fha.data import FewShotSet
 from fha.errors import ConfigError, MissingClassError
-from fha.pairing import ALL_GROUPS, LabeledPool, PairBatch, draw_pairs
+from fha.pairing import ALL_GROUPS, PairBatch, draw_pairs
 
 RNG = np.random.default_rng(812)
 
@@ -827,8 +827,8 @@ class TestGatheredPairEmbeddings:
         fs = _fewshot(num_classes=classes, n_t=n_t, seed=n_t)
         shots = np.broadcast_to(fs.features, (count,) + fs.features.shape)
         rows = np.concatenate([pools, shots], axis=1)
-        draws = [draw_pairs(LabeledPool(pools[0], labels), fs, ALL_GROUPS, per_group,
-                            np.random.default_rng(s)) for s in range(count)]
+        draws = [draw_pairs(labels, fs.labels, ALL_GROUPS, per_group, np.random.default_rng(s))
+                 for s in range(count)]
         ia, ib = (np.stack([d[side] for d in draws]) for side in (0, 1))
         at = np.arange(count)[:, None]
         groups = np.repeat(ALL_GROUPS, per_group)
@@ -915,7 +915,7 @@ class TestAdaptationUpdatesEqualTheComposedCalls:
         at = np.arange(count)[:, None]
 
         def gather(group_ids, per_group):
-            draws = [draw_pairs(LabeledPool(pools[0], labels), fs, group_ids, per_group, rng)
+            draws = [draw_pairs(labels, fs.labels, group_ids, per_group, rng)
                      for _ in range(count)]
             return (rows[at, np.stack([d[side] for d in draws])] for side in (0, 1))
 

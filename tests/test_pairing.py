@@ -302,7 +302,7 @@ class TestDrawSequence:
         # the model update draws groups 2 and 4 in one call, as two calls did
         inter, target = layout
         rngs = [np.random.default_rng(seed) for _ in range(3)]
-        ia, ib = draw_pairs(inter, target, (2, 4), count, rngs[0])
+        ia, ib = draw_pairs(inter.labels, target.labels, (2, 4), count, rngs[0])
         rows = np.concatenate([inter.features, target.features])
         for rng, sample in zip(rngs[1:], (sample_group_pairs, reference_sample)):
             for j, group_id in enumerate((2, 4)):
@@ -330,7 +330,7 @@ class TestDrawSequence:
         rows = np.concatenate([inter.features, target.features])
         for group_ids in ((1, 3), (2, 4)):
             rngs = [np.random.default_rng(n * k) for _ in range(2)]
-            ia, ib = draw_pairs(inter, target, group_ids, k, rngs[0])
+            ia, ib = draw_pairs(inter.labels, target.labels, group_ids, k, rngs[0])
             for j, group_id in enumerate(group_ids):
                 want = reference_sample(inter, target, group_id, k, rngs[1])
                 part = slice(j * k, (j + 1) * k)

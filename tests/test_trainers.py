@@ -835,9 +835,10 @@ class TestAdaptPairChecks:
         calls = []
         monkeypatch.setattr(nn, "adam_into", lambda *a: calls.append("adam_into"))
         monkeypatch.setattr(trainers, "draw_pairs", lambda *a: calls.append("draw"))
-        blocks = [trainers._Block([pool] * 3, 1, 2), trainers._Block([pool] * 3, 3, 2)]
+        blocks = [trainers._Block([pool.features] * 3, 1, 2),
+                  trainers._Block([pool.features] * 3, 3, 2)]
         with pytest.raises(exc) as info:
-            trainers._adapt(blocks, _fewshot(), _hypothesis(), _tiny_cfg(
+            trainers._adapt(blocks, pool.labels, _fewshot(), _hypothesis(), _tiny_cfg(
                 disc_pretrain_epochs=pretrain))
         assert type(info.value) is exc and str(info.value) == message
         assert calls == []
@@ -848,8 +849,10 @@ class TestAdaptPairChecks:
         monkeypatch.setattr(trainers, "check_pairs",
                             lambda *a: checks.append(a[2]) or check(*a))
         monkeypatch.setattr(trainers, "draw_pairs", lambda *a: draws.append(a[2]) or draw(*a))
-        blocks = [trainers._Block([_pool()] * 3, 1, 2), trainers._Block([_pool()] * 3, 3, 4)]
-        trainers._adapt(blocks, _fewshot(), _hypothesis(), _tiny_cfg())
+        pool = _pool()
+        blocks = [trainers._Block([pool.features] * 3, 1, 2),
+                  trainers._Block([pool.features] * 3, 3, 4)]
+        trainers._adapt(blocks, pool.labels, _fewshot(), _hypothesis(), _tiny_cfg())
         assert checks == [ALL_GROUPS, (2, 4)]
         # two pair streams, each drawing 3 pretrain + 3 x (model, disc) times
         assert len(draws) == 2 * (3 + 2 * 3)
