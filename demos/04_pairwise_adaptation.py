@@ -30,7 +30,7 @@ disc_arch = trainers.default_discriminator_arch(
     hypothesis.enc.arch.out_width, cfg.disc_hidden
 )
 disc = nn.Net(disc_arch, nn.init_params(disc_arch, 3))
-state = nn.AdamState.init(disc.params.size, cfg.lr_disc_pretrain)
+state = nn.AdamState.init(disc.params.size, cfg.lr)
 rng = np.random.default_rng(4)
 
 print("discriminator pretraining (fresh pair batch per step):")

@@ -66,6 +66,9 @@ def _parse_rotation(text: str) -> float:
         raise ConfigError(f"cannot parse rotation {text!r}; use e.g. 40deg") from exc
 
 
+_MAX_SEED_RANGE = 10**6  # seeds in one A..B range: far beyond any grid that could finish
+
+
 def _parse_seeds(text: str) -> list[int]:
     t = text.strip()
     if ".." in t:
@@ -76,6 +79,9 @@ def _parse_seeds(text: str) -> list[int]:
             raise ConfigError(f"bad seed range {text!r}") from exc
         if hi_i < lo_i:
             raise ConfigError(f"empty seed range {text!r}")
+        if hi_i - lo_i >= _MAX_SEED_RANGE:  # refused before the list is built
+            raise ConfigError(f"seed range {text!r} holds {hi_i - lo_i + 1} seeds; "
+                              f"at most {_MAX_SEED_RANGE} are allowed")
         return list(range(lo_i, hi_i + 1))
     try:
         return [int(p) for p in t.split(",") if p.strip()]

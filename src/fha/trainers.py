@@ -99,7 +99,8 @@ class TohanConfig:
     model step ``2 * per_group`` pairs of each cross-domain group. The final
     ``adapt_epochs`` epochs of ``total_epochs`` are the adaptation phase;
     the discriminator is pretrained for ``disc_pretrain_epochs`` right
-    before it.
+    before it. Every Adam (generators, model, discriminator) steps at
+    ``lr``; the discriminator's moments restart when adaptation begins.
     """
 
     tradeoff: float = 0.2
@@ -111,10 +112,7 @@ class TohanConfig:
     total_epochs: int = 500
     disc_pretrain_epochs: int = 100
     adapt_epochs: int = 50
-    lr_gen: float = 1e-3
-    lr_disc_pretrain: float = 1e-3
-    lr_model: float = 1e-3
-    lr_disc_adapt: float = 1e-3
+    lr: float = 1e-3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -128,8 +126,8 @@ class TohanConfig:
             raise ConfigError("adapt_epochs must be smaller than total_epochs")
         if self.tradeoff < 0:
             raise ConfigError("tradeoff must be non-negative")
-        if min(self.lr_gen, self.lr_disc_pretrain, self.lr_model, self.lr_disc_adapt) <= 0:
-            raise ConfigError("learning rates must be positive")
+        if self.lr <= 0:
+            raise ConfigError("lr must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +473,7 @@ def _run_generators(hypothesis: SourceHypothesis, blocks, cfg: TohanConfig, root
     rows = [slice(m * num_classes, (m + 1) * num_classes) for m in range(count)]
     keep, logs = keep or {}, logs or {}
     kept, failed = {m: [] for m in keep}, {}
-    adam = _Adam(params, cfg.lr_gen, failed, num_classes)
+    adam = _Adam(params, cfg.lr, failed, num_classes)
     for m, log in logs.items():
         log.append(_digest(params[rows[m]]))
     for epoch in range(epochs):
@@ -637,7 +635,7 @@ def _adapt(blocks: list[_Block], labels: np.ndarray, fewshot: FewShotSet,
     for m in traced:
         event(m, -1, "init", {})
         generate_events(m, range(leads[m]))
-    model_adam = _Adam(model, cfg.lr_model, failed)
+    model_adam = _Adam(model, cfg.lr, failed)
     model_grad = np.empty(model.shape)
     for k in range(steps):
         for m in (m for m in traced if m not in failed):
@@ -647,11 +645,11 @@ def _adapt(blocks: list[_Block], labels: np.ndarray, fewshot: FewShotSet,
         rows = np.concatenate([feats, np.broadcast_to(x_t, (count,) + x_t.shape)], axis=1)
         if k == 0:  # pretraining reads the source encoder: embed its rows once
             emb = nn.forward(enc.arch, enc.params, rows) if cfg.disc_pretrain_epochs else None
-            disc_adam = _Adam(disc.params, cfg.lr_disc_pretrain, failed)
+            disc_adam = _Adam(disc.params, cfg.lr, failed)
             for _ in range(cfg.disc_pretrain_epochs):
                 loss = disc_update(lambda i: emb[block_rows, i])
                 record(k, "pretrain_disc", group_ce=loss)
-            disc_adam = _Adam(disc.params, cfg.lr_disc_adapt, failed)
+            disc_adam = _Adam(disc.params, cfg.lr, failed)
             del emb  # up to 240 KB, unread after pretraining
         beta = losses.beta_schedule(k / steps)
         ia, ib = draw((2, 4), half)

@@ -64,6 +64,8 @@ class TestParsers:
         ("0,1,2", [0, 1, 2]),
         ("7", [7]),
         ("3, 4", [3, 4]),
+        ("18446744073709551616", [2**64]),
+        ("9223372036854775807..9223372036854775808", [2**63 - 1, 2**63]),
     ])
     def test_seed_lists(self, text, expected):
         assert cli._parse_seeds(text) == expected
@@ -72,6 +74,15 @@ class TestParsers:
     def test_seed_rejects(self, text):
         with pytest.raises(ConfigError):
             cli._parse_seeds(text)
+
+    def test_seed_range_bound(self, monkeypatch):
+        assert cli._MAX_SEED_RANGE == 10**6
+        with pytest.raises(ConfigError, match=r"^seed range '0\.\.1000000' holds 1000001 seeds"):
+            cli._parse_seeds("0..1000000")
+        monkeypatch.setattr(cli, "_MAX_SEED_RANGE", 3)  # the edge, without a long list
+        assert cli._parse_seeds("4..6") == [4, 5, 6]
+        with pytest.raises(ConfigError, match="holds 4 seeds; at most 3 are allowed$"):
+            cli._parse_seeds("4..7")
 
     def test_task_from_string_is_builtin(self):
         assert cli._task_from_config("rot40").name == "rot40"
@@ -450,8 +461,8 @@ class TestRun:
         assert out.read_bytes() == b'{"an": "earlier run"}\n'
 
     @pytest.mark.parametrize("section,field,value", [
-        ("tohan", "tradeoff", float("nan")), ("tohan", "lr_gen", float("inf")),
-        ("tohan", "lr_model", True), ("source", "lr", -float("inf")),
+        ("tohan", "tradeoff", float("nan")), ("tohan", "lr", float("inf")),
+        ("tohan", "lr", True), ("source", "lr", -float("inf")),
         ("baseline", "lr", float("nan"))], ids=repr)
     def test_non_finite_or_bool_rate_is_usage_error(self, tmp_path, capsys, section, field,
                                                      value):
@@ -465,6 +476,56 @@ class TestRun:
         assert capsys.readouterr().err.startswith(
             f"error: invalid {section} config: {field} must be a finite number, got ")
         assert out.read_bytes() == b'{"an": "earlier run"}\n'
+
+    def test_old_tohan_rate_key_is_usage_error(self, tmp_path, capsys):
+        """The four per-phase rates are one ``lr``: an old key is refused."""
+        out = tmp_path / "r.jsonl"
+        out.write_bytes(b'{"an": "earlier run"}\n')
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(_mini_run_config(out, tohan={"lr_gen": 0.001})),
+                            encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown tohan fields: ['lr_gen']\n"
+        assert out.read_bytes() == b'{"an": "earlier run"}\n'
+
+    @pytest.mark.parametrize("seeds,count", [
+        ("0..1000000", 1000001), ("0..200000000", 200000001),
+        ("0..1000000000000", 1000000000001)])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_huge_seed_range_is_usage_error(self, tmp_path, capsys, via, seeds, count):
+        """A range past the bound is refused before a list or --out is made."""
+        out = tmp_path / "r.jsonl"
+        if via == "flag":
+            argv = ["run", "--task", "rot40", "--methods", "wa", "--shots", "1",
+                    "--seeds", seeds, "--out", str(out)]
+        else:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps(_mini_run_config(out, seeds=seeds)),
+                                encoding="utf-8")
+            argv = ["run", "--config", str(cfg_path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: seed range {seeds!r} holds {count} seeds; at most 1000000 are allowed\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_seeds_past_int64_run(self, tmp_path, capsys, via):
+        """Seeds of 2**63 and above run error-free, from --seeds and from a
+        config's seed list alike."""
+        out = tmp_path / "r.jsonl"
+        cfg = _mini_run_config(out, methods=["wa"])
+        flags = []
+        if via == "flag":
+            flags = ["--seeds", "18446744073709551616,9223372036854775808"]
+        else:
+            cfg["seeds"] = [2**64, 2**63]
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path), *flags]) == 0
+        assert "runs=2 errors=0" in capsys.readouterr().out
+        rows, problems = read_results(out)
+        assert problems == []
+        assert [(r["seed"], r.get("error")) for r in rows] == [(2**64, None), (2**63, None)]
 
     def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

@@ -387,6 +387,24 @@ class TestRunExperiment:
             row = by_key[(res.method, res.n_t, res.seed)]
             assert row["accuracy"] == res.accuracy
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_seeds_past_int64_run_and_round_trip(self, tmp_path, jobs):
+        """Seeds of 2**63 and above are plain seeds: they run, at one job and
+        in a pool alike, and their lines read back and summarize."""
+        path = tmp_path / "big.jsonl"
+        seeds = [2**64, 2**63]
+        results = run_experiment(_tiny_task(), trainers.METHODS, [1], seeds, _tiny_cfg(),
+                                 sink=path, jobs=jobs)
+        assert len(results) == 14
+        assert [r.error for r in results] == [None] * 14
+        rows, problems = read_results(path)
+        assert problems == []
+        assert {(r["method"], r["seed"]): r["accuracy"] for r in rows} == {
+            (r.method, r.seed): r.accuracy for r in results}
+        table = summarize(rows)
+        assert [(row.method, row.count) for row in table.rows] == [
+            (m, 2) for m in trainers.METHODS]
+
     def test_shot_budget_above_the_target_split_becomes_error_records(self):
         # n_t=7 is within the protocol, but each class has only 5 target samples
         results = run_experiment(

@@ -155,8 +155,8 @@ class TestConfigs:
         {"gen_batch": 0},
         {"total_epochs": 0},
         {"disc_pretrain_epochs": -1},
-        {"lr_gen": 0.0},
-        {"lr_model": -1.0},
+        {"lr": 0.0},
+        {"lr": -1.0},
     ])
     def test_tohan_config_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -170,10 +170,7 @@ class TestConfigs:
         assert cfg.gen_batch == 32
         assert cfg.per_group == 16
         assert cfg.tradeoff == 0.2
-        assert (
-            cfg.lr_gen == cfg.lr_disc_pretrain == cfg.lr_model
-            == cfg.lr_disc_adapt == 1e-3
-        )
+        assert cfg.lr == 1e-3
 
     @pytest.mark.parametrize("bad", [4.5, True, "3"], ids=repr)
     @pytest.mark.parametrize("base,name", [
@@ -200,8 +197,22 @@ class TestConfigs:
             dataclasses.replace(base, **{name: bad})
 
     def test_float_fields_take_ints_and_numpy_floats(self):
-        cfg = trainers.TohanConfig(tradeoff=0, lr_model=np.float64(0.01), lr_gen=2)
-        assert (cfg.tradeoff, cfg.lr_model, cfg.lr_gen) == (0, 0.01, 2)
+        cfg = trainers.TohanConfig(tradeoff=0, lr=np.float64(0.01))
+        assert (cfg.tradeoff, cfg.lr) == (0, 0.01)
+        assert trainers.TohanConfig(lr=2).lr == 2
+
+    @pytest.mark.parametrize("name", ["lr_gen", "lr_disc_pretrain", "lr_model", "lr_disc_adapt"])
+    def test_per_phase_rates_are_gone(self, name):
+        # every Adam steps at the one lr; an old per-phase rate is no field
+        assert name not in {f.name for f in dataclasses.fields(trainers.TohanConfig)}
+        with pytest.raises(TypeError, match=name):
+            trainers.TohanConfig(**{name: 1e-3})
+
+    @pytest.mark.parametrize("base", [trainers.SourceTrainConfig(), trainers.TohanConfig()],
+                             ids=lambda b: type(b).__name__)
+    def test_seeds_past_int64_accepted(self, base):
+        for seed in (2**63, 2**64):
+            assert dataclasses.replace(base, seed=seed).seed == seed
 
     @pytest.mark.parametrize("base", [trainers.SourceTrainConfig(), trainers.TohanConfig()],
                              ids=lambda b: type(b).__name__)
@@ -1036,6 +1047,29 @@ class TestRunGeneratorMethods:
             for batches in kept.values():
                 assert len(batches) == adapt_epochs
                 assert all(batch.shape == (3, 4, 2) for batch in batches)
+
+    @pytest.mark.parametrize("methods", [("sfada",), ("tfada",), ("stfada",), ("tohan",), ()],
+                             ids=repr)
+    def test_every_adam_steps_at_lr(self, monkeypatch, methods):
+        """The generators (when a method trains them), the model and both
+        discriminator stacks step at cfg.lr. The discriminator gets a second
+        stack when adaptation begins, which restarts its moments. No methods
+        means adapt_pairwise, which trains no generators."""
+        made, adam_init = [], trainers._Adam.__init__
+
+        def init(self, params, lr, *args):
+            made.append((self, params, lr))
+            adam_init(self, params, lr, *args)
+
+        monkeypatch.setattr(trainers._Adam, "__init__", init)
+        cfg, hyp, fs = _tiny_cfg(lr=0.02), _hypothesis(), _fewshot()
+        if methods:
+            trainers.run_generator_methods(methods, hyp, [fs], cfg)
+        else:
+            trainers.adapt_pairwise(_pool(), fs, hyp, cfg)
+        assert [lr for *_, lr in made] == [0.02] * (4 if methods else 3)
+        (pretrain, disc, _), (adapt, disc_again, _) = made[-2:]
+        assert disc_again is disc and adapt is not pretrain
 
     @pytest.mark.parametrize("methods", [["wa"], ["ft"], ["nope"], ["tohan", "shot"], []],
                              ids=repr)
