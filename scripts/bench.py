@@ -6,8 +6,9 @@ this tree, with the seed ``SEED_BASE + i`` on both sides; the parent runs
 first in even pairs, the change in odd ones. Only the last line of each
 run's output (the benchmark's result object) is read; no other timer is
 kept. Writes a JSON file with the environment, both commits, each side's
-``src/fha`` code and total line counts (``scripts/line_counts.py``), every
-run's end-to-end metrics and, per (workload, metric), each side's median
+``src/fha`` code and total line counts (``scripts/line_counts.py``) and the
+SHA-256 of its oracle files (``tests/data/*.json`` and
+``perfbench/reference.json``), every run's end-to-end metrics and, per (workload, metric), each side's median
 and quartiles and the number of pairs the change wins in the direction
 ``BENCHMARK.json`` gives. Exits 1, writing nothing, as soon as a run is not
 ``correct``.
@@ -19,6 +20,7 @@ Run it from a quiet machine: both sides share it, one run at a time.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -32,6 +34,7 @@ from line_counts import split
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED_BASE = 2541
+ORACLES = ("tests/data/*.json", "perfbench/reference.json")
 
 
 def commit(tree: Path) -> dict:
@@ -51,6 +54,12 @@ def src_lines(tree: Path) -> dict:
     counts = [split(path.read_text(encoding="utf-8"))
               for path in (tree / "src" / "fha").glob("*.py")]
     return {kind: sum(c[kind] for c in counts) for kind in ("code", "total")}
+
+
+def oracle_digests(tree: Path) -> dict:
+    """The SHA-256 of each oracle file of the tree, by its path in the tree."""
+    return {path.relative_to(tree).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for pattern in ORACLES for path in sorted(tree.glob(pattern))}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -132,6 +141,7 @@ def main(argv=None) -> int:
                         "python": platform.python_version(), "numpy": np.__version__},
         "parent": commit(parent), "change": commit(ROOT),
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+        "oracle_digests": {side: oracle_digests(tree) for side, tree in trees.items()},
         "pairs": args.pairs, "seconds": args.seconds, "seed_base": SEED_BASE,
         "workloads": args.workloads.split(","),
         "summary": summarize(runs, spec), "runs": runs,

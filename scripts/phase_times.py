@@ -5,16 +5,17 @@ Runs every method on one task for each seed and shot count, the way
 harness makes: source training (split into its Adam steps and the rest:
 the fitting passes, the holdout split and its accuracy gate), the shared
 generator runs (split into the objective steps, the Adam steps and the
-rest), the stacked adaptations
-(split into pair draws, discriminator updates, model updates and the rest),
-and the ft and shot baselines; "other" is the rest of the seed (data,
-few-shot draws, accuracies). A discriminator update counts its encoder
-pass (in pretraining, the pool embedding it gathers from) and its Adam
-step; a model update its Adam step. Prints the median of each phase over
-the seeds, its share of their sum, the median minor page faults of a seed
-(resource.getrusage; a run whose freed memory glibc trims off the heap
-faults it back in page by page), and the generator runs one seed makes and
-the blocks they train. The defaults are the pilot's: rot40, n_t=3.
+rest), the stacked adaptations (split into pair draws, every pair of an
+adaptation drawn before its first update, discriminator updates, model
+updates and the rest), and the ft and shot baselines; "other" is the rest
+of the seed (data, few-shot draws, accuracies). A discriminator update
+counts its encoder pass (in pretraining, the pool embedding it gathers
+from) and its Adam step; a model update its Adam step. Prints the median
+of each phase over the seeds, its share of their sum, the median minor
+page faults of a seed and of its generator runs alone (resource.getrusage;
+a run whose freed memory glibc trims off the heap faults it back in page
+by page), and the generator runs one seed makes and the blocks they
+train. The defaults are the pilot's: rot40, n_t=3.
 
     PYTHONPATH=src python3 scripts/phase_times.py [--task rot40] [--shots 3] \\
         [--seeds 0,1,2,3,4]
@@ -51,7 +52,7 @@ TIMED = (
     (losses, "generator_objective_and_grad", "generate: objective"),
     (trainers, "run_generator_methods", "adapt: other"),
     (trainers, "sample_pool", "adapt: other"),
-    (trainers, "draw_pairs", "adapt: pair draws"),
+    (trainers, "draw_schedule", "adapt: pair draws"),
     (losses, "group_ce_and_disc_grad", "adapt: disc updates"),
     (losses, "adaptation_loss_and_grads", "adapt: model updates"),
     (trainers, "train_ft", "train_ft + train_shot"),
@@ -75,14 +76,18 @@ def _phase_of(name, caller, last_update):
     return caller[1]
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
     """Milliseconds of each phase of one seed, its generator runs and the
-    blocks they trained, its failed runs, the timed functions it called and
-    its minor page faults."""
+    blocks they trained, its failed runs, the timed functions it called, and
+    its minor page faults and those of its generator runs."""
     times = dict.fromkeys(PHASES, 0.0)
     stack = []  # [function, phase, time of the timed calls inside it]
     last_update = ["adapt: disc updates"]
-    blocks, called = [], set()
+    blocks, called, gen_faults = [], set(), [0]
 
     def timed(name, phase, fn):
         def call(*args, **kwargs):
@@ -92,6 +97,7 @@ def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
             if phase in ADAPT[1:3]:
                 last_update[0] = phase
             stack.append([name, own, 0.0])
+            faults = _minor_faults() if name == "_run_generators" else 0
             start = time.perf_counter()
             try:
                 out = fn(*args, **kwargs)
@@ -103,13 +109,14 @@ def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
                     stack[-1][2] += spent
             if name == "_run_generators":
                 blocks.append(len(out[0]))
+                gen_faults[0] += _minor_faults() - faults
             return out
         return call
 
     originals = [(module, name, getattr(module, name)) for module, name, _ in TIMED]
     for (module, name, phase), (_, _, fn) in zip(TIMED, originals):
         setattr(module, name, timed(name, phase, fn))
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    faults = _minor_faults()
     start = time.perf_counter()
     try:
         results = harness._run_seed(task, trainers.METHODS, shots, seed, cfg)
@@ -117,9 +124,9 @@ def seed_times(task, shots, seed: int, cfg: ExperimentConfig):
         for module, name, fn in originals:
             setattr(module, name, fn)
     times["other"] += (time.perf_counter() - start) * 1e3 - sum(times.values())
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    faults = _minor_faults() - faults
     problems = [f"{r.method} n_t={r.n_t}: {r.error}" for r in results if r.error is not None]
-    return times, (len(blocks), sum(blocks)), problems, called, faults
+    return times, (len(blocks), sum(blocks)), problems, called, (faults, gen_faults[0])
 
 
 def main(argv=None) -> int:
@@ -147,7 +154,8 @@ def main(argv=None) -> int:
         label = f"  {phase.split(': ')[1]}" if ": " in phase else phase
         print(f"  {label:<24}{medians[phase]:9.1f}  {100.0 * medians[phase] / total:5.1f}%")
     print(f"  {'total':<24}{total:9.1f}")
-    print(f"minor page faults per seed: {statistics.median(r[4] for r in runs):.0f}")
+    print(f"minor page faults per seed: {statistics.median(r[4][0] for r in runs):.0f} "
+          f"(generator runs: {statistics.median(r[4][1] for r in runs):.0f})")
     print(f"generator runs per seed: {sorted({r[1][0] for r in runs})}, "
           f"blocks per seed: {sorted({r[1][1] for r in runs})}")
     problems = [p for r in runs for p in r[2]]

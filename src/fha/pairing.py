@@ -6,11 +6,16 @@ labels; 4 intermediate then target, different labels.
 Pairs are drawn with replacement, uniformly over the valid combinations of
 each group, by rejection from the uniform index product (exact and
 deterministic under the seeded generator). ``draw_pairs`` takes the two
-label vectors alone, so pools of one label layout can share draws.
+label vectors alone, so pools of one label layout can share draws, and
+``draw_schedule`` draws every pair of an adaptation before its first
+update: one seeded stream per pair seed, read ahead from the generator's
+raw words, that returns the indices ``np.random.default_rng(seed)`` draws.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,15 +84,70 @@ class PairBatch:
         return {g: int(np.sum(self.group == g)) for g in ALL_GROUPS}
 
 
+class _ReadAhead:
+    """A seeded stream whose ``integers(0, n, size)`` returns what
+    ``np.random.default_rng(seed).integers(0, n, size)`` returns, call after
+    call, for 1 <= n < 2**32, from the generator's raw words read ahead.
+
+    PCG64 hands out each 64-bit word as two 32-bit halves, low first, and
+    numpy maps a half u to (u * n) >> 32, drawing the next half instead
+    while (u * n) mod 2**32 < 2**32 mod n. The unread halves are mapped once
+    per bound, with the positions that bound rejects.
+    """
+
+    WORDS = 2048  # raw words per read
+
+    def __init__(self, seed):
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+        self._halves = np.empty(0, np.uint64)
+        self._pos = 0  # the next unread half
+        self._bound = {}  # n -> (values of the halves under n, positions n rejects)
+
+    def _read(self, more: int) -> None:
+        words = self._raw(max(self.WORDS, (more + 1) // 2)).astype("<u8", copy=False)
+        self._halves = np.concatenate([self._halves[self._pos:],
+                                       words.view("<u4").astype(np.uint64)])
+        self._pos, self._bound = 0, {}
+
+    def _map(self, n: int):
+        scaled = self._halves * np.uint64(n)
+        skip = (1 << 32) % n
+        rejected = (scaled.astype(np.uint32) < skip).nonzero()[0].tolist() if skip else []
+        self._bound[n] = (scaled >> 32).view(np.int64), rejected
+        return self._bound[n]
+
+    def integers(self, low: int, high: int, size) -> np.ndarray:
+        if low != 0 or not 1 < high < 2**32:
+            if low == 0 and high == 1:  # one value: numpy reads no half
+                return np.zeros(size, np.int64)
+            raise ValueError("the stream draws integers(0, n) for 1 <= n < 2**32 only")
+        count = math.prod(size) if isinstance(size, tuple) else size
+        while True:
+            values, rejected = self._bound.get(high) or self._map(high)
+            start = self._pos
+            end = start + count
+            first = bisect_left(rejected, start)
+            last = bisect_left(rejected, end, first)
+            while end - start - (last - first) < count:  # rejected halves stretch the run
+                end = start + count + last - first
+                last = bisect_left(rejected, end, last)
+            if end <= values.size:
+                break
+            self._read(end - values.size)
+        self._pos = end
+        out = values[start:end]
+        if last > first:
+            out = np.delete(out, np.subtract(rejected[first:last], start))
+        return out.reshape(size) if isinstance(size, tuple) else out
+
+
 def _rejection_sample(rng, labels_a, labels_b, same: bool, count: int):
     """Uniform draws of index pairs whose labels match the predicate."""
     out, need = [], count
     while need > 0:
         k = max(4 * need, 32)
-        if labels_a.size == labels_b.size:  # one call draws both halves' stream
-            ia, ib = rng.integers(0, labels_a.size, size=(2, k))
-        else:
-            ia, ib = (rng.integers(0, labels.size, size=k) for labels in (labels_a, labels_b))
+        ia = rng.integers(0, labels_a.size, size=k)
+        ib = rng.integers(0, labels_b.size, size=k)
         ok = (labels_a[ia] == labels_b[ib]) if same else (labels_a[ia] != labels_b[ib])
         hits = ok.nonzero()[0][:need]
         if hits.size == count:
@@ -138,6 +198,25 @@ def draw_pairs(labels: np.ndarray, target_labels: np.ndarray, group_ids, count: 
         ia.append(a)
         ib.append(b + labels.size if cross else b)
     return np.concatenate(ia), np.concatenate(ib)
+
+
+def draw_schedule(labels: np.ndarray, target_labels: np.ndarray, schedule,
+                  seeds) -> np.ndarray:
+    """Every draw of ``schedule``, a list of (group_ids, count) draws of one
+    width len(group_ids) * count, on one stream per seed of ``seeds``: an
+    (S, D, 2, width) array whose [s, d] holds draw d's (ia, ib) on stream s,
+    as draw_pairs returns them on np.random.default_rng(seeds[s]), in the
+    narrowest integer dtype that indexes the intermediate and target rows.
+    The labels must have passed check_pairs for every draw.
+    """
+    width = len(schedule[0][0]) * schedule[0][1] if schedule else 0
+    out = np.empty((len(seeds), len(schedule), 2, width),
+                   np.min_scalar_type(labels.size + target_labels.size))
+    for stream, seed in zip(out, seeds):
+        rng = _ReadAhead(seed)
+        for row, (group_ids, count) in zip(stream, schedule):
+            row[:] = draw_pairs(labels, target_labels, group_ids, count, rng)
+    return out
 
 
 def _draw_batch(intermediate: LabeledPool, target, group_ids, count: int, rng) -> PairBatch:

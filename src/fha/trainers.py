@@ -39,7 +39,7 @@ from .errors import (
     NumericalError,
     QualityGateError,
 )
-from .pairing import ALL_GROUPS, LabeledPool, build_groups, check_pairs, draw_pairs, phi
+from .pairing import ALL_GROUPS, LabeledPool, build_groups, check_pairs, draw_schedule, phi
 
 TWO_STEP_MODES = {"sfada": "source_only", "tfada": "target_only", "stfada": "combined"}
 GENERATOR_METHODS = (*TWO_STEP_MODES, "tohan")
@@ -564,15 +564,16 @@ def _adapt(blocks: list[_Block], labels: np.ndarray, fewshot: FewShotSet,
     is pretrained for cfg.disc_pretrain_epochs against the first; then each
     epoch runs one model update (discriminator frozen) and one discriminator
     update (encoder frozen) against its own pool. The pair draws read only
-    the labels, so each pair_seed's stream draws once and its blocks gather
-    from their own pools: the model update its pair rows, the pretraining
-    updates their pair embeddings from one embedding of the pool and
-    few-shot rows, and each later discriminator update embeds its pair rows
-    in one pass. A stacked row gets the bits it
-    gets alone, so block m ends, or fails (_Adam) with its NumericalError, and
-    traces as its one-block run. A trace gets its row's digests; with
-    ``gen_log``, its generator block's log, it keeps the interleaved order: a
-    generate event per step, the last len(pools) opening the epochs.
+    the labels, so each pair_seed's stream draws the whole schedule before
+    the first update, and its blocks gather from their own pools: the model
+    update its pair rows, the pretraining updates their pair embeddings from
+    one embedding of the pool and few-shot rows, and each later
+    discriminator update embeds its pair rows in one pass. A stacked row
+    gets the bits it gets alone, so block m ends, or fails (_Adam) with its
+    NumericalError, and traces as its one-block run. A trace gets its row's
+    digests; with ``gen_log``, its generator block's log, it keeps the
+    interleaved order: a generate event per step, the last len(pools)
+    opening the epochs.
     """
     steps, count = len(blocks[0].pools), len(blocks)
     half = 2 * cfg.per_group  # model-update pairs per cross-domain group
@@ -587,21 +588,18 @@ def _adapt(blocks: list[_Block], labels: np.ndarray, fewshot: FewShotSet,
     disc_arch = default_discriminator_arch(enc.arch.out_width, cfg.disc_hidden)
     disc = _Stack(disc_arch, np.stack([nn.init_params(disc_arch, b.disc_seed) for b in blocks]))
     seeds = list(dict.fromkeys(b.pair_seed for b in blocks))  # one pair stream per seed
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    stream_of = [seeds.index(b.pair_seed) for b in blocks]
+    pretrain = [(ALL_GROUPS, cfg.per_group)] * cfg.disc_pretrain_epochs if steps else []
+    schedule = pretrain + [((2, 4), half), (ALL_GROUPS, cfg.per_group)] * steps
+    # draw d of each block's stream: (M, 2, 4 * per_group) index pairs, into its
+    # pool (ia) and into its pool followed by the few-shots (ib)
+    draws = iter(draw_schedule(labels, fewshot.labels, schedule, seeds)[
+        [seeds.index(b.pair_seed) for b in blocks]].swapaxes(0, 1))
     block_rows = np.arange(count)[:, None]
     x_t = np.asarray(fewshot.features, dtype=np.float64)
     groups = np.repeat(ALL_GROUPS, cfg.per_group)
 
-    def draw(group_ids, per_group):
-        """Each block's index pairs, drawn by its stream: into its pool (ia)
-        and into its pool followed by the few-shots (ib)."""
-        drawn = [draw_pairs(labels, fewshot.labels, group_ids, per_group, rng) for rng in rngs]
-        return (np.stack([drawn[s][side] for s in stream_of]) for side in (0, 1))
-
     def disc_update(embed):  # embed: indices into ``rows`` -> frozen-encoder rows
-        ia, ib = draw(ALL_GROUPS, cfg.per_group)
-        emb = embed(np.concatenate([ia, ib], axis=1))
+        emb = embed(next(draws).reshape(count, -1))
         joint = np.concatenate([emb[:, :groups.size], emb[:, groups.size:]], axis=-1)
         loss, grad = losses.group_ce_and_disc_grad(disc, joint, groups)
         disc_adam.step(grad)
@@ -640,7 +638,7 @@ def _adapt(blocks: list[_Block], labels: np.ndarray, fewshot: FewShotSet,
     for k in range(steps):
         for m in (m for m in traced if m not in failed):
             generate_events(m, [leads[m] + k])
-        # each block's pool rows, then the few-shots: the order draw_pairs indexes
+        # each block's pool rows, then the few-shots: the order the draws index
         feats = np.stack([b.pools[k] for b in blocks])
         rows = np.concatenate([feats, np.broadcast_to(x_t, (count,) + x_t.shape)], axis=1)
         if k == 0:  # pretraining reads the source encoder: embed its rows once
@@ -652,7 +650,7 @@ def _adapt(blocks: list[_Block], labels: np.ndarray, fewshot: FewShotSet,
             disc_adam = _Adam(disc.params, cfg.lr, failed)
             del emb  # up to 240 KB, unread after pretraining
         beta = losses.beta_schedule(k / steps)
-        ia, ib = draw((2, 4), half)
+        ia, ib = next(draws).swapaxes(0, 1)
         loss, model_grad[:, :split], model_grad[:, split:] = losses.adaptation_loss_and_grads(
             rows[block_rows, ia], rows[block_rows, ib], disc, enc, cls, fewshot, beta)
         model_adam.step(model_grad)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fha import nn
+from fha import nn, pairing
 from fha.data import FewShotSet
 from fha.errors import ConfigError, ProtocolError
 from fha.pairing import (
@@ -344,6 +344,44 @@ class TestDrawSequence:
         # about 2/3 * need same-label hits, so groups 1 and 2 take more rounds
         inter, target = make_pools(num_classes=6, inter_per_class=5, target_per_class=1)
         assert_same_draws(inter, target, per_group, seed=per_group)
+
+
+# bounds where numpy's rejection branch fires often: 2**32 mod n is about
+# n / 2 for 2**31 + 1 and n / 3 for 3 * 2**30; one value (1) reads no half
+STREAM_BOUNDS = (2, 3, 6, 140, 255, 2**31 + 1, 3 * 2**30, 2**31, 2**32 - 1, 1)
+
+
+class TestReadAheadStream:
+    """pairing._ReadAhead returns, call after call, what a fresh Generator's
+    integers(0, n, size) returns, across its raw-word reads."""
+
+    CALLS = [(2, 7), (140, (2, 33)), (2**31 + 1, 64), (3 * 2**30, (2, 5)), (1, 9),
+             (2**32 - 1, 3), (2**31, 1), (255, 5000), (6, (2, 1)), (2**31 + 1, (2, 4099)),
+             (3 * 2**30, 2047), (97, 31)]
+
+    @staticmethod
+    def assert_same_stream(seed, calls):
+        stream, rng = pairing._ReadAhead(seed), np.random.default_rng(seed)
+        for n, size in calls:
+            got, want = stream.integers(0, n, size), rng.integers(0, n, size=size)
+            assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (n, size)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63, 2**64 - 1, 3 * 2**70 + 1])
+    def test_matches_generator_integers(self, seed):
+        self.assert_same_stream(seed, self.CALLS * 2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**80), st.lists(st.tuples(
+        st.one_of(st.sampled_from(STREAM_BOUNDS), st.integers(2, 2**32 - 1)),
+        st.integers(1, 3000), st.booleans()), min_size=1, max_size=30))
+    def test_mixed_bounds_and_sizes(self, seed, calls):
+        self.assert_same_stream(seed, [(n, (2, k) if pair else k) for n, k, pair in calls])
+
+    @pytest.mark.parametrize("low, high", [(1, 5), (0, 0), (0, 2**32)])
+    def test_other_ranges_are_refused(self, low, high):
+        with pytest.raises(ValueError):
+            pairing._ReadAhead(0).integers(low, high, 4)
 
 
 def _layout(name):

@@ -834,7 +834,7 @@ BAD_POOLS = {
 
 class TestAdaptPairChecks:
     """_adapt checks the shared label layout once per group set at entry, and
-    its per-epoch draws skip the check."""
+    only then draws its whole schedule, unchecked."""
 
     @pytest.mark.parametrize("pretrain", [3, 0])
     @pytest.mark.parametrize("name", sorted(BAD_POOLS))
@@ -845,7 +845,7 @@ class TestAdaptPairChecks:
         assert str(checked.value) == message
         calls = []
         monkeypatch.setattr(nn, "adam_into", lambda *a: calls.append("adam_into"))
-        monkeypatch.setattr(trainers, "draw_pairs", lambda *a: calls.append("draw"))
+        monkeypatch.setattr(trainers, "draw_schedule", lambda *a: calls.append("draw"))
         blocks = [trainers._Block([pool.features] * 3, 1, 2),
                   trainers._Block([pool.features] * 3, 3, 2)]
         with pytest.raises(exc) as info:
@@ -855,18 +855,40 @@ class TestAdaptPairChecks:
         assert calls == []
 
     def test_one_check_per_group_set(self, monkeypatch):
-        checks, draws = [], []
-        check, draw = pairing.check_pairs, pairing.draw_pairs
+        calls = []
+        check, draw = pairing.check_pairs, pairing.draw_schedule
         monkeypatch.setattr(trainers, "check_pairs",
-                            lambda *a: checks.append(a[2]) or check(*a))
-        monkeypatch.setattr(trainers, "draw_pairs", lambda *a: draws.append(a[2]) or draw(*a))
+                            lambda *a: calls.append(a[2]) or check(*a))
+        monkeypatch.setattr(trainers, "draw_schedule",
+                            lambda *a: calls.append((len(a[2]), a[3])) or draw(*a))
         pool = _pool()
         blocks = [trainers._Block([pool.features] * 3, 1, 2),
                   trainers._Block([pool.features] * 3, 3, 4)]
         trainers._adapt(blocks, pool.labels, _fewshot(), _hypothesis(), _tiny_cfg())
-        assert checks == [ALL_GROUPS, (2, 4)]
-        # two pair streams, each drawing 3 pretrain + 3 x (model, disc) times
-        assert len(draws) == 2 * (3 + 2 * 3)
+        # two checks, then one draw of two pair streams, each 3 pretrain + 3 x (model, disc)
+        assert calls == [ALL_GROUPS, (2, 4), (3 + 2 * 3, [2, 4])]
+
+    @pytest.mark.parametrize("pretrain, epochs", [(3, 3), (0, 2), (2, 0)])
+    def test_draws_are_the_sequential_draws(self, monkeypatch, pretrain, epochs):
+        """_adapt's index pairs are the draw_pairs calls of each pair seed's
+        fresh Generator in schedule order: pretraining, then per epoch the
+        model update's groups 2 and 4 and the discriminator update's four."""
+        drawn, draw = [], pairing.draw_schedule
+        monkeypatch.setattr(trainers, "draw_schedule",
+                            lambda *a: drawn.append(draw(*a)) or drawn[-1])
+        pool, fewshot, cfg = _pool(), _fewshot(), _tiny_cfg(disc_pretrain_epochs=pretrain,
+                                                             adapt_epochs=epochs)
+        blocks = [trainers._Block([pool.features] * epochs, 1, seed) for seed in (7, 2**64 - 1, 7)]
+        trainers._adapt(blocks, pool.labels, fewshot, _hypothesis(), cfg)
+        schedule = [(ALL_GROUPS, 2)] * pretrain if epochs else []
+        schedule += [((2, 4), 4), (ALL_GROUPS, 2)] * epochs
+        [pairs] = drawn  # two streams; 30 rows, so one byte indexes them
+        assert pairs.shape[:3] == (2, len(schedule), 2) and pairs.dtype == np.uint8
+        for stream, seed in zip(pairs, (7, 2**64 - 1)):
+            rng = np.random.default_rng(seed)
+            for row, (group_ids, count) in zip(stream, schedule):
+                ia, ib = pairing.draw_pairs(pool.labels, fewshot.labels, group_ids, count, rng)
+                assert np.array_equal(row[0], ia) and np.array_equal(row[1], ib)
 
 
 class TestRunTwoStep:
