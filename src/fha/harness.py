@@ -82,8 +82,7 @@ def write_results(path, results) -> None:
     """Append result lines to the file at ``path``, flushing per line."""
     with open(path, "a", encoding="utf-8") as fh:
         for r in results:
-            fh.write(format_result_line(r))
-            fh.write("\n")
+            fh.write(format_result_line(r) + "\n")
             fh.flush()
 
 
@@ -155,8 +154,10 @@ def _run_seed(task: TaskSpec, methods, shots, seed: int,
     hypothesis and one few-shot draw per n_t (the paired design). The
     generator methods of every n_t share one trainers.run_generator_methods
     run, made once the sets are drawn; its time counts to the seed's first
-    generator line. A failed draw, run or stack block is the error record of
-    each run it costs."""
+    generator line. A failed draw is the error record of each run it costs,
+    and a failed stack block (a NumericalError) of each method that reads
+    it. Only another exception stops the shared run: it is logged once, and
+    is the error record of every generator method of the seed."""
     data_seed, source_seed, fewshot_seed, method_seed = nn.derive_seeds(seed, 4)
     try:
         source, target, target_test = make_synthetic_task(replace(task, seed=data_seed))

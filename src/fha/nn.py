@@ -13,11 +13,12 @@ Every public call checks its inputs, binds per-layer (weight, bias) views of
 the parameters once (_layers) and runs one unchecked core (_forward,
 _backward) over them, one code path for a net and a stack; every training
 pass in losses checks once and runs these cores too (a Net binds its views
-once, for the passes that read a frozen Net). The training loops (trainers'
-one fitting loop _fit, behind the source fit and the ft and shot baselines,
-and its stacked loops through _Adam) check once at entry, bind their
-parameter and gradient buffers once, and step Adam (adam_into, which works
-only in place) on those buffers and on the AdamState they made. Apart from
+once, for the passes that read a frozen Net). Trainers' one fitting loop
+_fit, behind the source fit and the ft and shot baselines, checks once at
+entry, binds its parameter and gradient buffers once and runs the
+unchecked pass; its stacked loops (_run_generators, _adapt) call the
+checked passes on every step. Every loop steps Adam (adam_into, which works
+only in place) on its own buffers and on the AdamState it made. Apart from
 those buffers, nothing writes in place into an array it did not allocate:
 not the parameters, the batch, an upstream gradient or a cache.
 """
@@ -367,10 +368,9 @@ def grad_check_fd(loss_fn, params: np.ndarray, tolerance: float = 1e-4,
         bumped[i] = params[i] - step
         lo, _ = loss_fn(bumped)
         fd[i] = (hi - lo) / (2.0 * step)
-    diff = np.abs(analytic - fd)
     scale = max(np.max(np.abs(analytic), initial=0.0),
                 np.max(np.abs(fd), initial=0.0), 1e-12)
-    rel = diff / scale
+    rel = np.abs(analytic - fd) / scale
     worst = int(np.argmax(rel)) if rel.size else 0
     max_rel = float(rel[worst]) if rel.size else 0.0
     return GradCheckReport(passed=bool(max_rel < tolerance), max_rel_error=max_rel,

@@ -7,7 +7,8 @@ generator run and one stacked adaptation per set).
 A stack equals its rows run alone, bit for bit: each row block of a
 generator run equals its one-block run, and each row of an _adapt stack its
 one-block run, trace included. A diverging block fails alone (_Adam), with
-the NumericalError its one-block run raises.
+the NumericalError its one-block run raises; a stack stops stepping once
+every block has failed, and returns each block's error.
 
 The source fit and the ft and shot baselines share one fitting loop, _fit:
 a softmax cross-entropy pass and an Adam step per batch, minibatches for
@@ -400,8 +401,8 @@ class _Adam:
     one-block run's NumericalError, and its parameter and moment rows are
     zeroed, so no later stacked pass reads inf or NaN. A block in ``failed``
     steps on a zero gradient, which keeps zero rows zero; Adam being
-    elementwise, the other blocks keep their bits. A step raises once no
-    block is left."""
+    elementwise, the other blocks keep their bits. A step never raises:
+    its loop stops stepping once every block is in ``failed``."""
 
     def __init__(self, params: np.ndarray, lr: float, failed: dict, rows: int = 1):
         self.params, self.lr, self.failed, self.rows = params, lr, failed, rows
@@ -435,8 +436,13 @@ class _Adam:
                 else "network parameters must be finite"))
         bad = np.repeat(bad, rows)
         params[bad] = state.m[bad] = state.v[bad] = 0.0
-        if len(failed) == count:
-            raise list(failed.values())[-1]
+
+
+def _raised(result):
+    """A one-block run's bank or model, or raise its block's NumericalError."""
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
 def _run_generators(hypothesis: SourceHypothesis, blocks, cfg: TohanConfig, root: int,
@@ -452,7 +458,7 @@ def _run_generators(hypothesis: SourceHypothesis, blocks, cfg: TohanConfig, root
     generator n and child 2n + 1 drives its noise stream, drawn in class order.
     Every block starts from the same init rows and reads the same noise, so
     each block follows its one-block run bit for bit. Returns each block's
-    trained bank, or its failed block's NumericalError (_Adam), in block
+    trained bank, or its own NumericalError (_Adam) if it failed, in block
     order, and, for each block m in ``keep``, the (N, gen_batch, dim) batches
     of its last keep[m] steps. ``logs`` maps a block to the list that
     receives its initial digest, then one (loss mean, digest) of the block
@@ -477,6 +483,8 @@ def _run_generators(hypothesis: SourceHypothesis, blocks, cfg: TohanConfig, root
     for m, log in logs.items():
         log.append(_digest(params[rows[m]]))
     for epoch in range(epochs):
+        if len(failed) == count:  # no block left to step
+            break
         if epoch % _NOISE_CHUNK == 0:  # the same stream as one (B, z_dim) draw per step
             # The tile (672 KiB at grid6's 7 blocks of 6 classes) also keeps glibc from
             # handing the step temporaries' memory back and faulting it in again: one
@@ -514,8 +522,8 @@ def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | Non
     if mode != "source_only" and fewshot is None:
         raise ConfigError(f"mode {mode!r} needs a few-shot set")
     root = cfg.seed if seed is None else seed
-    return _run_generators(hypothesis, [(mode, fewshot)], cfg, root,
-                           cfg.total_epochs if epochs is None else epochs)[0][0]
+    return _raised(_run_generators(hypothesis, [(mode, fewshot)], cfg, root,
+                                   cfg.total_epochs if epochs is None else epochs)[0][0])
 
 
 def sample_pool(bank: GeneratorBank, per_class: int, seed: int) -> LabeledPool:
@@ -570,10 +578,10 @@ def _adapt(blocks: list[_Block], labels: np.ndarray, fewshot: FewShotSet,
     one embedding of the pool and few-shot rows, and each later
     discriminator update embeds its pair rows in one pass. A stacked row
     gets the bits it gets alone, so block m ends, or fails (_Adam) with its
-    NumericalError, and traces as its one-block run. A trace gets its row's
-    digests; with ``gen_log``, its generator block's log, it keeps the
-    interleaved order: a generate event per step, the last len(pools)
-    opening the epochs.
+    NumericalError, and traces as its one-block run; the run stops stepping
+    once every block has failed. A trace gets its row's digests; with
+    ``gen_log``, its generator block's log, it keeps the interleaved order:
+    a generate event per step, the last len(pools) opening the epochs.
     """
     steps, count = len(blocks[0].pools), len(blocks)
     half = 2 * cfg.per_group  # model-update pairs per cross-domain group
@@ -599,6 +607,8 @@ def _adapt(blocks: list[_Block], labels: np.ndarray, fewshot: FewShotSet,
     groups = np.repeat(ALL_GROUPS, cfg.per_group)
 
     def disc_update(embed):  # embed: indices into ``rows`` -> frozen-encoder rows
+        if len(failed) == count:  # no block left to step
+            return None
         emb = embed(next(draws).reshape(count, -1))
         joint = np.concatenate([emb[:, :groups.size], emb[:, groups.size:]], axis=-1)
         loss, grad = losses.group_ce_and_disc_grad(disc, joint, groups)
@@ -649,6 +659,8 @@ def _adapt(blocks: list[_Block], labels: np.ndarray, fewshot: FewShotSet,
                 record(k, "pretrain_disc", group_ce=loss)
             disc_adam = _Adam(disc.params, cfg.lr, failed)
             del emb  # up to 240 KB, unread after pretraining
+        if len(failed) == count:  # no block left to step
+            break
         beta = losses.beta_schedule(k / steps)
         ia, ib = next(draws).swapaxes(0, 1)
         loss, model_grad[:, :split], model_grad[:, split:] = losses.adaptation_loss_and_grads(
@@ -676,16 +688,17 @@ def adapt_pairwise(intermediate: LabeledPool, fewshot: FewShotSet,
     """
     block = _Block([intermediate.features] * cfg.adapt_epochs, *nn.derive_seeds(cfg.seed, 2),
                    trace)
-    return _adapt([block], intermediate.labels, fewshot, hypothesis, cfg)[0]
+    return _raised(_adapt([block], intermediate.labels, fewshot, hypothesis, cfg)[0])
 
 
 def run_generator_methods(methods, hypothesis: SourceHypothesis, fewshots, cfg: TohanConfig, *,
                           traces=None) -> list[dict[str, TargetModel | NumericalError]]:
     """Run the listed generator methods on each few-shot set of ``fewshots``
     (one seed's sets, one per shot count) as one generator run, then one
-    stacked _adapt run per set; returns, per set, each method's model or the
-    NumericalError of its failed bank or block, or of its set's adaptation
-    when that fails in every block (the error a one-set run raises).
+    stacked _adapt run per set; returns, per set, each method's model or its
+    own NumericalError: its bank's if that failed, else its adaptation
+    row's (the error its one-method run raises). A block's failure costs no
+    other block, even when every block of a stack fails.
 
     The generator run is rooted at child 0 of derive_seeds(cfg.seed, 3) and
     takes cfg.total_epochs steps, with a row block per objective the methods
@@ -745,11 +758,8 @@ def run_generator_methods(methods, hypothesis: SourceHypothesis, fewshots, cfg: 
                 adapting[method] = _Block([pool] * cfg.adapt_epochs, *nn.derive_seeds(second, 2),
                                           trace.get(method))
         if adapting:
-            try:
-                models.update(zip(adapting, _adapt(list(adapting.values()), labels, fewshot,
-                                                   hypothesis, cfg)))
-            except NumericalError as exc:  # no block left: what a one-set run raises
-                models = dict.fromkeys(methods, exc)
+            models.update(zip(adapting, _adapt(list(adapting.values()), labels, fewshot,
+                                               hypothesis, cfg)))
         results.append(models)
     return results
 
@@ -757,11 +767,8 @@ def run_generator_methods(methods, hypothesis: SourceHypothesis, fewshots, cfg: 
 def _one_method(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,
                 cfg: TohanConfig, trace: list | None) -> TargetModel:
     """run_generator_methods of one method on one set; raises its error."""
-    model = run_generator_methods([method], hypothesis, [fewshot], cfg,
-                                  traces=[{method: trace}])[0][method]
-    if isinstance(model, NumericalError):
-        raise model
-    return model
+    return _raised(run_generator_methods([method], hypothesis, [fewshot], cfg,
+                                         traces=[{method: trace}])[0][method])
 
 
 def run_two_step(method: str, hypothesis: SourceHypothesis, fewshot: FewShotSet,

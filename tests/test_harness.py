@@ -694,22 +694,38 @@ def _fail_stacked_adaptation(monkeypatch):
 
 
 def _poison_objective(monkeypatch, mode, n_t=None):
-    """Fill the gradient rows of every ``mode`` block (the one of the
-    few-shot set of ``n_t`` only, if given) of every generator step with NaN,
-    so those blocks diverge; returns the blocks of every generator run."""
+    """Fill the gradient rows of every ``mode`` block (every block, if mode
+    is None; the one of the few-shot set of ``n_t`` only, if given) of every
+    generator step with NaN, so those blocks diverge; returns the blocks of
+    every generator run."""
     objective = losses.generator_objective_and_grad
 
     def poisoned(arch, params, enc, cls, z, plan, **kwargs):
         loss, grad, generated = objective(arch, params, enc, cls, z, plan, **kwargs)
         n = plan.num_classes
         for m, block in enumerate(started[-1]):
-            if block[0] == mode and n_t in (None, block[1]):
+            if mode in (None, block[0]) and n_t in (None, block[1]):
                 grad[m * n:(m + 1) * n] = np.nan
         return loss, grad, generated
 
     monkeypatch.setattr(losses, "generator_objective_and_grad", poisoned)
     started = _inject(monkeypatch, lambda blocks: False)
     return started
+
+
+def _poison_adaptation(monkeypatch, n_t=None):
+    """Fill the encoder gradient of every model update of every adaptation
+    (of the few-shot set of ``n_t`` only, if given) with NaN, so every row
+    of its stack diverges at its first model update."""
+    loss_and_grads = losses.adaptation_loss_and_grads
+
+    def poisoned(x1, x2, disc, enc, cls, fewshot, beta):
+        loss, enc_grad, cls_grad = loss_and_grads(x1, x2, disc, enc, cls, fewshot, beta)
+        if n_t in (None, fewshot.n_t):
+            enc_grad[...] = np.nan
+        return loss, enc_grad, cls_grad
+
+    monkeypatch.setattr(losses, "adaptation_loss_and_grads", poisoned)
 
 
 def _spy_trainers(monkeypatch):
@@ -746,6 +762,7 @@ BLOCK_FAILURES = {
     "target_only": (lambda mp: _poison_objective(mp, "target_only"), ("tfada",)),
     "combined": (lambda mp: _poison_objective(mp, "combined"), ("stfada", "tohan")),
     "adaptation": (lambda mp: _poison_pools(mp, "target_only"), ("tfada",)),
+    "every": (lambda mp: _poison_objective(mp, None), GENERATOR_METHODS),
 }
 # name -> (install an exception that stops the whole shared run and return
 #          the blocks of every generator run, the error line of each
@@ -790,6 +807,52 @@ class TestBlockFailures:
             else:
                 assert _model_bytes(models[method]) == direct[method], method
         assert started == [_run_blocks(ALL_MODES, [3])]
+
+    def test_each_method_keeps_its_own_error(self, monkeypatch):
+        """sfada's source_only bank and every row of the adaptation diverge:
+        sfada gets its bank's own error, and each other method its own row's."""
+        hyp, fewshot, cfg, _ = _shared_setup("rot40", 3, 0.2)
+        _poison_objective(monkeypatch, "source_only")
+        _poison_adaptation(monkeypatch)
+        run_generators, adapt, banks, rows = trainers._run_generators, trainers._adapt, [], []
+
+        def spy_run(*args, **kwargs):
+            out = run_generators(*args, **kwargs)
+            banks.extend(out[0])
+            return out
+
+        def spy_adapt(*args):
+            out = adapt(*args)
+            rows.extend(out)
+            return out
+
+        monkeypatch.setattr(trainers, "_run_generators", spy_run)
+        monkeypatch.setattr(trainers, "_adapt", spy_adapt)
+        models, = trainers.run_generator_methods(GENERATOR_METHODS, hyp, [fewshot],
+                                                 replace(cfg.tohan, seed=METHOD_SEED))
+        assert models["sfada"] is banks[0]
+        assert len(rows) == 3
+        for method, row in zip(("tfada", "stfada", "tohan"), rows, strict=True):
+            assert models[method] is row, method
+        errors = list(models.values())
+        assert len({id(e) for e in errors}) == 4
+        assert all(isinstance(e, NumericalError) and str(e) == DIVERGED for e in errors)
+
+    def test_generator_run_failing_in_every_block_raises_nothing(self, monkeypatch, caplog):
+        """Every block of the generator run diverges: the run returns each
+        block's own error, and the grid logs each generator line's error and
+        no shared run failure."""
+        hyp, fewshot, cfg, _ = _shared_setup("rot40", 3, 0.2)
+        _poison_objective(monkeypatch, None)
+        blocks = [(mode, None if mode == "source_only" else fewshot) for mode in ALL_MODES]
+        banks, _ = trainers._run_generators(hyp, blocks, cfg.tohan, 5, 9, {2: 3})
+        assert len({id(b) for b in banks}) == 3
+        assert all(isinstance(b, NumericalError) and str(b) == DIVERGED for b in banks)
+        with caplog.at_level("ERROR", logger=harness.log.name):
+            _grid()
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"run {method}/n_t={n_t}/seed={seed} failed: {DIVERGED}"
+            for seed in (0, 1) for n_t in (1, 2) for method in GENERATOR_METHODS]
 
     @pytest.mark.parametrize("failure", list(RUN_FAILURES))
     def test_run_exception_costs_every_generator_method(self, monkeypatch, tiny_results,
@@ -949,19 +1012,12 @@ class TestSharedShots:
                 assert line == clean
 
     def test_adaptation_failing_in_every_block_costs_only_its_n_t(self, monkeypatch, shot_lines):
-        """An adaptation with no block left costs every generator method of
-        its n_t, with the error a one-set run raises, and no other line."""
-        adapt = trainers._adapt
-
-        def fail_at_two(stack, labels, fewshot, *args):
-            if fewshot.n_t == 2:
-                raise NumericalError("injected adaptation failure")
-            return adapt(stack, labels, fewshot, *args)
-
-        monkeypatch.setattr(trainers, "_adapt", fail_at_two)
+        """An adaptation whose every row diverges costs every generator
+        method of its n_t, each with its own row's error, and no other line."""
+        _poison_adaptation(monkeypatch, n_t=2)
         for line, clean in zip(_shot_grid(SHOTS), shot_lines, strict=True):
             if line[0] in GENERATOR_METHODS and line[2] == 2:
-                assert line == clean[:4] + (None, None, "injected adaptation failure")
+                assert line == clean[:4] + (None, None, DIVERGED)
             else:
                 assert line == clean
 
