@@ -27,7 +27,7 @@ pool = trainers.sample_pool(bank, cfg.gen_batch, seed=7)
 
 # --- watch the discriminator learn on its own -----------------------------
 disc_arch = trainers.default_discriminator_arch(
-    hypothesis.enc.arch.out_width, cfg.disc_hidden
+    hypothesis.enc.arch.out_width, cfg.hidden
 )
 disc = nn.Net(disc_arch, nn.init_params(disc_arch, 3))
 state = nn.AdamState.init(disc.params.size, cfg.lr)

@@ -337,8 +337,8 @@ def load_dataset(path) -> Dataset:
         raise FormatError(f"dataset file contents invalid: {exc}") from exc
 
 
-def _circle_means(num_classes: int, radius: float, phase_deg: float = 90.0) -> tuple:
-    angles = np.deg2rad(phase_deg + 360.0 * np.arange(num_classes) / num_classes)
+def _circle_means(num_classes: int, radius: float) -> tuple:
+    angles = np.deg2rad(90.0 + 360.0 * np.arange(num_classes) / num_classes)
     return tuple((radius * float(np.cos(a)), radius * float(np.sin(a))) for a in angles)
 
 

@@ -274,6 +274,9 @@ class Net:
 
 # Adam's moment decay rates and denominator offset, shared by every state.
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+# the largest |g| adam_into takes, 1% under sqrt(float64 max): v is an average
+# of g * g, so v and its bias-corrected v / (1 - b2**t) stay finite under it
+_G_MAX = 0.99 * float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass
@@ -297,15 +300,23 @@ class AdamState:
                    scratch=(np.empty(shape), np.empty(shape)))
 
 
+def _refused(peak: float) -> NumericalError:
+    """The error of a gradient whose largest |entry| is ``peak`` > _G_MAX."""
+    return NumericalError("non-finite gradient in adam_step" if not np.isfinite(peak)
+                          else f"gradient too large for adam_step (an entry above {_G_MAX:.1e})")
+
+
 def adam_into(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     """One Adam update on ``grad``, in place: steps ``params`` and ``state``'s
     moments and step count, float64 buffers of one shape that the caller
-    owns and has checked. The step works in ``state.scratch``. A non-finite
-    gradient raises before anything is written."""
-    if not np.isfinite(grad).all():
-        raise NumericalError("non-finite gradient in adam_step")
-    state.t += 1
+    owns and has checked. The step works in ``state.scratch``. A gradient
+    with an entry that is not finite or above _G_MAX in size, whose square
+    would overflow the moments, raises before anything is written."""
     work, denom = state.scratch or (np.empty(grad.shape), np.empty(grad.shape))
+    peak = np.abs(grad, out=work).max()
+    if not peak <= _G_MAX:
+        raise _refused(peak)
+    state.t += 1
     # m' = b1 m + (1 - b1) g and v' = b2 v + (1 - b2) g g, each product and sum
     # in this order or commuted (the same bits)
     np.multiply(grad, 1.0 - _BETA1, out=work)

@@ -102,14 +102,14 @@ class TohanConfig:
     the discriminator is pretrained for ``disc_pretrain_epochs`` right
     before it. Every Adam (generators, model, discriminator) steps at
     ``lr``; the discriminator's moments restart when adaptation begins.
+    ``hidden`` is the one hidden width of the generators and discriminator.
     """
 
     tradeoff: float = 0.2
     gen_batch: int = 32
     per_group: int = 16
     z_dim: int = 8
-    gen_hidden: int = 32
-    disc_hidden: int = 32
+    hidden: int = 32
     total_epochs: int = 500
     disc_pretrain_epochs: int = 100
     adapt_epochs: int = 50
@@ -118,8 +118,7 @@ class TohanConfig:
 
     def __post_init__(self) -> None:
         nn._as_int_fields(self)
-        if min(self.gen_batch, self.per_group, self.z_dim, self.gen_hidden,
-               self.disc_hidden, self.total_epochs) < 1:
+        if min(self.gen_batch, self.per_group, self.z_dim, self.hidden, self.total_epochs) < 1:
             raise ConfigError("batch sizes, widths, and total_epochs must be positive")
         if self.adapt_epochs < 0 or self.disc_pretrain_epochs < 0:
             raise ConfigError("epoch counts must be non-negative")
@@ -395,17 +394,18 @@ def train_shot(hypothesis: SourceHypothesis, fewshot: FewShotSet,
 
 
 class _Adam:
-    """Adam on ``params``, a stack of ``rows``-row blocks, stepped in place
-    (nn.adam_into). A block whose gradient or new parameters are not finite
-    goes into ``failed`` (which the stacks of one run may share) with its
-    one-block run's NumericalError, and its parameter and moment rows are
-    zeroed, so no later stacked pass reads inf or NaN. A block in ``failed``
-    steps on a zero gradient, which keeps zero rows zero; Adam being
-    elementwise, the other blocks keep their bits. A step never raises:
-    its loop stops stepping once every block is in ``failed``."""
+    """Adam on ``params``, a stack of blocks along its first axis, stepped in
+    place (nn.adam_into). A block whose gradient nn.adam_into would refuse,
+    or whose new parameters are not finite, goes into ``failed`` (which the
+    stacks of one run may share) with its one-block run's NumericalError,
+    and its parameters and moments are zeroed, so no later stacked pass reads
+    inf or NaN. A block in ``failed`` steps on a zero gradient, which keeps
+    zero blocks zero; Adam being elementwise, the other blocks keep their
+    bits. A step never raises: its loop stops stepping once every block is
+    in ``failed``."""
 
-    def __init__(self, params: np.ndarray, lr: float, failed: dict, rows: int = 1):
-        self.params, self.lr, self.failed, self.rows = params, lr, failed, rows
+    def __init__(self, params: np.ndarray, lr: float, failed: dict):
+        self.params, self.lr, self.failed = params, lr, failed
         self.state = None
 
     def step(self, grad: np.ndarray) -> None:
@@ -415,26 +415,24 @@ class _Adam:
             # faults (by all appearances glibc trimming the freed temporaries off
             # the heap top after every step)
             self.state = nn.AdamState.init(self.params.shape, self.lr)
-        params, state, failed, rows = self.params, self.state, self.failed, self.rows
-        count = len(params) // rows
+        params, state, failed = self.params, self.state, self.failed
         if failed:
-            grad[np.repeat(np.isin(np.arange(count), list(failed)), rows)] = 0.0
+            grad[list(failed)] = 0.0
         try:
             nn.adam_into(state, params, grad)
         except NumericalError:  # nothing written: step again without those blocks' gradients
-            bad_grad = ~np.isfinite(grad).reshape(count, -1).all(axis=1)
-            grad[np.repeat(bad_grad, rows)] = 0.0
+            peak = np.abs(grad).reshape(len(grad), -1).max(axis=1)
+            bad_grad = ~(peak <= nn._G_MAX)
+            grad[bad_grad] = 0.0
             nn.adam_into(state, params, grad)
         else:
             if np.isfinite(params).all():
                 return
-            bad_grad = np.zeros(count, dtype=bool)
-        bad = bad_grad | ~np.isfinite(params).reshape(count, -1).all(axis=1)
+            bad_grad = np.zeros(len(params), dtype=bool)
+        bad = bad_grad | ~np.isfinite(params).reshape(len(params), -1).all(axis=1)
         for m in np.flatnonzero(bad):
-            failed.setdefault(int(m), NumericalError(
-                "non-finite gradient in adam_step" if bad_grad[m]
-                else "network parameters must be finite"))
-        bad = np.repeat(bad, rows)
+            failed.setdefault(int(m), nn._refused(peak[m]) if bad_grad[m]
+                              else NumericalError("network parameters must be finite"))
         params[bad] = state.m[bad] = state.v[bad] = 0.0
 
 
@@ -448,11 +446,12 @@ def _raised(result):
 def _run_generators(hypothesis: SourceHypothesis, blocks, cfg: TohanConfig, root: int,
                     epochs: int, keep: dict | None = None,
                     logs: dict | None = None) -> tuple[list, dict]:
-    """Train the class generators of every row block in ``blocks``, an
-    (objective, few-shot set or None) pair each, as one (M*N, P) stack in one
-    buffer with one Adam state and one losses.generator_plan: block m holds
-    the N generators on objective blocks[m][0] and its few-shots, row n of a
-    block for class n.
+    """Train the class generators of every block in ``blocks``, an
+    (objective, few-shot set or None) pair each, as one (M, N, P) stack in one
+    buffer with one Adam state and one losses.generator_plan: block m,
+    stack[m], holds the N generators on objective blocks[m][0] and its
+    few-shots, row n for class n. The plan reads the stack's (M*N, P) view,
+    and _Adam steps it block by block along its first axis.
 
     Seeds follow derive_seeds(root, 2 * num_classes): child 2n initializes
     generator n and child 2n + 1 drives its noise stream, drawn in class order.
@@ -466,9 +465,9 @@ def _run_generators(hypothesis: SourceHypothesis, blocks, cfg: TohanConfig, root
     """
     num_classes, count = hypothesis.cls.arch.out_width, len(blocks)
     child = nn.derive_seeds(root, 2 * num_classes)
-    arch = default_generator_arch(cfg.z_dim, hypothesis.enc.arch.in_width, cfg.gen_hidden)
+    arch = default_generator_arch(cfg.z_dim, hypothesis.enc.arch.in_width, cfg.hidden)
     init = np.stack([nn.init_params(arch, child[2 * n]) for n in range(num_classes)])
-    params = np.tile(init, (count, 1))
+    stack = np.tile(init, (count, 1, 1))
     noise = [np.random.default_rng(child[2 * n + 1]) for n in range(num_classes)]
     # the plan refuses a target block without the shots of every class
     targets = [None if fs is None or fs.num_classes < num_classes else
@@ -476,12 +475,11 @@ def _run_generators(hypothesis: SourceHypothesis, blocks, cfg: TohanConfig, root
                for _, fs in blocks]
     plan = losses.generator_plan(tuple(mode for mode, _ in blocks), num_classes, targets,
                                  cfg.tradeoff, cfg.gen_batch)
-    rows = [slice(m * num_classes, (m + 1) * num_classes) for m in range(count)]
     keep, logs = keep or {}, logs or {}
     kept, failed = {m: [] for m in keep}, {}
-    adam = _Adam(params, cfg.lr, failed, num_classes)
+    adam = _Adam(stack, cfg.lr, failed)
     for m, log in logs.items():
-        log.append(_digest(params[rows[m]]))
+        log.append(_digest(stack[m]))
     for epoch in range(epochs):
         if len(failed) == count:  # no block left to step
             break
@@ -496,16 +494,16 @@ def _run_generators(hypothesis: SourceHypothesis, blocks, cfg: TohanConfig, root
             chunk = np.tile(np.stack([rng.standard_normal((steps, cfg.gen_batch, cfg.z_dim))
                                       for rng in noise], axis=1), (1, count, 1, 1))
         step_losses, grad, generated = losses.generator_objective_and_grad(
-            arch, params, hypothesis.enc, hypothesis.cls, chunk[epoch % _NOISE_CHUNK], plan,
-            with_loss=bool(logs))
-        adam.step(grad)
+            arch, stack.reshape(-1, arch.n_params), hypothesis.enc, hypothesis.cls,
+            chunk[epoch % _NOISE_CHUNK], plan, with_loss=bool(logs))
+        adam.step(grad.reshape(stack.shape))
         for m, steps_kept in keep.items():
             if epoch >= epochs - steps_kept:
                 # a copy, so the other blocks' batches are not kept alive
-                kept[m].append(generated[rows[m]].copy())
+                kept[m].append(generated[m * num_classes:(m + 1) * num_classes].copy())
         for m, log in logs.items():
-            log.append((float(np.mean(step_losses[rows[m]])), _digest(params[rows[m]])))
-    return [failed.get(m) or GeneratorBank(arch, params[rows[m]]) for m in range(count)], kept
+            log.append((float(np.mean(step_losses.reshape(count, -1)[m])), _digest(stack[m])))
+    return [failed.get(m) or GeneratorBank(arch, stack[m]) for m in range(count)], kept
 
 
 def train_generator_bank(hypothesis: SourceHypothesis, fewshot: FewShotSet | None,
@@ -593,7 +591,7 @@ def _adapt(blocks: list[_Block], labels: np.ndarray, fewshot: FewShotSet,
     model = np.tile(np.concatenate([hypothesis.enc.params, hypothesis.cls.params]), (count, 1))
     enc = _Stack(hypothesis.enc.arch, model[:, :split])
     cls = _Stack(hypothesis.cls.arch, model[:, split:])
-    disc_arch = default_discriminator_arch(enc.arch.out_width, cfg.disc_hidden)
+    disc_arch = default_discriminator_arch(enc.arch.out_width, cfg.hidden)
     disc = _Stack(disc_arch, np.stack([nn.init_params(disc_arch, b.disc_seed) for b in blocks]))
     seeds = list(dict.fromkeys(b.pair_seed for b in blocks))  # one pair stream per seed
     pretrain = [(ALL_GROUPS, cfg.per_group)] * cfg.disc_pretrain_epochs if steps else []

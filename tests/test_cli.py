@@ -266,7 +266,7 @@ def _mini_run_config(out_path, **overrides):
         "out": str(out_path),
         "source": {"epochs": 100, "batch_size": 32, "encoder_width": 8},
         "tohan": {"gen_batch": 4, "per_group": 2, "z_dim": 3,
-                  "gen_hidden": 4, "disc_hidden": 4, "total_epochs": 6,
+                  "hidden": 4, "total_epochs": 6,
                   "disc_pretrain_epochs": 2, "adapt_epochs": 3},
     }
     doc.update(overrides)
@@ -487,6 +487,36 @@ class TestRun:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == "error: unknown tohan fields: ['lr_gen']\n"
         assert out.read_bytes() == b'{"an": "earlier run"}\n'
+
+    @pytest.mark.parametrize("key", ["gen_hidden", "disc_hidden"])
+    def test_old_tohan_width_key_is_usage_error(self, tmp_path, capsys, key):
+        """The generator and discriminator widths are one ``hidden``: an old
+        key is refused before --out exists."""
+        out = tmp_path / "r.jsonl"
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(_mini_run_config(out, tohan={key: 4})), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: unknown tohan fields: ['{key}']\n"
+        assert not out.exists()
+
+    def test_overflowing_tradeoff_fails_its_methods_alone(self, tmp_path):
+        """tohan.tradeoff 1e308 makes the target-proximity gradient too large
+        for Adam: stfada's and tohan's generators fail with a typed error on
+        each seed, and the five other methods keep their lines. (A numpy
+        RuntimeWarning would be a test error, per pyproject.toml.)"""
+        out = tmp_path / "r.jsonl"
+        doc = _mini_run_config(out, seeds=[0, 1], baseline={"epochs": 15})
+        del doc["methods"]
+        doc["tohan"]["tradeoff"] = 1e308
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 1
+        rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        errors = sorted((r["method"], r["seed"]) for r in rows if r.get("error") is not None)
+        assert len(rows) == 14
+        assert errors == [("stfada", 0), ("stfada", 1), ("tohan", 0), ("tohan", 1)]
+        assert all(r["error"].endswith("gradient too large for adam_step (an entry above "
+                                       "1.3e+154)") for r in rows if r.get("error"))
 
     @pytest.mark.parametrize("seeds,count", [
         ("0..1000000", 1000001), ("0..200000000", 200000001),

@@ -72,7 +72,7 @@ def _tiny_cfg():
         source=SourceTrainConfig(epochs=100, batch_size=32, encoder_width=8),
         baseline=BaselineConfig(epochs=15),
         tohan=TohanConfig(gen_batch=4, per_group=2, z_dim=3,
-                          gen_hidden=4, disc_hidden=4, total_epochs=6,
+                          hidden=4, total_epochs=6,
                           disc_pretrain_epochs=2, adapt_epochs=3),
     )
 
@@ -460,7 +460,7 @@ def _shared_setup(task_name, n_t, tradeoff, adapt_epochs=4, disc_pretrain_epochs
     cfg = ExperimentConfig(
         baseline=BaselineConfig(epochs=5),
         tohan=TohanConfig(tradeoff=tradeoff, gen_batch=6, per_group=3, z_dim=4,
-                          gen_hidden=8, disc_hidden=8, total_epochs=12,
+                          hidden=8, total_epochs=12,
                           disc_pretrain_epochs=disc_pretrain_epochs,
                           adapt_epochs=adapt_epochs),
     )
@@ -620,9 +620,8 @@ def _ring6_sets():
     cfg = ExperimentConfig(
         source=SourceTrainConfig(epochs=10, min_test_accuracy=0.0),
         baseline=BaselineConfig(epochs=5),
-        tohan=TohanConfig(gen_batch=6, per_group=3, z_dim=4, gen_hidden=8, disc_hidden=8,
-                          total_epochs=12, disc_pretrain_epochs=2, adapt_epochs=4,
-                          seed=METHOD_SEED),
+        tohan=TohanConfig(gen_batch=6, per_group=3, z_dim=4, hidden=8, total_epochs=12,
+                          disc_pretrain_epochs=2, adapt_epochs=4, seed=METHOD_SEED),
     )
     hyp = trainers.train_source(source, cfg.source)
     return hyp, [sample_few_shot(target, n_t, 3) for n_t in RING6_SHOTS], cfg

@@ -901,7 +901,7 @@ class TestAdaptationUpdatesEqualTheComposedCalls:
         cfg = trainers.TohanConfig()
         enc_arch = trainers.default_encoder_arch(2)
         cls_arch = trainers.default_classifier_arch(enc_arch.out_width, classes)
-        disc_arch = trainers.default_discriminator_arch(enc_arch.out_width, cfg.disc_hidden)
+        disc_arch = trainers.default_discriminator_arch(enc_arch.out_width, cfg.hidden)
         seeds = iter(nn.derive_seeds(100 * classes + 10 * n_t + count, 3 * count))
         enc, cls, disc = (_Stack(arch, np.stack([nn.init_params(arch, next(seeds))
                                                  for _ in range(count)]))

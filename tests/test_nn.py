@@ -472,15 +472,33 @@ class TestMatchesReference:
             assert same_bytes(state.m, ref_state.m) and same_bytes(state.v, ref_state.v)
             assert (state.t, state.lr) == (ref_state.t, ref_state.lr)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_adam_into_non_finite_grad_writes_nothing(self, bad):
+    @pytest.mark.parametrize("bad,error", [
+        ([0.3, np.nan, 0.0], "^non-finite gradient in adam_step$"),
+        ([0.3, np.inf, 0.0], "^non-finite gradient in adam_step$"),
+        ([0.3, -np.inf, 0.0], "^non-finite gradient in adam_step$"),
+        # finite, but its square would overflow v
+        ([1.0, 1e200, -1e200],
+         r"^gradient too large for adam_step \(an entry above 1\.3e\+154\)$"),
+    ], ids=["nan", "inf", "-inf", "too-large"])
+    def test_adam_into_refused_grad_writes_nothing(self, bad, error):
         state = nn.AdamState(np.full(3, 0.5), np.full(3, 0.25), t=4, lr=0.01)
-        params, grad = np.array([1.0, -2.0, 0.5]), np.array([0.3, bad, 0.0])
+        params, grad = np.array([1.0, -2.0, 0.5]), np.array(bad)
         before = (params.copy(), state.m.copy(), state.v.copy())
-        with pytest.raises(NumericalError, match="^non-finite gradient in adam_step$"):
+        with pytest.raises(NumericalError, match=error):
             nn.adam_into(state, params, grad)
         assert all(same_bytes(a, b) for a, b in zip((params, state.m, state.v), before))
         assert state.t == 4
+
+    def test_adam_into_largest_grad_stays_finite(self):
+        """At +-_G_MAX every step, bias correction included, stays finite
+        without a floating-point warning; the next float up is refused."""
+        params, state = np.zeros(2), nn.AdamState.init(2, lr=0.01)
+        with np.errstate(all="raise"):
+            for _ in range(3):
+                nn.adam_into(state, params, np.array([nn._G_MAX, -nn._G_MAX]))
+        assert np.isfinite(params).all() and np.isfinite(state.v).all()
+        with pytest.raises(NumericalError, match="^gradient too large"):
+            nn.adam_into(state, params, np.array([0.0, np.nextafter(nn._G_MAX, np.inf)]))
 
     def test_joint_step_equals_two_steps(self):
         # train_source and the adaptation model update step encoder + classifier as one

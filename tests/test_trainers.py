@@ -69,8 +69,7 @@ def _tiny_cfg(**overrides):
         gen_batch=4,
         per_group=2,
         z_dim=3,
-        gen_hidden=4,
-        disc_hidden=4,
+        hidden=4,
         total_epochs=6,
         disc_pretrain_epochs=3,
         adapt_epochs=3,
@@ -157,6 +156,7 @@ class TestConfigs:
         {"disc_pretrain_epochs": -1},
         {"lr": 0.0},
         {"lr": -1.0},
+        {"hidden": 0},
     ])
     def test_tohan_config_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -171,6 +171,7 @@ class TestConfigs:
         assert cfg.per_group == 16
         assert cfg.tradeoff == 0.2
         assert cfg.lr == 1e-3
+        assert cfg.hidden == 32
 
     @pytest.mark.parametrize("bad", [4.5, True, "3"], ids=repr)
     @pytest.mark.parametrize("base,name", [
@@ -678,7 +679,7 @@ class TestGeneratorBank:
         cfg = _tiny_cfg(seed=42)
         bank = trainers.train_generator_bank(hyp, None, "source_only", cfg, epochs=0)
         child = nn.derive_seeds(42, 6)
-        arch = trainers.default_generator_arch(cfg.z_dim, 2, cfg.gen_hidden)
+        arch = trainers.default_generator_arch(cfg.z_dim, 2, cfg.hidden)
         assert bank.arch == arch
         for n, row in enumerate(bank.params):
             expected = nn.init_params(arch, child[2 * n])
@@ -1128,6 +1129,7 @@ class TestRunGeneratorMethods:
 GRADIENTS = {"generator": "generator_objective_and_grad",
              "model": "adaptation_loss_and_grads", "disc": "group_ce_and_disc_grad"}
 DIVERGED = "^non-finite gradient in adam_step$"
+TOO_LARGE = r"^gradient too large for adam_step \(an entry above 1\.3e\+154\)$"
 
 
 def _poison_grad(monkeypatch, kind, rows=slice(None), after=1):
@@ -1253,19 +1255,18 @@ class TestStackWithNoBlockLeft:
 
 
 class TestAdamStack:
-    ROWS = 2  # rows per block of a 3-block (6, 5) stack
+    """_Adam on a (3, 2, 5) stack: three blocks of two rows each."""
 
-    @pytest.mark.parametrize("kind,error", [("grad", DIVERGED),
+    @pytest.mark.parametrize("kind,error", [("grad", DIVERGED), ("large", TOO_LARGE),
                                             ("params", "^network parameters must be finite$")])
     def test_failed_block_leaves_the_others_bits(self, monkeypatch, kind, error):
         """Block 1 fails at step 3: blocks 0 and 2 keep the parameters and
         moments of a 2-block run without it, its rows are zero from then on,
         and a step that fails the last blocks records them in block order and
         raises nothing."""
-        rows, rng = self.ROWS, np.random.default_rng(4)
-        init, grads = rng.normal(size=(6, 5)), rng.normal(size=(6, 6, 5))
-        keep, block1 = np.r_[0:rows, 2 * rows:3 * rows], slice(rows, 2 * rows)
-        adam_into, overflow = nn.adam_into, []  # rows the next core step leaves infinite
+        rng, keep = np.random.default_rng(4), [0, 2]
+        init, grads = rng.normal(size=(3, 2, 5)), rng.normal(size=(6, 3, 2, 5))
+        adam_into, overflow = nn.adam_into, []  # blocks the next core step leaves infinite
 
         def step(state, params, grad):
             adam_into(state, params, grad)
@@ -1273,24 +1274,24 @@ class TestAdamStack:
 
         monkeypatch.setattr(nn, "adam_into", step)
         failed = {}
-        adam = trainers._Adam(init.copy(), 0.01, failed, rows)
-        alone = trainers._Adam(init[keep], 0.01, {}, rows)
+        adam = trainers._Adam(init.copy(), 0.01, failed)
+        alone = trainers._Adam(init[keep], 0.01, {})
         for k, grad in enumerate(grads):
             alone.step(grad[keep])
-            if k == 3 and kind == "grad":
-                grad[block1] = np.nan
-            overflow[:] = [rows] if k == 3 and kind == "params" else []
+            if k == 3 and kind != "params":
+                grad[1] = np.nan if kind == "grad" else 1e200
+            overflow[:] = [1] if k == 3 and kind == "params" else []
             adam.step(grad)
             overflow.clear()
             assert list(failed) == ([1] if k >= 3 else [])
             for mine, its in ((adam.params, alone.params), (adam.state.m, alone.state.m),
                               (adam.state.v, alone.state.v)):
                 assert mine[keep].tobytes() == its.tobytes()
-                assert k < 3 or not mine[block1].any()
+                assert k < 3 or not mine[1].any()
             assert adam.state.t == alone.state.t
         assert re.match(error, str(failed[1]))
-        grad = rng.normal(size=(6, 5))
-        grad[2 * rows:] = np.nan
+        grad = rng.normal(size=(3, 2, 5))
+        grad[2] = np.nan
         overflow[:] = [0]
         adam.step(grad)
         assert list(failed) == [1, 0, 2]
